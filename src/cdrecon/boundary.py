@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, SolverError
+from .errors import DataError, DimensionError
 from .fields import BoundaryValues, Grid, ScalarField, boundary_loop
 
 
@@ -259,11 +259,7 @@ def harmonic_lift(
 
     data = BoundaryValues(grid, coeffs.c.values / coeffs.b.values)
     system = elliptic.assemble_laplace_dirichlet(data, grid)
-    x, stats = elliptic.pcg_solve(system, tol=tol, max_iter=40 * grid.n)
-    if not stats.converged:
-        raise SolverError(
-            f"harmonic lift solve stalled at residual {stats.relative_residual:.3e}"
-        )
+    x, _ = elliptic.sine_solve(system, tol=tol)
     hfield = ScalarField(grid, x)
     U = hfield.values2d
     n, h = grid.n, grid.h

@@ -3,8 +3,9 @@ weighted total variation with Dirichlet data fixed to a given boundary trace.
 
 The splitting introduces a cell-centered auxiliary field d for grad v and a
 Bregman multiplier g.  Each sweep solves a five-point Poisson problem for v
-with the trace eliminated, shrinks d toward grad v + g with the spatially
-varying threshold (cell-mean weight)/rho, and accumulates the multiplier.
+with the trace eliminated (exactly, by the sine transform), shrinks d
+toward grad v + g with the spatially varying threshold (cell-mean
+weight)/rho, and accumulates the multiplier.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import SolveStats, assemble_laplace_dirichlet, pcg_solve
-from .errors import DataError, SolverError
+from .elliptic import SolveStats, SparseSystem, assemble_laplace_dirichlet, sine_solve
+from .errors import DataError
 from .fields import (
     BoundaryValues,
     Grid,
     ScalarField,
     VectorField,
-    boundary_loop,
     cell_average,
     divergence,
     gradient,
@@ -44,7 +44,6 @@ class BregmanConfig:
     tol: float = 1e-6
     grad_floor: float = 1e-8
     inner_tol: float = 1e-10
-    preconditioner: str = "jacobi"  # "ic" optional
 
     def validate(self) -> None:
         if self.rho <= 0.0:
@@ -67,10 +66,16 @@ class BregmanIteration:
 @dataclass
 class BregmanReport:
     records: list[BregmanIteration] = field(default_factory=list)
+    # "tol" when the v-change stop rule fired, "cap" at max_iterations
+    stop_reason: str = ""
 
     @property
     def iterations(self) -> int:
         return len(self.records)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "cap"
 
     def tv_values(self) -> list[float]:
         return [r.weighted_tv for r in self.records]
@@ -113,28 +118,18 @@ def split_bregman_minimize(
         raise DataError("TV weight must be nonnegative")
 
     base = assemble_laplace_dirichlet(dirichlet_trace, grid)
-    base_rhs = base.rhs.copy()
     h2 = grid.h * grid.h
     interior = np.ones((grid.n, grid.n), dtype=bool)
     interior[0, :] = interior[-1, :] = interior[:, 0] = interior[:, -1] = False
     interior = interior.reshape(-1)
-    li, lj = boundary_loop(grid)
-    bglob = lj * grid.n + li
 
     def solve_v(rhs_source: np.ndarray | None) -> tuple[ScalarField, SolveStats]:
-        base.rhs = base_rhs.copy()
+        # the Dirichlet rows keep the trace, which the sine solve copies
+        # through bit for bit
+        rhs = base.rhs.copy()
         if rhs_source is not None:
-            base.rhs[interior] += h2 * rhs_source[interior]
-        x, stats = pcg_solve(
-            base, tol=config.inner_tol, max_iter=40 * grid.n,
-            preconditioner=config.preconditioner,
-        )
-        if not stats.converged:
-            raise SolverError(
-                f"v-update stalled: residual {stats.relative_residual:.3e}"
-            )
-        # Dirichlet rows are decoupled identities; pin them bit-exactly
-        x[bglob] = dirichlet_trace.values
+            rhs[interior] += h2 * rhs_source[interior]
+        x, stats = sine_solve(SparseSystem(base.matrix, rhs), tol=config.inner_tol)
         return ScalarField(grid, x), stats
 
     report = BregmanReport()
@@ -142,6 +137,7 @@ def split_bregman_minimize(
     if float(a.values.max()) == 0.0:
         report.records.append(BregmanIteration(
             0, 0.0, 0.0, stats.iterations, stats.relative_residual))
+        report.stop_reason = "tol"  # the harmonic extension is the minimizer
         return v, report
 
     thresh = cell_average(a) / config.rho
@@ -151,6 +147,7 @@ def split_bregman_minimize(
     gx = np.zeros((m, m))
     gy = np.zeros((m, m))
 
+    report.stop_reason = "cap"
     for k in range(config.max_iterations):
         grad_v = gradient(v)
         wx = grad_v.x2d + gx
@@ -179,5 +176,6 @@ def split_bregman_minimize(
         ))
         v = v_new
         if change <= config.tol:
+            report.stop_reason = "tol"
             break
     return v, report

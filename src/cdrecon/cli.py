@@ -321,7 +321,10 @@ def _cmd_reconstruct(v: dict) -> int:
     if v["report"]:
         _atomic_write(v["report"], report.write_csv)
     last = report.records[-1]
-    line = f"reconstruct: iterations={report.iterations} sigma_change={last.sigma_change:.3e}"
+    line = (
+        f"reconstruct: iterations={report.iterations} stop_reason={report.stop_reason} "
+        f"converged={str(report.converged).lower()} sigma_change={last.sigma_change:.3e}"
+    )
     if truth is not None:
         line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"
     print(line + f" wrote {v['out']}")
@@ -345,7 +348,10 @@ def _cmd_bregman(v: dict) -> int:
         _atomic_write(v["out-v"], lambda p: write_field(vfield, p))
     if v["report"]:
         _atomic_write(v["report"], report.write_csv)
-    line = f"bregman: iterations={report.iterations}"
+    line = (
+        f"bregman: iterations={report.iterations} stop_reason={report.stop_reason} "
+        f"converged={str(report.converged).lower()}"
+    )
     if v["truth"]:
         line += f" rel_l2_error={rel_l2_error(sigma, read_field(v['truth'])):.6g}"
     print(line + f" wrote {v['out']}")

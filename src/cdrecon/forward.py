@@ -16,7 +16,7 @@ from .boundary import (
     positive_electrode_side,
 )
 from .elliptic import SolveStats, assemble_cem, assemble_robin, pcg_solve
-from .errors import DataError, SolverError
+from .errors import DataError
 from .fields import (
     Grid,
     ScalarField,
@@ -32,15 +32,13 @@ from .fields import (
 class ForwardResult:
     """Solution of a forward problem together with its interior data.
 
-    ``cem_voltage`` is the electrode voltage V (CEM solves only);
-    ``cem_scale`` holds the Robin-to-CEM scaling factor when computed.
+    ``cem_voltage`` is the electrode voltage V (CEM solves only).
     """
 
     u: ScalarField
     a: ScalarField
     stats: SolveStats
     cem_voltage: float | None = None
-    cem_scale: float | None = None
 
 
 def interior_data(sigma: ScalarField, u: ScalarField) -> ScalarField:
@@ -54,16 +52,6 @@ def interior_data(sigma: ScalarField, u: ScalarField) -> ScalarField:
     return ScalarField(grid, cells_to_nodes(amag, grid).reshape(-1))
 
 
-def _solve(system, grid: Grid, tol: float) -> tuple[np.ndarray, SolveStats]:
-    x, stats = pcg_solve(system, tol=tol, max_iter=40 * grid.n)
-    if not stats.converged:
-        raise SolverError(
-            f"forward solve stalled: residual {stats.relative_residual:.3e} "
-            f"after {stats.iterations} iterations"
-        )
-    return x, stats
-
-
 def solve_forward(
     sigma: ScalarField,
     coeffs: RobinCoefficients,
@@ -73,7 +61,7 @@ def solve_forward(
     """Solve the Robin problem for the given coefficients and synthesize the
     interior data a = |sigma grad u|."""
     system = assemble_robin(sigma, coeffs, None, grid)
-    x, stats = _solve(system, grid, tol)
+    x, stats = pcg_solve(system, tol=tol)
     u = ScalarField(grid, x)
     return ForwardResult(u=u, a=interior_data(sigma, u), stats=stats)
 
@@ -87,7 +75,7 @@ def solve_cem_forward(
     """Solve the complete electrode model; the bordered unknown is the
     electrode voltage, returned as ``cem_voltage``."""
     system = assemble_cem(sigma, electrodes, grid)
-    x, stats = _solve(system, grid, tol)
+    x, stats = pcg_solve(system, tol=tol)
     v = ScalarField(grid, x[:-1])
     return ForwardResult(
         u=v, a=interior_data(sigma, v), stats=stats, cem_voltage=float(x[-1])

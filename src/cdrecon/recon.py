@@ -42,8 +42,8 @@ from .boundary import (
     harmonic_lift,
     smoothed_coefficients,
 )
-from .elliptic import SolveStats, assemble_robin, pcg_solve
-from .errors import DataError, SolverError
+from .elliptic import FactorCache, SolveStats, assemble_robin, solve_reusing_factor
+from .errors import DataError
 from .fields import (
     BoundaryValues,
     Grid,
@@ -124,19 +124,20 @@ class ReconReport:
     final_solve: SolveStats | None = None
     # (after-iteration index, max |phi' - 1|) for each calibration applied
     calibrations: list[tuple[int, float]] = field(default_factory=list)
+    # how the last sweep ended: "tol" (sigma change), "functional" (with
+    # stop_on_functional) or "cap" (its iteration budget ran out)
+    stop_reason: str = ""
 
     @property
     def iterations(self) -> int:
         return len(self.records)
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "cap"
+
     def g_delta_values(self) -> list[float]:
         return [r.g_delta for r in self.records]
-
-    def non_monotone_steps(self) -> list[int]:
-        """Indices where the regularized functional increased (flagged, not
-        an error: monotonicity is not guaranteed)."""
-        g = self.g_delta_values()
-        return [k for k in range(1, len(g)) if g[k] > g[k - 1]]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -293,9 +294,13 @@ def reconstruct(
     ``stop_on_functional``, until the regularized functional stalls), up to
     the iteration cap.  With ``calibrate`` enabled, two level-calibration
     passes against the background (= ``initial_sigma``) are interleaved
-    with short settling sweeps.  A final extra solve makes the returned
-    potential the exact critical point of the linearization at the returned
-    conductivity.
+    with short settling sweeps; ``report.stop_reason`` says how the last
+    sweep ended.  A final extra solve makes the returned potential the
+    exact critical point of the linearization at the returned conductivity.
+
+    The linear solves share one LU factor, created here and dropped on
+    return, and refactored only when the conductivity has moved too far
+    for it to precondition well (see ``solve_reusing_factor``).
     """
     config.validate()
     if a.grid.n != grid.n:
@@ -329,20 +334,17 @@ def reconstruct(
     delta = config.delta
     report = ReconReport()
     state = {"prev_gd": None}
+    factor = FactorCache()
 
     def solve_at(sigma: ScalarField):
         sigma_eff = ScalarField(grid, sigma.values + delta)
         system = assemble_robin(sigma_eff, solve_coeffs, flux, grid)
-        x, stats = pcg_solve(system, tol=config.inner_tol, max_iter=40 * grid.n)
-        if not stats.converged:
-            raise SolverError(
-                f"inner solve stalled after {report.iterations} outer iterations: "
-                f"residual {stats.relative_residual:.3e}"
-            )
+        x, stats = solve_reusing_factor(system, factor, tol=config.inner_tol)
         return ScalarField(grid, x), stats
 
     def sweep(sigma: ScalarField, budget: int):
-        """Fixed-point iterations until the stop rule fires or the budget ends."""
+        """Fixed-point iterations until the stop rule fires or the budget
+        ends; returns (sigma, u, stop reason)."""
         u = None
         for _ in range(budget):
             u, stats = solve_at(sigma)
@@ -369,13 +371,13 @@ def reconstruct(
                 prev = state["prev_gd"]
                 state["prev_gd"] = gd
                 if prev is not None and abs(gd - prev) <= config.stop_tol * abs(prev):
-                    break
+                    return sigma, u, "functional"
             elif change <= config.stop_tol:
-                break
-        return sigma, u
+                return sigma, u, "tol"
+        return sigma, u, "cap"
 
     sigma = ScalarField(grid, np.full(grid.num_nodes, config.initial_sigma))
-    sigma, u = sweep(sigma, config.max_outer_iterations)
+    sigma, u, report.stop_reason = sweep(sigma, config.max_outer_iterations)
 
     if config.calibrate:
         settle = max(8, config.max_outer_iterations // 8)
@@ -385,7 +387,7 @@ def reconstruct(
             )
             report.calibrations.append((report.iterations, strength))
             sigma = ScalarField(grid, _project(sigma.values, config.sigma_bounds))
-            sigma, u = sweep(sigma, settle)
+            sigma, u, report.stop_reason = sweep(sigma, settle)
 
     # consistency solve: the returned potential solves the linear problem
     # for the returned conductivity exactly (up to solver tolerance)

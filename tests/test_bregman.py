@@ -29,6 +29,7 @@ def test_zero_weight_returns_harmonic_extension():
     system = assemble_laplace_dirichlet(trace, g)
     x, _ = pcg_solve(system, tol=1e-10)
     assert np.abs(v.values - x).max() < 1e-9
+    assert report.stop_reason == "tol" and report.converged
 
 
 def test_affine_trace_with_constant_weight():
@@ -49,6 +50,8 @@ def test_trace_constraint_exact():
     trace = boundary_trace(f)
     v, report = split_bregman_minimize(a, trace, BregmanConfig(max_iterations=30), g)
     assert np.array_equal(boundary_trace(v).values, trace.values)
+    assert report.iterations == 30
+    assert report.stop_reason == "cap" and not report.converged
 
 
 def test_shrinkage_never_grows():

@@ -127,11 +127,12 @@ def test_reconstruct_cli_roundtrip(tmp_path, capsys):
                 "--report", str(report), "--truth", str(sig)]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert "rel_l2_error=" in line
+    assert " stop_reason=cap converged=false " in line  # 8 sweeps cannot settle
     assert read_field(rec).values.min() > 0.0
     assert report.read_text().startswith("iteration,")
 
 
-def test_bregman_cli(tmp_path):
+def test_bregman_cli(tmp_path, capsys):
     sig = tmp_path / "sigma.fld"
     a = tmp_path / "a.fld"
     u = tmp_path / "u.fld"
@@ -142,6 +143,8 @@ def test_bregman_cli(tmp_path):
     assert run(["bregman", "--a", str(a), "--u", str(u), "--max-iter", "20",
                 "--out", str(out)]) == 0
     assert read_field(out).grid.n == 17
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("bregman: iterations=20 stop_reason=cap converged=false ")
 
 
 def test_study_cli(tmp_path, capsys):

@@ -1,29 +1,39 @@
-"""System assembly (Robin, CEM, Laplace-Dirichlet) and the PCG solver."""
+"""System assembly (Robin, CEM, Laplace-Dirichlet) and the linear solvers."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecon.boundary import (
     ElectrodeSet,
     RobinCoefficients,
     base_coefficients,
+    boundary_faces,
     electrode_quadrature,
     smoothed_coefficients,
 )
 from cdrecon.elliptic import (
+    REFACTOR_ITERATIONS,
+    FactorCache,
     SparseSystem,
+    _edge_entries,
     assemble_cem,
     assemble_laplace_dirichlet,
     assemble_robin,
     boundary_net_flux,
     pcg_solve,
     quadratic_energy,
+    sine_solve,
+    solve_reusing_factor,
 )
-from cdrecon.errors import AssemblyError, NotSPDError
+from cdrecon.errors import AssemblyError, NotSPDError, SolverError
 from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
+    boundary_loop,
     boundary_trace,
     make_grid,
 )
@@ -181,14 +191,23 @@ def test_pcg_matches_dense_oracle():
     x, stats = pcg_solve(SparseSystem(A, b), tol=1e-12)
     expected = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - expected).max() < 1e-10
-    assert stats.converged
+    assert stats.relative_residual <= 1e-12
+
+
+def test_pcg_cap_raises():
+    n = 10
+    A = sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr()
+    with pytest.raises(SolverError, match="after 2 iterations"):
+        pcg_solve(SparseSystem(A, np.ones(n)), tol=1e-12, max_iter=2)
 
 
 def test_pcg_detects_indefinite():
-    A = sp.diags([1.0, -1.0, 1.0]).tocsr()
-    b = np.array([1.0, 1.0, 1.0])
-    with pytest.raises(NotSPDError):
-        pcg_solve(SparseSystem(A, b), preconditioner="none")
+    # positive diagonal, so the Jacobi preconditioner exists, but the matrix
+    # has eigenvalue -1 and b is its eigenvector: <p, Ap> < 0 at once
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    b = np.array([1.0, -1.0])
+    with pytest.raises(NotSPDError, match="nonpositive curvature"):
+        pcg_solve(SparseSystem(A, b))
 
 
 def test_pcg_robin_system_converges():
@@ -197,19 +216,78 @@ def test_pcg_robin_system_converges():
     rc = smoothed_coefficients(el, g, epsilon=5e-4)
     system = assemble_robin(ScalarField.constant(g, 1.0), rc, None, g)
     x, stats = pcg_solve(system, tol=1e-10, max_iter=20 * g.n)
-    assert stats.converged
     assert stats.relative_residual <= 1e-10
 
 
-def test_pcg_ic_preconditioner():
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
+def test_sine_solve_matches_direct_solve(n, seed):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    trace = BoundaryValues(g, rng.normal(size=g.num_boundary_nodes))
+    system = assemble_laplace_dirichlet(trace, g, source=rng.normal(size=g.num_nodes))
+    x, stats = sine_solve(system, tol=1e-12)
+    expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    li, lj = boundary_loop(g)
+    assert np.array_equal(x[lj * n + li], trace.values)
+    assert stats.method == "sine" and stats.relative_residual <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
+       aperture=st.floats(0.3, 1.0), epsilon=st.sampled_from([0.0, 1e-3, 0.5]))
+def test_robin_pattern_refill_matches_coo_build(n, seed, aperture, epsilon):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    el = ElectrodeSet(aperture=aperture, z=float(rng.uniform(0.5, 2.0)))
+    coeffs = (base_coefficients(el, g) if epsilon == 0.0
+              else smoothed_coefficients(el, g, epsilon))
+    sigma = ScalarField(g, rng.uniform(0.1, 10.0, g.num_nodes))
+    flux = BoundaryValues(g, rng.normal(size=g.num_boundary_nodes))
+    system = assemble_robin(sigma, coeffs, flux, g)
+
+    li, lj = boundary_loop(g)
+    node_f, val_f, w_f = boundary_faces(g)
+    face_rows = (lj * n + li)[node_f]
+    rows, cols, vals = _edge_entries(sigma.values2d, n)
+    vals = np.concatenate([vals, w_f * coeffs.b.values[val_f]])
+    expected = sp.coo_matrix(
+        (vals, (np.concatenate([rows, face_rows]), np.concatenate([cols, face_rows]))),
+        shape=(n * n, n * n),
+    ).tocsr()
+    rhs = np.zeros(n * n)
+    np.add.at(rhs, face_rows, w_f * (coeffs.c.values[val_f] + flux.values[val_f]))
+    A = system.matrix
+    assert np.array_equal(A.indptr, expected.indptr)
+    assert np.array_equal(A.indices, expected.indices)
+    assert np.array_equal(A.data, expected.data)
+    assert np.array_equal(system.rhs, rhs)
+
+
+def test_factor_reuse_refactors_on_jump():
+    # slowly varying conductivities reuse the first factor; a large jump
+    # makes the stale factor a poor preconditioner and forces a refactor
     g = make_grid(33)
-    f = ScalarField.from_function(g, lambda x, y: x * y)
-    system = assemble_laplace_dirichlet(boundary_trace(f), g)
-    x_j, st_j = pcg_solve(system, tol=1e-10, preconditioner="jacobi")
-    x_ic, st_ic = pcg_solve(system, tol=1e-10, preconditioner="ic")
-    assert st_ic.converged
-    assert st_ic.iterations < st_j.iterations
-    assert np.abs(x_ic - x_j).max() < 1e-8
+    el = ElectrodeSet(aperture=0.8)
+    coeffs = smoothed_coefficients(el, g, 5e-4)
+    base = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
+    rng = np.random.default_rng(0)
+    jump = ScalarField(g, rng.uniform(0.05, 20.0, g.num_nodes))
+    sigmas = [ScalarField(g, base.values * (1.0 + 0.02 * k)) for k in range(4)]
+    sigmas += [jump, ScalarField(g, jump.values * 1.01)]
+    cache = FactorCache()
+    counts = []
+    tol = 1e-10
+    for sigma in sigmas:
+        system = assemble_robin(sigma, coeffs, None, g)
+        x, stats = solve_reusing_factor(system, cache, tol=tol)
+        true_res = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+        assert true_res <= tol
+        assert stats.relative_residual == pytest.approx(true_res, rel=1e-6)
+        counts.append(cache.factorizations)
+    assert counts == [1, 1, 1, 1, 2, 2]
+    assert stats.iterations <= REFACTOR_ITERATIONS
 
 
 def test_conservation_of_current():

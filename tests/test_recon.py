@@ -22,6 +22,7 @@ from cdrecon.fields import (
     weighted_tv,
 )
 from cdrecon.forward import nonuniqueness_transform, solve_forward
+from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import (
     ReconConfig,
     check_schedule,
@@ -124,6 +125,7 @@ def test_reconstruct_stationarity(homog_setup):
     cfg = ReconConfig(calibrate=False)
     sigma, u, report = reconstruct(fwd.a, el, cfg, g)
     assert report.records[-1].sigma_change <= cfg.stop_tol
+    assert report.stop_reason == "tol" and report.converged
     once_more = sigma_from_potential(fwd.a, u, cfg.grad_floor)
     change = float(
         np.linalg.norm(once_more.values - sigma.values) / np.linalg.norm(sigma.values)
@@ -140,7 +142,8 @@ def test_reconstruct_residual_at_returned_state(homog_setup):
     )
     res = np.linalg.norm(system.matrix @ u.values - system.rhs)
     assert res <= 10 * cfg.inner_tol * np.linalg.norm(system.rhs)
-    assert report.final_solve is not None and report.final_solve.converged
+    assert report.final_solve is not None
+    assert report.final_solve.relative_residual <= cfg.inner_tol
 
 
 def test_reconstruct_positivity_and_bounds(homog_setup):
@@ -166,6 +169,30 @@ def test_reconstruct_stop_on_functional(homog_setup):
     cfg = ReconConfig(stop_on_functional=True, stop_tol=1e-8, calibrate=False)
     sigma, u, report = reconstruct(fwd.a, el, cfg, g)
     assert report.iterations < cfg.max_outer_iterations
+    assert report.stop_reason == "functional" and report.converged
+
+
+def test_reconstruct_reports_cap_hit(homog_setup):
+    g, el, truth, coeffs, fwd = homog_setup
+    cfg = ReconConfig(max_outer_iterations=2, stop_tol=1e-14, calibrate=False)
+    sigma, u, report = reconstruct(fwd.a, el, cfg, g)
+    assert report.iterations == 2
+    assert report.stop_reason == "cap" and not report.converged
+
+
+def test_reconstruct_repeats_bit_for_bit():
+    # the LU factor lives inside one call; nothing carried between calls
+    # may change the iterates
+    g = make_grid(25)
+    el = ElectrodeSet(aperture=0.8)
+    truth = generate_phantom(PhantomSpec(kind="blobs", n=25, seed=3, margin=0.15))
+    fwd = solve_forward(truth, smoothed_coefficients(el, g, 5e-4), g)
+    cfg = ReconConfig(max_outer_iterations=40)
+    runs = [reconstruct(fwd.a, el, cfg, g) for _ in range(2)]
+    (s1, u1, r1), (s2, u2, r2) = runs
+    assert s1.values.tobytes() == s2.values.tobytes()
+    assert u1.values.tobytes() == u2.values.tobytes()
+    assert r1 == r2
 
 
 def test_reconstruct_minimizer_beats_lift(homog_setup):
