@@ -10,7 +10,6 @@ weight)/rho, and accumulates the multiplier.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .fields import (
     gradient,
     weighted_tv,
 )
-from .recon import sigma_from_potential  # shared conductivity update
+from .recon import IterationRecord, ReconReport, sigma_from_potential
 
 __all__ = [
     "BregmanConfig",
@@ -81,21 +80,14 @@ class BregmanReport:
         return [r.weighted_tv for r in self.records]
 
     def write_csv(self, path) -> None:
-        """Same shape as the reconstruction report; the functional column is
-        the weighted TV and the unused terms are zero."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow((
-                "iteration", "g_delta", "g", "tv_term", "boundary_term",
-                "delta_term", "sigma_change", "rel_error",
-                "solve_iterations", "solve_residual",
-            ))
-            for r in self.records:
-                tv = f"{r.weighted_tv:.12g}"
-                w.writerow([
-                    r.index, tv, tv, tv, 0, 0, f"{r.v_change:.12g}", "",
-                    r.solve_iterations, f"{r.solve_residual:.6g}",
-                ])
+        """Same columns as the reconstruction report: the functional columns
+        hold the weighted TV, sigma_change the v-change, unused terms zero."""
+        ReconReport([
+            IterationRecord(r.index, r.weighted_tv, r.weighted_tv, r.weighted_tv,
+                            0.0, 0.0, r.v_change, None,
+                            r.solve_iterations, r.solve_residual)
+            for r in self.records
+        ]).write_csv(path)
 
 
 def split_bregman_minimize(

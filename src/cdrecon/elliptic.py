@@ -10,6 +10,13 @@ boundary rows scaled by the face quadrature weights from
 discrete solution exact on affine potentials for the sharp full-aperture
 configuration.
 
+The three systems share one five-point stencil (``_stencil``) on one CSR
+pattern per grid size (``_stencil_pattern``): Robin adds the boundary-face
+terms to its diagonal; CEM adds the electrode terms and borders the matrix
+with one row and column for the electrode voltage; Laplace-Dirichlet is the
+stencil at sigma = 1 with identity Dirichlet rows and the couplings to them
+folded into the rhs.
+
 Three solves, one per kind of caller, all ending in the same true-residual
 check (``_checked``), the only place a solve fails:
 
@@ -87,24 +94,10 @@ def _edge_conductances(sigma2d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
     return vx, vy
 
 
-def _edge_entries(sigma2d: np.ndarray, n: int):
-    """COO entries of the symmetric edge (flux) part of the operator."""
-    vx, vy = _edge_conductances(sigma2d, n)
-    jj, ii = np.meshgrid(np.arange(n), np.arange(n - 1), indexing="ij")
-    kx = (jj * n + ii).reshape(-1)
-    jj, ii = np.meshgrid(np.arange(n - 1), np.arange(n), indexing="ij")
-    ky = (jj * n + ii).reshape(-1)
-    rows, cols, vals = [], [], []
-    for k1, k2, v in ((kx, kx + 1, vx.reshape(-1)), (ky, ky + n, vy.reshape(-1))):
-        rows += [k1, k2, k1, k2]
-        cols += [k1, k2, k2, k1]
-        vals += [v, v, -v, -v]
-    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-
-
 @dataclass(frozen=True)
-class _RobinPattern:
-    """CSR structure of the five-point Robin matrix on one grid size.
+class _StencilPattern:
+    """CSR structure of the five-point operator on one grid size, shared by
+    the Robin, CEM and Laplace-Dirichlet systems.
 
     Row k holds the stencil columns k-n, k-1, k, k+1, k+n (already sorted)
     that lie on the grid; ``present`` marks them in an (n*n, 5) table.
@@ -119,7 +112,7 @@ class _RobinPattern:
 
 
 @lru_cache(maxsize=4)
-def _robin_pattern(n: int) -> _RobinPattern:
+def _stencil_pattern(n: int) -> _StencilPattern:
     grid = Grid(n)
     jj, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     present = np.stack(
@@ -133,7 +126,28 @@ def _robin_pattern(n: int) -> _RobinPattern:
     arrays = (indptr, indices, present, (lj * n + li)[node_f], val_f, w_f)
     for a in arrays:
         a.flags.writeable = False  # shared by every matrix of this size
-    return _RobinPattern(*arrays)
+    return _StencilPattern(*arrays)
+
+
+def _stencil(sigma2d: np.ndarray, n: int) -> np.ndarray:
+    """Flux part of the operator as an (n*n, 5) table whose columns are the
+    south, west, centre, east and north neighbour of each node; entries off
+    the grid are zero."""
+    vx, vy = _edge_conductances(sigma2d, n)
+    stencil = np.zeros((n, n, 5))
+    stencil[1:, :, 0] = -vy
+    stencil[:, 1:, 1] = -vx
+    stencil[:, :-1, 3] = -vx
+    stencil[:-1, :, 4] = -vy
+    # the diagonal adds its terms one at a time in a fixed order (east,
+    # west, north, south edge), the order in which converting an edge list
+    # to CSR sums them, so the systems match such a build bit for bit
+    diag = stencil[:, :, 2]
+    diag[:, :-1] += vx
+    diag[:, 1:] += vx
+    diag[:-1, :] += vy
+    diag[1:, :] += vy
+    return stencil.reshape(n * n, 5)
 
 
 def _check_positive_sigma(sigma: ScalarField) -> None:
@@ -161,23 +175,9 @@ def assemble_robin(
     _check_positive_sigma(sigma_eff)
 
     n = grid.n
-    pat = _robin_pattern(n)
-    vx, vy = _edge_conductances(sigma_eff.values2d, n)
-    # columns: south, west, centre, east, north neighbour
-    stencil = np.zeros((n, n, 5))
-    stencil[1:, :, 0] = -vy
-    stencil[:, 1:, 1] = -vx
-    stencil[:, :-1, 3] = -vx
-    stencil[:-1, :, 4] = -vy
-    # the diagonal adds its terms one at a time in a fixed order (east,
-    # west, north, south edge, then the boundary faces), the order in which
-    # converting the COO edge list to CSR sums them, so both give the same bits
-    diag = stencil[:, :, 2]
-    diag[:, :-1] += vx
-    diag[:, 1:] += vx
-    diag[:-1, :] += vy
-    diag[1:, :] += vy
-    stencil = stencil.reshape(n * n, 5)
+    pat = _stencil_pattern(n)
+    stencil = _stencil(sigma_eff.values2d, n)
+    # the boundary faces add to the diagonal after the edges
     np.add.at(stencil, (pat.face_rows, 2), pat.face_weight * coeffs.b.values[pat.face_value])
     A = sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(n * n, n * n))
 
@@ -206,36 +206,24 @@ def assemble_cem(
 
     n = grid.n
     N = n * n
-    rows, cols, vals = _edge_entries(sigma.values2d, n)
-    rows, cols, vals = [rows], [cols], [vals]
-    rhs = np.zeros(N + 1)
-
+    pat = _stencil_pattern(n)
+    stencil = _stencil(sigma.values2d, n)
     li, lj = boundary_loop(grid)
-    glob = lj * n + li
-    z = electrodes.z
     pos_side = positive_electrode_side(electrodes)
+    border = np.zeros(N)  # coupling of each node to the voltage V
+    corner = 0.0
     for side in ("top", "bottom"):
-        sgn = 1.0 if side == pos_side else -1.0
         idx, w = electrode_quadrature(electrodes, grid, side)
-        g = glob[idx]
-        rows.append(g)
-        cols.append(g)
-        vals.append(w / z)
-        rows.append(g)
-        cols.append(np.full(g.size, N))
-        vals.append(-sgn * w / z)
-        rows.append(np.full(g.size, N))
-        cols.append(g)
-        vals.append(-sgn * w / z)
-        rows.append(np.full(g.size, N))
-        cols.append(np.full(g.size, N))
-        vals.append(w / z)
+        g = (lj * n + li)[idx]  # distinct nodes, so += adds each weight once
+        wz = w / electrodes.z
+        stencil[g, 2] += wz
+        border[g] = -wz if side == pos_side else wz
+        corner += float(wz.sum())
+    K = sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(N, N))
+    col = sp.csr_matrix(border[:, None])
+    A = sp.bmat([[K, col], [col.T, [[corner]]]], format="csr")
+    rhs = np.zeros(N + 1)
     rhs[N] = 2.0 * electrodes.current
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N + 1, N + 1),
-    ).tocsr()
     return SparseSystem(A, rhs)
 
 
@@ -252,49 +240,34 @@ def assemble_laplace_dirichlet(
         raise DimensionError("data and grid sizes disagree")
     n = grid.n
     N = n * n
-    h2 = grid.h * grid.h
-
-    dmap = np.zeros((n, n))
+    pat = _stencil_pattern(n)
+    stencil = _stencil(np.ones((n, n)), n)
+    inner = pat.present.all(axis=1)  # nodes with all four neighbours
+    k = np.flatnonzero(inner)
     li, lj = boundary_loop(grid)
-    dmap[lj, li] = data.values
+    kb = lj * n + li
+    trace = np.zeros(N)
+    trace[kb] = data.values
 
-    interior = np.zeros((n, n), dtype=bool)
-    interior[1:-1, 1:-1] = True
-
-    rows, cols, vals = [], [], []
     rhs = np.zeros(N)
-
-    jj, ii = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
-    k = (jj * n + ii).reshape(-1)
-    rows.append(k)
-    cols.append(k)
-    vals.append(np.full(k.size, 4.0))
     if source is not None:
         src = np.asarray(source, dtype=float).reshape(-1)
         if src.size != N:
             raise DimensionError(f"source needs {N} values, got {src.size}")
-        rhs[k] += h2 * src[k]
-
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ni, nj = ii + di, jj + dj
-        nb_int = interior[nj, ni].reshape(-1)
-        nk = (nj * n + ni).reshape(-1)
-        rows.append(k[nb_int])
-        cols.append(nk[nb_int])
-        vals.append(np.full(int(nb_int.sum()), -1.0))
-        fold = ~nb_int
-        np.add.at(rhs, k[fold], dmap[nj, ni].reshape(-1)[fold])
-
-    kb = (lj * n + li).reshape(-1)
-    rows.append(kb)
-    cols.append(kb)
-    vals.append(np.ones(kb.size))
+        rhs[k] += grid.h * grid.h * src[k]
+    # fold the couplings to Dirichlet nodes into the rhs: east, west, north,
+    # south neighbour, after the source
+    for col, step in ((3, 1), (1, -1), (4, n), (0, -n)):
+        fold = k[~inner[k + step]]
+        rhs[fold] -= stencil[fold, col] * trace[fold + step]
+        stencil[fold, col] = 0.0
+    stencil[kb] = (0.0, 0.0, 1.0, 0.0, 0.0)
     rhs[kb] = data.values
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    ).tocsr()
+    vals = stencil[pat.present]
+    keep = vals != 0.0  # store no zeros for the dropped couplings
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(stencil, axis=1))])
+    A = sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(N, N))
     return SparseSystem(A, rhs)
 
 

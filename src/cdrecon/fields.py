@@ -219,10 +219,16 @@ def cells_to_nodes(cell2d: np.ndarray, grid: Grid) -> np.ndarray:
     """Average cell values back to nodes; each node takes the mean over its
     adjacent cells (4 interior, 2 on edges, 1 at corners). Shape (n, n)."""
     n = grid.n
-    p = np.pad(np.asarray(cell2d, dtype=float), 1)
-    total = p[0:n, 0:n] + p[0:n, 1:n + 1] + p[1:n + 1, 0:n] + p[1:n + 1, 1:n + 1]
-    ones = np.pad(np.ones((n - 1, n - 1)), 1)
-    count = ones[0:n, 0:n] + ones[0:n, 1:n + 1] + ones[1:n + 1, 0:n] + ones[1:n + 1, 1:n + 1]
+    c = np.asarray(cell2d, dtype=float)
+    # node (i, j) adds cells (i-1, j-1), (i, j-1), (i-1, j), (i, j) in that order
+    total = np.zeros((n, n))
+    total[1:, 1:] += c
+    total[1:, :-1] += c
+    total[:-1, 1:] += c
+    total[:-1, :-1] += c
+    count = np.full((n, n), 4.0)
+    count[[0, -1], :] *= 0.5
+    count[:, [0, -1]] *= 0.5
     return total / count
 
 

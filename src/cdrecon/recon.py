@@ -333,7 +333,6 @@ def reconstruct(
 
     delta = config.delta
     report = ReconReport()
-    state = {"prev_gd": None}
     factor = FactorCache()
 
     def solve_at(sigma: ScalarField):
@@ -367,11 +366,12 @@ def reconstruct(
             ))
             sigma = sigma_new
             if config.stop_on_functional:
-                gd = tv + bterm + dterm
-                prev = state["prev_gd"]
-                state["prev_gd"] = gd
-                if prev is not None and abs(gd - prev) <= config.stop_tol * abs(prev):
-                    return sigma, u, "functional"
+                # the record before may end an earlier sweep, so the test
+                # carries across the calibration settles
+                if report.iterations > 1:
+                    gd, prev = report.records[-1].g_delta, report.records[-2].g_delta
+                    if abs(gd - prev) <= config.stop_tol * abs(prev):
+                        return sigma, u, "functional"
             elif change <= config.stop_tol:
                 return sigma, u, "tol"
         return sigma, u, "cap"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdrecon.boundary import (
@@ -19,7 +19,6 @@ from cdrecon.elliptic import (
     REFACTOR_ITERATIONS,
     FactorCache,
     SparseSystem,
-    _edge_entries,
     assemble_cem,
     assemble_laplace_dirichlet,
     assemble_robin,
@@ -29,7 +28,7 @@ from cdrecon.elliptic import (
     sine_solve,
     solve_reusing_factor,
 )
-from cdrecon.errors import AssemblyError, NotSPDError, SolverError
+from cdrecon.errors import AssemblyError, DataError, NotSPDError, SolverError
 from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
@@ -234,6 +233,45 @@ def test_sine_solve_matches_direct_solve(n, seed):
     assert stats.method == "sine" and stats.relative_residual <= 1e-12
 
 
+def _edge_entries(sigma2d, n):
+    """Oracle for the assembly: COO entries (lists of row, column and value
+    arrays) of the symmetric edge (flux) part of the operator, one 2x2 block
+    per edge, x-edges then y-edges.  Converting them to CSR sums each
+    diagonal in the order east, west, north, south."""
+    def harmonic_mean(a, b):
+        return 2.0 * a * b / (a + b)
+
+    vx = harmonic_mean(sigma2d[:, :-1], sigma2d[:, 1:])
+    vx[[0, -1], :] *= 0.5
+    vy = harmonic_mean(sigma2d[:-1, :], sigma2d[1:, :])
+    vy[:, [0, -1]] *= 0.5
+    jj, ii = np.meshgrid(np.arange(n), np.arange(n - 1), indexing="ij")
+    kx = (jj * n + ii).reshape(-1)
+    jj, ii = np.meshgrid(np.arange(n - 1), np.arange(n), indexing="ij")
+    ky = (jj * n + ii).reshape(-1)
+    rows, cols, vals = [], [], []
+    for k1, k2, v in ((kx, kx + 1, vx.reshape(-1)), (ky, ky + n, vy.reshape(-1))):
+        rows += [k1, k2, k1, k2]
+        cols += [k1, k2, k2, k1]
+        vals += [v, v, -v, -v]
+    return rows, cols, vals
+
+
+def _coo_to_csr(rows, cols, vals, dim):
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    ).tocsr()
+
+
+def _assert_same_system(system, expected, rhs):
+    A = system.matrix
+    assert np.array_equal(A.indptr, expected.indptr)
+    assert np.array_equal(A.indices, expected.indices)
+    assert np.array_equal(A.data, expected.data)
+    assert np.array_equal(system.rhs, rhs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
        aperture=st.floats(0.3, 1.0), epsilon=st.sampled_from([0.0, 1e-3, 0.5]))
@@ -251,18 +289,84 @@ def test_robin_pattern_refill_matches_coo_build(n, seed, aperture, epsilon):
     node_f, val_f, w_f = boundary_faces(g)
     face_rows = (lj * n + li)[node_f]
     rows, cols, vals = _edge_entries(sigma.values2d, n)
-    vals = np.concatenate([vals, w_f * coeffs.b.values[val_f]])
-    expected = sp.coo_matrix(
-        (vals, (np.concatenate([rows, face_rows]), np.concatenate([cols, face_rows]))),
-        shape=(n * n, n * n),
-    ).tocsr()
+    expected = _coo_to_csr(rows + [face_rows], cols + [face_rows],
+                           vals + [w_f * coeffs.b.values[val_f]], n * n)
     rhs = np.zeros(n * n)
     np.add.at(rhs, face_rows, w_f * (coeffs.c.values[val_f] + flux.values[val_f]))
+    _assert_same_system(system, expected, rhs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       aperture=st.floats(0.3, 1.0), top_positive=st.booleans())
+def test_cem_matches_coo_build(n, seed, aperture, top_positive):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    el = ElectrodeSet(aperture=aperture, z=float(rng.uniform(0.5, 2.0)),
+                      current=float(rng.uniform(0.5, 2.0)), top_positive=top_positive)
+    try:
+        sides = [(side, *electrode_quadrature(el, g, side)) for side in ("top", "bottom")]
+    except DataError:
+        assume(False)  # the aperture spans fewer than two nodes
+    sigma = ScalarField(g, rng.uniform(0.1, 10.0, g.num_nodes))
+    system = assemble_cem(sigma, el, g)
+
+    N = n * n
+    li, lj = boundary_loop(g)
+    rows, cols, vals = _edge_entries(sigma.values2d, n)
+    for side, idx, w in sides:
+        sgn = 1.0 if (side == "top") == top_positive else -1.0
+        k = (lj * n + li)[idx]
+        v = np.full(k.size, N)
+        rows += [k, k, v, v]
+        cols += [k, v, k, v]
+        vals += [w / el.z, -sgn * w / el.z, -sgn * w / el.z, w / el.z]
+    expected = _coo_to_csr(rows, cols, vals, N + 1)
+    rhs = np.zeros(N + 1)
+    rhs[N] = 2.0 * el.current
     A = system.matrix
     assert np.array_equal(A.indptr, expected.indptr)
     assert np.array_equal(A.indices, expected.indices)
-    assert np.array_equal(A.data, expected.data)
     assert np.array_equal(system.rhs, rhs)
+    # the voltage corner sums every electrode weight, and the COO build adds
+    # them in an order of its own, so only that entry may differ in the last bit
+    assert np.abs(A.data - expected.data).max() <= 4e-16 * np.abs(expected.data).max()
+    assert np.array_equal(A.data[:-1], expected.data[:-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), with_source=st.booleans())
+def test_laplace_dirichlet_matches_coo_build(n, seed, with_source):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    trace = BoundaryValues(g, rng.normal(size=g.num_boundary_nodes))
+    source = rng.normal(size=g.num_nodes) if with_source else None
+    system = assemble_laplace_dirichlet(trace, g, source)
+
+    # the edge operator at sigma = 1 restricted to the interior rows, the
+    # couplings to Dirichlet nodes folded into the rhs after the source in
+    # the order east, west, north, south
+    N = n * n
+    K = _coo_to_csr(*_edge_entries(np.ones((n, n)), n), N)
+    li, lj = boundary_loop(g)
+    kb = lj * n + li
+    dirichlet = np.zeros(N, dtype=bool)
+    dirichlet[kb] = True
+    inner = np.flatnonzero(~dirichlet)
+    d = np.zeros(N)
+    d[kb] = trace.values
+    rhs = np.zeros(N)
+    if source is not None:
+        rhs[inner] += g.h * g.h * source[inner]
+    for step in (1, -1, n, -n):
+        k = inner[dirichlet[inner + step]]
+        rhs[k] -= np.asarray(K[k, k + step]).ravel() * d[k + step]
+    rhs[kb] = trace.values
+    Ki = K.tocoo()
+    keep = ~dirichlet[Ki.row] & ~dirichlet[Ki.col]
+    expected = _coo_to_csr([Ki.row[keep], kb], [Ki.col[keep], kb],
+                           [Ki.data[keep], np.ones(kb.size)], N)
+    _assert_same_system(system, expected, rhs)
 
 
 def test_factor_reuse_refactors_on_jump():
