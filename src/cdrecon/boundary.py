@@ -83,24 +83,21 @@ def boundary_faces(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     value stored at the adjacent non-corner node of that side (the corner
     rule keeps electrode values off the corner entry itself).
     """
-    n = grid.n
-    m = n - 1
-    nb = 4 * m
+    m = grid.n - 1
     h = grid.h
-    # corner loop indices -> loop index of the adjacent node on the corner's
-    # horizontal side: (0,0)->(1,0), (m,0)->(m-1,0), (m,m)->(m-1,m), (0,m)->(1,m)
-    corners = {0: 1, m: m - 1, 2 * m: 2 * m + 1, 3 * m: 3 * m - 1}
-    node_idx, value_idx, weight = [], [], []
-    for k in range(nb):
-        if k in corners:
-            node_idx += [k, k]
-            value_idx += [k, corners[k]]
-            weight += [0.5 * h, 0.5 * h]
-        else:
-            node_idx.append(k)
-            value_idx.append(k)
-            weight.append(h)
-    return (np.asarray(node_idx), np.asarray(value_idx), np.asarray(weight))
+    k = np.arange(4 * m)
+    corner = k[::m]  # loop indices 0, m, 2m, 3m
+    node_idx = np.repeat(k, np.where(k % m == 0, 2, 1))
+    # a corner's two faces are adjacent, its first one shifted by the extra
+    # faces of the corners before it; the second carries the value of the
+    # adjacent node on the corner's horizontal side:
+    # (0,0)->(1,0), (m,0)->(m-1,0), (m,m)->(m-1,m), (0,m)->(1,m)
+    first = corner + np.arange(4)
+    value_idx = node_idx.copy()
+    value_idx[first + 1] = corner + np.array([1, -1, 1, -1])
+    weight = np.full(node_idx.size, h)
+    weight[first] = weight[first + 1] = 0.5 * h
+    return node_idx, value_idx, weight
 
 
 def _loop_positions(grid: Grid) -> np.ndarray:
@@ -264,16 +261,9 @@ def harmonic_lift(
     U = hfield.values2d
     n, h = grid.n, grid.h
     i, j = boundary_loop(grid)
-    dh = np.empty(grid.num_boundary_nodes)
-    for k in range(grid.num_boundary_nodes):
-        ii, jj = int(i[k]), int(j[k])
-        if ii == 0:
-            f0, f1, f2 = U[jj, 0], U[jj, 1], U[jj, 2]
-        elif ii == n - 1:
-            f0, f1, f2 = U[jj, n - 1], U[jj, n - 2], U[jj, n - 3]
-        elif jj == 0:
-            f0, f1, f2 = U[0, ii], U[1, ii], U[2, ii]
-        else:
-            f0, f1, f2 = U[n - 1, ii], U[n - 2, ii], U[n - 3, ii]
-        dh[k] = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+    # inward step: along x on the lateral sides (corners included), else along y
+    di = np.where(i == 0, 1, np.where(i == n - 1, -1, 0))
+    dj = np.where(di != 0, 0, np.where(j == 0, 1, -1))
+    f0, f1, f2 = U[j, i], U[j + dj, i + di], U[j + 2 * dj, i + 2 * di]
+    dh = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
     return hfield, BoundaryValues(grid, dh)

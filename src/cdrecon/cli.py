@@ -297,6 +297,14 @@ def _cmd_forward(v: dict) -> int:
     return 0
 
 
+def _warn_if_capped(command: str, report) -> None:
+    """One stderr line when a run stopped at its iteration cap, so a result
+    that did not converge never passes silently; stdout is left alone."""
+    if report.stop_reason == "cap":
+        print(f"cdrecon: warning: {command} stopped at the iteration cap after "
+              f"{report.iterations} iterations without converging", file=sys.stderr)
+
+
 def _cmd_reconstruct(v: dict) -> int:
     electrodes = _electrodes(v)
     bounds = None
@@ -328,6 +336,7 @@ def _cmd_reconstruct(v: dict) -> int:
     if truth is not None:
         line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"
     print(line + f" wrote {v['out']}")
+    _warn_if_capped("reconstruct", report)
     return 0
 
 
@@ -355,6 +364,7 @@ def _cmd_bregman(v: dict) -> int:
     if v["truth"]:
         line += f" rel_l2_error={rel_l2_error(sigma, read_field(v['truth'])):.6g}"
     print(line + f" wrote {v['out']}")
+    _warn_if_capped("bregman", report)
     return 0
 
 

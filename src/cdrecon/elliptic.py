@@ -20,8 +20,9 @@ folded into the rhs.
 Three solves, one per kind of caller, all ending in the same true-residual
 check (``_checked``), the only place a solve fails:
 
-* ``pcg_solve``: Jacobi-preconditioned conjugate gradients, for systems
-  solved once (forward Robin and CEM problems);
+* ``pcg_solve``: conjugate gradients preconditioned by one aggregation
+  multigrid V-cycle built from the matrix, for systems solved once (forward
+  Robin and CEM problems);
 * ``solve_reusing_factor``: conjugate gradients preconditioned by the sparse
   LU factor of an earlier matrix of a slowly varying sequence, refactored
   when that needs more than ``REFACTOR_ITERATIONS`` iterations (the
@@ -33,8 +34,9 @@ check (``_checked``), the only place a solve fails:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +56,17 @@ from .fields import BoundaryValues, Grid, ScalarField, boundary_loop
 # CG iterations allowed with a reused factor before the matrix is refactored
 REFACTOR_ITERATIONS = 10
 
+# multigrid preconditioner of pcg_solve
+_COARSEST = 300  # unknowns of the coarsest level, which is solved densely
+_SMOOTHING_SWEEPS = 3  # damped Jacobi sweeps before and after each coarse correction
+# weak diagonal dominance puts the spectrum of D^-1 A in (0, 2], so this
+# damping makes every sweep a contraction in the energy norm
+_DAMPING = 2.0 / 3.0
+# factor on the piecewise-constant coarse correction, which alone corrects
+# too little (Braess, Computing 55, 1995); any positive factor keeps the
+# V-cycle SPD, and 1.9 needed the fewest CG iterations of 1.4-1.9
+_OVERCORRECTION = 1.9
+
 
 @dataclass
 class SparseSystem:
@@ -69,7 +82,7 @@ class SparseSystem:
 
 @dataclass
 class SolveStats:
-    """Outcome of one verified solve; ``method`` is "jacobi", "lu" or
+    """Outcome of one verified solve; ``method`` is "multigrid", "lu" or
     "sine" and ``iterations`` counts CG iterations (0 for the exact sine
     solve)."""
 
@@ -336,11 +349,84 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
 
 
+@dataclass(frozen=True)
+class _Level:
+    """One level of the multigrid hierarchy above the coarsest."""
+
+    matrix: sp.csr_matrix
+    damped_inverse_diagonal: np.ndarray
+    aggregate: np.ndarray  # the next level's unknown that each unknown joins
+
+
+def _multigrid(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The symmetric V-cycle of plain aggregation multigrid for A, as a
+    preconditioner (an SPD approximation of the inverse when A is SPD and
+    weakly diagonally dominant, as every system assembled here is).
+
+    The first n*n unknowns, n = isqrt(dimension), are read as an n x n grid
+    and aggregated in 2 x 2 blocks; any further unknown (the CEM voltage)
+    forms an aggregate of its own on every level.  Each coarse matrix is the
+    Galerkin sum of the entries over aggregate pairs, which keeps the
+    five-point pattern, the symmetry and the diagonal dominance; the one of
+    at most ``_COARSEST`` unknowns is inverted densely.  Raises NotSPDError
+    on a nonpositive diagonal entry or a singular coarsest matrix.
+    """
+    A = A.tocsr()
+    dim = A.shape[0]
+    n = math.isqrt(dim)
+    extra = dim - n * n
+    levels = []
+    while True:
+        d = A.diagonal()
+        if np.any(d <= 0.0):  # on a coarse level 1'A1 over an aggregate, > 0 for SPD A
+            raise NotSPDError("matrix has a nonpositive diagonal entry")
+        if dim <= _COARSEST or n == 1:
+            break
+        m = (n + 1) // 2
+        j, i = np.divmod(np.arange(n * n, dtype=np.int32), n)
+        aggregate = np.concatenate([(j // 2) * m + i // 2,
+                                    m * m + np.arange(extra, dtype=np.int32)])
+        levels.append(_Level(A, _DAMPING / d, aggregate))
+        dim, n = m * m + extra, m
+        rows = np.repeat(aggregate, np.diff(A.indptr))
+        A = sp.csr_matrix((A.data, (rows, aggregate[A.indices])), shape=(dim, dim))
+    try:
+        inverse = np.linalg.inv(A.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError(f"coarsest multigrid matrix is singular: {exc}") from exc
+    return partial(_v_cycle, levels, 0.5 * (inverse + inverse.T))
+
+
+def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Apply the multigrid preconditioner to b: on the way down, damped
+    Jacobi sweeps from the zero guess and restriction of the residual by
+    summing over each aggregate; on the way up, the over-corrected
+    piecewise-constant coarse correction and as many Jacobi sweeps again."""
+    rhs, sols = [], []
+    for lv in levels:
+        x = lv.damped_inverse_diagonal * b
+        for _ in range(_SMOOTHING_SWEEPS - 1):
+            x += lv.damped_inverse_diagonal * (b - lv.matrix @ x)
+        rhs.append(b)
+        sols.append(x)
+        b = np.bincount(lv.aggregate, weights=b - lv.matrix @ x)
+    e = coarsest_inverse @ b
+    for lv, b, x in zip(reversed(levels), reversed(rhs), reversed(sols)):
+        x += _OVERCORRECTION * e[lv.aggregate]
+        for _ in range(_SMOOTHING_SWEEPS):
+            x += lv.damped_inverse_diagonal * (b - lv.matrix @ x)
+        e = x
+    return e
+
+
 def pcg_solve(
     system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None
 ) -> tuple[np.ndarray, SolveStats]:
-    """Jacobi-preconditioned conjugate gradients from the zero initial guess.
+    """Conjugate gradients from the zero initial guess, preconditioned by one
+    aggregation multigrid V-cycle (``_multigrid``) built from the matrix.
 
+    The V-cycle needs about as many iterations at every grid size (at most
+    13 on the forward systems for n = 65 to 1025) and no sparse factor.
     Returns once the true relative residual ||Ax-b||/||b|| is at most
     ``tol``; raises SolverError when ``max_iter`` iterations (default
     40 sqrt(dimension), i.e. 40 n on an n x n grid) do not get there, and
@@ -352,11 +438,8 @@ def pcg_solve(
         max_iter = max(1, 40 * int(round(math.sqrt(A.shape[0]))))
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    d = A.diagonal()
-    if np.any(d <= 0.0):
-        raise NotSPDError("matrix has a nonpositive diagonal entry")
-    inv = 1.0 / d
-    return _checked(*_cg(A, system.rhs, lambda r: inv * r, tol, max_iter), tol, "jacobi")
+    precondition = _multigrid(A)
+    return _checked(*_cg(A, system.rhs, precondition, tol, max_iter), tol, "multigrid")
 
 
 @dataclass

@@ -201,11 +201,20 @@ def divergence(f: VectorField) -> ScalarField:
     """
     n = f.grid.n
     h2 = 2.0 * f.grid.h
-    fx = np.pad(f.x2d, 1)
-    fy = np.pad(f.y2d, 1)
-    # node (i,j) touches cells (I,J) in {i-1,i} x {j-1,j}; padding supplies zeros
-    dx = fx[1:n + 1, 1:n + 1] + fx[0:n, 1:n + 1] - fx[1:n + 1, 0:n] - fx[0:n, 0:n]
-    dy = fy[1:n + 1, 1:n + 1] + fy[1:n + 1, 0:n] - fy[0:n, 1:n + 1] - fy[0:n, 0:n]
+    fx, fy = f.x2d, f.y2d
+    # node (i, j) touches cells (I, J) in {i-1, i} x {j-1, j}; each component
+    # adds them in the order (i, j), then (i, j-1) for x and (i-1, j) for y,
+    # then subtracts the other two, cell (i-1, j-1) last
+    dx = np.zeros((n, n))
+    dx[:-1, :-1] += fx
+    dx[1:, :-1] += fx
+    dx[:-1, 1:] -= fx
+    dx[1:, 1:] -= fx
+    dy = np.zeros((n, n))
+    dy[:-1, :-1] += fy
+    dy[:-1, 1:] += fy
+    dy[1:, :-1] -= fy
+    dy[1:, 1:] -= fy
     return ScalarField(f.grid, ((dx + dy) / h2).reshape(-1))
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecon.boundary import (
     ElectrodeSet,
@@ -203,6 +205,56 @@ def test_harmonic_lift_plateau_and_antisymmetry():
     H = h.values2d
     assert np.abs(H + H[::-1, :]).max() < 1e-8
     assert abs(H[g.n // 2, g.n // 2]) < 1e-9
+
+
+def _faces_by_loop(g):
+    """The former face loop of ``boundary_faces``."""
+    m = g.n - 1
+    h = g.h
+    corners = {0: 1, m: m - 1, 2 * m: 2 * m + 1, 3 * m: 3 * m - 1}
+    node_idx, value_idx, weight = [], [], []
+    for k in range(4 * m):
+        if k in corners:
+            node_idx += [k, k]
+            value_idx += [k, corners[k]]
+            weight += [0.5 * h, 0.5 * h]
+        else:
+            node_idx.append(k)
+            value_idx.append(k)
+            weight.append(h)
+    return np.asarray(node_idx), np.asarray(value_idx), np.asarray(weight)
+
+
+def _normal_derivative_by_loop(U, g):
+    """The former node loop of ``harmonic_lift``'s normal derivative."""
+    n, h = g.n, g.h
+    i, j = boundary_loop(g)
+    dh = np.empty(g.num_boundary_nodes)
+    for k in range(g.num_boundary_nodes):
+        ii, jj = int(i[k]), int(j[k])
+        if ii == 0:
+            f0, f1, f2 = U[jj, 0], U[jj, 1], U[jj, 2]
+        elif ii == n - 1:
+            f0, f1, f2 = U[jj, n - 1], U[jj, n - 2], U[jj, n - 3]
+        elif jj == 0:
+            f0, f1, f2 = U[0, ii], U[1, ii], U[2, ii]
+        else:
+            f0, f1, f2 = U[n - 1, ii], U[n - 2, ii], U[n - 3, ii]
+        dh[k] = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+    return dh
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 80), aperture=st.floats(0.3, 1.0),
+       epsilon=st.sampled_from([1e-3, 0.5, 1.0]))
+def test_vectorized_boundary_loops_match_former_loops(n, aperture, epsilon):
+    g = make_grid(n)
+    for got, expected in zip(boundary_faces(g), _faces_by_loop(g)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    rc = smoothed_coefficients(ElectrodeSet(aperture=aperture), g, epsilon)
+    h, dh = harmonic_lift(rc, g)
+    assert dh.values.tobytes() == _normal_derivative_by_loop(h.values2d, g).tobytes()
 
 
 def test_harmonic_lift_requires_positive_epsilon():

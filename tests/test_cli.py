@@ -147,6 +147,36 @@ def test_bregman_cli(tmp_path, capsys):
     assert line.startswith("bregman: iterations=20 stop_reason=cap converged=false ")
 
 
+def test_cap_warning_on_stderr_only(tmp_path, capsys):
+    sig = tmp_path / "sigma.fld"
+    a = tmp_path / "a.fld"
+    u = tmp_path / "u.fld"
+    out = tmp_path / "out.fld"
+    run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--count", "1",
+         "--margin", "0.2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a), "--out-u", str(u)])
+    capsys.readouterr()
+    commands = {
+        "reconstruct": ["reconstruct", "--a", str(a), "--out", str(out)],
+        "bregman": ["bregman", "--a", str(a), "--u", str(u), "--out", str(out)],
+    }
+    for name, args in commands.items():
+        assert run(args + ["--max-iter", "3"]) == 0
+        captured = capsys.readouterr()
+        # stdout keeps its one line; the sweep count includes any settle sweeps
+        iterations = captured.out.split("iterations=", 1)[1].split()[0]
+        assert captured.out.startswith(f"{name}: iterations={iterations} "
+                                       "stop_reason=cap converged=false ")
+        assert captured.out.count("\n") == 1 and captured.out.endswith(f" wrote {out}\n")
+        assert captured.err == (f"cdrecon: warning: {name} stopped at the iteration "
+                                f"cap after {iterations} iterations without converging\n")
+    # a run that stops by its rule warns of nothing
+    assert run(commands["bregman"]) == 0
+    captured = capsys.readouterr()
+    assert " stop_reason=tol converged=true " in captured.out
+    assert captured.err == ""
+
+
 def test_study_cli(tmp_path, capsys):
     sig = tmp_path / "sigma.fld"
     a = tmp_path / "a.fld"

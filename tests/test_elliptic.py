@@ -19,6 +19,7 @@ from cdrecon.elliptic import (
     REFACTOR_ITERATIONS,
     FactorCache,
     SparseSystem,
+    _multigrid,
     assemble_cem,
     assemble_laplace_dirichlet,
     assemble_robin,
@@ -194,15 +195,18 @@ def test_pcg_matches_dense_oracle():
 
 
 def test_pcg_cap_raises():
-    n = 10
-    A = sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr()
-    with pytest.raises(SolverError, match="after 2 iterations"):
-        pcg_solve(SparseSystem(A, np.ones(n)), tol=1e-12, max_iter=2)
+    # above the coarsest multigrid size, so one iteration cannot solve it
+    g = make_grid(33)
+    system = assemble_robin(ScalarField.constant(g, 1.0),
+                            base_coefficients(ElectrodeSet(), g), None, g)
+    with pytest.raises(SolverError, match="after 1 iterations"):
+        pcg_solve(system, tol=1e-12, max_iter=1)
 
 
 def test_pcg_detects_indefinite():
-    # positive diagonal, so the Jacobi preconditioner exists, but the matrix
-    # has eigenvalue -1 and b is its eigenvector: <p, Ap> < 0 at once
+    # positive diagonal, so the preconditioner (here the dense inverse of
+    # the whole small matrix) exists, but the matrix has eigenvalue -1 and b
+    # is its eigenvector: <p, Ap> < 0 at once
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     b = np.array([1.0, -1.0])
     with pytest.raises(NotSPDError, match="nonpositive curvature"):
@@ -216,6 +220,57 @@ def test_pcg_robin_system_converges():
     system = assemble_robin(ScalarField.constant(g, 1.0), rc, None, g)
     x, stats = pcg_solve(system, tol=1e-10, max_iter=20 * g.n)
     assert stats.relative_residual <= 1e-10
+
+
+def _forward_system(n, seed, aperture, z, epsilon, cem):
+    """Robin (sharp when epsilon is 0) or CEM system on a blob phantom."""
+    g = make_grid(n)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=seed))
+    el = ElectrodeSet(aperture=aperture, z=z)
+    if cem:
+        return assemble_cem(sigma, el, g)
+    coeffs = (base_coefficients(el, g) if epsilon == 0.0
+              else smoothed_coefficients(el, g, epsilon))
+    return assemble_robin(sigma, coeffs, None, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1),
+       aperture=st.floats(0.3, 1.0), z=st.floats(0.3, 3.0),
+       epsilon=st.sampled_from([0.0, 1e-3, 0.5]), cem=st.booleans())
+def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, z,
+                                                             epsilon, cem):
+    try:
+        system = _forward_system(n, seed, aperture, z, epsilon, cem)
+    except DataError:
+        assume(False)  # the aperture spans fewer than two nodes
+    assume(system.rhs.any())  # a sharp aperture between nodes injects nothing
+    precondition = _multigrid(system.matrix)
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(2, system.dimension))
+    mx, my = precondition(x), precondition(y)
+    assert abs(mx @ y - x @ my) <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
+    assert mx @ x > 0.0 and my @ y > 0.0
+    sol, stats = pcg_solve(system, tol=1e-12)
+    expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.linalg.norm(sol - expected) <= 1e-8 * np.linalg.norm(expected)
+    assert stats.method == "multigrid"
+
+
+@pytest.mark.parametrize("n", [65, 129, 257])
+def test_multigrid_iterations_independent_of_n(n):
+    # criterion 6's phantom and Robin data, and the CEM system on it
+    g = make_grid(n)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=7, lo=1.0, hi=1.8,
+                                         margin=0.15, blob_width=(0.05, 0.10)))
+    systems = [assemble_cem(sigma, ElectrodeSet(), g)]
+    for aperture in (1.0, 0.5):
+        el = ElectrodeSet(aperture=aperture)
+        systems.append(assemble_robin(sigma, base_coefficients(el, g), None, g))
+        systems.append(assemble_robin(sigma, smoothed_coefficients(el, g, 5e-4), None, g))
+    for system in systems:
+        x, stats = pcg_solve(system)
+        assert stats.iterations <= 25
 
 
 @settings(max_examples=25, deadline=None)

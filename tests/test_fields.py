@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecon.errors import DimensionError, FormatError, GridError
 from cdrecon.fields import (
@@ -110,6 +112,33 @@ def test_divergence_is_negative_transpose_of_gradient():
         lhs = (gv.x @ F.x + gv.y @ F.y) * h2
         rhs = -(v.values @ divergence(F).values) * h2
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
+
+
+def _padded_divergence(f):
+    """The former divergence: both components padded with a ring of zeros."""
+    n = f.grid.n
+    h2 = 2.0 * f.grid.h
+    fx = np.pad(f.x2d, 1)
+    fy = np.pad(f.y2d, 1)
+    dx = fx[1:n + 1, 1:n + 1] + fx[0:n, 1:n + 1] - fx[1:n + 1, 0:n] - fx[0:n, 0:n]
+    dy = fy[1:n + 1, 1:n + 1] + fy[1:n + 1, 0:n] - fy[0:n, 1:n + 1] - fy[0:n, 0:n]
+    return ((dx + dy) / h2).reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 80), seed=st.integers(0, 2**32 - 1))
+def test_divergence_matches_padded_formula_and_is_adjoint(n, seed):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    F = VectorField(g, rng.normal(size=g.num_cells), rng.normal(size=g.num_cells))
+    div = divergence(F).values
+    assert div.tobytes() == _padded_divergence(F).tobytes()
+    v = ScalarField(g, rng.normal(size=g.num_nodes))
+    gv = gradient(v)
+    lhs = gv.x @ F.x + gv.y @ F.y
+    rhs = -(v.values @ div)
+    scale = np.abs(gv.x) @ np.abs(F.x) + np.abs(gv.y) @ np.abs(F.y)
+    assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_weighted_tv_constant_field():
