@@ -54,12 +54,10 @@ class ElectrodeSet:
 @dataclass(frozen=True)
 class RobinCoefficients:
     """Boundary coefficient pair (b, c) of the Robin condition
-    sigma du/dnu + b u = c, plus the smoothing parameters that built them."""
+    sigma du/dnu + b u = c."""
 
     b: BoundaryValues
     c: BoundaryValues
-    epsilon: float
-    transition_width: float
 
     @property
     def grid(self) -> Grid:
@@ -143,7 +141,7 @@ def _electrode_node_mask(electrodes: ElectrodeSet, grid: Grid, side: str) -> np.
 
 def base_coefficients(electrodes: ElectrodeSet, grid: Grid) -> RobinCoefficients:
     """Sharp coefficients: b = 1/z and c = +/-I on electrode nodes, zero
-    elsewhere (corners excluded per the corner rule); epsilon = width = 0."""
+    elsewhere (corners excluded per the corner rule)."""
     nb = grid.num_boundary_nodes
     b = np.zeros(nb)
     c = np.zeros(nb)
@@ -153,9 +151,7 @@ def base_coefficients(electrodes: ElectrodeSet, grid: Grid) -> RobinCoefficients
     b[top | bottom] = 1.0 / electrodes.z
     c[top] = s * electrodes.current
     c[bottom] = -s * electrodes.current
-    return RobinCoefficients(
-        BoundaryValues(grid, b), BoundaryValues(grid, c), epsilon=0.0, transition_width=0.0
-    )
+    return RobinCoefficients(BoundaryValues(grid, b), BoundaryValues(grid, c))
 
 
 def smoothed_coefficients(
@@ -185,10 +181,7 @@ def smoothed_coefficients(
     s = electrodes.sign_top()
     b = (epsilon + (1.0 - epsilon) * np.maximum(profiles["top"], profiles["bottom"])) / z
     c = cur * (s * profiles["top"] - s * profiles["bottom"])
-    return RobinCoefficients(
-        BoundaryValues(grid, b), BoundaryValues(grid, c),
-        epsilon=float(epsilon), transition_width=float(width),
-    )
+    return RobinCoefficients(BoundaryValues(grid, b), BoundaryValues(grid, c))
 
 
 def electrode_quadrature(
@@ -247,11 +240,11 @@ def harmonic_lift(
     derivative at boundary nodes by the second-order one-sided stencil
     (3 f0 - 4 f1 + f2) / (2h) along the inward direction, sign flipped.
 
-    Requires epsilon > 0 so that b is positive everywhere.  Corner normal
-    derivatives use the lateral-side direction (corner rule).
+    Requires b > 0 everywhere (smoothed coefficients, epsilon > 0).  Corner
+    normal derivatives use the lateral-side direction (corner rule).
     """
-    if coeffs.epsilon <= 0.0:
-        raise DataError("harmonic lift needs epsilon > 0; c/b is undefined off electrodes")
+    if np.any(coeffs.b.values <= 0.0):
+        raise DataError("harmonic lift needs b > 0; c/b is undefined off electrodes")
     from . import elliptic  # deferred: elliptic imports this module
 
     data = BoundaryValues(grid, coeffs.c.values / coeffs.b.values)

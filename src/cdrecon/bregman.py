@@ -134,8 +134,6 @@ def split_bregman_minimize(
 
     thresh = cell_average(a) / config.rho
     m = grid.n - 1
-    dx = np.zeros((m, m))
-    dy = np.zeros((m, m))
     gx = np.zeros((m, m))
     gy = np.zeros((m, m))
 

@@ -176,15 +176,12 @@ def _check_positive_sigma(sigma: ScalarField) -> None:
 def assemble_robin(
     sigma_eff: ScalarField,
     coeffs: RobinCoefficients,
-    flux_rhs: BoundaryValues | None,
     grid: Grid,
 ) -> SparseSystem:
     """Discrete system for div(sigma_eff grad u) = 0 with
-    sigma_eff du/dnu + b u = c + flux_rhs on the boundary."""
+    sigma_eff du/dnu + b u = c on the boundary."""
     if sigma_eff.grid.n != grid.n or coeffs.grid.n != grid.n:
         raise DimensionError("sigma, coefficients and grid sizes disagree")
-    if flux_rhs is not None and flux_rhs.grid.n != grid.n:
-        raise DimensionError("flux_rhs grid size disagrees")
     _check_positive_sigma(sigma_eff)
 
     n = grid.n
@@ -194,11 +191,8 @@ def assemble_robin(
     np.add.at(stencil, (pat.face_rows, 2), pat.face_weight * coeffs.b.values[pat.face_value])
     A = sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(n * n, n * n))
 
-    face_data = coeffs.c.values[pat.face_value]
-    if flux_rhs is not None:
-        face_data = face_data + flux_rhs.values[pat.face_value]
     rhs = np.zeros(n * n)
-    np.add.at(rhs, pat.face_rows, pat.face_weight * face_data)
+    np.add.at(rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
     return SparseSystem(A, rhs)
 
 
@@ -529,10 +523,8 @@ def sine_solve(system: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, So
     return _checked(x, 0, res, tol, "sine")
 
 
-def boundary_net_flux(
-    coeffs: RobinCoefficients, u: ScalarField, flux_rhs: BoundaryValues | None = None
-) -> float:
-    """Face quadrature of the boundary flux sum (c + flux_rhs - b u) ds.
+def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:
+    """Face quadrature of the boundary flux sum (c - b u) ds.
 
     Vanishes (to solver tolerance) for any discrete Robin solution: total
     current in equals current out.  Uses the same face decomposition as the
@@ -545,8 +537,7 @@ def boundary_net_flux(
     node_f, val_f, w_f = boundary_faces(grid)
     c = coeffs.c.values
     bb = coeffs.b.values
-    f = flux_rhs.values if flux_rhs is not None else np.zeros_like(c)
-    return float(np.sum(w_f * (c[val_f] + f[val_f] - bb[val_f] * tr[node_f])))
+    return float(np.sum(w_f * (c[val_f] - bb[val_f] * tr[node_f])))
 
 
 def quadratic_energy(system: SparseSystem, x: np.ndarray) -> float:

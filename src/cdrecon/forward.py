@@ -60,7 +60,7 @@ def solve_forward(
 ) -> ForwardResult:
     """Solve the Robin problem for the given coefficients and synthesize the
     interior data a = |sigma grad u|."""
-    system = assemble_robin(sigma, coeffs, None, grid)
+    system = assemble_robin(sigma, coeffs, grid)
     x, stats = pcg_solve(system, tol=tol)
     u = ScalarField(grid, x)
     return ForwardResult(u=u, a=interior_data(sigma, u), stats=stats)

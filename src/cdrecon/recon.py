@@ -8,15 +8,19 @@ at the current conductivity: div((sigma_k + delta) grad u) = 0 with
 (sigma_k + delta) du/dnu + b_eps u = rhs on the boundary, followed by the
 update sigma = a / max(|grad u|, floor) at the nodes.
 
-Three right-hand-side modes are available.  "stabilized" (default) keeps
-c_eps and omits the delta dh/dnu flux; it is the Euler-Lagrange condition
-of the functional whose quadratic penalty is (delta/2) |grad v|^2, and it
-is the only mode whose fixed point stays put: anchoring the penalty at the
+Three right-hand-side modes are available; each is one Robin datum c in
+(sigma_k + delta) du/dnu + b_eps u = c, with the same b_eps.  "stabilized"
+(default) takes c = c_eps; it is the Euler-Lagrange condition of the
+functional whose quadratic penalty is (delta/2) |grad v|^2, and it is the
+only mode whose fixed point stays put: anchoring the penalty at the
 harmonic lift h injects a spurious O(delta/epsilon) pull along the
 data-invariant reparametrization family (see ``level_calibration``), which
-shows up as a slow drift of the iterates.  "variational" adds the
-delta dh/dnu flux (the exact Euler-Lagrange condition of the h-anchored
-penalty) and "flux-only" additionally drops c_eps.
+shows up as a slow drift of the iterates.  "variational" takes
+c = c_eps + delta dh/dnu (the exact Euler-Lagrange condition of the
+h-anchored penalty) and "flux-only" c = delta dh/dnu, which drops c_eps.
+The sweep records log the functional that each mode's solves decrease: its
+boundary target is c_eps/b_eps (0 for "flux-only") and its delta penalty
+is anchored at 0 for "stabilized" and at h otherwise.
 
 The interior data determines the conductivity only up to the family
 sigma -> sigma / (phi' o u), u -> phi o u with phi increasing and equal to
@@ -192,6 +196,20 @@ def functional_Gdelta(
     return functional_G(v, a, coeffs, h) + _delta_term(v, h, delta)
 
 
+def _functional_terms(
+    v: ScalarField, a: ScalarField, coeffs: RobinCoefficients, h: ScalarField,
+    delta: float, rhs_mode: str,
+) -> tuple[float, float, float]:
+    """TV, boundary and delta terms of the functional that the Robin solve of
+    ``rhs_mode`` decreases.  The boundary target is the lift's trace c/b, or 0
+    for "flux-only", which drops c; the delta penalty is anchored at 0 for
+    "stabilized" and at the lift h otherwise."""
+    zero = ScalarField(v.grid, np.zeros_like(v.values))
+    target = zero if rhs_mode == "flux-only" else h
+    anchor = zero if rhs_mode == "stabilized" else h
+    return weighted_tv(v, a), boundary_penalty(v, coeffs, target), _delta_term(v, anchor, delta)
+
+
 def sigma_from_potential(
     a: ScalarField, v: ScalarField, grad_floor: float
 ) -> ScalarField:
@@ -316,20 +334,13 @@ def reconstruct(
         electrodes, grid, config.epsilon, config.transition_width
     )
     h_field, dh_dn = harmonic_lift(coeffs, grid, tol=config.inner_tol)
-    if config.rhs_mode == "stabilized":
-        flux = None
-        solve_coeffs = coeffs
-    elif config.rhs_mode == "variational":
-        flux = BoundaryValues(grid, config.delta * dh_dn.values)
-        solve_coeffs = coeffs
-    else:  # flux-only
-        flux = BoundaryValues(grid, config.delta * dh_dn.values)
-        solve_coeffs = RobinCoefficients(
-            coeffs.b,
-            BoundaryValues(grid, np.zeros_like(coeffs.c.values)),
-            coeffs.epsilon,
-            coeffs.transition_width,
-        )
+    flux = config.delta * dh_dn.values
+    c_mode = {
+        "stabilized": coeffs.c.values,
+        "variational": coeffs.c.values + flux,
+        "flux-only": flux,
+    }[config.rhs_mode]
+    solve_coeffs = RobinCoefficients(coeffs.b, BoundaryValues(grid, c_mode))
 
     delta = config.delta
     report = ReconReport()
@@ -337,7 +348,7 @@ def reconstruct(
 
     def solve_at(sigma: ScalarField):
         sigma_eff = ScalarField(grid, sigma.values + delta)
-        system = assemble_robin(sigma_eff, solve_coeffs, flux, grid)
+        system = assemble_robin(sigma_eff, solve_coeffs, grid)
         x, stats = solve_reusing_factor(system, factor, tol=config.inner_tol)
         return ScalarField(grid, x), stats
 
@@ -353,9 +364,7 @@ def reconstruct(
                 float(np.linalg.norm(sigma_new.values - sigma.values))
                 / float(np.linalg.norm(sigma.values))
             )
-            tv = weighted_tv(u, a)
-            bterm = boundary_penalty(u, coeffs, h_field)
-            dterm = _delta_term(u, h_field, delta)
+            tv, bterm, dterm = _functional_terms(u, a, coeffs, h_field, delta, config.rhs_mode)
             rel = None if ground_truth is None else rel_l2_error(sigma_new, ground_truth)
             report.records.append(IterationRecord(
                 index=report.iterations, g_delta=tv + bterm + dterm, g=tv + bterm,
@@ -476,7 +485,8 @@ def convergence_study(
         a_n = add_noise(a_clean, e, seed + k)
         cfg = replace(config, delta=float(d))
         sigma, u, _ = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
-        g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, h_field, float(d)))
+        terms = _functional_terms(u, a_n, coeffs, h_field, float(d), cfg.rhs_mode)
+        g_delta_vals.append(sum(terms))
         g_clean_vals.append(functional_G(u, a_clean, coeffs, h_field))
         errors.append(
             float("nan") if ground_truth is None else rel_l2_error(sigma, ground_truth)

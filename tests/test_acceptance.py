@@ -238,7 +238,7 @@ def test_criterion_9_invariant_sweep(tmp_path):
     # matrix symmetry and SPD probes
     sm = cd.smoothed_coefficients(el, grid, 5e-4)
     for system in (
-        cd.assemble_robin(sigma, sm, None, grid),
+        cd.assemble_robin(sigma, sm, grid),
         cd.assemble_cem(sigma, el, grid),
     ):
         A = system.matrix

@@ -185,7 +185,7 @@ def test_harmonic_lift_constant_data():
     rc = smoothed_coefficients(el, g, epsilon=1.0)  # b = 1 everywhere
     v0 = 2.0
     data_c = BoundaryValues(g, v0 * rc.b.values)
-    coeffs = RobinCoefficients(rc.b, data_c, rc.epsilon, rc.transition_width)
+    coeffs = RobinCoefficients(rc.b, data_c)
     h, dh = harmonic_lift(coeffs, g)
     assert np.allclose(h.values, v0, atol=1e-9)
     assert np.allclose(dh.values, 0.0, atol=1e-7)

@@ -61,7 +61,7 @@ def test_robin_affine_exact_any_n():
         g = make_grid(n)
         el = ElectrodeSet()
         system = assemble_robin(
-            ScalarField.constant(g, 1.0), base_coefficients(el, g), None, g
+            ScalarField.constant(g, 1.0), base_coefficients(el, g), g
         )
         exact = ScalarField.from_function(g, lambda x, y: (2 / 3) * y - 1 / 3)
         residual = system.matrix @ exact.values - system.rhs
@@ -72,9 +72,8 @@ def test_robin_homogeneous_zero_solution():
     g = make_grid(9)
     el = ElectrodeSet()
     rc = smoothed_coefficients(el, g, epsilon=0.5)
-    zero_c = RobinCoefficients(rc.b, BoundaryValues(g, np.zeros_like(rc.c.values)),
-                               rc.epsilon, rc.transition_width)
-    system = assemble_robin(ScalarField.constant(g, 1.0), zero_c, None, g)
+    zero_c = RobinCoefficients(rc.b, BoundaryValues(g, np.zeros_like(rc.c.values)))
+    system = assemble_robin(ScalarField.constant(g, 1.0), zero_c, g)
     assert np.all(system.rhs == 0.0)
     x, stats = pcg_solve(system)
     assert np.abs(x).max() == 0.0  # zero rhs short-circuits to zero
@@ -85,7 +84,7 @@ def test_robin_matrix_symmetric_and_spd():
     el = ElectrodeSet(aperture=0.7, z=1.3)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=17, seed=5))
     rc = smoothed_coefficients(el, g, epsilon=2e-3)
-    system = assemble_robin(sigma, rc, None, g)
+    system = assemble_robin(sigma, rc, g)
     A = system.matrix
     assert _matrix_symmetry_defect(A) <= 1e-14 * np.abs(A.data).max()
     assert _spd_probe(A) > 0.0
@@ -97,7 +96,7 @@ def test_robin_reflection_antisymmetry():
     el = ElectrodeSet()
     sigma = ScalarField.from_function(g, lambda x, y: 1 + 0.5 * np.sin(np.pi * y) * x)
     rc = base_coefficients(el, g)
-    system = assemble_robin(sigma, rc, None, g)
+    system = assemble_robin(sigma, rc, g)
     x, stats = pcg_solve(system, tol=1e-12)
     U = x.reshape(g.n, g.n)
     assert np.abs(U + U[::-1, :]).max() < 1e-9
@@ -108,7 +107,7 @@ def test_robin_rejects_nonpositive_sigma():
     vals = np.ones(g.num_nodes)
     vals[7] = -0.5
     with pytest.raises(AssemblyError, match=r"\(i=2, j=1\)"):
-        assemble_robin(ScalarField(g, vals), base_coefficients(ElectrodeSet(), g), None, g)
+        assemble_robin(ScalarField(g, vals), base_coefficients(ElectrodeSet(), g), g)
 
 
 def test_cem_exact_affine_and_voltage():
@@ -198,7 +197,7 @@ def test_pcg_cap_raises():
     # above the coarsest multigrid size, so one iteration cannot solve it
     g = make_grid(33)
     system = assemble_robin(ScalarField.constant(g, 1.0),
-                            base_coefficients(ElectrodeSet(), g), None, g)
+                            base_coefficients(ElectrodeSet(), g), g)
     with pytest.raises(SolverError, match="after 1 iterations"):
         pcg_solve(system, tol=1e-12, max_iter=1)
 
@@ -217,7 +216,7 @@ def test_pcg_robin_system_converges():
     g = make_grid(33)
     el = ElectrodeSet()
     rc = smoothed_coefficients(el, g, epsilon=5e-4)
-    system = assemble_robin(ScalarField.constant(g, 1.0), rc, None, g)
+    system = assemble_robin(ScalarField.constant(g, 1.0), rc, g)
     x, stats = pcg_solve(system, tol=1e-10, max_iter=20 * g.n)
     assert stats.relative_residual <= 1e-10
 
@@ -231,7 +230,7 @@ def _forward_system(n, seed, aperture, z, epsilon, cem):
         return assemble_cem(sigma, el, g)
     coeffs = (base_coefficients(el, g) if epsilon == 0.0
               else smoothed_coefficients(el, g, epsilon))
-    return assemble_robin(sigma, coeffs, None, g)
+    return assemble_robin(sigma, coeffs, g)
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,8 +265,8 @@ def test_multigrid_iterations_independent_of_n(n):
     systems = [assemble_cem(sigma, ElectrodeSet(), g)]
     for aperture in (1.0, 0.5):
         el = ElectrodeSet(aperture=aperture)
-        systems.append(assemble_robin(sigma, base_coefficients(el, g), None, g))
-        systems.append(assemble_robin(sigma, smoothed_coefficients(el, g, 5e-4), None, g))
+        systems.append(assemble_robin(sigma, base_coefficients(el, g), g))
+        systems.append(assemble_robin(sigma, smoothed_coefficients(el, g, 5e-4), g))
     for system in systems:
         x, stats = pcg_solve(system)
         assert stats.iterations <= 25
@@ -338,7 +337,8 @@ def test_robin_pattern_refill_matches_coo_build(n, seed, aperture, epsilon):
               else smoothed_coefficients(el, g, epsilon))
     sigma = ScalarField(g, rng.uniform(0.1, 10.0, g.num_nodes))
     flux = BoundaryValues(g, rng.normal(size=g.num_boundary_nodes))
-    system = assemble_robin(sigma, coeffs, flux, g)
+    folded = RobinCoefficients(coeffs.b, BoundaryValues(g, coeffs.c.values + flux.values))
+    system = assemble_robin(sigma, folded, g)
 
     li, lj = boundary_loop(g)
     node_f, val_f, w_f = boundary_faces(g)
@@ -439,7 +439,7 @@ def test_factor_reuse_refactors_on_jump():
     counts = []
     tol = 1e-10
     for sigma in sigmas:
-        system = assemble_robin(sigma, coeffs, None, g)
+        system = assemble_robin(sigma, coeffs, g)
         x, stats = solve_reusing_factor(system, cache, tol=tol)
         true_res = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
         assert true_res <= tol
@@ -455,7 +455,7 @@ def test_conservation_of_current():
     el = ElectrodeSet(aperture=0.8, z=1.1, current=2.0)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=25, seed=9))
     for coeffs in (base_coefficients(el, g), smoothed_coefficients(el, g, 1e-3)):
-        system = assemble_robin(sigma, coeffs, None, g)
+        system = assemble_robin(sigma, coeffs, g)
         tol = 1e-11
         x, stats = pcg_solve(system, tol=tol, max_iter=4000)
         net = boundary_net_flux(coeffs, ScalarField(g, x))
@@ -467,7 +467,7 @@ def test_quadratic_energy_minimized_by_solution():
     g = make_grid(15)
     el = ElectrodeSet()
     rc = smoothed_coefficients(el, g, epsilon=1e-2)
-    system = assemble_robin(ScalarField.constant(g, 1.0), rc, None, g)
+    system = assemble_robin(ScalarField.constant(g, 1.0), rc, g)
     x, _ = pcg_solve(system, tol=1e-12)
     e_min = quadratic_energy(system, x)
     rng = np.random.default_rng(0)

@@ -48,7 +48,7 @@ def homog_setup():
 def _unit_b_coeffs(g):
     nb = g.num_boundary_nodes
     return RobinCoefficients(
-        BoundaryValues(g, np.ones(nb)), BoundaryValues(g, np.zeros(nb)), 1.0, 0.0
+        BoundaryValues(g, np.ones(nb)), BoundaryValues(g, np.zeros(nb))
     )
 
 
@@ -138,7 +138,7 @@ def test_reconstruct_residual_at_returned_state(homog_setup):
     cfg = ReconConfig()
     sigma, u, report = reconstruct(fwd.a, el, cfg, g)
     system = assemble_robin(
-        ScalarField(g, sigma.values + cfg.delta), coeffs, None, g
+        ScalarField(g, sigma.values + cfg.delta), coeffs, g
     )
     res = np.linalg.norm(system.matrix @ u.values - system.rhs)
     assert res <= 10 * cfg.inner_tol * np.linalg.norm(system.rhs)
@@ -195,6 +195,22 @@ def test_reconstruct_repeats_bit_for_bit():
     assert r1 == r2
 
 
+@pytest.mark.parametrize("n, aperture", [(25, 1.0), (33, 0.5), (41, 0.8)])
+def test_logged_functional_does_not_rise(n, aperture):
+    # each stabilized sweep minimizes a majorant of G + (delta/2) |grad v|^2,
+    # so the logged g_delta must not rise beyond the gap between the cell
+    # gradients of the TV term and the edge harmonic means of the stencil
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture)
+    truth = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=3, margin=0.15))
+    fwd = solve_forward(truth, smoothed_coefficients(el, g, 5e-4), g)
+    cfg = ReconConfig(max_outer_iterations=80, calibrate=False)
+    _, _, report = reconstruct(fwd.a, el, cfg, g)
+    gd = np.array(report.g_delta_values())
+    assert gd.size == 80
+    assert np.max((gd[1:] - gd[:-1]) / np.abs(gd[:-1])) <= 1e-6
+
+
 def test_reconstruct_minimizer_beats_lift(homog_setup):
     # u_k is the exact minimizer of each linearized quadratic, so its energy
     # never exceeds the harmonic lift's
@@ -203,7 +219,7 @@ def test_reconstruct_minimizer_beats_lift(homog_setup):
     h_field, _ = harmonic_lift(coeffs, g, tol=cfg.inner_tol)
     sigma = ScalarField.constant(g, 1.0)
     for _ in range(3):
-        system = assemble_robin(ScalarField(g, sigma.values + cfg.delta), coeffs, None, g)
+        system = assemble_robin(ScalarField(g, sigma.values + cfg.delta), coeffs, g)
         x, stats = pcg_solve(system, tol=cfg.inner_tol, max_iter=40 * g.n)
         scale = abs(quadratic_energy(system, h_field.values)) + 1.0
         assert quadratic_energy(system, x) <= (
