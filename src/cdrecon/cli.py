@@ -94,7 +94,7 @@ _COMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("grad-floor", float, 1e-8, "relative gradient magnitude floor"),
         Opt("sigma-min", float, None, "optional lower projection bound"),
         Opt("sigma-max", float, None, "optional upper projection bound"),
-        Opt("rhs-mode", str, "stabilized", "stabilized | variational | flux-only"),
+        Opt("rhs-mode", str, "stabilized", "stabilized | variational"),
         Opt("init-sigma", float, 1.0, "initial conductivity (background value)"),
         Opt("stop-on-functional", bool, False,
             "stop on functional change instead of conductivity change", flag=True),

@@ -23,10 +23,10 @@ check (``_checked``), the only place a solve fails:
 * ``pcg_solve``: conjugate gradients preconditioned by one aggregation
   multigrid V-cycle built from the matrix, for systems solved once (forward
   Robin and CEM problems);
-* ``solve_reusing_factor``: conjugate gradients preconditioned by the sparse
-  LU factor of an earlier matrix of a slowly varying sequence, refactored
-  when that needs more than ``REFACTOR_ITERATIONS`` iterations (the
-  reconstruction sweeps);
+* ``solve_reusing_factor``: conjugate gradients from a caller's guess,
+  preconditioned by the sparse LU factor of an earlier matrix of a slowly
+  varying sequence, refactored when that needs more than
+  ``REFACTOR_ITERATIONS`` iterations (the reconstruction sweeps);
 * ``sine_solve``: the exact sine-transform solve of the constant-coefficient
   Laplace-Dirichlet system (harmonic lift, Bregman v-step).
 """
@@ -278,12 +278,14 @@ def assemble_laplace_dirichlet(
     return SparseSystem(A, rhs)
 
 
-def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
-    """Preconditioned conjugate gradients from the zero initial guess.
+def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
+        x0: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+    """Preconditioned conjugate gradients from x0 or zero.
 
     Returns (x, iterations, true relative residual ||b - Ax|| / ||b||).  The
     recurrence residual only triggers the check; the iteration restarts from
-    the recomputed true residual when the two disagree.  The returned
+    the recomputed true residual when the two disagree.  A warm start that
+    already meets ``tol`` is returned after 0 iterations.  The returned
     residual exceeds ``tol`` only when the iteration cap was reached.
     Raises NotSPDError on a direction of nonpositive curvature.
     """
@@ -291,8 +293,15 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int) -> tuple[np.ndarra
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return np.zeros(dim), 0, 0.0
-    x = np.zeros(dim)
-    r = b.copy()
+    if x0 is None:
+        x = np.zeros(dim)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A @ x
+        res = float(np.linalg.norm(r)) / nb
+        if res <= tol:
+            return x, 0, res
     k = 0
     rz_old = 0.0
     p = None
@@ -458,28 +467,30 @@ def _factor(A: sp.csr_matrix) -> spla.SuperLU:
 
 
 def solve_reusing_factor(
-    system: SparseSystem, cache: FactorCache, tol: float = 1e-10
+    system: SparseSystem, cache: FactorCache, tol: float = 1e-10,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Solve an SPD system by conjugate gradients preconditioned with the
-    cached LU factor of an earlier matrix of the same sequence.
+    cached LU factor of an earlier matrix of the same sequence, starting
+    from the guess ``x0`` (zero when None).
 
     When that needs more than ``REFACTOR_ITERATIONS`` iterations, the stale
     factor is released, the current matrix is factored into ``cache``, and
-    the solve restarts with it; the reported iterations include the
-    abandoned ones.
+    the solve continues from the abandoned iterate with it; the reported
+    iterations include the abandoned ones.
     """
     _check_tol(tol)
     A, b = system.matrix, system.rhs
     spent = 0
     if cache.lu is not None:
-        x, k, res = _cg(A, b, cache.lu.solve, tol, REFACTOR_ITERATIONS)
+        x, k, res = _cg(A, b, cache.lu.solve, tol, REFACTOR_ITERATIONS, x0)
         if res <= tol:
             return _checked(x, k, res, tol, "lu")
-        spent = k
+        spent, x0 = k, x
         cache.lu = None  # release the stale factor before building the next
     cache.lu = _factor(A)
     cache.factorizations += 1
-    x, k, res = _cg(A, b, cache.lu.solve, tol, REFACTOR_ITERATIONS)
+    x, k, res = _cg(A, b, cache.lu.solve, tol, REFACTOR_ITERATIONS, x0)
     return _checked(x, spent + k, res, tol, "lu")
 
 

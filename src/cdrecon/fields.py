@@ -243,9 +243,14 @@ def cells_to_nodes(cell2d: np.ndarray, grid: Grid) -> np.ndarray:
 
 def weighted_tv(v: ScalarField, a: ScalarField) -> float:
     """Weighted total variation: sum over cells of mean(a) * |grad v| * h^2."""
-    grid = require_same_grid(v, a)
-    g = gradient(v)
-    return float(np.sum(cell_average(a) * g.magnitude2d()) * grid.h**2)
+    require_same_grid(v, a)
+    return _weighted_tv(gradient(v).magnitude2d(), a)
+
+
+def _weighted_tv(magnitude2d: np.ndarray, a: ScalarField) -> float:
+    """``weighted_tv`` from the cell gradient magnitudes |grad v|, for callers
+    that already hold them."""
+    return float(np.sum(cell_average(a) * magnitude2d) * a.grid.h**2)
 
 
 def rel_l2_error(f: ScalarField, g: ScalarField) -> float:

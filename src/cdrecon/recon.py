@@ -8,19 +8,25 @@ at the current conductivity: div((sigma_k + delta) grad u) = 0 with
 (sigma_k + delta) du/dnu + b_eps u = rhs on the boundary, followed by the
 update sigma = a / max(|grad u|, floor) at the nodes.
 
-Three right-hand-side modes are available; each is one Robin datum c in
+Two right-hand-side modes are available; each is one Robin datum c in
 (sigma_k + delta) du/dnu + b_eps u = c, with the same b_eps.  "stabilized"
 (default) takes c = c_eps; it is the Euler-Lagrange condition of the
 functional whose quadratic penalty is (delta/2) |grad v|^2, and it is the
-only mode whose fixed point stays put: anchoring the penalty at the
-harmonic lift h injects a spurious O(delta/epsilon) pull along the
-data-invariant reparametrization family (see ``level_calibration``), which
-shows up as a slow drift of the iterates.  "variational" takes
-c = c_eps + delta dh/dnu (the exact Euler-Lagrange condition of the
-h-anchored penalty) and "flux-only" c = delta dh/dnu, which drops c_eps.
-The sweep records log the functional that each mode's solves decrease: its
-boundary target is c_eps/b_eps (0 for "flux-only") and its delta penalty
-is anchored at 0 for "stabilized" and at h otherwise.
+mode whose fixed point stays put: anchoring the penalty at the harmonic
+lift h injects a spurious O(delta/epsilon) pull along the data-invariant
+reparametrization family (see ``level_calibration``), which shows up as a
+slow drift of the iterates.  "variational" takes c = c_eps + delta dh/dnu,
+the exact Euler-Lagrange condition of the h-anchored penalty.  The sweep
+records log the functional that each mode's solves decrease: its boundary
+target is c_eps/b_eps and its delta penalty is anchored at 0 for
+"stabilized" and at h for "variational".
+
+The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
+``sigma_bounds``) is a lagged-diffusivity iteration and converges only
+linearly, so ``reconstruct`` accelerates it with Anderson mixing
+(``_Anderson``) and solves each linear system only as accurately as the
+last change of sigma warrants (Eisenstat & Walker 1996), warm-started from
+the previous potential.
 
 The interior data determines the conductivity only up to the family
 sigma -> sigma / (phi' o u), u -> phi o u with phi increasing and equal to
@@ -28,8 +34,8 @@ the identity on the electrode value ranges.  When the conductivity near
 the boundary is known (a homogeneous margin around the imaged region, the
 standard embedding), the family member is identified by regressing the
 reconstructed conductivity against the potential level inside the margin
-band; ``reconstruct`` interleaves this calibration with the fixed-point
-sweeps unless it is disabled.
+band; ``reconstruct`` applies this calibration twice to the converged
+fixed point unless it is disabled.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ from .fields import (
     BoundaryValues,
     Grid,
     ScalarField,
+    VectorField,
+    _weighted_tv,
     boundary_trace,
     boundary_weights,
     cells_to_nodes,
@@ -60,6 +68,14 @@ from .fields import (
     require_same_grid,
     weighted_tv,
 )
+
+# Anderson mixing depth: sigma and residual differences kept per sweep
+_ANDERSON_DEPTH = 5
+# Inexact inner solves (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996):
+# a sweep solves to FORCING times the last relative sigma change, at most
+# to _LOOSEST_INNER_TOL and at least to the config's inner_tol
+_FORCING = 1e-2
+_LOOSEST_INNER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,7 @@ class ReconConfig:
     stop_tol: float = 1e-6
     grad_floor: float = 1e-8
     sigma_bounds: tuple[float, float] | None = None
-    rhs_mode: str = "stabilized"  # or "variational" | "flux-only"
+    rhs_mode: str = "stabilized"  # or "variational"
     initial_sigma: float = 1.0
     transition_width: float | None = None  # None picks 4h
     inner_tol: float = 1e-10
@@ -90,7 +106,7 @@ class ReconConfig:
             raise DataError("need at least one outer iteration")
         if self.stop_tol <= 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
-        if self.rhs_mode not in ("stabilized", "variational", "flux-only"):
+        if self.rhs_mode not in ("stabilized", "variational"):
             raise DataError(f"unknown rhs_mode {self.rhs_mode!r}")
         if self.initial_sigma <= 0.0:
             raise DataError(f"initial sigma must be positive, got {self.initial_sigma}")
@@ -126,10 +142,11 @@ _CSV_COLUMNS = (
 class ReconReport:
     records: list[IterationRecord] = field(default_factory=list)
     final_solve: SolveStats | None = None
-    # (after-iteration index, max |phi' - 1|) for each calibration applied
+    # (after-iteration index, max |phi' - 1|) for each calibration applied;
+    # both passes follow the last sweep, so both carry the final index
     calibrations: list[tuple[int, float]] = field(default_factory=list)
-    # how the last sweep ended: "tol" (sigma change), "functional" (with
-    # stop_on_functional) or "cap" (its iteration budget ran out)
+    # how the fixed-point sweep ended: "tol" (sigma change), "functional"
+    # (with stop_on_functional) or "cap" (max_outer_iterations ran out)
     stop_reason: str = ""
 
     @property
@@ -178,9 +195,12 @@ def functional_G(
 
 def _delta_term(v: ScalarField, h: ScalarField, delta: float) -> float:
     grid = require_same_grid(v, h)
-    d = ScalarField(grid, v.values - h.values)
-    g = gradient(d)
-    return float(0.5 * delta * np.sum(g.x**2 + g.y**2) * grid.h**2)
+    return _delta_term_of_gradient(gradient(ScalarField(grid, v.values - h.values)), delta)
+
+
+def _delta_term_of_gradient(g: VectorField, delta: float) -> float:
+    """(delta/2) * integral of |g|^2 for a cell gradient g."""
+    return float(0.5 * delta * np.sum(g.x**2 + g.y**2) * g.grid.h**2)
 
 
 def functional_Gdelta(
@@ -197,17 +217,19 @@ def functional_Gdelta(
 
 
 def _functional_terms(
-    v: ScalarField, a: ScalarField, coeffs: RobinCoefficients, h: ScalarField,
-    delta: float, rhs_mode: str,
+    v: ScalarField, grad_v: VectorField, magnitude2d: np.ndarray, a: ScalarField,
+    coeffs: RobinCoefficients, h: ScalarField, delta: float, rhs_mode: str,
 ) -> tuple[float, float, float]:
     """TV, boundary and delta terms of the functional that the Robin solve of
-    ``rhs_mode`` decreases.  The boundary target is the lift's trace c/b, or 0
-    for "flux-only", which drops c; the delta penalty is anchored at 0 for
-    "stabilized" and at the lift h otherwise."""
-    zero = ScalarField(v.grid, np.zeros_like(v.values))
-    target = zero if rhs_mode == "flux-only" else h
-    anchor = zero if rhs_mode == "stabilized" else h
-    return weighted_tv(v, a), boundary_penalty(v, coeffs, target), _delta_term(v, anchor, delta)
+    ``rhs_mode`` decreases, given the cell gradient of v and its magnitude.
+    The boundary target is the lift's trace c/b; the delta penalty is
+    anchored at 0 for "stabilized" (so its gradient is grad_v) and at the
+    lift h for "variational"."""
+    if rhs_mode == "stabilized":
+        dterm = _delta_term_of_gradient(grad_v, delta)
+    else:
+        dterm = _delta_term(v, h, delta)
+    return _weighted_tv(magnitude2d, a), boundary_penalty(v, coeffs, h), dterm
 
 
 def sigma_from_potential(
@@ -219,17 +241,76 @@ def sigma_from_potential(
     magnitude.  A constant v (zero gradient everywhere) degenerates to
     a / grad_floor; callers should treat that as a flagged outcome.
     """
-    grid = require_same_grid(a, v)
-    gmag = cells_to_nodes(gradient(v).magnitude2d(), grid).reshape(-1)
+    require_same_grid(a, v)
+    return _sigma_from_potential_gradient(a, gradient(v).magnitude2d(), grad_floor)
+
+
+def _sigma_from_potential_gradient(
+    a: ScalarField, magnitude2d: np.ndarray, grad_floor: float
+) -> ScalarField:
+    """``sigma_from_potential`` from the cell gradient magnitudes of v."""
+    gmag = cells_to_nodes(magnitude2d, a.grid).reshape(-1)
     peak = float(gmag.max())
     floor = grad_floor * peak if peak > 0.0 else grad_floor
-    return ScalarField(grid, a.values / np.maximum(gmag, floor))
+    return ScalarField(a.grid, a.values / np.maximum(gmag, floor))
 
 
 def _project(values: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     if bounds is None:
         return values
     return np.clip(values, bounds[0], bounds[1])
+
+
+class _Anderson:
+    """Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; type II,
+    no damping) for a fixed point x = G(x) with positive entries.
+
+    ``step(x, image)`` takes the current iterate and its image G(x), and
+    returns the next iterate: image - (dX + dG) gamma, where dX and dG hold
+    the differences of the last ``_ANDERSON_DEPTH`` iterates and residuals
+    g = G(x) - x, gamma minimizes ||g - dG gamma|| (solved on the small
+    Gram system), and the result is projected onto ``bounds``.  The history
+    is cleared and the plain image returned when the residual norm more than
+    doubles from the previous step or the candidate has an entry <= 0, so a
+    rejection costs no extra evaluation of G.
+    """
+
+    def __init__(self, size: int, bounds: tuple[float, float] | None):
+        self._bounds = bounds
+        self._dx = np.zeros((_ANDERSON_DEPTH, size))
+        self._dg = np.zeros((_ANDERSON_DEPTH, size))
+        self._x = np.zeros(size)
+        self._g = np.zeros(size)
+        self._g_norm = math.inf  # inf before the first step
+        self._stored = 0  # difference rows in use
+        self._slot = 0  # the row the next difference overwrites
+
+    def _clear(self) -> None:
+        self._stored = 0
+        self._slot = 0
+
+    def step(self, x: np.ndarray, image: np.ndarray) -> np.ndarray:
+        g = image - x
+        g_norm = float(np.linalg.norm(g))
+        if g_norm > 2.0 * self._g_norm:
+            self._clear()
+        elif math.isfinite(self._g_norm):
+            np.subtract(x, self._x, out=self._dx[self._slot])
+            np.subtract(g, self._g, out=self._dg[self._slot])
+            self._slot = (self._slot + 1) % _ANDERSON_DEPTH
+            self._stored = min(self._stored + 1, _ANDERSON_DEPTH)
+        self._x[:] = x
+        self._g[:] = g
+        self._g_norm = g_norm
+        if self._stored == 0:
+            return image
+        dx, dg = self._dx[:self._stored], self._dg[:self._stored]
+        gamma = np.linalg.lstsq(dg @ dg.T, dg @ g, rcond=None)[0]
+        candidate = _project(image - gamma @ dx - gamma @ dg, self._bounds)
+        if np.any(candidate <= 0.0):
+            self._clear()
+            return image
+        return candidate
 
 
 def level_calibration(
@@ -307,18 +388,22 @@ def reconstruct(
     """Recover an approximate conductivity from the interior data a.
 
     Builds the smoothed boundary coefficients and the harmonic lift once,
-    then alternates the regularized linear solve with the conductivity
-    update until the relative change drops below ``stop_tol`` (or, with
-    ``stop_on_functional``, until the regularized functional stalls), up to
-    the iteration cap.  With ``calibrate`` enabled, two level-calibration
-    passes against the background (= ``initial_sigma``) are interleaved
-    with short settling sweeps; ``report.stop_reason`` says how the last
-    sweep ended.  A final extra solve makes the returned potential the
-    exact critical point of the linearization at the returned conductivity.
+    then runs one fixed-point sweep: solve the regularized linear problem,
+    update the conductivity, and mix the update with the earlier ones
+    (``_Anderson``), until the relative change of the conductivity drops
+    below ``stop_tol`` (or, with ``stop_on_functional``, until the
+    regularized functional stalls) or ``max_outer_iterations`` sweeps ran;
+    ``report.stop_reason`` says which.  With ``calibrate`` enabled, two
+    level-calibration passes against the background (= ``initial_sigma``)
+    follow back to back.  A final solve at ``inner_tol`` makes the returned
+    potential the exact critical point of the linearization at the returned
+    conductivity.
 
-    The linear solves share one LU factor, created here and dropped on
-    return, and refactored only when the conductivity has moved too far
-    for it to precondition well (see ``solve_reusing_factor``).
+    Each sweep's solve starts from the previous potential and stops at a
+    tolerance tied to the last change (see ``_FORCING``).  The linear solves
+    share one LU factor, created here and dropped on return, and refactored
+    only when the conductivity has moved too far for it to precondition
+    well (see ``solve_reusing_factor``).
     """
     config.validate()
     if a.grid.n != grid.n:
@@ -334,11 +419,9 @@ def reconstruct(
         electrodes, grid, config.epsilon, config.transition_width
     )
     h_field, dh_dn = harmonic_lift(coeffs, grid, tol=config.inner_tol)
-    flux = config.delta * dh_dn.values
     c_mode = {
         "stabilized": coeffs.c.values,
-        "variational": coeffs.c.values + flux,
-        "flux-only": flux,
+        "variational": coeffs.c.values + config.delta * dh_dn.values,
     }[config.rhs_mode]
     solve_coeffs = RobinCoefficients(coeffs.b, BoundaryValues(grid, c_mode))
 
@@ -346,26 +429,33 @@ def reconstruct(
     report = ReconReport()
     factor = FactorCache()
 
-    def solve_at(sigma: ScalarField):
+    def solve_at(sigma: ScalarField, tol: float, u: ScalarField | None):
         sigma_eff = ScalarField(grid, sigma.values + delta)
         system = assemble_robin(sigma_eff, solve_coeffs, grid)
-        x, stats = solve_reusing_factor(system, factor, tol=config.inner_tol)
+        x0 = None if u is None else u.values
+        x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
         return ScalarField(grid, x), stats
 
-    def sweep(sigma: ScalarField, budget: int):
-        """Fixed-point iterations until the stop rule fires or the budget
-        ends; returns (sigma, u, stop reason)."""
+    def sweep(sigma: ScalarField):
+        """Fixed-point iterations until the stop rule fires or the cap;
+        returns (sigma, u, stop reason)."""
+        mixer = _Anderson(grid.num_nodes, config.sigma_bounds)
         u = None
-        for _ in range(budget):
-            u, stats = solve_at(sigma)
-            sigma_new = sigma_from_potential(a, u, config.grad_floor)
-            sigma_new = ScalarField(grid, _project(sigma_new.values, config.sigma_bounds))
+        change = math.inf
+        for _ in range(config.max_outer_iterations):
+            tol = max(config.inner_tol, min(_LOOSEST_INNER_TOL, _FORCING * change))
+            u, stats = solve_at(sigma, tol, u)
+            grad = gradient(u)
+            magnitude = grad.magnitude2d()
+            image = _sigma_from_potential_gradient(a, magnitude, config.grad_floor)
+            image = ScalarField(grid, _project(image.values, config.sigma_bounds))
             change = (
-                float(np.linalg.norm(sigma_new.values - sigma.values))
+                float(np.linalg.norm(image.values - sigma.values))
                 / float(np.linalg.norm(sigma.values))
             )
-            tv, bterm, dterm = _functional_terms(u, a, coeffs, h_field, delta, config.rhs_mode)
-            rel = None if ground_truth is None else rel_l2_error(sigma_new, ground_truth)
+            tv, bterm, dterm = _functional_terms(
+                u, grad, magnitude, a, coeffs, h_field, delta, config.rhs_mode)
+            rel = None if ground_truth is None else rel_l2_error(image, ground_truth)
             report.records.append(IterationRecord(
                 index=report.iterations, g_delta=tv + bterm + dterm, g=tv + bterm,
                 tv_term=tv, boundary_term=bterm, delta_term=dterm,
@@ -373,34 +463,30 @@ def reconstruct(
                 solve_iterations=stats.iterations,
                 solve_residual=stats.relative_residual,
             ))
-            sigma = sigma_new
             if config.stop_on_functional:
-                # the record before may end an earlier sweep, so the test
-                # carries across the calibration settles
                 if report.iterations > 1:
                     gd, prev = report.records[-1].g_delta, report.records[-2].g_delta
                     if abs(gd - prev) <= config.stop_tol * abs(prev):
-                        return sigma, u, "functional"
+                        return image, u, "functional"
             elif change <= config.stop_tol:
-                return sigma, u, "tol"
-        return sigma, u, "cap"
+                return image, u, "tol"
+            sigma = ScalarField(grid, mixer.step(sigma.values, image.values))
+        return image, u, "cap"
 
     sigma = ScalarField(grid, np.full(grid.num_nodes, config.initial_sigma))
-    sigma, u, report.stop_reason = sweep(sigma, config.max_outer_iterations)
+    sigma, u, report.stop_reason = sweep(sigma)
 
     if config.calibrate:
-        settle = max(8, config.max_outer_iterations // 8)
         for _ in range(2):
             sigma, u, strength = level_calibration(
                 sigma, u, electrodes, config.initial_sigma, config.calibration_band
             )
             report.calibrations.append((report.iterations, strength))
             sigma = ScalarField(grid, _project(sigma.values, config.sigma_bounds))
-            sigma, u, report.stop_reason = sweep(sigma, settle)
 
     # consistency solve: the returned potential solves the linear problem
     # for the returned conductivity exactly (up to solver tolerance)
-    u_final, final_stats = solve_at(sigma)
+    u_final, final_stats = solve_at(sigma, config.inner_tol, u)
     report.final_solve = final_stats
     return sigma, u_final, report
 
@@ -485,7 +571,9 @@ def convergence_study(
         a_n = add_noise(a_clean, e, seed + k)
         cfg = replace(config, delta=float(d))
         sigma, u, _ = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
-        terms = _functional_terms(u, a_n, coeffs, h_field, float(d), cfg.rhs_mode)
+        grad = gradient(u)
+        terms = _functional_terms(u, grad, grad.magnitude2d(), a_n, coeffs, h_field,
+                                  float(d), cfg.rhs_mode)
         g_delta_vals.append(sum(terms))
         g_clean_vals.append(functional_G(u, a_clean, coeffs, h_field))
         errors.append(

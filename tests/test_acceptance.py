@@ -163,10 +163,13 @@ def test_criterion_5_exact_recovery(homogeneous_128):
 def test_criterion_6_blob_phantom(blob_128):
     grid, truth, runs = blob_128
     full, half = runs["full"]["error"], runs["half"]["error"]
+    stops = {label: run["report"].stop_reason for label, run in runs.items()}
     _report(6, f"full aperture rel error = {full:.2e} (<= 2e-2), "
-               f"half aperture = {half:.2e} (<= 4e-2)")
+               f"half aperture = {half:.2e} (<= 4e-2), "
+               f"stop_reason={stops['full']}/{stops['half']}")
     assert full <= 2e-2
     assert half <= 4e-2
+    assert stops == {"full": "tol", "half": "tol"}
 
 
 def test_criterion_7_comparator_ordering(blob_128):

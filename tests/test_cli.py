@@ -127,7 +127,7 @@ def test_reconstruct_cli_roundtrip(tmp_path, capsys):
                 "--report", str(report), "--truth", str(sig)]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert "rel_l2_error=" in line
-    assert " stop_reason=cap converged=false " in line  # 8 sweeps cannot settle
+    assert " stop_reason=cap converged=false " in line  # 8 sweeps cannot converge
     assert read_field(rec).values.min() > 0.0
     assert report.read_text().startswith("iteration,")
 
@@ -163,7 +163,7 @@ def test_cap_warning_on_stderr_only(tmp_path, capsys):
     for name, args in commands.items():
         assert run(args + ["--max-iter", "3"]) == 0
         captured = capsys.readouterr()
-        # stdout keeps its one line; the sweep count includes any settle sweeps
+        # stdout keeps its one line; the warning repeats its iteration count
         iterations = captured.out.split("iterations=", 1)[1].split()[0]
         assert captured.out.startswith(f"{name}: iterations={iterations} "
                                        "stop_reason=cap converged=false ")

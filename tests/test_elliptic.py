@@ -449,6 +449,32 @@ def test_factor_reuse_refactors_on_jump():
     assert stats.iterations <= REFACTOR_ITERATIONS
 
 
+def test_factor_reuse_warm_start():
+    # a guess that already meets the tolerance returns after 0 iterations,
+    # its true residual still measured and checked; a nearby guess takes
+    # fewer iterations than the zero guess and is not modified
+    g = make_grid(33)
+    coeffs = smoothed_coefficients(ElectrodeSet(aperture=0.8), g, 5e-4)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
+    system = assemble_robin(sigma, coeffs, g)
+    cache = FactorCache()
+    x, cold = solve_reusing_factor(system, cache, tol=1e-10)
+    nb = np.linalg.norm(system.rhs)
+    again, stats = solve_reusing_factor(system, cache, tol=1e-10, x0=x)
+    assert stats.iterations == 0
+    assert again.tobytes() == x.tobytes() and again is not x
+    true_res = np.linalg.norm(system.rhs - system.matrix @ x) / nb
+    assert stats.relative_residual == pytest.approx(true_res, rel=1e-12)
+    assert stats.relative_residual <= 1e-10
+    moved = assemble_robin(ScalarField(g, sigma.values * 1.01 + 0.01), coeffs, g)
+    guess = x.copy()
+    y, warm = solve_reusing_factor(moved, cache, tol=1e-10, x0=guess)
+    assert guess.tobytes() == x.tobytes()
+    assert np.linalg.norm(moved.rhs - moved.matrix @ y) <= 1e-10 * np.linalg.norm(moved.rhs)
+    _, zero = solve_reusing_factor(moved, cache, tol=1e-10)
+    assert warm.iterations < zero.iterations
+
+
 def test_conservation_of_current():
     # total boundary flux sum (c - b u) ds vanishes for the discrete solution
     g = make_grid(25)

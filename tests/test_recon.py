@@ -24,7 +24,9 @@ from cdrecon.fields import (
 from cdrecon.forward import nonuniqueness_transform, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import (
+    _ANDERSON_DEPTH,
     ReconConfig,
+    _Anderson,
     check_schedule,
     convergence_study,
     functional_G,
@@ -112,8 +114,8 @@ def test_reconstruct_homogeneous_self_consistency(homog_setup):
     sigma, u, report = reconstruct(fwd.a, el, ReconConfig(), g, ground_truth=truth)
     assert rel_l2_error(sigma, truth) <= 1.5e-2
     assert report.iterations == len(report.records)
-    # the reported functional ends no higher than it starts, up to the small
-    # band the calibration wiggles within when the start is already converged
+    # the reported functional ends no higher than it starts, up to a small
+    # band when the start is already converged
     gd = report.g_delta_values()
     assert gd[-1] <= gd[0] * (1 + 1e-4)
 
@@ -195,6 +197,83 @@ def test_reconstruct_repeats_bit_for_bit():
     assert r1 == r2
 
 
+def test_converged_result_does_not_depend_on_the_cap():
+    # the sweep stops by its rule and the calibrations add no sweeps, so a
+    # larger iteration budget returns the same bits
+    g = make_grid(25)
+    el = ElectrodeSet(aperture=0.8)
+    truth = generate_phantom(PhantomSpec(kind="blobs", n=25, seed=3, margin=0.15))
+    fwd = solve_forward(truth, smoothed_coefficients(el, g, 5e-4), g)
+    runs = [reconstruct(fwd.a, el, ReconConfig(max_outer_iterations=cap), g)
+            for cap in (200, 400)]
+    (s1, u1, r1), (s2, u2, r2) = runs
+    assert r1.stop_reason == "tol"
+    assert [c[0] for c in r1.calibrations] == [r1.iterations] * 2
+    assert s1.values.tobytes() == s2.values.tobytes()
+    assert u1.values.tobytes() == u2.values.tobytes()
+    assert r1 == r2
+
+
+def _linear_contraction(dim):
+    # G(x) = M x + c with spectral radius 0.9 and the fixed point x* near 10
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
+    M = V @ np.diag(np.linspace(-0.9, 0.9, dim)) @ np.linalg.inv(V)
+    x_star = 10.0 + rng.uniform(size=dim)
+    return M, x_star - M @ x_star, x_star
+
+
+@pytest.mark.parametrize("dim", [1, 3, _ANDERSON_DEPTH])
+def test_anderson_solves_linear_contraction(dim):
+    # with a depth of at least dim, Anderson mixing on a linear map spans
+    # the whole space (it is GMRES in disguise; Walker & Ni 2011), so the
+    # fixed point is reached to roundoff within dim + 2 evaluations, where
+    # the plain iteration at rate 0.9 would need hundreds
+    M, c, x_star = _linear_contraction(dim)
+    mixer = _Anderson(dim, None)
+    x = np.full(dim, 10.0)
+    for evaluations in range(1, dim + 3):
+        image = M @ x + c
+        if np.linalg.norm(image - x) <= 1e-10 * np.linalg.norm(x):
+            break
+        x = mixer.step(x, image)
+    assert np.linalg.norm(image - x) <= 1e-10 * np.linalg.norm(x)
+    assert evaluations <= dim + 2
+    assert np.allclose(x, x_star, rtol=1e-9)
+
+
+def test_anderson_resets_on_growing_residual():
+    # a residual more than twice the last one clears the history and takes
+    # the plain image; the next step then mixes only the steps since
+    M, c, _ = _linear_contraction(4)
+    mixer, fresh = _Anderson(4, None), _Anderson(4, None)
+    x = np.full(4, 10.0)
+    for _ in range(3):
+        x = mixer.step(x, M @ x + c)
+    jump = x + 5.0
+    image = M @ jump + c
+    assert np.linalg.norm(image - jump) > 2.0 * np.linalg.norm(M @ x + c - x)
+    out = mixer.step(jump, image)
+    assert out is image
+    assert fresh.step(jump, image) is image
+    nxt = M @ out + c
+    assert mixer.step(out, nxt).tobytes() == fresh.step(out, nxt).tobytes()
+
+
+def test_anderson_rejects_nonpositive_candidate():
+    # residuals -0.5 at x = 1 and -0.3 at x = 0.5: the secant puts the
+    # fixed point at x = -0.25, so the plain image is taken instead
+    x0, x1 = np.array([1.0, 1.0]), np.array([0.5, 1.0])
+    image = np.array([0.2, 1.0])
+    mixer = _Anderson(2, None)
+    mixer.step(x0, x1)
+    assert mixer.step(x1, image) is image
+    # with bounds the projected candidate is positive and taken
+    bounded = _Anderson(2, (0.1, 10.0))
+    bounded.step(x0, x1)
+    assert bounded.step(x1, image).tolist() == [0.1, 1.0]
+
+
 @pytest.mark.parametrize("n, aperture", [(25, 1.0), (33, 0.5), (41, 0.8)])
 def test_logged_functional_does_not_rise(n, aperture):
     # each stabilized sweep minimizes a majorant of G + (delta/2) |grad v|^2,
@@ -207,7 +286,7 @@ def test_logged_functional_does_not_rise(n, aperture):
     cfg = ReconConfig(max_outer_iterations=80, calibrate=False)
     _, _, report = reconstruct(fwd.a, el, cfg, g)
     gd = np.array(report.g_delta_values())
-    assert gd.size == 80
+    assert report.stop_reason == "tol"
     assert np.max((gd[1:] - gd[:-1]) / np.abs(gd[:-1])) <= 1e-6
 
 
@@ -229,28 +308,25 @@ def test_reconstruct_minimizer_beats_lift(homog_setup):
 
 
 def test_rhs_mode_regression(homog_setup):
-    # frozen behavior: the stabilized and variational modes stay within a few
-    # percent of each other over short runs, while the flux-only mode (no c term)
-    # degenerates toward the projection bounds; neither difference shrinks
-    # with epsilon at fixed smoothing width
+    # the converged fixed points of the stabilized and variational modes
+    # differ along the reparametrization family, where the variational
+    # mode's lift-anchored penalty pulls (see the recon module docstring),
+    # and the difference does not shrink with epsilon at fixed smoothing width
     g, el, truth, _, _ = homog_setup
     diffs = {}
     for eps in (1e-2, 1e-3):
         coeffs = smoothed_coefficients(el, g, eps)
         fwd = solve_forward(truth, coeffs, g)
         sigs = {}
-        for mode in ("stabilized", "variational", "flux-only"):
-            cfg = ReconConfig(epsilon=eps, rhs_mode=mode, max_outer_iterations=5,
-                              calibrate=False, sigma_bounds=(0.2, 5.0))
-            sig, _, _ = reconstruct(fwd.a, el, cfg, g)
+        for mode in ("stabilized", "variational"):
+            cfg = ReconConfig(epsilon=eps, rhs_mode=mode, calibrate=False,
+                              sigma_bounds=(0.2, 5.0))
+            sig, _, report = reconstruct(fwd.a, el, cfg, g)
+            assert report.stop_reason == "tol"
             sigs[mode] = sig
-        diffs[eps] = (
-            rel_l2_error(sigs["variational"], sigs["stabilized"]),
-            rel_l2_error(sigs["flux-only"], sigs["stabilized"]),
-        )
-    for eps, (dv, dp) in diffs.items():
-        assert 0.005 < dv < 0.05
-        assert dp > 1.0
+        diffs[eps] = rel_l2_error(sigs["variational"], sigs["stabilized"])
+    assert 0.15 < diffs[1e-2] < 0.3
+    assert diffs[1e-3] >= diffs[1e-2]
 
 
 def test_level_calibration_recovers_transform(homog_setup):
