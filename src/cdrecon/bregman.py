@@ -2,10 +2,12 @@
 weighted total variation with Dirichlet data fixed to a given boundary trace.
 
 The splitting introduces a cell-centered auxiliary field d for grad v and a
-Bregman multiplier g.  Each sweep solves a five-point Poisson problem for v
-with the trace eliminated (exactly, by the sine transform), shrinks d
-toward grad v + g with the spatially varying threshold (cell-mean
-weight)/rho, and accumulates the multiplier.
+Bregman multiplier g.  Each sweep shrinks d toward grad v + g with the
+threshold (cell-mean weight)/rho, accumulates the multiplier, and solves
+the five-point Poisson problem for v with the trace eliminated (exactly, by
+the sine transform): a linearized Goldstein-Osher step, as that operator is
+not -div of the cell ``gradient``.  One gradient per iterate serves both its
+recorded weighted TV and the next shrink.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from .fields import (
     BoundaryValues,
     Grid,
     ScalarField,
-    VectorField,
+    _divergence2d,
+    _gradient2d,
+    _weighted_tv,
     cell_average,
-    divergence,
-    gradient,
-    weighted_tv,
 )
 from .recon import IterationRecord, ReconReport, sigma_from_potential
 
@@ -51,6 +52,10 @@ class BregmanConfig:
             raise DataError("need at least one iteration")
         if self.tol <= 0.0:
             raise DataError(f"tol must be positive, got {self.tol}")
+        if self.grad_floor <= 0.0:
+            raise DataError(f"grad_floor must be positive, got {self.grad_floor}")
+        if not (0.0 < self.inner_tol < 1.0):
+            raise DataError(f"inner_tol must be in (0, 1), got {self.inner_tol}")
 
 
 @dataclass
@@ -110,17 +115,14 @@ def split_bregman_minimize(
         raise DataError("TV weight must be nonnegative")
 
     base = assemble_laplace_dirichlet(dirichlet_trace, grid)
-    h2 = grid.h * grid.h
-    interior = np.ones((grid.n, grid.n), dtype=bool)
-    interior[0, :] = interior[-1, :] = interior[:, 0] = interior[:, -1] = False
-    interior = interior.reshape(-1)
+    h, h2 = grid.h, grid.h * grid.h
 
-    def solve_v(rhs_source: np.ndarray | None) -> tuple[ScalarField, SolveStats]:
+    def solve_v(div: np.ndarray | None) -> tuple[ScalarField, SolveStats]:
         # the Dirichlet rows keep the trace, which the sine solve copies
-        # through bit for bit
+        # through bit for bit; the source -div enters the interior rows only
         rhs = base.rhs.copy()
-        if rhs_source is not None:
-            rhs[interior] += h2 * rhs_source[interior]
+        if div is not None:
+            rhs.reshape(grid.n, grid.n)[1:-1, 1:-1] -= h2 * div[1:-1, 1:-1]
         x, stats = sine_solve(SparseSystem(base.matrix, rhs), tol=config.inner_tol)
         return ScalarField(grid, x), stats
 
@@ -132,37 +134,34 @@ def split_bregman_minimize(
         report.stop_reason = "tol"  # the harmonic extension is the minimizer
         return v, report
 
-    thresh = cell_average(a) / config.rho
-    m = grid.n - 1
-    gx = np.zeros((m, m))
-    gy = np.zeros((m, m))
+    weight = cell_average(a)
+    thresh = weight / config.rho
+    gx, gy = np.zeros_like(weight), np.zeros_like(weight)
+    # one gradient per iterate, for both its recorded TV and the next shrink
+    vx, vy = _gradient2d(v.values2d, h)
 
     report.stop_reason = "cap"
     for k in range(config.max_iterations):
-        grad_v = gradient(v)
-        wx = grad_v.x2d + gx
-        wy = grad_v.y2d + gy
+        wx = vx + gx
+        wy = vy + gy
         mag = np.hypot(wx, wy)
         shrink = np.maximum(mag - thresh, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(mag > 0.0, shrink / mag, 0.0)
+        scale = np.divide(shrink, mag, out=np.zeros_like(mag), where=mag > 0.0)
         dx = scale * wx
         dy = scale * wy
-        gx += grad_v.x2d - dx
-        gy += grad_v.y2d - dy
+        gx += vx - dx
+        gy += vy - dy
 
-        source = -divergence(
-            VectorField(grid, (dx - gx).reshape(-1), (dy - gy).reshape(-1))
-        ).values
-        v_new, stats = solve_v(source)
+        v_new, stats = solve_v(_divergence2d(dx - gx, dy - gy, h))
+        vx, vy = _gradient2d(v_new.values2d, h)
         denom = float(np.linalg.norm(v.values))
         change = (
             float(np.linalg.norm(v_new.values - v.values)) / denom
             if denom > 0.0 else float(np.linalg.norm(v_new.values))
         )
         report.records.append(BregmanIteration(
-            k, weighted_tv(v_new, a), change, stats.iterations,
-            stats.relative_residual,
+            k, _weighted_tv(np.hypot(vx, vy), weight, h), change,
+            stats.iterations, stats.relative_residual,
         ))
         v = v_new
         if change <= config.tol:

@@ -49,7 +49,7 @@ from .boundary import (
     electrode_quadrature,
     positive_electrode_side,
 )
-from .errors import AssemblyError, DimensionError, NotSPDError, SolverError
+from .errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
 from .fields import BoundaryValues, Grid, ScalarField, boundary_loop
 
 
@@ -349,7 +349,7 @@ def _checked(x: np.ndarray, iterations: int, residual: float, tol: float,
 
 def _check_tol(tol: float) -> None:
     if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
+        raise DataError(f"tol must be in (0, 1), got {tol}")
 
 
 @dataclass(frozen=True)
@@ -440,7 +440,7 @@ def pcg_solve(
     if max_iter is None:
         max_iter = max(1, 40 * int(round(math.sqrt(A.shape[0]))))
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        raise DataError(f"max_iter must be >= 1, got {max_iter}")
     precondition = _multigrid(A)
     return _checked(*_cg(A, system.rhs, precondition, tol, max_iter), tol, "multigrid")
 

@@ -186,11 +186,15 @@ def gradient(u: ScalarField) -> VectorField:
     gx = (u[i+1,j] - u[i,j] + u[i+1,j+1] - u[i,j+1]) / (2h), gy analogous.
     Exact on affine fields.
     """
-    U = u.values2d
-    h2 = 2.0 * u.grid.h
-    gx = (U[:-1, 1:] - U[:-1, :-1] + U[1:, 1:] - U[1:, :-1]) / h2
-    gy = (U[1:, :-1] - U[:-1, :-1] + U[1:, 1:] - U[:-1, 1:]) / h2
+    gx, gy = _gradient2d(u.values2d, u.grid.h)
     return VectorField(u.grid, gx.reshape(-1), gy.reshape(-1))
+
+
+def _gradient2d(U: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gradient`` from (n, n) nodal values to (n-1, n-1) components."""
+    gx = (U[:-1, 1:] - U[:-1, :-1] + U[1:, 1:] - U[1:, :-1]) / (2.0 * h)
+    gy = (U[1:, :-1] - U[:-1, :-1] + U[1:, 1:] - U[:-1, 1:]) / (2.0 * h)
+    return gx, gy
 
 
 def divergence(f: VectorField) -> ScalarField:
@@ -199,9 +203,12 @@ def divergence(f: VectorField) -> ScalarField:
     Satisfies <gradient(v), F>_cells * h^2 == -<v, divergence(F)>_nodes * h^2
     exactly (up to roundoff) for every v and F.
     """
-    n = f.grid.n
-    h2 = 2.0 * f.grid.h
-    fx, fy = f.x2d, f.y2d
+    return ScalarField(f.grid, _divergence2d(f.x2d, f.y2d, f.grid.h).reshape(-1))
+
+
+def _divergence2d(fx: np.ndarray, fy: np.ndarray, h: float) -> np.ndarray:
+    """``divergence`` from (n-1, n-1) components to (n, n) nodal values."""
+    n = fx.shape[0] + 1
     # node (i, j) touches cells (I, J) in {i-1, i} x {j-1, j}; each component
     # adds them in the order (i, j), then (i, j-1) for x and (i-1, j) for y,
     # then subtracts the other two, cell (i-1, j-1) last
@@ -215,7 +222,7 @@ def divergence(f: VectorField) -> ScalarField:
     dy[:-1, 1:] += fy
     dy[1:, :-1] -= fy
     dy[1:, 1:] -= fy
-    return ScalarField(f.grid, ((dx + dy) / h2).reshape(-1))
+    return (dx + dy) / (2.0 * h)
 
 
 def cell_average(s: ScalarField) -> np.ndarray:
@@ -244,13 +251,13 @@ def cells_to_nodes(cell2d: np.ndarray, grid: Grid) -> np.ndarray:
 def weighted_tv(v: ScalarField, a: ScalarField) -> float:
     """Weighted total variation: sum over cells of mean(a) * |grad v| * h^2."""
     require_same_grid(v, a)
-    return _weighted_tv(gradient(v).magnitude2d(), a)
+    return _weighted_tv(gradient(v).magnitude2d(), cell_average(a), a.grid.h)
 
 
-def _weighted_tv(magnitude2d: np.ndarray, a: ScalarField) -> float:
-    """``weighted_tv`` from the cell gradient magnitudes |grad v|, for callers
-    that already hold them."""
-    return float(np.sum(cell_average(a) * magnitude2d) * a.grid.h**2)
+def _weighted_tv(magnitude2d: np.ndarray, weight2d: np.ndarray, h: float) -> float:
+    """``weighted_tv`` from the cell gradient magnitudes |grad v| and the cell
+    weights ``cell_average(a)``, for callers that already hold them."""
+    return float(np.sum(weight2d * magnitude2d) * h**2)
 
 
 def rel_l2_error(f: ScalarField, g: ScalarField) -> float:

@@ -62,6 +62,7 @@ from .fields import (
     _weighted_tv,
     boundary_trace,
     boundary_weights,
+    cell_average,
     cells_to_nodes,
     gradient,
     rel_l2_error,
@@ -106,6 +107,8 @@ class ReconConfig:
             raise DataError("need at least one outer iteration")
         if self.stop_tol <= 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
+        if not (0.0 < self.inner_tol < 1.0):
+            raise DataError(f"inner_tol must be in (0, 1), got {self.inner_tol}")
         if self.rhs_mode not in ("stabilized", "variational"):
             raise DataError(f"unknown rhs_mode {self.rhs_mode!r}")
         if self.initial_sigma <= 0.0:
@@ -229,7 +232,8 @@ def _functional_terms(
         dterm = _delta_term_of_gradient(grad_v, delta)
     else:
         dterm = _delta_term(v, h, delta)
-    return _weighted_tv(magnitude2d, a), boundary_penalty(v, coeffs, h), dterm
+    tv = _weighted_tv(magnitude2d, cell_average(a), a.grid.h)
+    return tv, boundary_penalty(v, coeffs, h), dterm
 
 
 def sigma_from_potential(

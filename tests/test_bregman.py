@@ -4,14 +4,23 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecon.bregman import BregmanConfig, split_bregman_minimize
 from cdrecon.boundary import ElectrodeSet, smoothed_coefficients
-from cdrecon.elliptic import assemble_laplace_dirichlet, pcg_solve
+from cdrecon.elliptic import (
+    SparseSystem,
+    assemble_laplace_dirichlet,
+    pcg_solve,
+    sine_solve,
+)
 from cdrecon.errors import DataError
 from cdrecon.fields import (
+    BoundaryValues,
     ScalarField,
     boundary_trace,
+    cell_average,
     make_grid,
     rel_l2_error,
 )
@@ -115,3 +124,105 @@ def test_report_csv_shape(tmp_path):
     assert rows[0][0] == "iteration"
     assert len(rows[0]) == 10  # same shape as the reconstruction report
     assert len(rows) - 1 == report.iterations
+
+
+def _former_gradient(U, h):
+    h2 = 2.0 * h
+    gx = (U[:-1, 1:] - U[:-1, :-1] + U[1:, 1:] - U[1:, :-1]) / h2
+    gy = (U[1:, :-1] - U[:-1, :-1] + U[1:, 1:] - U[:-1, 1:]) / h2
+    return gx, gy
+
+
+def _former_divergence(fx, fy, h):
+    n = fx.shape[0] + 1
+    dx = np.zeros((n, n))
+    dx[:-1, :-1] += fx
+    dx[1:, :-1] += fx
+    dx[:-1, 1:] -= fx
+    dx[1:, 1:] -= fx
+    dy = np.zeros((n, n))
+    dy[:-1, :-1] += fy
+    dy[:-1, 1:] += fy
+    dy[1:, :-1] -= fy
+    dy[1:, 1:] -= fy
+    return ((dx + dy) / (2.0 * h)).reshape(-1)
+
+
+def _bregman_by_former_loop(a, trace, config, grid):
+    """The split Bregman loop as it was written before it moved to plain
+    arrays, with the operators' arithmetic of that time: two gradients per
+    iteration and a boolean-mask source.  Returns (v, records, stop)."""
+    base = assemble_laplace_dirichlet(trace, grid)
+    h2 = grid.h * grid.h
+    interior = np.ones((grid.n, grid.n), dtype=bool)
+    interior[0, :] = interior[-1, :] = interior[:, 0] = interior[:, -1] = False
+    interior = interior.reshape(-1)
+
+    def solve_v(rhs_source):
+        rhs = base.rhs.copy()
+        if rhs_source is not None:
+            rhs[interior] += h2 * rhs_source[interior]
+        x, stats = sine_solve(SparseSystem(base.matrix, rhs), tol=config.inner_tol)
+        return ScalarField(grid, x), stats
+
+    v, stats = solve_v(None)
+    if float(a.values.max()) == 0.0:
+        return v, [(0, 0.0, 0.0, stats.iterations, stats.relative_residual)], "tol"
+    thresh = cell_average(a) / config.rho
+    m = grid.n - 1
+    gx = np.zeros((m, m))
+    gy = np.zeros((m, m))
+    records, stop = [], "cap"
+    for k in range(config.max_iterations):
+        vx, vy = _former_gradient(v.values2d, grid.h)
+        wx = vx + gx
+        wy = vy + gy
+        mag = np.hypot(wx, wy)
+        shrink = np.maximum(mag - thresh, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(mag > 0.0, shrink / mag, 0.0)
+        dx = scale * wx
+        dy = scale * wy
+        gx += vx - dx
+        gy += vy - dy
+        source = -_former_divergence(dx - gx, dy - gy, grid.h)
+        v_new, stats = solve_v(source)
+        denom = float(np.linalg.norm(v.values))
+        change = (
+            float(np.linalg.norm(v_new.values - v.values)) / denom
+            if denom > 0.0 else float(np.linalg.norm(v_new.values))
+        )
+        mag_new = np.hypot(*_former_gradient(v_new.values2d, grid.h))
+        tv = float(np.sum(cell_average(a) * mag_new) * grid.h**2)
+        records.append((k, tv, change, stats.iterations, stats.relative_residual))
+        v = v_new
+        if change <= config.tol:
+            stop = "tol"
+            break
+    return v, records, stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
+       trace_scale=st.sampled_from([0.0, 1.0, 30.0]),
+       rho=st.floats(0.3, 3.0), max_iterations=st.integers(1, 30),
+       tol=st.sampled_from([1e-2, 1e-6]))
+def test_array_loop_matches_former_loop(n, seed, trace_scale, rho, max_iterations, tol):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    a2d = rng.uniform(0.0, 2.0, (n, n))
+    # zero patches: a random block and a random scatter of nodes
+    j0, i0 = rng.integers(0, n, 2)
+    a2d[j0:j0 + rng.integers(1, n), i0:i0 + rng.integers(1, n)] = 0.0
+    a2d[rng.random((n, n)) < 0.2] = 0.0
+    a = ScalarField(g, a2d.reshape(-1))
+    # a zero trace makes v and every cell gradient exactly zero
+    trace = BoundaryValues(g, trace_scale * rng.normal(size=g.num_boundary_nodes))
+    config = BregmanConfig(rho=rho, max_iterations=max_iterations, tol=tol)
+    v, report = split_bregman_minimize(a, trace, config, g)
+    v_old, records_old, stop_old = _bregman_by_former_loop(a, trace, config, g)
+    assert v.values.tobytes() == v_old.values.tobytes()
+    records = [(r.index, r.weighted_tv, r.v_change, r.solve_iterations,
+                r.solve_residual) for r in report.records]
+    assert np.array(records).tobytes() == np.array(records_old).tobytes()
+    assert report.stop_reason == stop_old

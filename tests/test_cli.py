@@ -115,6 +115,27 @@ def test_exit_code_numeric(tmp_path):
     assert run(["forward", "--sigma", str(sig), "--out-a", str(tmp_path / "a.fld")]) == 3
 
 
+
+def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
+    sig, a, u = (tmp_path / f"{k}.fld" for k in ("sigma", "a", "u"))
+    run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a), "--out-u", str(u)])
+    out = str(tmp_path / "out.fld")
+    bregman = ["bregman", "--a", str(a), "--u", str(u), "--out", out]
+    cases = [
+        bregman + ["--inner-tol", "0"],
+        bregman + ["--grad-floor", "0"],
+        ["reconstruct", "--a", str(a), "--out", out, "--inner-tol", "0"],
+        ["forward", "--sigma", str(sig), "--out-a", out, "--tol", "0"],
+    ]
+    capsys.readouterr()
+    for args in cases:
+        assert run(args) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("cdrecon: error: ") and err.count("\n") == 1, args
+        assert "Traceback" not in err
+
+
 def test_reconstruct_cli_roundtrip(tmp_path, capsys):
     sig = tmp_path / "sigma.fld"
     a = tmp_path / "a.fld"
