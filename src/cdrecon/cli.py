@@ -331,7 +331,8 @@ def _cmd_reconstruct(v: dict) -> int:
     last = report.records[-1]
     line = (
         f"reconstruct: iterations={report.iterations} stop_reason={report.stop_reason} "
-        f"converged={str(report.converged).lower()} sigma_change={last.sigma_change:.3e}"
+        f"converged={str(report.converged).lower()} sigma_change={last.sigma_change:.3e} "
+        f"factorizations={report.factorizations}"
     )
     if truth is not None:
         line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"

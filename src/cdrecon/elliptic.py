@@ -25,8 +25,11 @@ check (``_checked``), the only place a solve fails:
   Robin and CEM problems);
 * ``solve_reusing_factor``: conjugate gradients from a caller's guess,
   preconditioned by the sparse LU factor of an earlier matrix of a slowly
-  varying sequence, refactored when that needs more than
-  ``REFACTOR_ITERATIONS`` iterations (the reconstruction sweeps);
+  varying sequence (the reconstruction sweeps).  A current factor needs
+  about one iteration, so every further one is waste; the factor is
+  rebuilt once its waste would exceed ``_FACTOR_COST``, the cost of one
+  factorization in solves (the ski-rental rule: at most twice the work of
+  the best refactor schedule);
 * ``sine_solve``: the exact sine-transform solve of the constant-coefficient
   Laplace-Dirichlet system (harmonic lift, Bregman v-step).
 """
@@ -53,8 +56,11 @@ from .errors import AssemblyError, DataError, DimensionError, NotSPDError, Solve
 from .fields import BoundaryValues, Grid, ScalarField, boundary_loop
 
 
-# CG iterations allowed with a reused factor before the matrix is refactored
-REFACTOR_ITERATIONS = 10
+# one sparse LU factorization costs about as much as this many solves with
+# its factor (MMD_AT_PLUS_A on the Robin systems: 34 to 39 for n = 64 to
+# 256), so a factor may waste this many CG iterations before the matrix is
+# refactored
+_FACTOR_COST = 35
 
 # multigrid preconditioner of pcg_solve
 _COARSEST = 300  # unknowns of the coarsest level, which is solved densely
@@ -448,13 +454,15 @@ def pcg_solve(
 @dataclass
 class FactorCache:
     """The sparse LU factor carried along one sequence of slowly varying
-    systems, with the number of factorizations made so far.
+    systems, the CG iterations it has wasted (those beyond the first of each
+    solve since it was built) and the number of factorizations made so far.
 
     Create one per sequence and drop it with the sequence: a factor carried
     into another sequence would change that sequence's iterates.
     """
 
     lu: spla.SuperLU | None = None
+    wasted: int = 0
     factorizations: int = 0
 
 
@@ -474,23 +482,28 @@ def solve_reusing_factor(
     cached LU factor of an earlier matrix of the same sequence, starting
     from the guess ``x0`` (zero when None).
 
-    When that needs more than ``REFACTOR_ITERATIONS`` iterations, the stale
-    factor is released, the current matrix is factored into ``cache``, and
-    the solve continues from the abandoned iterate with it; the reported
-    iterations include the abandoned ones.
+    A factor of the current matrix would need one iteration, so each further
+    one counts against the factor's budget of ``_FACTOR_COST`` wasted
+    iterations over its lifetime.  When the solve would overrun what is
+    left of it, the stale factor is released, the current matrix is factored
+    into ``cache``, and the solve continues from the abandoned iterate with
+    the fresh factor, under the same budget; the reported iterations include
+    the abandoned ones.
     """
     _check_tol(tol)
     A, b = system.matrix, system.rhs
     spent = 0
     if cache.lu is not None:
-        x, k, res = _cg(A, b, cache.lu.solve, tol, REFACTOR_ITERATIONS, x0)
+        x, k, res = _cg(A, b, cache.lu.solve, tol, 1 + _FACTOR_COST - cache.wasted, x0)
         if res <= tol:
+            cache.wasted += max(k - 1, 0)
             return _checked(x, k, res, tol, "lu")
         spent, x0 = k, x
         cache.lu = None  # release the stale factor before building the next
     cache.lu = _factor(A)
     cache.factorizations += 1
-    x, k, res = _cg(A, b, cache.lu.solve, tol, REFACTOR_ITERATIONS, x0)
+    x, k, res = _cg(A, b, cache.lu.solve, tol, 1 + _FACTOR_COST, x0)
+    cache.wasted = max(k - 1, 0)
     return _checked(x, spent + k, res, tol, "lu")
 
 

@@ -91,6 +91,11 @@ class ReconConfig:
     initial_sigma: float = 1.0
     transition_width: float | None = None  # None picks 4h
     inner_tol: float = 1e-10
+    # stop when the regularized functional changes by at most stop_tol
+    # relative to its last value, instead of when sigma does; the functional
+    # is quadratic near its minimum, so at the default stop_tol this stops
+    # after about 7 sweeps, far from the fixed point (n = 64 blobs: sigma
+    # still moving by 4e-4 per sweep, error 2.5e-2 against 2.0e-2)
     stop_on_functional: bool = False
     calibrate: bool = True  # identify the reparametrization member from the
     # margin band, taking initial_sigma as the known background level
@@ -151,6 +156,8 @@ class ReconReport:
     # how the fixed-point sweep ended: "tol" (sigma change), "functional"
     # (with stop_on_functional) or "cap" (max_outer_iterations ran out)
     stop_reason: str = ""
+    # LU factorizations made by the run's linear solves, the final one included
+    factorizations: int = 0
 
     @property
     def iterations(self) -> int:
@@ -244,7 +251,10 @@ def sigma_from_potential(
     The floor is relative: grad_floor times the maximum nodal gradient
     magnitude.  A constant v (zero gradient everywhere) degenerates to
     a / grad_floor; callers should treat that as a flagged outcome.
+    Raises DataError unless grad_floor > 0.
     """
+    if not grad_floor > 0.0:
+        raise DataError(f"grad_floor must be positive, got {grad_floor}")
     require_same_grid(a, v)
     return _sigma_from_potential_gradient(a, gradient(v).magnitude2d(), grad_floor)
 
@@ -406,8 +416,9 @@ def reconstruct(
     Each sweep's solve starts from the previous potential and stops at a
     tolerance tied to the last change (see ``_FORCING``).  The linear solves
     share one LU factor, created here and dropped on return, and refactored
-    only when the conductivity has moved too far for it to precondition
-    well (see ``solve_reusing_factor``).
+    once the CG iterations it has cost beyond one per solve would have paid
+    for a new factorization (see ``solve_reusing_factor``);
+    ``report.factorizations`` counts the factorizations.
     """
     config.validate()
     if a.grid.n != grid.n:
@@ -492,6 +503,7 @@ def reconstruct(
     # for the returned conductivity exactly (up to solver tolerance)
     u_final, final_stats = solve_at(sigma, config.inner_tol, u)
     report.final_solve = final_stats
+    report.factorizations = factor.factorizations
     return sigma, u_final, report
 
 

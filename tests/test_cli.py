@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from cdrecon.boundary import ElectrodeSet
 from cdrecon.cli import main
 from cdrecon.fields import ScalarField, make_grid, read_field, write_field
 from cdrecon.phantom import read_pgm
+from cdrecon.recon import ReconConfig, reconstruct
 
 
 def run(args):
@@ -151,6 +153,24 @@ def test_reconstruct_cli_roundtrip(tmp_path, capsys):
     assert " stop_reason=cap converged=false " in line  # 8 sweeps cannot converge
     assert read_field(rec).values.min() > 0.0
     assert report.read_text().startswith("iteration,")
+
+
+def test_reconstruct_cli_prints_factorizations(tmp_path, capsys):
+    # the line carries the run's LU factorizations, as the library reports
+    # them for the same data and the default settings
+    sig = tmp_path / "sigma.fld"
+    a = tmp_path / "a.fld"
+    run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--count", "1",
+         "--margin", "0.2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a)])
+    capsys.readouterr()
+    assert run(["reconstruct", "--a", str(a), "--out", str(tmp_path / "rec.fld")]) == 0
+    fields = dict(item.split("=", 1) for item in capsys.readouterr().out.split()
+                  if "=" in item)
+    data = read_field(a)
+    _, _, report = reconstruct(data, ElectrodeSet(), ReconConfig(), data.grid)
+    assert int(fields["iterations"]) == report.iterations
+    assert int(fields["factorizations"]) == report.factorizations >= 1
 
 
 def test_bregman_cli(tmp_path, capsys):

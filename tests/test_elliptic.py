@@ -16,7 +16,7 @@ from cdrecon.boundary import (
     smoothed_coefficients,
 )
 from cdrecon.elliptic import (
-    REFACTOR_ITERATIONS,
+    _FACTOR_COST,
     FactorCache,
     SparseSystem,
     _multigrid,
@@ -446,7 +446,76 @@ def test_factor_reuse_refactors_on_jump():
         assert stats.relative_residual == pytest.approx(true_res, rel=1e-6)
         counts.append(cache.factorizations)
     assert counts == [1, 1, 1, 1, 2, 2]
-    assert stats.iterations <= REFACTOR_ITERATIONS
+    assert stats.iterations <= 1 + _FACTOR_COST
+
+
+def _drifting_solves(eta, count):
+    """Solve the Robin systems of sigma_k = sigma_0 exp(eta k (x - y)),
+    k < count, through one FactorCache; log per solve the iterations, the
+    factorizations so far and the cache's waste before and after."""
+    g = make_grid(33)
+    coeffs = smoothed_coefficients(ElectrodeSet(aperture=0.8), g, 5e-4)
+    base = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
+    x, y = g.node_coords()
+    tilt = (x - y).reshape(-1)
+    cache = FactorCache()
+    log = []
+    for k in range(count):
+        sigma = ScalarField(g, base.values * np.exp(eta * k * tilt))
+        system = assemble_robin(sigma, coeffs, g)
+        before = cache.wasted
+        sol, stats = solve_reusing_factor(system, cache, tol=1e-10)
+        residual = np.linalg.norm(system.rhs - system.matrix @ sol)
+        assert residual <= 1e-10 * np.linalg.norm(system.rhs)
+        log.append((stats.iterations, cache.factorizations, before, cache.wasted))
+    return log
+
+
+def test_drifting_sequence_refactors_when_waste_passes_budget():
+    # a slow drift costs the first factor a few more CG iterations per solve;
+    # each iteration past the first is charged to the factor, and only the
+    # solve that would overrun what is left of the budget refactors, after
+    # spending all of it (the fresh factor then needs w_after + 1 iterations)
+    log = _drifting_solves(0.05, 12)
+    assert log[0][:2] == (1, 1)
+    factorizations = 1
+    refactored_at = []
+    for k, (iterations, count, before, after) in enumerate(log[1:], start=1):
+        if count == factorizations:
+            assert after == before + max(iterations - 1, 0) <= _FACTOR_COST
+        else:
+            assert count == factorizations + 1
+            stale = iterations - (after + 1)
+            assert stale - 1 == _FACTOR_COST - before
+            refactored_at.append(k)
+        factorizations = count
+    assert refactored_at, "the drift never exhausted a factor"
+    # the first factor served several solves, so no single one of them
+    # exhausted it: the budget spans the solves of a factor's lifetime
+    first = refactored_at[0]
+    assert first >= 3
+    assert max(it for it, *_ in log[1:first]) - 1 < _FACTOR_COST
+
+
+def test_no_factor_wastes_more_than_its_budget():
+    # a fast drift exhausts factor after factor; split each solve's
+    # iterations between the factors that ran them and add up the waste
+    log = _drifting_solves(0.3, 20)
+    waste = [0]  # per factor, the first one built by the first solve
+    for iterations, count, before, after in log:
+        assert 0 <= after <= _FACTOR_COST
+        if count == len(waste):
+            waste[-1] += max(iterations - 1, 0)
+        else:
+            fresh = after + 1
+            waste[-1] += iterations - fresh - 1
+            waste.append(fresh - 1)
+    assert len(waste) == log[-1][1] >= 4
+    assert max(waste) <= _FACTOR_COST
+    # independently of the split: all the iterations past one per solve,
+    # less one per refactoring solve, fit in the budgets of the factors made
+    total = sum(max(it - 1, 0) for it, *_ in log)
+    assert total - (len(waste) - 1) <= len(waste) * _FACTOR_COST
 
 
 def test_factor_reuse_warm_start():
@@ -487,6 +556,28 @@ def test_conservation_of_current():
         net = boundary_net_flux(coeffs, ScalarField(g, x))
         c_norm = float(np.linalg.norm(coeffs.c.values))
         assert abs(net) <= 10 * tol * c_norm + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
+       aperture=st.floats(0.2, 1.0), z=st.floats(0.2, 5.0), current=st.floats(0.1, 10.0),
+       epsilon=st.one_of(st.none(), st.floats(1e-3, 0.3)))
+def test_net_flux_of_robin_solution_vanishes(n, seed, aperture, z, current, epsilon):
+    # the flux rows of the matrix sum to zero (each edge adds +w to one row
+    # and -w to the other), so the net boundary flux of any x equals the sum
+    # of its residual, |1'r| <= sqrt(N) ||r|| <= sqrt(N) tol ||rhs||
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture, z=z, current=current)
+    coeffs = base_coefficients(el, g) if epsilon is None else smoothed_coefficients(el, g, epsilon)
+    sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
+    system = assemble_robin(sigma, coeffs, g)
+    tol = 1e-10
+    x, _ = pcg_solve(system, tol=tol)
+    net = boundary_net_flux(coeffs, ScalarField(g, x))
+    r = system.rhs - system.matrix @ x
+    roundoff = 1e-12 * np.abs(system.rhs).sum()
+    assert abs(net - r.sum()) <= roundoff
+    assert abs(net) <= np.sqrt(g.num_nodes) * tol * np.linalg.norm(system.rhs) + roundoff
 
 
 def test_quadratic_energy_minimized_by_solution():

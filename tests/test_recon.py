@@ -109,6 +109,16 @@ def test_sigma_from_potential_cases():
     assert np.all(sigma_from_potential(zero_a, v, 1e-8).values == 0.0)
 
 
+def test_sigma_from_potential_rejects_nonpositive_floor():
+    # a zero floor on a constant potential would divide by zero
+    g = make_grid(9)
+    a = ScalarField.constant(g, 1.0)
+    flat = ScalarField.constant(g, 0.5)
+    for floor in (0.0, -1e-8):
+        with pytest.raises(DataError, match="grad_floor must be positive"):
+            sigma_from_potential(a, flat, floor)
+
+
 def test_reconstruct_homogeneous_self_consistency(homog_setup):
     g, el, truth, coeffs, fwd = homog_setup
     sigma, u, report = reconstruct(fwd.a, el, ReconConfig(), g, ground_truth=truth)
