@@ -88,8 +88,7 @@ class BregmanReport:
         """Same columns as the reconstruction report: the functional columns
         hold the weighted TV, sigma_change the v-change, unused terms zero."""
         ReconReport([
-            IterationRecord(r.index, r.weighted_tv, r.weighted_tv, r.weighted_tv,
-                            0.0, 0.0, r.v_change, None,
+            IterationRecord(r.index, r.weighted_tv, 0.0, 0.0, r.v_change, None,
                             r.solve_iterations, r.solve_residual)
             for r in self.records
         ]).write_csv(path)

@@ -96,8 +96,6 @@ _COMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("sigma-max", float, None, "optional upper projection bound"),
         Opt("rhs-mode", str, "stabilized", "stabilized | variational"),
         Opt("init-sigma", float, 1.0, "initial conductivity (background value)"),
-        Opt("stop-on-functional", bool, False,
-            "stop on functional change instead of conductivity change", flag=True),
         Opt("no-calibrate", bool, False,
             "disable the background level calibration", flag=True),
         Opt("calibration-band", float, 0.12, "margin band width for calibration"),
@@ -317,8 +315,8 @@ def _cmd_reconstruct(v: dict) -> int:
         max_outer_iterations=v["max-iter"], stop_tol=v["stop-tol"],
         grad_floor=v["grad-floor"], sigma_bounds=bounds, rhs_mode=v["rhs-mode"],
         initial_sigma=v["init-sigma"], transition_width=v["width"],
-        inner_tol=v["inner-tol"], stop_on_functional=v["stop-on-functional"],
-        calibrate=not v["no-calibrate"], calibration_band=v["calibration-band"],
+        inner_tol=v["inner-tol"], calibrate=not v["no-calibrate"],
+        calibration_band=v["calibration-band"],
     )
     config.validate()
     a = read_field(v["a"])

@@ -16,10 +16,13 @@ mode whose fixed point stays put: anchoring the penalty at the harmonic
 lift h injects a spurious O(delta/epsilon) pull along the data-invariant
 reparametrization family (see ``level_calibration``), which shows up as a
 slow drift of the iterates.  "variational" takes c = c_eps + delta dh/dnu,
-the exact Euler-Lagrange condition of the h-anchored penalty.  The sweep
-records log the functional that each mode's solves decrease: its boundary
-target is c_eps/b_eps and its delta penalty is anchored at 0 for
-"stabilized" and at h for "variational".
+the exact Euler-Lagrange condition of the h-anchored penalty.
+``functional_Gdelta`` is the functional that each mode's solves decrease:
+its boundary target is c_eps/b_eps and its delta penalty is anchored at 0
+for "stabilized" and at h for "variational".  The sweep records and
+``convergence_study`` log it.  The sweep stops when sigma changes by at
+most ``stop_tol`` (stop reason "tol") or after ``max_outer_iterations``
+sweeps ("cap").
 
 The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
 ``sigma_bounds``) is a lagged-diffusivity iteration and converges only
@@ -91,12 +94,6 @@ class ReconConfig:
     initial_sigma: float = 1.0
     transition_width: float | None = None  # None picks 4h
     inner_tol: float = 1e-10
-    # stop when the regularized functional changes by at most stop_tol
-    # relative to its last value, instead of when sigma does; the functional
-    # is quadratic near its minimum, so at the default stop_tol this stops
-    # after about 7 sweeps, far from the fixed point (n = 64 blobs: sigma
-    # still moving by 4e-4 per sweep, error 2.5e-2 against 2.0e-2)
-    stop_on_functional: bool = False
     calibrate: bool = True  # identify the reparametrization member from the
     # margin band, taking initial_sigma as the known background level
     calibration_band: float = 0.12
@@ -129,8 +126,6 @@ class ReconConfig:
 @dataclass
 class IterationRecord:
     index: int
-    g_delta: float
-    g: float
     tv_term: float
     boundary_term: float
     delta_term: float
@@ -138,6 +133,14 @@ class IterationRecord:
     rel_error: float | None
     solve_iterations: int
     solve_residual: float
+
+    @property
+    def g(self) -> float:
+        return self.tv_term + self.boundary_term
+
+    @property
+    def g_delta(self) -> float:
+        return self.tv_term + self.boundary_term + self.delta_term
 
 
 _CSV_COLUMNS = (
@@ -153,8 +156,8 @@ class ReconReport:
     # (after-iteration index, max |phi' - 1|) for each calibration applied;
     # both passes follow the last sweep, so both carry the final index
     calibrations: list[tuple[int, float]] = field(default_factory=list)
-    # how the fixed-point sweep ended: "tol" (sigma change), "functional"
-    # (with stop_on_functional) or "cap" (max_outer_iterations ran out)
+    # how the fixed-point sweep ended: "tol" (sigma change) or "cap"
+    # (max_outer_iterations ran out)
     stop_reason: str = ""
     # LU factorizations made by the run's linear solves, the final one included
     factorizations: int = 0
@@ -203,43 +206,40 @@ def functional_G(
     return weighted_tv(v, a) + boundary_penalty(v, coeffs, h)
 
 
-def _delta_term(v: ScalarField, h: ScalarField, delta: float) -> float:
-    grid = require_same_grid(v, h)
-    return _delta_term_of_gradient(gradient(ScalarField(grid, v.values - h.values)), delta)
-
-
-def _delta_term_of_gradient(g: VectorField, delta: float) -> float:
-    """(delta/2) * integral of |g|^2 for a cell gradient g."""
-    return float(0.5 * delta * np.sum(g.x**2 + g.y**2) * g.grid.h**2)
-
-
 def functional_Gdelta(
     v: ScalarField,
     a: ScalarField,
     coeffs: RobinCoefficients,
     h: ScalarField,
     delta: float,
+    rhs_mode: str = "variational",
 ) -> float:
-    """Regularized functional: G plus (delta/2) * integral of |grad(v-h)|^2."""
+    """Regularized functional G^delta: G plus (delta/2) * integral of
+    |grad(v - anchor)|^2, the functional that the Robin solves of
+    ``rhs_mode`` decrease.  The anchor is the lift h for "variational" and
+    0 for "stabilized"; any other mode raises DataError."""
     if delta < 0.0:
         raise DataError(f"delta must be nonnegative, got {delta}")
-    return functional_G(v, a, coeffs, h) + _delta_term(v, h, delta)
+    grad_v = gradient(v)
+    return sum(_functional_terms(v, grad_v, grad_v.magnitude2d(), a, coeffs, h, delta,
+                                 rhs_mode))
 
 
 def _functional_terms(
     v: ScalarField, grad_v: VectorField, magnitude2d: np.ndarray, a: ScalarField,
     coeffs: RobinCoefficients, h: ScalarField, delta: float, rhs_mode: str,
 ) -> tuple[float, float, float]:
-    """TV, boundary and delta terms of the functional that the Robin solve of
-    ``rhs_mode`` decreases, given the cell gradient of v and its magnitude.
-    The boundary target is the lift's trace c/b; the delta penalty is
-    anchored at 0 for "stabilized" (so its gradient is grad_v) and at the
-    lift h for "variational"."""
+    """``functional_Gdelta`` as its TV, boundary and delta terms, from the
+    cell gradient of v and its magnitude, for callers that already hold
+    them."""
     if rhs_mode == "stabilized":
-        dterm = _delta_term_of_gradient(grad_v, delta)
+        anchored = grad_v
+    elif rhs_mode == "variational":
+        anchored = gradient(ScalarField(require_same_grid(v, h), v.values - h.values))
     else:
-        dterm = _delta_term(v, h, delta)
+        raise DataError(f"unknown rhs_mode {rhs_mode!r}")
     tv = _weighted_tv(magnitude2d, cell_average(a), a.grid.h)
+    dterm = float(0.5 * delta * np.sum(anchored.x**2 + anchored.y**2) * v.grid.h**2)
     return tv, boundary_penalty(v, coeffs, h), dterm
 
 
@@ -405,13 +405,12 @@ def reconstruct(
     then runs one fixed-point sweep: solve the regularized linear problem,
     update the conductivity, and mix the update with the earlier ones
     (``_Anderson``), until the relative change of the conductivity drops
-    below ``stop_tol`` (or, with ``stop_on_functional``, until the
-    regularized functional stalls) or ``max_outer_iterations`` sweeps ran;
-    ``report.stop_reason`` says which.  With ``calibrate`` enabled, two
-    level-calibration passes against the background (= ``initial_sigma``)
-    follow back to back.  A final solve at ``inner_tol`` makes the returned
-    potential the exact critical point of the linearization at the returned
-    conductivity.
+    below ``stop_tol`` (``report.stop_reason`` "tol") or
+    ``max_outer_iterations`` sweeps ran ("cap").  With ``calibrate``
+    enabled, two level-calibration passes against the background
+    (= ``initial_sigma``) follow back to back.  A final solve at
+    ``inner_tol`` makes the returned potential the exact critical point of
+    the linearization at the returned conductivity.
 
     Each sweep's solve starts from the previous potential and stops at a
     tolerance tied to the last change (see ``_FORCING``).  The linear solves
@@ -472,18 +471,12 @@ def reconstruct(
                 u, grad, magnitude, a, coeffs, h_field, delta, config.rhs_mode)
             rel = None if ground_truth is None else rel_l2_error(image, ground_truth)
             report.records.append(IterationRecord(
-                index=report.iterations, g_delta=tv + bterm + dterm, g=tv + bterm,
-                tv_term=tv, boundary_term=bterm, delta_term=dterm,
+                index=report.iterations, tv_term=tv, boundary_term=bterm, delta_term=dterm,
                 sigma_change=change, rel_error=rel,
                 solve_iterations=stats.iterations,
                 solve_residual=stats.relative_residual,
             ))
-            if config.stop_on_functional:
-                if report.iterations > 1:
-                    gd, prev = report.records[-1].g_delta, report.records[-2].g_delta
-                    if abs(gd - prev) <= config.stop_tol * abs(prev):
-                        return image, u, "functional"
-            elif change <= config.stop_tol:
+            if change <= config.stop_tol:
                 return image, u, "tol"
             sigma = ScalarField(grid, mixer.step(sigma.values, image.values))
         return image, u, "cap"
@@ -587,10 +580,7 @@ def convergence_study(
         a_n = add_noise(a_clean, e, seed + k)
         cfg = replace(config, delta=float(d))
         sigma, u, _ = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
-        grad = gradient(u)
-        terms = _functional_terms(u, grad, grad.magnitude2d(), a_n, coeffs, h_field,
-                                  float(d), cfg.rhs_mode)
-        g_delta_vals.append(sum(terms))
+        g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, h_field, float(d), cfg.rhs_mode))
         g_clean_vals.append(functional_G(u, a_clean, coeffs, h_field))
         errors.append(
             float("nan") if ground_truth is None else rel_l2_error(sigma, ground_truth)

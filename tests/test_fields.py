@@ -4,8 +4,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cdrecon.errors import DimensionError, FormatError, GridError
 from cdrecon.fields import (
@@ -216,15 +217,28 @@ def test_boundary_trace_sides():
     assert np.all(t[2 * m:3 * m] == 1.0)  # top
 
 
-def test_field_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(11)
-    g = make_grid(32)
-    u = ScalarField(g, rng.normal(size=g.num_nodes))
-    p = tmp_path / "f.fld"
+@st.composite
+def _finite_fields(draw):
+    n = draw(st.integers(3, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return n, draw(arrays(np.float64, n * n, elements=finite))
+
+
+_MAX = np.finfo(float).max
+_TINY = np.finfo(float).smallest_subnormal
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_finite_fields())
+@example(case=(3, np.array([-0.0, 0.0, _TINY, -_TINY, 2.0**-1030, _MAX, -_MAX, 1.0, -1.0])))
+def test_field_roundtrip_bit_exact(tmp_path_factory, case):
+    n, values = case
+    u = ScalarField(make_grid(n), values)
+    p = tmp_path_factory.mktemp("fld") / "f.fld"
     write_field(u, p)
     back = read_field(p)
-    assert back.grid.n == 32
-    assert back.values.tobytes() == u.values.tobytes()
+    assert back.grid.n == n
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_field_file_layout(tmp_path):

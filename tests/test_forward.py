@@ -3,7 +3,7 @@ and the non-uniqueness transform."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrecon.boundary import (
@@ -192,13 +192,19 @@ def test_nonuniqueness_data_invariance(homog33):
        aperture=st.floats(0.2, 1.0), z=st.floats(0.2, 5.0), epsilon=st.floats(1e-3, 0.3),
        contrast=st.floats(0.0, 1.5), strength=st.floats(-0.9, 0.9),
        width=st.floats(0.05, 0.3), position=st.floats(0.01, 0.99))
+# a strength so small that the roundoff of the two data fields (2.2e-17)
+# exceeds the Taylor bound 4 |s| h / width (1.4e-18)
+@example(n=14, seed=0, aperture=1.0, z=1.0, epsilon=0.25, contrast=1.0,
+         strength=4.6055996038975324e-18, width=0.25, position=0.5)
 def test_nonuniqueness_data_invariance_random(n, seed, aperture, z, epsilon, contrast,
                                               strength, width, position):
     # |(sigma / phi'(u)) grad phi(u)| = |sigma grad u| holds exactly in the
     # continuum for every increasing phi; on the grid each cell's difference
     # quotient of phi(u) misses phi'(u) grad u by a Taylor remainder of
     # order |s| |psi''| h |grad u|, with |psi''| ~ 1 / halfwidth (measured at
-    # most 1.7 |s| h span / halfwidth in 2000 random cases; bound 4)
+    # most 1.7 |s| h span / halfwidth in 2000 random cases; bound 4), plus
+    # the roundoff of the two data fields (at most 0.91 eps in 200 random
+    # cases with |s| <= 1e-16; allowance 16 eps)
     g = make_grid(n)
     x, y = g.node_coords()
     c = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, 4))
@@ -217,7 +223,8 @@ def test_nonuniqueness_data_invariance_random(n, seed, aperture, z, epsilon, con
     assert np.all(np.diff(u_phi.values[order]) >= -1e-12 * (hi - lo))
     a0 = interior_data(sigma, u0)
     a_phi = interior_data(s_phi, u_phi)
-    assert rel_l2_error(a_phi, a0) <= 4.0 * abs(strength) * g.h / width
+    assert rel_l2_error(a_phi, a0) <= (
+        4.0 * abs(strength) * g.h / width + 16 * np.finfo(float).eps)
 
 
 def test_nonuniqueness_rejects_non_increasing(homog33):

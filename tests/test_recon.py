@@ -94,6 +94,27 @@ def test_functional_gdelta_terms():
     assert functional_Gdelta(vy, a, coeffs, h, 2.0) - functional_G(vy, a, coeffs, h) == (
         pytest.approx(1.0, rel=1e-12)
     )
+    # anchored at 0 ("stabilized"), v = y with delta = 2 adds exactly 1.0
+    y = ScalarField.from_function(g, lambda x, y: y)
+    assert functional_Gdelta(y, a, coeffs, h, 2.0, "stabilized") - functional_G(
+        y, a, coeffs, h) == pytest.approx(1.0, rel=1e-12)
+    # the anchors differ by delta/2 (sum |grad v|^2 - sum |grad(v - h)|^2) h^2,
+    # with the cell gradient written out from its two forward differences
+    delta = 0.7
+
+    def squared_gradient_sum(values):
+        V = values.reshape(g.n, g.n)
+        gx = (V[:-1, 1:] - V[:-1, :-1] + V[1:, 1:] - V[1:, :-1]) / (2.0 * g.h)
+        gy = (V[1:, :-1] - V[:-1, :-1] + V[1:, 1:] - V[:-1, 1:]) / (2.0 * g.h)
+        return float(np.sum(gx**2 + gy**2))
+
+    expected = 0.5 * delta * g.h**2 * (
+        squared_gradient_sum(v.values) - squared_gradient_sum(v.values - h.values))
+    gap = (functional_Gdelta(v, a, coeffs, h, delta, "stabilized")
+           - functional_Gdelta(v, a, coeffs, h, delta, "variational"))
+    assert gap == pytest.approx(expected, rel=1e-10)
+    with pytest.raises(DataError, match="unknown rhs_mode"):
+        functional_Gdelta(v, a, coeffs, h, delta, "flux-only")
 
 
 def test_sigma_from_potential_cases():
@@ -174,14 +195,6 @@ def test_reconstruct_degenerate_data(homog_setup):
     bad[0] = -1.0
     with pytest.raises(DataError, match="nonnegative"):
         reconstruct(ScalarField(g, bad), el, ReconConfig(), g)
-
-
-def test_reconstruct_stop_on_functional(homog_setup):
-    g, el, truth, coeffs, fwd = homog_setup
-    cfg = ReconConfig(stop_on_functional=True, stop_tol=1e-8, calibrate=False)
-    sigma, u, report = reconstruct(fwd.a, el, cfg, g)
-    assert report.iterations < cfg.max_outer_iterations
-    assert report.stop_reason == "functional" and report.converged
 
 
 def test_reconstruct_reports_cap_hit(homog_setup):
