@@ -235,13 +235,11 @@ def positive_electrode_side(electrodes: ElectrodeSet) -> str:
 
 def harmonic_lift(
     coeffs: RobinCoefficients, grid: Grid, tol: float = 1e-10
-) -> tuple[ScalarField, BoundaryValues]:
-    """Harmonic function with Dirichlet data c/b, and its outward normal
-    derivative at boundary nodes by the second-order one-sided stencil
-    (3 f0 - 4 f1 + f2) / (2h) along the inward direction, sign flipped.
+) -> ScalarField:
+    """Harmonic function with Dirichlet data c/b; its boundary trace is c/b
+    exactly.
 
-    Requires b > 0 everywhere (smoothed coefficients, epsilon > 0).  Corner
-    normal derivatives use the lateral-side direction (corner rule).
+    Requires b > 0 everywhere (smoothed coefficients, epsilon > 0).
     """
     if np.any(coeffs.b.values <= 0.0):
         raise DataError("harmonic lift needs b > 0; c/b is undefined off electrodes")
@@ -250,13 +248,4 @@ def harmonic_lift(
     data = BoundaryValues(grid, coeffs.c.values / coeffs.b.values)
     system = elliptic.assemble_laplace_dirichlet(data, grid)
     x, _ = elliptic.sine_solve(system, tol=tol)
-    hfield = ScalarField(grid, x)
-    U = hfield.values2d
-    n, h = grid.n, grid.h
-    i, j = boundary_loop(grid)
-    # inward step: along x on the lateral sides (corners included), else along y
-    di = np.where(i == 0, 1, np.where(i == n - 1, -1, 0))
-    dj = np.where(di != 0, 0, np.where(j == 0, 1, -1))
-    f0, f1, f2 = U[j, i], U[j + dj, i + di], U[j + 2 * dj, i + 2 * di]
-    dh = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-    return hfield, BoundaryValues(grid, dh)
+    return ScalarField(grid, x)

@@ -46,13 +46,14 @@ class BregmanConfig:
     inner_tol: float = 1e-10
 
     def validate(self) -> None:
-        if self.rho <= 0.0:
+        # written as `not x > 0` so that NaN is rejected too
+        if not self.rho > 0.0:
             raise DataError(f"rho must be positive, got {self.rho}")
         if self.max_iterations < 1:
             raise DataError("need at least one iteration")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise DataError(f"tol must be positive, got {self.tol}")
-        if self.grad_floor <= 0.0:
+        if not self.grad_floor > 0.0:
             raise DataError(f"grad_floor must be positive, got {self.grad_floor}")
         if not (0.0 < self.inner_tol < 1.0):
             raise DataError(f"inner_tol must be in (0, 1), got {self.inner_tol}")

@@ -94,7 +94,6 @@ _COMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("grad-floor", float, 1e-8, "relative gradient magnitude floor"),
         Opt("sigma-min", float, None, "optional lower projection bound"),
         Opt("sigma-max", float, None, "optional upper projection bound"),
-        Opt("rhs-mode", str, "stabilized", "stabilized | variational"),
         Opt("init-sigma", float, 1.0, "initial conductivity (background value)"),
         Opt("no-calibrate", bool, False,
             "disable the background level calibration", flag=True),
@@ -313,7 +312,7 @@ def _cmd_reconstruct(v: dict) -> int:
     config = recon_mod.ReconConfig(
         epsilon=v["epsilon"], delta=v["delta"],
         max_outer_iterations=v["max-iter"], stop_tol=v["stop-tol"],
-        grad_floor=v["grad-floor"], sigma_bounds=bounds, rhs_mode=v["rhs-mode"],
+        grad_floor=v["grad-floor"], sigma_bounds=bounds,
         initial_sigma=v["init-sigma"], transition_width=v["width"],
         inner_tol=v["inner-tol"], calibrate=not v["no-calibrate"],
         calibration_band=v["calibration-band"],

@@ -240,14 +240,9 @@ def assemble_cem(
     return SparseSystem(A, rhs)
 
 
-def assemble_laplace_dirichlet(
-    data: BoundaryValues, grid: Grid, source: np.ndarray | None = None
-) -> SparseSystem:
+def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem:
     """Five-point Laplace system with Dirichlet data, boundary rows
     eliminated symmetrically (identity rows, couplings folded into the rhs).
-
-    ``source`` is an optional interior forcing g for -lap(u) = g, given as a
-    flat nodal array; it enters interior rows scaled by h^2.
     """
     if data.grid.n != grid.n:
         raise DimensionError("data and grid sizes disagree")
@@ -263,13 +258,8 @@ def assemble_laplace_dirichlet(
     trace[kb] = data.values
 
     rhs = np.zeros(N)
-    if source is not None:
-        src = np.asarray(source, dtype=float).reshape(-1)
-        if src.size != N:
-            raise DimensionError(f"source needs {N} values, got {src.size}")
-        rhs[k] += grid.h * grid.h * src[k]
     # fold the couplings to Dirichlet nodes into the rhs: east, west, north,
-    # south neighbour, after the source
+    # south neighbour
     for col, step in ((3, 1), (1, -1), (4, n), (0, -n)):
         fold = k[~inner[k + step]]
         rhs[fold] -= stencil[fold, col] * trace[fold + step]

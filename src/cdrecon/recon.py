@@ -8,21 +8,13 @@ at the current conductivity: div((sigma_k + delta) grad u) = 0 with
 (sigma_k + delta) du/dnu + b_eps u = rhs on the boundary, followed by the
 update sigma = a / max(|grad u|, floor) at the nodes.
 
-Two right-hand-side modes are available; each is one Robin datum c in
-(sigma_k + delta) du/dnu + b_eps u = c, with the same b_eps.  "stabilized"
-(default) takes c = c_eps; it is the Euler-Lagrange condition of the
-functional whose quadratic penalty is (delta/2) |grad v|^2, and it is the
-mode whose fixed point stays put: anchoring the penalty at the harmonic
-lift h injects a spurious O(delta/epsilon) pull along the data-invariant
-reparametrization family (see ``level_calibration``), which shows up as a
-slow drift of the iterates.  "variational" takes c = c_eps + delta dh/dnu,
-the exact Euler-Lagrange condition of the h-anchored penalty.
-``functional_Gdelta`` is the functional that each mode's solves decrease:
-its boundary target is c_eps/b_eps and its delta penalty is anchored at 0
-for "stabilized" and at h for "variational".  The sweep records and
-``convergence_study`` log it.  The sweep stops when sigma changes by at
-most ``stop_tol`` (stop reason "tol") or after ``max_outer_iterations``
-sweeps ("cap").
+The Robin datum is c = c_eps: the linear problem is the Euler-Lagrange
+condition of the regularized functional ``functional_Gdelta``, G^delta =
+weighted TV + (1/2) integral of b_eps (v - c_eps/b_eps)^2 over the boundary
++ (delta/2) integral of |grad v|^2, at the current conductivity.  The
+sweep records and ``convergence_study`` log it.  The sweep stops when
+sigma changes by at most ``stop_tol`` (stop reason "tol") or after
+``max_outer_iterations`` sweeps ("cap").
 
 The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
 ``sigma_bounds``) is a lagged-diffusivity iteration and converges only
@@ -58,7 +50,6 @@ from .boundary import (
 from .elliptic import FactorCache, SolveStats, assemble_robin, solve_reusing_factor
 from .errors import DataError
 from .fields import (
-    BoundaryValues,
     Grid,
     ScalarField,
     VectorField,
@@ -80,6 +71,8 @@ _ANDERSON_DEPTH = 5
 # to _LOOSEST_INNER_TOL and at least to the config's inner_tol
 _FORCING = 1e-2
 _LOOSEST_INNER_TOL = 1e-3
+# potential-level bins of ``level_calibration``
+_CALIBRATION_BINS = 48
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,6 @@ class ReconConfig:
     stop_tol: float = 1e-6
     grad_floor: float = 1e-8
     sigma_bounds: tuple[float, float] | None = None
-    rhs_mode: str = "stabilized"  # or "variational"
     initial_sigma: float = 1.0
     transition_width: float | None = None  # None picks 4h
     inner_tol: float = 1e-10
@@ -99,21 +91,20 @@ class ReconConfig:
     calibration_band: float = 0.12
 
     def validate(self) -> None:
-        if self.epsilon <= 0.0:
+        # written as `not x > 0` so that NaN is rejected too
+        if not self.epsilon > 0.0:
             raise DataError(f"epsilon must be positive, got {self.epsilon}")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise DataError(f"delta must be positive, got {self.delta}")
-        if self.grad_floor <= 0.0:
+        if not self.grad_floor > 0.0:
             raise DataError(f"grad_floor must be positive, got {self.grad_floor}")
         if self.max_outer_iterations < 1:
             raise DataError("need at least one outer iteration")
-        if self.stop_tol <= 0.0:
+        if not self.stop_tol > 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
         if not (0.0 < self.inner_tol < 1.0):
             raise DataError(f"inner_tol must be in (0, 1), got {self.inner_tol}")
-        if self.rhs_mode not in ("stabilized", "variational"):
-            raise DataError(f"unknown rhs_mode {self.rhs_mode!r}")
-        if self.initial_sigma <= 0.0:
+        if not self.initial_sigma > 0.0:
             raise DataError(f"initial sigma must be positive, got {self.initial_sigma}")
         if not (0.0 < self.calibration_band < 0.5):
             raise DataError(f"calibration band must be in (0, 0.5), got {self.calibration_band}")
@@ -192,9 +183,17 @@ def boundary_penalty(
     v: ScalarField, coeffs: RobinCoefficients, h: ScalarField
 ) -> float:
     """0.5 * integral of b (v - h)^2 over the boundary (closed-loop trapezoid)."""
-    grid = require_same_grid(v, h)
-    w = boundary_weights(grid)
-    dv = boundary_trace(v).values - boundary_trace(h).values
+    require_same_grid(v, h)
+    return _boundary_penalty(v, coeffs, boundary_trace(h).values)
+
+
+def _boundary_penalty(
+    v: ScalarField, coeffs: RobinCoefficients, target: np.ndarray
+) -> float:
+    """``boundary_penalty`` against the boundary values ``target`` in loop
+    order."""
+    w = boundary_weights(v.grid)
+    dv = boundary_trace(v).values - target
     return float(0.5 * np.sum(w * coeffs.b.values * dv * dv))
 
 
@@ -212,35 +211,28 @@ def functional_Gdelta(
     coeffs: RobinCoefficients,
     h: ScalarField,
     delta: float,
-    rhs_mode: str = "variational",
 ) -> float:
     """Regularized functional G^delta: G plus (delta/2) * integral of
-    |grad(v - anchor)|^2, the functional that the Robin solves of
-    ``rhs_mode`` decrease.  The anchor is the lift h for "variational" and
-    0 for "stabilized"; any other mode raises DataError."""
-    if delta < 0.0:
+    |grad v|^2, the functional that the Robin solves of ``reconstruct``
+    decrease."""
+    if not delta >= 0.0:
         raise DataError(f"delta must be nonnegative, got {delta}")
+    require_same_grid(v, h)
     grad_v = gradient(v)
-    return sum(_functional_terms(v, grad_v, grad_v.magnitude2d(), a, coeffs, h, delta,
-                                 rhs_mode))
+    return sum(_functional_terms(v, grad_v, grad_v.magnitude2d(), a, coeffs,
+                                 boundary_trace(h).values, delta))
 
 
 def _functional_terms(
     v: ScalarField, grad_v: VectorField, magnitude2d: np.ndarray, a: ScalarField,
-    coeffs: RobinCoefficients, h: ScalarField, delta: float, rhs_mode: str,
+    coeffs: RobinCoefficients, target: np.ndarray, delta: float,
 ) -> tuple[float, float, float]:
     """``functional_Gdelta`` as its TV, boundary and delta terms, from the
     cell gradient of v and its magnitude, for callers that already hold
-    them."""
-    if rhs_mode == "stabilized":
-        anchored = grad_v
-    elif rhs_mode == "variational":
-        anchored = gradient(ScalarField(require_same_grid(v, h), v.values - h.values))
-    else:
-        raise DataError(f"unknown rhs_mode {rhs_mode!r}")
+    them; ``target`` is the boundary trace of h."""
     tv = _weighted_tv(magnitude2d, cell_average(a), a.grid.h)
-    dterm = float(0.5 * delta * np.sum(anchored.x**2 + anchored.y**2) * v.grid.h**2)
-    return tv, boundary_penalty(v, coeffs, h), dterm
+    dterm = float(0.5 * delta * np.sum(grad_v.x**2 + grad_v.y**2) * v.grid.h**2)
+    return tv, _boundary_penalty(v, coeffs, target), dterm
 
 
 def sigma_from_potential(
@@ -333,7 +325,6 @@ def level_calibration(
     electrodes: ElectrodeSet,
     background: float,
     band: float = 0.12,
-    nbins: int = 48,
 ) -> tuple[ScalarField, ScalarField, float]:
     """Snap a reconstruction onto the reparametrization-family member whose
     conductivity matches the known background inside the boundary margin.
@@ -355,6 +346,7 @@ def level_calibration(
     if t1 <= t0 or background <= 0.0:
         return sigma, u, 0.0
 
+    nbins = _CALIBRATION_BINS
     edges = np.linspace(t0, t1, nbins + 1)
     widths = np.diff(edges)
     bin_of = np.clip(np.digitize(t, edges) - 1, 0, nbins - 1)
@@ -401,16 +393,17 @@ def reconstruct(
 ) -> tuple[ScalarField, ScalarField, ReconReport]:
     """Recover an approximate conductivity from the interior data a.
 
-    Builds the smoothed boundary coefficients and the harmonic lift once,
-    then runs one fixed-point sweep: solve the regularized linear problem,
-    update the conductivity, and mix the update with the earlier ones
-    (``_Anderson``), until the relative change of the conductivity drops
-    below ``stop_tol`` (``report.stop_reason`` "tol") or
-    ``max_outer_iterations`` sweeps ran ("cap").  With ``calibrate``
-    enabled, two level-calibration passes against the background
-    (= ``initial_sigma``) follow back to back.  A final solve at
-    ``inner_tol`` makes the returned potential the exact critical point of
-    the linearization at the returned conductivity.
+    Builds the smoothed boundary coefficients (b_eps, c_eps) once, then runs
+    one fixed-point sweep: solve the regularized linear problem, log its
+    G^delta terms (the boundary target c_eps/b_eps is the trace of the
+    harmonic lift, so no lift is solved), update the conductivity, and mix
+    the update with the earlier ones (``_Anderson``), until the relative
+    change of the conductivity drops below ``stop_tol``
+    (``report.stop_reason`` "tol") or ``max_outer_iterations`` sweeps ran
+    ("cap").  With ``calibrate`` enabled, two level-calibration passes
+    against the background (= ``initial_sigma``) follow back to back.  A
+    final solve at ``inner_tol`` makes the returned potential the exact
+    critical point of the linearization at the returned conductivity.
 
     Each sweep's solve starts from the previous potential and stops at a
     tolerance tied to the last change (see ``_FORCING``).  The linear solves
@@ -432,12 +425,8 @@ def reconstruct(
     coeffs = smoothed_coefficients(
         electrodes, grid, config.epsilon, config.transition_width
     )
-    h_field, dh_dn = harmonic_lift(coeffs, grid, tol=config.inner_tol)
-    c_mode = {
-        "stabilized": coeffs.c.values,
-        "variational": coeffs.c.values + config.delta * dh_dn.values,
-    }[config.rhs_mode]
-    solve_coeffs = RobinCoefficients(coeffs.b, BoundaryValues(grid, c_mode))
+    # the boundary target of G^delta: the trace of the harmonic lift
+    target = coeffs.c.values / coeffs.b.values
 
     delta = config.delta
     report = ReconReport()
@@ -445,7 +434,7 @@ def reconstruct(
 
     def solve_at(sigma: ScalarField, tol: float, u: ScalarField | None):
         sigma_eff = ScalarField(grid, sigma.values + delta)
-        system = assemble_robin(sigma_eff, solve_coeffs, grid)
+        system = assemble_robin(sigma_eff, coeffs, grid)
         x0 = None if u is None else u.values
         x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
         return ScalarField(grid, x), stats
@@ -468,7 +457,7 @@ def reconstruct(
                 / float(np.linalg.norm(sigma.values))
             )
             tv, bterm, dterm = _functional_terms(
-                u, grad, magnitude, a, coeffs, h_field, delta, config.rhs_mode)
+                u, grad, magnitude, a, coeffs, target, delta)
             rel = None if ground_truth is None else rel_l2_error(image, ground_truth)
             report.records.append(IterationRecord(
                 index=report.iterations, tv_term=tv, boundary_term=bterm, delta_term=dterm,
@@ -573,14 +562,14 @@ def convergence_study(
     coeffs = smoothed_coefficients(
         electrodes, grid, config.epsilon, config.transition_width
     )
-    h_field, _ = harmonic_lift(coeffs, grid, tol=config.inner_tol)
+    h_field = harmonic_lift(coeffs, grid, tol=config.inner_tol)
 
     g_delta_vals, g_clean_vals, errors = [], [], []
     for k, (d, e) in enumerate(zip(deltas, etas)):
         a_n = add_noise(a_clean, e, seed + k)
         cfg = replace(config, delta=float(d))
         sigma, u, _ = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
-        g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, h_field, float(d), cfg.rhs_mode))
+        g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, h_field, float(d)))
         g_clean_vals.append(functional_G(u, a_clean, coeffs, h_field))
         errors.append(
             float("nan") if ground_truth is None else rel_l2_error(sigma, ground_truth)

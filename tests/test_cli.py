@@ -124,10 +124,16 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
     run(["forward", "--sigma", str(sig), "--out-a", str(a), "--out-u", str(u)])
     out = str(tmp_path / "out.fld")
     bregman = ["bregman", "--a", str(a), "--u", str(u), "--out", out]
+    reconstruct = ["reconstruct", "--a", str(a), "--out", out]
+    # NaN fails every comparison, so each check must be written to reject it
     cases = [
         bregman + ["--inner-tol", "0"],
         bregman + ["--grad-floor", "0"],
-        ["reconstruct", "--a", str(a), "--out", out, "--inner-tol", "0"],
+        bregman + ["--rho", "nan"],
+        bregman + ["--tol", "nan"],
+        reconstruct + ["--inner-tol", "0"],
+        reconstruct + ["--stop-tol", "nan"],
+        reconstruct + ["--delta", "nan"],
         ["forward", "--sigma", str(sig), "--out-a", out, "--tol", "0"],
     ]
     capsys.readouterr()
@@ -136,6 +142,8 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("cdrecon: error: ") and err.count("\n") == 1, args
         assert "Traceback" not in err
+        option = args[-2].lstrip("-").replace("-", "_")
+        assert option in err, args
 
 
 def test_reconstruct_cli_roundtrip(tmp_path, capsys):
