@@ -37,9 +37,10 @@ class ElectrodeSet:
     def __post_init__(self):
         if not (0.0 < self.aperture <= 1.0):
             raise DataError(f"aperture must be in (0, 1], got {self.aperture}")
-        if self.z <= 0.0:
-            raise DataError(f"contact impedance must be positive, got {self.z}")
-        if self.current <= 0.0:
+        # written as `not x > 0` so that NaN is rejected too
+        if not self.z > 0.0:
+            raise DataError(f"contact impedance z must be positive, got {self.z}")
+        if not self.current > 0.0:
             raise DataError(f"injected current must be positive, got {self.current}")
 
     def span(self) -> tuple[float, float]:

@@ -329,7 +329,7 @@ def _cmd_reconstruct(v: dict) -> int:
     line = (
         f"reconstruct: iterations={report.iterations} stop_reason={report.stop_reason} "
         f"converged={str(report.converged).lower()} sigma_change={last.sigma_change:.3e} "
-        f"factorizations={report.factorizations}"
+        f"stop_change={report.stop_change:.3e} factorizations={report.factorizations}"
     )
     if truth is not None:
         line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"

@@ -12,9 +12,11 @@ The Robin datum is c = c_eps: the linear problem is the Euler-Lagrange
 condition of the regularized functional ``functional_Gdelta``, G^delta =
 weighted TV + (1/2) integral of b_eps (v - c_eps/b_eps)^2 over the boundary
 + (delta/2) integral of |grad v|^2, at the current conductivity.  The
-sweep records and ``convergence_study`` log it.  The sweep stops when
-sigma changes by at most ``stop_tol`` (stop reason "tol") or after
-``max_outer_iterations`` sweeps ("cap").
+sweep records and ``convergence_study`` log it.  The sweep stops when the
+relative change of sigma is at most ``stop_tol`` (stop reason "tol") or
+after ``max_outer_iterations`` sweeps ("cap").  With calibration on, the
+change compared is the part that the calibration keeps: its component
+along the reparametrization family (see below) does not count.
 
 The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
 ``sigma_bounds``) is a lagged-diffusivity iteration and converges only
@@ -30,7 +32,9 @@ the boundary is known (a homogeneous margin around the imaged region, the
 standard embedding), the family member is identified by regressing the
 reconstructed conductivity against the potential level inside the margin
 band; ``reconstruct`` applies this calibration twice to the converged
-fixed point unless it is disabled.
+fixed point unless it is disabled.  The sweep converges slowly along the
+family, since the weighted TV term is constant on it, so a calibrated run
+stops once the change off the family is small (``_family_free_change``).
 """
 
 from __future__ import annotations
@@ -71,8 +75,10 @@ _ANDERSON_DEPTH = 5
 # to _LOOSEST_INNER_TOL and at least to the config's inner_tol
 _FORCING = 1e-2
 _LOOSEST_INNER_TOL = 1e-3
-# potential-level bins of ``level_calibration``
+# potential-level bins of ``level_calibration`` and of the calibrated stop
+# rule; a bin takes part only with at least _MIN_BAND_NODES margin-band nodes
 _CALIBRATION_BINS = 48
+_MIN_BAND_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -147,11 +153,15 @@ class ReconReport:
     # (after-iteration index, max |phi' - 1|) for each calibration applied;
     # both passes follow the last sweep, so both carry the final index
     calibrations: list[tuple[int, float]] = field(default_factory=list)
-    # how the fixed-point sweep ended: "tol" (sigma change) or "cap"
+    # how the fixed-point sweep ended: "tol" (stop_change) or "cap"
     # (max_outer_iterations ran out)
     stop_reason: str = ""
     # LU factorizations made by the run's linear solves, the final one included
     factorizations: int = 0
+    # the last value the stop rule compared with stop_tol: the last
+    # sigma_change, or with calibration its part off the reparametrization
+    # family
+    stop_change: float = math.nan
 
     @property
     def iterations(self) -> int:
@@ -319,6 +329,42 @@ class _Anderson:
         return candidate
 
 
+def _level_bins(
+    u: ScalarField, band: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The potential-level bins: ``_CALIBRATION_BINS`` equal bins on
+    [min u, max u].  Returns the bin edges, each node's bin, the mask of the
+    margin-band nodes (within ``band`` of the boundary) and which bins hold
+    at least ``_MIN_BAND_NODES`` band nodes."""
+    coords = np.arange(u.grid.n) * u.grid.h  # the node coordinates along x and y
+    near = (coords < band) | (coords > 1.0 - band)
+    band_mask = (near[:, None] | near[None, :]).reshape(-1)
+    t = u.values
+    edges = np.linspace(float(t.min()), float(t.max()), _CALIBRATION_BINS + 1)
+    bin_of = np.clip(np.digitize(t, edges) - 1, 0, _CALIBRATION_BINS - 1)
+    counts = np.bincount(bin_of[band_mask], minlength=_CALIBRATION_BINS)
+    return edges, bin_of, band_mask, counts >= _MIN_BAND_NODES
+
+
+def _family_free_change(
+    sigma: np.ndarray, image: np.ndarray, u: ScalarField, band: float
+) -> float:
+    """The relative change image - sigma less its part along the
+    reparametrization family, which ``level_calibration`` replaces.
+
+    A member near sigma is sigma * psi(u), so on each level bin that the
+    calibration estimates from, the change loses its weighted projection
+    c_b * sigma with c_b = sum(sigma d) / sum(sigma^2); bins with too few
+    band nodes keep their change.  Returns ||remainder|| / ||sigma||."""
+    _, bin_of, _, qualifies = _level_bins(u, band)
+    d = image - sigma
+    sd = np.bincount(bin_of, weights=sigma * d, minlength=_CALIBRATION_BINS)
+    ss = np.bincount(bin_of, weights=sigma * sigma, minlength=_CALIBRATION_BINS)
+    c = np.zeros(_CALIBRATION_BINS)
+    c[qualifies] = sd[qualifies] / ss[qualifies]
+    return float(np.linalg.norm(d - c[bin_of] * sigma)) / float(np.linalg.norm(sigma))
+
+
 def level_calibration(
     sigma: ScalarField,
     u: ScalarField,
@@ -339,22 +385,17 @@ def level_calibration(
     from .boundary import electrode_quadrature
 
     grid = require_same_grid(sigma, u)
-    x, y = grid.node_coords()
-    band_mask = ((x < band) | (x > 1.0 - band) | (y < band) | (y > 1.0 - band)).reshape(-1)
     t = u.values
     t0, t1 = float(t.min()), float(t.max())
     if t1 <= t0 or background <= 0.0:
         return sigma, u, 0.0
 
     nbins = _CALIBRATION_BINS
-    edges = np.linspace(t0, t1, nbins + 1)
+    edges, bin_of, band_mask, qualifies = _level_bins(u, band)
     widths = np.diff(edges)
-    bin_of = np.clip(np.digitize(t, edges) - 1, 0, nbins - 1)
     dphi = np.ones(nbins)
-    for b in range(nbins):
-        sel = band_mask & (bin_of == b)
-        if int(sel.sum()) >= 8:
-            dphi[b] = float(np.median(sigma.values[sel])) / background
+    for b in np.flatnonzero(qualifies):
+        dphi[b] = float(np.median(sigma.values[band_mask & (bin_of == b)])) / background
     kernel = np.array([0.25, 0.5, 0.25])
     dphi = np.convolve(np.pad(dphi, 1, mode="edge"), kernel, mode="valid")
     dphi = np.clip(dphi, 0.2, 5.0)
@@ -401,9 +442,15 @@ def reconstruct(
     change of the conductivity drops below ``stop_tol``
     (``report.stop_reason`` "tol") or ``max_outer_iterations`` sweeps ran
     ("cap").  With ``calibrate`` enabled, two level-calibration passes
-    against the background (= ``initial_sigma``) follow back to back.  A
-    final solve at ``inner_tol`` makes the returned potential the exact
-    critical point of the linearization at the returned conductivity.
+    against the background (= ``initial_sigma``) follow back to back, and
+    the change the stop rule compares is the relative change less its
+    per-level-bin projection onto sigma: the move along the
+    reparametrization family, which the calibration replaces anyway
+    (``_family_free_change``).  Without calibration it is the plain
+    relative change, ``sigma_change`` in the records.  ``report.stop_change``
+    holds the last value compared.  A final solve at ``inner_tol`` makes
+    the returned potential the exact critical point of the linearization
+    at the returned conductivity.
 
     Each sweep's solve starts from the previous potential and stops at a
     tolerance tied to the last change (see ``_FORCING``).  The linear solves
@@ -465,7 +512,10 @@ def reconstruct(
                 solve_iterations=stats.iterations,
                 solve_residual=stats.relative_residual,
             ))
-            if change <= config.stop_tol:
+            report.stop_change = (
+                _family_free_change(sigma.values, image.values, u, config.calibration_band)
+                if config.calibrate else change)
+            if report.stop_change <= config.stop_tol:
                 return image, u, "tol"
             sigma = ScalarField(grid, mixer.step(sigma.values, image.values))
         return image, u, "cap"
@@ -521,9 +571,10 @@ def check_schedule(deltas, etas) -> None:
     etas = [float(e) for e in etas]
     if len(deltas) != len(etas) or not deltas:
         raise DataError("schedule needs matching, nonempty delta and eta sequences")
-    if any(d <= 0.0 for d in deltas):
+    # written as `not x > 0` so that NaN is rejected too
+    if any(not d > 0.0 for d in deltas):
         raise DataError("schedule deltas must be positive")
-    if any(e < 0.0 for e in etas):
+    if any(not e >= 0.0 for e in etas):
         raise DataError("schedule etas must be nonnegative")
     if any(deltas[k + 1] >= deltas[k] for k in range(len(deltas) - 1)):
         raise DataError("schedule deltas must decrease strictly")

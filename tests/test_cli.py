@@ -134,7 +134,9 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         reconstruct + ["--inner-tol", "0"],
         reconstruct + ["--stop-tol", "nan"],
         reconstruct + ["--delta", "nan"],
+        reconstruct + ["--current", "nan"],
         ["forward", "--sigma", str(sig), "--out-a", out, "--tol", "0"],
+        ["forward", "--sigma", str(sig), "--out-a", out, "--z", "nan"],
     ]
     capsys.readouterr()
     for args in cases:
@@ -179,6 +181,29 @@ def test_reconstruct_cli_prints_factorizations(tmp_path, capsys):
     _, _, report = reconstruct(data, ElectrodeSet(), ReconConfig(), data.grid)
     assert int(fields["iterations"]) == report.iterations
     assert int(fields["factorizations"]) == report.factorizations >= 1
+
+
+def test_reconstruct_cli_prints_stop_change(tmp_path, capsys):
+    # a run that stopped by its rule printed a stop_change within stop_tol;
+    # with calibration that is the change off the reparametrization family,
+    # never more than the plain sigma change; without calibration the rule
+    # compares the plain sigma change
+    sig = tmp_path / "sigma.fld"
+    a = tmp_path / "a.fld"
+    run(["phantom", "--kind", "blobs", "--n", "33", "--seed", "2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a)])
+    for extra in ([], ["--no-calibrate"]):
+        capsys.readouterr()
+        assert run(["reconstruct", "--a", str(a), "--out", str(tmp_path / "rec.fld"),
+                    "--stop-tol", "1e-6"] + extra) == 0
+        fields = dict(item.split("=", 1) for item in capsys.readouterr().out.split()
+                      if "=" in item)
+        assert fields["stop_reason"] == "tol"
+        assert float(fields["stop_change"]) <= 1e-6
+        if extra:
+            assert fields["stop_change"] == fields["sigma_change"]
+        else:
+            assert float(fields["stop_change"]) <= float(fields["sigma_change"])
 
 
 def test_bregman_cli(tmp_path, capsys):

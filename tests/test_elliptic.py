@@ -54,18 +54,26 @@ def _spd_probe(A, seed=0, trials=5) -> float:
     return worst
 
 
-def test_robin_affine_exact_any_n():
-    # sharp full-aperture coefficients admit the exact affine solution
-    # u = (2/3) y - 1/3 (closed-form 1-D Robin solution, z = I = 1)
-    for n in (5, 17, 33):
-        g = make_grid(n)
-        el = ElectrodeSet()
-        system = assemble_robin(
-            ScalarField.constant(g, 1.0), base_coefficients(el, g), g
-        )
-        exact = ScalarField.from_function(g, lambda x, y: (2 / 3) * y - 1 / 3)
-        residual = system.matrix @ exact.values - system.rhs
-        assert np.abs(residual).max() < 1e-14
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 40), sigma=st.floats(0.1, 10.0), z=st.floats(0.1, 10.0),
+       current=st.floats(0.1, 10.0))
+def test_robin_affine_exact_any_n(n, sigma, z, current):
+    # sharp full-aperture coefficients and a constant sigma admit the exact
+    # affine solution u = alpha y + beta of the 1-D Robin problem
+    #   sigma u'(1) + u(1)/z = I,  -sigma u'(0) + u(0)/z = -I,
+    # so alpha = 2 I z / (2 sigma z + 1) and beta = -I z / (2 sigma z + 1)
+    # (2/3 and -1/3 at sigma = z = I = 1)
+    g = make_grid(n)
+    el = ElectrodeSet(z=z, current=current)
+    system = assemble_robin(
+        ScalarField.constant(g, sigma), base_coefficients(el, g), g
+    )
+    alpha = 2.0 * current * z / (2.0 * sigma * z + 1.0)
+    beta = -current * z / (2.0 * sigma * z + 1.0)
+    exact = ScalarField.from_function(g, lambda x, y: alpha * y + beta)
+    residual = system.matrix @ exact.values - system.rhs
+    scale = abs(system.matrix) @ np.abs(exact.values) + np.abs(system.rhs)
+    assert np.abs(residual).max() <= 1e-14 * scale.max()
 
 
 def test_robin_homogeneous_zero_solution():

@@ -29,6 +29,7 @@ from cdrecon.recon import (
     _ANDERSON_DEPTH,
     ReconConfig,
     _Anderson,
+    _family_free_change,
     check_schedule,
     convergence_study,
     functional_G,
@@ -330,22 +331,36 @@ def test_reconstruct_minimizer_beats_lift(homog_setup):
         sigma = sigma_from_potential(fwd.a, ScalarField(g, x), cfg.grad_floor)
 
 
-def test_level_calibration_recovers_transform(homog_setup):
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(33, 48), strength=st.floats(0.05, 0.5), negative=st.booleans(),
+       halfwidth=st.floats(0.15, 0.25), position=st.floats(0.0, 1.0))
+def test_level_calibration_recovers_transform(n, strength, negative, halfwidth, position):
     # fabricate a reparametrized pair from the sharp solution (constant
-    # electrode traces keep the identity-pinned level band narrow) and check
-    # one calibration pass takes out most of the transform; the few-percent
-    # floor is the level-bin resolution at this grid size
-    g, el, truth, _, _ = homog_setup
+    # electrode traces keep the identity-pinned level band narrow) with a
+    # bump of random strength, sign, width and position between the
+    # electrode levels, and check one calibration pass takes out most of the
+    # transform; from n = 33 on every potential level holds the 8 band nodes
+    # a bin needs.  The bump's half width is at least 0.15 of the potential
+    # range, 7 of the 48 level bins: at 0.1 next to an electrode level the
+    # smoothed bins take out only half of the transform
     from cdrecon.boundary import base_coefficients
 
+    g = make_grid(n)
+    el = ElectrodeSet()
+    truth = ScalarField.constant(g, 1.0)
     fwd0 = solve_forward(truth, base_coefficients(el, g), g)
-    s_phi, u_phi = nonuniqueness_transform(fwd0.u, truth, 0.15)
+    lo, hi = float(fwd0.u.values.min()), float(fwd0.u.values.max())
+    span = hi - lo
+    # the bump's support keeps 0.1 span clear of either end
+    center = lo + span * (0.1 + halfwidth + position * (0.8 - 2.0 * halfwidth))
+    s = -strength if negative else strength
+    s_phi, u_phi = nonuniqueness_transform(fwd0.u, truth, s, center, halfwidth * span)
     before = rel_l2_error(s_phi, truth)
-    sig_cal, u_cal, strength = level_calibration(s_phi, u_phi, el, background=1.0)
+    sig_cal, u_cal, found = level_calibration(s_phi, u_phi, el, background=1.0)
     after = rel_l2_error(sig_cal, truth)
-    assert strength > 0.01
+    assert found > 0.5 * strength
     assert after < before / 2.5
-    assert after < 0.03
+    assert after < 0.2 * strength
 
 
 def test_level_calibration_identity_on_consistent_input(homog_setup):
@@ -353,6 +368,63 @@ def test_level_calibration_identity_on_consistent_input(homog_setup):
     sig_cal, u_cal, strength = level_calibration(truth, fwd.u, el, background=1.0)
     assert strength < 1e-10
     assert np.abs(sig_cal.values - 1.0).max() < 1e-10
+
+
+def _calibration_bins_by_hand(g, u, band=0.12):
+    """Each node's potential-level bin (48 equal bins on [min u, max u], the
+    maximum in the last) and which bins hold at least 8 nodes within
+    ``band`` of the boundary: the bins ``level_calibration`` estimates
+    from, written out from that definition."""
+    t = u.values
+    scaled = (t - t.min()) / (t.max() - t.min()) * 48.0
+    bin_of = np.minimum(np.floor(scaled).astype(int), 47)
+    coords = np.arange(g.n) * g.h
+    x, y = np.meshgrid(coords, coords, indexing="xy")
+    in_band = ((x < band) | (x > 1.0 - band) | (y < band) | (y > 1.0 - band)).reshape(-1)
+    band_count = [int(np.sum(in_band & (bin_of == b))) for b in range(48)]
+    return bin_of, np.array([c >= 8 for c in band_count])
+
+
+def _random_potential(g, rng):
+    # a potential rising from the bottom to the top electrode, as the
+    # sweep's are, with a random wobble
+    x, y = g.node_coords()
+    return ScalarField(g, (y + 0.01 * rng.uniform(-1.0, 1.0, x.shape)).reshape(-1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(17, 48), seed=st.integers(0, 2**32 - 1))
+def test_family_free_change_drops_the_family_tangent(n, seed):
+    # image = sigma * psi(bin) on the bins the calibration estimates from is
+    # a move along the reparametrization family, which the calibrated stop
+    # rule does not count; the change e on the other bins counts in full
+    rng = np.random.default_rng(seed)
+    g = make_grid(n)
+    u = _random_potential(g, rng)
+    bin_of, qualifies = _calibration_bins_by_hand(g, u)
+    assert qualifies.any()  # the band rows at the electrodes
+    sigma = rng.uniform(0.5, 2.0, g.num_nodes)
+    psi = rng.uniform(0.5, 2.0, 48)
+    on_family = qualifies[bin_of]
+    e = np.where(on_family, 0.0, rng.normal(0.0, 1e-3, g.num_nodes))
+    image = np.where(on_family, sigma * psi[bin_of], sigma + e)
+    expected = np.sqrt(np.sum(e * e) / np.sum(sigma * sigma))
+    assert abs(_family_free_change(sigma, image, u, 0.12) - expected) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_family_free_change_is_plain_change_without_bins(seed):
+    # at n = 5 the 16 band nodes cannot fill 8 to a bin, so no bin takes
+    # part and the rule compares the plain relative change
+    rng = np.random.default_rng(seed)
+    g = make_grid(5)
+    u = _random_potential(g, rng)
+    assert not _calibration_bins_by_hand(g, u)[1].any()
+    sigma = rng.uniform(0.5, 2.0, g.num_nodes)
+    image = sigma * rng.uniform(0.5, 2.0, g.num_nodes)
+    expected = np.linalg.norm(image - sigma) / np.linalg.norm(sigma)
+    assert _family_free_change(sigma, image, u, 0.12) == expected
 
 
 def test_schedule_validation():
@@ -365,6 +437,11 @@ def test_schedule_validation():
         check_schedule([1e-3, 1e-3], [0.0, 0.0])
     with pytest.raises(DataError):
         check_schedule([], [])
+    # NaN fails every comparison, so the checks must be written to reject it
+    with pytest.raises(DataError, match="deltas must be positive"):
+        check_schedule([np.nan, 1e-3], [0.0, 0.0])
+    with pytest.raises(DataError, match="etas must be nonnegative"):
+        check_schedule([2e-3, 1e-3], [np.nan, 0.0])
     # zero noise throughout is admissible
     check_schedule([1e-3, 5e-4], [0.0, 0.0])
 
