@@ -357,7 +357,8 @@ def _cmd_bregman(v: dict) -> int:
         _atomic_write(v["report"], report.write_csv)
     line = (
         f"bregman: iterations={report.iterations} stop_reason={report.stop_reason} "
-        f"converged={str(report.converged).lower()}"
+        f"converged={str(report.converged).lower()} "
+        f"v_change={report.records[-1].v_change:.3e}"
     )
     if v["truth"]:
         line += f" rel_l2_error={rel_l2_error(sigma, read_field(v['truth'])):.6g}"

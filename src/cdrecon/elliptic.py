@@ -527,13 +527,26 @@ def sine_solve(system: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, So
     n = math.isqrt(dim)
     if n * n != dim or n < 3:
         raise DimensionError(f"dimension {dim} is not that of an n x n grid, n >= 3")
+    return _sine_solve_into(system, tol, np.empty(dim))
+
+
+def _sine_solve_into(system: SparseSystem, tol: float,
+                     x: np.ndarray) -> tuple[np.ndarray, SolveStats]:
+    """``sine_solve`` into the caller's flat buffer ``x`` (not aliasing the
+    rhs), for a caller that has checked ``tol`` and the dimension."""
+    n = math.isqrt(system.dimension)
     S, eig = _sine_basis(n)
     b = system.rhs
-    x = b.copy()
+    np.copyto(x, b)
     inner = x.reshape(n, n)[1:-1, 1:-1]
-    inner[...] = S @ ((S @ inner @ S) / eig) @ S
+    np.matmul(S @ ((S @ inner @ S) / eig), S, out=inner)
     nb = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(b - system.matrix @ x)) / nb if nb > 0.0 else 0.0
+    if nb == 0.0:
+        res = 0.0
+    else:  # a NaN in b makes res NaN, which _checked rejects
+        r = system.matrix @ x
+        np.subtract(b, r, out=r)
+        res = float(np.linalg.norm(r)) / nb
     return _checked(x, 0, res, tol, "sine")
 
 

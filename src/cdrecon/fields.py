@@ -12,6 +12,11 @@ Conventions used throughout the package:
 * Boundary values are stored counterclockwise along the boundary loop
   starting at node (0, 0): bottom, right, top, left; 4(n-1) entries, each
   corner appearing exactly once.
+* The private stencil kernels use a wide layout: a flat array of (n-1)*n
+  cells holds cell (I, J) at J*n + I, the flat index of its lower-left
+  node, so every stencil neighbour is a fixed flat offset and every stencil
+  term one contiguous slice (numpy is several times slower on strided 2-D
+  views).  The entries at I = n-1 are junk; the last one is never written.
 """
 
 from __future__ import annotations
@@ -186,43 +191,79 @@ def gradient(u: ScalarField) -> VectorField:
     gx = (u[i+1,j] - u[i,j] + u[i+1,j+1] - u[i,j+1]) / (2h), gy analogous.
     Exact on affine fields.
     """
-    gx, gy = _gradient2d(u.values2d, u.grid.h)
-    return VectorField(u.grid, gx.reshape(-1), gy.reshape(-1))
+    n = u.grid.n
+    gx, gy = np.zeros((2, (n - 1) * n))
+    _gradient_wide(u.values, n, u.grid.h, gx, gy)
+    return VectorField(u.grid, _wide_cells(gx, n).reshape(-1),
+                       _wide_cells(gy, n).reshape(-1))
 
 
-def _gradient2d(U: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """``gradient`` from (n, n) nodal values to (n-1, n-1) components."""
-    gx = (U[:-1, 1:] - U[:-1, :-1] + U[1:, 1:] - U[1:, :-1]) / (2.0 * h)
-    gy = (U[1:, :-1] - U[:-1, :-1] + U[1:, 1:] - U[:-1, 1:]) / (2.0 * h)
-    return gx, gy
+def _wide_cells(c: np.ndarray, n: int) -> np.ndarray:
+    """The (n-1, n-1) view, indexed [J, I], of the real cells of a wide cell
+    array."""
+    return c.reshape(n - 1, n)[:, :-1]
+
+
+def _wide_interior(nodes: np.ndarray, n: int) -> np.ndarray:
+    """The (n-2, n-2) view of the interior nodes in the output of
+    ``_divergence_wide``."""
+    return nodes.reshape(n - 2, n)[:, :-2]
+
+
+def _gradient_wide(u: np.ndarray, n: int, h: float,
+                   gx: np.ndarray, gy: np.ndarray) -> None:
+    """``gradient`` of the flat (n*n) nodal values ``u`` into the caller's
+    wide cell arrays ``gx`` and ``gy``."""
+    k = (n - 1) * n - 1  # cells written: all but the last, junk one
+    gx, gy = gx[:k], gy[:k]
+    two_h = 2.0 * h
+    np.subtract(u[1:k + 1], u[:k], out=gx)
+    gx += u[n + 1:]
+    gx -= u[n:n + k]
+    gx /= two_h
+    np.subtract(u[n:n + k], u[:k], out=gy)
+    gy += u[n + 1:]
+    gy -= u[1:k + 1]
+    gy /= two_h
 
 
 def divergence(f: VectorField) -> ScalarField:
     """Cell-to-node divergence, the negative transpose of ``gradient``.
 
     Satisfies <gradient(v), F>_cells * h^2 == -<v, divergence(F)>_nodes * h^2
-    exactly (up to roundoff) for every v and F.
+    exactly (up to roundoff) for every v and F.  Computed as the interior
+    divergence on the grid of n+2 nodes whose outer ring of cells is zero.
     """
-    return ScalarField(f.grid, _divergence2d(f.x2d, f.y2d, f.grid.h).reshape(-1))
+    n = f.grid.n
+    fx, fy = np.zeros((2, (n + 1) * (n + 2)))
+    _wide_cells(fx, n + 2)[1:-1, 1:-1] = f.x2d
+    _wide_cells(fy, n + 2)[1:-1, 1:-1] = f.y2d
+    div, work = np.zeros((2, n * (n + 2)))
+    _divergence_wide(fx, fy, n + 2, f.grid.h, div, work)
+    return ScalarField(f.grid, _wide_interior(div, n + 2).reshape(-1))
 
 
-def _divergence2d(fx: np.ndarray, fy: np.ndarray, h: float) -> np.ndarray:
-    """``divergence`` from (n-1, n-1) components to (n, n) nodal values."""
-    n = fx.shape[0] + 1
-    # node (i, j) touches cells (I, J) in {i-1, i} x {j-1, j}; each component
-    # adds them in the order (i, j), then (i, j-1) for x and (i-1, j) for y,
-    # then subtracts the other two, cell (i-1, j-1) last
-    dx = np.zeros((n, n))
-    dx[:-1, :-1] += fx
-    dx[1:, :-1] += fx
-    dx[:-1, 1:] -= fx
-    dx[1:, 1:] -= fx
-    dy = np.zeros((n, n))
-    dy[:-1, :-1] += fy
-    dy[:-1, 1:] += fy
-    dy[1:, :-1] -= fy
-    dy[1:, 1:] -= fy
-    return (dx + dy) / (2.0 * h)
+def _divergence_wide(fx: np.ndarray, fy: np.ndarray, n: int, h: float,
+                     out: np.ndarray, work: np.ndarray) -> None:
+    """``divergence`` at the interior nodes only, from wide cell arrays into
+    the caller's flat ``out`` of (n-2)*n entries: interior node (i, j) goes
+    to (j-1)*n + i-1, the rest is junk (see ``_wide_interior``).  ``work``
+    is scratch of the same size.
+
+    Interior node (i, j) touches cells (I, J) in {i-1, i} x {j-1, j}; each
+    component adds cell (i, j), then (i, j-1) for x and (i-1, j) for y, and
+    subtracts the other two, cell (i-1, j-1) last.
+    """
+    k = n * n - 2 * n - 2  # nodes n+1 up to the last interior one
+    out, work = out[:k], work[:k]
+    np.add(fx[n + 1:n + 1 + k], fx[1:k + 1], out=out)
+    out -= fx[n:n + k]
+    out -= fx[:k]
+    np.add(fy[n + 1:n + 1 + k], fy[n:n + k], out=work)
+    work -= fy[1:k + 1]
+    work -= fy[:k]
+    out += work
+    out /= 2.0 * h
 
 
 def cell_average(s: ScalarField) -> np.ndarray:
@@ -254,10 +295,12 @@ def weighted_tv(v: ScalarField, a: ScalarField) -> float:
     return _weighted_tv(gradient(v).magnitude2d(), cell_average(a), a.grid.h)
 
 
-def _weighted_tv(magnitude2d: np.ndarray, weight2d: np.ndarray, h: float) -> float:
+def _weighted_tv(magnitude2d: np.ndarray, weight2d: np.ndarray, h: float,
+                 out: np.ndarray | None = None) -> float:
     """``weighted_tv`` from the cell gradient magnitudes |grad v| and the cell
-    weights ``cell_average(a)``, for callers that already hold them."""
-    return float(np.sum(weight2d * magnitude2d) * h**2)
+    weights ``cell_average(a)``, for callers that already hold them; the
+    cellwise products go to ``out`` when given."""
+    return float(np.sum(np.multiply(weight2d, magnitude2d, out=out)) * h**2)
 
 
 def rel_l2_error(f: ScalarField, g: ScalarField) -> float:

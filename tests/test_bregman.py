@@ -108,6 +108,12 @@ def test_validation():
     bad[3] = -1.0
     with pytest.raises(DataError, match="nonnegative"):
         split_bregman_minimize(ScalarField(g, bad), trace, BregmanConfig(), g)
+    # a non-finite trace is rejected on entry, before any solve
+    for value in (np.nan, np.inf):
+        values = trace.values.copy()
+        values[5] = value
+        with pytest.raises(DataError, match="Dirichlet trace contains non-finite"):
+            split_bregman_minimize(a, BoundaryValues(g, values), BregmanConfig(), g)
 
 
 def test_report_csv_shape(tmp_path):
@@ -203,7 +209,7 @@ def _bregman_by_former_loop(a, trace, config, grid):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
        trace_scale=st.sampled_from([0.0, 1.0, 30.0]),
        rho=st.floats(0.3, 3.0), max_iterations=st.integers(1, 30),
        tol=st.sampled_from([1e-2, 1e-6]))
@@ -226,3 +232,7 @@ def test_array_loop_matches_former_loop(n, seed, trace_scale, rho, max_iteration
                 r.solve_residual) for r in report.records]
     assert np.array(records).tobytes() == np.array(records_old).tobytes()
     assert report.stop_reason == stop_old
+    # the loop's reused buffers are per call: a second call's v is new memory
+    v_again, _ = split_bregman_minimize(a, trace, config, g)
+    assert not np.shares_memory(v.values, v_again.values)
+    assert v_again.values.tobytes() == v.values.tobytes()

@@ -219,6 +219,13 @@ def test_bregman_cli(tmp_path, capsys):
     assert read_field(out).grid.n == 17
     line = capsys.readouterr().out.splitlines()[-1]
     assert line.startswith("bregman: iterations=20 stop_reason=cap converged=false ")
+    # a run that stops by its rule prints the change that met --tol
+    assert run(["bregman", "--a", str(a), "--u", str(u), "--tol", "1e-5",
+                "--out", str(out)]) == 0
+    fields = dict(item.split("=", 1) for item in capsys.readouterr().out.split()
+                  if "=" in item)
+    assert fields["stop_reason"] == "tol"
+    assert float(fields["v_change"]) <= 1e-5
 
 
 def test_cap_warning_on_stderr_only(tmp_path, capsys):

@@ -300,6 +300,18 @@ def test_sine_solve_matches_direct_solve(n, seed):
     assert stats.method == "sine" and stats.relative_residual <= 1e-12
 
 
+def test_sine_solve_rejects_nan_rhs():
+    # a NaN norm of the rhs must reach the residual check, not the zero-rhs
+    # shortcut, whether the NaN sits in a Dirichlet row or an interior one
+    g = make_grid(9)
+    base = assemble_laplace_dirichlet(BoundaryValues(g, np.ones(g.num_boundary_nodes)), g)
+    for node in (0, 4 * 9 + 4):
+        rhs = base.rhs.copy()
+        rhs[node] = np.nan
+        with pytest.raises(SolverError, match="relative residual nan"):
+            sine_solve(SparseSystem(base.matrix, rhs))
+
+
 def _edge_entries(sigma2d, n):
     """Oracle for the assembly: COO entries (lists of row, column and value
     arrays) of the symmetric edge (flux) part of the operator, one 2x2 block
