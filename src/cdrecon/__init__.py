@@ -13,7 +13,6 @@ from .boundary import (
     base_coefficients,
     electrode_integral,
     electrode_length,
-    harmonic_lift,
     smoothed_coefficients,
 )
 from .bregman import BregmanConfig, BregmanReport, split_bregman_minimize

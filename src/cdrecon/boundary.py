@@ -1,5 +1,5 @@
 """Electrode geometry, sharp and smoothed Robin boundary coefficients, and
-the harmonic lift of their quotient.
+electrode quadrature.
 
 Two electrodes sit centered on the top and bottom sides of the unit square.
 Corner nodes belong to the vertical sides, never to an electrode, so the
@@ -11,12 +11,13 @@ half-faces of length h/2, one on each adjacent side (see ``boundary_faces``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .fields import BoundaryValues, Grid, ScalarField, boundary_loop
+from .fields import BoundaryValues, Grid, boundary_loop
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,8 @@ def smoothed_coefficients(
         raise DataError(f"epsilon must be in (0, 1], got {epsilon}")
     if width is None:
         width = 4.0 * grid.h
+    if not math.isfinite(width):
+        raise DataError(f"transition width must be finite, got {width}")
     if width < 2.0 * grid.h - 1e-12:
         raise DataError(
             f"transition width {width} is unresolvable on spacing h={grid.h}; need >= 2h"
@@ -232,21 +235,3 @@ def electrode_integral(
 
 def positive_electrode_side(electrodes: ElectrodeSet) -> str:
     return "top" if electrodes.top_positive else "bottom"
-
-
-def harmonic_lift(
-    coeffs: RobinCoefficients, grid: Grid, tol: float = 1e-10
-) -> ScalarField:
-    """Harmonic function with Dirichlet data c/b; its boundary trace is c/b
-    exactly.
-
-    Requires b > 0 everywhere (smoothed coefficients, epsilon > 0).
-    """
-    if np.any(coeffs.b.values <= 0.0):
-        raise DataError("harmonic lift needs b > 0; c/b is undefined off electrodes")
-    from . import elliptic  # deferred: elliptic imports this module
-
-    data = BoundaryValues(grid, coeffs.c.values / coeffs.b.values)
-    system = elliptic.assemble_laplace_dirichlet(data, grid)
-    x, _ = elliptic.sine_solve(system, tol=tol)
-    return ScalarField(grid, x)

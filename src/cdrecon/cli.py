@@ -283,7 +283,7 @@ def _cmd_forward(v: dict) -> int:
             coeffs = smoothed_coefficients(electrodes, grid, v["epsilon"], v["width"])
         result = solve_forward(sigma, coeffs, grid, tol=v["tol"])
         info = f"epsilon={v['epsilon']:g}"
-    a = add_noise(result.a, v["noise"], v["seed"]) if v["noise"] > 0.0 else result.a
+    a = add_noise(result.a, v["noise"], v["seed"])
     _atomic_write(v["out-a"], lambda p: write_field(a, p))
     if v["out-u"]:
         _atomic_write(v["out-u"], lambda p: write_field(result.u, p))
@@ -376,7 +376,8 @@ def _cmd_compare(v: dict) -> int:
 
 def _cmd_study(v: dict) -> int:
     electrodes = _electrodes(v)
-    if v["factor"] <= 1.0:
+    # written as `not x > 1` so that NaN is rejected too
+    if not v["factor"] > 1.0:
         raise UsageError(f"--factor must exceed 1, got {v['factor']}")
     if v["steps"] < 2:
         raise UsageError("--steps must be at least 2")

@@ -31,7 +31,7 @@ check (``_checked``), the only place a solve fails:
   factorization in solves (the ski-rental rule: at most twice the work of
   the best refactor schedule);
 * ``sine_solve``: the exact sine-transform solve of the constant-coefficient
-  Laplace-Dirichlet system (harmonic lift, Bregman v-step).
+  Laplace-Dirichlet system (the Bregman v-step).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .boundary import (
     positive_electrode_side,
 )
 from .errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
-from .fields import BoundaryValues, Grid, ScalarField, boundary_loop
+from .fields import BoundaryValues, Grid, ScalarField, boundary_loop, boundary_trace
 
 
 # one sparse LU factorization costs about as much as this many solves with
@@ -558,8 +558,6 @@ def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:
     assembly, so the identity is exact up to the linear-solver residual.
     """
     grid = u.grid
-    from .fields import boundary_trace
-
     tr = boundary_trace(u).values
     node_f, val_f, w_f = boundary_faces(grid)
     c = coeffs.c.values

@@ -4,6 +4,7 @@ factor, and the non-uniqueness transform family."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,8 @@ def cem_scaling(
 def add_noise(a: ScalarField, level: float, seed: int) -> ScalarField:
     """Multiplicative uniform noise a * (1 + level * xi), xi ~ U[-1, 1] from
     a seeded generator, clamped at zero from below."""
-    if level < 0.0:
-        raise DataError(f"noise level must be nonnegative, got {level}")
+    if not (math.isfinite(level) and level >= 0.0):
+        raise DataError(f"noise level must be finite and nonnegative, got {level}")
     if level == 0.0:
         return ScalarField(a.grid, a.values.copy())
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .boundary import smoothstep
 from .errors import DataError, FormatError
 from .fields import Grid, ScalarField, make_grid
 
@@ -76,8 +77,6 @@ def generate_phantom(spec: PhantomSpec) -> ScalarField:
 
 
 def _blobs(spec: PhantomSpec, grid: Grid) -> ScalarField:
-    from .boundary import smoothstep
-
     x, y = grid.node_coords()
     g = np.zeros_like(x)
     rng = np.random.default_rng(spec.seed)

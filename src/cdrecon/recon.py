@@ -48,7 +48,7 @@ import numpy as np
 from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
-    harmonic_lift,
+    electrode_quadrature,
     smoothed_coefficients,
 )
 from .elliptic import FactorCache, SolveStats, assemble_robin, solve_reusing_factor
@@ -67,6 +67,7 @@ from .fields import (
     require_same_grid,
     weighted_tv,
 )
+from .forward import add_noise
 
 # Anderson mixing depth: sigma and residual differences kept per sweep
 _ANDERSON_DEPTH = 5
@@ -189,60 +190,53 @@ class ReconReport:
                 ])
 
 
-def boundary_penalty(
-    v: ScalarField, coeffs: RobinCoefficients, h: ScalarField
-) -> float:
-    """0.5 * integral of b (v - h)^2 over the boundary (closed-loop trapezoid)."""
-    require_same_grid(v, h)
-    return _boundary_penalty(v, coeffs, boundary_trace(h).values)
+def boundary_penalty(v: ScalarField, coeffs: RobinCoefficients) -> float:
+    """0.5 * integral of b (v - c/b)^2 over the boundary (closed-loop
+    trapezoid), the boundary term of G for the Robin data (b, c).
 
-
-def _boundary_penalty(
-    v: ScalarField, coeffs: RobinCoefficients, target: np.ndarray
-) -> float:
-    """``boundary_penalty`` against the boundary values ``target`` in loop
-    order."""
+    Requires b > 0 everywhere (smoothed coefficients, epsilon > 0): off the
+    electrodes the sharp coefficients have b = 0 and no target c/b.
+    """
+    require_same_grid(v, coeffs)
+    b = coeffs.b.values
+    # written as `not x > 0` so that NaN is rejected too
+    if not np.all(b > 0.0):
+        raise DataError("the boundary penalty needs b > 0; c/b is undefined off electrodes")
     w = boundary_weights(v.grid)
-    dv = boundary_trace(v).values - target
-    return float(0.5 * np.sum(w * coeffs.b.values * dv * dv))
+    dv = boundary_trace(v).values - coeffs.c.values / b
+    return float(0.5 * np.sum(w * b * dv * dv))
 
 
-def functional_G(
-    v: ScalarField, a: ScalarField, coeffs: RobinCoefficients, h: ScalarField
-) -> float:
+def functional_G(v: ScalarField, a: ScalarField, coeffs: RobinCoefficients) -> float:
     """Weighted-TV functional: integral of a |grad v| plus the boundary
-    penalty 0.5 * integral of b (v - h)^2."""
-    return weighted_tv(v, a) + boundary_penalty(v, coeffs, h)
+    penalty 0.5 * integral of b (v - c/b)^2."""
+    require_same_grid(v, a, coeffs)
+    return weighted_tv(v, a) + boundary_penalty(v, coeffs)
 
 
 def functional_Gdelta(
-    v: ScalarField,
-    a: ScalarField,
-    coeffs: RobinCoefficients,
-    h: ScalarField,
-    delta: float,
+    v: ScalarField, a: ScalarField, coeffs: RobinCoefficients, delta: float
 ) -> float:
     """Regularized functional G^delta: G plus (delta/2) * integral of
     |grad v|^2, the functional that the Robin solves of ``reconstruct``
     decrease."""
     if not delta >= 0.0:
         raise DataError(f"delta must be nonnegative, got {delta}")
-    require_same_grid(v, h)
+    require_same_grid(v, a, coeffs)
     grad_v = gradient(v)
-    return sum(_functional_terms(v, grad_v, grad_v.magnitude2d(), a, coeffs,
-                                 boundary_trace(h).values, delta))
+    return sum(_functional_terms(v, grad_v, grad_v.magnitude2d(), a, coeffs, delta))
 
 
 def _functional_terms(
     v: ScalarField, grad_v: VectorField, magnitude2d: np.ndarray, a: ScalarField,
-    coeffs: RobinCoefficients, target: np.ndarray, delta: float,
+    coeffs: RobinCoefficients, delta: float,
 ) -> tuple[float, float, float]:
     """``functional_Gdelta`` as its TV, boundary and delta terms, from the
     cell gradient of v and its magnitude, for callers that already hold
-    them; ``target`` is the boundary trace of h."""
+    them."""
     tv = _weighted_tv(magnitude2d, cell_average(a), a.grid.h)
     dterm = float(0.5 * delta * np.sum(grad_v.x**2 + grad_v.y**2) * v.grid.h**2)
-    return tv, _boundary_penalty(v, coeffs, target), dterm
+    return tv, boundary_penalty(v, coeffs), dterm
 
 
 def sigma_from_potential(
@@ -382,8 +376,6 @@ def level_calibration(
     electrode ranges and normalized so phi stays continuous; the returned
     pair is the transformed (sigma, u) together with max |phi' - 1|.
     """
-    from .boundary import electrode_quadrature
-
     grid = require_same_grid(sigma, u)
     t = u.values
     t0, t1 = float(t.min()), float(t.max())
@@ -436,12 +428,11 @@ def reconstruct(
 
     Builds the smoothed boundary coefficients (b_eps, c_eps) once, then runs
     one fixed-point sweep: solve the regularized linear problem, log its
-    G^delta terms (the boundary target c_eps/b_eps is the trace of the
-    harmonic lift, so no lift is solved), update the conductivity, and mix
-    the update with the earlier ones (``_Anderson``), until the relative
-    change of the conductivity drops below ``stop_tol``
-    (``report.stop_reason`` "tol") or ``max_outer_iterations`` sweeps ran
-    ("cap").  With ``calibrate`` enabled, two level-calibration passes
+    G^delta terms (``functional_Gdelta``, whose boundary term targets
+    c_eps/b_eps), update the conductivity, and mix the update with the
+    earlier ones (``_Anderson``), until the relative change of the
+    conductivity drops below ``stop_tol`` (``report.stop_reason`` "tol") or
+    ``max_outer_iterations`` sweeps ran ("cap").  With ``calibrate`` enabled, two level-calibration passes
     against the background (= ``initial_sigma``) follow back to back, and
     the change the stop rule compares is the relative change less its
     per-level-bin projection onto sigma: the move along the
@@ -472,8 +463,6 @@ def reconstruct(
     coeffs = smoothed_coefficients(
         electrodes, grid, config.epsilon, config.transition_width
     )
-    # the boundary target of G^delta: the trace of the harmonic lift
-    target = coeffs.c.values / coeffs.b.values
 
     delta = config.delta
     report = ReconReport()
@@ -504,7 +493,7 @@ def reconstruct(
                 / float(np.linalg.norm(sigma.values))
             )
             tv, bterm, dterm = _functional_terms(
-                u, grad, magnitude, a, coeffs, target, delta)
+                u, grad, magnitude, a, coeffs, delta)
             rel = None if ground_truth is None else rel_l2_error(image, ground_truth)
             report.records.append(IterationRecord(
                 index=report.iterations, tv_term=tv, boundary_term=bterm, delta_term=dterm,
@@ -605,23 +594,20 @@ def convergence_study(
     third of the clean-functional values is at most ``tail_fraction`` times
     the spread of the first third.
     """
-    from .forward import add_noise
-
     check_schedule(deltas, etas)
     if config is None:
         config = ReconConfig()
     coeffs = smoothed_coefficients(
         electrodes, grid, config.epsilon, config.transition_width
     )
-    h_field = harmonic_lift(coeffs, grid, tol=config.inner_tol)
 
     g_delta_vals, g_clean_vals, errors = [], [], []
     for k, (d, e) in enumerate(zip(deltas, etas)):
         a_n = add_noise(a_clean, e, seed + k)
         cfg = replace(config, delta=float(d))
         sigma, u, _ = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
-        g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, h_field, float(d)))
-        g_clean_vals.append(functional_G(u, a_clean, coeffs, h_field))
+        g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, float(d)))
+        g_clean_vals.append(functional_G(u, a_clean, coeffs))
         errors.append(
             float("nan") if ground_truth is None else rel_l2_error(sigma, ground_truth)
         )

@@ -87,11 +87,14 @@ def test_flags_override_config(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_exit_code_usage():
+def test_exit_code_usage(capsys):
     assert run(["phantom", "--kind", "blobs", "--n", "16", "--bogus", "1"]) == 1
     assert run(["phantom", "--kind", "blobs", "--n", "16"]) == 1  # missing --out
     assert run([]) == 1
-    assert run(["study", "--a", "x.fld", "--factor", "0.5", "--out", "y.csv"]) == 1
+    for factor in ("0.5", "nan"):
+        capsys.readouterr()
+        assert run(["study", "--a", "x.fld", "--factor", factor, "--out", "y.csv"]) == 1
+        assert "--factor" in capsys.readouterr().err
 
 
 def test_exit_code_unknown_config_key(tmp_path):
@@ -137,6 +140,9 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         reconstruct + ["--current", "nan"],
         ["forward", "--sigma", str(sig), "--out-a", out, "--tol", "0"],
         ["forward", "--sigma", str(sig), "--out-a", out, "--z", "nan"],
+        ["forward", "--sigma", str(sig), "--out-a", out, "--width", "nan"],
+        ["forward", "--sigma", str(sig), "--out-a", out, "--noise", "nan"],
+        reconstruct + ["--width", "nan"],
     ]
     capsys.readouterr()
     for args in cases:

@@ -159,8 +159,10 @@ def test_add_noise_contract():
     assert np.array_equal(noisy.values, again.values)
     other = add_noise(a, 1e-5, 124)
     assert not np.array_equal(noisy.values, other.values)
-    with pytest.raises(DataError):
-        add_noise(a, -1e-3, 0)
+    # NaN fails every comparison, so the check must be written to reject it
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(DataError, match="noise level"):
+            add_noise(a, bad, 0)
 
 
 def test_add_noise_clamps_at_zero():

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from cdrecon.boundary import (
     ElectrodeSet,
     RobinCoefficients,
-    harmonic_lift,
+    base_coefficients,
     smoothed_coefficients,
 )
 from cdrecon.elliptic import assemble_robin, pcg_solve, quadratic_energy
-from cdrecon.errors import DataError
+from cdrecon.errors import DataError, DimensionError
 from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
+    boundary_trace,
     make_grid,
     rel_l2_error,
     weighted_tv,
@@ -30,6 +31,7 @@ from cdrecon.recon import (
     ReconConfig,
     _Anderson,
     _family_free_change,
+    boundary_penalty,
     check_schedule,
     convergence_study,
     functional_G,
@@ -50,10 +52,12 @@ def homog_setup():
     return g, el, truth, coeffs, fwd
 
 
-def _unit_b_coeffs(g):
-    nb = g.num_boundary_nodes
+def _unit_b_coeffs(target):
+    """b = 1 and c the trace of ``target``, so that the boundary target c/b
+    of the functionals is that trace."""
+    g = target.grid
     return RobinCoefficients(
-        BoundaryValues(g, np.ones(nb)), BoundaryValues(g, np.zeros(nb))
+        BoundaryValues(g, np.ones(g.num_boundary_nodes)), boundary_trace(target)
     )
 
 
@@ -62,10 +66,10 @@ def test_functional_g_matching_trace():
     rng = np.random.default_rng(1)
     a = ScalarField(g, rng.uniform(0.2, 1.0, g.num_nodes))
     h = ScalarField.from_function(g, lambda x, y: x - y)
-    coeffs = _unit_b_coeffs(g)
-    assert functional_G(h, a, coeffs, h) == pytest.approx(weighted_tv(h, a), rel=1e-12)
+    coeffs = _unit_b_coeffs(h)
+    assert functional_G(h, a, coeffs) == pytest.approx(weighted_tv(h, a), rel=1e-12)
     zero_a = ScalarField.constant(g, 0.0)
-    assert functional_G(h, zero_a, coeffs, h) == 0.0
+    assert functional_G(h, zero_a, coeffs) == 0.0
 
 
 def test_functional_g_boundary_quadrature():
@@ -75,7 +79,7 @@ def test_functional_g_boundary_quadrature():
     v = ScalarField.from_function(g, lambda x, y: y)
     a = ScalarField.constant(g, 1.0)
     h0 = ScalarField.constant(g, 0.0)
-    val = functional_G(v, a, _unit_b_coeffs(g), h0)
+    val = functional_G(v, a, _unit_b_coeffs(h0))
     assert val == pytest.approx(11.0 / 6.0, abs=1e-4)
 
 
@@ -84,15 +88,15 @@ def test_functional_gdelta_terms():
     rng = np.random.default_rng(2)
     a = ScalarField(g, rng.uniform(0.2, 1.0, g.num_nodes))
     h = ScalarField.from_function(g, lambda x, y: x)
-    coeffs = _unit_b_coeffs(g)
+    coeffs = _unit_b_coeffs(h)
     v = ScalarField(g, rng.normal(size=g.num_nodes))
-    assert functional_Gdelta(v, a, coeffs, h, 0.0) == pytest.approx(
-        functional_G(v, a, coeffs, h), rel=1e-14
+    assert functional_Gdelta(v, a, coeffs, 0.0) == pytest.approx(
+        functional_G(v, a, coeffs), rel=1e-14
     )
     # v = y with delta = 2 adds exactly 1.0
     y = ScalarField.from_function(g, lambda x, y: y)
-    assert functional_Gdelta(y, a, coeffs, h, 2.0) - functional_G(
-        y, a, coeffs, h) == pytest.approx(1.0, rel=1e-12)
+    assert functional_Gdelta(y, a, coeffs, 2.0) - functional_G(
+        y, a, coeffs) == pytest.approx(1.0, rel=1e-12)
     # for any v the penalty is delta/2 sum |grad v|^2 h^2, with the cell
     # gradient written out from its two forward differences
     delta = 0.7
@@ -100,11 +104,41 @@ def test_functional_gdelta_terms():
     gx = (V[:-1, 1:] - V[:-1, :-1] + V[1:, 1:] - V[1:, :-1]) / (2.0 * g.h)
     gy = (V[1:, :-1] - V[:-1, :-1] + V[1:, 1:] - V[:-1, 1:]) / (2.0 * g.h)
     expected = 0.5 * delta * g.h**2 * float(np.sum(gx**2 + gy**2))
-    assert functional_Gdelta(v, a, coeffs, h, delta) - functional_G(
-        v, a, coeffs, h) == pytest.approx(expected, rel=1e-10)
+    assert functional_Gdelta(v, a, coeffs, delta) - functional_G(
+        v, a, coeffs) == pytest.approx(expected, rel=1e-10)
     for bad in (-1e-3, float("nan")):
         with pytest.raises(DataError, match="delta must be nonnegative"):
-            functional_Gdelta(v, a, coeffs, h, bad)
+            functional_Gdelta(v, a, coeffs, bad)
+
+
+def test_boundary_penalty_requires_positive_b():
+    # the sharp coefficients have b = 0 off the electrodes, where the target
+    # c/b is undefined
+    g = make_grid(9)
+    v = ScalarField.from_function(g, lambda x, y: y)
+    a = ScalarField.constant(g, 1.0)
+    sharp = base_coefficients(ElectrodeSet(), g)
+    with pytest.raises(DataError, match="b > 0"):
+        boundary_penalty(v, sharp)
+    with pytest.raises(DataError, match="b > 0"):
+        functional_G(v, a, sharp)
+    with pytest.raises(DataError, match="b > 0"):
+        functional_Gdelta(v, a, sharp, 1e-3)
+
+
+def test_functionals_check_grids():
+    g, other = make_grid(9), make_grid(11)
+    v = ScalarField.from_function(g, lambda x, y: y)
+    a = ScalarField.constant(g, 1.0)
+    coeffs = _unit_b_coeffs(v)
+    for args in ((v, ScalarField.constant(other, 1.0), coeffs),
+                 (v, a, _unit_b_coeffs(ScalarField.constant(other, 0.0)))):
+        with pytest.raises(DimensionError):
+            functional_G(*args)
+        with pytest.raises(DimensionError):
+            functional_Gdelta(*args, 1e-3)
+    with pytest.raises(DimensionError):
+        boundary_penalty(v, _unit_b_coeffs(ScalarField.constant(other, 0.0)))
 
 
 def test_sigma_from_potential_cases():
@@ -314,20 +348,27 @@ def test_logged_functional_does_not_rise(n, aperture):
     assert np.max((gd[1:] - gd[:-1]) / np.abs(gd[:-1])) <= 1e-6
 
 
-def test_reconstruct_minimizer_beats_lift(homog_setup):
+def test_reconstruct_minimizer_beats_competitors(homog_setup):
     # u_k is the exact minimizer of each linearized quadratic, so its energy
-    # never exceeds the harmonic lift's
+    # never exceeds the previous sweep's potential's (zero before the first
+    # sweep) nor that of a random perturbation x + t r of it
     g, el, truth, coeffs, fwd = homog_setup
     cfg = ReconConfig()
-    h_field = harmonic_lift(coeffs, g, tol=cfg.inner_tol)
+    rng = np.random.default_rng(4)
     sigma = ScalarField.constant(g, 1.0)
+    previous = np.zeros(g.num_nodes)
     for _ in range(3):
         system = assemble_robin(ScalarField(g, sigma.values + cfg.delta), coeffs, g)
         x, stats = pcg_solve(system, tol=cfg.inner_tol, max_iter=40 * g.n)
-        scale = abs(quadratic_energy(system, h_field.values)) + 1.0
-        assert quadratic_energy(system, x) <= (
-            quadratic_energy(system, h_field.values) + 10 * cfg.inner_tol * scale
-        )
+        competitors = [previous] + [
+            x + t * rng.normal(size=x.size) for t in (1e-4, 1e-2, 1.0)
+        ]
+        for y in competitors:
+            scale = abs(quadratic_energy(system, y)) + 1.0
+            assert quadratic_energy(system, x) <= (
+                quadratic_energy(system, y) + 10 * cfg.inner_tol * scale
+            )
+        previous = x
         sigma = sigma_from_potential(fwd.a, ScalarField(g, x), cfg.grad_floor)
 
 
@@ -456,8 +497,7 @@ def test_convergence_study_small(homog_setup):
     assert len(study.g_clean_values) == 4
     # the clean-functional sequence approaches the value at the forward
     # solution from above
-    h_field = harmonic_lift(coeffs, g)
-    ref = functional_G(fwd.u, fwd.a, coeffs, h_field)
+    ref = functional_G(fwd.u, fwd.a, coeffs)
     gaps = [abs(v - ref) for v in study.g_clean_values]
     assert gaps[-1] < gaps[0]
     assert all(e < 0.05 for e in study.rel_errors)
