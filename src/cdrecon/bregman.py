@@ -13,7 +13,8 @@ The loop runs in place: each call allocates its cell arrays, the two v
 buffers and the v-step rhs once, in the wide layout of the ``fields``
 stencil kernels, and every step writes into them.  Only the returned v is
 wrapped in a ``ScalarField``; the true-residual check that ends every
-v-step is what rejects a non-finite iterate.
+v-step, at ``elliptic.SOLVE_TOL`` (the sine solve is exact, so the
+tolerance only bounds roundoff), is what rejects a non-finite iterate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import SparseSystem, _sine_solve_into, assemble_laplace_dirichlet
+from .elliptic import SOLVE_TOL, SparseSystem, _sine_solve_into, assemble_laplace_dirichlet
 from .errors import DataError
 from .fields import (
     BoundaryValues,
@@ -47,24 +48,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BregmanConfig:
+    """Settings of ``split_bregman_minimize``, checked when built (DataError)."""
+
     rho: float = 1.0
     max_iterations: int = 500
     tol: float = 1e-6
     grad_floor: float = 1e-8
-    inner_tol: float = 1e-10
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # written as `not x > 0` so that NaN is rejected too
         if not self.rho > 0.0:
             raise DataError(f"rho must be positive, got {self.rho}")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise DataError("need at least one iteration")
         if not self.tol > 0.0:
             raise DataError(f"tol must be positive, got {self.tol}")
         if not self.grad_floor > 0.0:
             raise DataError(f"grad_floor must be positive, got {self.grad_floor}")
-        if not (0.0 < self.inner_tol < 1.0):
-            raise DataError(f"inner_tol must be in (0, 1), got {self.inner_tol}")
 
 
 @dataclass
@@ -116,7 +116,6 @@ def split_bregman_minimize(
     are eliminated, not penalized).  A zero weight reduces the problem to
     the discrete harmonic extension of the trace, returned immediately.
     """
-    config.validate()
     if a.grid.n != grid.n or dirichlet_trace.grid.n != grid.n:
         raise DataError("data, trace and grid sizes disagree")
     if np.any(a.values < 0.0):
@@ -135,7 +134,7 @@ def split_bregman_minimize(
     base_inner = base.rhs.reshape(n, n)[1:-1, 1:-1]
 
     report = BregmanReport()
-    _, stats = _sine_solve_into(base, config.inner_tol, v)  # harmonic extension
+    _, stats = _sine_solve_into(base, SOLVE_TOL, v)  # harmonic extension
     if float(a.values.max()) == 0.0:
         report.records.append(BregmanIteration(
             0, 0.0, 0.0, stats.iterations, stats.relative_residual))
@@ -180,7 +179,7 @@ def split_bregman_minimize(
         _divergence_wide(*d, n, h, div, work)
         div *= h * h
         np.subtract(base_inner, div_inner, out=step_inner)
-        _, stats = _sine_solve_into(step, config.inner_tol, v_new)
+        _, stats = _sine_solve_into(step, SOLVE_TOL, v_new)
         _gradient_wide(v_new, n, h, *grad_v)
         denom = float(np.linalg.norm(v))
         np.subtract(v_new, v, out=diff)

@@ -5,7 +5,9 @@ reproducible experiments.
 Every command accepts ``--config FILE`` with flat ``key=value`` lines
 (``#`` starts a comment); explicit flags override config values.  Outputs
 are written atomically (temp file then rename).  Exit codes: 0 success,
-1 usage or validation, 2 I/O or file format, 3 numeric failure.
+1 usage or validation, 2 I/O or file format, 3 numeric failure, as the
+error classes in ``cdrecon.errors`` declare.  Option defaults are those of
+ReconConfig, BregmanConfig, ElectrodeSet and PhantomSpec.
 """
 
 from __future__ import annotations
@@ -14,135 +16,38 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bregman as bregman_mod
-from . import recon as recon_mod
 from .boundary import ElectrodeSet, base_coefficients, smoothed_coefficients
-from .errors import (
-    AssemblyError,
-    CdreconError,
-    DataError,
-    DimensionError,
-    FormatError,
-    GridError,
-    NotSPDError,
-    SolverError,
-    UsageError,
-)
+from .bregman import BregmanConfig, sigma_from_potential, split_bregman_minimize
+from .elliptic import SOLVE_TOL
+from .errors import CdreconError, FormatError, UsageError
 from .fields import boundary_trace, read_field, rel_l2_error, write_field
 from .forward import add_noise, solve_cem_forward, solve_forward
 from .phantom import Ellipse, PhantomSpec, field_to_pgm, generate_phantom
+from .recon import MIN_STUDY_STEPS, ReconConfig, convergence_study, reconstruct
 
 
 @dataclass(frozen=True)
 class Opt:
     name: str
-    type: type = float
+    type: type = float  # bool makes a switch
     default: object = None
     help: str = ""
-    flag: bool = False      # boolean switch
     append: bool = False    # repeatable
     required: bool = False
 
 
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[dict], int]  # takes the resolved option values
+    help: str
+    opts: tuple[Opt, ...]
+
+
 _COMMON = (Opt("config", str, None, "key=value config file; flags override"),)
-
-_ELECTRODE_OPTS = (
-    Opt("z", float, 1.0, "contact impedance"),
-    Opt("current", float, 1.0, "injected net current I"),
-    Opt("aperture", float, 1.0, "electrode length fraction in (0,1]"),
-    Opt("polarity", str, "top", "which electrode injects: top or bottom"),
-)
-
-_COMMANDS: dict[str, tuple[Opt, ...]] = {
-    "phantom": _COMMON + (
-        Opt("kind", str, "blobs", "blobs | ellipses | image"),
-        Opt("n", int, 128, "grid nodes per side"),
-        Opt("seed", int, 0, "random seed"),
-        Opt("lo", float, 1.0, "background conductivity"),
-        Opt("hi", float, 1.8, "peak conductivity"),
-        Opt("count", int, 4, "number of blobs"),
-        Opt("width-lo", float, 0.06, "minimum blob width"),
-        Opt("width-hi", float, 0.18, "maximum blob width"),
-        Opt("ellipse", str, None,
-            "cx,cy,ax,ay,angle_deg,value (repeatable; ';'-separated in config)",
-            append=True),
-        Opt("image", str, None, "P5 PGM file for kind=image"),
-        Opt("margin", float, 0.0, "background margin around the image"),
-        Opt("out", str, None, "output field file", required=True),
-    ),
-    "forward": _COMMON + _ELECTRODE_OPTS + (
-        Opt("sigma", str, None, "conductivity field file", required=True),
-        Opt("epsilon", float, 5e-4, "coefficient floor; 0 selects sharp coefficients"),
-        Opt("width", float, None, "smoothing arc length (default 4h)"),
-        Opt("noise", float, 0.0, "multiplicative noise level"),
-        Opt("seed", int, 0, "noise seed"),
-        Opt("cem", bool, False, "solve the complete electrode model instead", flag=True),
-        Opt("tol", float, 1e-10, "linear solver tolerance"),
-        Opt("out-a", str, None, "output file for the interior data", required=True),
-        Opt("out-u", str, None, "optional output file for the potential"),
-    ),
-    "reconstruct": _COMMON + _ELECTRODE_OPTS + (
-        Opt("a", str, None, "interior data field file", required=True),
-        Opt("epsilon", float, 5e-4, "coefficient floor"),
-        Opt("delta", float, 3e-3, "regularization weight"),
-        Opt("width", float, None, "smoothing arc length (default 4h)"),
-        Opt("max-iter", int, 200, "outer iteration cap"),
-        Opt("stop-tol", float, 1e-6, "relative conductivity change threshold"),
-        Opt("grad-floor", float, 1e-8, "relative gradient magnitude floor"),
-        Opt("sigma-min", float, None, "optional lower projection bound"),
-        Opt("sigma-max", float, None, "optional upper projection bound"),
-        Opt("init-sigma", float, 1.0, "initial conductivity (background value)"),
-        Opt("no-calibrate", bool, False,
-            "disable the background level calibration", flag=True),
-        Opt("calibration-band", float, 0.12, "margin band width for calibration"),
-        Opt("inner-tol", float, 1e-10, "linear solver tolerance"),
-        Opt("truth", str, None, "optional ground-truth field for error reporting"),
-        Opt("out", str, None, "output conductivity file", required=True),
-        Opt("report", str, None, "optional per-iteration CSV report"),
-    ),
-    "bregman": _COMMON + (
-        Opt("a", str, None, "interior data (TV weight) field file", required=True),
-        Opt("u", str, None, "potential file whose trace fixes the Dirichlet data",
-            required=True),
-        Opt("rho", float, 1.0, "quadratic penalty weight"),
-        Opt("max-iter", int, 500, "iteration cap"),
-        Opt("tol", float, 1e-6, "relative change threshold"),
-        Opt("grad-floor", float, 1e-8, "gradient floor for the conductivity"),
-        Opt("inner-tol", float, 1e-10, "linear solver tolerance"),
-        Opt("truth", str, None, "optional ground-truth field; prints the error"),
-        Opt("out", str, None, "output conductivity file", required=True),
-        Opt("out-v", str, None, "optional output for the minimizing potential"),
-        Opt("report", str, None, "optional per-iteration CSV report"),
-    ),
-    "compare": _COMMON + (
-        Opt("rec", str, None, "reconstruction field file", required=True),
-        Opt("ref", str, None, "reference field file", required=True),
-    ),
-    "study": _COMMON + _ELECTRODE_OPTS + (
-        Opt("a", str, None, "clean interior data field file", required=True),
-        Opt("epsilon", float, 5e-4, "coefficient floor"),
-        Opt("width", float, None, "smoothing arc length (default 4h)"),
-        Opt("delta0", float, 3e-3, "initial regularization weight"),
-        Opt("factor", float, 2.0, "geometric decay factor (> 1)"),
-        Opt("steps", int, 7, "number of schedule steps"),
-        Opt("eta-ratio", float, 1.0, "noise amplitude as a multiple of delta"),
-        Opt("seed", int, 0, "noise seed base"),
-        Opt("tail-fraction", float, 0.1, "tail convergence threshold"),
-        Opt("max-iter", int, 200, "outer iteration cap per step"),
-        Opt("stop-tol", float, 1e-6, "stopping threshold per step"),
-        Opt("truth", str, None, "optional ground-truth field for error columns"),
-        Opt("out", str, None, "output CSV", required=True),
-    ),
-    "export-pgm": _COMMON + (
-        Opt("field", str, None, "input field file", required=True),
-        Opt("lo", float, None, "fixed lower gray-range bound"),
-        Opt("hi", float, None, "fixed upper gray-range bound"),
-        Opt("out", str, None, "output 16-bit P5 PGM", required=True),
-    ),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,18 +58,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cdrecon", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, opts in _COMMANDS.items():
-        p = sub.add_parser(name, help=opts[-1].help if opts else "")
-        for o in opts:
-            flag = "--" + o.name
-            if o.flag:
-                p.add_argument(flag, dest=o.name, action="store_const", const=True,
-                               default=None, help=o.help)
-            elif o.append:
-                p.add_argument(flag, dest=o.name, action="append", default=None,
-                               help=o.help)
-            else:
-                p.add_argument(flag, dest=o.name, type=str, default=None, help=o.help)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        for o in _COMMON + command.opts:
+            how = (dict(action="store_const", const=True) if o.type is bool
+                   else dict(action="append") if o.append else dict(type=str))
+            p.add_argument("--" + o.name, dest=o.name, default=None, help=o.help, **how)
     return parser
 
 
@@ -188,7 +87,7 @@ def _load_config(path: str) -> dict[str, str]:
 def _coerce(o: Opt, raw, from_config: bool):
     if raw is None:
         return None
-    if o.flag:
+    if o.type is bool:
         if isinstance(raw, bool):
             return raw
         s = str(raw).strip().lower()
@@ -253,10 +152,12 @@ def _electrodes(v: dict) -> ElectrodeSet:
 def _cmd_phantom(v: dict) -> int:
     ellipses = []
     for spec in v["ellipse"] or []:
-        parts = spec.split(",")
-        if len(parts) != 6:
-            raise UsageError(f"--ellipse needs cx,cy,ax,ay,angle_deg,value, got {spec!r}")
-        cx, cy, ax, ay, deg, val = (float(p) for p in parts)
+        try:
+            cx, cy, ax, ay, deg, val = (float(p) for p in spec.split(","))
+        except ValueError as exc:
+            raise UsageError(
+                f"--ellipse needs six numbers cx,cy,ax,ay,angle_deg,value, got {spec!r}"
+            ) from exc
         ellipses.append(Ellipse(cx, cy, ax, ay, math.radians(deg), val))
     spec = PhantomSpec(
         kind=v["kind"], n=v["n"], lo=v["lo"], hi=v["hi"], seed=v["seed"],
@@ -309,7 +210,7 @@ def _cmd_reconstruct(v: dict) -> int:
         raise UsageError("--sigma-min and --sigma-max must be given together")
     if v["sigma-min"] is not None:
         bounds = (v["sigma-min"], v["sigma-max"])
-    config = recon_mod.ReconConfig(
+    config = ReconConfig(
         epsilon=v["epsilon"], delta=v["delta"],
         max_outer_iterations=v["max-iter"], stop_tol=v["stop-tol"],
         grad_floor=v["grad-floor"], sigma_bounds=bounds,
@@ -317,11 +218,10 @@ def _cmd_reconstruct(v: dict) -> int:
         inner_tol=v["inner-tol"], calibrate=not v["no-calibrate"],
         calibration_band=v["calibration-band"],
     )
-    config.validate()
     a = read_field(v["a"])
     grid = a.grid
     truth = read_field(v["truth"]) if v["truth"] else None
-    sigma, u, report = recon_mod.reconstruct(a, electrodes, config, grid, truth)
+    sigma, u, report = reconstruct(a, electrodes, config, grid, truth)
     _atomic_write(v["out"], lambda p: write_field(sigma, p))
     if v["report"]:
         _atomic_write(v["report"], report.write_csv)
@@ -342,14 +242,10 @@ def _cmd_bregman(v: dict) -> int:
     a = read_field(v["a"])
     u = read_field(v["u"])
     grid = a.grid
-    config = bregman_mod.BregmanConfig(
-        rho=v["rho"], max_iterations=v["max-iter"], tol=v["tol"],
-        grad_floor=v["grad-floor"], inner_tol=v["inner-tol"],
-    )
-    vfield, report = bregman_mod.split_bregman_minimize(
-        a, boundary_trace(u), config, grid
-    )
-    sigma = bregman_mod.sigma_from_potential(a, vfield, config.grad_floor)
+    config = BregmanConfig(rho=v["rho"], max_iterations=v["max-iter"], tol=v["tol"],
+                           grad_floor=v["grad-floor"])
+    vfield, report = split_bregman_minimize(a, boundary_trace(u), config, grid)
+    sigma = sigma_from_potential(a, vfield, config.grad_floor)
     _atomic_write(v["out"], lambda p: write_field(sigma, p))
     if v["out-v"]:
         _atomic_write(v["out-v"], lambda p: write_field(vfield, p))
@@ -379,18 +275,18 @@ def _cmd_study(v: dict) -> int:
     # written as `not x > 1` so that NaN is rejected too
     if not v["factor"] > 1.0:
         raise UsageError(f"--factor must exceed 1, got {v['factor']}")
-    if v["steps"] < 2:
-        raise UsageError("--steps must be at least 2")
+    if v["steps"] < MIN_STUDY_STEPS:
+        raise UsageError(f"--steps must be at least {MIN_STUDY_STEPS}")
     deltas = [v["delta0"] * v["factor"] ** (-k) for k in range(v["steps"])]
     etas = [v["eta-ratio"] * d for d in deltas]
-    config = recon_mod.ReconConfig(
+    config = ReconConfig(
         epsilon=v["epsilon"], transition_width=v["width"],
         max_outer_iterations=v["max-iter"], stop_tol=v["stop-tol"],
     )
     a_clean = read_field(v["a"])
     grid = a_clean.grid
     truth = read_field(v["truth"]) if v["truth"] else None
-    study = recon_mod.convergence_study(
+    study = convergence_study(
         a_clean, electrodes, grid, deltas, etas, config,
         seed=v["seed"], tail_fraction=v["tail-fraction"], ground_truth=truth,
     )
@@ -409,14 +305,106 @@ def _cmd_export_pgm(v: dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "phantom": _cmd_phantom,
-    "forward": _cmd_forward,
-    "reconstruct": _cmd_reconstruct,
-    "bregman": _cmd_bregman,
-    "compare": _cmd_compare,
-    "study": _cmd_study,
-    "export-pgm": _cmd_export_pgm,
+_ELECTRODE_OPTS = (
+    Opt("z", float, ElectrodeSet.z, "contact impedance"),
+    Opt("current", float, ElectrodeSet.current, "injected net current I"),
+    Opt("aperture", float, ElectrodeSet.aperture, "electrode length fraction in (0,1]"),
+    Opt("polarity", str, "top", "which electrode injects: top or bottom"),
+)
+
+# every command once: its handler, its one-line help and its options; a
+# default that a config dataclass holds is read from that dataclass
+_COMMANDS: dict[str, Command] = {
+    "phantom": Command(_cmd_phantom, "generate a ground-truth conductivity field", (
+        Opt("kind", str, "blobs", "blobs | ellipses | image"),
+        Opt("n", int, 128, "grid nodes per side"),
+        Opt("seed", int, PhantomSpec.seed, "random seed"),
+        Opt("lo", float, PhantomSpec.lo, "background conductivity"),
+        Opt("hi", float, PhantomSpec.hi, "peak conductivity"),
+        Opt("count", int, PhantomSpec.blob_count, "number of blobs"),
+        Opt("width-lo", float, PhantomSpec.blob_width[0], "minimum blob width"),
+        Opt("width-hi", float, PhantomSpec.blob_width[1], "maximum blob width"),
+        Opt("ellipse", str, None,
+            "cx,cy,ax,ay,angle_deg,value (repeatable; ';'-separated in config)",
+            append=True),
+        Opt("image", str, None, "P5 PGM file for kind=image"),
+        Opt("margin", float, PhantomSpec.margin, "background margin around the image"),
+        Opt("out", str, None, "output field file", required=True),
+    )),
+    "forward": Command(_cmd_forward, "simulate the interior data of a conductivity",
+                       _ELECTRODE_OPTS + (
+        Opt("sigma", str, None, "conductivity field file", required=True),
+        Opt("epsilon", float, ReconConfig.epsilon,
+            "coefficient floor; 0 selects sharp coefficients"),
+        Opt("width", float, None, "smoothing arc length (default 4h)"),
+        Opt("noise", float, 0.0, "multiplicative noise level"),
+        Opt("seed", int, 0, "noise seed"),
+        Opt("cem", bool, False, "solve the complete electrode model instead"),
+        Opt("tol", float, SOLVE_TOL, "linear solver tolerance"),
+        Opt("out-a", str, None, "output file for the interior data", required=True),
+        Opt("out-u", str, None, "optional output file for the potential"),
+    )),
+    "reconstruct": Command(_cmd_reconstruct, "reconstruct the conductivity from interior data",
+                           _ELECTRODE_OPTS + (
+        Opt("a", str, None, "interior data field file", required=True),
+        Opt("epsilon", float, ReconConfig.epsilon, "coefficient floor"),
+        Opt("delta", float, ReconConfig.delta, "regularization weight"),
+        Opt("width", float, None, "smoothing arc length (default 4h)"),
+        Opt("max-iter", int, ReconConfig.max_outer_iterations, "outer iteration cap"),
+        Opt("stop-tol", float, ReconConfig.stop_tol, "relative conductivity change threshold"),
+        Opt("grad-floor", float, ReconConfig.grad_floor, "relative gradient magnitude floor"),
+        Opt("sigma-min", float, None, "optional lower projection bound"),
+        Opt("sigma-max", float, None, "optional upper projection bound"),
+        Opt("init-sigma", float, ReconConfig.initial_sigma,
+            "initial conductivity (background value)"),
+        Opt("no-calibrate", bool, False, "disable the background level calibration"),
+        Opt("calibration-band", float, ReconConfig.calibration_band,
+            "margin band width for calibration"),
+        Opt("inner-tol", float, ReconConfig.inner_tol, "linear solver tolerance"),
+        Opt("truth", str, None, "optional ground-truth field for error reporting"),
+        Opt("out", str, None, "output conductivity file", required=True),
+        Opt("report", str, None, "optional per-iteration CSV report"),
+    )),
+    "bregman": Command(_cmd_bregman, "split Bregman comparator reconstruction", (
+        Opt("a", str, None, "interior data (TV weight) field file", required=True),
+        Opt("u", str, None, "potential file whose trace fixes the Dirichlet data",
+            required=True),
+        Opt("rho", float, BregmanConfig.rho, "quadratic penalty weight"),
+        Opt("max-iter", int, BregmanConfig.max_iterations, "iteration cap"),
+        Opt("tol", float, BregmanConfig.tol, "relative change threshold"),
+        Opt("grad-floor", float, BregmanConfig.grad_floor,
+            "gradient floor for the conductivity"),
+        Opt("truth", str, None, "optional ground-truth field; prints the error"),
+        Opt("out", str, None, "output conductivity file", required=True),
+        Opt("out-v", str, None, "optional output for the minimizing potential"),
+        Opt("report", str, None, "optional per-iteration CSV report"),
+    )),
+    "compare": Command(_cmd_compare, "print the relative L2 error against a reference", (
+        Opt("rec", str, None, "reconstruction field file", required=True),
+        Opt("ref", str, None, "reference field file", required=True),
+    )),
+    "study": Command(_cmd_study, "run a regularization-schedule convergence study",
+                     _ELECTRODE_OPTS + (
+        Opt("a", str, None, "clean interior data field file", required=True),
+        Opt("epsilon", float, ReconConfig.epsilon, "coefficient floor"),
+        Opt("width", float, None, "smoothing arc length (default 4h)"),
+        Opt("delta0", float, ReconConfig.delta, "initial regularization weight"),
+        Opt("factor", float, 2.0, "geometric decay factor (> 1)"),
+        Opt("steps", int, 7, f"number of schedule steps (at least {MIN_STUDY_STEPS})"),
+        Opt("eta-ratio", float, 1.0, "noise amplitude as a multiple of delta"),
+        Opt("seed", int, 0, "noise seed base"),
+        Opt("tail-fraction", float, 0.1, "tail convergence threshold"),
+        Opt("max-iter", int, ReconConfig.max_outer_iterations, "outer iteration cap per step"),
+        Opt("stop-tol", float, ReconConfig.stop_tol, "stopping threshold per step"),
+        Opt("truth", str, None, "optional ground-truth field for error columns"),
+        Opt("out", str, None, "output CSV", required=True),
+    )),
+    "export-pgm": Command(_cmd_export_pgm, "export a field as a 16-bit grayscale PGM", (
+        Opt("field", str, None, "input field file", required=True),
+        Opt("lo", float, None, "fixed lower gray-range bound"),
+        Opt("hi", float, None, "fixed upper gray-range bound"),
+        Opt("out", str, None, "output 16-bit P5 PGM", required=True),
+    )),
 }
 
 
@@ -426,20 +414,12 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if not getattr(ns, "command", None):
             raise UsageError("missing command (try --help)")
-        values = _resolve(_COMMANDS[ns.command], ns)
-        return _DISPATCH[ns.command](values)
-    except (UsageError, DataError, DimensionError, GridError) as exc:
-        print(f"cdrecon: error: {exc}", file=sys.stderr)
-        return 1
-    except (FormatError, OSError) as exc:
-        print(f"cdrecon: i/o error: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, NotSPDError, AssemblyError) as exc:
-        print(f"cdrecon: numeric error: {exc}", file=sys.stderr)
-        return 3
-    except CdreconError as exc:
-        print(f"cdrecon: error: {exc}", file=sys.stderr)
-        return 1
+        command = _COMMANDS[ns.command]
+        return command.run(_resolve(_COMMON + command.opts, ns))
+    except (CdreconError, OSError) as exc:
+        kind = exc if isinstance(exc, CdreconError) else FormatError
+        print(f"cdrecon: {kind.label}: {exc}", file=sys.stderr)
+        return kind.exit_code
 
 
 if __name__ == "__main__":

@@ -18,11 +18,12 @@ stencil at sigma = 1 with identity Dirichlet rows and the couplings to them
 folded into the rhs.
 
 Three solves, one per kind of caller, all ending in the same true-residual
-check (``_checked``), the only place a solve fails:
+check (``_checked``) at ``SOLVE_TOL`` unless told otherwise, the only place
+a solve fails:
 
 * ``pcg_solve``: conjugate gradients preconditioned by one aggregation
   multigrid V-cycle built from the matrix, for systems solved once (forward
-  Robin and CEM problems);
+  Robin and CEM problems), at most 40 n iterations on an n x n grid;
 * ``solve_reusing_factor``: conjugate gradients from a caller's guess,
   preconditioned by the sparse LU factor of an earlier matrix of a slowly
   varying sequence (the reconstruction sweeps).  A current factor needs
@@ -56,12 +57,18 @@ from .errors import AssemblyError, DataError, DimensionError, NotSPDError, Solve
 from .fields import BoundaryValues, Grid, ScalarField, boundary_loop, boundary_trace
 
 
+# the relative residual every solve meets unless its caller asks otherwise
+SOLVE_TOL = 1e-10
+
 # one sparse LU factorization costs about as much as this many solves with
 # its factor (MMD_AT_PLUS_A on the Robin systems: 34 to 39 for n = 64 to
 # 256), so a factor may waste this many CG iterations before the matrix is
 # refactored
 _FACTOR_COST = 35
 
+# pcg_solve raises SolverError after this many iterations per grid side,
+# 40 n on an n x n grid (the V-cycle needs at most 13)
+_CG_CAP_PER_SIDE = 40
 # multigrid preconditioner of pcg_solve
 _COARSEST = 300  # unknowns of the coarsest level, which is solved densely
 _SMOOTHING_SWEEPS = 3  # damped Jacobi sweeps before and after each coarse correction
@@ -419,7 +426,7 @@ def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) 
 
 
 def pcg_solve(
-    system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None
+    system: SparseSystem, tol: float = SOLVE_TOL
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the zero initial guess, preconditioned by one
     aggregation multigrid V-cycle (``_multigrid``) built from the matrix.
@@ -427,16 +434,13 @@ def pcg_solve(
     The V-cycle needs about as many iterations at every grid size (at most
     13 on the forward systems for n = 65 to 1025) and no sparse factor.
     Returns once the true relative residual ||Ax-b||/||b|| is at most
-    ``tol``; raises SolverError when ``max_iter`` iterations (default
-    40 sqrt(dimension), i.e. 40 n on an n x n grid) do not get there, and
-    NotSPDError on a nonpositive diagonal or nonpositive-curvature direction.
+    ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
+    sqrt(dimension)) iterations do not get there, and NotSPDError on a
+    nonpositive diagonal or nonpositive-curvature direction.
     """
     _check_tol(tol)
     A = system.matrix
-    if max_iter is None:
-        max_iter = max(1, 40 * int(round(math.sqrt(A.shape[0]))))
-    if max_iter < 1:
-        raise DataError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(A.shape[0]))))
     precondition = _multigrid(A)
     return _checked(*_cg(A, system.rhs, precondition, tol, max_iter), tol, "multigrid")
 
@@ -465,7 +469,7 @@ def _factor(A: sp.csr_matrix) -> spla.SuperLU:
 
 
 def solve_reusing_factor(
-    system: SparseSystem, cache: FactorCache, tol: float = 1e-10,
+    system: SparseSystem, cache: FactorCache, tol: float = SOLVE_TOL,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Solve an SPD system by conjugate gradients preconditioned with the
@@ -513,7 +517,7 @@ def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return S, eig
 
 
-def sine_solve(system: SparseSystem, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
+def sine_solve(system: SparseSystem, tol: float = SOLVE_TOL) -> tuple[np.ndarray, SolveStats]:
     """Exact solve of a system built by ``assemble_laplace_dirichlet``.
 
     The interior block is the five-point Laplacian T x I + I x T, which the

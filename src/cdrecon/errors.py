@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each carries the command
+line's exit code for it and its stderr prefix, ``cdrecon: <label>:``."""
 
 
 class CdreconError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code, label = 1, "error"  # usage or validation
 
 
 class GridError(CdreconError, ValueError):
@@ -16,13 +19,19 @@ class DimensionError(CdreconError, ValueError):
 class FormatError(CdreconError, ValueError):
     """Malformed field, image, or config file; the message names the offending part."""
 
+    exit_code, label = 2, "i/o error"  # an OSError is reported the same way
+
 
 class AssemblyError(CdreconError, ValueError):
     """Discrete system cannot be assembled (e.g. nonpositive conductivity)."""
 
+    exit_code, label = 3, "numeric error"
+
 
 class SolverError(CdreconError, RuntimeError):
     """Linear solve failed."""
+
+    exit_code, label = 3, "numeric error"
 
 
 class NotSPDError(SolverError):
@@ -31,7 +40,8 @@ class NotSPDError(SolverError):
 
 class DataError(CdreconError, ValueError):
     """Degenerate or inadmissible input data (zero data, bad transform,
-    degenerate scaling, unresolvable smoothing width, bad schedule)."""
+    degenerate scaling, unresolvable smoothing width, bad schedule, a config
+    built with an invalid field)."""
 
 
 class UsageError(CdreconError, ValueError):

@@ -16,7 +16,7 @@ from .boundary import (
     electrode_length,
     positive_electrode_side,
 )
-from .elliptic import SolveStats, assemble_cem, assemble_robin, pcg_solve
+from .elliptic import SOLVE_TOL, SolveStats, assemble_cem, assemble_robin, pcg_solve
 from .errors import DataError
 from .fields import (
     Grid,
@@ -57,7 +57,7 @@ def solve_forward(
     sigma: ScalarField,
     coeffs: RobinCoefficients,
     grid: Grid,
-    tol: float = 1e-10,
+    tol: float = SOLVE_TOL,
 ) -> ForwardResult:
     """Solve the Robin problem for the given coefficients and synthesize the
     interior data a = |sigma grad u|."""
@@ -71,7 +71,7 @@ def solve_cem_forward(
     sigma: ScalarField,
     electrodes: ElectrodeSet,
     grid: Grid,
-    tol: float = 1e-10,
+    tol: float = SOLVE_TOL,
 ) -> ForwardResult:
     """Solve the complete electrode model; the bordered unknown is the
     electrode voltage, returned as ``cem_voltage``."""

@@ -4,6 +4,7 @@ all rescaled to a physical conductivity range."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,8 @@ class Ellipse:
 
 @dataclass(frozen=True)
 class PhantomSpec:
+    """What ``generate_phantom`` draws; checked when built (DataError, GridError for n)."""
+
     kind: str  # "blobs" | "ellipses" | "image"
     n: int
     lo: float = 1.0
@@ -37,37 +40,36 @@ class PhantomSpec:
     image_path: str | None = None
     margin: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # every check is written so that NaN fails it
         if self.kind not in ("blobs", "ellipses", "image"):
             raise DataError(f"unknown phantom kind {self.kind!r}")
-        if not (0.0 < self.lo <= self.hi):
+        if not (0.0 < self.lo <= self.hi < math.inf):
             raise DataError(f"range must satisfy 0 < lo <= hi, got [{self.lo}, {self.hi}]")
-        if self.kind == "blobs":
-            if self.blob_count < 0:
-                raise DataError("blob count must be nonnegative")
-            wlo, whi = self.blob_width
-            if not (0.0 < wlo <= whi):
-                raise DataError(f"blob width range invalid: {self.blob_width}")
-        if self.kind == "ellipses":
-            for e in self.ellipses:
-                if not (0.0 <= e.cx <= 1.0 and 0.0 <= e.cy <= 1.0):
-                    raise DataError(f"ellipse center ({e.cx}, {e.cy}) outside the unit square")
-                if e.ax <= 0.0 or e.ay <= 0.0:
-                    raise DataError("ellipse semi-axes must be positive")
-                if not (self.lo <= e.value <= self.hi):
-                    raise DataError(
-                        f"ellipse value {e.value} outside range [{self.lo}, {self.hi}]"
-                    )
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DataError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (isinstance(self.blob_count, (int, np.integer)) and self.blob_count >= 0):
+            raise DataError(f"blob count must be a nonnegative integer, got {self.blob_count!r}")
+        wlo, whi = self.blob_width
+        if not (0.0 < wlo <= whi < math.inf):
+            raise DataError(f"blob width range invalid: {self.blob_width}")
+        for e in self.ellipses:
+            if not (0.0 <= e.cx <= 1.0 and 0.0 <= e.cy <= 1.0):
+                raise DataError(f"ellipse center ({e.cx}, {e.cy}) outside the unit square")
+            if not (0.0 < e.ax < math.inf and 0.0 < e.ay < math.inf and math.isfinite(e.angle)):
+                raise DataError(f"ellipse needs finite semi-axes > 0 and a finite angle, got {e}")
+            if not (self.lo <= e.value <= self.hi):
+                raise DataError(f"ellipse value {e.value} outside range [{self.lo}, {self.hi}]")
         if self.kind == "image" and not self.image_path:
             raise DataError("image phantom needs a path")
         if not (0.0 <= self.margin < 0.5):
             raise DataError(f"margin must be in [0, 0.5), got {self.margin}")
+        Grid(self.n)
 
 
 def generate_phantom(spec: PhantomSpec) -> ScalarField:
     """Build the conductivity field a PhantomSpec describes; values lie in
     [lo, hi] and the background attains lo."""
-    spec.validate()
     grid = make_grid(spec.n)
     if spec.kind == "blobs":
         return _blobs(spec, grid)
@@ -200,10 +202,16 @@ def field_to_pgm(
 ) -> None:
     """Export a field as a 16-bit PGM, mapping [lo, hi] (the field's own
     extremes by default) affinely onto the gray range; image row 0 is the
-    top of the square (y = 1)."""
+    top of the square (y = 1).  A given bound must be finite and leave
+    lo < hi (DataError); a constant field without bounds maps to 0."""
     v = f.values2d
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if bound is not None and not math.isfinite(bound):
+            raise DataError(f"{name} must be finite, got {bound}")
     vlo = float(v.min()) if lo is None else float(lo)
     vhi = float(v.max()) if hi is None else float(hi)
+    if (lo is not None or hi is not None) and not vlo < vhi:
+        raise DataError(f"lo must be below hi, got lo={vlo:g} hi={vhi:g}")
     span = vhi - vlo if vhi > vlo else 1.0
     gray = np.clip((v - vlo) / span, 0.0, 1.0) * 65535.0
     write_pgm(path, gray[::-1, :], maxval=65535)

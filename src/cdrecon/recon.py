@@ -35,6 +35,9 @@ band; ``reconstruct`` applies this calibration twice to the converged
 fixed point unless it is disabled.  The sweep converges slowly along the
 family, since the weighted TV term is constant on it, so a calibrated run
 stops once the change off the family is small (``_family_free_change``).
+
+``ReconConfig`` owns the settings of ``reconstruct`` and their defaults, and
+checks them when built (DataError), so every config a function sees is valid.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .boundary import (
     electrode_quadrature,
     smoothed_coefficients,
 )
-from .elliptic import FactorCache, SolveStats, assemble_robin, solve_reusing_factor
+from .elliptic import SOLVE_TOL, FactorCache, SolveStats, assemble_robin, solve_reusing_factor
 from .errors import DataError
 from .fields import (
     Grid,
@@ -80,6 +83,9 @@ _LOOSEST_INNER_TOL = 1e-3
 # rule; a bin takes part only with at least _MIN_BAND_NODES margin-band nodes
 _CALIBRATION_BINS = 48
 _MIN_BAND_NODES = 8
+# ``convergence_study`` compares the spreads of the first and last thirds of
+# the schedule; with at most 3 steps each third is one value and both are 0
+MIN_STUDY_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,12 @@ class ReconConfig:
     sigma_bounds: tuple[float, float] | None = None
     initial_sigma: float = 1.0
     transition_width: float | None = None  # None picks 4h
-    inner_tol: float = 1e-10
+    inner_tol: float = SOLVE_TOL
     calibrate: bool = True  # identify the reparametrization member from the
     # margin band, taking initial_sigma as the known background level
     calibration_band: float = 0.12
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # written as `not x > 0` so that NaN is rejected too
         if not self.epsilon > 0.0:
             raise DataError(f"epsilon must be positive, got {self.epsilon}")
@@ -105,7 +111,7 @@ class ReconConfig:
             raise DataError(f"delta must be positive, got {self.delta}")
         if not self.grad_floor > 0.0:
             raise DataError(f"grad_floor must be positive, got {self.grad_floor}")
-        if self.max_outer_iterations < 1:
+        if not self.max_outer_iterations >= 1:
             raise DataError("need at least one outer iteration")
         if not self.stop_tol > 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
@@ -119,6 +125,9 @@ class ReconConfig:
             lo, hi = self.sigma_bounds
             if not (0.0 < lo <= hi):
                 raise DataError(f"sigma bounds must satisfy 0 < lo <= hi, got {self.sigma_bounds}")
+        # the lower bound depends on the grid; smoothed_coefficients checks it
+        if self.transition_width is not None and not math.isfinite(self.transition_width):
+            raise DataError(f"transition width must be finite, got {self.transition_width}")
 
 
 @dataclass
@@ -364,7 +373,7 @@ def level_calibration(
     u: ScalarField,
     electrodes: ElectrodeSet,
     background: float,
-    band: float = 0.12,
+    band: float = ReconConfig.calibration_band,
 ) -> tuple[ScalarField, ScalarField, float]:
     """Snap a reconstruction onto the reparametrization-family member whose
     conductivity matches the known background inside the boundary margin.
@@ -424,33 +433,18 @@ def reconstruct(
     grid: Grid,
     ground_truth: ScalarField | None = None,
 ) -> tuple[ScalarField, ScalarField, ReconReport]:
-    """Recover an approximate conductivity from the interior data a.
+    """Recover an approximate conductivity from the interior data a: the
+    fixed-point sweep, calibration and stop rule of the module docstring.
 
-    Builds the smoothed boundary coefficients (b_eps, c_eps) once, then runs
-    one fixed-point sweep: solve the regularized linear problem, log its
-    G^delta terms (``functional_Gdelta``, whose boundary term targets
-    c_eps/b_eps), update the conductivity, and mix the update with the
-    earlier ones (``_Anderson``), until the relative change of the
-    conductivity drops below ``stop_tol`` (``report.stop_reason`` "tol") or
-    ``max_outer_iterations`` sweeps ran ("cap").  With ``calibrate`` enabled, two level-calibration passes
-    against the background (= ``initial_sigma``) follow back to back, and
-    the change the stop rule compares is the relative change less its
-    per-level-bin projection onto sigma: the move along the
-    reparametrization family, which the calibration replaces anyway
-    (``_family_free_change``).  Without calibration it is the plain
-    relative change, ``sigma_change`` in the records.  ``report.stop_change``
-    holds the last value compared.  A final solve at ``inner_tol`` makes
-    the returned potential the exact critical point of the linearization
-    at the returned conductivity.
-
-    Each sweep's solve starts from the previous potential and stops at a
-    tolerance tied to the last change (see ``_FORCING``).  The linear solves
-    share one LU factor, created here and dropped on return, and refactored
-    once the CG iterations it has cost beyond one per solve would have paid
-    for a new factorization (see ``solve_reusing_factor``);
-    ``report.factorizations`` counts the factorizations.
+    Each sweep records its G^delta terms and stops on ``stop_tol``
+    (``report.stop_reason`` "tol", ``report.stop_change`` the last value
+    compared) or after ``max_outer_iterations`` sweeps ("cap").  With
+    ``calibrate``, two level calibrations against ``initial_sigma`` follow.
+    A final solve at ``inner_tol`` makes the returned potential the exact
+    critical point of the linearization at the returned conductivity.  The
+    linear solves share one LU factor, created here and dropped on return
+    (see ``solve_reusing_factor``); ``report.factorizations`` counts them.
     """
-    config.validate()
     if a.grid.n != grid.n:
         raise DataError("data grid disagrees with the requested grid")
     if np.any(a.values < 0.0):
@@ -592,9 +586,12 @@ def convergence_study(
     functional at the noisy weight and the plain functional at the clean
     weight.  The tail is declared converged when the spread of the last
     third of the clean-functional values is at most ``tail_fraction`` times
-    the spread of the first third.
+    the spread of the first third; a schedule needs at least
+    ``MIN_STUDY_STEPS`` steps for the thirds to have a spread.
     """
     check_schedule(deltas, etas)
+    if len(deltas) < MIN_STUDY_STEPS:
+        raise DataError(f"need at least {MIN_STUDY_STEPS} schedule steps, got {len(deltas)}")
     if config is None:
         config = ReconConfig()
     coeffs = smoothed_coefficients(
@@ -612,7 +609,7 @@ def convergence_study(
             float("nan") if ground_truth is None else rel_l2_error(sigma, ground_truth)
         )
 
-    m = max(1, math.ceil(len(g_clean_vals) / 3))
+    m = math.ceil(len(g_clean_vals) / 3)
     head = g_clean_vals[:m]
     tail = g_clean_vals[-m:]
     spread_head = max(head) - min(head)

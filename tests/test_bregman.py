@@ -1,6 +1,7 @@
 """Split Bregman comparator."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cdrecon.bregman import BregmanConfig, split_bregman_minimize
 from cdrecon.boundary import ElectrodeSet, smoothed_coefficients
 from cdrecon.elliptic import (
+    SOLVE_TOL,
     SparseSystem,
     assemble_laplace_dirichlet,
     pcg_solve,
@@ -102,8 +104,13 @@ def test_validation():
     g = make_grid(9)
     a = ScalarField.constant(g, 1.0)
     trace = boundary_trace(a)
-    with pytest.raises(DataError):
-        split_bregman_minimize(a, trace, BregmanConfig(rho=0.0), g)
+    # the config checks itself when built; NaN fails every comparison, so
+    # each check must be written to reject it
+    with pytest.raises(DataError, match="rho must be positive"):
+        BregmanConfig(rho=0.0)
+    for f in fields(BregmanConfig):
+        with pytest.raises(DataError):
+            BregmanConfig(**{f.name: float("nan")})
     bad = np.zeros(g.num_nodes)
     bad[3] = -1.0
     with pytest.raises(DataError, match="nonnegative"):
@@ -168,7 +175,7 @@ def _bregman_by_former_loop(a, trace, config, grid):
         rhs = base.rhs.copy()
         if rhs_source is not None:
             rhs[interior] += h2 * rhs_source[interior]
-        x, stats = sine_solve(SparseSystem(base.matrix, rhs), tol=config.inner_tol)
+        x, stats = sine_solve(SparseSystem(base.matrix, rhs), tol=SOLVE_TOL)
         return ScalarField(grid, x), stats
 
     v, stats = solve_v(None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdrecon.boundary import ElectrodeSet
-from cdrecon.cli import main
+from cdrecon.cli import _COMMANDS, main
 from cdrecon.fields import ScalarField, make_grid, read_field, write_field
 from cdrecon.phantom import read_pgm
 from cdrecon.recon import ReconConfig, reconstruct
@@ -130,7 +130,6 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
     reconstruct = ["reconstruct", "--a", str(a), "--out", out]
     # NaN fails every comparison, so each check must be written to reject it
     cases = [
-        bregman + ["--inner-tol", "0"],
         bregman + ["--grad-floor", "0"],
         bregman + ["--rho", "nan"],
         bregman + ["--tol", "nan"],
@@ -152,6 +151,11 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         assert "Traceback" not in err
         option = args[-2].lstrip("-").replace("-", "_")
         assert option in err, args
+    # the v-step solve is exact, so bregman has no solver tolerance to set
+    assert run(bregman + ["--inner-tol", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cdrecon: error: ") and err.count("\n") == 1
+    assert "--inner-tol" in err
 
 
 def test_reconstruct_cli_roundtrip(tmp_path, capsys):
@@ -271,12 +275,64 @@ def test_study_cli(tmp_path, capsys):
     run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--count", "0",
          "--out", str(sig)])
     run(["forward", "--sigma", str(sig), "--out-a", str(a)])
-    assert run(["study", "--a", str(a), "--steps", "3", "--max-iter", "5",
+    assert run(["study", "--a", str(a), "--steps", "4", "--max-iter", "5",
                 "--out", str(out)]) == 0
     assert "tail_ratio=" in capsys.readouterr().out
     rows = out.read_text().splitlines()
     assert rows[0] == "step,delta,eta,g_delta,g_clean,rel_error"
-    assert len(rows) == 4
+    assert len(rows) == 5
+    # three steps leave one value per third, which always read as converged
+    assert run(["study", "--a", str(a), "--steps", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "cdrecon: error: --steps must be at least 4\n"
+
+
+def test_export_pgm_rejects_empty_range(tmp_path, capsys):
+    sig = tmp_path / "sigma.fld"
+    pgm = tmp_path / "sigma.pgm"
+    run(["phantom", "--kind", "blobs", "--n", "9", "--seed", "2", "--out", str(sig)])
+    base = ["export-pgm", "--field", str(sig), "--out", str(pgm)]
+    # each of these wrote an all-black image and exited 0
+    for extra, option in ((["--lo", "nan"], "lo"), (["--hi", "inf"], "hi"),
+                          (["--lo", "2", "--hi", "1"], "lo")):
+        capsys.readouterr()
+        assert run(base + extra) == 1, extra
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrecon: error: {option} ") and err.count("\n") == 1
+    assert not pgm.exists()
+
+
+def test_phantom_rejects_nan_ellipse(tmp_path, capsys):
+    out = tmp_path / "e.fld"
+    base = ["phantom", "--kind", "ellipses", "--n", "9", "--out", str(out)]
+    # a NaN axis drew nothing and exited 0
+    for spec in ("0.5,0.5,nan,0.2,0,1.5", "0.5,0.5,0.3,0.2,nan,1.5",
+                 "0.5,0.5,0.3,inf,0,1.5", "0.5,0.5,0.3,0.2,0", "0.5,0.5,x,0.2,0,1.5"):
+        capsys.readouterr()
+        assert run(base + ["--ellipse", spec]) == 1, spec
+        err = capsys.readouterr().err
+        assert err.startswith("cdrecon: error: ") and err.count("\n") == 1, spec
+        assert "ellipse" in err, spec
+    assert not out.exists()
+
+
+def test_help_describes_every_command(capsys, monkeypatch):
+    # each command's help line is its own description, not the help of one
+    # of its options
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("positional arguments:")
+    for name, command in _COMMANDS.items():
+        for k, line in enumerate(lines[start:], start):
+            if line.split()[:1] == [name]:
+                described = " ".join(line.split()[1:]) or lines[k + 1].strip()
+                break
+        else:
+            raise AssertionError(f"{name} is missing from --help")
+        assert described == command.help
+        assert described not in {o.help for o in command.opts}
 
 
 def test_export_pgm_cli(tmp_path):

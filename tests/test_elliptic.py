@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cdrecon import elliptic
 from cdrecon.boundary import (
     ElectrodeSet,
     RobinCoefficients,
@@ -165,7 +166,7 @@ def test_laplace_dirichlet_harmonic_quadratic_is_stencil_exact():
     g = make_grid(33)
     f = ScalarField.from_function(g, lambda x, y: x * x - y * y)
     system = assemble_laplace_dirichlet(boundary_trace(f), g)
-    x, stats = pcg_solve(system, tol=1e-12, max_iter=4000)
+    x, stats = pcg_solve(system, tol=1e-12)
     assert np.abs(x - f.values).max() < 1e-9
 
 
@@ -175,7 +176,7 @@ def test_laplace_dirichlet_second_order_on_quartic():
         g = make_grid(n)
         f = ScalarField.from_function(g, lambda x, y: x**4 - 6 * x**2 * y**2 + y**4)
         system = assemble_laplace_dirichlet(boundary_trace(f), g)
-        x, stats = pcg_solve(system, tol=1e-12, max_iter=6000)
+        x, stats = pcg_solve(system, tol=1e-12)
         errs.append(np.abs(x - f.values).max())
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     assert 3.5 <= errs[1] / errs[2] <= 4.5
@@ -201,13 +202,15 @@ def test_pcg_matches_dense_oracle():
     assert stats.relative_residual <= 1e-12
 
 
-def test_pcg_cap_raises():
-    # above the coarsest multigrid size, so one iteration cannot solve it
+def test_pcg_cap_raises(monkeypatch):
+    # above the coarsest multigrid size, so one iteration cannot solve it;
+    # a zero cap per grid side leaves the cap at its floor of one iteration
     g = make_grid(33)
     system = assemble_robin(ScalarField.constant(g, 1.0),
                             base_coefficients(ElectrodeSet(), g), g)
+    monkeypatch.setattr(elliptic, "_CG_CAP_PER_SIDE", 0)
     with pytest.raises(SolverError, match="after 1 iterations"):
-        pcg_solve(system, tol=1e-12, max_iter=1)
+        pcg_solve(system, tol=1e-12)
 
 
 def test_pcg_detects_indefinite():
@@ -225,8 +228,9 @@ def test_pcg_robin_system_converges():
     el = ElectrodeSet()
     rc = smoothed_coefficients(el, g, epsilon=5e-4)
     system = assemble_robin(ScalarField.constant(g, 1.0), rc, g)
-    x, stats = pcg_solve(system, tol=1e-10, max_iter=20 * g.n)
+    x, stats = pcg_solve(system, tol=1e-10)
     assert stats.relative_residual <= 1e-10
+    assert stats.iterations <= 20 * g.n
 
 
 def _forward_system(n, seed, aperture, z, epsilon, cem):
@@ -574,7 +578,7 @@ def test_conservation_of_current():
     for coeffs in (base_coefficients(el, g), smoothed_coefficients(el, g, 1e-3)):
         system = assemble_robin(sigma, coeffs, g)
         tol = 1e-11
-        x, stats = pcg_solve(system, tol=tol, max_iter=4000)
+        x, stats = pcg_solve(system, tol=tol)
         net = boundary_net_flux(coeffs, ScalarField(g, x))
         c_norm = float(np.linalg.norm(coeffs.c.values))
         assert abs(net) <= 10 * tol * c_norm + 1e-12

@@ -1,9 +1,11 @@
 """Phantom generation and PGM ingestion."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from cdrecon.errors import DataError, FormatError
+from cdrecon.errors import DataError, FormatError, GridError
 from cdrecon.phantom import (
     Ellipse,
     PhantomSpec,
@@ -62,6 +64,12 @@ def test_ellipse_validation():
         generate_phantom(PhantomSpec(
             kind="ellipses", n=16, ellipses=(Ellipse(1.5, 0.5, 0.1, 0.1, 0.0, 1.5),)
         ))
+    # the spec checks its ellipses when built: a NaN axis used to draw nothing
+    for bad in (dict(ax=float("nan")), dict(ay=float("inf")), dict(ax=0.0),
+                dict(angle=float("nan")), dict(cx=float("nan")), dict(value=float("nan"))):
+        ellipse = Ellipse(**(dict(cx=0.5, cy=0.5, ax=0.2, ay=0.2, angle=0.0, value=1.5) | bad))
+        with pytest.raises(DataError, match="ellipse"):
+            PhantomSpec(kind="ellipses", n=16, ellipses=(ellipse,))
 
 
 def test_image_phantom_endpoints(tmp_path):
@@ -122,12 +130,48 @@ def test_field_to_pgm_fixed_range(tmp_path):
     assert gray[-1, 0] == 0.0
 
 
+def test_field_to_pgm_rejects_empty_range(tmp_path):
+    from cdrecon.fields import ScalarField, make_grid
+
+    g = make_grid(9)
+    f = ScalarField.from_function(g, lambda x, y: 1.0 + y)
+    p = tmp_path / "f.pgm"
+    # each of these wrote an all-black image
+    for bounds, message in (
+        (dict(lo=float("nan")), "lo must be finite"),
+        (dict(hi=float("inf")), "hi must be finite"),
+        (dict(lo=2.0, hi=1.0), "lo must be below hi"),
+        (dict(lo=1.5, hi=1.5), "lo must be below hi"),
+        (dict(lo=3.0), "lo must be below hi"),
+    ):
+        with pytest.raises(DataError, match=message):
+            field_to_pgm(f, p, **bounds)
+    assert not p.exists()
+    # a constant field without bounds still maps to black
+    field_to_pgm(ScalarField.constant(g, 1.3), p)
+    gray, _ = read_pgm(p)
+    assert not gray.any()
+
+
 def test_spec_validation():
+    # the spec checks itself when built
     with pytest.raises(DataError):
-        PhantomSpec(kind="noise", n=16).validate()
+        PhantomSpec(kind="noise", n=16)
     with pytest.raises(DataError):
-        PhantomSpec(kind="blobs", n=16, lo=0.0).validate()
+        PhantomSpec(kind="blobs", n=16, lo=0.0)
     with pytest.raises(DataError):
-        PhantomSpec(kind="blobs", n=16, lo=2.0, hi=1.0).validate()
+        PhantomSpec(kind="blobs", n=16, lo=2.0, hi=1.0)
     with pytest.raises(DataError):
-        PhantomSpec(kind="image", n=16).validate()
+        PhantomSpec(kind="image", n=16)
+    with pytest.raises(GridError):
+        PhantomSpec(kind="blobs", n=2)
+    # NaN fails every comparison, so each check must be written to reject it
+    nan = float("nan")
+    for f in fields(PhantomSpec):
+        if f.name in ("kind", "ellipses", "image_path"):
+            continue
+        bad = (nan, 0.1) if f.name == "blob_width" else nan
+        with pytest.raises((DataError, GridError)):
+            PhantomSpec(**(dict(kind="blobs", n=16) | {f.name: bad}))
+    with pytest.raises(DataError):
+        PhantomSpec(kind="blobs", n=16, blob_width=(0.05, nan))

@@ -2,6 +2,7 @@
 schedule study."""
 
 import csv
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cdrecon.forward import nonuniqueness_transform, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import (
     _ANDERSON_DEPTH,
+    MIN_STUDY_STEPS,
     ReconConfig,
     _Anderson,
     _family_free_change,
@@ -221,6 +223,24 @@ def test_reconstruct_degenerate_data(homog_setup):
         reconstruct(ScalarField(g, bad), el, ReconConfig(), g)
 
 
+def test_config_checks_itself():
+    # the config is checked when built, and replace() builds it again; NaN
+    # fails every comparison, so each check must be written to reject it
+    nan = float("nan")
+    for f in fields(ReconConfig):
+        if f.name == "calibrate":
+            continue
+        bad = (nan, 2.0) if f.name == "sigma_bounds" else nan
+        with pytest.raises(DataError):
+            ReconConfig(**{f.name: bad})
+        with pytest.raises(DataError):
+            replace(ReconConfig(), **{f.name: bad})
+    with pytest.raises(DataError, match="sigma bounds"):
+        ReconConfig(sigma_bounds=(0.5, nan))
+    with pytest.raises(DataError, match="transition width must be finite"):
+        ReconConfig(transition_width=float("inf"))
+
+
 def test_reconstruct_reports_cap_hit(homog_setup):
     g, el, truth, coeffs, fwd = homog_setup
     cfg = ReconConfig(max_outer_iterations=2, stop_tol=1e-14, calibrate=False)
@@ -359,7 +379,7 @@ def test_reconstruct_minimizer_beats_competitors(homog_setup):
     previous = np.zeros(g.num_nodes)
     for _ in range(3):
         system = assemble_robin(ScalarField(g, sigma.values + cfg.delta), coeffs, g)
-        x, stats = pcg_solve(system, tol=cfg.inner_tol, max_iter=40 * g.n)
+        x, stats = pcg_solve(system, tol=cfg.inner_tol)
         competitors = [previous] + [
             x + t * rng.normal(size=x.size) for t in (1e-4, 1e-2, 1.0)
         ]
@@ -501,6 +521,16 @@ def test_convergence_study_small(homog_setup):
     gaps = [abs(v - ref) for v in study.g_clean_values]
     assert gaps[-1] < gaps[0]
     assert all(e < 0.05 for e in study.rel_errors)
+
+
+def test_convergence_study_needs_four_steps(homog_setup):
+    # with 3 steps each third of the schedule is one value, both spreads
+    # are 0 and the tail read as converged whatever the values did
+    g, el, truth, coeffs, fwd = homog_setup
+    assert MIN_STUDY_STEPS == 4
+    deltas = [3e-3 * 2.0 ** (-k) for k in range(3)]
+    with pytest.raises(DataError, match="at least 4 schedule steps, got 3"):
+        convergence_study(fwd.a, el, g, deltas, deltas, ReconConfig(max_outer_iterations=2))
 
 
 def test_report_csv_round_trip(tmp_path, homog_setup):
