@@ -27,7 +27,14 @@ from .errors import CdreconError, FormatError, UsageError
 from .fields import boundary_trace, read_field, rel_l2_error, write_field
 from .forward import add_noise, solve_cem_forward, solve_forward
 from .phantom import Ellipse, PhantomSpec, field_to_pgm, generate_phantom
-from .recon import MIN_STUDY_STEPS, ReconConfig, convergence_study, reconstruct
+from .recon import (
+    MIN_STUDY_STEPS,
+    STUDY_SEED,
+    STUDY_TAIL_FRACTION,
+    ReconConfig,
+    convergence_study,
+    reconstruct,
+)
 
 
 @dataclass(frozen=True)
@@ -392,8 +399,8 @@ _COMMANDS: dict[str, Command] = {
         Opt("factor", float, 2.0, "geometric decay factor (> 1)"),
         Opt("steps", int, 7, f"number of schedule steps (at least {MIN_STUDY_STEPS})"),
         Opt("eta-ratio", float, 1.0, "noise amplitude as a multiple of delta"),
-        Opt("seed", int, 0, "noise seed base"),
-        Opt("tail-fraction", float, 0.1, "tail convergence threshold"),
+        Opt("seed", int, STUDY_SEED, "noise seed base"),
+        Opt("tail-fraction", float, STUDY_TAIL_FRACTION, "tail convergence threshold"),
         Opt("max-iter", int, ReconConfig.max_outer_iterations, "outer iteration cap per step"),
         Opt("stop-tol", float, ReconConfig.stop_tol, "stopping threshold per step"),
         Opt("truth", str, None, "optional ground-truth field for error columns"),

@@ -104,20 +104,11 @@ class SolveStats:
     method: str
 
 
-def _harmonic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 2.0 * a * b / (a + b)
-
-
-def _edge_conductances(sigma2d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted harmonic-mean conductances of the x-edges (i,j)-(i+1,j),
-    shape (n, n-1), and the y-edges (i,j)-(i,j+1), shape (n-1, n)."""
-    # x-edges carry half weight in the top/bottom rows
-    vx = _harmonic_mean(sigma2d[:, :-1], sigma2d[:, 1:])
-    vx[[0, -1], :] *= 0.5
-    # y-edges carry half weight in the left/right columns
-    vy = _harmonic_mean(sigma2d[:-1, :], sigma2d[1:, :])
-    vy[:, [0, -1]] *= 0.5
-    return vx, vy
+def _harmonic_mean(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """2 a b / (a + b) into ``out``, rounded as that expression is."""
+    np.multiply(2.0, a, out=out)
+    out *= b
+    out /= a + b
 
 
 @dataclass(frozen=True)
@@ -155,25 +146,42 @@ def _stencil_pattern(n: int) -> _StencilPattern:
     return _StencilPattern(*arrays)
 
 
-def _stencil(sigma2d: np.ndarray, n: int) -> np.ndarray:
-    """Flux part of the operator as an (n*n, 5) table whose columns are the
-    south, west, centre, east and north neighbour of each node; entries off
-    the grid are zero."""
-    vx, vy = _edge_conductances(sigma2d, n)
-    stencil = np.zeros((n, n, 5))
-    stencil[1:, :, 0] = -vy
-    stencil[:, 1:, 1] = -vx
-    stencil[:, :-1, 3] = -vx
-    stencil[:-1, :, 4] = -vy
-    # the diagonal adds its terms one at a time in a fixed order (east,
-    # west, north, south edge), the order in which converting an edge list
-    # to CSR sums them, so the systems match such a build bit for bit
-    diag = stencil[:, :, 2]
-    diag[:, :-1] += vx
-    diag[:, 1:] += vx
-    diag[:-1, :] += vy
-    diag[1:, :] += vy
-    return stencil.reshape(n * n, 5)
+def _stencil(sigma: np.ndarray, n: int) -> np.ndarray:
+    """Flux part of the operator for the flat nodal conductivities ``sigma``
+    as an (n*n, 5) table whose columns are the south, west, centre, east and
+    north neighbour of each node; entries off the grid are zero (-0.0).
+
+    Edge conductances are weighted harmonic means of the two end nodes.  The
+    x-edge k -> k+1 sits at ex[k+1] and the y-edge k -> k+n at ey[k+n], with
+    zeros for the edges off the grid, so that each neighbour column is one
+    contiguous slice of ex or ey.
+    """
+    N = n * n
+    ex, ey = np.zeros(N + 1), np.zeros(N + n)
+    east, west, north, south = ex[1:], ex[:-1], ey[n:], ey[:N]
+    _harmonic_mean(sigma[:-1], sigma[1:], east[:-1])
+    east[n - 1::n] = 0.0  # no x-edge leaves the last node of a row
+    # x-edges carry half weight in the bottom/top rows
+    east[:n] *= 0.5
+    east[N - n:] *= 0.5
+    _harmonic_mean(sigma[:-n], sigma[n:], north[:N - n])
+    # y-edges carry half weight in the left/right columns
+    north[::n] *= 0.5
+    north[n - 1::n] *= 0.5
+    stencil = np.empty((N, 5))
+    np.negative(south, out=stencil[:, 0])
+    np.negative(west, out=stencil[:, 1])
+    np.negative(east, out=stencil[:, 3])
+    np.negative(north, out=stencil[:, 4])
+    # the diagonal adds its terms in a fixed order (east, west, north, south
+    # edge; a missing edge adds an exact zero), the order in which
+    # converting an edge list to CSR sums them, so the systems match such a
+    # build bit for bit
+    diag = stencil[:, 2]
+    np.add(east, west, out=diag)
+    diag += north
+    diag += south
+    return stencil
 
 
 def _check_positive_sigma(sigma: ScalarField) -> None:
@@ -190,23 +198,38 @@ def assemble_robin(
     sigma_eff: ScalarField,
     coeffs: RobinCoefficients,
     grid: Grid,
+    out: SparseSystem | None = None,
 ) -> SparseSystem:
     """Discrete system for div(sigma_eff grad u) = 0 with
-    sigma_eff du/dnu + b u = c on the boundary."""
+    sigma_eff du/dnu + b u = c on the boundary.
+
+    With ``out``, a system that this function built for the same grid size,
+    the system is written into its arrays (the matrix entries in place, on
+    the pattern they share) and ``out`` is returned: a caller that solves
+    one system after another builds one matrix.
+    """
     if sigma_eff.grid.n != grid.n or coeffs.grid.n != grid.n:
         raise DimensionError("sigma, coefficients and grid sizes disagree")
     _check_positive_sigma(sigma_eff)
 
     n = grid.n
+    N = n * n
     pat = _stencil_pattern(n)
-    stencil = _stencil(sigma_eff.values2d, n)
+    if out is not None and (out.matrix.shape != (N, N) or out.matrix.nnz != pat.indices.size):
+        raise DimensionError("out is not a Robin system of this grid size")
+    stencil = _stencil(sigma_eff.values, n)
     # the boundary faces add to the diagonal after the edges
-    np.add.at(stencil, (pat.face_rows, 2), pat.face_weight * coeffs.b.values[pat.face_value])
-    A = sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(n * n, n * n))
-
-    rhs = np.zeros(n * n)
-    np.add.at(rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
-    return SparseSystem(A, rhs)
+    np.add.at(stencil[:, 2], pat.face_rows, pat.face_weight * coeffs.b.values[pat.face_value])
+    if out is None:
+        out = SparseSystem(
+            sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(N, N)),
+            np.zeros(N),
+        )
+    else:
+        out.matrix.data[:] = stencil[pat.present]
+        out.rhs.fill(0.0)
+    np.add.at(out.rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
+    return out
 
 
 def assemble_cem(
@@ -227,7 +250,7 @@ def assemble_cem(
     n = grid.n
     N = n * n
     pat = _stencil_pattern(n)
-    stencil = _stencil(sigma.values2d, n)
+    stencil = _stencil(sigma.values, n)
     li, lj = boundary_loop(grid)
     pos_side = positive_electrode_side(electrodes)
     border = np.zeros(N)  # coupling of each node to the voltage V
@@ -256,7 +279,7 @@ def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem
     n = grid.n
     N = n * n
     pat = _stencil_pattern(n)
-    stencil = _stencil(np.ones((n, n)), n)
+    stencil = _stencil(np.ones(N), n)
     inner = pat.present.all(axis=1)  # nodes with all four neighbours
     k = np.flatnonzero(inner)
     li, lj = boundary_loop(grid)

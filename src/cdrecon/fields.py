@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -276,17 +277,45 @@ def cells_to_nodes(cell2d: np.ndarray, grid: Grid) -> np.ndarray:
     """Average cell values back to nodes; each node takes the mean over its
     adjacent cells (4 interior, 2 on edges, 1 at corners). Shape (n, n)."""
     n = grid.n
-    c = np.asarray(cell2d, dtype=float)
-    # node (i, j) adds cells (i-1, j-1), (i, j-1), (i-1, j), (i, j) in that order
-    total = np.zeros((n, n))
-    total[1:, 1:] += c
-    total[1:, :-1] += c
-    total[:-1, 1:] += c
-    total[:-1, :-1] += c
+    padded, cells = _zero_ring(n)
+    _wide_cells(cells, n)[...] = cell2d
+    out = np.empty(n * n)
+    _cells_to_nodes_wide(padded, n, out)
+    return out.reshape(n, n)
+
+
+def _zero_ring(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero buffer for ``_cells_to_nodes_wide`` and the wide cell array
+    inside it: n+1 zeros, the (n-1)*n wide cells, n zeros."""
+    padded = np.zeros(n * n + n + 1)
+    return padded, padded[n + 1:n * n + 1]
+
+
+@lru_cache(maxsize=4)
+def _adjacent_cells(n: int) -> np.ndarray:
+    """The number of cells at each node, flat: 4 inside, 2 on the edges and
+    1 at the corners."""
     count = np.full((n, n), 4.0)
     count[[0, -1], :] *= 0.5
     count[:, [0, -1]] *= 0.5
-    return total / count
+    count = count.reshape(-1)
+    count.flags.writeable = False  # shared by every call on this grid size
+    return count
+
+
+def _cells_to_nodes_wide(padded: np.ndarray, n: int, out: np.ndarray) -> None:
+    """``cells_to_nodes`` of the wide cells in ``padded`` (a ``_zero_ring``
+    buffer whose junk cells are zero) into the caller's flat ``out``.
+
+    Node k adds padded[k], [k+1], [k+n] and [k+n+1], the cells (i-1, j-1),
+    (i, j-1), (i-1, j) and (i, j) in that order; the zeros stand in for the
+    cells off the grid.
+    """
+    N = n * n
+    np.add(padded[:N], padded[1:N + 1], out=out)
+    out += padded[n:N + n]
+    out += padded[n + 1:]
+    out /= _adjacent_cells(n)
 
 
 def weighted_tv(v: ScalarField, a: ScalarField) -> float:

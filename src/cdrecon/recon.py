@@ -23,7 +23,9 @@ The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
 linearly, so ``reconstruct`` accelerates it with Anderson mixing
 (``_Anderson``) and solves each linear system only as accurately as the
 last change of sigma warrants (Eisenstat & Walker 1996), warm-started from
-the previous potential.
+the previous potential.  The sweep runs in place: each call builds its
+constants (cell weights, boundary target, margin band) once, allocates its
+buffers and one Robin matrix once, and every sweep writes into them.
 
 The interior data determines the conductivity only up to the family
 sigma -> sigma / (phi' o u), u -> phi o u with phi increasing and equal to
@@ -44,7 +46,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,12 +63,15 @@ from .errors import DataError
 from .fields import (
     Grid,
     ScalarField,
-    VectorField,
+    _cells_to_nodes_wide,
+    _gradient_wide,
     _weighted_tv,
+    _wide_cells,
+    _zero_ring,
+    boundary_loop,
     boundary_trace,
     boundary_weights,
     cell_average,
-    cells_to_nodes,
     gradient,
     rel_l2_error,
     require_same_grid,
@@ -86,6 +93,10 @@ _MIN_BAND_NODES = 8
 # ``convergence_study`` compares the spreads of the first and last thirds of
 # the schedule; with at most 3 steps each third is one value and both are 0
 MIN_STUDY_STEPS = 4
+# defaults of ``convergence_study``: the noise seed of step 0, and how small
+# the last third's spread must be against the first's
+STUDY_SEED = 0
+STUDY_TAIL_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -207,13 +218,28 @@ def boundary_penalty(v: ScalarField, coeffs: RobinCoefficients) -> float:
     electrodes the sharp coefficients have b = 0 and no target c/b.
     """
     require_same_grid(v, coeffs)
+    return _boundary_penalty_of(coeffs)(v.values)
+
+
+def _boundary_penalty_of(coeffs: RobinCoefficients) -> Callable[[np.ndarray], float]:
+    """``boundary_penalty`` for fixed coefficients, as a function of the flat
+    nodal values of v; the boundary nodes, the weights times b and the
+    target c/b are computed once."""
     b = coeffs.b.values
     # written as `not x > 0` so that NaN is rejected too
     if not np.all(b > 0.0):
         raise DataError("the boundary penalty needs b > 0; c/b is undefined off electrodes")
-    w = boundary_weights(v.grid)
-    dv = boundary_trace(v).values - coeffs.c.values / b
-    return float(0.5 * np.sum(w * b * dv * dv))
+    grid = coeffs.grid
+    i, j = boundary_loop(grid)
+    nodes = j * grid.n + i
+    wb = boundary_weights(grid) * b
+    target = coeffs.c.values / b
+
+    def penalty(values: np.ndarray) -> float:
+        dv = values[nodes] - target
+        return float(0.5 * np.sum(wb * dv * dv))
+
+    return penalty
 
 
 def functional_G(v: ScalarField, a: ScalarField, coeffs: RobinCoefficients) -> float:
@@ -233,19 +259,27 @@ def functional_Gdelta(
         raise DataError(f"delta must be nonnegative, got {delta}")
     require_same_grid(v, a, coeffs)
     grad_v = gradient(v)
-    return sum(_functional_terms(v, grad_v, grad_v.magnitude2d(), a, coeffs, delta))
+    return sum(_functional_terms(
+        grad_v.x2d, grad_v.y2d, grad_v.magnitude2d(), cell_average(a), v.values,
+        _boundary_penalty_of(coeffs), delta, v.grid.h,
+    ))
 
 
 def _functional_terms(
-    v: ScalarField, grad_v: VectorField, magnitude2d: np.ndarray, a: ScalarField,
-    coeffs: RobinCoefficients, delta: float,
+    gx: np.ndarray, gy: np.ndarray, magnitude: np.ndarray, weight2d: np.ndarray,
+    values: np.ndarray, penalty: Callable[[np.ndarray], float], delta: float, h: float,
 ) -> tuple[float, float, float]:
     """``functional_Gdelta`` as its TV, boundary and delta terms, from the
-    cell gradient of v and its magnitude, for callers that already hold
-    them."""
-    tv = _weighted_tv(magnitude2d, cell_average(a), a.grid.h)
-    dterm = float(0.5 * delta * np.sum(grad_v.x**2 + grad_v.y**2) * v.grid.h**2)
-    return tv, boundary_penalty(v, coeffs), dterm
+    (n-1, n-1) cell gradient components of v and its magnitude, the cell
+    weights ``cell_average(a)``, the nodal values of v and
+    ``_boundary_penalty_of`` the coefficients."""
+    work = np.empty((2, *weight2d.shape))
+    tv = _weighted_tv(magnitude, weight2d, h, out=work[0])
+    np.square(gx, out=work[0])
+    np.square(gy, out=work[1])
+    work[0] += work[1]
+    dterm = float(0.5 * delta * np.sum(work[0]) * h**2)
+    return tv, penalty(values), dterm
 
 
 def sigma_from_potential(
@@ -260,24 +294,42 @@ def sigma_from_potential(
     """
     if not grad_floor > 0.0:
         raise DataError(f"grad_floor must be positive, got {grad_floor}")
-    require_same_grid(a, v)
-    return _sigma_from_potential_gradient(a, gradient(v).magnitude2d(), grad_floor)
+    grid = require_same_grid(a, v)
+    n = grid.n
+    grad = np.zeros((2, (n - 1) * n))
+    _gradient_wide(v.values, n, grid.h, *grad)
+    padded, magnitude = _zero_ring(n)
+    sigma = np.empty(grid.num_nodes)
+    _sigma_from_potential_gradient(
+        a.values, grad, grad_floor, padded, magnitude, np.empty(grid.num_nodes), sigma)
+    return ScalarField(grid, sigma)
 
 
 def _sigma_from_potential_gradient(
-    a: ScalarField, magnitude2d: np.ndarray, grad_floor: float
-) -> ScalarField:
-    """``sigma_from_potential`` from the cell gradient magnitudes of v."""
-    gmag = cells_to_nodes(magnitude2d, a.grid).reshape(-1)
-    peak = float(gmag.max())
+    a_values: np.ndarray, grad: np.ndarray, grad_floor: float, padded: np.ndarray,
+    magnitude: np.ndarray, nodes: np.ndarray, out: np.ndarray,
+) -> None:
+    """``sigma_from_potential`` from the wide cell gradient ``grad`` of v
+    into the flat ``out``.  The cell magnitudes |grad v| go to the wide
+    ``magnitude`` inside the ``_zero_ring`` buffer ``padded``, and their
+    nodal averages to ``nodes``."""
+    n = math.isqrt(out.size)
+    np.hypot(*grad, out=magnitude)
+    magnitude[n - 1::n] = 0.0  # the junk cells, which the nodal average reads
+    _cells_to_nodes_wide(padded, n, nodes)
+    peak = float(nodes.max())
     floor = grad_floor * peak if peak > 0.0 else grad_floor
-    return ScalarField(a.grid, a.values / np.maximum(gmag, floor))
+    np.maximum(nodes, floor, out=nodes)
+    np.divide(a_values, nodes, out=out)
 
 
-def _project(values: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
+def _project(values: np.ndarray, bounds: tuple[float, float] | None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """``values`` clipped to ``bounds`` (None: unbounded), into ``out`` when
+    given; unbounded values are returned as they are."""
     if bounds is None:
         return values
-    return np.clip(values, bounds[0], bounds[1])
+    return np.clip(values, bounds[0], bounds[1], out=out)
 
 
 class _Anderson:
@@ -332,6 +384,17 @@ class _Anderson:
         return candidate
 
 
+@lru_cache(maxsize=4)
+def _band_mask(grid: Grid, band: float) -> np.ndarray:
+    """The mask of the margin-band nodes, those within ``band`` of the
+    boundary."""
+    coords = np.arange(grid.n) * grid.h  # the node coordinates along x and y
+    near = (coords < band) | (coords > 1.0 - band)
+    mask = (near[:, None] | near[None, :]).reshape(-1)
+    mask.flags.writeable = False  # shared by every call with this grid and band
+    return mask
+
+
 def _level_bins(
     u: ScalarField, band: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -339,12 +402,12 @@ def _level_bins(
     [min u, max u].  Returns the bin edges, each node's bin, the mask of the
     margin-band nodes (within ``band`` of the boundary) and which bins hold
     at least ``_MIN_BAND_NODES`` band nodes."""
-    coords = np.arange(u.grid.n) * u.grid.h  # the node coordinates along x and y
-    near = (coords < band) | (coords > 1.0 - band)
-    band_mask = (near[:, None] | near[None, :]).reshape(-1)
+    band_mask = _band_mask(u.grid, band)
     t = u.values
     edges = np.linspace(float(t.min()), float(t.max()), _CALIBRATION_BINS + 1)
-    bin_of = np.clip(np.digitize(t, edges) - 1, 0, _CALIBRATION_BINS - 1)
+    bin_of = np.digitize(t, edges)
+    bin_of -= 1  # edges[0] is min u, so every node's bin is at least 0
+    np.minimum(bin_of, _CALIBRATION_BINS - 1, out=bin_of)  # max u joins the last bin
     counts = np.bincount(bin_of[band_mask], minlength=_CALIBRATION_BINS)
     return edges, bin_of, band_mask, counts >= _MIN_BAND_NODES
 
@@ -394,9 +457,20 @@ def level_calibration(
     nbins = _CALIBRATION_BINS
     edges, bin_of, band_mask, qualifies = _level_bins(u, band)
     widths = np.diff(edges)
+    # the median of the band nodes' sigma on each qualifying bin, from those
+    # values sorted by bin and then by value, rounded as np.median rounds:
+    # the middle value, or the mean of the middle two
+    band_bin = bin_of[band_mask]
+    band_sigma = sigma.values[band_mask]
+    rank = np.argsort(band_sigma)
+    ordered = band_sigma[rank][np.argsort(band_bin[rank], kind="stable")]
+    count = np.bincount(band_bin, minlength=nbins)
+    first = np.cumsum(count) - count
+    q = np.flatnonzero(qualifies)
+    lower = first[q] + (count[q] - 1) // 2
+    upper = first[q] + count[q] // 2
     dphi = np.ones(nbins)
-    for b in np.flatnonzero(qualifies):
-        dphi[b] = float(np.median(sigma.values[band_mask & (bin_of == b)])) / background
+    dphi[q] = (ordered[lower] + ordered[upper]) / 2.0 / background
     kernel = np.array([0.25, 0.5, 0.25])
     dphi = np.convolve(np.pad(dphi, 1, mode="edge"), kernel, mode="valid")
     dphi = np.clip(dphi, 0.2, 5.0)
@@ -458,37 +532,52 @@ def reconstruct(
         electrodes, grid, config.epsilon, config.transition_width
     )
 
-    delta = config.delta
+    n, h = grid.n, grid.h
+    delta, bounds = config.delta, config.sigma_bounds
     report = ReconReport()
     factor = FactorCache()
+    weight = cell_average(a)
+    penalty = _boundary_penalty_of(coeffs)
+    # every sweep writes into these: the cell gradient of u and its
+    # magnitude in the wide layout of ``fields`` (gx, gy and cell_magnitude
+    # view their real cells), the nodal magnitude, the sigma image,
+    # sigma + delta and the Robin system, built by the first solve and
+    # refilled by the others
+    grad = np.zeros((2, (n - 1) * n))
+    gx, gy = (_wide_cells(c, n) for c in grad)
+    padded, magnitude = _zero_ring(n)
+    cell_magnitude = _wide_cells(magnitude, n)
+    nodes = np.empty(grid.num_nodes)
+    image = np.empty(grid.num_nodes)
+    shifted = np.empty(grid.num_nodes)
+    system = None
 
-    def solve_at(sigma: ScalarField, tol: float, u: ScalarField | None):
-        sigma_eff = ScalarField(grid, sigma.values + delta)
-        system = assemble_robin(sigma_eff, coeffs, grid)
+    def solve_at(sigma: np.ndarray, tol: float, u: ScalarField | None):
+        nonlocal system
+        np.add(sigma, delta, out=shifted)
+        system = assemble_robin(ScalarField(grid, shifted), coeffs, grid, out=system)
         x0 = None if u is None else u.values
         x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
         return ScalarField(grid, x), stats
 
-    def sweep(sigma: ScalarField):
+    def sweep(sigma: np.ndarray):
         """Fixed-point iterations until the stop rule fires or the cap;
         returns (sigma, u, stop reason)."""
-        mixer = _Anderson(grid.num_nodes, config.sigma_bounds)
+        mixer = _Anderson(grid.num_nodes, bounds)
         u = None
         change = math.inf
         for _ in range(config.max_outer_iterations):
             tol = max(config.inner_tol, min(_LOOSEST_INNER_TOL, _FORCING * change))
             u, stats = solve_at(sigma, tol, u)
-            grad = gradient(u)
-            magnitude = grad.magnitude2d()
-            image = _sigma_from_potential_gradient(a, magnitude, config.grad_floor)
-            image = ScalarField(grid, _project(image.values, config.sigma_bounds))
-            change = (
-                float(np.linalg.norm(image.values - sigma.values))
-                / float(np.linalg.norm(sigma.values))
-            )
+            _gradient_wide(u.values, n, h, *grad)
+            _sigma_from_potential_gradient(
+                a.values, grad, config.grad_floor, padded, magnitude, nodes, image)
+            _project(image, bounds, out=image)
+            change = float(np.linalg.norm(image - sigma)) / float(np.linalg.norm(sigma))
             tv, bterm, dterm = _functional_terms(
-                u, grad, magnitude, a, coeffs, delta)
-            rel = None if ground_truth is None else rel_l2_error(image, ground_truth)
+                gx, gy, cell_magnitude, weight, u.values, penalty, delta, h)
+            rel = (None if ground_truth is None
+                   else rel_l2_error(ScalarField(grid, image), ground_truth))
             report.records.append(IterationRecord(
                 index=report.iterations, tv_term=tv, boundary_term=bterm, delta_term=dterm,
                 sigma_change=change, rel_error=rel,
@@ -496,15 +585,16 @@ def reconstruct(
                 solve_residual=stats.relative_residual,
             ))
             report.stop_change = (
-                _family_free_change(sigma.values, image.values, u, config.calibration_band)
+                _family_free_change(sigma, image, u, config.calibration_band)
                 if config.calibrate else change)
             if report.stop_change <= config.stop_tol:
                 return image, u, "tol"
-            sigma = ScalarField(grid, mixer.step(sigma.values, image.values))
+            # a copy: the step may return the image, which the next sweep overwrites
+            sigma = np.array(mixer.step(sigma, image))
         return image, u, "cap"
 
-    sigma = ScalarField(grid, np.full(grid.num_nodes, config.initial_sigma))
-    sigma, u, report.stop_reason = sweep(sigma)
+    sigma_values, u, report.stop_reason = sweep(np.full(grid.num_nodes, config.initial_sigma))
+    sigma = ScalarField(grid, sigma_values)
 
     if config.calibrate:
         for _ in range(2):
@@ -512,11 +602,11 @@ def reconstruct(
                 sigma, u, electrodes, config.initial_sigma, config.calibration_band
             )
             report.calibrations.append((report.iterations, strength))
-            sigma = ScalarField(grid, _project(sigma.values, config.sigma_bounds))
+            sigma = ScalarField(grid, _project(sigma.values, bounds))
 
     # consistency solve: the returned potential solves the linear problem
     # for the returned conductivity exactly (up to solver tolerance)
-    u_final, final_stats = solve_at(sigma, config.inner_tol, u)
+    u_final, final_stats = solve_at(sigma.values, config.inner_tol, u)
     report.final_solve = final_stats
     report.factorizations = factor.factorizations
     return sigma, u_final, report
@@ -575,8 +665,8 @@ def convergence_study(
     deltas,
     etas,
     config: ReconConfig | None = None,
-    seed: int = 0,
-    tail_fraction: float = 0.1,
+    seed: int = STUDY_SEED,
+    tail_fraction: float = STUDY_TAIL_FRACTION,
     ground_truth: ScalarField | None = None,
 ) -> ScheduleStudy:
     """Run the reconstruction along a regularization schedule.
@@ -587,11 +677,14 @@ def convergence_study(
     weight.  The tail is declared converged when the spread of the last
     third of the clean-functional values is at most ``tail_fraction`` times
     the spread of the first third; a schedule needs at least
-    ``MIN_STUDY_STEPS`` steps for the thirds to have a spread.
+    ``MIN_STUDY_STEPS`` steps for the thirds to have a spread, and the
+    fraction must be finite and nonnegative (DataError).
     """
     check_schedule(deltas, etas)
     if len(deltas) < MIN_STUDY_STEPS:
         raise DataError(f"need at least {MIN_STUDY_STEPS} schedule steps, got {len(deltas)}")
+    if not (math.isfinite(tail_fraction) and tail_fraction >= 0.0):
+        raise DataError(f"tail fraction must be finite and nonnegative, got {tail_fraction}")
     if config is None:
         config = ReconConfig()
     coeffs = smoothed_coefficients(

@@ -286,6 +286,23 @@ def test_study_cli(tmp_path, capsys):
     assert capsys.readouterr().err == "cdrecon: error: --steps must be at least 4\n"
 
 
+def test_study_rejects_bad_tail_fraction(tmp_path, capsys):
+    # a NaN or negative fraction ran the whole schedule and exited 0 with
+    # converged=false
+    sig = tmp_path / "sigma.fld"
+    a = tmp_path / "a.fld"
+    out = tmp_path / "study.csv"
+    run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a)])
+    for bad in ("nan", "-1"):
+        capsys.readouterr()
+        assert run(["study", "--a", str(a), "--steps", "4", "--max-iter", "5",
+                    "--tail-fraction", bad, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdrecon: error: tail fraction ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_export_pgm_rejects_empty_range(tmp_path, capsys):
     sig = tmp_path / "sigma.fld"
     pgm = tmp_path / "sigma.pgm"

@@ -30,7 +30,7 @@ from cdrecon.elliptic import (
     sine_solve,
     solve_reusing_factor,
 )
-from cdrecon.errors import AssemblyError, DataError, NotSPDError, SolverError
+from cdrecon.errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
 from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
@@ -378,6 +378,46 @@ def test_robin_pattern_refill_matches_coo_build(n, seed, aperture, epsilon):
     rhs = np.zeros(n * n)
     np.add.at(rhs, face_rows, w_f * (coeffs.c.values[val_f] + flux.values[val_f]))
     _assert_same_system(system, expected, rhs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
+       apertures=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)))
+def test_robin_refill_matches_fresh_build(n, seed, apertures):
+    # a system refilled through out= holds the bits of a fresh build,
+    # whatever conductivity and coefficients it was built for; two fresh
+    # builds share no memory
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    coeffs = [smoothed_coefficients(ElectrodeSet(aperture=ap), g, 1e-3) for ap in apertures]
+    sigmas = [ScalarField(g, rng.uniform(0.1, 10.0, g.num_nodes)) for _ in range(2)]
+    system = assemble_robin(sigmas[0], coeffs[0], g)
+    matrix = system.matrix
+    fresh = assemble_robin(sigmas[1], coeffs[1], g)
+    refilled = assemble_robin(sigmas[1], coeffs[1], g, out=system)
+    assert refilled is system and refilled.matrix is matrix
+    for name in ("indptr", "indices", "data"):
+        assert getattr(matrix, name).tobytes() == getattr(fresh.matrix, name).tobytes()
+    assert refilled.rhs.tobytes() == fresh.rhs.tobytes()
+    again = assemble_robin(sigmas[1], coeffs[1], g)
+    assert not np.shares_memory(again.matrix.data, fresh.matrix.data)
+    assert not np.shares_memory(again.rhs, fresh.rhs)
+
+
+def test_robin_refill_rejects_other_systems():
+    g, small = make_grid(9), make_grid(7)
+    el = ElectrodeSet()
+    sigma = ScalarField.constant(g, 1.0)
+    coeffs = smoothed_coefficients(el, g, 1e-3)
+    others = (
+        assemble_robin(ScalarField.constant(small, 1.0), smoothed_coefficients(el, small, 1e-3),
+                       small),
+        assemble_cem(sigma, el, g),
+        assemble_laplace_dirichlet(BoundaryValues(g, np.ones(g.num_boundary_nodes)), g),
+    )
+    for other in others:
+        with pytest.raises(DimensionError, match="not a Robin system"):
+            assemble_robin(sigma, coeffs, g, out=other)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@
 schedule study."""
 
 import csv
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,14 +14,24 @@ from cdrecon.boundary import (
     ElectrodeSet,
     RobinCoefficients,
     base_coefficients,
+    electrode_quadrature,
     smoothed_coefficients,
 )
-from cdrecon.elliptic import assemble_robin, pcg_solve, quadratic_energy
+from cdrecon.elliptic import (
+    FactorCache,
+    assemble_robin,
+    pcg_solve,
+    quadratic_energy,
+    solve_reusing_factor,
+)
 from cdrecon.errors import DataError, DimensionError
 from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
     boundary_trace,
+    boundary_weights,
+    cell_average,
+    gradient,
     make_grid,
     rel_l2_error,
     weighted_tv,
@@ -29,8 +40,12 @@ from cdrecon.forward import nonuniqueness_transform, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import (
     _ANDERSON_DEPTH,
+    _FORCING,
+    _LOOSEST_INNER_TOL,
     MIN_STUDY_STEPS,
+    IterationRecord,
     ReconConfig,
+    ReconReport,
     _Anderson,
     _family_free_change,
     boundary_penalty,
@@ -273,6 +288,175 @@ def test_reconstruct_repeats_bit_for_bit(n, other, aperture, z, seed):
     assert s1.values.tobytes() == s2.values.tobytes()
     assert u1.values.tobytes() == u2.values.tobytes()
     assert r1 == r2
+
+
+def _former_level_bins(u, band):
+    """The level bins as ``recon`` built them on every call before the sweep
+    ran in place: edges, each node's bin, the band mask, qualifying bins."""
+    coords = np.arange(u.grid.n) * u.grid.h
+    near = (coords < band) | (coords > 1.0 - band)
+    band_mask = (near[:, None] | near[None, :]).reshape(-1)
+    t = u.values
+    edges = np.linspace(float(t.min()), float(t.max()), 49)
+    bin_of = np.clip(np.digitize(t, edges) - 1, 0, 47)
+    counts = np.bincount(bin_of[band_mask], minlength=48)
+    return edges, bin_of, band_mask, counts >= 8
+
+
+def _former_family_free_change(sigma, image, u, band):
+    _, bin_of, _, qualifies = _former_level_bins(u, band)
+    d = image - sigma
+    sd = np.bincount(bin_of, weights=sigma * d, minlength=48)
+    ss = np.bincount(bin_of, weights=sigma * sigma, minlength=48)
+    c = np.zeros(48)
+    c[qualifies] = sd[qualifies] / ss[qualifies]
+    return float(np.linalg.norm(d - c[bin_of] * sigma)) / float(np.linalg.norm(sigma))
+
+
+def _former_level_calibration(sigma, u, electrodes, background, band):
+    """``level_calibration`` with one np.median per bin, as it was written."""
+    grid = u.grid
+    t = u.values
+    t0, t1 = float(t.min()), float(t.max())
+    if t1 <= t0 or background <= 0.0:
+        return sigma, u, 0.0
+    edges, bin_of, band_mask, qualifies = _former_level_bins(u, band)
+    widths = np.diff(edges)
+    dphi = np.ones(48)
+    for b in np.flatnonzero(qualifies):
+        dphi[b] = float(np.median(sigma.values[band_mask & (bin_of == b)])) / background
+    dphi = np.convolve(np.pad(dphi, 1, mode="edge"), np.array([0.25, 0.5, 0.25]), mode="valid")
+    dphi = np.clip(dphi, 0.2, 5.0)
+    tr = boundary_trace(u).values
+    pinned = np.zeros(48, dtype=bool)
+    for side in ("top", "bottom"):
+        vals = tr[electrode_quadrature(electrodes, grid, side)[0]]
+        lo_b = int(np.clip(np.digitize(float(vals.min()), edges) - 1, 0, 47))
+        hi_b = int(np.clip(np.digitize(float(vals.max()), edges) - 1, 0, 47))
+        pinned[lo_b:hi_b + 1] = True
+    dphi[pinned] = 1.0
+    free = ~pinned
+    if not free.any():
+        return sigma, u, 0.0
+    got = float((dphi[free] * widths[free]).sum())
+    if got <= 0.0:
+        return sigma, u, 0.0
+    dphi[free] *= float(widths[free].sum()) / got
+    phi_at_edges = np.concatenate([[t0], t0 + np.cumsum(dphi * widths)])
+    return (ScalarField(grid, sigma.values / dphi[bin_of]),
+            ScalarField(grid, np.interp(t, edges, phi_at_edges)),
+            float(np.abs(dphi - 1.0).max()))
+
+
+def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None):
+    """``reconstruct`` as written before it ran in place: a fresh Robin
+    system and fresh arrays every sweep, every per-run constant (the cell
+    weights, the boundary target, the margin band, the nodal-average
+    divisors) rebuilt where it is used.  The oracle of the in-place sweep,
+    which must return the same bits."""
+    coeffs = smoothed_coefficients(electrodes, grid, config.epsilon, config.transition_width)
+    delta, bounds, h = config.delta, config.sigma_bounds, grid.h
+    report = ReconReport()
+    factor = FactorCache()
+
+    def project(values):
+        return values if bounds is None else np.clip(values, bounds[0], bounds[1])
+
+    def solve_at(sigma, tol, u):
+        system = assemble_robin(ScalarField(grid, sigma.values + delta), coeffs, grid)
+        x, stats = solve_reusing_factor(system, factor, tol=tol,
+                                        x0=None if u is None else u.values)
+        return ScalarField(grid, x), stats
+
+    def image_of(magnitude):
+        n = grid.n
+        total = np.zeros((n, n))
+        total[1:, 1:] += magnitude
+        total[1:, :-1] += magnitude
+        total[:-1, 1:] += magnitude
+        total[:-1, :-1] += magnitude
+        count = np.full((n, n), 4.0)
+        count[[0, -1], :] *= 0.5
+        count[:, [0, -1]] *= 0.5
+        gmag = (total / count).reshape(-1)
+        peak = float(gmag.max())
+        floor = config.grad_floor * peak if peak > 0.0 else config.grad_floor
+        return ScalarField(grid, project(a.values / np.maximum(gmag, floor)))
+
+    def terms(u, grad, magnitude):
+        tv = float(np.sum(cell_average(a) * magnitude) * h**2)
+        b = coeffs.b.values
+        dv = boundary_trace(u).values - coeffs.c.values / b
+        bterm = float(0.5 * np.sum(boundary_weights(grid) * b * dv * dv))
+        dterm = float(0.5 * delta * np.sum(grad.x**2 + grad.y**2) * h**2)
+        return tv, bterm, dterm
+
+    def sweep(sigma):
+        mixer = _Anderson(grid.num_nodes, bounds)
+        u = None
+        change = math.inf
+        for _ in range(config.max_outer_iterations):
+            tol = max(config.inner_tol, min(_LOOSEST_INNER_TOL, _FORCING * change))
+            u, stats = solve_at(sigma, tol, u)
+            grad = gradient(u)
+            magnitude = grad.magnitude2d()
+            image = image_of(magnitude)
+            change = (float(np.linalg.norm(image.values - sigma.values))
+                      / float(np.linalg.norm(sigma.values)))
+            tv, bterm, dterm = terms(u, grad, magnitude)
+            rel = None if ground_truth is None else rel_l2_error(image, ground_truth)
+            report.records.append(IterationRecord(
+                report.iterations, tv, bterm, dterm, change, rel,
+                stats.iterations, stats.relative_residual))
+            report.stop_change = (
+                _former_family_free_change(sigma.values, image.values, u,
+                                           config.calibration_band)
+                if config.calibrate else change)
+            if report.stop_change <= config.stop_tol:
+                return image, u, "tol"
+            sigma = ScalarField(grid, mixer.step(sigma.values, image.values))
+        return image, u, "cap"
+
+    sigma = ScalarField(grid, np.full(grid.num_nodes, config.initial_sigma))
+    sigma, u, report.stop_reason = sweep(sigma)
+    if config.calibrate:
+        for _ in range(2):
+            sigma, u, strength = _former_level_calibration(
+                sigma, u, electrodes, config.initial_sigma, config.calibration_band)
+            report.calibrations.append((report.iterations, strength))
+            sigma = ScalarField(grid, project(sigma.values))
+    u_final, report.final_solve = solve_at(sigma, config.inner_tol, u)
+    report.factorizations = factor.factorizations
+    return sigma, u_final, report
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(5, 40), aperture=st.floats(0.5, 1.0), calibrate=st.booleans(),
+       bounded=st.booleans(), with_truth=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_matches_former_sweep(n, aperture, calibrate, bounded, with_truth, seed):
+    # the in-place sweep (one Robin matrix refilled, per-run constants built
+    # once, buffers reused) returns the bits of the sweep it replaced
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture)
+    rng = np.random.default_rng(seed)
+    truth = ScalarField(g, rng.uniform(0.5, 2.0, g.num_nodes))
+    a = solve_forward(truth, smoothed_coefficients(el, g, 5e-4), g).a
+    cfg = ReconConfig(max_outer_iterations=40, calibrate=calibrate,
+                      sigma_bounds=(0.6, 1.8) if bounded else None)
+    ground_truth = truth if with_truth else None
+    s0, u0, r0 = _reconstruct_by_former_sweep(a, el, cfg, g, ground_truth)
+    s1, u1, r1 = reconstruct(a, el, cfg, g, ground_truth)
+    assert s1.values.tobytes() == s0.values.tobytes()
+    assert u1.values.tobytes() == u0.values.tobytes()
+    # repr spells every float of the records, calibrations, stop reason,
+    # stop change, final solve and factorization count to the last bit
+    assert repr(r1) == repr(r0)
+    # a second call builds its own buffers and its own Robin matrix
+    s2, u2, r2 = reconstruct(a, el, cfg, g, ground_truth)
+    assert repr(r2) == repr(r0)
+    for first, second in ((s1, s2), (u1, u2)):
+        assert second.values.tobytes() == first.values.tobytes()
+        assert not np.shares_memory(first.values, second.values)
 
 
 def test_converged_result_does_not_depend_on_the_cap():
@@ -531,6 +715,18 @@ def test_convergence_study_needs_four_steps(homog_setup):
     deltas = [3e-3 * 2.0 ** (-k) for k in range(3)]
     with pytest.raises(DataError, match="at least 4 schedule steps, got 3"):
         convergence_study(fwd.a, el, g, deltas, deltas, ReconConfig(max_outer_iterations=2))
+
+
+def test_convergence_study_rejects_bad_tail_fraction(homog_setup):
+    # NaN fails every comparison, so the tail read as not converged whatever
+    # the spreads did; a negative fraction never passes, an infinite one
+    # always does
+    g, el, truth, coeffs, fwd = homog_setup
+    deltas = [3e-3 * 2.0 ** (-k) for k in range(4)]
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(DataError, match="tail fraction must be finite and nonnegative"):
+            convergence_study(fwd.a, el, g, deltas, deltas,
+                              ReconConfig(max_outer_iterations=2), tail_fraction=bad)
 
 
 def test_report_csv_round_trip(tmp_path, homog_setup):
