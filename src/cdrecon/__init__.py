@@ -50,12 +50,12 @@ from .fields import (
     weighted_tv,
     write_field,
 )
+from .family import level_calibration, nonuniqueness_transform
 from .forward import (
     ForwardResult,
     add_noise,
     cem_scaling,
     interior_data,
-    nonuniqueness_transform,
     solve_cem_forward,
     solve_forward,
 )
@@ -68,7 +68,6 @@ from .recon import (
     convergence_study,
     functional_G,
     functional_Gdelta,
-    level_calibration,
     reconstruct,
     sigma_from_potential,
 )

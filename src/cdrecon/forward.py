@@ -1,6 +1,6 @@
 """End-to-end forward simulation: Robin and complete-electrode-model solves,
-interior current-density magnitude, noise injection, the CEM-Robin scaling
-factor, and the non-uniqueness transform family."""
+interior current-density magnitude, noise injection and the CEM-Robin
+scaling factor."""
 
 from __future__ import annotations
 
@@ -115,55 +115,3 @@ def add_noise(a: ScalarField, level: float, seed: int) -> ScalarField:
     rng = np.random.default_rng(seed)
     xi = rng.uniform(-1.0, 1.0, size=a.values.size)
     return ScalarField(a.grid, np.maximum(a.values * (1.0 + level * xi), 0.0))
-
-
-def _bump(t: np.ndarray, center: float, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """C1 bump (1 - tau^2)^2 on |tau| < 1 and its derivative, scaled so that
-    max |psi'| = 1."""
-    tau = (t - center) / halfwidth
-    inside = np.abs(tau) < 1.0
-    q = np.where(inside, (1.0 - tau**2) ** 2, 0.0)
-    dq = np.where(inside, -4.0 * tau * (1.0 - tau**2), 0.0)
-    peak = 8.0 / (3.0 * np.sqrt(3.0))  # max of |4 tau (1 - tau^2)| on [-1, 1]
-    return q * halfwidth / peak, dq / peak
-
-
-def nonuniqueness_transform(
-    u0: ScalarField,
-    sigma: ScalarField,
-    strength: float,
-    center: float | None = None,
-    halfwidth: float | None = None,
-) -> tuple[ScalarField, ScalarField]:
-    """Apply phi(t) = t + s * psi(t) with a C1 bump psi supported strictly
-    between the electrode value ranges of u0.
-
-    psi is normalized so max |psi'| = 1, hence phi' >= 1 - |s| and any
-    |s| < 1 is admissible.  Returns (sigma / (phi' o u0), phi o u0): a
-    different conductivity whose current density magnitude matches sigma's
-    up to discretization error.
-    """
-    require_same_grid(u0, sigma)
-    lo, hi = float(u0.values.min()), float(u0.values.max())
-    span = hi - lo
-    if span <= 0.0:
-        raise DataError("u0 is constant; no admissible transform exists")
-    if center is None:
-        center = 0.5 * (lo + hi)
-    if halfwidth is None:
-        halfwidth = 0.2 * span
-    if not (lo < center - halfwidth and center + halfwidth < hi):
-        raise DataError(
-            "bump support must lie strictly inside the range of u0 "
-            f"({lo:g}, {hi:g}); got center {center:g}, halfwidth {halfwidth:g}"
-        )
-    psi, dpsi = _bump(u0.values, center, halfwidth)
-    dphi = 1.0 + strength * dpsi
-    if np.any(dphi <= 0.0):
-        raise DataError(
-            f"transform is not increasing: min phi' = {dphi.min():g} "
-            f"(need |strength| < 1, got {strength})"
-        )
-    u_phi = ScalarField(u0.grid, u0.values + strength * psi)
-    sigma_phi = ScalarField(sigma.grid, sigma.values / dphi)
-    return sigma_phi, u_phi

@@ -1,7 +1,6 @@
 """The inverse solver: weighted-TV functionals, the regularized fixed-point
 iteration (solve a uniformly elliptic Robin problem, update the conductivity
-from the data over the gradient magnitude), level calibration against the
-known background, and schedule convergence studies.
+from the data over the gradient magnitude), and schedule convergence studies.
 
 Each outer iteration solves the linearization of the regularized functional
 at the current conductivity: div((sigma_k + delta) grad u) = 0 with
@@ -16,7 +15,7 @@ sweep records and ``convergence_study`` log it.  The sweep stops when the
 relative change of sigma is at most ``stop_tol`` (stop reason "tol") or
 after ``max_outer_iterations`` sweeps ("cap").  With calibration on, the
 change compared is the part that the calibration keeps: its component
-along the reparametrization family (see below) does not count.
+along the reparametrization family does not count.
 
 The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
 ``sigma_bounds``) is a lagged-diffusivity iteration and converges only
@@ -24,19 +23,12 @@ linearly, so ``reconstruct`` accelerates it with Anderson mixing
 (``_Anderson``) and solves each linear system only as accurately as the
 last change of sigma warrants (Eisenstat & Walker 1996), warm-started from
 the previous potential.  The sweep runs in place: each call builds its
-constants (cell weights, boundary target, margin band) once, allocates its
-buffers and one Robin matrix once, and every sweep writes into them.
+constants (cell weights, boundary target) once, allocates its buffers and
+one Robin matrix once, and every sweep writes into them.
 
-The interior data determines the conductivity only up to the family
-sigma -> sigma / (phi' o u), u -> phi o u with phi increasing and equal to
-the identity on the electrode value ranges.  When the conductivity near
-the boundary is known (a homogeneous margin around the imaged region, the
-standard embedding), the family member is identified by regressing the
-reconstructed conductivity against the potential level inside the margin
-band; ``reconstruct`` applies this calibration twice to the converged
-fixed point unless it is disabled.  The sweep converges slowly along the
-family, since the weighted TV term is constant on it, so a calibrated run
-stops once the change off the family is small (``_family_free_change``).
+The module ``family`` owns the reparametrization family: its level bins,
+the stop rule's projection and the level calibration, which ``reconstruct``
+applies twice to the fixed point unless it is disabled.
 
 ``ReconConfig`` owns the settings of ``reconstruct`` and their defaults, and
 checks them when built (DataError), so every config a function sees is valid.
@@ -48,18 +40,23 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
-    electrode_quadrature,
     smoothed_coefficients,
 )
 from .elliptic import SOLVE_TOL, FactorCache, SolveStats, assemble_robin, solve_reusing_factor
 from .errors import DataError
+from .family import (
+    CALIBRATION_BAND,
+    _calibration_pass,
+    _check_band,
+    _family_free_change,
+    _level_bins,
+)
 from .fields import (
     Grid,
     ScalarField,
@@ -69,7 +66,6 @@ from .fields import (
     _wide_cells,
     _zero_ring,
     boundary_loop,
-    boundary_trace,
     boundary_weights,
     cell_average,
     gradient,
@@ -86,10 +82,6 @@ _ANDERSON_DEPTH = 5
 # to _LOOSEST_INNER_TOL and at least to the config's inner_tol
 _FORCING = 1e-2
 _LOOSEST_INNER_TOL = 1e-3
-# potential-level bins of ``level_calibration`` and of the calibrated stop
-# rule; a bin takes part only with at least _MIN_BAND_NODES margin-band nodes
-_CALIBRATION_BINS = 48
-_MIN_BAND_NODES = 8
 # ``convergence_study`` compares the spreads of the first and last thirds of
 # the schedule; with at most 3 steps each third is one value and both are 0
 MIN_STUDY_STEPS = 4
@@ -112,26 +104,27 @@ class ReconConfig:
     inner_tol: float = SOLVE_TOL
     calibrate: bool = True  # identify the reparametrization member from the
     # margin band, taking initial_sigma as the known background level
-    calibration_band: float = 0.12
+    calibration_band: float = CALIBRATION_BAND
 
     def __post_init__(self):
         # written as `not x > 0` so that NaN is rejected too
         if not self.epsilon > 0.0:
             raise DataError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.delta > 0.0:
-            raise DataError(f"delta must be positive, got {self.delta}")
-        if not self.grad_floor > 0.0:
-            raise DataError(f"grad_floor must be positive, got {self.grad_floor}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise DataError(f"delta must be positive and finite, got {self.delta}")
+        # from 1 up every node is floored and sigma no longer depends on u
+        if not (0.0 < self.grad_floor < 1.0):
+            raise DataError(f"grad_floor must be in (0, 1), got {self.grad_floor}")
         if not self.max_outer_iterations >= 1:
             raise DataError("need at least one outer iteration")
         if not self.stop_tol > 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
         if not (0.0 < self.inner_tol < 1.0):
             raise DataError(f"inner_tol must be in (0, 1), got {self.inner_tol}")
-        if not self.initial_sigma > 0.0:
-            raise DataError(f"initial sigma must be positive, got {self.initial_sigma}")
-        if not (0.0 < self.calibration_band < 0.5):
-            raise DataError(f"calibration band must be in (0, 0.5), got {self.calibration_band}")
+        if not (math.isfinite(self.initial_sigma) and self.initial_sigma > 0.0):
+            raise DataError(
+                f"initial sigma must be positive and finite, got {self.initial_sigma}")
+        _check_band(self.calibration_band)
         if self.sigma_bounds is not None:
             lo, hi = self.sigma_bounds
             if not (0.0 < lo <= hi):
@@ -384,122 +377,6 @@ class _Anderson:
         return candidate
 
 
-@lru_cache(maxsize=4)
-def _band_mask(grid: Grid, band: float) -> np.ndarray:
-    """The mask of the margin-band nodes, those within ``band`` of the
-    boundary."""
-    coords = np.arange(grid.n) * grid.h  # the node coordinates along x and y
-    near = (coords < band) | (coords > 1.0 - band)
-    mask = (near[:, None] | near[None, :]).reshape(-1)
-    mask.flags.writeable = False  # shared by every call with this grid and band
-    return mask
-
-
-def _level_bins(
-    u: ScalarField, band: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The potential-level bins: ``_CALIBRATION_BINS`` equal bins on
-    [min u, max u].  Returns the bin edges, each node's bin, the mask of the
-    margin-band nodes (within ``band`` of the boundary) and which bins hold
-    at least ``_MIN_BAND_NODES`` band nodes."""
-    band_mask = _band_mask(u.grid, band)
-    t = u.values
-    edges = np.linspace(float(t.min()), float(t.max()), _CALIBRATION_BINS + 1)
-    bin_of = np.digitize(t, edges)
-    bin_of -= 1  # edges[0] is min u, so every node's bin is at least 0
-    np.minimum(bin_of, _CALIBRATION_BINS - 1, out=bin_of)  # max u joins the last bin
-    counts = np.bincount(bin_of[band_mask], minlength=_CALIBRATION_BINS)
-    return edges, bin_of, band_mask, counts >= _MIN_BAND_NODES
-
-
-def _family_free_change(
-    sigma: np.ndarray, image: np.ndarray, u: ScalarField, band: float
-) -> float:
-    """The relative change image - sigma less its part along the
-    reparametrization family, which ``level_calibration`` replaces.
-
-    A member near sigma is sigma * psi(u), so on each level bin that the
-    calibration estimates from, the change loses its weighted projection
-    c_b * sigma with c_b = sum(sigma d) / sum(sigma^2); bins with too few
-    band nodes keep their change.  Returns ||remainder|| / ||sigma||."""
-    _, bin_of, _, qualifies = _level_bins(u, band)
-    d = image - sigma
-    sd = np.bincount(bin_of, weights=sigma * d, minlength=_CALIBRATION_BINS)
-    ss = np.bincount(bin_of, weights=sigma * sigma, minlength=_CALIBRATION_BINS)
-    c = np.zeros(_CALIBRATION_BINS)
-    c[qualifies] = sd[qualifies] / ss[qualifies]
-    return float(np.linalg.norm(d - c[bin_of] * sigma)) / float(np.linalg.norm(sigma))
-
-
-def level_calibration(
-    sigma: ScalarField,
-    u: ScalarField,
-    electrodes: ElectrodeSet,
-    background: float,
-    band: float = ReconConfig.calibration_band,
-) -> tuple[ScalarField, ScalarField, float]:
-    """Snap a reconstruction onto the reparametrization-family member whose
-    conductivity matches the known background inside the boundary margin.
-
-    The interior data is invariant under sigma -> sigma / (phi' o u),
-    u -> phi o u for any increasing phi that is the identity on the
-    electrode value ranges.  phi' is estimated per potential level as the
-    median of sigma / background over the margin band, pinned to 1 on the
-    electrode ranges and normalized so phi stays continuous; the returned
-    pair is the transformed (sigma, u) together with max |phi' - 1|.
-    """
-    grid = require_same_grid(sigma, u)
-    t = u.values
-    t0, t1 = float(t.min()), float(t.max())
-    if t1 <= t0 or background <= 0.0:
-        return sigma, u, 0.0
-
-    nbins = _CALIBRATION_BINS
-    edges, bin_of, band_mask, qualifies = _level_bins(u, band)
-    widths = np.diff(edges)
-    # the median of the band nodes' sigma on each qualifying bin, from those
-    # values sorted by bin and then by value, rounded as np.median rounds:
-    # the middle value, or the mean of the middle two
-    band_bin = bin_of[band_mask]
-    band_sigma = sigma.values[band_mask]
-    rank = np.argsort(band_sigma)
-    ordered = band_sigma[rank][np.argsort(band_bin[rank], kind="stable")]
-    count = np.bincount(band_bin, minlength=nbins)
-    first = np.cumsum(count) - count
-    q = np.flatnonzero(qualifies)
-    lower = first[q] + (count[q] - 1) // 2
-    upper = first[q] + count[q] // 2
-    dphi = np.ones(nbins)
-    dphi[q] = (ordered[lower] + ordered[upper]) / 2.0 / background
-    kernel = np.array([0.25, 0.5, 0.25])
-    dphi = np.convolve(np.pad(dphi, 1, mode="edge"), kernel, mode="valid")
-    dphi = np.clip(dphi, 0.2, 5.0)
-
-    # identity on the electrode value ranges
-    tr = boundary_trace(u).values
-    pinned = np.zeros(nbins, dtype=bool)
-    for side in ("top", "bottom"):
-        idx, _ = electrode_quadrature(electrodes, grid, side)
-        vals = tr[idx]
-        lo_b = int(np.clip(np.digitize(float(vals.min()), edges) - 1, 0, nbins - 1))
-        hi_b = int(np.clip(np.digitize(float(vals.max()), edges) - 1, 0, nbins - 1))
-        pinned[lo_b:hi_b + 1] = True
-    dphi[pinned] = 1.0
-    free = ~pinned
-    if not free.any():
-        return sigma, u, 0.0
-    got = float((dphi[free] * widths[free]).sum())
-    if got <= 0.0:
-        return sigma, u, 0.0
-    dphi[free] *= float(widths[free].sum()) / got
-
-    phi_at_edges = np.concatenate([[t0], t0 + np.cumsum(dphi * widths)])
-    u_new = np.interp(t, edges, phi_at_edges)
-    sigma_new = sigma.values / dphi[bin_of]
-    strength = float(np.abs(dphi - 1.0).max())
-    return ScalarField(grid, sigma_new), ScalarField(grid, u_new), strength
-
-
 def reconstruct(
     a: ScalarField,
     electrodes: ElectrodeSet,
@@ -562,7 +439,7 @@ def reconstruct(
 
     def sweep(sigma: np.ndarray):
         """Fixed-point iterations until the stop rule fires or the cap;
-        returns (sigma, u, stop reason)."""
+        returns (sigma, u, the level bins of u when calibrating, stop reason)."""
         mixer = _Anderson(grid.num_nodes, bounds)
         u = None
         change = math.inf
@@ -584,23 +461,26 @@ def reconstruct(
                 solve_iterations=stats.iterations,
                 solve_residual=stats.relative_residual,
             ))
+            bins = _level_bins(u, config.calibration_band) if config.calibrate else None
             report.stop_change = (
-                _family_free_change(sigma, image, u, config.calibration_band)
-                if config.calibrate else change)
+                change if bins is None else _family_free_change(sigma, image, bins))
             if report.stop_change <= config.stop_tol:
-                return image, u, "tol"
+                return image, u, bins, "tol"
             # a copy: the step may return the image, which the next sweep overwrites
             sigma = np.array(mixer.step(sigma, image))
-        return image, u, "cap"
+        return image, u, bins, "cap"
 
-    sigma_values, u, report.stop_reason = sweep(np.full(grid.num_nodes, config.initial_sigma))
+    sigma_values, u, bins, report.stop_reason = sweep(
+        np.full(grid.num_nodes, config.initial_sigma))
     sigma = ScalarField(grid, sigma_values)
 
     if config.calibrate:
-        for _ in range(2):
-            sigma, u, strength = level_calibration(
-                sigma, u, electrodes, config.initial_sigma, config.calibration_band
-            )
+        # the first pass calibrates the u whose bins the last sweep built
+        for k in range(2):
+            if k > 0:
+                bins = _level_bins(u, config.calibration_band)
+            sigma, u, strength = _calibration_pass(
+                sigma, u, bins, electrodes, config.initial_sigma)
             report.calibrations.append((report.iterations, strength))
             sigma = ScalarField(grid, _project(sigma.values, bounds))
 

@@ -136,6 +136,8 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         reconstruct + ["--inner-tol", "0"],
         reconstruct + ["--stop-tol", "nan"],
         reconstruct + ["--delta", "nan"],
+        reconstruct + ["--delta", "inf"],
+        reconstruct + ["--grad-floor", "inf"],
         reconstruct + ["--current", "nan"],
         ["forward", "--sigma", str(sig), "--out-a", out, "--tol", "0"],
         ["forward", "--sigma", str(sig), "--out-a", out, "--z", "nan"],

@@ -14,12 +14,12 @@ from cdrecon.boundary import (
     smoothed_coefficients,
 )
 from cdrecon.errors import DataError
+from cdrecon.family import nonuniqueness_transform
 from cdrecon.fields import ScalarField, boundary_trace, make_grid, rel_l2_error
 from cdrecon.forward import (
     add_noise,
     cem_scaling,
     interior_data,
-    nonuniqueness_transform,
     solve_cem_forward,
     solve_forward,
 )
@@ -233,5 +233,8 @@ def test_nonuniqueness_rejects_non_increasing(homog33):
     g, el, sigma, r = homog33
     with pytest.raises(DataError, match="not increasing"):
         nonuniqueness_transform(r.u, sigma, 1.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="strength must be finite"):
+            nonuniqueness_transform(r.u, sigma, bad)
     with pytest.raises(DataError):
         nonuniqueness_transform(ScalarField.constant(g, 1.0), sigma, 0.1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cdrecon import recon
 from cdrecon.boundary import (
     ElectrodeSet,
     RobinCoefficients,
@@ -36,7 +37,13 @@ from cdrecon.fields import (
     rel_l2_error,
     weighted_tv,
 )
-from cdrecon.forward import nonuniqueness_transform, solve_forward
+from cdrecon.family import (
+    _family_free_change,
+    _level_bins,
+    level_calibration,
+    nonuniqueness_transform,
+)
+from cdrecon.forward import solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import (
     _ANDERSON_DEPTH,
@@ -47,13 +54,11 @@ from cdrecon.recon import (
     ReconConfig,
     ReconReport,
     _Anderson,
-    _family_free_change,
     boundary_penalty,
     check_schedule,
     convergence_study,
     functional_G,
     functional_Gdelta,
-    level_calibration,
     reconstruct,
     sigma_from_potential,
 )
@@ -252,6 +257,14 @@ def test_config_checks_itself():
             replace(ReconConfig(), **{f.name: bad})
     with pytest.raises(DataError, match="sigma bounds"):
         ReconConfig(sigma_bounds=(0.5, nan))
+    # from a floor of 1 up every node is floored, and an infinite one divides
+    # the image by an infinite floor; an infinite delta or start breaks the
+    # first solve
+    inf = float("inf")
+    for name, bad in (("grad_floor", inf), ("grad_floor", 1.0), ("grad_floor", 1e200),
+                      ("delta", inf), ("initial_sigma", inf)):
+        with pytest.raises(DataError, match="must be"):
+            ReconConfig(**{name: bad})
     with pytest.raises(DataError, match="transition width must be finite"):
         ReconConfig(transition_width=float("inf"))
 
@@ -459,6 +472,49 @@ def test_reconstruct_matches_former_sweep(n, aperture, calibrate, bounded, with_
         assert not np.shares_memory(first.values, second.values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(9, 60), band=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       aperture=st.floats(0.5, 1.0), background=st.floats(0.2, 5.0),
+       wobble=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_family_matches_former_calibration_and_projection(n, band, aperture, background,
+                                                          wobble, seed):
+    # the stop-rule projection on a bins value built once, and the public
+    # calibration, return the bits of the code they replaced, which built
+    # the bins on every call; random sigma and u at any band, not only the
+    # converged sweeps at band 0.12 that the sweep oracle sees
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture)
+    rng = np.random.default_rng(seed)
+    x, y = g.node_coords()
+    u = ScalarField(g, (y + wobble * rng.uniform(-1.0, 1.0, x.shape)).reshape(-1))
+    sigma = ScalarField(g, background * rng.uniform(0.5, 2.0, g.num_nodes))
+    image = sigma.values * rng.uniform(0.5, 2.0, g.num_nodes)
+    assert (_family_free_change(sigma.values, image, _level_bins(u, band))
+            == _former_family_free_change(sigma.values, image, u, band))
+    s1, u1, strength = level_calibration(sigma, u, el, background, band)
+    s0, u0, former_strength = _former_level_calibration(sigma, u, el, background, band)
+    assert s1.values.tobytes() == s0.values.tobytes()
+    assert u1.values.tobytes() == u0.values.tobytes()
+    assert strength == former_strength
+
+
+def test_calibrated_run_builds_the_bins_once_per_sweep_and_once_more(homog_setup, monkeypatch):
+    # the stop rule builds the bins of each sweep's u, the first calibration
+    # pass reuses the last of them and the second builds those of its own u
+    g, el, truth, coeffs, fwd = homog_setup
+    built = []
+
+    def counted(u, band):
+        built.append(u)
+        return _level_bins(u, band)
+
+    monkeypatch.setattr(recon, "_level_bins", counted)
+    _, _, report = reconstruct(fwd.a, el, ReconConfig(), g)
+    assert len(built) == report.iterations + 1
+    reconstruct(fwd.a, el, ReconConfig(calibrate=False), g)
+    assert len(built) == report.iterations + 1
+
+
 def test_converged_result_does_not_depend_on_the_cap():
     # the sweep stops by its rule and the calibrations add no sweeps, so a
     # larger iteration budget returns the same bits
@@ -615,6 +671,19 @@ def test_level_calibration_identity_on_consistent_input(homog_setup):
     assert np.abs(sig_cal.values - 1.0).max() < 1e-10
 
 
+def test_level_calibration_rejects_bad_scalars(homog_setup):
+    # NaN fails every comparison; an infinite background once returned a
+    # "calibrated" sigma, and a nonpositive background or band the input
+    g, el, truth, coeffs, fwd = homog_setup
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf, 0.0, -1.0):
+        with pytest.raises(DataError, match="background must be positive and finite"):
+            level_calibration(truth, fwd.u, el, background=bad)
+    for bad in (nan, 0.0, -0.1, 0.5):
+        with pytest.raises(DataError, match="calibration band must be in"):
+            level_calibration(truth, fwd.u, el, 1.0, band=bad)
+
+
 def _calibration_bins_by_hand(g, u, band=0.12):
     """Each node's potential-level bin (48 equal bins on [min u, max u], the
     maximum in the last) and which bins hold at least 8 nodes within
@@ -654,7 +723,7 @@ def test_family_free_change_drops_the_family_tangent(n, seed):
     e = np.where(on_family, 0.0, rng.normal(0.0, 1e-3, g.num_nodes))
     image = np.where(on_family, sigma * psi[bin_of], sigma + e)
     expected = np.sqrt(np.sum(e * e) / np.sum(sigma * sigma))
-    assert abs(_family_free_change(sigma, image, u, 0.12) - expected) <= 1e-12
+    assert abs(_family_free_change(sigma, image, _level_bins(u, 0.12)) - expected) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -669,7 +738,7 @@ def test_family_free_change_is_plain_change_without_bins(seed):
     sigma = rng.uniform(0.5, 2.0, g.num_nodes)
     image = sigma * rng.uniform(0.5, 2.0, g.num_nodes)
     expected = np.linalg.norm(image - sigma) / np.linalg.norm(sigma)
-    assert _family_free_change(sigma, image, u, 0.12) == expected
+    assert _family_free_change(sigma, image, _level_bins(u, 0.12)) == expected
 
 
 def test_schedule_validation():
