@@ -36,7 +36,7 @@ from .fields import (
     _wide_interior,
     cell_average,
 )
-from .recon import IterationRecord, ReconReport, sigma_from_potential
+from .recon import IterationRecord, ReconReport, _check_grad_floor, sigma_from_potential
 
 __all__ = [
     "BregmanConfig",
@@ -63,8 +63,7 @@ class BregmanConfig:
             raise DataError("need at least one iteration")
         if not self.tol > 0.0:
             raise DataError(f"tol must be positive, got {self.tol}")
-        if not self.grad_floor > 0.0:
-            raise DataError(f"grad_floor must be positive, got {self.grad_floor}")
+        _check_grad_floor(self.grad_floor)
 
 
 @dataclass

@@ -233,10 +233,13 @@ def _cmd_reconstruct(v: dict) -> int:
     if v["report"]:
         _atomic_write(v["report"], report.write_csv)
     last = report.records[-1]
+    solve_iterations = (sum(r.solve_iterations for r in report.records)
+                        + report.final_solve.iterations)
     line = (
         f"reconstruct: iterations={report.iterations} stop_reason={report.stop_reason} "
         f"converged={str(report.converged).lower()} sigma_change={last.sigma_change:.3e} "
-        f"stop_change={report.stop_change:.3e} factorizations={report.factorizations}"
+        f"stop_change={report.stop_change:.3e} factorizations={report.factorizations} "
+        f"solve_iterations={solve_iterations}"
     )
     if truth is not None:
         line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"

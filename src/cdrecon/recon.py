@@ -21,10 +21,13 @@ The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
 ``sigma_bounds``) is a lagged-diffusivity iteration and converges only
 linearly, so ``reconstruct`` accelerates it with Anderson mixing
 (``_Anderson``) and solves each linear system only as accurately as the
-last change of sigma warrants (Eisenstat & Walker 1996), warm-started from
-the previous potential.  The sweep runs in place: each call builds its
-constants (cell weights, boundary target) once, allocates its buffers and
-one Robin matrix once, and every sweep writes into them.
+last change of sigma warrants (Eisenstat & Walker 1996).  Each solve starts
+from the potential that the mixing coefficients extrapolate from the earlier
+sweeps' potentials (``_Anderson.warm_start``); the true-residual check that
+ends every solve does not depend on that guess.  The sweep runs in place:
+each call builds its constants (cell weights, boundary target) once,
+allocates its buffers and one Robin matrix once, and every sweep writes
+into them.
 
 The module ``family`` owns the reparametrization family: its level bins,
 the stop rule's projection and the level calibration, which ``reconstruct``
@@ -91,6 +94,14 @@ STUDY_SEED = 0
 STUDY_TAIL_FRACTION = 0.1
 
 
+def _check_grad_floor(grad_floor: float) -> None:
+    """DataError unless the relative gradient floor lies in (0, 1), NaN
+    excluded: a zero floor divides by zero on a constant potential, and from
+    1 up every node is floored and sigma no longer depends on u."""
+    if not (0.0 < grad_floor < 1.0):
+        raise DataError(f"grad_floor must be positive and less than 1, got {grad_floor}")
+
+
 @dataclass(frozen=True)
 class ReconConfig:
     epsilon: float = 5e-4
@@ -112,9 +123,7 @@ class ReconConfig:
             raise DataError(f"epsilon must be positive, got {self.epsilon}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise DataError(f"delta must be positive and finite, got {self.delta}")
-        # from 1 up every node is floored and sigma no longer depends on u
-        if not (0.0 < self.grad_floor < 1.0):
-            raise DataError(f"grad_floor must be in (0, 1), got {self.grad_floor}")
+        _check_grad_floor(self.grad_floor)
         if not self.max_outer_iterations >= 1:
             raise DataError("need at least one outer iteration")
         if not self.stop_tol > 0.0:
@@ -283,10 +292,9 @@ def sigma_from_potential(
     The floor is relative: grad_floor times the maximum nodal gradient
     magnitude.  A constant v (zero gradient everywhere) degenerates to
     a / grad_floor; callers should treat that as a flagged outcome.
-    Raises DataError unless grad_floor > 0.
+    Raises DataError unless 0 < grad_floor < 1.
     """
-    if not grad_floor > 0.0:
-        raise DataError(f"grad_floor must be positive, got {grad_floor}")
+    _check_grad_floor(grad_floor)
     grid = require_same_grid(a, v)
     n = grid.n
     grad = np.zeros((2, (n - 1) * n))
@@ -327,24 +335,38 @@ def _project(values: np.ndarray, bounds: tuple[float, float] | None,
 
 class _Anderson:
     """Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; type II,
-    no damping) for a fixed point x = G(x) with positive entries.
+    no damping) for a fixed point x = G(x) with positive entries, where G
+    goes through an intermediate state u = U(x) (the potential).
 
-    ``step(x, image)`` takes the current iterate and its image G(x), and
-    returns the next iterate: image - (dX + dG) gamma, where dX and dG hold
-    the differences of the last ``_ANDERSON_DEPTH`` iterates and residuals
-    g = G(x) - x, gamma minimizes ||g - dG gamma|| (solved on the small
-    Gram system), and the result is projected onto ``bounds``.  The history
-    is cleared and the plain image returned when the residual norm more than
-    doubles from the previous step or the candidate has an entry <= 0, so a
-    rejection costs no extra evaluation of G.
+    ``step(x, image, u)`` takes the current iterate, its image G(x) and its
+    state U(x), and returns the next iterate: image - (dX + dG) gamma, where
+    dX and dG hold the differences of the last ``_ANDERSON_DEPTH`` iterates
+    and residuals g = G(x) - x, gamma minimizes ||g - dG gamma|| (solved on
+    the small Gram system), and the result is projected onto ``bounds``.
+    The history is cleared and the plain image returned when the residual
+    norm more than doubles from the previous step or the candidate has an
+    entry <= 0, so a rejection costs no extra evaluation of G.
+
+    After each step ``warm_start`` predicts the state of the returned
+    iterate: u - dU gamma, with dU the differences of the states, kept in
+    lockstep with dX (Fischer's projection of earlier solutions, CMAME 163,
+    1998), written into a buffer allocated once.  It is the state of the
+    extrapolated iterate x - dX gamma, whose residual g - dG gamma is the
+    minimized one, so for a smooth U it is off only by the response to
+    that small residual.  Without a mixed candidate (no history, a clear
+    or a rejection) it is u itself.
     """
 
     def __init__(self, size: int, bounds: tuple[float, float] | None):
         self._bounds = bounds
         self._dx = np.zeros((_ANDERSON_DEPTH, size))
         self._dg = np.zeros((_ANDERSON_DEPTH, size))
+        self._du = np.zeros((_ANDERSON_DEPTH, size))
         self._x = np.zeros(size)
         self._g = np.zeros(size)
+        self._u = np.zeros(size)
+        self._start = np.zeros(size)
+        self.warm_start: np.ndarray | None = None  # no guess before the first step
         self._g_norm = math.inf  # inf before the first step
         self._stored = 0  # difference rows in use
         self._slot = 0  # the row the next difference overwrites
@@ -353,7 +375,7 @@ class _Anderson:
         self._stored = 0
         self._slot = 0
 
-    def step(self, x: np.ndarray, image: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, image: np.ndarray, u: np.ndarray) -> np.ndarray:
         g = image - x
         g_norm = float(np.linalg.norm(g))
         if g_norm > 2.0 * self._g_norm:
@@ -361,11 +383,14 @@ class _Anderson:
         elif math.isfinite(self._g_norm):
             np.subtract(x, self._x, out=self._dx[self._slot])
             np.subtract(g, self._g, out=self._dg[self._slot])
+            np.subtract(u, self._u, out=self._du[self._slot])
             self._slot = (self._slot + 1) % _ANDERSON_DEPTH
             self._stored = min(self._stored + 1, _ANDERSON_DEPTH)
         self._x[:] = x
         self._g[:] = g
+        self._u[:] = u
         self._g_norm = g_norm
+        self.warm_start = u
         if self._stored == 0:
             return image
         dx, dg = self._dx[:self._stored], self._dg[:self._stored]
@@ -374,6 +399,9 @@ class _Anderson:
         if np.any(candidate <= 0.0):
             self._clear()
             return image
+        np.matmul(gamma, self._du[:self._stored], out=self._start)
+        np.subtract(u, self._start, out=self._start)
+        self.warm_start = self._start
         return candidate
 
 
@@ -429,11 +457,10 @@ def reconstruct(
     shifted = np.empty(grid.num_nodes)
     system = None
 
-    def solve_at(sigma: np.ndarray, tol: float, u: ScalarField | None):
+    def solve_at(sigma: np.ndarray, tol: float, x0: np.ndarray | None):
         nonlocal system
         np.add(sigma, delta, out=shifted)
         system = assemble_robin(ScalarField(grid, shifted), coeffs, grid, out=system)
-        x0 = None if u is None else u.values
         x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
         return ScalarField(grid, x), stats
 
@@ -441,11 +468,12 @@ def reconstruct(
         """Fixed-point iterations until the stop rule fires or the cap;
         returns (sigma, u, the level bins of u when calibrating, stop reason)."""
         mixer = _Anderson(grid.num_nodes, bounds)
-        u = None
         change = math.inf
         for _ in range(config.max_outer_iterations):
             tol = max(config.inner_tol, min(_LOOSEST_INNER_TOL, _FORCING * change))
-            u, stats = solve_at(sigma, tol, u)
+            # u is the solved potential, never the guess: the stop rule, the
+            # bins, a capped return and the calibration read it
+            u, stats = solve_at(sigma, tol, mixer.warm_start)
             _gradient_wide(u.values, n, h, *grad)
             _sigma_from_potential_gradient(
                 a.values, grad, config.grad_floor, padded, magnitude, nodes, image)
@@ -467,7 +495,7 @@ def reconstruct(
             if report.stop_change <= config.stop_tol:
                 return image, u, bins, "tol"
             # a copy: the step may return the image, which the next sweep overwrites
-            sigma = np.array(mixer.step(sigma, image))
+            sigma = np.array(mixer.step(sigma, image, u.values))
         return image, u, bins, "cap"
 
     sigma_values, u, bins, report.stop_reason = sweep(
@@ -486,7 +514,7 @@ def reconstruct(
 
     # consistency solve: the returned potential solves the linear problem
     # for the returned conductivity exactly (up to solver tolerance)
-    u_final, final_stats = solve_at(sigma.values, config.inner_tol, u)
+    u_final, final_stats = solve_at(sigma.values, config.inner_tol, u.values)
     report.final_solve = final_stats
     report.factorizations = factor.factorizations
     return sigma, u_final, report

@@ -111,6 +111,10 @@ def test_validation():
     for f in fields(BregmanConfig):
         with pytest.raises(DataError):
             BregmanConfig(**{f.name: float("nan")})
+    # from a floor of 1 up every node is floored and sigma is a / floor
+    for bad in (1.0, float("inf")):
+        with pytest.raises(DataError, match="grad_floor"):
+            BregmanConfig(grad_floor=bad)
     bad = np.zeros(g.num_nodes)
     bad[3] = -1.0
     with pytest.raises(DataError, match="nonnegative"):

@@ -131,6 +131,8 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
     # NaN fails every comparison, so each check must be written to reject it
     cases = [
         bregman + ["--grad-floor", "0"],
+        bregman + ["--grad-floor", "inf"],
+        bregman + ["--grad-floor", "1"],
         bregman + ["--rho", "nan"],
         bregman + ["--tol", "nan"],
         reconstruct + ["--inner-tol", "0"],
@@ -178,8 +180,8 @@ def test_reconstruct_cli_roundtrip(tmp_path, capsys):
 
 
 def test_reconstruct_cli_prints_factorizations(tmp_path, capsys):
-    # the line carries the run's LU factorizations, as the library reports
-    # them for the same data and the default settings
+    # the line carries the run's LU factorizations and CG iterations, as the
+    # library reports them for the same data and the default settings
     sig = tmp_path / "sigma.fld"
     a = tmp_path / "a.fld"
     run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--count", "1",
@@ -193,6 +195,9 @@ def test_reconstruct_cli_prints_factorizations(tmp_path, capsys):
     _, _, report = reconstruct(data, ElectrodeSet(), ReconConfig(), data.grid)
     assert int(fields["iterations"]) == report.iterations
     assert int(fields["factorizations"]) == report.factorizations >= 1
+    # and the CG iterations of every solve: the sweeps and the final one
+    assert int(fields["solve_iterations"]) == (
+        sum(r.solve_iterations for r in report.records) + report.final_solve.iterations)
 
 
 def test_reconstruct_cli_prints_stop_change(tmp_path, capsys):

@@ -181,7 +181,8 @@ def test_sigma_from_potential_rejects_nonpositive_floor():
     g = make_grid(9)
     a = ScalarField.constant(g, 1.0)
     flat = ScalarField.constant(g, 0.5)
-    for floor in (0.0, -1e-8):
+    # and from 1 up every node is floored, so sigma no longer depends on v
+    for floor in (0.0, -1e-8, 1.0, float("inf")):
         with pytest.raises(DataError, match="grad_floor must be positive"):
             sigma_from_potential(a, flat, floor)
 
@@ -366,7 +367,8 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
     system and fresh arrays every sweep, every per-run constant (the cell
     weights, the boundary target, the margin band, the nodal-average
     divisors) rebuilt where it is used.  The oracle of the in-place sweep,
-    which must return the same bits."""
+    which must return the same bits; each solve starts, as there, from the
+    mixer's warm start."""
     coeffs = smoothed_coefficients(electrodes, grid, config.epsilon, config.transition_width)
     delta, bounds, h = config.delta, config.sigma_bounds, grid.h
     report = ReconReport()
@@ -375,10 +377,9 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
     def project(values):
         return values if bounds is None else np.clip(values, bounds[0], bounds[1])
 
-    def solve_at(sigma, tol, u):
+    def solve_at(sigma, tol, x0):
         system = assemble_robin(ScalarField(grid, sigma.values + delta), coeffs, grid)
-        x, stats = solve_reusing_factor(system, factor, tol=tol,
-                                        x0=None if u is None else u.values)
+        x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
         return ScalarField(grid, x), stats
 
     def image_of(magnitude):
@@ -406,11 +407,11 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
 
     def sweep(sigma):
         mixer = _Anderson(grid.num_nodes, bounds)
-        u = None
+        start = None
         change = math.inf
         for _ in range(config.max_outer_iterations):
             tol = max(config.inner_tol, min(_LOOSEST_INNER_TOL, _FORCING * change))
-            u, stats = solve_at(sigma, tol, u)
+            u, stats = solve_at(sigma, tol, start)
             grad = gradient(u)
             magnitude = grad.magnitude2d()
             image = image_of(magnitude)
@@ -427,7 +428,8 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
                 if config.calibrate else change)
             if report.stop_change <= config.stop_tol:
                 return image, u, "tol"
-            sigma = ScalarField(grid, mixer.step(sigma.values, image.values))
+            sigma = ScalarField(grid, mixer.step(sigma.values, image.values, u.values))
+            start = mixer.warm_start
         return image, u, "cap"
 
     sigma = ScalarField(grid, np.full(grid.num_nodes, config.initial_sigma))
@@ -438,7 +440,7 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
                 sigma, u, electrodes, config.initial_sigma, config.calibration_band)
             report.calibrations.append((report.iterations, strength))
             sigma = ScalarField(grid, project(sigma.values))
-    u_final, report.final_solve = solve_at(sigma, config.inner_tol, u)
+    u_final, report.final_solve = solve_at(sigma, config.inner_tol, u.values)
     report.factorizations = factor.factorizations
     return sigma, u_final, report
 
@@ -541,6 +543,11 @@ def _linear_contraction(dim):
     return M, x_star - M @ x_star, x_star
 
 
+def _potential_map(dim):
+    # a random linear "potential" u = B x of the iterate, unrelated to M
+    return np.random.default_rng(6).normal(size=(dim, dim))
+
+
 @pytest.mark.parametrize("dim", [1, 3, _ANDERSON_DEPTH])
 def test_anderson_solves_linear_contraction(dim):
     # with a depth of at least dim, Anderson mixing on a linear map spans
@@ -548,34 +555,45 @@ def test_anderson_solves_linear_contraction(dim):
     # fixed point is reached to roundoff within dim + 2 evaluations, where
     # the plain iteration at rate 0.9 would need hundreds
     M, c, x_star = _linear_contraction(dim)
+    B = _potential_map(dim)
     mixer = _Anderson(dim, None)
     x = np.full(dim, 10.0)
     for evaluations in range(1, dim + 3):
         image = M @ x + c
         if np.linalg.norm(image - x) <= 1e-10 * np.linalg.norm(x):
             break
-        x = mixer.step(x, image)
+        x = mixer.step(x, image, B @ x)
     assert np.linalg.norm(image - x) <= 1e-10 * np.linalg.norm(x)
     assert evaluations <= dim + 2
     assert np.allclose(x, x_star, rtol=1e-9)
+    # the warm start u - dU gamma is the potential of x - dX gamma, whose
+    # residual is the minimized one: zero here, so that point is x* too,
+    # and the warm start is the potential of the fixed point
+    expected = B @ x_star
+    assert (np.linalg.norm(mixer.warm_start - expected)
+            <= 1e-9 * np.linalg.norm(expected))
 
 
 def test_anderson_resets_on_growing_residual():
     # a residual more than twice the last one clears the history and takes
     # the plain image; the next step then mixes only the steps since
     M, c, _ = _linear_contraction(4)
+    B = _potential_map(4)
     mixer, fresh = _Anderson(4, None), _Anderson(4, None)
     x = np.full(4, 10.0)
     for _ in range(3):
-        x = mixer.step(x, M @ x + c)
+        x = mixer.step(x, M @ x + c, B @ x)
     jump = x + 5.0
     image = M @ jump + c
     assert np.linalg.norm(image - jump) > 2.0 * np.linalg.norm(M @ x + c - x)
-    out = mixer.step(jump, image)
+    out = mixer.step(jump, image, B @ jump)
     assert out is image
-    assert fresh.step(jump, image) is image
+    # without a mixed candidate the next solve starts from the given potential
+    assert mixer.warm_start.tobytes() == (B @ jump).tobytes()
+    assert fresh.step(jump, image, B @ jump) is image
     nxt = M @ out + c
-    assert mixer.step(out, nxt).tobytes() == fresh.step(out, nxt).tobytes()
+    assert mixer.step(out, nxt, B @ out).tobytes() == fresh.step(out, nxt, B @ out).tobytes()
+    assert mixer.warm_start.tobytes() == fresh.warm_start.tobytes()
 
 
 def test_anderson_rejects_nonpositive_candidate():
@@ -583,13 +601,15 @@ def test_anderson_rejects_nonpositive_candidate():
     # fixed point at x = -0.25, so the plain image is taken instead
     x0, x1 = np.array([1.0, 1.0]), np.array([0.5, 1.0])
     image = np.array([0.2, 1.0])
+    u0, u1 = np.array([1.0, 2.0]), np.array([2.0, 3.0])
     mixer = _Anderson(2, None)
-    mixer.step(x0, x1)
-    assert mixer.step(x1, image) is image
+    mixer.step(x0, x1, u0)
+    assert mixer.step(x1, image, u1) is image
+    assert mixer.warm_start.tobytes() == u1.tobytes()
     # with bounds the projected candidate is positive and taken
     bounded = _Anderson(2, (0.1, 10.0))
-    bounded.step(x0, x1)
-    assert bounded.step(x1, image).tolist() == [0.1, 1.0]
+    bounded.step(x0, x1, u0)
+    assert bounded.step(x1, image, u1).tolist() == [0.1, 1.0]
 
 
 @pytest.mark.parametrize("n, aperture", [(25, 1.0), (33, 0.5), (41, 0.8)])
