@@ -24,7 +24,7 @@ from .boundary import ElectrodeSet, base_coefficients, smoothed_coefficients
 from .bregman import BregmanConfig, sigma_from_potential, split_bregman_minimize
 from .elliptic import SOLVE_TOL
 from .errors import CdreconError, FormatError, UsageError
-from .fields import boundary_trace, read_field, rel_l2_error, write_field
+from .fields import boundary_trace, read_field, rel_l2_error, require_same_grid, write_field
 from .forward import add_noise, solve_cem_forward, solve_forward
 from .phantom import Ellipse, PhantomSpec, field_to_pgm, generate_phantom
 from .recon import (
@@ -252,6 +252,10 @@ def _cmd_bregman(v: dict) -> int:
     a = read_field(v["a"])
     u = read_field(v["u"])
     grid = a.grid
+    # read and checked before the run, so that a bad truth writes nothing
+    truth = read_field(v["truth"]) if v["truth"] else None
+    if truth is not None:
+        require_same_grid(a, truth)
     config = BregmanConfig(rho=v["rho"], max_iterations=v["max-iter"], tol=v["tol"],
                            grad_floor=v["grad-floor"])
     vfield, report = split_bregman_minimize(a, boundary_trace(u), config, grid)
@@ -266,8 +270,8 @@ def _cmd_bregman(v: dict) -> int:
         f"converged={str(report.converged).lower()} "
         f"v_change={report.records[-1].v_change:.3e}"
     )
-    if v["truth"]:
-        line += f" rel_l2_error={rel_l2_error(sigma, read_field(v['truth'])):.6g}"
+    if truth is not None:
+        line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"
     print(line + f" wrote {v['out']}")
     _warn_if_capped("bregman", report)
     return 0

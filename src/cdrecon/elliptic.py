@@ -33,6 +33,11 @@ a solve fails:
   the best refactor schedule);
 * ``sine_solve``: the exact sine-transform solve of the constant-coefficient
   Laplace-Dirichlet system (the Bregman v-step).
+
+Only the second factors a matrix, so ``scipy.sparse.linalg`` (and the
+``scipy.linalg`` it loads, about 10 MiB and a sizeable part of the package's
+import time) is imported at the first factorization, not with this module:
+the forward solves and the Bregman comparator never load it.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .boundary import (
     ElectrodeSet,
@@ -55,6 +60,9 @@ from .boundary import (
 )
 from .errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
 from .fields import BoundaryValues, Grid, ScalarField, boundary_loop, boundary_trace
+
+if TYPE_CHECKING:
+    import scipy.sparse.linalg as spla
 
 
 # the relative residual every solve meets unless its caller asks otherwise
@@ -484,6 +492,7 @@ class FactorCache:
 
 
 def _factor(A: sp.csr_matrix) -> spla.SuperLU:
+    import scipy.sparse.linalg as spla  # here: a run that never factors skips its import
     try:
         # minimum degree on A^T + A: about half the fill of COLAMD here
         return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")

@@ -1,5 +1,10 @@
 """Command-line interface: determinism, config files, exit codes, formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -380,3 +385,67 @@ def test_cem_forward_cli(tmp_path, capsys):
     assert "cem_voltage=" in out
     v = float(out.split("cem_voltage=")[1].split()[0])
     assert v == pytest.approx(1.5, abs=1e-8)
+
+
+def test_bregman_checks_truth_before_the_run(tmp_path, capsys):
+    # a missing truth file or one on another grid fails before the loop and
+    # leaves no output behind
+    sig, a, u = (tmp_path / f"{k}.fld" for k in ("sigma", "a", "u"))
+    other = tmp_path / "other.fld"
+    run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--out", str(sig)])
+    run(["phantom", "--kind", "blobs", "--n", "21", "--seed", "2", "--out", str(other)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a), "--out-u", str(u)])
+    outs = {k: tmp_path / f"breg-{k}" for k in ("out", "out-v", "report")}
+    bregman = ["bregman", "--a", str(a), "--u", str(u)]
+    for flag, path in outs.items():
+        bregman += [f"--{flag}", str(path)]
+    capsys.readouterr()
+    for truth, code, label in ((tmp_path / "missing.fld", 2, "i/o error"),
+                               (other, 1, "error")):
+        assert run(bregman + ["--truth", str(truth)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cdrecon: {label}: ")
+        assert captured.err.count("\n") == 1
+        assert not any(path.exists() for path in outs.values())
+
+
+# runs in a fresh interpreter: this process has loaded scipy.sparse.linalg
+# through test_elliptic.py
+_IMPORT_BOUNDARY_SCRIPT = """
+import sys
+from pathlib import Path
+
+import cdrecon.cli as cli
+
+LU_STACK = ("scipy.sparse.linalg", "scipy.linalg")
+d = Path(sys.argv[1])
+f = lambda name: str(d / name)
+for args in (
+    ["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--out", f("sigma.fld")],
+    ["forward", "--sigma", f("sigma.fld"), "--out-a", f("a.fld"), "--out-u", f("u.fld")],
+    ["forward", "--sigma", f("sigma.fld"), "--cem", "--out-a", f("a-cem.fld")],
+    ["bregman", "--a", f("a.fld"), "--u", f("u.fld"), "--max-iter", "20",
+     "--out", f("breg.fld")],
+    ["compare", "--rec", f("breg.fld"), "--ref", f("sigma.fld")],
+    ["export-pgm", "--field", f("sigma.fld"), "--out", f("sigma.pgm")],
+):
+    assert cli.main(args) == 0, args
+print("before", *(m in sys.modules for m in LU_STACK))
+assert cli.main(["reconstruct", "--a", f("a.fld"), "--out", f("rec.fld")]) == 0
+print("after", *(m in sys.modules for m in LU_STACK))
+"""
+
+
+def test_only_reconstruct_loads_the_lu_stack(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "before False False" in lines
+    assert "after True True" in lines
+    recon = next(line for line in lines if line.startswith("reconstruct: "))
+    fields = dict(item.split("=", 1) for item in recon.split() if "=" in item)
+    assert int(fields["factorizations"]) >= 1
