@@ -25,7 +25,8 @@ class ElectrodeSet:
     """Centered top/bottom electrode pair.
 
     aperture: electrode length as a fraction of the side length, in (0, 1].
-    z: contact impedance (> 0).  current: net injected current I (> 0).
+    z: contact impedance (finite, > 0).  current: net injected current I
+    (finite, > 0).
     top_positive: injection electrode e+ on the top side (flip to reverse
     polarity).
     """
@@ -38,11 +39,11 @@ class ElectrodeSet:
     def __post_init__(self):
         if not (0.0 < self.aperture <= 1.0):
             raise DataError(f"aperture must be in (0, 1], got {self.aperture}")
-        # written as `not x > 0` so that NaN is rejected too
-        if not self.z > 0.0:
-            raise DataError(f"contact impedance z must be positive, got {self.z}")
-        if not self.current > 0.0:
-            raise DataError(f"injected current must be positive, got {self.current}")
+        if not (math.isfinite(self.z) and self.z > 0.0):
+            raise DataError(f"contact impedance z must be finite and positive, got {self.z}")
+        if not (math.isfinite(self.current) and self.current > 0.0):
+            raise DataError(
+                f"injected current must be finite and positive, got {self.current}")
 
     def span(self) -> tuple[float, float]:
         """The x interval covered by each electrode (same for both by symmetry)."""

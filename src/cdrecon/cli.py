@@ -62,11 +62,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser of every command, with the options of only the command
+    that ``argv`` invokes (its first token that is not an option): no other
+    command's options can be parsed, and the top-level help lists each
+    command by its one-line help alone."""
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = _Parser(prog="cdrecon", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.help)
+        if name != invoked:
+            continue
         for o in _COMMON + command.opts:
             how = (dict(action="store_const", const=True) if o.type is bool
                    else dict(action="append") if o.append else dict(type=str))
@@ -423,7 +430,8 @@ _COMMANDS: dict[str, Command] = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         ns = parser.parse_args(argv)
         if not getattr(ns, "command", None):

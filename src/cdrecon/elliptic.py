@@ -15,7 +15,10 @@ pattern per grid size (``_stencil_pattern``): Robin adds the boundary-face
 terms to its diagonal; CEM adds the electrode terms and borders the matrix
 with one row and column for the electrode voltage; Laplace-Dirichlet is the
 stencil at sigma = 1 with identity Dirichlet rows and the couplings to them
-folded into the rhs.
+folded into the rhs.  The CEM voltage is the last unknown, N = n*n, written
+into the CSR arrays with the stencil: its column entry comes last in each
+electrode node's row, and row N holds the couplings to the electrode nodes
+in ascending node order, then the diagonal corner.
 
 Three solves, one per kind of caller, all ending in the same true-residual
 check (``_checked``) at ``SOLVE_TOL`` unless told otherwise, the only place
@@ -270,9 +273,21 @@ def assemble_cem(
         stencil[g, 2] += wz
         border[g] = -wz if side == pos_side else wz
         corner += float(wz.sum())
-    K = sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(N, N))
-    col = sp.csr_matrix(border[:, None])
-    A = sp.bmat([[K, col], [col.T, [[corner]]]], format="csr")
+    # the border goes straight into the stencil's CSR arrays, last in each
+    # coupled row and as row N (the coupled nodes in ascending order, then
+    # the corner): the canonical CSR of the block matrix [[K, b], [b', c]]
+    coupled = np.flatnonzero(border)
+    m = coupled.size
+    at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, pat.indices.size)])
+    values = stencil[pat.present]
+    del stencil  # peak memory: the table is never held with the bordered copy
+    data = np.insert(values, at, np.concatenate([border[coupled], border[coupled], [corner]]))
+    indices = np.insert(pat.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
+    extra = np.zeros(N + 2, dtype=np.int32)  # entries after the stencil, per row
+    extra[coupled + 1] = 1
+    extra[N + 1] = m + 1
+    indptr = np.append(pat.indptr, pat.indices.size) + np.cumsum(extra, dtype=np.int32)
+    A = sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))
     rhs = np.zeros(N + 1)
     rhs[N] = 2.0 * electrodes.current
     return SparseSystem(A, rhs)

@@ -107,9 +107,12 @@ def cem_scaling(
 
 def add_noise(a: ScalarField, level: float, seed: int) -> ScalarField:
     """Multiplicative uniform noise a * (1 + level * xi), xi ~ U[-1, 1] from
-    a seeded generator, clamped at zero from below."""
+    a seeded generator, clamped at zero from below.  A seed that is not a
+    nonnegative integer is a DataError."""
     if not (math.isfinite(level) and level >= 0.0):
         raise DataError(f"noise level must be finite and nonnegative, got {level}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"noise seed must be a nonnegative integer, got {seed!r}")
     if level == 0.0:
         return ScalarField(a.grid, a.values.copy())
     rng = np.random.default_rng(seed)

@@ -35,6 +35,12 @@ def test_electrode_set_validation():
         ElectrodeSet(z=-1.0)
     with pytest.raises(DataError):
         ElectrodeSet(current=0.0)
+    # an infinite impedance or current failed late, in the solve
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DataError, match="impedance z"):
+            ElectrodeSet(z=bad)
+        with pytest.raises(DataError, match="current"):
+            ElectrodeSet(current=bad)
 
 
 def test_base_coefficients_full_aperture_n5():

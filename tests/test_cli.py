@@ -1,5 +1,6 @@
 """Command-line interface: determinism, config files, exit codes, formats."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from cdrecon.boundary import ElectrodeSet
-from cdrecon.cli import _COMMANDS, main
+from cdrecon.cli import _COMMANDS, _COMMON, _build_parser, main
 from cdrecon.fields import ScalarField, make_grid, read_field, write_field
 from cdrecon.phantom import read_pgm
 from cdrecon.recon import ReconConfig, reconstruct
@@ -151,6 +152,14 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         ["forward", "--sigma", str(sig), "--out-a", out, "--width", "nan"],
         ["forward", "--sigma", str(sig), "--out-a", out, "--noise", "nan"],
         reconstruct + ["--width", "nan"],
+        # an infinite impedance or current ran the solve and failed late
+        ["forward", "--sigma", str(sig), "--out-a", out, "--z", "inf"],
+        ["forward", "--sigma", str(sig), "--out-a", out, "--current", "inf"],
+        reconstruct + ["--z", "inf"],
+        reconstruct + ["--current", "inf"],
+        # a negative seed ended in a numpy traceback
+        ["forward", "--sigma", str(sig), "--out-a", out, "--noise", "1e-3", "--seed", "-1"],
+        ["study", "--a", str(a), "--out", str(tmp_path / "study.csv"), "--seed", "-1"],
     ]
     capsys.readouterr()
     for args in cases:
@@ -362,6 +371,31 @@ def test_help_describes_every_command(capsys, monkeypatch):
             raise AssertionError(f"{name} is missing from --help")
         assert described == command.help
         assert described not in {o.help for o in command.opts}
+
+
+def test_parser_reads_argv_as_the_full_parser_does():
+    # each command's parser carries only its own options; a parser built
+    # with every command's options reads the same argv into the same values:
+    # every option of the command given (a switch set, a repeatable option
+    # twice), --config included
+    full = argparse.ArgumentParser(prog="cdrecon")
+    sub = full.add_subparsers(dest="command", metavar="command")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for o in _COMMON + command.opts:
+            how = (dict(action="store_const", const=True) if o.type is bool
+                   else dict(action="append") if o.append else dict(type=str))
+            p.add_argument("--" + o.name, dest=o.name, default=None, **how)
+    for name, command in _COMMANDS.items():
+        argv = [name, "--config", "run.cfg"]
+        for k, o in enumerate(command.opts):
+            if o.type is bool:
+                argv.append("--" + o.name)
+            else:
+                argv += ["--" + o.name, f"{k}.5"] * (2 if o.append else 1)
+        trimmed = vars(_build_parser(argv).parse_args(argv))
+        assert trimmed == vars(full.parse_args(argv)), name
+        assert trimmed["config"] == "run.cfg" and len(trimmed) == len(command.opts) + 2
 
 
 def test_export_pgm_cli(tmp_path):

@@ -421,9 +421,12 @@ def test_robin_refill_rejects_other_systems():
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(5, 70), seed=st.integers(0, 2**32 - 1),
        aperture=st.floats(0.3, 1.0), top_positive=st.booleans())
 def test_cem_matches_coo_build(n, seed, aperture, top_positive):
+    # the grid block from the edge entries and the electrode terms, bordered
+    # by sp.bmat: the system holds the same bytes, index dtypes included,
+    # and the solve on it returns the same bytes
     g = make_grid(n)
     rng = np.random.default_rng(seed)
     el = ElectrodeSet(aperture=aperture, z=float(rng.uniform(0.5, 2.0)),
@@ -438,24 +441,29 @@ def test_cem_matches_coo_build(n, seed, aperture, top_positive):
     N = n * n
     li, lj = boundary_loop(g)
     rows, cols, vals = _edge_entries(sigma.values2d, n)
+    border = np.zeros(N)
+    corner = 0.0
     for side, idx, w in sides:
         sgn = 1.0 if (side == "top") == top_positive else -1.0
         k = (lj * n + li)[idx]
-        v = np.full(k.size, N)
-        rows += [k, k, v, v]
-        cols += [k, v, k, v]
-        vals += [w / el.z, -sgn * w / el.z, -sgn * w / el.z, w / el.z]
-    expected = _coo_to_csr(rows, cols, vals, N + 1)
+        rows.append(k)
+        cols.append(k)
+        vals.append(w / el.z)
+        border[k] = -sgn * w / el.z
+        corner += float((w / el.z).sum())  # the top side's weights first
+    col = sp.csr_matrix(border[:, None])
+    expected = sp.bmat([[_coo_to_csr(rows, cols, vals, N), col], [col.T, [[corner]]]],
+                       format="csr")
     rhs = np.zeros(N + 1)
     rhs[N] = 2.0 * el.current
     A = system.matrix
-    assert np.array_equal(A.indptr, expected.indptr)
-    assert np.array_equal(A.indices, expected.indices)
-    assert np.array_equal(system.rhs, rhs)
-    # the voltage corner sums every electrode weight, and the COO build adds
-    # them in an order of its own, so only that entry may differ in the last bit
-    assert np.abs(A.data - expected.data).max() <= 4e-16 * np.abs(expected.data).max()
-    assert np.array_equal(A.data[:-1], expected.data[:-1])
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).dtype == getattr(expected, name).dtype, name
+        assert getattr(A, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert system.rhs.tobytes() == rhs.tobytes()
+    x, stats = pcg_solve(system)
+    x_expected, stats_expected = pcg_solve(SparseSystem(expected, rhs))
+    assert x.tobytes() == x_expected.tobytes() and stats == stats_expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -163,6 +163,11 @@ def test_add_noise_contract():
     for bad in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(DataError, match="noise level"):
             add_noise(a, bad, 0)
+    # numpy's generator takes only nonnegative integer seeds
+    for bad in (-1, 1.5, "3", None):
+        with pytest.raises(DataError, match="seed"):
+            add_noise(a, 1e-5, bad)
+    assert np.array_equal(add_noise(a, 1e-5, np.int64(123)).values, noisy.values)
 
 
 def test_add_noise_clamps_at_zero():
