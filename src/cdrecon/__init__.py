@@ -15,7 +15,7 @@ from .boundary import (
     electrode_length,
     smoothed_coefficients,
 )
-from .bregman import BregmanConfig, BregmanReport, split_bregman_minimize
+from .bregman import BregmanConfig, split_bregman_minimize
 from .elliptic import (
     SolveStats,
     SparseSystem,

@@ -19,11 +19,11 @@ tolerance only bounds roundoff), is what rejects a non-finite iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import SOLVE_TOL, SparseSystem, _sine_solve_into, assemble_laplace_dirichlet
+from .elliptic import SparseSystem, assemble_laplace_dirichlet, sine_solve
 from .errors import DataError
 from .fields import (
     BoundaryValues,
@@ -40,7 +40,6 @@ from .recon import IterationRecord, ReconReport, _check_grad_floor, sigma_from_p
 
 __all__ = [
     "BregmanConfig",
-    "BregmanReport",
     "split_bregman_minimize",
     "sigma_from_potential",
 ]
@@ -66,54 +65,21 @@ class BregmanConfig:
         _check_grad_floor(self.grad_floor)
 
 
-@dataclass
-class BregmanIteration:
-    index: int
-    weighted_tv: float
-    v_change: float
-    solve_iterations: int
-    solve_residual: float
-
-
-@dataclass
-class BregmanReport:
-    records: list[BregmanIteration] = field(default_factory=list)
-    # "tol" when the v-change stop rule fired, "cap" at max_iterations
-    stop_reason: str = ""
-
-    @property
-    def iterations(self) -> int:
-        return len(self.records)
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason != "cap"
-
-    def tv_values(self) -> list[float]:
-        return [r.weighted_tv for r in self.records]
-
-    def write_csv(self, path) -> None:
-        """Same columns as the reconstruction report: the functional columns
-        hold the weighted TV, sigma_change the v-change, unused terms zero."""
-        ReconReport([
-            IterationRecord(r.index, r.weighted_tv, 0.0, 0.0, r.v_change, None,
-                            r.solve_iterations, r.solve_residual)
-            for r in self.records
-        ]).write_csv(path)
-
-
 def split_bregman_minimize(
     a: ScalarField,
     dirichlet_trace: BoundaryValues,
     config: BregmanConfig,
     grid: Grid,
-) -> tuple[ScalarField, BregmanReport]:
+) -> tuple[ScalarField, ReconReport]:
     """Approximately minimize the weighted TV of v subject to the fixed
     boundary trace.
 
     The trace constraint holds exactly at every iteration (Dirichlet rows
     are eliminated, not penalized).  A zero weight reduces the problem to
     the discrete harmonic extension of the trace, returned immediately.
+    The report is that of ``reconstruct``: a record's ``tv_term`` is the
+    weighted TV and its ``sigma_change`` the relative change of v, which
+    ``stop_change`` repeats for the last record.
     """
     if a.grid.n != grid.n or dirichlet_trace.grid.n != grid.n:
         raise DataError("data, trace and grid sizes disagree")
@@ -132,12 +98,13 @@ def split_bregman_minimize(
     step_inner = step.rhs.reshape(n, n)[1:-1, 1:-1]
     base_inner = base.rhs.reshape(n, n)[1:-1, 1:-1]
 
-    report = BregmanReport()
-    _, stats = _sine_solve_into(base, SOLVE_TOL, v)  # harmonic extension
+    report = ReconReport()
+    _, stats = sine_solve(base, out=v)  # harmonic extension
     if float(a.values.max()) == 0.0:
-        report.records.append(BregmanIteration(
-            0, 0.0, 0.0, stats.iterations, stats.relative_residual))
-        report.stop_reason = "tol"  # the harmonic extension is the minimizer
+        report.records.append(IterationRecord(
+            0, 0.0, 0.0, 0.0, 0.0, None, stats.iterations, stats.relative_residual))
+        # the harmonic extension is the minimizer
+        report.stop_reason, report.stop_change = "tol", 0.0
         return ScalarField(grid, v), report
 
     # the cell arrays, in the wide layout of ``fields`` and each vector field
@@ -178,7 +145,7 @@ def split_bregman_minimize(
         _divergence_wide(*d, n, h, div, work)
         div *= h * h
         np.subtract(base_inner, div_inner, out=step_inner)
-        _, stats = _sine_solve_into(step, SOLVE_TOL, v_new)
+        _, stats = sine_solve(step, out=v_new)
         _gradient_wide(v_new, n, h, *grad_v)
         denom = float(np.linalg.norm(v))
         np.subtract(v_new, v, out=diff)
@@ -187,10 +154,11 @@ def split_bregman_minimize(
             if denom > 0.0 else float(np.linalg.norm(v_new))
         )
         np.hypot(*grad_v, out=mag)
-        report.records.append(BregmanIteration(
-            k, _weighted_tv(_wide_cells(mag, n), weight, h, out=weighted), change,
-            stats.iterations, stats.relative_residual,
+        report.records.append(IterationRecord(
+            k, _weighted_tv(_wide_cells(mag, n), weight, h, out=weighted), 0.0, 0.0,
+            change, None, stats.iterations, stats.relative_residual,
         ))
+        report.stop_change = change
         v, v_new = v_new, v
         if change <= config.tol:
             report.stop_reason = "tol"

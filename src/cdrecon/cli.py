@@ -32,6 +32,7 @@ from .recon import (
     STUDY_SEED,
     STUDY_TAIL_FRACTION,
     ReconConfig,
+    ReconReport,
     convergence_study,
     reconstruct,
 )
@@ -163,6 +164,32 @@ def _electrodes(v: dict) -> ElectrodeSet:
     )
 
 
+def _finish(command: str, v: dict, write_out: Callable[[str], None], line: str,
+            report: ReconReport | None = None, capped: str = "") -> int:
+    """End a command: write --out and a run's --report CSV, print the one
+    stdout line (a run's iterations= stop_reason= converged= first), and warn
+    on stderr in one line when a run, or a study step (``capped`` says
+    where), stopped at its iteration cap: no unconverged result is silent."""
+    _atomic_write(v["out"], write_out)
+    if report is not None:
+        if v["report"]:
+            _atomic_write(v["report"], report.write_csv)
+        line = (f"iterations={report.iterations} stop_reason={report.stop_reason} "
+                f"converged={str(report.converged).lower()} {line}")
+        if not report.converged:
+            capped = f"after {report.iterations} iterations"
+    print(f"{command}: {line} wrote {v['out']}")
+    if capped:
+        print(f"cdrecon: warning: {command} stopped at the iteration cap {capped} "
+              "without converging", file=sys.stderr)
+    return 0
+
+
+def _error_field(sigma, truth) -> str:
+    """A run's `` rel_l2_error=`` field against ``truth``, or "" without one."""
+    return "" if truth is None else f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"
+
+
 def _cmd_phantom(v: dict) -> int:
     ellipses = []
     for spec in v["ellipse"] or []:
@@ -179,9 +206,7 @@ def _cmd_phantom(v: dict) -> int:
         ellipses=tuple(ellipses), image_path=v["image"], margin=v["margin"],
     )
     sigma = generate_phantom(spec)
-    _atomic_write(v["out"], lambda p: write_field(sigma, p))
-    print(f"phantom: kind={v['kind']} n={v['n']} wrote {v['out']}")
-    return 0
+    return _finish("phantom", v, lambda p: write_field(sigma, p), f"kind={v['kind']} n={v['n']}")
 
 
 def _cmd_forward(v: dict) -> int:
@@ -209,14 +234,6 @@ def _cmd_forward(v: dict) -> int:
     return 0
 
 
-def _warn_if_capped(command: str, report) -> None:
-    """One stderr line when a run stopped at its iteration cap, so a result
-    that did not converge never passes silently; stdout is left alone."""
-    if report.stop_reason == "cap":
-        print(f"cdrecon: warning: {command} stopped at the iteration cap after "
-              f"{report.iterations} iterations without converging", file=sys.stderr)
-
-
 def _cmd_reconstruct(v: dict) -> int:
     electrodes = _electrodes(v)
     bounds = None
@@ -229,30 +246,19 @@ def _cmd_reconstruct(v: dict) -> int:
         max_outer_iterations=v["max-iter"], stop_tol=v["stop-tol"],
         grad_floor=v["grad-floor"], sigma_bounds=bounds,
         initial_sigma=v["init-sigma"], transition_width=v["width"],
-        inner_tol=v["inner-tol"], calibrate=not v["no-calibrate"],
-        calibration_band=v["calibration-band"],
+        calibrate=not v["no-calibrate"], calibration_band=v["calibration-band"],
     )
     a = read_field(v["a"])
     grid = a.grid
     truth = read_field(v["truth"]) if v["truth"] else None
     sigma, u, report = reconstruct(a, electrodes, config, grid, truth)
-    _atomic_write(v["out"], lambda p: write_field(sigma, p))
-    if v["report"]:
-        _atomic_write(v["report"], report.write_csv)
-    last = report.records[-1]
     solve_iterations = (sum(r.solve_iterations for r in report.records)
                         + report.final_solve.iterations)
-    line = (
-        f"reconstruct: iterations={report.iterations} stop_reason={report.stop_reason} "
-        f"converged={str(report.converged).lower()} sigma_change={last.sigma_change:.3e} "
+    return _finish("reconstruct", v, lambda p: write_field(sigma, p), (
+        f"sigma_change={report.records[-1].sigma_change:.3e} "
         f"stop_change={report.stop_change:.3e} factorizations={report.factorizations} "
-        f"solve_iterations={solve_iterations}"
-    )
-    if truth is not None:
-        line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"
-    print(line + f" wrote {v['out']}")
-    _warn_if_capped("reconstruct", report)
-    return 0
+        f"solve_iterations={solve_iterations}{_error_field(sigma, truth)}"
+    ), report)
 
 
 def _cmd_bregman(v: dict) -> int:
@@ -267,21 +273,10 @@ def _cmd_bregman(v: dict) -> int:
                            grad_floor=v["grad-floor"])
     vfield, report = split_bregman_minimize(a, boundary_trace(u), config, grid)
     sigma = sigma_from_potential(a, vfield, config.grad_floor)
-    _atomic_write(v["out"], lambda p: write_field(sigma, p))
     if v["out-v"]:
         _atomic_write(v["out-v"], lambda p: write_field(vfield, p))
-    if v["report"]:
-        _atomic_write(v["report"], report.write_csv)
-    line = (
-        f"bregman: iterations={report.iterations} stop_reason={report.stop_reason} "
-        f"converged={str(report.converged).lower()} "
-        f"v_change={report.records[-1].v_change:.3e}"
-    )
-    if truth is not None:
-        line += f" rel_l2_error={rel_l2_error(sigma, truth):.6g}"
-    print(line + f" wrote {v['out']}")
-    _warn_if_capped("bregman", report)
-    return 0
+    return _finish("bregman", v, lambda p: write_field(sigma, p),
+                   f"v_change={report.stop_change:.3e}{_error_field(sigma, truth)}", report)
 
 
 def _cmd_compare(v: dict) -> int:
@@ -311,19 +306,17 @@ def _cmd_study(v: dict) -> int:
         a_clean, electrodes, grid, deltas, etas, config,
         seed=v["seed"], tail_fraction=v["tail-fraction"], ground_truth=truth,
     )
-    _atomic_write(v["out"], study.write_csv)
-    print(
-        f"study: steps={v['steps']} tail_ratio={study.tail_ratio:.6g} "
-        f"converged={str(study.tail_converged).lower()} wrote {v['out']}"
-    )
-    return 0
+    capped = study.stop_reasons.count("cap")
+    return _finish("study", v, study.write_csv, (
+        f"steps={v['steps']} tail_ratio={study.tail_ratio:.6g} "
+        f"converged={str(study.tail_converged).lower()}"
+    ), capped=f"in {capped} of {v['steps']} steps" if capped else "")
 
 
 def _cmd_export_pgm(v: dict) -> int:
     f = read_field(v["field"])
-    _atomic_write(v["out"], lambda p: field_to_pgm(f, p, v["lo"], v["hi"]))
-    print(f"export-pgm: n={f.grid.n} wrote {v['out']}")
-    return 0
+    return _finish("export-pgm", v, lambda p: field_to_pgm(f, p, v["lo"], v["hi"]),
+                   f"n={f.grid.n}")
 
 
 _ELECTRODE_OPTS = (
@@ -381,7 +374,6 @@ _COMMANDS: dict[str, Command] = {
         Opt("no-calibrate", bool, False, "disable the background level calibration"),
         Opt("calibration-band", float, ReconConfig.calibration_band,
             "margin band width for calibration"),
-        Opt("inner-tol", float, ReconConfig.inner_tol, "linear solver tolerance"),
         Opt("truth", str, None, "optional ground-truth field for error reporting"),
         Opt("out", str, None, "output conductivity file", required=True),
         Opt("report", str, None, "optional per-iteration CSV report"),

@@ -564,30 +564,25 @@ def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return S, eig
 
 
-def sine_solve(system: SparseSystem, tol: float = SOLVE_TOL) -> tuple[np.ndarray, SolveStats]:
+def sine_solve(system: SparseSystem, tol: float = SOLVE_TOL,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Exact solve of a system built by ``assemble_laplace_dirichlet``.
 
     The interior block is the five-point Laplacian T x I + I x T, which the
     DST-I matrix diagonalizes: x = S ((S b S) / Lambda) S on the interior
     nodes.  The Dirichlet rows are identities, so their values are copied
     from the rhs bit for bit.  The true residual is checked against ``tol``
-    like every other solve.
+    like every other solve.  With ``out``, a flat buffer of the system's
+    dimension (not the rhs), the solution is written into it and returned.
     """
     _check_tol(tol)
     dim = system.dimension
     n = math.isqrt(dim)
     if n * n != dim or n < 3:
         raise DimensionError(f"dimension {dim} is not that of an n x n grid, n >= 3")
-    return _sine_solve_into(system, tol, np.empty(dim))
-
-
-def _sine_solve_into(system: SparseSystem, tol: float,
-                     x: np.ndarray) -> tuple[np.ndarray, SolveStats]:
-    """``sine_solve`` into the caller's flat buffer ``x`` (not aliasing the
-    rhs), for a caller that has checked ``tol`` and the dimension."""
-    n = math.isqrt(system.dimension)
     S, eig = _sine_basis(n)
     b = system.rhs
+    x = np.empty(dim) if out is None else out
     np.copyto(x, b)
     inner = x.reshape(n, n)[1:-1, 1:-1]
     np.matmul(S @ ((S @ inner @ S) / eig), S, out=inner)

@@ -82,7 +82,7 @@ from .forward import add_noise
 _ANDERSON_DEPTH = 5
 # Inexact inner solves (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996):
 # a sweep solves to FORCING times the last relative sigma change, at most
-# to _LOOSEST_INNER_TOL and at least to the config's inner_tol
+# to _LOOSEST_INNER_TOL and at least to SOLVE_TOL
 _FORCING = 1e-2
 _LOOSEST_INNER_TOL = 1e-3
 # ``convergence_study`` compares the spreads of the first and last thirds of
@@ -112,7 +112,6 @@ class ReconConfig:
     sigma_bounds: tuple[float, float] | None = None
     initial_sigma: float = 1.0
     transition_width: float | None = None  # None picks 4h
-    inner_tol: float = SOLVE_TOL
     calibrate: bool = True  # identify the reparametrization member from the
     # margin band, taking initial_sigma as the known background level
     calibration_band: float = CALIBRATION_BAND
@@ -128,8 +127,6 @@ class ReconConfig:
             raise DataError("need at least one outer iteration")
         if not self.stop_tol > 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
-        if not (0.0 < self.inner_tol < 1.0):
-            raise DataError(f"inner_tol must be in (0, 1), got {self.inner_tol}")
         if not (math.isfinite(self.initial_sigma) and self.initial_sigma > 0.0):
             raise DataError(
                 f"initial sigma must be positive and finite, got {self.initial_sigma}")
@@ -171,19 +168,19 @@ _CSV_COLUMNS = (
 
 @dataclass
 class ReconReport:
+    """The report of either iterative run: ``reconstruct``, or the Bregman comparator,
+    whose records hold its weighted TV and v change (no final solve or factor)."""
+
     records: list[IterationRecord] = field(default_factory=list)
     final_solve: SolveStats | None = None
     # (after-iteration index, max |phi' - 1|) for each calibration applied;
     # both passes follow the last sweep, so both carry the final index
     calibrations: list[tuple[int, float]] = field(default_factory=list)
-    # how the fixed-point sweep ended: "tol" (stop_change) or "cap"
-    # (max_outer_iterations ran out)
-    stop_reason: str = ""
-    # LU factorizations made by the run's linear solves, the final one included
-    factorizations: int = 0
-    # the last value the stop rule compared with stop_tol: the last
+    # "tol" once stop_change, the last value the stop rule compared (the last
     # sigma_change, or with calibration its part off the reparametrization
-    # family
+    # family), was within tolerance; "cap" when the iterations ran out
+    stop_reason: str = ""
+    factorizations: int = 0  # LU factorizations, the final solve's included
     stop_change: float = math.nan
 
     @property
@@ -419,7 +416,7 @@ def reconstruct(
     (``report.stop_reason`` "tol", ``report.stop_change`` the last value
     compared) or after ``max_outer_iterations`` sweeps ("cap").  With
     ``calibrate``, two level calibrations against ``initial_sigma`` follow.
-    A final solve at ``inner_tol`` makes the returned potential the exact
+    A final solve at ``SOLVE_TOL`` makes the returned potential the exact
     critical point of the linearization at the returned conductivity.  The
     linear solves share one LU factor, created here and dropped on return
     (see ``solve_reusing_factor``); ``report.factorizations`` counts them.
@@ -470,7 +467,7 @@ def reconstruct(
         mixer = _Anderson(grid.num_nodes, bounds)
         change = math.inf
         for _ in range(config.max_outer_iterations):
-            tol = max(config.inner_tol, min(_LOOSEST_INNER_TOL, _FORCING * change))
+            tol = max(SOLVE_TOL, min(_LOOSEST_INNER_TOL, _FORCING * change))
             # u is the solved potential, never the guess: the stop rule, the
             # bins, a capped return and the calibration read it
             u, stats = solve_at(sigma, tol, mixer.warm_start)
@@ -514,7 +511,7 @@ def reconstruct(
 
     # consistency solve: the returned potential solves the linear problem
     # for the returned conductivity exactly (up to solver tolerance)
-    u_final, final_stats = solve_at(sigma.values, config.inner_tol, u.values)
+    u_final, final_stats = solve_at(sigma.values, SOLVE_TOL, u.values)
     report.final_solve = final_stats
     report.factorizations = factor.factorizations
     return sigma, u_final, report
@@ -531,6 +528,7 @@ class ScheduleStudy:
     rel_errors: list[float]
     tail_ratio: float
     tail_converged: bool
+    stop_reasons: list[str]  # each step's ReconReport.stop_reason
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -599,11 +597,12 @@ def convergence_study(
         electrodes, grid, config.epsilon, config.transition_width
     )
 
-    g_delta_vals, g_clean_vals, errors = [], [], []
+    g_delta_vals, g_clean_vals, errors, reasons = [], [], [], []
     for k, (d, e) in enumerate(zip(deltas, etas)):
         a_n = add_noise(a_clean, e, seed + k)
         cfg = replace(config, delta=float(d))
-        sigma, u, _ = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
+        sigma, u, report = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
+        reasons.append(report.stop_reason)
         g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, float(d)))
         g_clean_vals.append(functional_G(u, a_clean, coeffs))
         errors.append(
@@ -624,4 +623,5 @@ def convergence_study(
         rel_errors=errors,
         tail_ratio=ratio,
         tail_converged=spread_tail <= tail_fraction * spread_head,
+        stop_reasons=reasons,
     )

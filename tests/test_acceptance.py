@@ -204,6 +204,7 @@ def test_criterion_8_schedule_study():
                f"limit gap = {gap:.2e} (<= 1e-2)")
     assert study.tail_converged
     assert study.tail_ratio <= 0.1
+    assert all(r == "tol" for r in study.stop_reasons)
     assert gap <= 1e-2
 
 

@@ -43,6 +43,34 @@ def test_zero_weight_returns_harmonic_extension():
     assert report.stop_reason == "tol" and report.converged
 
 
+@pytest.mark.parametrize("weight, config", [
+    (0.0, BregmanConfig()),  # the harmonic extension, returned at once
+    (1.0, BregmanConfig()),
+    (1.0, BregmanConfig(max_iterations=3)),  # capped
+    (1.0, BregmanConfig(tol=1e-2)),
+])
+def test_report_contract(weight, config):
+    # the comparator's report is the reconstruction's: stop_change is the
+    # last v change, the value the stop rule compared, and the fields that
+    # only a reconstruction fills keep their empty values
+    g = make_grid(17)
+    f = ScalarField.from_function(g, lambda x, y: np.cos(np.pi * x) * y + x * x)
+    _, report = split_bregman_minimize(
+        ScalarField.constant(g, weight), boundary_trace(f), config, g)
+    assert report.stop_change == report.records[-1].sigma_change
+    assert (report.stop_change <= config.tol) == (report.stop_reason == "tol")
+    assert report.converged == (report.stop_reason == "tol")
+    assert [r.index for r in report.records] == list(range(report.iterations))
+    for r in report.records:
+        assert r.boundary_term == r.delta_term == 0.0 and r.rel_error is None
+        assert r.g_delta == r.g == r.tv_term
+    if weight == 0.0:
+        assert report.iterations == 1 and report.records[0].tv_term == 0.0
+        assert report.stop_change == 0.0
+    assert report.final_solve is None
+    assert report.factorizations == 0 and report.calibrations == []
+
+
 def test_affine_trace_with_constant_weight():
     # the affine function is TV-minimal among competitors with its trace
     g = make_grid(33)
@@ -84,7 +112,7 @@ def test_tv_stable_over_tail():
     v, report = split_bregman_minimize(
         fwd.a, boundary_trace(fwd.u), BregmanConfig(), g
     )
-    tvs = report.tv_values()
+    tvs = [r.tv_term for r in report.records]
     tail = tvs[-max(2, len(tvs) // 10):]
     assert max(tail) - min(tail) <= 0.01 * abs(tvs[-1])
 
@@ -239,7 +267,7 @@ def test_array_loop_matches_former_loop(n, seed, trace_scale, rho, max_iteration
     v, report = split_bregman_minimize(a, trace, config, g)
     v_old, records_old, stop_old = _bregman_by_former_loop(a, trace, config, g)
     assert v.values.tobytes() == v_old.values.tobytes()
-    records = [(r.index, r.weighted_tv, r.v_change, r.solve_iterations,
+    records = [(r.index, r.tv_term, r.sigma_change, r.solve_iterations,
                 r.solve_residual) for r in report.records]
     assert np.array(records).tobytes() == np.array(records_old).tobytes()
     assert report.stop_reason == stop_old

@@ -141,7 +141,6 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         bregman + ["--grad-floor", "1"],
         bregman + ["--rho", "nan"],
         bregman + ["--tol", "nan"],
-        reconstruct + ["--inner-tol", "0"],
         reconstruct + ["--stop-tol", "nan"],
         reconstruct + ["--delta", "nan"],
         reconstruct + ["--delta", "inf"],
@@ -169,11 +168,13 @@ def test_bad_tolerance_is_one_error_line(tmp_path, capsys):
         assert "Traceback" not in err
         option = args[-2].lstrip("-").replace("-", "_")
         assert option in err, args
-    # the v-step solve is exact, so bregman has no solver tolerance to set
-    assert run(bregman + ["--inner-tol", "0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("cdrecon: error: ") and err.count("\n") == 1
-    assert "--inner-tol" in err
+    # neither run has a solver tolerance to set: the v-step solve is exact,
+    # and the sweep's solves are fixed to SOLVE_TOL
+    for args in (bregman, reconstruct):
+        assert run(args + ["--inner-tol", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdrecon: error: ") and err.count("\n") == 1
+        assert "--inner-tol" in err
 
 
 def test_reconstruct_cli_roundtrip(tmp_path, capsys):
@@ -305,6 +306,26 @@ def test_study_cli(tmp_path, capsys):
     # three steps leave one value per third, which always read as converged
     assert run(["study", "--a", str(a), "--steps", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "cdrecon: error: --steps must be at least 4\n"
+
+
+def test_study_warns_when_a_step_capped(tmp_path, capsys):
+    # every step's run stopped at 20 sweeps, yet the study printed
+    # converged=true and nothing on stderr; the warning leaves stdout alone
+    sig = tmp_path / "sigma.fld"
+    a = tmp_path / "a.fld"
+    out = tmp_path / "study.csv"
+    run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a)])
+    capsys.readouterr()
+    study = ["study", "--a", str(a), "--steps", "4", "--out", str(out)]
+    assert run(study + ["--max-iter", "20"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("study: steps=4 ") and captured.out.count("\n") == 1
+    assert captured.err == ("cdrecon: warning: study stopped at the iteration cap "
+                            "in 4 of 4 steps without converging\n")
+    # at the default cap every step stops by its rule
+    assert run(study) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_study_rejects_bad_tail_fraction(tmp_path, capsys):

@@ -304,6 +304,18 @@ def test_sine_solve_matches_direct_solve(n, seed):
     assert stats.method == "sine" and stats.relative_residual <= 1e-12
 
 
+def test_sine_solve_into_buffer():
+    # out= writes the solution bit for bit into the caller's buffer, which
+    # it returns
+    g = make_grid(9)
+    rng = np.random.default_rng(3)
+    base = assemble_laplace_dirichlet(BoundaryValues(g, rng.normal(size=g.num_boundary_nodes)), g)
+    x, stats = sine_solve(base)
+    out = np.full(g.num_nodes, np.nan)
+    y, stats_out = sine_solve(base, out=out)
+    assert y is out and y.tobytes() == x.tobytes() and stats_out == stats
+
+
 def test_sine_solve_rejects_nan_rhs():
     # a NaN norm of the rhs must reach the residual check, not the zero-rhs
     # shortcut, whether the NaN sits in a Dirichlet row or an interior one

@@ -19,6 +19,7 @@ from cdrecon.boundary import (
     smoothed_coefficients,
 )
 from cdrecon.elliptic import (
+    SOLVE_TOL,
     FactorCache,
     assemble_robin,
     pcg_solve,
@@ -221,9 +222,9 @@ def test_reconstruct_residual_at_returned_state(homog_setup):
         ScalarField(g, sigma.values + cfg.delta), coeffs, g
     )
     res = np.linalg.norm(system.matrix @ u.values - system.rhs)
-    assert res <= 10 * cfg.inner_tol * np.linalg.norm(system.rhs)
+    assert res <= 10 * SOLVE_TOL * np.linalg.norm(system.rhs)
     assert report.final_solve is not None
-    assert report.final_solve.relative_residual <= cfg.inner_tol
+    assert report.final_solve.relative_residual <= SOLVE_TOL
 
 
 def test_reconstruct_positivity_and_bounds(homog_setup):
@@ -410,7 +411,7 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
         start = None
         change = math.inf
         for _ in range(config.max_outer_iterations):
-            tol = max(config.inner_tol, min(_LOOSEST_INNER_TOL, _FORCING * change))
+            tol = max(SOLVE_TOL, min(_LOOSEST_INNER_TOL, _FORCING * change))
             u, stats = solve_at(sigma, tol, start)
             grad = gradient(u)
             magnitude = grad.magnitude2d()
@@ -440,7 +441,7 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
                 sigma, u, electrodes, config.initial_sigma, config.calibration_band)
             report.calibrations.append((report.iterations, strength))
             sigma = ScalarField(grid, project(sigma.values))
-    u_final, report.final_solve = solve_at(sigma, config.inner_tol, u.values)
+    u_final, report.final_solve = solve_at(sigma, SOLVE_TOL, u.values)
     report.factorizations = factor.factorizations
     return sigma, u_final, report
 
@@ -639,14 +640,14 @@ def test_reconstruct_minimizer_beats_competitors(homog_setup):
     previous = np.zeros(g.num_nodes)
     for _ in range(3):
         system = assemble_robin(ScalarField(g, sigma.values + cfg.delta), coeffs, g)
-        x, stats = pcg_solve(system, tol=cfg.inner_tol)
+        x, stats = pcg_solve(system, tol=SOLVE_TOL)
         competitors = [previous] + [
             x + t * rng.normal(size=x.size) for t in (1e-4, 1e-2, 1.0)
         ]
         for y in competitors:
             scale = abs(quadratic_energy(system, y)) + 1.0
             assert quadratic_energy(system, x) <= (
-                quadratic_energy(system, y) + 10 * cfg.inner_tol * scale
+                quadratic_energy(system, y) + 10 * SOLVE_TOL * scale
             )
         previous = x
         sigma = sigma_from_potential(fwd.a, ScalarField(g, x), cfg.grad_floor)
