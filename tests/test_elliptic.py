@@ -20,6 +20,7 @@ from cdrecon.elliptic import (
     _FACTOR_COST,
     FactorCache,
     SparseSystem,
+    _factor,
     _multigrid,
     assemble_cem,
     assemble_laplace_dirichlet,
@@ -88,15 +89,33 @@ def test_robin_homogeneous_zero_solution():
     assert np.abs(x).max() == 0.0  # zero rhs short-circuits to zero
 
 
-def test_robin_matrix_symmetric_and_spd():
-    g = make_grid(17)
-    el = ElectrodeSet(aperture=0.7, z=1.3)
-    sigma = generate_phantom(PhantomSpec(kind="blobs", n=17, seed=5))
-    rc = smoothed_coefficients(el, g, epsilon=2e-3)
-    system = assemble_robin(sigma, rc, g)
+def _random_robin(n, seed, aperture, z, epsilon, decades):
+    """Robin system on a random medium whose conductivity spans
+    10**-decades to 10**decades node by node, with sharp (epsilon 0) or
+    smoothed coefficients; None when a sharp aperture holds no node, which
+    leaves the pure Neumann matrix, singular."""
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    sigma = ScalarField(g, 10.0 ** rng.uniform(-decades, decades, g.num_nodes))
+    el = ElectrodeSet(aperture=aperture, z=z)
+    coeffs = (base_coefficients(el, g) if epsilon == 0.0
+              else smoothed_coefficients(el, g, epsilon))
+    if not coeffs.b.values.any():
+        return None
+    return assemble_robin(sigma, coeffs, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
+       decades=st.floats(0.0, 3.0), aperture=st.floats(0.05, 1.0),
+       epsilon=st.sampled_from([0.0, 1e-6, 5e-4, 1.0]), z=st.floats(1e-3, 1e3))
+def test_robin_matrix_symmetric_and_spd(n, seed, decades, aperture, epsilon, z):
+    # bit-for-bit symmetry: elliptic._factor factors the transpose as A
+    system = _random_robin(n, seed, aperture, z, epsilon, decades)
+    assume(system is not None)
     A = system.matrix
-    assert _matrix_symmetry_defect(A) <= 1e-14 * np.abs(A.data).max()
-    assert _spd_probe(A) > 0.0
+    assert (A != A.T).nnz == 0
+    np.linalg.cholesky(A.toarray())  # raises LinAlgError unless SPD
 
 
 def test_robin_reflection_antisymmetry():
@@ -508,6 +527,31 @@ def test_laplace_dirichlet_matches_coo_build(n, seed):
     expected = _coo_to_csr([Ki.row[keep], kb], [Ki.col[keep], kb],
                            [Ki.data[keep], np.ones(kb.size)], N)
     _assert_same_system(system, expected, rhs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
+       decades=st.floats(0.0, 1.0), aperture=st.floats(0.3, 1.0),
+       epsilon=st.sampled_from([0.0, 5e-4, 0.5]), z=st.floats(0.1, 10.0))
+def test_factor_leaves_matrix_and_matches_csc_fill(n, seed, decades, aperture, epsilon, z):
+    system = _random_robin(n, seed, aperture, z, epsilon, decades)
+    assume(system is not None)
+    A = system.matrix
+    arrays = [getattr(A, name).tobytes() for name in ("data", "indices", "indptr")]
+    lu = _factor(A)
+    assert [getattr(A, name).tobytes() for name in ("data", "indices", "indptr")] == arrays
+    # the same fill as the default factor of a CSC copy
+    reference = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+    b = np.random.default_rng(seed).normal(size=system.dimension)
+    x = lu.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    # the factor holds no reference to the matrix it was built from
+    g = make_grid(n)
+    coeffs = smoothed_coefficients(ElectrodeSet(), g, 1e-3)
+    assemble_robin(ScalarField.constant(g, 2.0), coeffs, g, out=system)
+    assert system.matrix.data.tobytes() != arrays[0]
+    assert lu.solve(b).tobytes() == x.tobytes()
 
 
 def test_factor_reuse_refactors_on_jump():
