@@ -11,8 +11,6 @@ from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
     base_coefficients,
-    electrode_integral,
-    electrode_length,
     smoothed_coefficients,
 )
 from .bregman import BregmanConfig, split_bregman_minimize

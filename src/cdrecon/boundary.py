@@ -2,11 +2,16 @@
 electrode quadrature.
 
 Two electrodes sit centered on the top and bottom sides of the unit square.
-Corner nodes belong to the vertical sides, never to an electrode, so the
-stored coefficient value at a corner is the lateral-side one.  Boundary
-integrals in the discrete systems are assembled face by face: every
-non-corner boundary node owns one face of length h; a corner owns two
-half-faces of length h/2, one on each adjacent side (see ``boundary_faces``).
+``electrode_quadrature`` is the one rule for which boundary nodes they
+cover: it returns both arcs, the injecting electrode e+ first, and rejects
+an electrode that spans fewer than two nodes.  The sharp coefficients, the
+complete electrode model, the CEM-Robin scaling and the level calibration
+all read it.  Corner nodes belong to the vertical sides, never to an
+electrode's coefficients, so the stored coefficient value at a corner is
+the lateral-side one.  Boundary integrals in the discrete systems are
+assembled face by face: every non-corner boundary node owns one face of
+length h; a corner owns two half-faces of length h/2, one on each adjacent
+side (see ``boundary_faces``).
 """
 
 from __future__ import annotations
@@ -49,9 +54,6 @@ class ElectrodeSet:
         """The x interval covered by each electrode (same for both by symmetry)."""
         half = 0.5 * self.aperture
         return 0.5 - half, 0.5 + half
-
-    def sign_top(self) -> float:
-        return 1.0 if self.top_positive else -1.0
 
 
 @dataclass(frozen=True)
@@ -106,14 +108,15 @@ def _loop_positions(grid: Grid) -> np.ndarray:
     return np.arange(grid.num_boundary_nodes) * grid.h
 
 
-def _electrode_intervals(electrodes: ElectrodeSet) -> dict[str, tuple[float, float]]:
-    """Loop-coordinate intervals of the two electrodes.
+def _electrode_intervals(electrodes: ElectrodeSet) -> tuple[tuple[float, float], ...]:
+    """Loop-coordinate intervals of e+ and e-, in that order.
 
     Loop coordinate t runs counterclockwise from (0,0): bottom t = x,
     right t = 1 + y, top t = 3 - x, left t = 4 - y.
     """
     xl, xh = electrodes.span()
-    return {"bottom": (xl, xh), "top": (3.0 - xh, 3.0 - xl)}
+    top, bottom = (3.0 - xh, 3.0 - xl), (xl, xh)
+    return (top, bottom) if electrodes.top_positive else (bottom, top)
 
 
 def _circular_interval_distance(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -131,29 +134,19 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _electrode_node_mask(electrodes: ElectrodeSet, grid: Grid, side: str) -> np.ndarray:
-    """Mask over loop indices of the nodes on the given side's electrode,
-    excluding corners (corner rule)."""
-    i, j = boundary_loop(grid)
-    xl, xh = electrodes.span()
-    x = i * grid.h
-    on_side = (j == (grid.n - 1)) if side == "top" else (j == 0)
-    interior = (i > 0) & (i < grid.n - 1)
-    return on_side & interior & (x >= xl - 1e-12) & (x <= xh + 1e-12)
-
-
 def base_coefficients(electrodes: ElectrodeSet, grid: Grid) -> RobinCoefficients:
-    """Sharp coefficients: b = 1/z and c = +/-I on electrode nodes, zero
-    elsewhere (corners excluded per the corner rule)."""
+    """Sharp coefficients: b = 1/z and c = +I on e+, -I on e-, zero
+    elsewhere (corners excluded per the corner rule).  An electrode that
+    spans fewer than two nodes is a DataError."""
     nb = grid.num_boundary_nodes
     b = np.zeros(nb)
     c = np.zeros(nb)
-    s = electrodes.sign_top()
-    top = _electrode_node_mask(electrodes, grid, "top")
-    bottom = _electrode_node_mask(electrodes, grid, "bottom")
-    b[top | bottom] = 1.0 / electrodes.z
-    c[top] = s * electrodes.current
-    c[bottom] = -s * electrodes.current
+    i, _ = boundary_loop(grid)
+    for (idx, _), current in zip(electrode_quadrature(electrodes, grid),
+                                 (electrodes.current, -electrodes.current)):
+        idx = idx[(i[idx] > 0) & (i[idx] < grid.n - 1)]  # the corner rule
+        b[idx] = 1.0 / electrodes.z
+        c[idx] = current
     return RobinCoefficients(BoundaryValues(grid, b), BoundaryValues(grid, c))
 
 
@@ -177,62 +170,43 @@ def smoothed_coefficients(
             f"transition width {width} is unresolvable on spacing h={grid.h}; need >= 2h"
         )
     t = _loop_positions(grid)
-    spans = _electrode_intervals(electrodes)
-    profiles = {}
-    for side, (lo, hi) in spans.items():
+    profiles = []
+    for lo, hi in _electrode_intervals(electrodes):
         d = _circular_interval_distance(t, lo, hi)
-        profiles[side] = np.where(d >= width, 0.0, 1.0 - smoothstep(d / width))
+        profiles.append(np.where(d >= width, 0.0, 1.0 - smoothstep(d / width)))
+    plus, minus = profiles
     z, cur = electrodes.z, electrodes.current
-    s = electrodes.sign_top()
-    b = (epsilon + (1.0 - epsilon) * np.maximum(profiles["top"], profiles["bottom"])) / z
-    c = cur * (s * profiles["top"] - s * profiles["bottom"])
+    b = (epsilon + (1.0 - epsilon) * np.maximum(plus, minus)) / z
+    c = cur * (plus - minus)
     return RobinCoefficients(BoundaryValues(grid, b), BoundaryValues(grid, c))
 
 
 def electrode_quadrature(
-    electrodes: ElectrodeSet, grid: Grid, side: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid quadrature over one electrode arc.
+    electrodes: ElectrodeSet, grid: Grid
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Trapezoid quadrature over both electrode arcs, e+ first.
 
-    Returns (loop_idx, weights) for the boundary nodes spanned by the
-    electrode on the given side ("top" or "bottom"), end nodes at half
-    weight.  At full aperture the arc ends are the corners, so the discrete
-    electrode length sums to exactly 1.  Apertures whose ends fall between
-    nodes snap inward to the spanned nodes.
+    Returns ((loop_idx, weights), (loop_idx, weights)) for e+ and e-: the
+    loop indices of the boundary nodes each electrode spans, ordered by x,
+    end nodes at half weight.  At full aperture the arc ends are the
+    corners, so the discrete electrode length sums to exactly 1.  Apertures
+    whose ends fall between nodes snap inward to the spanned nodes; an arc
+    of fewer than two nodes is a DataError.
     """
-    if side not in ("top", "bottom"):
-        raise ValueError(f"side must be 'top' or 'bottom', got {side!r}")
     i, j = boundary_loop(grid)
     xl, xh = electrodes.span()
     x = i * grid.h
-    on_side = (j == (grid.n - 1)) if side == "top" else (j == 0)
-    mask = on_side & (x >= xl - 1e-12) & (x <= xh + 1e-12)
-    idx = np.flatnonzero(mask)
-    if idx.size < 2:
-        raise DataError(
-            f"aperture {electrodes.aperture} spans fewer than two nodes at n={grid.n}"
-        )
-    # order by x so the arc ends are first/last
-    order = np.argsort(x[idx])
-    idx = idx[order]
-    w = np.full(idx.size, grid.h)
-    w[0] = w[-1] = 0.5 * grid.h
-    return idx, w
-
-
-def electrode_length(electrodes: ElectrodeSet, grid: Grid) -> float:
-    """Discrete arc length |e| of one electrode."""
-    _, w = electrode_quadrature(electrodes, grid, "top")
-    return float(w.sum())
-
-
-def electrode_integral(
-    electrodes: ElectrodeSet, grid: Grid, trace: BoundaryValues, side: str
-) -> float:
-    """Quadrature of a boundary function over one electrode arc."""
-    idx, w = electrode_quadrature(electrodes, grid, side)
-    return float(w @ trace.values[idx])
-
-
-def positive_electrode_side(electrodes: ElectrodeSet) -> str:
-    return "top" if electrodes.top_positive else "bottom"
+    spanned = (x >= xl - 1e-12) & (x <= xh + 1e-12)
+    rows = (grid.n - 1, 0) if electrodes.top_positive else (0, grid.n - 1)
+    arcs = []
+    for row in rows:
+        idx = np.flatnonzero(spanned & (j == row))
+        if idx.size < 2:
+            raise DataError(
+                f"aperture {electrodes.aperture} spans fewer than two nodes at n={grid.n}"
+            )
+        idx = idx[np.argsort(x[idx])]  # the arc ends first and last
+        w = np.full(idx.size, grid.h)
+        w[0] = w[-1] = 0.5 * grid.h
+        arcs.append((idx, w))
+    return arcs[0], arcs[1]

@@ -68,7 +68,6 @@ from .boundary import (
     RobinCoefficients,
     boundary_faces,
     electrode_quadrature,
-    positive_electrode_side,
 )
 from .errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
 from .fields import BoundaryValues, Grid, ScalarField, boundary_loop, boundary_trace
@@ -274,15 +273,13 @@ def assemble_cem(
     pat = _stencil_pattern(n)
     stencil = _stencil(sigma.values, n)
     li, lj = boundary_loop(grid)
-    pos_side = positive_electrode_side(electrodes)
     border = np.zeros(N)  # coupling of each node to the voltage V
     corner = 0.0
-    for side in ("top", "bottom"):
-        idx, w = electrode_quadrature(electrodes, grid, side)
+    for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
         g = (lj * n + li)[idx]  # distinct nodes, so += adds each weight once
         wz = w / electrodes.z
         stencil[g, 2] += wz
-        border[g] = -wz if side == pos_side else wz
+        border[g] = sign * wz  # -w/z on e+, +w/z on e-
         corner += float(wz.sum())
     # the border goes straight into the stencil's CSR arrays, last in each
     # coupled row and as row N (the coupled nodes in ascending order, then
@@ -577,18 +574,18 @@ def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return S, eig
 
 
-def sine_solve(system: SparseSystem, tol: float = SOLVE_TOL,
+def sine_solve(system: SparseSystem,
                out: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Exact solve of a system built by ``assemble_laplace_dirichlet``.
 
     The interior block is the five-point Laplacian T x I + I x T, which the
     DST-I matrix diagonalizes: x = S ((S b S) / Lambda) S on the interior
     nodes.  The Dirichlet rows are identities, so their values are copied
-    from the rhs bit for bit.  The true residual is checked against ``tol``
-    like every other solve.  With ``out``, a flat buffer of the system's
-    dimension (not the rhs), the solution is written into it and returned.
+    from the rhs bit for bit.  The solve is exact and takes no tolerance;
+    its true residual is checked against ``SOLVE_TOL`` like every other
+    solve.  With ``out``, a flat buffer of the system's dimension (not the
+    rhs), the solution is written into it and returned.
     """
-    _check_tol(tol)
     dim = system.dimension
     n = math.isqrt(dim)
     if n * n != dim or n < 3:
@@ -606,7 +603,7 @@ def sine_solve(system: SparseSystem, tol: float = SOLVE_TOL,
         r = system.matrix @ x
         np.subtract(b, r, out=r)
         res = float(np.linalg.norm(r)) / nb
-    return _checked(x, 0, res, tol, "sine")
+    return _checked(x, 0, res, SOLVE_TOL, "sine")
 
 
 def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:

@@ -137,8 +137,8 @@ def _calibration_pass(
     i, j = boundary_loop(grid)
     trace_bin = bin_of[j * grid.n + i]
     pinned = np.zeros(_CALIBRATION_BINS, dtype=bool)
-    for side in ("top", "bottom"):
-        on = trace_bin[electrode_quadrature(electrodes, grid, side)[0]]
+    for idx, _ in electrode_quadrature(electrodes, grid):
+        on = trace_bin[idx]
         pinned[on.min():on.max() + 1] = True
     dphi[pinned] = 1.0
     free = ~pinned

@@ -9,13 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (
-    ElectrodeSet,
-    RobinCoefficients,
-    electrode_integral,
-    electrode_length,
-    positive_electrode_side,
-)
+from .boundary import ElectrodeSet, RobinCoefficients, electrode_quadrature
 from .elliptic import SOLVE_TOL, SolveStats, assemble_cem, assemble_robin, pcg_solve
 from .errors import DataError
 from .fields import (
@@ -92,13 +86,12 @@ def cem_scaling(
     The equivalent expression through e- agrees by discrete conservation;
     the returned value averages the two. Raises on degenerate scaling.
     """
-    tr = boundary_trace(result.u)
-    z, cur = electrodes.z, electrodes.current
-    length = electrode_length(electrodes, grid)
-    pos = positive_electrode_side(electrodes)
-    neg = "bottom" if pos == "top" else "top"
-    inv_plus = length - electrode_integral(electrodes, grid, tr, pos) / (z * cur)
-    inv_minus = length + electrode_integral(electrodes, grid, tr, neg) / (z * cur)
+    tr = boundary_trace(result.u).values
+    zi = electrodes.z * electrodes.current
+    (pos, w_pos), (neg, w_neg) = electrode_quadrature(electrodes, grid)
+    length = float(w_pos.sum())
+    inv_plus = length - float(w_pos @ tr[pos]) / zi
+    inv_minus = length + float(w_neg @ tr[neg]) / zi
     inv = 0.5 * (inv_plus + inv_minus)
     if abs(inv) < 1e-12:
         raise DataError(f"degenerate CEM scaling: 1/lambda = {inv:.3e}")

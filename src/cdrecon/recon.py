@@ -74,7 +74,6 @@ from .fields import (
     gradient,
     rel_l2_error,
     require_same_grid,
-    weighted_tv,
 )
 from .forward import add_noise
 
@@ -243,9 +242,8 @@ def _boundary_penalty_of(coeffs: RobinCoefficients) -> Callable[[np.ndarray], fl
 
 def functional_G(v: ScalarField, a: ScalarField, coeffs: RobinCoefficients) -> float:
     """Weighted-TV functional: integral of a |grad v| plus the boundary
-    penalty 0.5 * integral of b (v - c/b)^2."""
-    require_same_grid(v, a, coeffs)
-    return weighted_tv(v, a) + boundary_penalty(v, coeffs)
+    penalty 0.5 * integral of b (v - c/b)^2, ``functional_Gdelta`` at delta 0."""
+    return functional_Gdelta(v, a, coeffs, 0.0)
 
 
 def functional_Gdelta(

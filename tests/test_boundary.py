@@ -3,20 +3,24 @@ quadrature."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdrecon import elliptic
 from cdrecon.boundary import (
     ElectrodeSet,
+    _circular_interval_distance,
+    _loop_positions,
     base_coefficients,
     boundary_faces,
-    electrode_integral,
-    electrode_length,
     electrode_quadrature,
     smoothed_coefficients,
     smoothstep,
 )
+from cdrecon.elliptic import SparseSystem, assemble_cem
 from cdrecon.errors import DataError
+from cdrecon.forward import cem_scaling, solve_forward
 from cdrecon.fields import (
     ScalarField,
     boundary_loop,
@@ -155,23 +159,33 @@ def test_smoothed_antisymmetry_under_reflection():
 
 def test_electrode_quadrature_full_aperture_length_one():
     g = make_grid(65)
-    el = ElectrodeSet()
-    assert electrode_length(el, g) == pytest.approx(1.0, abs=1e-14)
-    idx, w = electrode_quadrature(el, g, "top")
-    assert w[0] == w[-1] == g.h / 2
+    i, j = boundary_loop(g)
+    for top_positive, plus_row in ((True, g.n - 1), (False, 0)):
+        arcs = electrode_quadrature(ElectrodeSet(top_positive=top_positive), g)
+        # e+ first, on the side the polarity names; both arcs ordered by x
+        # from corner to corner
+        assert [set(j[idx].tolist()) for idx, _ in arcs] == [{plus_row}, {g.n - 1 - plus_row}]
+        for idx, w in arcs:
+            assert i[idx].tolist() == list(range(g.n))
+            assert w[0] == w[-1] == g.h / 2
+            assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_electrode_quadrature_partial():
     g = make_grid(9)
-    el = ElectrodeSet(aperture=0.5)
-    assert electrode_length(el, g) == pytest.approx(0.5, abs=1e-14)
+    for idx, w in electrode_quadrature(ElectrodeSet(aperture=0.5), g):
+        assert w.sum() == pytest.approx(0.5, abs=1e-14)
+    # an arc of fewer than two nodes: none at n=4, one at n=17
+    for n, aperture in ((4, 0.25), (17, 0.05)):
+        with pytest.raises(DataError, match="spans fewer than two nodes"):
+            electrode_quadrature(ElectrodeSet(aperture=aperture), make_grid(n))
 
 
 def test_electrode_integral_constant():
     g = make_grid(17)
-    el = ElectrodeSet()
-    tr = boundary_trace(ScalarField.constant(g, 3.0))
-    assert electrode_integral(el, g, tr, "top") == pytest.approx(3.0, rel=1e-13)
+    tr = boundary_trace(ScalarField.constant(g, 3.0)).values
+    for idx, w in electrode_quadrature(ElectrodeSet(), g):
+        assert float(w @ tr[idx]) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_boundary_faces_weights():
@@ -212,3 +226,147 @@ def test_vectorized_boundary_loops_match_former_loops(n):
     for got, expected in zip(boundary_faces(g), _faces_by_loop(g)):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+
+# The per-side electrode rules that ``electrode_quadrature`` replaced: a
+# node mask for the sharp coefficients, a per-side quadrature for the CEM,
+# the scaling and the calibration, and the polarity as a sign on the top
+# side.  The mask took an electrode between nodes for an empty one.
+
+
+def _former_node_mask(electrodes, grid, side):
+    i, j = boundary_loop(grid)
+    xl, xh = electrodes.span()
+    x = i * grid.h
+    on_side = (j == (grid.n - 1)) if side == "top" else (j == 0)
+    interior = (i > 0) & (i < grid.n - 1)
+    return on_side & interior & (x >= xl - 1e-12) & (x <= xh + 1e-12)
+
+
+def _former_quadrature(electrodes, grid, side):
+    i, j = boundary_loop(grid)
+    xl, xh = electrodes.span()
+    x = i * grid.h
+    on_side = (j == (grid.n - 1)) if side == "top" else (j == 0)
+    idx = np.flatnonzero(on_side & (x >= xl - 1e-12) & (x <= xh + 1e-12))
+    if idx.size < 2:
+        raise DataError("spans fewer than two nodes")
+    idx = idx[np.argsort(x[idx])]
+    w = np.full(idx.size, grid.h)
+    w[0] = w[-1] = 0.5 * grid.h
+    return idx, w
+
+
+def _former_base(electrodes, grid):
+    b = np.zeros(grid.num_boundary_nodes)
+    c = np.zeros(grid.num_boundary_nodes)
+    s = 1.0 if electrodes.top_positive else -1.0
+    top = _former_node_mask(electrodes, grid, "top")
+    bottom = _former_node_mask(electrodes, grid, "bottom")
+    b[top | bottom] = 1.0 / electrodes.z
+    c[top] = s * electrodes.current
+    c[bottom] = -s * electrodes.current
+    return b, c
+
+
+def _former_smoothed(electrodes, grid, epsilon):
+    width = 4.0 * grid.h
+    t = _loop_positions(grid)
+    xl, xh = electrodes.span()
+    profiles = {}
+    for side, (lo, hi) in {"bottom": (xl, xh), "top": (3.0 - xh, 3.0 - xl)}.items():
+        d = _circular_interval_distance(t, lo, hi)
+        profiles[side] = np.where(d >= width, 0.0, 1.0 - smoothstep(d / width))
+    s = 1.0 if electrodes.top_positive else -1.0
+    b = (epsilon + (1.0 - epsilon) * np.maximum(profiles["top"], profiles["bottom"])) / electrodes.z
+    c = electrodes.current * (s * profiles["top"] - s * profiles["bottom"])
+    return b, c
+
+
+def _former_cem(sigma, electrodes, grid):
+    n = grid.n
+    N = n * n
+    pat = elliptic._stencil_pattern(n)
+    stencil = elliptic._stencil(sigma.values, n)
+    li, lj = boundary_loop(grid)
+    pos_side = "top" if electrodes.top_positive else "bottom"
+    border = np.zeros(N)
+    corner = 0.0
+    for side in ("top", "bottom"):
+        idx, w = _former_quadrature(electrodes, grid, side)
+        g = (lj * n + li)[idx]
+        wz = w / electrodes.z
+        stencil[g, 2] += wz
+        border[g] = -wz if side == pos_side else wz
+        corner += float(wz.sum())
+    coupled = np.flatnonzero(border)
+    m = coupled.size
+    at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, pat.indices.size)])
+    data = np.insert(stencil[pat.present], at,
+                     np.concatenate([border[coupled], border[coupled], [corner]]))
+    indices = np.insert(pat.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
+    extra = np.zeros(N + 2, dtype=np.int32)
+    extra[coupled + 1] = 1
+    extra[N + 1] = m + 1
+    indptr = np.append(pat.indptr, pat.indices.size) + np.cumsum(extra, dtype=np.int32)
+    rhs = np.zeros(N + 1)
+    rhs[N] = 2.0 * electrodes.current
+    return SparseSystem(sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1)), rhs)
+
+
+def _former_cem_scaling(result, electrodes, grid):
+    tr = boundary_trace(result.u).values
+    z, cur = electrodes.z, electrodes.current
+
+    def integral(side):
+        idx, w = _former_quadrature(electrodes, grid, side)
+        return float(w @ tr[idx])
+
+    length = float(_former_quadrature(electrodes, grid, "top")[1].sum())
+    pos = "top" if electrodes.top_positive else "bottom"
+    neg = "bottom" if pos == "top" else "top"
+    inv_plus = length - integral(pos) / (z * cur)
+    inv_minus = length + integral(neg) / (z * cur)
+    return 1.0 / (0.5 * (inv_plus + inv_minus))
+
+
+def _bytes(*arrays):
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 60), aperture=st.floats(0.0, 1.0, exclude_min=True),
+       z=st.floats(0.1, 10.0), current=st.floats(0.1, 10.0), top_positive=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, aperture=0.25, z=1.0, current=1.0, top_positive=True, seed=0)  # no node
+@example(n=17, aperture=0.05, z=1.0, current=1.0, top_positive=False, seed=0)  # one node
+@example(n=3, aperture=1.0, z=1.0, current=1.0, top_positive=False, seed=0)
+def test_one_electrode_rule_matches_former_per_side_rules(n, aperture, z, current,
+                                                          top_positive, seed):
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture, z=z, current=current, top_positive=top_positive)
+    sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
+    # the smoothed coefficients take no node set and accept every aperture
+    rc = smoothed_coefficients(el, g, 1e-3)
+    assert _bytes(rc.b.values, rc.c.values) == _bytes(*_former_smoothed(el, g, 1e-3))
+    try:
+        former = [_former_quadrature(el, g, side) for side in ("top", "bottom")]
+    except DataError:
+        for build in (lambda: electrode_quadrature(el, g), lambda: base_coefficients(el, g),
+                      lambda: assemble_cem(sigma, el, g)):
+            with pytest.raises(DataError, match="spans fewer than two nodes"):
+                build()
+        return
+    if not top_positive:
+        former.reverse()  # e+ first
+    arcs = electrode_quadrature(el, g)
+    assert [_bytes(*arc) for arc in arcs] == [_bytes(*arc) for arc in former]
+    rc = base_coefficients(el, g)
+    assert _bytes(rc.b.values, rc.c.values) == _bytes(*_former_base(el, g))
+    system, expected = assemble_cem(sigma, el, g), _former_cem(sigma, el, g)
+    for name in ("data", "indices", "indptr"):
+        assert _bytes(getattr(system.matrix, name)) == _bytes(getattr(expected.matrix, name))
+    assert _bytes(system.rhs) == _bytes(expected.rhs)
+    robin = solve_forward(sigma, rc, g)
+    assert _bytes(np.float64(cem_scaling(robin, el, g))) == _bytes(
+        np.float64(_former_cem_scaling(robin, el, g)))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cdrecon.bregman import BregmanConfig, split_bregman_minimize
 from cdrecon.boundary import ElectrodeSet, smoothed_coefficients
 from cdrecon.elliptic import (
-    SOLVE_TOL,
     SparseSystem,
     assemble_laplace_dirichlet,
     pcg_solve,
@@ -207,7 +206,7 @@ def _bregman_by_former_loop(a, trace, config, grid):
         rhs = base.rhs.copy()
         if rhs_source is not None:
             rhs[interior] += h2 * rhs_source[interior]
-        x, stats = sine_solve(SparseSystem(base.matrix, rhs), tol=SOLVE_TOL)
+        x, stats = sine_solve(SparseSystem(base.matrix, rhs))
         return ScalarField(grid, x), stats
 
     v, stats = solve_v(None)

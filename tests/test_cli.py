@@ -442,6 +442,23 @@ def test_cem_forward_cli(tmp_path, capsys):
     assert v == pytest.approx(1.5, abs=1e-8)
 
 
+def test_forward_rejects_a_sharp_electrode_of_fewer_than_two_nodes(tmp_path, capsys):
+    # sharp coefficients and the CEM read one electrode rule: an electrode
+    # that spans no node (n=4, aperture 0.25) or one node (n=17, aperture
+    # 0.05) is a validation error, not an all-zero forward problem
+    for n, aperture in ((4, "0.25"), (17, "0.05")):
+        sig = tmp_path / f"sigma{n}.fld"
+        out = tmp_path / f"a{n}.fld"
+        run(["phantom", "--kind", "blobs", "--n", str(n), "--seed", "2", "--out", str(sig)])
+        capsys.readouterr()
+        assert run(["forward", "--sigma", str(sig), "--epsilon", "0", "--aperture", aperture,
+                    "--out-a", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdrecon: error: ") and err.count("\n") == 1
+        assert "spans fewer than two nodes" in err
+        assert not out.exists()
+
+
 def test_bregman_checks_truth_before_the_run(tmp_path, capsys):
     # a missing truth file or one on another grid fails before the loop and
     # leaves no output behind

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from cdrecon.boundary import (
     ElectrodeSet,
     base_coefficients,
-    electrode_integral,
-    electrode_length,
+    electrode_quadrature,
     smoothed_coefficients,
 )
 from cdrecon.errors import DataError
@@ -114,10 +113,11 @@ def test_cem_scaling_value_and_consistency(homog33):
 
 def _scaling_inverses(g, el, sigma):
     r = solve_forward(sigma, base_coefficients(el, g), g, tol=1e-12)
-    tr = boundary_trace(r.u)
-    length = electrode_length(el, g)
-    inv_plus = length - electrode_integral(el, g, tr, "top") / (el.z * el.current)
-    inv_minus = length + electrode_integral(el, g, tr, "bottom") / (el.z * el.current)
+    tr = boundary_trace(r.u).values
+    (pos, w_pos), (neg, w_neg) = electrode_quadrature(el, g)
+    length = w_pos.sum()
+    inv_plus = length - (w_pos @ tr[pos]) / (el.z * el.current)
+    inv_minus = length + (w_neg @ tr[neg]) / (el.z * el.current)
     return r, inv_plus, inv_minus
 
 

@@ -344,8 +344,8 @@ def _former_level_calibration(sigma, u, electrodes, background, band):
     dphi = np.clip(dphi, 0.2, 5.0)
     tr = boundary_trace(u).values
     pinned = np.zeros(48, dtype=bool)
-    for side in ("top", "bottom"):
-        vals = tr[electrode_quadrature(electrodes, grid, side)[0]]
+    for idx, _ in electrode_quadrature(electrodes, grid):
+        vals = tr[idx]
         lo_b = int(np.clip(np.digitize(float(vals.min()), edges) - 1, 0, 47))
         hi_b = int(np.clip(np.digitize(float(vals.max()), edges) - 1, 0, 47))
         pinned[lo_b:hi_b + 1] = True
