@@ -36,13 +36,7 @@ from .fields import (
     _wide_interior,
     cell_average,
 )
-from .recon import IterationRecord, ReconReport, _check_grad_floor, sigma_from_potential
-
-__all__ = [
-    "BregmanConfig",
-    "split_bregman_minimize",
-    "sigma_from_potential",
-]
+from .recon import IterationRecord, ReconReport, _check_grad_floor
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ ReconConfig, BregmanConfig, ElectrodeSet and PhantomSpec.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .boundary import ElectrodeSet, base_coefficients, smoothed_coefficients
-from .bregman import BregmanConfig, sigma_from_potential, split_bregman_minimize
+from .bregman import BregmanConfig, split_bregman_minimize
 from .elliptic import SOLVE_TOL
 from .errors import CdreconError, FormatError, UsageError
 from .fields import boundary_trace, read_field, rel_l2_error, require_same_grid, write_field
@@ -35,6 +36,7 @@ from .recon import (
     ReconReport,
     convergence_study,
     reconstruct,
+    sigma_from_potential,
 )
 
 
@@ -63,18 +65,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser of every command, with the options of only the command
-    that ``argv`` invokes (its first token that is not an option): no other
-    command's options can be parsed, and the top-level help lists each
-    command by its one-line help alone."""
-    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every command with all of its options, built once per
+    process; argparse keeps no state between ``parse_args`` calls."""
     parser = _Parser(prog="cdrecon", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.help)
-        if name != invoked:
-            continue
         for o in _COMMON + command.opts:
             how = (dict(action="store_const", const=True) if o.type is bool
                    else dict(action="append") if o.append else dict(type=str))
@@ -422,10 +420,8 @@ _COMMANDS: dict[str, Command] = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         if not getattr(ns, "command", None):
             raise UsageError("missing command (try --help)")
         command = _COMMANDS[ns.command]

@@ -224,6 +224,8 @@ def assemble_robin(
     """Discrete system for div(sigma_eff grad u) = 0 with
     sigma_eff du/dnu + b u = c on the boundary.
 
+    A b too small to change any face row's diagonal is a DataError.
+
     With ``out``, a system that this function built for the same grid size,
     the system is written into its arrays (the matrix entries in place, on
     the pattern they share) and ``out`` is returned: a caller that solves
@@ -239,8 +241,15 @@ def assemble_robin(
     if out is not None and (out.matrix.shape != (N, N) or out.matrix.nnz != pat.indices.size):
         raise DimensionError("out is not a Robin system of this grid size")
     stencil = _stencil(sigma_eff.values, n)
-    # the boundary faces add to the diagonal after the edges
+    # the boundary faces add to the diagonal after the edges; where no face
+    # row's diagonal grows, the matrix is the singular pure-Neumann one
+    edges_only = stencil[pat.face_rows, 2]
     np.add.at(stencil[:, 2], pat.face_rows, pat.face_weight * coeffs.b.values[pat.face_value])
+    if not np.any(stencil[pat.face_rows, 2] > edges_only):
+        b_max = float(coeffs.b.values.max())
+        raise DataError(f"the Robin boundary term rounds away: contact impedance z = "
+                        f"{1.0 / b_max if b_max > 0.0 else math.inf:g} is too large for "
+                        f"conductivities up to {float(sigma_eff.values.max()):g}")
     if out is None:
         out = SparseSystem(
             sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(N, N)),

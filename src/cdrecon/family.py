@@ -1,10 +1,10 @@
 """The reparametrization family sigma -> sigma / (phi' o u), u -> phi o u
 (phi increasing, the identity on the electrode value ranges), along which
 the interior data a = sigma |grad u| do not change: the transform that makes
-a member, the potential-level bins that resolve phi' (built once per sweep),
-the change off the family that the calibrated stop rule compares, and the
-level calibration, which picks the member whose conductivity matches a known
-background in the boundary margin (the standard embedding)."""
+a member, the potential-level bins that resolve phi', the change off the
+family that the calibrated stop rule compares, and the level calibration,
+which picks the member whose conductivity matches a known background in the
+boundary margin (the standard embedding); each caller builds its own bins."""
 
 from __future__ import annotations
 
@@ -77,9 +77,9 @@ def _family_free_change(sigma: np.ndarray, image: np.ndarray, bins: _LevelBins) 
     band nodes keep their change.  Returns ||remainder|| / ||sigma||."""
     bin_of, qualifies = bins.bin_of, bins.qualifies
     d = image - sigma
-    sd = np.bincount(bin_of, weights=sigma * d, minlength=_CALIBRATION_BINS)
-    ss = np.bincount(bin_of, weights=sigma * sigma, minlength=_CALIBRATION_BINS)
-    c = np.zeros(_CALIBRATION_BINS)
+    sd = np.bincount(bin_of, weights=sigma * d, minlength=qualifies.size)
+    ss = np.bincount(bin_of, weights=sigma * sigma, minlength=qualifies.size)
+    c = np.zeros(qualifies.size)
     c[qualifies] = sd[qualifies] / ss[qualifies]
     return float(np.linalg.norm(d - c[bin_of] * sigma)) / float(np.linalg.norm(sigma))
 
@@ -94,29 +94,20 @@ def level_calibration(
     """Snap a reconstruction onto the reparametrization-family member whose
     conductivity matches the known background inside the boundary margin.
 
-    phi' is estimated per potential level as the median of sigma /
+    phi' is estimated per potential level bin of u as the median of sigma /
     background over the margin band (within ``band`` of the boundary),
     pinned to 1 on the electrode ranges and normalized so phi stays
     continuous; the returned pair is the transformed (sigma, u) together
-    with max |phi' - 1|.  The background must be positive and finite, and
-    the band in (0, 0.5) (DataError).
+    with max |phi' - 1|.  A constant u, or electrode ranges that cover every
+    bin, leave no bin width to rescale and return the input.  The
+    background must be positive and finite, and the band in (0, 0.5)
+    (DataError).
     """
-    require_same_grid(sigma, u)
+    grid = require_same_grid(sigma, u)
     if not (math.isfinite(background) and background > 0.0):
         raise DataError(f"background must be positive and finite, got {background}")
     _check_band(band)
-    return _calibration_pass(sigma, u, _level_bins(u, band), electrodes, background)
-
-
-def _calibration_pass(
-    sigma: ScalarField, u: ScalarField, bins: _LevelBins, electrodes: ElectrodeSet,
-    background: float,
-) -> tuple[ScalarField, ScalarField, float]:
-    """``level_calibration`` on the level bins of u.  A constant u, or
-    electrode ranges that cover every bin, leave no bin width to rescale
-    and return the input."""
-    grid = u.grid
-    edges, bin_of, band_mask, count, qualifies = bins
+    edges, bin_of, band_mask, count, qualifies = _level_bins(u, band)
     widths = np.diff(edges)
     # the median of the band nodes' sigma on each qualifying bin, from those
     # values sorted by bin and then by value, rounded as np.median rounds:
@@ -128,7 +119,7 @@ def _calibration_pass(
     q = np.flatnonzero(qualifies)
     lower = first[q] + (count[q] - 1) // 2
     upper = first[q] + count[q] // 2
-    dphi = np.ones(_CALIBRATION_BINS)
+    dphi = np.ones(widths.size)
     dphi[q] = (ordered[lower] + ordered[upper]) / 2.0 / background
     dphi = np.convolve(np.pad(dphi, 1, mode="edge"), [0.25, 0.5, 0.25], mode="valid")
     dphi = np.clip(dphi, 0.2, 5.0)
@@ -136,7 +127,7 @@ def _calibration_pass(
     # identity on the electrode value ranges: the bins of their nodes
     i, j = boundary_loop(grid)
     trace_bin = bin_of[j * grid.n + i]
-    pinned = np.zeros(_CALIBRATION_BINS, dtype=bool)
+    pinned = np.zeros(widths.size, dtype=bool)
     for idx, _ in electrode_quadrature(electrodes, grid):
         on = trace_bin[idx]
         pinned[on.min():on.max() + 1] = True

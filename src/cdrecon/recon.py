@@ -29,9 +29,10 @@ each call builds its constants (cell weights, boundary target) once,
 allocates its buffers and one Robin matrix once, and every sweep writes
 into them.
 
-The module ``family`` owns the reparametrization family: its level bins,
-the stop rule's projection and the level calibration, which ``reconstruct``
-applies twice to the fixed point unless it is disabled.
+The module ``family`` owns the reparametrization family: its level bins
+(the stop rule builds those of each sweep's u), the stop rule's projection
+and ``level_calibration``, which ``reconstruct`` calls twice on the fixed
+point unless calibration is disabled, each call on the bins of its own u.
 
 ``ReconConfig`` owns the settings of ``reconstruct`` and their defaults, and
 checks them when built (DataError), so every config a function sees is valid.
@@ -55,10 +56,10 @@ from .elliptic import SOLVE_TOL, FactorCache, SolveStats, assemble_robin, solve_
 from .errors import DataError
 from .family import (
     CALIBRATION_BAND,
-    _calibration_pass,
     _check_band,
     _family_free_change,
     _level_bins,
+    level_calibration,
 )
 from .fields import (
     Grid,
@@ -413,7 +414,7 @@ def reconstruct(
     Each sweep records its G^delta terms and stops on ``stop_tol``
     (``report.stop_reason`` "tol", ``report.stop_change`` the last value
     compared) or after ``max_outer_iterations`` sweeps ("cap").  With
-    ``calibrate``, two level calibrations against ``initial_sigma`` follow.
+    ``calibrate``, two ``level_calibration`` passes against ``initial_sigma`` follow.
     A final solve at ``SOLVE_TOL`` makes the returned potential the exact
     critical point of the linearization at the returned conductivity.  The
     linear solves share one LU factor, created here and dropped on return
@@ -459,51 +460,44 @@ def reconstruct(
         x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
         return ScalarField(grid, x), stats
 
-    def sweep(sigma: np.ndarray):
-        """Fixed-point iterations until the stop rule fires or the cap;
-        returns (sigma, u, the level bins of u when calibrating, stop reason)."""
-        mixer = _Anderson(grid.num_nodes, bounds)
-        change = math.inf
-        for _ in range(config.max_outer_iterations):
-            tol = max(SOLVE_TOL, min(_LOOSEST_INNER_TOL, _FORCING * change))
-            # u is the solved potential, never the guess: the stop rule, the
-            # bins, a capped return and the calibration read it
-            u, stats = solve_at(sigma, tol, mixer.warm_start)
-            _gradient_wide(u.values, n, h, *grad)
-            _sigma_from_potential_gradient(
-                a.values, grad, config.grad_floor, padded, magnitude, nodes, image)
-            _project(image, bounds, out=image)
-            change = float(np.linalg.norm(image - sigma)) / float(np.linalg.norm(sigma))
-            tv, bterm, dterm = _functional_terms(
-                gx, gy, cell_magnitude, weight, u.values, penalty, delta, h)
-            rel = (None if ground_truth is None
-                   else rel_l2_error(ScalarField(grid, image), ground_truth))
-            report.records.append(IterationRecord(
-                index=report.iterations, tv_term=tv, boundary_term=bterm, delta_term=dterm,
-                sigma_change=change, rel_error=rel,
-                solve_iterations=stats.iterations,
-                solve_residual=stats.relative_residual,
-            ))
-            bins = _level_bins(u, config.calibration_band) if config.calibrate else None
-            report.stop_change = (
-                change if bins is None else _family_free_change(sigma, image, bins))
-            if report.stop_change <= config.stop_tol:
-                return image, u, bins, "tol"
-            # a copy: the step may return the image, which the next sweep overwrites
-            sigma = np.array(mixer.step(sigma, image, u.values))
-        return image, u, bins, "cap"
-
-    sigma_values, u, bins, report.stop_reason = sweep(
-        np.full(grid.num_nodes, config.initial_sigma))
-    sigma = ScalarField(grid, sigma_values)
+    sigma = np.full(grid.num_nodes, config.initial_sigma)
+    mixer = _Anderson(grid.num_nodes, bounds)
+    change = math.inf
+    report.stop_reason = "cap"
+    for _ in range(config.max_outer_iterations):
+        tol = max(SOLVE_TOL, min(_LOOSEST_INNER_TOL, _FORCING * change))
+        # u is the solved potential, never the guess: the stop rule, a
+        # capped return and the calibration read it
+        u, stats = solve_at(sigma, tol, mixer.warm_start)
+        _gradient_wide(u.values, n, h, *grad)
+        _sigma_from_potential_gradient(
+            a.values, grad, config.grad_floor, padded, magnitude, nodes, image)
+        _project(image, bounds, out=image)
+        change = float(np.linalg.norm(image - sigma)) / float(np.linalg.norm(sigma))
+        tv, bterm, dterm = _functional_terms(
+            gx, gy, cell_magnitude, weight, u.values, penalty, delta, h)
+        rel = (None if ground_truth is None
+               else rel_l2_error(ScalarField(grid, image), ground_truth))
+        report.records.append(IterationRecord(
+            index=report.iterations, tv_term=tv, boundary_term=bterm, delta_term=dterm,
+            sigma_change=change, rel_error=rel,
+            solve_iterations=stats.iterations,
+            solve_residual=stats.relative_residual,
+        ))
+        report.stop_change = (
+            _family_free_change(sigma, image, _level_bins(u, config.calibration_band))
+            if config.calibrate else change)
+        if report.stop_change <= config.stop_tol:
+            report.stop_reason = "tol"
+            break
+        # a copy: the step may return the image, which the next sweep overwrites
+        sigma = np.array(mixer.step(sigma, image, u.values))
+    sigma = ScalarField(grid, image)
 
     if config.calibrate:
-        # the first pass calibrates the u whose bins the last sweep built
-        for k in range(2):
-            if k > 0:
-                bins = _level_bins(u, config.calibration_band)
-            sigma, u, strength = _calibration_pass(
-                sigma, u, bins, electrodes, config.initial_sigma)
+        for _ in range(2):
+            sigma, u, strength = level_calibration(
+                sigma, u, electrodes, config.initial_sigma, config.calibration_band)
             report.calibrations.append((report.iterations, strength))
             sigma = ScalarField(grid, _project(sigma.values, bounds))
 
@@ -589,6 +583,8 @@ def convergence_study(
         raise DataError(f"need at least {MIN_STUDY_STEPS} schedule steps, got {len(deltas)}")
     if not (math.isfinite(tail_fraction) and tail_fraction >= 0.0):
         raise DataError(f"tail fraction must be finite and nonnegative, got {tail_fraction}")
+    if ground_truth is not None:
+        require_same_grid(a_clean, ground_truth)
     if config is None:
         config = ReconConfig()
     coeffs = smoothed_coefficients(
@@ -599,7 +595,8 @@ def convergence_study(
     for k, (d, e) in enumerate(zip(deltas, etas)):
         a_n = add_noise(a_clean, e, seed + k)
         cfg = replace(config, delta=float(d))
-        sigma, u, report = reconstruct(a_n, electrodes, cfg, grid, ground_truth)
+        # no ground truth: the error of each sweep would go unread
+        sigma, u, report = reconstruct(a_n, electrodes, cfg, grid)
         reasons.append(report.stop_reason)
         g_delta_vals.append(functional_Gdelta(u, a_n, coeffs, float(d)))
         g_clean_vals.append(functional_G(u, a_clean, coeffs))

@@ -1,6 +1,5 @@
 """Command-line interface: determinism, config files, exit codes, formats."""
 
-import argparse
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from cdrecon.boundary import ElectrodeSet
-from cdrecon.cli import _COMMANDS, _COMMON, _build_parser, main
+from cdrecon.cli import _COMMANDS, _parser, main
 from cdrecon.fields import ScalarField, make_grid, read_field, write_field
 from cdrecon.phantom import read_pgm
 from cdrecon.recon import ReconConfig, reconstruct
@@ -394,29 +393,32 @@ def test_help_describes_every_command(capsys, monkeypatch):
         assert described not in {o.help for o in command.opts}
 
 
-def test_parser_reads_argv_as_the_full_parser_does():
-    # each command's parser carries only its own options; a parser built
-    # with every command's options reads the same argv into the same values:
-    # every option of the command given (a switch set, a repeatable option
-    # twice), --config included
-    full = argparse.ArgumentParser(prog="cdrecon")
-    sub = full.add_subparsers(dest="command", metavar="command")
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for o in _COMMON + command.opts:
-            how = (dict(action="store_const", const=True) if o.type is bool
-                   else dict(action="append") if o.append else dict(type=str))
-            p.add_argument("--" + o.name, dest=o.name, default=None, **how)
-    for name, command in _COMMANDS.items():
-        argv = [name, "--config", "run.cfg"]
-        for k, o in enumerate(command.opts):
-            if o.type is bool:
-                argv.append("--" + o.name)
-            else:
-                argv += ["--" + o.name, f"{k}.5"] * (2 if o.append else 1)
-        trimmed = vars(_build_parser(argv).parse_args(argv))
-        assert trimmed == vars(full.parse_args(argv)), name
-        assert trimmed["config"] == "run.cfg" and len(trimmed) == len(command.opts) + 2
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main parses every call with one parser built once per process; a call
+    # after others gives the exit code, stdout and stderr it gives alone,
+    # with a parser of its own: the parser keeps no state between calls
+    g = make_grid(9)
+    rec, ref = tmp_path / "rec.fld", tmp_path / "ref.fld"
+    write_field(ScalarField.constant(g, 1.8), rec)
+    write_field(ScalarField.constant(g, 1.0), ref)
+    compare = ["compare", "--rec", str(rec), "--ref", str(ref)]
+    phantom = ["phantom", "--n", "9", "--seed", "3", "--out", str(tmp_path / "s.fld")]
+    calls = [compare, phantom, phantom + ["--rec", str(rec)], compare]
+
+    def outcome(args):
+        code = main(args)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for args in calls:
+        _parser.cache_clear()
+        alone.append(outcome(args))
+    _parser.cache_clear()
+    assert [outcome(args) for args in calls] == alone
+    assert _parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [0, 0, 1, 0]
+    assert "--rec" in alone[2][2]
 
 
 def test_export_pgm_cli(tmp_path):
@@ -457,6 +459,30 @@ def test_forward_rejects_a_sharp_electrode_of_fewer_than_two_nodes(tmp_path, cap
         assert err.startswith("cdrecon: error: ") and err.count("\n") == 1
         assert "spans fewer than two nodes" in err
         assert not out.exists()
+
+
+def test_a_boundary_term_that_rounds_away_is_one_error_line(tmp_path, capsys):
+    # at z >= 1e16 and n=17 the Robin term b = 1/z leaves every boundary
+    # diagonal as it was, the singular pure-Neumann matrix: a validation
+    # error before any solve, with no output written; z=1e12 still solves
+    sig, a = tmp_path / "sigma.fld", tmp_path / "a.fld"
+    out = tmp_path / "bad.fld"
+    run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a)])
+    capsys.readouterr()
+    for args in (["forward", "--sigma", str(sig), "--z", "1e16", "--out-a", str(out)],
+                 ["forward", "--sigma", str(sig), "--z", "1e200", "--out-a", str(out)],
+                 ["reconstruct", "--a", str(a), "--z", "1e200", "--out", str(out)]):
+        assert run(args) == 1, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cdrecon: error: ") and captured.err.count("\n") == 1
+        assert "rounds away" in captured.err and "z = 1e+" in captured.err
+        assert not out.exists()
+    for epsilon in ("0", "5e-4"):
+        assert run(["forward", "--sigma", str(sig), "--z", "1e12", "--epsilon", epsilon,
+                    "--out-a", str(out)]) == 0
+        assert np.all(np.isfinite(read_field(out).values))
 
 
 def test_bregman_checks_truth_before_the_run(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdrecon import recon
+from cdrecon import family, recon
 from cdrecon.boundary import (
     ElectrodeSet,
     RobinCoefficients,
@@ -44,7 +44,7 @@ from cdrecon.family import (
     level_calibration,
     nonuniqueness_transform,
 )
-from cdrecon.forward import solve_forward
+from cdrecon.forward import add_noise, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import (
     _ANDERSON_DEPTH,
@@ -501,21 +501,25 @@ def test_family_matches_former_calibration_and_projection(n, band, aperture, bac
     assert strength == former_strength
 
 
-def test_calibrated_run_builds_the_bins_once_per_sweep_and_once_more(homog_setup, monkeypatch):
-    # the stop rule builds the bins of each sweep's u, the first calibration
-    # pass reuses the last of them and the second builds those of its own u
+def test_each_sweep_and_each_calibration_pass_builds_its_own_bins(homog_setup, monkeypatch):
+    # the stop rule builds the bins of each sweep's u in ``recon``, and each
+    # of the two calibration passes builds those of its own u in ``family``:
+    # no bins value outlives the step that built it
     g, el, truth, coeffs, fwd = homog_setup
-    built = []
-
-    def counted(u, band):
-        built.append(u)
-        return _level_bins(u, band)
-
-    monkeypatch.setattr(recon, "_level_bins", counted)
+    built = {recon: [], family: []}
+    for module in built:
+        def counted(u, band, calls=built[module]):
+            calls.append(u)
+            return _level_bins(u, band)
+        monkeypatch.setattr(module, "_level_bins", counted)
     _, _, report = reconstruct(fwd.a, el, ReconConfig(), g)
-    assert len(built) == report.iterations + 1
+    assert len(built[recon]) == report.iterations
+    assert len(built[family]) == len(report.calibrations) == 2
+    assert built[family][0] is built[recon][-1] and built[family][1] is not built[family][0]
+    for calls in built.values():
+        calls.clear()
     reconstruct(fwd.a, el, ReconConfig(calibrate=False), g)
-    assert len(built) == report.iterations + 1
+    assert built == {recon: [], family: []}
 
 
 def test_converged_result_does_not_depend_on_the_cap():
@@ -795,6 +799,33 @@ def test_convergence_study_small(homog_setup):
     gaps = [abs(v - ref) for v in study.g_clean_values]
     assert gaps[-1] < gaps[0]
     assert all(e < 0.05 for e in study.rel_errors)
+
+
+def test_convergence_study_computes_one_error_per_step(homog_setup, monkeypatch):
+    # the sweeps run without the ground truth, whose per-sweep errors the
+    # study never read; each step's error is that of its final sigma
+    g, el, truth, coeffs, fwd = homog_setup
+    deltas = [3e-3 * 2.0 ** (-k) for k in range(4)]
+    cfg = ReconConfig(max_outer_iterations=5)
+    calls = []
+
+    def counted(rec, ref):
+        calls.append(rec)
+        return rel_l2_error(rec, ref)
+
+    monkeypatch.setattr(recon, "rel_l2_error", counted)
+    study = convergence_study(fwd.a, el, g, deltas, deltas, cfg, seed=3, ground_truth=truth)
+    assert len(calls) == len(deltas)
+    # a truth on another grid still fails before the first step runs
+    monkeypatch.setattr(recon, "reconstruct", None)
+    with pytest.raises(DimensionError):
+        convergence_study(fwd.a, el, g, deltas, deltas, cfg,
+                          ground_truth=ScalarField.constant(make_grid(9), 1.0))
+    monkeypatch.undo()
+    for k, d in enumerate(deltas):
+        a_k = add_noise(fwd.a, d, 3 + k)
+        sigma, _, _ = reconstruct(a_k, el, replace(cfg, delta=d), g)
+        assert study.rel_errors[k] == rel_l2_error(sigma, truth)
 
 
 def test_convergence_study_needs_four_steps(homog_setup):
