@@ -11,7 +11,10 @@ electrode's coefficients, so the stored coefficient value at a corner is
 the lateral-side one.  Boundary integrals in the discrete systems are
 assembled face by face: every non-corner boundary node owns one face of
 length h; a corner owns two half-faces of length h/2, one on each adjacent
-side (see ``boundary_faces``).
+side (see ``boundary_faces``).  ``RobinCoefficients`` checks that b and c
+share one grid (``require_same_grid``).  ``smoothed_coefficients`` owns the
+rule for epsilon and the transition width; ``ReconConfig`` applies all of
+it but the width's bound of 2h, which needs the grid.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError
-from .fields import BoundaryValues, Grid, boundary_loop
+from .errors import DataError
+from .fields import BoundaryValues, Grid, boundary_loop, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,9 @@ class ElectrodeSet:
     def __post_init__(self):
         if not (0.0 < self.aperture <= 1.0):
             raise DataError(f"aperture must be in (0, 1], got {self.aperture}")
-        if not (math.isfinite(self.z) and self.z > 0.0):
-            raise DataError(f"contact impedance z must be finite and positive, got {self.z}")
-        if not (math.isfinite(self.current) and self.current > 0.0):
-            raise DataError(
-                f"injected current must be finite and positive, got {self.current}")
+        for name, value in (("contact impedance z", self.z), ("injected current", self.current)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise DataError(f"{name} must be finite and positive, got {value}")
 
     def span(self) -> tuple[float, float]:
         """The x interval covered by each electrode (same for both by symmetry)."""
@@ -69,8 +70,7 @@ class RobinCoefficients:
         return self.b.grid
 
     def __post_init__(self):
-        if self.b.grid.n != self.c.grid.n:
-            raise DimensionError("b and c live on different grids")
+        require_same_grid(self.b, self.c)
 
 
 def boundary_faces(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,6 +150,15 @@ def base_coefficients(electrodes: ElectrodeSet, grid: Grid) -> RobinCoefficients
     return RobinCoefficients(BoundaryValues(grid, b), BoundaryValues(grid, c))
 
 
+def _check_smoothing(epsilon: float, width: float | None) -> None:
+    """The rule of ``smoothed_coefficients`` but the width's bound of 2h, which
+    needs the grid: epsilon in (0, 1], a width (None: 4h) finite and positive."""
+    if not (0.0 < epsilon <= 1.0):
+        raise DataError(f"epsilon must be in (0, 1], got {epsilon}")
+    if width is not None and not (math.isfinite(width) and width > 0.0):
+        raise DataError(f"transition width must be finite and positive, got {width}")
+
+
 def smoothed_coefficients(
     electrodes: ElectrodeSet,
     grid: Grid,
@@ -159,12 +168,9 @@ def smoothed_coefficients(
     """C2-glued coefficients: b transitions from 1/z on the electrodes to
     epsilon/z at arc distance >= width, c from +/-I to 0, both via the
     quintic smoothstep over the transition band."""
-    if not (0.0 < epsilon <= 1.0):
-        raise DataError(f"epsilon must be in (0, 1], got {epsilon}")
+    _check_smoothing(epsilon, width)
     if width is None:
         width = 4.0 * grid.h
-    if not math.isfinite(width):
-        raise DataError(f"transition width must be finite, got {width}")
     if width < 2.0 * grid.h - 1e-12:
         raise DataError(
             f"transition width {width} is unresolvable on spacing h={grid.h}; need >= 2h"

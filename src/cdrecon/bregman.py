@@ -35,6 +35,7 @@ from .fields import (
     _wide_cells,
     _wide_interior,
     cell_average,
+    require_same_grid,
 )
 from .recon import IterationRecord, ReconReport, _check_grad_floor
 
@@ -75,8 +76,7 @@ def split_bregman_minimize(
     weighted TV and its ``sigma_change`` the relative change of v, which
     ``stop_change`` repeats for the last record.
     """
-    if a.grid.n != grid.n or dirichlet_trace.grid.n != grid.n:
-        raise DataError("data, trace and grid sizes disagree")
+    require_same_grid(grid, a, dirichlet_trace)
     if np.any(a.values < 0.0):
         raise DataError("TV weight must be nonnegative")
     if not np.all(np.isfinite(dirichlet_trace.values)):
@@ -103,8 +103,8 @@ def split_bregman_minimize(
 
     # the cell arrays, in the wide layout of ``fields`` and each vector field
     # one (2, cells) array: grad v, w = grad v + g, |w|, the shrink factor,
-    # d and the multiplier g.  A junk cell has threshold 0, so its d is its
-    # w and its g stays at the roundoff of its (finite) gradient.
+    # d and the multiplier g.  The padding column of grad v is zero, and so
+    # stay its d and g.
     weight = cell_average(a)
     cells = (n - 1) * n
     grad_v, w, d, g = np.zeros((4, 2, cells))

@@ -265,8 +265,7 @@ def _cmd_bregman(v: dict) -> int:
     grid = a.grid
     # read and checked before the run, so that a bad truth writes nothing
     truth = read_field(v["truth"]) if v["truth"] else None
-    if truth is not None:
-        require_same_grid(a, truth)
+    require_same_grid(a, truth)
     config = BregmanConfig(rho=v["rho"], max_iterations=v["max-iter"], tol=v["tol"],
                            grad_floor=v["grad-floor"])
     vfield, report = split_bregman_minimize(a, boundary_trace(u), config, grid)

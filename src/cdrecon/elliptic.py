@@ -70,7 +70,9 @@ from .boundary import (
     electrode_quadrature,
 )
 from .errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
-from .fields import BoundaryValues, Grid, ScalarField, boundary_loop, boundary_trace
+from .fields import (
+    BoundaryValues, Grid, ScalarField, boundary_loop, boundary_trace, require_same_grid,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
@@ -215,6 +217,20 @@ def _check_positive_sigma(sigma: ScalarField) -> None:
         )
 
 
+def _add_boundary_term(diagonal: np.ndarray, rows: np.ndarray, terms: np.ndarray,
+                       b_max: float, sigma: ScalarField) -> None:
+    """Add the boundary ``terms`` to the ``diagonal`` entries of ``rows`` (a
+    row listed twice takes both).  Where no entry grows, the term rounds away
+    and the matrix keeps the constants in its null space: a DataError that
+    names the contact impedance z = 1/``b_max`` and the conductivity scale."""
+    before = diagonal[rows]
+    np.add.at(diagonal, rows, terms)
+    if not np.any(diagonal[rows] > before):
+        raise DataError(f"the boundary term rounds away: contact impedance z = "
+                        f"{1.0 / b_max if b_max > 0.0 else math.inf:g} is too large for "
+                        f"conductivities up to {float(sigma.values.max()):g}")
+
+
 def assemble_robin(
     sigma_eff: ScalarField,
     coeffs: RobinCoefficients,
@@ -224,15 +240,15 @@ def assemble_robin(
     """Discrete system for div(sigma_eff grad u) = 0 with
     sigma_eff du/dnu + b u = c on the boundary.
 
-    A b too small to change any face row's diagonal is a DataError.
+    A b too small to change any face row's diagonal is a DataError
+    (``_add_boundary_term``).
 
     With ``out``, a system that this function built for the same grid size,
     the system is written into its arrays (the matrix entries in place, on
     the pattern they share) and ``out`` is returned: a caller that solves
     one system after another builds one matrix.
     """
-    if sigma_eff.grid.n != grid.n or coeffs.grid.n != grid.n:
-        raise DimensionError("sigma, coefficients and grid sizes disagree")
+    require_same_grid(grid, sigma_eff, coeffs)
     _check_positive_sigma(sigma_eff)
 
     n = grid.n
@@ -241,15 +257,10 @@ def assemble_robin(
     if out is not None and (out.matrix.shape != (N, N) or out.matrix.nnz != pat.indices.size):
         raise DimensionError("out is not a Robin system of this grid size")
     stencil = _stencil(sigma_eff.values, n)
-    # the boundary faces add to the diagonal after the edges; where no face
-    # row's diagonal grows, the matrix is the singular pure-Neumann one
-    edges_only = stencil[pat.face_rows, 2]
-    np.add.at(stencil[:, 2], pat.face_rows, pat.face_weight * coeffs.b.values[pat.face_value])
-    if not np.any(stencil[pat.face_rows, 2] > edges_only):
-        b_max = float(coeffs.b.values.max())
-        raise DataError(f"the Robin boundary term rounds away: contact impedance z = "
-                        f"{1.0 / b_max if b_max > 0.0 else math.inf:g} is too large for "
-                        f"conductivities up to {float(sigma_eff.values.max()):g}")
+    # the boundary faces add to the diagonal after the edges
+    b = coeffs.b.values
+    _add_boundary_term(stencil[:, 2], pat.face_rows, pat.face_weight * b[pat.face_value],
+                       float(b.max()), sigma_eff)
     if out is None:
         out = SparseSystem(
             sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(N, N)),
@@ -271,10 +282,10 @@ def assemble_cem(
     the extra row is the symmetrized net-current constraint (the sum of the
     per-electrode current integrals, each equal to I; their difference is
     implied by discrete conservation).  Off-electrode faces are natural
-    (zero flux).
+    (zero flux).  A w/z too small to change any electrode node's diagonal is
+    a DataError (``_add_boundary_term``).
     """
-    if sigma.grid.n != grid.n:
-        raise DimensionError("sigma and grid sizes disagree")
+    require_same_grid(grid, sigma)
     _check_positive_sigma(sigma)
 
     n = grid.n
@@ -285,15 +296,14 @@ def assemble_cem(
     border = np.zeros(N)  # coupling of each node to the voltage V
     corner = 0.0
     for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
-        g = (lj * n + li)[idx]  # distinct nodes, so += adds each weight once
         wz = w / electrodes.z
-        stencil[g, 2] += wz
-        border[g] = sign * wz  # -w/z on e+, +w/z on e-
+        border[(lj * n + li)[idx]] = sign * wz  # -w/z on e+, +w/z on e-
         corner += float(wz.sum())
+    coupled = np.flatnonzero(border)
+    _add_boundary_term(stencil[:, 2], coupled, np.abs(border[coupled]), 1.0 / electrodes.z, sigma)
     # the border goes straight into the stencil's CSR arrays, last in each
     # coupled row and as row N (the coupled nodes in ascending order, then
     # the corner): the canonical CSR of the block matrix [[K, b], [b', c]]
-    coupled = np.flatnonzero(border)
     m = coupled.size
     at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, pat.indices.size)])
     values = stencil[pat.present]
@@ -314,8 +324,7 @@ def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem
     """Five-point Laplace system with Dirichlet data, boundary rows
     eliminated symmetrically (identity rows, couplings folded into the rhs).
     """
-    if data.grid.n != grid.n:
-        raise DimensionError("data and grid sizes disagree")
+    require_same_grid(grid, data)
     n = grid.n
     N = n * n
     pat = _stencil_pattern(n)
@@ -622,7 +631,7 @@ def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:
     current in equals current out.  Uses the same face decomposition as the
     assembly, so the identity is exact up to the linear-solver residual.
     """
-    grid = u.grid
+    grid = require_same_grid(u, coeffs)
     tr = boundary_trace(u).values
     node_f, val_f, w_f = boundary_faces(grid)
     c = coeffs.c.values

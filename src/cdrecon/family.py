@@ -32,6 +32,11 @@ def _check_band(band: float) -> None:
         raise DataError(f"calibration band must be in (0, 0.5), got {band}")
 
 
+def _check_background(background: float) -> None:
+    if not (math.isfinite(background) and background > 0.0):
+        raise DataError(f"background must be positive and finite, got {background}")
+
+
 @lru_cache(maxsize=4)
 def _band_mask(grid: Grid, band: float) -> np.ndarray:
     """The mask of the margin-band nodes, those within ``band`` of the
@@ -104,8 +109,7 @@ def level_calibration(
     (DataError).
     """
     grid = require_same_grid(sigma, u)
-    if not (math.isfinite(background) and background > 0.0):
-        raise DataError(f"background must be positive and finite, got {background}")
+    _check_background(background)
     _check_band(band)
     edges, bin_of, band_mask, count, qualifies = _level_bins(u, band)
     widths = np.diff(edges)

@@ -16,7 +16,10 @@ Conventions used throughout the package:
   cells holds cell (I, J) at J*n + I, the flat index of its lower-left
   node, so every stencil neighbour is a fixed flat offset and every stencil
   term one contiguous slice (numpy is several times slower on strided 2-D
-  views).  The entries at I = n-1 are junk; the last one is never written.
+  views).  The entries at I = n-1 are padding, which ``_gradient_wide``
+  writes as zero.
+* A function given fields, coefficients or a ``Grid`` checks that they share
+  one grid with ``require_same_grid`` (DimensionError) before it solves.
 """
 
 from __future__ import annotations
@@ -175,12 +178,13 @@ class BoundaryValues:
         object.__setattr__(self, "values", v)
 
 
-def require_same_grid(*objs) -> Grid:
-    grid = objs[0].grid
-    for o in objs[1:]:
-        if o.grid.n != grid.n:
+def require_same_grid(*operands) -> Grid:
+    """The grid of the first operand; DimensionError unless the others (None aside) share it."""
+    grid, *others = (o if isinstance(o, Grid) else o.grid for o in operands if o is not None)
+    for other in others:
+        if other.n != grid.n:
             raise DimensionError(
-                f"operands live on different grids: n={grid.n} vs n={o.grid.n}"
+                f"operands live on different grids: n={grid.n} vs n={other.n}"
             )
     return grid
 
@@ -214,18 +218,19 @@ def _wide_interior(nodes: np.ndarray, n: int) -> np.ndarray:
 def _gradient_wide(u: np.ndarray, n: int, h: float,
                    gx: np.ndarray, gy: np.ndarray) -> None:
     """``gradient`` of the flat (n*n) nodal values ``u`` into the caller's
-    wide cell arrays ``gx`` and ``gy``."""
-    k = (n - 1) * n - 1  # cells written: all but the last, junk one
-    gx, gy = gx[:k], gy[:k]
+    wide cell arrays ``gx`` and ``gy``, zero in the padding column."""
+    k = (n - 1) * n - 1  # every cell but the last, a padding one
     two_h = 2.0 * h
-    np.subtract(u[1:k + 1], u[:k], out=gx)
-    gx += u[n + 1:]
-    gx -= u[n:n + k]
-    gx /= two_h
-    np.subtract(u[n:n + k], u[:k], out=gy)
-    gy += u[n + 1:]
-    gy -= u[1:k + 1]
-    gy /= two_h
+    cx, cy = gx[:k], gy[:k]
+    np.subtract(u[1:k + 1], u[:k], out=cx)
+    cx += u[n + 1:]
+    cx -= u[n:n + k]
+    cx /= two_h
+    np.subtract(u[n:n + k], u[:k], out=cy)
+    cy += u[n + 1:]
+    cy -= u[1:k + 1]
+    cy /= two_h
+    gx[n - 1::n] = gy[n - 1::n] = 0.0
 
 
 def divergence(f: VectorField) -> ScalarField:
@@ -305,7 +310,7 @@ def _adjacent_cells(n: int) -> np.ndarray:
 
 def _cells_to_nodes_wide(padded: np.ndarray, n: int, out: np.ndarray) -> None:
     """``cells_to_nodes`` of the wide cells in ``padded`` (a ``_zero_ring``
-    buffer whose junk cells are zero) into the caller's flat ``out``.
+    buffer whose padding cells are zero) into the caller's flat ``out``.
 
     Node k adds padded[k], [k+1], [k+n] and [k+n+1], the cells (i-1, j-1),
     (i, j-1), (i-1, j) and (i, j) in that order; the zeros stand in for the

@@ -86,6 +86,7 @@ def cem_scaling(
     The equivalent expression through e- agrees by discrete conservation;
     the returned value averages the two. Raises on degenerate scaling.
     """
+    require_same_grid(grid, result.u)
     tr = boundary_trace(result.u).values
     zi = electrodes.z * electrodes.current
     (pos, w_pos), (neg, w_neg) = electrode_quadrature(electrodes, grid)

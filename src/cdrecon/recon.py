@@ -50,12 +50,14 @@ import numpy as np
 from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
+    _check_smoothing,
     smoothed_coefficients,
 )
 from .elliptic import SOLVE_TOL, FactorCache, SolveStats, assemble_robin, solve_reusing_factor
 from .errors import DataError
 from .family import (
     CALIBRATION_BAND,
+    _check_background,
     _check_band,
     _family_free_change,
     _level_bins,
@@ -117,9 +119,9 @@ class ReconConfig:
     calibration_band: float = CALIBRATION_BAND
 
     def __post_init__(self):
+        # a setting that another function reads is checked by that function's rule
+        _check_smoothing(self.epsilon, self.transition_width)
         # written as `not x > 0` so that NaN is rejected too
-        if not self.epsilon > 0.0:
-            raise DataError(f"epsilon must be positive, got {self.epsilon}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise DataError(f"delta must be positive and finite, got {self.delta}")
         _check_grad_floor(self.grad_floor)
@@ -127,17 +129,12 @@ class ReconConfig:
             raise DataError("need at least one outer iteration")
         if not self.stop_tol > 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
-        if not (math.isfinite(self.initial_sigma) and self.initial_sigma > 0.0):
-            raise DataError(
-                f"initial sigma must be positive and finite, got {self.initial_sigma}")
+        _check_background(self.initial_sigma)
         _check_band(self.calibration_band)
         if self.sigma_bounds is not None:
             lo, hi = self.sigma_bounds
             if not (0.0 < lo <= hi):
                 raise DataError(f"sigma bounds must satisfy 0 < lo <= hi, got {self.sigma_bounds}")
-        # the lower bound depends on the grid; smoothed_coefficients checks it
-        if self.transition_width is not None and not math.isfinite(self.transition_width):
-            raise DataError(f"transition width must be finite, got {self.transition_width}")
 
 
 @dataclass
@@ -311,8 +308,7 @@ def _sigma_from_potential_gradient(
     ``magnitude`` inside the ``_zero_ring`` buffer ``padded``, and their
     nodal averages to ``nodes``."""
     n = math.isqrt(out.size)
-    np.hypot(*grad, out=magnitude)
-    magnitude[n - 1::n] = 0.0  # the junk cells, which the nodal average reads
+    np.hypot(*grad, out=magnitude)  # zero in the padding column, as the average needs
     _cells_to_nodes_wide(padded, n, nodes)
     peak = float(nodes.max())
     floor = grad_floor * peak if peak > 0.0 else grad_floor
@@ -420,14 +416,11 @@ def reconstruct(
     linear solves share one LU factor, created here and dropped on return
     (see ``solve_reusing_factor``); ``report.factorizations`` counts them.
     """
-    if a.grid.n != grid.n:
-        raise DataError("data grid disagrees with the requested grid")
+    require_same_grid(grid, a, ground_truth)
     if np.any(a.values < 0.0):
         raise DataError("interior data must be nonnegative")
     if float(a.values.max()) == 0.0:
         raise DataError("interior data is identically zero")
-    if ground_truth is not None:
-        require_same_grid(a, ground_truth)
 
     coeffs = smoothed_coefficients(
         electrodes, grid, config.epsilon, config.transition_width
@@ -578,13 +571,12 @@ def convergence_study(
     ``MIN_STUDY_STEPS`` steps for the thirds to have a spread, and the
     fraction must be finite and nonnegative (DataError).
     """
+    require_same_grid(grid, a_clean, ground_truth)
     check_schedule(deltas, etas)
     if len(deltas) < MIN_STUDY_STEPS:
         raise DataError(f"need at least {MIN_STUDY_STEPS} schedule steps, got {len(deltas)}")
     if not (math.isfinite(tail_fraction) and tail_fraction >= 0.0):
         raise DataError(f"tail fraction must be finite and nonnegative, got {tail_fraction}")
-    if ground_truth is not None:
-        require_same_grid(a_clean, ground_truth)
     if config is None:
         config = ReconConfig()
     coeffs = smoothed_coefficients(

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdrecon import elliptic
 from cdrecon.boundary import ElectrodeSet
+from cdrecon.bregman import BregmanConfig, split_bregman_minimize
 from cdrecon.cli import _COMMANDS, _parser, main
-from cdrecon.fields import ScalarField, make_grid, read_field, write_field
+from cdrecon.fields import ScalarField, boundary_trace, make_grid, read_field, write_field
 from cdrecon.phantom import read_pgm
 from cdrecon.recon import ReconConfig, reconstruct
 
@@ -547,3 +549,108 @@ def test_only_reconstruct_loads_the_lu_stack(tmp_path):
     recon = next(line for line in lines if line.startswith("reconstruct: "))
     fields = dict(item.split("=", 1) for item in recon.split() if "=" in item)
     assert int(fields["factorizations"]) >= 1
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cdrecon: error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def _data(tmp_path, n=17):
+    """A blobs phantom's sigma, interior data and potential files at n."""
+    sig, a, u = (tmp_path / f"{k}.fld" for k in ("sigma", "a", "u"))
+    run(["phantom", "--kind", "blobs", "--n", str(n), "--seed", "2", "--out", str(sig)])
+    run(["forward", "--sigma", str(sig), "--out-a", str(a), "--out-u", str(u)])
+    return sig, a, u
+
+
+def test_reconstruct_bounds_write_the_bounded_library_result(tmp_path, capsys):
+    _, a, _ = _data(tmp_path)
+    out, ref = tmp_path / "rec.fld", tmp_path / "ref.fld"
+    assert run(["reconstruct", "--a", str(a), "--sigma-min", "0.9", "--sigma-max", "1.9",
+                "--out", str(out)]) == 0
+    data = read_field(a)
+    sigma, _, _ = reconstruct(data, ElectrodeSet(), ReconConfig(sigma_bounds=(0.9, 1.9)),
+                              data.grid)
+    write_field(sigma, ref)
+    assert out.read_bytes() == ref.read_bytes()
+    # either bound alone is a usage error
+    bad = tmp_path / "bad.fld"
+    for one in (["--sigma-min", "0.9"], ["--sigma-max", "1.9"]):
+        capsys.readouterr()
+        assert run(["reconstruct", "--a", str(a), *one, "--out", str(bad)]) == 1
+        assert "--sigma-min and --sigma-max" in _one_error_line(capsys)
+        assert not bad.exists()
+
+
+def test_config_file_booleans_equal_the_switches(tmp_path, capsys):
+    sig, a, _ = _data(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cases = (
+        ("cem=yes", ["forward", "--sigma", str(sig), "--out-a"],
+         ["forward", "--sigma", str(sig), "--cem", "--out-a"]),
+        ("no-calibrate=false", ["reconstruct", "--a", str(a), "--out"],
+         ["reconstruct", "--a", str(a), "--out"]),
+    )
+    for line, with_config, with_flags in cases:
+        cfg.write_text(line + "\n")
+        one, two = tmp_path / "one.fld", tmp_path / "two.fld"
+        assert run(with_config[:1] + ["--config", str(cfg)] + with_config[1:] + [str(one)]) == 0
+        assert run(with_flags + [str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes(), line
+    # a value that is not a boolean names the option
+    cfg.write_text("cem=maybe\n")
+    bad = tmp_path / "bad.fld"
+    capsys.readouterr()
+    assert run(["forward", "--config", str(cfg), "--sigma", str(sig), "--out-a", str(bad)]) == 1
+    assert "--cem" in _one_error_line(capsys)
+    assert not bad.exists()
+
+
+def test_an_unusable_config_file_is_one_error_line(tmp_path, capsys):
+    no_equals = tmp_path / "no-equals.cfg"
+    no_equals.write_text("kind=blobs\nn 17\n")
+    out = tmp_path / "o.fld"
+    # missing, a directory, and a line without "="
+    for cfg in (tmp_path / "missing.cfg", tmp_path, no_equals):
+        assert run(["phantom", "--config", str(cfg), "--out", str(out)]) == 1
+        _one_error_line(capsys)
+        assert not out.exists()
+
+
+def test_bregman_out_v_writes_the_returned_potential(tmp_path):
+    _, a, u = _data(tmp_path)
+    v_out, ref = tmp_path / "v.fld", tmp_path / "ref.fld"
+    assert run(["bregman", "--a", str(a), "--u", str(u), "--max-iter", "30",
+                "--out-v", str(v_out), "--out", str(tmp_path / "breg.fld")]) == 0
+    data = read_field(a)
+    v, _ = split_bregman_minimize(data, boundary_trace(read_field(u)),
+                                  BregmanConfig(max_iterations=30), data.grid)
+    write_field(v, ref)
+    assert v_out.read_bytes() == ref.read_bytes()
+
+
+def test_settings_the_run_cannot_use_fail_up_front(tmp_path, capsys, monkeypatch):
+    # an epsilon outside (0, 1] fails when the config is built, before the
+    # data file is read (a missing one would exit 2); a contact impedance
+    # whose electrode term rounds away fails the CEM assembly, before any
+    # solve, at every size
+    out = tmp_path / "bad.fld"
+    assert run(["reconstruct", "--a", str(tmp_path / "missing.fld"), "--epsilon", "2",
+                "--out", str(out)]) == 1
+    assert "epsilon" in _one_error_line(capsys)
+    sigmas = []
+    for n in (17, 64):
+        sigmas.append(tmp_path / f"sigma{n}.fld")
+        run(["phantom", "--kind", "blobs", "--n", str(n), "--seed", "2",
+             "--out", str(sigmas[-1])])
+    capsys.readouterr()
+    monkeypatch.setattr(elliptic, "_cg", None)  # a solve would raise TypeError
+    for sig in sigmas:
+        assert run(["forward", "--sigma", str(sig), "--cem", "--z", "1e300",
+                    "--out-a", str(out)]) == 1
+        assert "rounds away" in _one_error_line(capsys)
+        assert not out.exists()

@@ -39,6 +39,7 @@ from cdrecon.fields import (
     boundary_trace,
     make_grid,
 )
+from cdrecon.forward import solve_cem_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 
 
@@ -727,3 +728,32 @@ def test_quadratic_energy_minimized_by_solution():
     rng = np.random.default_rng(0)
     for _ in range(4):
         assert e_min <= quadratic_energy(system, x + 0.1 * rng.normal(size=x.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), log_z=st.floats(-5.0, 300.0))
+def test_a_contact_impedance_that_rounds_away_fails_before_any_solve(n, seed, log_z):
+    # an electrode node's diagonal, edge terms only, lies in [min sigma,
+    # 2 max sigma]; adding w/z (w = h or h/2) leaves it as it is below half
+    # an ulp of min sigma, and grows it above an ulp of 2 max sigma.  Both
+    # the CEM and the Robin assembly then reject the matrix, which has the
+    # constants in its null space, before any solve
+    g = make_grid(n)
+    sigma = ScalarField(g, 0.5 + 1.5 * np.random.default_rng(seed).random(g.num_nodes))
+    el = ElectrodeSet(z=10.0 ** log_z)
+    lo, hi = float(sigma.values.min()), float(sigma.values.max())
+    rounds_away = g.h / el.z < lo * 2.0**-54
+    grows = 0.5 * g.h / el.z > 2.0 * hi * 2.0**-51
+    for assemble in (lambda: assemble_cem(sigma, el, g),
+                     lambda: assemble_robin(sigma, base_coefficients(el, g), g)):
+        if rounds_away:
+            with pytest.raises(DataError, match=r"rounds away: contact impedance z = .* "
+                                                f"conductivities up to {hi:g}"):
+                assemble()
+        elif grows:
+            assemble()
+    if rounds_away:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(elliptic, "_cg", None)  # a solve would raise TypeError
+            with pytest.raises(DataError, match="rounds away"):
+                solve_cem_forward(sigma, el, g)

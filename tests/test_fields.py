@@ -4,15 +4,27 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cdrecon import bregman, elliptic
+from cdrecon.boundary import ElectrodeSet, RobinCoefficients, smoothed_coefficients
+from cdrecon.bregman import BregmanConfig, split_bregman_minimize
+from cdrecon.elliptic import (
+    SolveStats,
+    assemble_cem,
+    assemble_laplace_dirichlet,
+    assemble_robin,
+    boundary_net_flux,
+)
 from cdrecon.errors import DimensionError, FormatError, GridError
 from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
     VectorField,
+    _gradient_wide,
+    _wide_cells,
     boundary_loop,
     boundary_trace,
     boundary_weights,
@@ -26,6 +38,8 @@ from cdrecon.fields import (
     weighted_tv,
     write_field,
 )
+from cdrecon.forward import ForwardResult, cem_scaling, solve_cem_forward, solve_forward
+from cdrecon.recon import ReconConfig, convergence_study, reconstruct
 
 
 def test_make_grid_smallest():
@@ -303,3 +317,66 @@ def test_cell_average_and_back():
     x, _ = g.node_coords()
     # interior nodes recover the affine exactly, edges are one-sided
     assert np.allclose(back[1:-1, 1:-1], (1 + x)[1:-1, 1:-1], atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+def test_gradient_wide_writes_a_zero_padding_column(n, seed):
+    # the cells at I = n-1, the last one included, come out exactly 0 from
+    # buffers that held NaN, and the real cells are those of ``gradient``
+    u = np.random.default_rng(seed).standard_normal(n * n)
+    gx, gy = np.full((2, (n - 1) * n), np.nan)
+    _gradient_wide(u, n, 1.0 / (n - 1), gx, gy)
+    for c in (gx, gy):
+        assert np.all(c.reshape(n - 1, n)[:, -1] == 0.0)
+    grad = gradient(ScalarField(make_grid(n), u))
+    assert np.array_equal(_wide_cells(gx, n), grad.x2d)
+    assert np.array_equal(_wide_cells(gy, n), grad.y2d)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a linear solve ran before the grid check")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 14), other=st.integers(3, 20), seed=st.integers(0, 2**32 - 1))
+def test_every_grid_mismatch_is_one_error_before_any_solve(n, other, seed):
+    # fields on an n grid against a grid (or a second field) of another size,
+    # smaller or larger: each public function that takes a grid or two fields
+    # raises DimensionError, and no linear solve runs first
+    assume(other != n)
+    g, h = make_grid(n), make_grid(other)
+    rng = np.random.default_rng(seed)
+    sigma = ScalarField(g, 1.0 + rng.random(g.num_nodes))
+    u = ScalarField.from_function(g, lambda x, y: y)
+    el = ElectrodeSet()
+    coeffs = smoothed_coefficients(el, g, 5e-4, 1.0)
+    coeffs_h = smoothed_coefficients(el, h, 5e-4, 1.0)
+    trace = boundary_trace(u)
+    result = ForwardResult(u=u, a=sigma, stats=SolveStats(0, 0.0, "multigrid"))
+    schedule = [4e-3, 2e-3, 1e-3, 5e-4]
+    calls = [
+        lambda: reconstruct(sigma, el, ReconConfig(), h),
+        lambda: reconstruct(sigma, el, ReconConfig(), g, ScalarField.constant(h, 1.0)),
+        lambda: split_bregman_minimize(sigma, trace, BregmanConfig(), h),
+        lambda: split_bregman_minimize(
+            sigma, BoundaryValues(h, np.zeros(4 * (other - 1))), BregmanConfig(), g),
+        lambda: convergence_study(sigma, el, h, schedule, schedule),
+        lambda: solve_forward(sigma, coeffs, h),
+        lambda: solve_forward(sigma, coeffs_h, g),
+        lambda: solve_cem_forward(sigma, el, h),
+        lambda: cem_scaling(result, el, h),
+        lambda: assemble_robin(sigma, coeffs, h),
+        lambda: assemble_robin(sigma, coeffs_h, g),
+        lambda: assemble_cem(sigma, el, h),
+        lambda: assemble_laplace_dirichlet(trace, h),
+        lambda: boundary_net_flux(coeffs_h, u),
+        lambda: RobinCoefficients(coeffs.b, coeffs_h.c),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((elliptic, "_cg"), (elliptic, "_factor"),
+                             (elliptic, "sine_solve"), (bregman, "sine_solve")):
+            mp.setattr(module, name, _no_solve)
+        for call in calls:
+            with pytest.raises(DimensionError, match="different grids"):
+                call()

@@ -271,6 +271,50 @@ def test_config_checks_itself():
         ReconConfig(transition_width=float("inf"))
 
 
+def test_config_rejects_what_its_readers_reject():
+    # an epsilon outside (0, 1] and a width that is not positive used to
+    # build and fail inside reconstruct, or be taken for 2h-unresolvable there
+    for bad in ({"epsilon": 2.0}, {"transition_width": 0.0}, {"transition_width": -1.0}):
+        with pytest.raises(DataError):
+            ReconConfig(**bad)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except DataError:
+        return False
+    return True
+
+
+_ODD_SETTINGS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsilon=st.floats() | st.floats(0.0, 1.0) | _ODD_SETTINGS,
+       # positive widths from 2h at n = 1025, so that a grid can resolve each
+       width=st.none() | st.floats(max_value=0.0) | st.floats(min_value=2.0 / 1024)
+       | _ODD_SETTINGS,
+       initial_sigma=st.floats() | _ODD_SETTINGS)
+def test_config_builds_exactly_when_its_readers_accept(epsilon, width, initial_sigma):
+    # ReconConfig checks epsilon, transition_width and initial_sigma by the
+    # rules of smoothed_coefficients and level_calibration, which read them:
+    # a config builds exactly when both accept its values, the first on a
+    # grid fine enough for the width (2h <= width)
+    n = 3
+    if width is not None and math.isfinite(width) and width > 0.0:
+        n = max(3, math.ceil(1.0 + 2.0 / width))
+    g = make_grid(9)
+    sigma = ScalarField.constant(g, 1.0)
+    u = ScalarField.from_function(g, lambda x, y: y)
+    readers = (
+        _accepts(lambda: smoothed_coefficients(ElectrodeSet(), make_grid(n), epsilon, width))
+        and _accepts(lambda: level_calibration(sigma, u, ElectrodeSet(), initial_sigma)))
+    built = _accepts(lambda: ReconConfig(
+        epsilon=epsilon, transition_width=width, initial_sigma=initial_sigma))
+    assert built == readers
+
+
 def test_reconstruct_reports_cap_hit(homog_setup):
     g, el, truth, coeffs, fwd = homog_setup
     cfg = ReconConfig(max_outer_iterations=2, stop_tol=1e-14, calibrate=False)
