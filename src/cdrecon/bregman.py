@@ -9,12 +9,12 @@ the sine transform): a linearized Goldstein-Osher step, as that operator is
 not -div of the cell ``gradient``.  One gradient per iterate serves both its
 recorded weighted TV and the next shrink.
 
-The loop runs in place: each call allocates its cell arrays, the two v
-buffers and the v-step rhs once, in the wide layout of the ``fields``
-stencil kernels, and every step writes into them.  Only the returned v is
-wrapped in a ``ScalarField``; the true-residual check that ends every
-v-step, at ``elliptic.SOLVE_TOL`` (the sine solve is exact, so the
-tolerance only bounds roundoff), is what rejects a non-finite iterate.
+The loop allocates its cell arrays and the v-step rhs once per call, in
+the wide layout of the ``fields`` stencil kernels, and every step writes
+into them; each v-step returns a new v.  Only the returned v is wrapped in
+a ``ScalarField``; the true-residual check that ends every v-step, at
+``elliptic.SOLVE_TOL`` (the sine solve is exact, so the tolerance only
+bounds roundoff), is what rejects a non-finite iterate.
 """
 
 from __future__ import annotations
@@ -84,19 +84,18 @@ def split_bregman_minimize(
 
     n, h = grid.n, grid.h
     base = assemble_laplace_dirichlet(dirichlet_trace, grid)
-    # v and v_new swap between two buffers.  The one v-step system keeps the
-    # Dirichlet rows of the trace, which the sine solve copies through bit
-    # for bit, and takes the source -h^2 div(d - g) in its interior rows.
-    v, v_new = np.empty(n * n), np.empty(n * n)
+    # the one v-step system keeps the Dirichlet rows of the trace, which the
+    # sine solve copies through bit for bit, and takes the source
+    # -h^2 div(d - g) in its interior rows
     step = SparseSystem(base.matrix, base.rhs.copy())
     step_inner = step.rhs.reshape(n, n)[1:-1, 1:-1]
     base_inner = base.rhs.reshape(n, n)[1:-1, 1:-1]
 
     report = ReconReport()
-    _, stats = sine_solve(base, out=v)  # harmonic extension
+    v, stats = sine_solve(base)  # harmonic extension
     if float(a.values.max()) == 0.0:
         report.records.append(IterationRecord(
-            0, 0.0, 0.0, 0.0, 0.0, None, stats.iterations, stats.relative_residual))
+            0.0, 0.0, 0.0, 0.0, None, stats.iterations, stats.relative_residual))
         # the harmonic extension is the minimizer
         report.stop_reason, report.stop_change = "tol", 0.0
         return ScalarField(grid, v), report
@@ -111,17 +110,15 @@ def split_bregman_minimize(
     thresh, mag, scale = np.zeros((3, cells))
     _wide_cells(thresh, n)[...] = weight / config.rho
     is_zero = np.empty(cells, dtype=bool)
-    weighted = np.empty((n - 1, n - 1))
     # the divergence goes to a contiguous buffer first: the same arithmetic
     # on the strided interior of the rhs took 2.5 times as long at n = 64
     div, work = np.zeros((2, (n - 2) * n))
     div_inner = _wide_interior(div, n)
-    diff = np.empty(n * n)
     # one gradient per iterate, for both its recorded TV and the next shrink
     _gradient_wide(v, n, h, *grad_v)
 
     report.stop_reason = "cap"
-    for k in range(config.max_iterations):
+    for _ in range(config.max_iterations):
         np.add(grad_v, g, out=w)
         np.hypot(*w, out=mag)
         np.subtract(mag, thresh, out=scale)
@@ -139,21 +136,20 @@ def split_bregman_minimize(
         _divergence_wide(*d, n, h, div, work)
         div *= h * h
         np.subtract(base_inner, div_inner, out=step_inner)
-        _, stats = sine_solve(step, out=v_new)
+        v_new, stats = sine_solve(step)
         _gradient_wide(v_new, n, h, *grad_v)
         denom = float(np.linalg.norm(v))
-        np.subtract(v_new, v, out=diff)
         change = (
-            float(np.linalg.norm(diff)) / denom
+            float(np.linalg.norm(v_new - v)) / denom
             if denom > 0.0 else float(np.linalg.norm(v_new))
         )
         np.hypot(*grad_v, out=mag)
         report.records.append(IterationRecord(
-            k, _weighted_tv(_wide_cells(mag, n), weight, h, out=weighted), 0.0, 0.0,
+            _weighted_tv(_wide_cells(mag, n), weight, h), 0.0, 0.0,
             change, None, stats.iterations, stats.relative_residual,
         ))
         report.stop_change = change
-        v, v_new = v_new, v
+        v = v_new
         if change <= config.tol:
             report.stop_reason = "tol"
             break

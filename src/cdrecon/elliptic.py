@@ -283,7 +283,10 @@ def assemble_cem(
     per-electrode current integrals, each equal to I; their difference is
     implied by discrete conservation).  Off-electrode faces are natural
     (zero flux).  A w/z too small to change any electrode node's diagonal is
-    a DataError (``_add_boundary_term``).
+    a DataError (``_add_boundary_term``), and so is one so large that an
+    electrode node's diagonal loses its edge terms: the voltage difference
+    V - v that carries that node's current then lies below a rounding unit
+    of V, and a near-zero (v, V) can pass the residual check.
     """
     require_same_grid(grid, sigma)
     _check_positive_sigma(sigma)
@@ -300,7 +303,12 @@ def assemble_cem(
         border[(lj * n + li)[idx]] = sign * wz  # -w/z on e+, +w/z on e-
         corner += float(wz.sum())
     coupled = np.flatnonzero(border)
-    _add_boundary_term(stencil[:, 2], coupled, np.abs(border[coupled]), 1.0 / electrodes.z, sigma)
+    terms = np.abs(border[coupled])
+    _add_boundary_term(stencil[:, 2], coupled, terms, 1.0 / electrodes.z, sigma)
+    if np.any(stencil[coupled, 2] == terms):
+        raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
+                        f"z = {electrodes.z:g} is too small for conductivities down to "
+                        f"{float(sigma.values.min()):g}")
     # the border goes straight into the stencil's CSR arrays, last in each
     # coupled row and as row N (the coupled nodes in ascending order, then
     # the corner): the canonical CSR of the block matrix [[K, b], [b', c]]
@@ -362,7 +370,8 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
     the recomputed true residual when the two disagree.  A warm start that
     already meets ``tol`` is returned after 0 iterations.  The returned
     residual exceeds ``tol`` only when the iteration cap was reached.
-    Raises NotSPDError on a direction of nonpositive curvature.
+    Raises NotSPDError on a direction of nonpositive curvature, and on a
+    residual that the preconditioner maps to a nonpositive <r, Mr>.
     """
     dim = A.shape[0]
     nb = float(np.linalg.norm(b))
@@ -397,6 +406,8 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
             raise NotSPDError(
                 f"nonpositive curvature <p, Ap> = {pAp:.3e} at iteration {k}"
             )
+        if rz <= 0.0:  # r != 0 here: M is not positive definite
+            raise NotSPDError(f"nonpositive <r, Mr> = {rz:.3e} at iteration {k}")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -592,8 +603,7 @@ def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return S, eig
 
 
-def sine_solve(system: SparseSystem,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
+def sine_solve(system: SparseSystem) -> tuple[np.ndarray, SolveStats]:
     """Exact solve of a system built by ``assemble_laplace_dirichlet``.
 
     The interior block is the five-point Laplacian T x I + I x T, which the
@@ -601,8 +611,7 @@ def sine_solve(system: SparseSystem,
     nodes.  The Dirichlet rows are identities, so their values are copied
     from the rhs bit for bit.  The solve is exact and takes no tolerance;
     its true residual is checked against ``SOLVE_TOL`` like every other
-    solve.  With ``out``, a flat buffer of the system's dimension (not the
-    rhs), the solution is written into it and returned.
+    solve.
     """
     dim = system.dimension
     n = math.isqrt(dim)
@@ -610,8 +619,7 @@ def sine_solve(system: SparseSystem,
         raise DimensionError(f"dimension {dim} is not that of an n x n grid, n >= 3")
     S, eig = _sine_basis(n)
     b = system.rhs
-    x = np.empty(dim) if out is None else out
-    np.copyto(x, b)
+    x = b.copy()
     inner = x.reshape(n, n)[1:-1, 1:-1]
     np.matmul(S @ ((S @ inner @ S) / eig), S, out=inner)
     nb = float(np.linalg.norm(b))

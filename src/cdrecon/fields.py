@@ -329,12 +329,10 @@ def weighted_tv(v: ScalarField, a: ScalarField) -> float:
     return _weighted_tv(gradient(v).magnitude2d(), cell_average(a), a.grid.h)
 
 
-def _weighted_tv(magnitude2d: np.ndarray, weight2d: np.ndarray, h: float,
-                 out: np.ndarray | None = None) -> float:
+def _weighted_tv(magnitude2d: np.ndarray, weight2d: np.ndarray, h: float) -> float:
     """``weighted_tv`` from the cell gradient magnitudes |grad v| and the cell
-    weights ``cell_average(a)``, for callers that already hold them; the
-    cellwise products go to ``out`` when given."""
-    return float(np.sum(np.multiply(weight2d, magnitude2d, out=out)) * h**2)
+    weights ``cell_average(a)``, for callers that already hold them."""
+    return float(np.sum(weight2d * magnitude2d) * h**2)
 
 
 def rel_l2_error(f: ScalarField, g: ScalarField) -> float:

@@ -139,7 +139,8 @@ class ReconConfig:
 
 @dataclass
 class IterationRecord:
-    index: int
+    """One iteration of either run, numbered by its place in ``ReconReport.records``."""
+
     tv_term: float
     boundary_term: float
     delta_term: float
@@ -170,9 +171,9 @@ class ReconReport:
 
     records: list[IterationRecord] = field(default_factory=list)
     final_solve: SolveStats | None = None
-    # (after-iteration index, max |phi' - 1|) for each calibration applied;
-    # both passes follow the last sweep, so both carry the final index
-    calibrations: list[tuple[int, float]] = field(default_factory=list)
+    # the strength max |phi' - 1| of each calibration pass, both of which
+    # follow the last sweep
+    calibrations: list[float] = field(default_factory=list)
     # "tol" once stop_change, the last value the stop rule compared (the last
     # sigma_change, or with calibration its part off the reparametrization
     # family), was within tolerance; "cap" when the iterations ran out
@@ -195,9 +196,9 @@ class ReconReport:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(_CSV_COLUMNS)
-            for r in self.records:
+            for k, r in enumerate(self.records):
                 w.writerow([
-                    r.index,
+                    k,
                     f"{r.g_delta:.12g}", f"{r.g:.12g}", f"{r.tv_term:.12g}",
                     f"{r.boundary_term:.12g}", f"{r.delta_term:.12g}",
                     f"{r.sigma_change:.12g}",
@@ -268,13 +269,8 @@ def _functional_terms(
     (n-1, n-1) cell gradient components of v and its magnitude, the cell
     weights ``cell_average(a)``, the nodal values of v and
     ``_boundary_penalty_of`` the coefficients."""
-    work = np.empty((2, *weight2d.shape))
-    tv = _weighted_tv(magnitude, weight2d, h, out=work[0])
-    np.square(gx, out=work[0])
-    np.square(gy, out=work[1])
-    work[0] += work[1]
-    dterm = float(0.5 * delta * np.sum(work[0]) * h**2)
-    return tv, penalty(values), dterm
+    dterm = float(0.5 * delta * np.sum(np.square(gx) + np.square(gy)) * h**2)
+    return _weighted_tv(magnitude, weight2d, h), penalty(values), dterm
 
 
 def sigma_from_potential(
@@ -472,7 +468,7 @@ def reconstruct(
         rel = (None if ground_truth is None
                else rel_l2_error(ScalarField(grid, image), ground_truth))
         report.records.append(IterationRecord(
-            index=report.iterations, tv_term=tv, boundary_term=bterm, delta_term=dterm,
+            tv_term=tv, boundary_term=bterm, delta_term=dterm,
             sigma_change=change, rel_error=rel,
             solve_iterations=stats.iterations,
             solve_residual=stats.relative_residual,
@@ -491,7 +487,7 @@ def reconstruct(
         for _ in range(2):
             sigma, u, strength = level_calibration(
                 sigma, u, electrodes, config.initial_sigma, config.calibration_band)
-            report.calibrations.append((report.iterations, strength))
+            report.calibrations.append(strength)
             sigma = ScalarField(grid, _project(sigma.values, bounds))
 
     # consistency solve: the returned potential solves the linear problem

@@ -636,8 +636,9 @@ def test_bregman_out_v_writes_the_returned_potential(tmp_path):
 def test_settings_the_run_cannot_use_fail_up_front(tmp_path, capsys, monkeypatch):
     # an epsilon outside (0, 1] fails when the config is built, before the
     # data file is read (a missing one would exit 2); a contact impedance
-    # whose electrode term rounds away fails the CEM assembly, before any
-    # solve, at every size
+    # whose electrode term rounds away, or so small that the edge terms round
+    # away against it, fails the CEM assembly, before any solve, at every
+    # size: the small z are those that wrote near-zero data with exit 0
     out = tmp_path / "bad.fld"
     assert run(["reconstruct", "--a", str(tmp_path / "missing.fld"), "--epsilon", "2",
                 "--out", str(out)]) == 1
@@ -649,8 +650,9 @@ def test_settings_the_run_cannot_use_fail_up_front(tmp_path, capsys, monkeypatch
              "--out", str(sigmas[-1])])
     capsys.readouterr()
     monkeypatch.setattr(elliptic, "_cg", None)  # a solve would raise TypeError
-    for sig in sigmas:
-        assert run(["forward", "--sigma", str(sig), "--cem", "--z", "1e300",
-                    "--out-a", str(out)]) == 1
-        assert "rounds away" in _one_error_line(capsys)
-        assert not out.exists()
+    for sig, small in zip(sigmas, (("1e-297", "1e-283", "1e-22"), ("1e-269", "1e-50"))):
+        for z in ("1e300", *small):
+            assert run(["forward", "--sigma", str(sig), "--cem", "--z", z,
+                        "--out-a", str(out)]) == 1
+            assert "rounds away" in _one_error_line(capsys)
+            assert not out.exists()

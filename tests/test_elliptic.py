@@ -243,6 +243,15 @@ def test_pcg_detects_indefinite():
         pcg_solve(SparseSystem(A, b))
 
 
+def test_cg_detects_an_indefinite_preconditioner():
+    # an SPD matrix and a preconditioner that maps the residual to -r:
+    # <r, Mr> < 0 is a NotSPDError at once, not a later division by a zero
+    # <r, Mr> or a run to the cap
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(NotSPDError, match=r"nonpositive <r, Mr> = -2.000e\+00 at iteration 1"):
+        elliptic._cg(A, np.array([1.0, 1.0]), np.negative, 1e-10, 10)
+
+
 def test_pcg_robin_system_converges():
     g = make_grid(33)
     el = ElectrodeSet()
@@ -323,16 +332,16 @@ def test_sine_solve_matches_direct_solve(n, seed):
     assert stats.method == "sine" and stats.relative_residual <= 1e-12
 
 
-def test_sine_solve_into_buffer():
-    # out= writes the solution bit for bit into the caller's buffer, which
-    # it returns
+def test_sine_solve_returns_new_memory():
+    # each solve returns its own array: the caller may keep one solution
+    # while the next is computed from the same system
     g = make_grid(9)
     rng = np.random.default_rng(3)
     base = assemble_laplace_dirichlet(BoundaryValues(g, rng.normal(size=g.num_boundary_nodes)), g)
-    x, stats = sine_solve(base)
-    out = np.full(g.num_nodes, np.nan)
-    y, stats_out = sine_solve(base, out=out)
-    assert y is out and y.tobytes() == x.tobytes() and stats_out == stats
+    x, _ = sine_solve(base)
+    y, _ = sine_solve(base)
+    assert not np.shares_memory(x, base.rhs) and not np.shares_memory(x, y)
+    assert y.tobytes() == x.tobytes()
 
 
 def test_sine_solve_rejects_nan_rhs():
@@ -716,6 +725,52 @@ def test_net_flux_of_robin_solution_vanishes(n, seed, aperture, z, current, epsi
     roundoff = 1e-12 * np.abs(system.rhs).sum()
     assert abs(net - r.sum()) <= roundoff
     assert abs(net) <= np.sqrt(g.num_nodes) * tol * np.linalg.norm(system.rhs) + roundoff
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(5, 64), seed=st.integers(0, 2**32 - 1), aperture=st.floats(0.5, 1.0),
+       top_positive=st.booleans(),
+       # every decade, and the decades near the two checks as often again
+       log_z=st.integers(-300, 13) | st.integers(-22, 13))
+def test_a_contact_impedance_whose_stencil_rounds_away_fails_before_any_solve(
+        n, seed, aperture, top_positive, log_z):
+    # an electrode node's diagonal, edge terms only, lies in [min sigma,
+    # 2 max sigma]; adding t = w/z (w = h or h/2) rounds it away entirely
+    # below half an ulp of t, at least t 2^-54, and keeps it from an ulp of
+    # t, at most t 2^-52, up.  Where the edge terms round away the voltage
+    # difference that carries the node's current lies below a rounding unit
+    # of V: a DataError before any solve.  Any other z either fails loudly
+    # (the large-z check of the CEM assembly, or a solver error where a
+    # small z leaves CG short of the residual) or solves, with the injected
+    # current, the sum over e+ of w/z (V - v), equal to I within 1e-6 I and
+    # the rounding of V and v to doubles, which that sum multiplies by w/z
+    g = make_grid(n)
+    sigma = ScalarField(g, 0.5 + 1.5 * np.random.default_rng(seed).random(g.num_nodes))
+    el = ElectrodeSet(aperture=aperture, z=10.0 ** log_z, top_positive=top_positive)
+    lo, hi = float(sigma.values.min()), float(sigma.values.max())
+    stencil_lost = 2.0 * hi <= 0.5 * g.h / el.z * 2.0**-54
+    stencil_kept = lo >= g.h / el.z * 2.0**-52
+    term_grows = 0.5 * g.h / el.z > 2.0 * hi * 2.0**-51
+    if stencil_lost:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(elliptic, "_cg", None)  # a solve would raise TypeError
+            with pytest.raises(DataError, match=r"rounds away on an electrode: contact "
+                                                f"impedance z = .* down to {lo:g}"):
+                solve_cem_forward(sigma, el, g)
+        return
+    try:
+        result = solve_cem_forward(sigma, el, g)
+    except DataError as exc:
+        assert "rounds away" in str(exc)
+        assert not (stencil_kept and term_grows)
+        return
+    except SolverError:
+        return
+    (idx, w), _ = electrode_quadrature(el, g)
+    v, V = boundary_trace(result.u).values[idx], result.cem_voltage
+    current = float(np.sum(w / el.z * (V - v)))
+    rounding = 2.0**-52 * float(np.sum(w / el.z * (abs(V) + np.abs(v))))
+    assert abs(current - el.current) <= 1e-6 * el.current + rounding
 
 
 def test_quadratic_energy_minimized_by_solution():

@@ -465,7 +465,7 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
             tv, bterm, dterm = terms(u, grad, magnitude)
             rel = None if ground_truth is None else rel_l2_error(image, ground_truth)
             report.records.append(IterationRecord(
-                report.iterations, tv, bterm, dterm, change, rel,
+                tv, bterm, dterm, change, rel,
                 stats.iterations, stats.relative_residual))
             report.stop_change = (
                 _former_family_free_change(sigma.values, image.values, u,
@@ -483,7 +483,7 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
         for _ in range(2):
             sigma, u, strength = _former_level_calibration(
                 sigma, u, electrodes, config.initial_sigma, config.calibration_band)
-            report.calibrations.append((report.iterations, strength))
+            report.calibrations.append(strength)
             sigma = ScalarField(grid, project(sigma.values))
     u_final, report.final_solve = solve_at(sigma, SOLVE_TOL, u.values)
     report.factorizations = factor.factorizations
@@ -577,7 +577,7 @@ def test_converged_result_does_not_depend_on_the_cap():
             for cap in (200, 400)]
     (s1, u1, r1), (s2, u2, r2) = runs
     assert r1.stop_reason == "tol"
-    assert [c[0] for c in r1.calibrations] == [r1.iterations] * 2
+    assert len(r1.calibrations) == 2
     assert s1.values.tobytes() == s2.values.tobytes()
     assert u1.values.tobytes() == u2.values.tobytes()
     assert r1 == r2
