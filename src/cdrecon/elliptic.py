@@ -37,6 +37,16 @@ a solve fails:
 * ``sine_solve``: the exact sine-transform solve of the constant-coefficient
   Laplace-Dirichlet system (the Bregman v-step).
 
+The multigrid of ``pcg_solve`` applies each level's matrix, the finest one
+for CG's products too, through scipy's DIA kernel (``_GridOperator``): a
+five-point matrix lies on five constant offsets, which DIA storage holds
+without column indices (Bell & Garland, SC'09), and the DIA product adds
+each row's terms in the order the CSR product does, so it returns the same
+bits.  The levels keep no CSR matrix, and their grid transfers are strided
+slices of the n x n grid that add as ``np.bincount`` and a gather do, again
+with the same bits.  The other two solves keep CSR products: the sweeps'
+matrix changes every sweep, and the sine solve forms one product.
+
 The factor (``_factor``) is SuperLU's, with the minimum-degree ordering on
 A^T + A and one column per panel.  One-column panels give the same fill as
 the default panels but a smaller panel workspace (Demmel et al., SIAM J.
@@ -220,12 +230,15 @@ def _check_positive_sigma(sigma: ScalarField) -> None:
 def _add_boundary_term(diagonal: np.ndarray, rows: np.ndarray, terms: np.ndarray,
                        b_max: float, sigma: ScalarField) -> None:
     """Add the boundary ``terms`` to the ``diagonal`` entries of ``rows`` (a
-    row listed twice takes both).  Where no entry grows, the term rounds away
-    and the matrix keeps the constants in its null space: a DataError that
-    names the contact impedance z = 1/``b_max`` and the conductivity scale."""
+    row listed twice takes both).  Where no entry grows by more than one
+    rounding unit, the term rounds away: the matrix keeps the constants in
+    its null space, or holds the term as rounding alone (at n=256, z=1e13
+    moved the CEM's electrode diagonals by one unit, and CG failed late on a
+    nonpositive <r, Mr>).  That is a DataError that names the contact
+    impedance z = 1/``b_max`` and the conductivity scale."""
     before = diagonal[rows]
     np.add.at(diagonal, rows, terms)
-    if not np.any(diagonal[rows] > before):
+    if not np.any(diagonal[rows] - before > np.spacing(before)):
         raise DataError(f"the boundary term rounds away: contact impedance z = "
                         f"{1.0 / b_max if b_max > 0.0 else math.inf:g} is too large for "
                         f"conductivities up to {float(sigma.values.max()):g}")
@@ -439,28 +452,153 @@ def _check_tol(tol: float) -> None:
 
 
 @dataclass(frozen=True)
+class _GridOperator:
+    """The product x -> A x of a matrix whose first n*n unknowns form an
+    n x n grid coupled by (part of) the five-point pattern, equal bit for bit
+    to scipy's CSR product of A.
+
+    The CSR kernel adds a row's terms in ascending column order to a zero.
+    So does the DIA kernel over ascending offsets, and the grid block is a
+    DIA matrix over the offsets -n, -1, 0, 1, n, with zeros where A stores no
+    entry: a sum that starts at +0 is never -0, so a zero term leaves it as
+    it is.  The couplings of grid rows to each further unknown (the CEM
+    voltage), whose columns come last in their rows, are then added column
+    by column, and the rows of the further unknowns are a CSR matrix of
+    their own.
+    """
+
+    stencil: sp.dia_matrix  # square, zero outside the grid block
+    border: tuple[tuple[int, np.ndarray, np.ndarray], ...]  # (column, rows, values)
+    tail: sp.csr_matrix | None  # rows n*n and on; None when there are none
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.stencil.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.stencil @ x
+        for column, rows, values in self.border:
+            y[rows] += values * x[column]
+        if self.tail is not None:
+            y[y.size - self.tail.shape[0]:] = self.tail @ x
+        return y
+
+
+def _grid_operator(A: sp.csr_matrix, n: int) -> _GridOperator:
+    """``_GridOperator`` of a CSR matrix in canonical form (sorted indices,
+    no duplicates) whose first n*n unknowns form the grid.
+
+    One pass per offset reads, for every grid row at once, the row's next
+    unread entry, which is the row's entry at that offset when its column
+    says so.  Raises DimensionError when an entry of the grid block lies off
+    the five-point pattern.
+    """
+    dim = A.shape[0]
+    nn = n * n
+    indptr, indices, values = A.indptr, A.indices, A.data
+    offsets = np.unique([-n, -1, 0, 1, n])  # n = 1 has the diagonal alone
+    stop = indptr[1:nn + 1]
+    pos = indptr[:nn].astype(np.intp)  # each grid row's next unread entry
+    sought = np.arange(nn, dtype=indices.dtype) + offsets[0]  # the column sought per row
+    read = np.empty(nn, dtype=indices.dtype)
+    found, unread = np.empty(nn, dtype=bool), np.empty(nn, dtype=bool)
+    data = np.zeros((offsets.size, dim))
+    for k, off in enumerate(offsets):
+        if k:
+            sought += off - offsets[k - 1]
+        np.equal(indices.take(pos, mode="clip", out=read), sought, out=found)
+        found &= np.less(pos, stop, out=unread)
+        if off > 0:
+            found[nn - off:] = False  # those columns lie past the grid block
+        rows = slice(max(-off, 0), nn - max(off, 0))  # rows whose column is on the grid
+        diagonal = data[k, rows.start + off:rows.stop + off]
+        values.take(pos[rows], mode="clip", out=diagonal)
+        np.copyto(diagonal, 0.0, where=~found[rows])
+        pos += found
+    border = np.flatnonzero(indices[:indptr[nn]] >= nn)
+    if int((pos - indptr[:nn]).sum()) + border.size != indptr[nn]:
+        raise DimensionError(f"the matrix couples unknowns of its {n} x {n} grid "
+                             "off the five-point pattern")
+    rows = np.searchsorted(indptr, border, side="right") - 1
+    columns = indices[border]
+    return _GridOperator(
+        sp.dia_matrix((data, offsets), shape=(dim, dim)),
+        tuple((int(c), rows[columns == c], values[border[columns == c]])
+              for c in np.unique(columns)),
+        A[nn:] if dim > nn else None,
+    )
+
+
+@dataclass(frozen=True)
 class _Level:
-    """One level of the multigrid hierarchy above the coarsest."""
+    """One level of the multigrid hierarchy above the coarsest, on an n x n
+    grid whose 2 x 2 blocks form the next level's aggregates (the last row
+    and column alone when n is odd); every unknown past the grid forms an
+    aggregate of its own.
 
-    matrix: sp.csr_matrix
+    The transfers are strided slices of the grid.  They add in the order of
+    ``np.bincount`` over the aggregate numbers and of the gather
+    e[aggregate], so they are those bit for bit, signs of zeros included.
+    """
+
+    operator: _GridOperator
     damped_inverse_diagonal: np.ndarray
-    aggregate: np.ndarray  # the next level's unknown that each unknown joins
+    n: int
+
+    def sweep(self, b: np.ndarray, x: np.ndarray) -> None:
+        """One damped Jacobi sweep on A x = b, in place: x += D (b - A x),
+        the residual held in the product's own array."""
+        r = self.operator @ x
+        np.subtract(b, r, out=r)
+        r *= self.damped_inverse_diagonal
+        x += r
+
+    def restrict(self, r: np.ndarray) -> np.ndarray:
+        """The sum of r over each aggregate, the block's nodes added to a zero
+        in ascending order."""
+        n, h, m = self.n, self.n // 2, (self.n + 1) // 2
+        out = np.zeros(m * m + r.size - n * n)
+        coarse, fine = out[:m * m].reshape(m, m), r[:n * n].reshape(n, n)
+        coarse += fine[::2, ::2]
+        coarse[:, :h] += fine[::2, 1::2]
+        coarse[:h] += fine[1::2, ::2]
+        coarse[:h, :h] += fine[1::2, 1::2]
+        out[m * m:] += r[n * n:]
+        return out
+
+    def prolong(self, e: np.ndarray, x: np.ndarray) -> None:
+        """Add to x the coarse e, each unknown taking its aggregate's value."""
+        n, h, m = self.n, self.n // 2, (self.n + 1) // 2
+        fine, coarse = x[:n * n].reshape(n, n), e[:m * m].reshape(m, m)
+        fine[::2, ::2] += coarse
+        fine[::2, 1::2] += coarse[:, :h]
+        fine[1::2, ::2] += coarse[:h]
+        fine[1::2, 1::2] += coarse[:h, :h]
+        x[n * n:] += e[m * m:]
 
 
-def _multigrid(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """The symmetric V-cycle of plain aggregation multigrid for A, as a
-    preconditioner (an SPD approximation of the inverse when A is SPD and
-    weakly diagonally dominant, as every system assembled here is).
+def _multigrid(A: sp.spmatrix) -> tuple[_GridOperator, Callable[[np.ndarray], np.ndarray]]:
+    """A's ``_GridOperator`` and the symmetric V-cycle of plain aggregation
+    multigrid for A, as a preconditioner (an SPD approximation of the
+    inverse when A is SPD and weakly diagonally dominant, as every system
+    assembled here is).
 
     The first n*n unknowns, n = isqrt(dimension), are read as an n x n grid
     and aggregated in 2 x 2 blocks; any further unknown (the CEM voltage)
     forms an aggregate of its own on every level.  Each coarse matrix is the
-    Galerkin sum of the entries over aggregate pairs, which keeps the
-    five-point pattern, the symmetry and the diagonal dominance; the one of
-    at most ``_COARSEST`` unknowns is inverted densely.  Raises NotSPDError
-    on a nonpositive diagonal entry or a singular coarsest matrix.
+    Galerkin sum of the entries over aggregate pairs, built as a CSR matrix
+    from the fine one's entries (whose summation order its bits depend on),
+    which keeps the five-point pattern, the symmetry and the diagonal
+    dominance.  Every level keeps only its ``_GridOperator``; the coarsest
+    matrix, of at most ``_COARSEST`` unknowns, is inverted densely.  Raises
+    NotSPDError on a nonpositive diagonal entry or a singular coarsest
+    matrix, and DimensionError on an entry off the grid's five-point
+    pattern.
     """
     A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     dim = A.shape[0]
     n = math.isqrt(dim)
     extra = dim - n * n
@@ -472,38 +610,45 @@ def _multigrid(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
         if dim <= _COARSEST or n == 1:
             break
         m = (n + 1) // 2
-        j, i = np.divmod(np.arange(n * n, dtype=np.int32), n)
-        aggregate = np.concatenate([(j // 2) * m + i // 2,
+        block = np.arange(n, dtype=np.int32) // 2
+        aggregate = np.concatenate([(block[:, None] * m + block).ravel(),
                                     m * m + np.arange(extra, dtype=np.int32)])
-        levels.append(_Level(A, _DAMPING / d, aggregate))
-        dim, n = m * m + extra, m
         rows = np.repeat(aggregate, np.diff(A.indptr))
-        A = sp.csr_matrix((A.data, (rows, aggregate[A.indices])), shape=(dim, dim))
+        coarse = sp.csr_matrix((A.data, (rows, aggregate[A.indices])),
+                               shape=(m * m + extra, m * m + extra))
+        del rows, aggregate  # freed first: the operator built next can reuse their pages
+        levels.append(_Level(_grid_operator(A, n), _DAMPING / d, n))
+        A, dim, n = coarse, m * m + extra, m
     try:
         inverse = np.linalg.inv(A.toarray())
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"coarsest multigrid matrix is singular: {exc}") from exc
-    return partial(_v_cycle, levels, 0.5 * (inverse + inverse.T))
+    operator = levels[0].operator if levels else _grid_operator(A, n)  # A is the finest
+    return operator, partial(_v_cycle, levels, 0.5 * (inverse + inverse.T))
 
 
 def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Apply the multigrid preconditioner to b: on the way down, damped
     Jacobi sweeps from the zero guess and restriction of the residual by
     summing over each aggregate; on the way up, the over-corrected
-    piecewise-constant coarse correction and as many Jacobi sweeps again."""
+    piecewise-constant coarse correction and as many Jacobi sweeps again.
+    Every product goes through the level's ``_GridOperator`` and every
+    transfer through the level's strided slices, so the result is that of
+    CSR products, ``np.bincount`` and gathers bit for bit."""
     rhs, sols = [], []
     for lv in levels:
         x = lv.damped_inverse_diagonal * b
         for _ in range(_SMOOTHING_SWEEPS - 1):
-            x += lv.damped_inverse_diagonal * (b - lv.matrix @ x)
+            lv.sweep(b, x)
         rhs.append(b)
         sols.append(x)
-        b = np.bincount(lv.aggregate, weights=b - lv.matrix @ x)
+        r = lv.operator @ x
+        b = lv.restrict(np.subtract(b, r, out=r))
     e = coarsest_inverse @ b
     for lv, b, x in zip(reversed(levels), reversed(rhs), reversed(sols)):
-        x += _OVERCORRECTION * e[lv.aggregate]
+        lv.prolong(_OVERCORRECTION * e, x)
         for _ in range(_SMOOTHING_SWEEPS):
-            x += lv.damped_inverse_diagonal * (b - lv.matrix @ x)
+            lv.sweep(b, x)
         e = x
     return e
 
@@ -512,20 +657,21 @@ def pcg_solve(
     system: SparseSystem, tol: float = SOLVE_TOL
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the zero initial guess, preconditioned by one
-    aggregation multigrid V-cycle (``_multigrid``) built from the matrix.
+    aggregation multigrid V-cycle (``_multigrid``) built from the matrix,
+    whose products go through the finest level's ``_GridOperator``.
 
     The V-cycle needs about as many iterations at every grid size (at most
     13 on the forward systems for n = 65 to 1025) and no sparse factor.
     Returns once the true relative residual ||Ax-b||/||b|| is at most
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
-    sqrt(dimension)) iterations do not get there, and NotSPDError on a
-    nonpositive diagonal or nonpositive-curvature direction.
+    sqrt(dimension)) iterations do not get there, NotSPDError on a
+    nonpositive diagonal or nonpositive-curvature direction, and
+    DimensionError on a matrix entry off the grid's five-point pattern.
     """
     _check_tol(tol)
-    A = system.matrix
-    max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(A.shape[0]))))
-    precondition = _multigrid(A)
-    return _checked(*_cg(A, system.rhs, precondition, tol, max_iter), tol, "multigrid")
+    max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
+    operator, precondition = _multigrid(system.matrix)
+    return _checked(*_cg(operator, system.rhs, precondition, tol, max_iter), tol, "multigrid")
 
 
 @dataclass

@@ -124,7 +124,10 @@ def level_calibration(
     lower = first[q] + (count[q] - 1) // 2
     upper = first[q] + count[q] // 2
     dphi = np.ones(widths.size)
-    dphi[q] = (ordered[lower] + ordered[upper]) / 2.0 / background
+    # a background so small that the ratio overflows (a subnormal one)
+    # gives inf, which the clip below takes to its upper bound
+    with np.errstate(over="ignore"):
+        dphi[q] = (ordered[lower] + ordered[upper]) / 2.0 / background
     dphi = np.convolve(np.pad(dphi, 1, mode="edge"), [0.25, 0.5, 0.25], mode="valid")
     dphi = np.clip(dphi, 0.2, 5.0)
 

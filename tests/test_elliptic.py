@@ -1,5 +1,8 @@
 """System assembly (Robin, CEM, Laplace-Dirichlet) and the linear solvers."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -284,7 +287,7 @@ def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, 
         system = _forward_system(n, seed, aperture, z, epsilon, cem)
     except DataError:
         assume(False)  # the aperture spans fewer than two nodes
-    precondition = _multigrid(system.matrix)
+    _, precondition = _multigrid(system.matrix)
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(2, system.dimension))
     mx, my = precondition(x), precondition(y)
@@ -310,6 +313,159 @@ def test_multigrid_iterations_independent_of_n(n):
     for system in systems:
         x, stats = pcg_solve(system)
         assert stats.iterations <= 25
+
+
+def _former_multigrid(A):
+    """The CSR multigrid that ``_multigrid`` replaced: each level keeps its
+    CSR matrix and the aggregate number of each unknown, and the V-cycle
+    restricts with ``np.bincount`` and prolongs with a gather.  Returns the
+    levels (matrix, damped inverse diagonal, aggregate) and the V-cycle."""
+    A = A.tocsr()
+    dim = A.shape[0]
+    n = math.isqrt(dim)
+    extra = dim - n * n
+    levels = []
+    while True:
+        d = A.diagonal()
+        if np.any(d <= 0.0):
+            raise NotSPDError("matrix has a nonpositive diagonal entry")
+        if dim <= elliptic._COARSEST or n == 1:
+            break
+        m = (n + 1) // 2
+        j, i = np.divmod(np.arange(n * n, dtype=np.int32), n)
+        aggregate = np.concatenate([(j // 2) * m + i // 2,
+                                    m * m + np.arange(extra, dtype=np.int32)])
+        levels.append((A, elliptic._DAMPING / d, aggregate))
+        dim, n = m * m + extra, m
+        rows = np.repeat(aggregate, np.diff(A.indptr))
+        A = sp.csr_matrix((A.data, (rows, aggregate[A.indices])), shape=(dim, dim))
+    inverse = np.linalg.inv(A.toarray())
+    return levels, partial(_former_v_cycle, levels, 0.5 * (inverse + inverse.T))
+
+
+def _former_v_cycle(levels, coarsest_inverse, b):
+    rhs, sols = [], []
+    for matrix, damped_inverse_diagonal, aggregate in levels:
+        x = damped_inverse_diagonal * b
+        for _ in range(elliptic._SMOOTHING_SWEEPS - 1):
+            x += damped_inverse_diagonal * (b - matrix @ x)
+        rhs.append(b)
+        sols.append(x)
+        b = np.bincount(aggregate, weights=b - matrix @ x)
+    e = coarsest_inverse @ b
+    for (matrix, damped_inverse_diagonal, aggregate), b, x in zip(
+            reversed(levels), reversed(rhs), reversed(sols)):
+        x += elliptic._OVERCORRECTION * e[aggregate]
+        for _ in range(elliptic._SMOOTHING_SWEEPS):
+            x += damped_inverse_diagonal * (b - matrix @ x)
+        e = x
+    return e
+
+
+_SYSTEM_KINDS = ("robin", "smoothed", "cem", "cem-half", "laplace")
+
+
+def _random_system(kind, n, rng):
+    """A system of ``kind`` on an n x n grid with a random sigma (or random
+    Dirichlet data); DataError where the electrode spans fewer than two
+    nodes."""
+    g = make_grid(n)
+    if kind == "laplace":
+        return assemble_laplace_dirichlet(
+            BoundaryValues(g, rng.normal(size=g.num_boundary_nodes)), g)
+    sigma = ScalarField(g, 10.0 ** rng.uniform(-1.0, 1.0, g.num_nodes))
+    el = ElectrodeSet(aperture=0.5 if kind == "cem-half" else 1.0)
+    if kind.startswith("cem"):
+        return assemble_cem(sigma, el, g)
+    coeffs = (base_coefficients(el, g) if kind == "robin"
+              else smoothed_coefficients(el, g, 1e-3))
+    return assemble_robin(sigma, coeffs, g)
+
+
+def _with_signed_zeros(rng, size):
+    x = rng.normal(size=size)
+    x[rng.random(size) < 0.2] = -0.0
+    x[rng.random(size) < 0.1] = 0.0
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 70), kind=st.sampled_from(_SYSTEM_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed):
+    # every level's DIA product equals scipy's CSR product of that level's
+    # Galerkin matrix, and the strided transfers equal np.bincount and the
+    # gather, bit for bit and signs of zeros included, at odd and even n
+    rng = np.random.default_rng(seed)
+    try:
+        system = _random_system(kind, n, rng)
+    except DataError:
+        assume(False)
+    levels, _ = _former_multigrid(system.matrix)
+    operator, precondition = _multigrid(system.matrix)
+    assert len(precondition.args[0]) == len(levels)
+    x = _with_signed_zeros(rng, system.dimension)
+    assert (operator @ x).tobytes() == (system.matrix @ x).tobytes()
+    for (matrix, damped_inverse_diagonal, aggregate), level in zip(levels,
+                                                                   precondition.args[0]):
+        x = _with_signed_zeros(rng, matrix.shape[0])
+        assert (level.operator @ x).tobytes() == (matrix @ x).tobytes()
+        assert level.damped_inverse_diagonal.tobytes() == damped_inverse_diagonal.tobytes()
+    # the transfers of the drawn grid itself, with and without a further
+    # unknown, against the aggregate numbers spelled out
+    m = (n + 1) // 2
+    j, i = np.divmod(np.arange(n * n), n)
+    for extra in (0, 1):
+        aggregate = np.concatenate([(j // 2) * m + i // 2, m * m + np.arange(extra)])
+        level = elliptic._Level(None, None, n)
+        r = _with_signed_zeros(rng, n * n + extra)
+        assert level.restrict(r).tobytes() == np.bincount(aggregate, weights=r).tobytes()
+        e, x = _with_signed_zeros(rng, m * m + extra), _with_signed_zeros(rng, n * n + extra)
+        expected = x + e[aggregate]
+        level.prolong(e, x)
+        assert x.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(18, 90), kind=st.sampled_from(_SYSTEM_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_v_cycle_matches_former_csr_v_cycle(n, kind, seed):
+    # above the coarsest size, so the V-cycle has levels: the preconditioner
+    # and the whole solve return the bits of the CSR multigrid they replaced
+    rng = np.random.default_rng(seed)
+    try:
+        system = _random_system(kind, n, rng)
+    except DataError:
+        assume(False)
+    _, former = _former_multigrid(system.matrix)
+    _, precondition = _multigrid(system.matrix)
+    b = _with_signed_zeros(rng, system.dimension)
+    assert precondition(b).tobytes() == former(b).tobytes()
+    x, stats = pcg_solve(system)
+    max_iter = elliptic._CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension)))
+    x0, iterations, residual = elliptic._cg(system.matrix, system.rhs, former,
+                                            elliptic.SOLVE_TOL, max_iter)
+    assert x.tobytes() == x0.tobytes()
+    assert (stats.iterations, stats.relative_residual) == (iterations, residual)
+
+
+def test_pcg_reads_any_csr_form_of_a_grid_matrix():
+    # unsorted column indices solve as the canonical form does; a coupling
+    # off the five-point pattern is a DimensionError, not a dropped entry
+    g = make_grid(20)
+    system = assemble_robin(ScalarField.constant(g, 1.0),
+                            base_coefficients(ElectrodeSet(), g), g)
+    A = system.matrix
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(A.indptr[:-1], A.indptr[1:])])
+    shuffled = sp.csr_matrix((A.data[order], A.indices[order], A.indptr), shape=A.shape)
+    assert not shuffled.has_canonical_format
+    x, stats = pcg_solve(SparseSystem(shuffled, system.rhs))
+    x0, stats0 = pcg_solve(system)
+    assert x.tobytes() == x0.tobytes() and stats == stats0
+    assert not shuffled.has_canonical_format  # the caller's matrix is left as it was
+    skewed = (A + sp.eye(A.shape[0], k=2, format="csr") * 1e-3).tocsr()
+    with pytest.raises(DimensionError, match="off the five-point pattern"):
+        pcg_solve(SparseSystem(skewed, system.rhs))
 
 
 @settings(max_examples=25, deadline=None)
@@ -771,6 +927,21 @@ def test_a_contact_impedance_whose_stencil_rounds_away_fails_before_any_solve(
     current = float(np.sum(w / el.z * (V - v)))
     rounding = 2.0**-52 * float(np.sum(w / el.z * (abs(V) + np.abs(v))))
     assert abs(current - el.current) <= 1e-6 * el.current + rounding
+
+
+def test_a_boundary_term_of_one_rounding_unit_fails_before_any_solve():
+    # blobs seed 2 at n=256: z = 1e13 moves no electrode diagonal by more
+    # than one rounding unit, where CG on the bordered system stopped late on
+    # a nonpositive <r, Mr>; z = 1e12 moves them by up to nine and solves
+    g = make_grid(256)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=256, seed=2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elliptic, "_cg", None)  # a solve would raise TypeError
+        with pytest.raises(DataError, match=r"rounds away: contact impedance z = 1e\+13"):
+            solve_cem_forward(sigma, ElectrodeSet(z=1e13), g)
+    result = solve_cem_forward(sigma, ElectrodeSet(z=1e12), g)
+    assert result.stats.relative_residual <= elliptic.SOLVE_TOL
+    assert np.all(np.isfinite(result.a.values))
 
 
 def test_quadratic_energy_minimized_by_solution():
