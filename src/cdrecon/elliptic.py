@@ -37,15 +37,16 @@ a solve fails:
 * ``sine_solve``: the exact sine-transform solve of the constant-coefficient
   Laplace-Dirichlet system (the Bregman v-step).
 
-The multigrid of ``pcg_solve`` applies each level's matrix, the finest one
-for CG's products too, through scipy's DIA kernel (``_GridOperator``): a
+The levels of ``pcg_solve``'s multigrid (``_Level``) apply their matrices,
+the finest one for CG's products too, through scipy's DIA kernel: a
 five-point matrix lies on five constant offsets, which DIA storage holds
 without column indices (Bell & Garland, SC'09), and the DIA product adds
 each row's terms in the order the CSR product does, so it returns the same
 bits.  The levels keep no CSR matrix, and their grid transfers are strided
 slices of the n x n grid that add as ``np.bincount`` and a gather do, again
-with the same bits.  The other two solves keep CSR products: the sweeps'
-matrix changes every sweep, and the sine solve forms one product.
+with the same bits.  A matrix of at most ``_COARSEST`` unknowns has no level
+and may be any SPD matrix.  The other two solves keep CSR products: the
+sweeps' matrix changes every sweep, and the sine solve forms one product.
 
 The factor (``_factor``) is SuperLU's, with the minimum-degree ordering on
 A^T + A and one column per panel.  One-column panels give the same fill as
@@ -65,7 +66,6 @@ the forward solves and the Bregman comparator never load it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
@@ -230,15 +230,17 @@ def _check_positive_sigma(sigma: ScalarField) -> None:
 def _add_boundary_term(diagonal: np.ndarray, rows: np.ndarray, terms: np.ndarray,
                        b_max: float, sigma: ScalarField) -> None:
     """Add the boundary ``terms`` to the ``diagonal`` entries of ``rows`` (a
-    row listed twice takes both).  Where no entry grows by more than one
-    rounding unit, the term rounds away: the matrix keeps the constants in
-    its null space, or holds the term as rounding alone (at n=256, z=1e13
-    moved the CEM's electrode diagonals by one unit, and CG failed late on a
-    nonpositive <r, Mr>).  That is a DataError that names the contact
-    impedance z = 1/``b_max`` and the conductivity scale."""
+    row listed twice takes both).  Where no entry grows by more than two
+    rounding units, the term rounds away: the matrix keeps the constants in
+    its null space, or holds the term as rounding alone (blobs seed 2 at
+    n=256: z=1e13 moved the CEM's electrode diagonals by one unit and the
+    smoothed Robin's by two, and CG stopped late on a nonpositive <r, Mr>;
+    at n = 17, 64, 256 and z = 1e11 to 1e15 every z that solved moved some
+    diagonal by four units or more).  That is a DataError that names the
+    contact impedance z = 1/``b_max`` and the conductivity scale."""
     before = diagonal[rows]
     np.add.at(diagonal, rows, terms)
-    if not np.any(diagonal[rows] - before > np.spacing(before)):
+    if not np.any(diagonal[rows] - before > 2.0 * np.spacing(before)):
         raise DataError(f"the boundary term rounds away: contact impedance z = "
                         f"{1.0 / b_max if b_max > 0.0 else math.inf:g} is too large for "
                         f"conductivities up to {float(sigma.values.max()):g}")
@@ -253,8 +255,8 @@ def assemble_robin(
     """Discrete system for div(sigma_eff grad u) = 0 with
     sigma_eff du/dnu + b u = c on the boundary.
 
-    A b too small to change any face row's diagonal is a DataError
-    (``_add_boundary_term``).
+    A b too small to grow any face row's diagonal by more than two rounding
+    units is a DataError (``_add_boundary_term``).
 
     With ``out``, a system that this function built for the same grid size,
     the system is written into its arrays (the matrix entries in place, on
@@ -295,11 +297,12 @@ def assemble_cem(
     the extra row is the symmetrized net-current constraint (the sum of the
     per-electrode current integrals, each equal to I; their difference is
     implied by discrete conservation).  Off-electrode faces are natural
-    (zero flux).  A w/z too small to change any electrode node's diagonal is
-    a DataError (``_add_boundary_term``), and so is one so large that an
-    electrode node's diagonal loses its edge terms: the voltage difference
-    V - v that carries that node's current then lies below a rounding unit
-    of V, and a near-zero (v, V) can pass the residual check.
+    (zero flux).  A w/z too small to grow any electrode node's diagonal by
+    more than two rounding units is a DataError (``_add_boundary_term``),
+    and so is one so large that an electrode node's diagonal loses its edge
+    terms: the voltage difference V - v that carries that node's current
+    then lies below a rounding unit of V, and a near-zero (v, V) can pass
+    the residual check.
     """
     require_same_grid(grid, sigma)
     _check_positive_sigma(sigma)
@@ -386,7 +389,7 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
     Raises NotSPDError on a direction of nonpositive curvature, and on a
     residual that the preconditioner maps to a nonpositive <r, Mr>.
     """
-    dim = A.shape[0]
+    dim = b.size
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return np.zeros(dim), 0, 0.0
@@ -452,28 +455,30 @@ def _check_tol(tol: float) -> None:
 
 
 @dataclass(frozen=True)
-class _GridOperator:
-    """The product x -> A x of a matrix whose first n*n unknowns form an
-    n x n grid coupled by (part of) the five-point pattern, equal bit for bit
-    to scipy's CSR product of A.
+class _Level:
+    """One level of the multigrid hierarchy above the coarsest: the matrix A
+    of an n x n grid (its first n*n unknowns, coupled by part of the
+    five-point pattern), its damped inverse diagonal, and the transfers to
+    the next level, whose aggregates are the grid's 2 x 2 blocks (the last
+    row and column alone when n is odd) and each unknown past the grid.
 
-    The CSR kernel adds a row's terms in ascending column order to a zero.
-    So does the DIA kernel over ascending offsets, and the grid block is a
-    DIA matrix over the offsets -n, -1, 0, 1, n, with zeros where A stores no
-    entry: a sum that starts at +0 is never -0, so a zero term leaves it as
-    it is.  The couplings of grid rows to each further unknown (the CEM
-    voltage), whose columns come last in their rows, are then added column
-    by column, and the rows of the further unknowns are a CSR matrix of
-    their own.
+    ``level @ x`` is scipy's CSR product A x bit for bit.  The CSR kernel
+    adds a row's terms in ascending column order to a zero; so does the DIA
+    kernel of the grid block over the ascending offsets -n, -1, 0, 1, n,
+    zero where A stores no entry (a sum that starts at +0 is never -0, so a
+    zero term leaves it as it is).  The couplings to each unknown past the
+    grid (the CEM voltage), last in their rows, are added column by column,
+    and the rows of those unknowns are a CSR matrix of their own.  The
+    transfers are strided slices of the grid that add in the order of
+    ``np.bincount`` over the aggregate numbers and of the gather
+    e[aggregate], so they are those bit for bit, signs of zeros included.
     """
 
     stencil: sp.dia_matrix  # square, zero outside the grid block
     border: tuple[tuple[int, np.ndarray, np.ndarray], ...]  # (column, rows, values)
     tail: sp.csr_matrix | None  # rows n*n and on; None when there are none
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.stencil.shape
+    damped_inverse_diagonal: np.ndarray
+    n: int
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = self.stencil @ x
@@ -483,72 +488,10 @@ class _GridOperator:
             y[y.size - self.tail.shape[0]:] = self.tail @ x
         return y
 
-
-def _grid_operator(A: sp.csr_matrix, n: int) -> _GridOperator:
-    """``_GridOperator`` of a CSR matrix in canonical form (sorted indices,
-    no duplicates) whose first n*n unknowns form the grid.
-
-    One pass per offset reads, for every grid row at once, the row's next
-    unread entry, which is the row's entry at that offset when its column
-    says so.  Raises DimensionError when an entry of the grid block lies off
-    the five-point pattern.
-    """
-    dim = A.shape[0]
-    nn = n * n
-    indptr, indices, values = A.indptr, A.indices, A.data
-    offsets = np.unique([-n, -1, 0, 1, n])  # n = 1 has the diagonal alone
-    stop = indptr[1:nn + 1]
-    pos = indptr[:nn].astype(np.intp)  # each grid row's next unread entry
-    sought = np.arange(nn, dtype=indices.dtype) + offsets[0]  # the column sought per row
-    read = np.empty(nn, dtype=indices.dtype)
-    found, unread = np.empty(nn, dtype=bool), np.empty(nn, dtype=bool)
-    data = np.zeros((offsets.size, dim))
-    for k, off in enumerate(offsets):
-        if k:
-            sought += off - offsets[k - 1]
-        np.equal(indices.take(pos, mode="clip", out=read), sought, out=found)
-        found &= np.less(pos, stop, out=unread)
-        if off > 0:
-            found[nn - off:] = False  # those columns lie past the grid block
-        rows = slice(max(-off, 0), nn - max(off, 0))  # rows whose column is on the grid
-        diagonal = data[k, rows.start + off:rows.stop + off]
-        values.take(pos[rows], mode="clip", out=diagonal)
-        np.copyto(diagonal, 0.0, where=~found[rows])
-        pos += found
-    border = np.flatnonzero(indices[:indptr[nn]] >= nn)
-    if int((pos - indptr[:nn]).sum()) + border.size != indptr[nn]:
-        raise DimensionError(f"the matrix couples unknowns of its {n} x {n} grid "
-                             "off the five-point pattern")
-    rows = np.searchsorted(indptr, border, side="right") - 1
-    columns = indices[border]
-    return _GridOperator(
-        sp.dia_matrix((data, offsets), shape=(dim, dim)),
-        tuple((int(c), rows[columns == c], values[border[columns == c]])
-              for c in np.unique(columns)),
-        A[nn:] if dim > nn else None,
-    )
-
-
-@dataclass(frozen=True)
-class _Level:
-    """One level of the multigrid hierarchy above the coarsest, on an n x n
-    grid whose 2 x 2 blocks form the next level's aggregates (the last row
-    and column alone when n is odd); every unknown past the grid forms an
-    aggregate of its own.
-
-    The transfers are strided slices of the grid.  They add in the order of
-    ``np.bincount`` over the aggregate numbers and of the gather
-    e[aggregate], so they are those bit for bit, signs of zeros included.
-    """
-
-    operator: _GridOperator
-    damped_inverse_diagonal: np.ndarray
-    n: int
-
     def sweep(self, b: np.ndarray, x: np.ndarray) -> None:
         """One damped Jacobi sweep on A x = b, in place: x += D (b - A x),
         the residual held in the product's own array."""
-        r = self.operator @ x
+        r = self @ x
         np.subtract(b, r, out=r)
         r *= self.damped_inverse_diagonal
         x += r
@@ -577,28 +520,76 @@ class _Level:
         x[n * n:] += e[m * m:]
 
 
-def _multigrid(A: sp.spmatrix) -> tuple[_GridOperator, Callable[[np.ndarray], np.ndarray]]:
-    """A's ``_GridOperator`` and the symmetric V-cycle of plain aggregation
-    multigrid for A, as a preconditioner (an SPD approximation of the
-    inverse when A is SPD and weakly diagonally dominant, as every system
-    assembled here is).
+def _level(A: sp.csr_matrix, n: int, damped_inverse_diagonal: np.ndarray) -> _Level:
+    """``_Level`` of a CSR matrix in canonical form (sorted indices, no
+    duplicates) whose first n*n unknowns form the grid, n > 1.
 
-    The first n*n unknowns, n = isqrt(dimension), are read as an n x n grid
-    and aggregated in 2 x 2 blocks; any further unknown (the CEM voltage)
-    forms an aggregate of its own on every level.  Each coarse matrix is the
-    Galerkin sum of the entries over aggregate pairs, built as a CSR matrix
-    from the fine one's entries (whose summation order its bits depend on),
-    which keeps the five-point pattern, the symmetry and the diagonal
-    dominance.  Every level keeps only its ``_GridOperator``; the coarsest
-    matrix, of at most ``_COARSEST`` unknowns, is inverted densely.  Raises
-    NotSPDError on a nonpositive diagonal entry or a singular coarsest
-    matrix, and DimensionError on an entry off the grid's five-point
-    pattern.
+    One pass per offset reads, for every grid row at once, the row's next
+    unread entry, which is the row's entry at that offset when its column
+    says so.  Raises DimensionError when an entry of the grid block lies off
+    the five-point pattern.
+    """
+    dim = A.shape[0]
+    nn = n * n
+    indptr, indices, values = A.indptr, A.indices, A.data
+    offsets = np.array([-n, -1, 0, 1, n])
+    stop = indptr[1:nn + 1]
+    pos = indptr[:nn].astype(np.intp)  # each grid row's next unread entry
+    sought = np.arange(nn, dtype=indices.dtype) + offsets[0]  # the column sought per row
+    read = np.empty(nn, dtype=indices.dtype)
+    found, unread = np.empty(nn, dtype=bool), np.empty(nn, dtype=bool)
+    data = np.zeros((offsets.size, dim))
+    for k, off in enumerate(offsets):
+        if k:
+            sought += off - offsets[k - 1]
+        np.equal(indices.take(pos, mode="clip", out=read), sought, out=found)
+        found &= np.less(pos, stop, out=unread)
+        if off > 0:
+            found[nn - off:] = False  # those columns lie past the grid block
+        rows = slice(max(-off, 0), nn - max(off, 0))  # rows whose column is on the grid
+        diagonal = data[k, rows.start + off:rows.stop + off]
+        values.take(pos[rows], mode="clip", out=diagonal)
+        np.copyto(diagonal, 0.0, where=~found[rows])
+        pos += found
+    border = np.flatnonzero(indices[:indptr[nn]] >= nn)
+    if int((pos - indptr[:nn]).sum()) + border.size != indptr[nn]:
+        raise DimensionError(f"the matrix couples unknowns of its {n} x {n} grid "
+                             "off the five-point pattern")
+    rows = np.searchsorted(indptr, border, side="right") - 1
+    columns = indices[border]
+    return _Level(
+        sp.dia_matrix((data, offsets), shape=(dim, dim)),
+        tuple((int(c), rows[columns == c], values[border[columns == c]])
+              for c in np.unique(columns)),
+        A[nn:] if dim > nn else None,
+        damped_inverse_diagonal,
+        n,
+    )
+
+
+def _multigrid(A: sp.spmatrix) -> tuple[list[_Level], sp.csr_matrix, np.ndarray]:
+    """The hierarchy of plain aggregation multigrid for A: its levels above
+    the coarsest, A in canonical CSR form, and the symmetrized dense inverse
+    of the coarsest matrix; ``_v_cycle`` makes them a preconditioner (an SPD
+    approximation of the inverse when A is SPD and weakly diagonally
+    dominant, as every system assembled here is).
+
+    A matrix of at most ``_COARSEST`` unknowns is its own coarsest and may be
+    any SPD matrix.  Above that the first n*n unknowns, n = isqrt(dimension),
+    are read as an n x n grid and aggregated in 2 x 2 blocks; any further
+    unknown (the CEM voltage) forms an aggregate of its own on every level.
+    Each coarse matrix is the Galerkin sum of the entries over aggregate
+    pairs, built as a CSR matrix from the fine one's entries (whose
+    summation order its bits depend on), which keeps the five-point pattern,
+    the symmetry and the diagonal dominance.  Raises NotSPDError on a
+    nonpositive diagonal entry or a singular coarsest matrix, and
+    DimensionError on an entry off the grid's five-point pattern.
     """
     A = A.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
+    finest = A
     dim = A.shape[0]
     n = math.isqrt(dim)
     extra = dim - n * n
@@ -607,7 +598,7 @@ def _multigrid(A: sp.spmatrix) -> tuple[_GridOperator, Callable[[np.ndarray], np
         d = A.diagonal()
         if np.any(d <= 0.0):  # on a coarse level 1'A1 over an aggregate, > 0 for SPD A
             raise NotSPDError("matrix has a nonpositive diagonal entry")
-        if dim <= _COARSEST or n == 1:
+        if dim <= _COARSEST:
             break
         m = (n + 1) // 2
         block = np.arange(n, dtype=np.int32) // 2
@@ -616,15 +607,14 @@ def _multigrid(A: sp.spmatrix) -> tuple[_GridOperator, Callable[[np.ndarray], np
         rows = np.repeat(aggregate, np.diff(A.indptr))
         coarse = sp.csr_matrix((A.data, (rows, aggregate[A.indices])),
                                shape=(m * m + extra, m * m + extra))
-        del rows, aggregate  # freed first: the operator built next can reuse their pages
-        levels.append(_Level(_grid_operator(A, n), _DAMPING / d, n))
+        del rows, aggregate  # freed first: the level built next can reuse their pages
+        levels.append(_level(A, n, _DAMPING / d))
         A, dim, n = coarse, m * m + extra, m
     try:
         inverse = np.linalg.inv(A.toarray())
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"coarsest multigrid matrix is singular: {exc}") from exc
-    operator = levels[0].operator if levels else _grid_operator(A, n)  # A is the finest
-    return operator, partial(_v_cycle, levels, 0.5 * (inverse + inverse.T))
+    return levels, finest, 0.5 * (inverse + inverse.T)
 
 
 def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -632,9 +622,9 @@ def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) 
     Jacobi sweeps from the zero guess and restriction of the residual by
     summing over each aggregate; on the way up, the over-corrected
     piecewise-constant coarse correction and as many Jacobi sweeps again.
-    Every product goes through the level's ``_GridOperator`` and every
-    transfer through the level's strided slices, so the result is that of
-    CSR products, ``np.bincount`` and gathers bit for bit."""
+    Every product is the level's own and every transfer goes through the
+    level's strided slices, so the result is that of CSR products,
+    ``np.bincount`` and gathers bit for bit."""
     rhs, sols = [], []
     for lv in levels:
         x = lv.damped_inverse_diagonal * b
@@ -642,7 +632,7 @@ def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) 
             lv.sweep(b, x)
         rhs.append(b)
         sols.append(x)
-        r = lv.operator @ x
+        r = lv @ x
         b = lv.restrict(np.subtract(b, r, out=r))
     e = coarsest_inverse @ b
     for lv, b, x in zip(reversed(levels), reversed(rhs), reversed(sols)):
@@ -658,7 +648,8 @@ def pcg_solve(
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the zero initial guess, preconditioned by one
     aggregation multigrid V-cycle (``_multigrid``) built from the matrix,
-    whose products go through the finest level's ``_GridOperator``.
+    whose products go through the finest level's DIA product (a matrix too
+    small to have a level, which may be any SPD matrix, uses its CSR form).
 
     The V-cycle needs about as many iterations at every grid size (at most
     13 on the forward systems for n = 65 to 1025) and no sparse factor.
@@ -666,12 +657,15 @@ def pcg_solve(
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
     sqrt(dimension)) iterations do not get there, NotSPDError on a
     nonpositive diagonal or nonpositive-curvature direction, and
-    DimensionError on a matrix entry off the grid's five-point pattern.
+    DimensionError on a matrix entry off the grid's five-point pattern above
+    ``_COARSEST`` unknowns.
     """
     _check_tol(tol)
     max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
-    operator, precondition = _multigrid(system.matrix)
-    return _checked(*_cg(operator, system.rhs, precondition, tol, max_iter), tol, "multigrid")
+    levels, A, coarsest_inverse = _multigrid(system.matrix)
+    return _checked(*_cg(levels[0] if levels else A, system.rhs,
+                         partial(_v_cycle, levels, coarsest_inverse), tol, max_iter),
+                    tol, "multigrid")
 
 
 @dataclass

@@ -465,14 +465,17 @@ def test_forward_rejects_a_sharp_electrode_of_fewer_than_two_nodes(tmp_path, cap
 
 def test_a_boundary_term_that_rounds_away_is_one_error_line(tmp_path, capsys):
     # at z >= 1e16 and n=17 the Robin term b = 1/z leaves every boundary
-    # diagonal as it was, the singular pure-Neumann matrix: a validation
-    # error before any solve, with no output written; z=1e12 still solves
+    # diagonal as it was, the singular pure-Neumann matrix, and at z = 1e14
+    # the smoothed term grows none by more than two rounding units, where CG
+    # stopped late: validation errors before any solve, with no output
+    # written; z=1e12 still solves
     sig, a = tmp_path / "sigma.fld", tmp_path / "a.fld"
     out = tmp_path / "bad.fld"
     run(["phantom", "--kind", "blobs", "--n", "17", "--seed", "2", "--out", str(sig)])
     run(["forward", "--sigma", str(sig), "--out-a", str(a)])
     capsys.readouterr()
-    for args in (["forward", "--sigma", str(sig), "--z", "1e16", "--out-a", str(out)],
+    for args in (["forward", "--sigma", str(sig), "--z", "1e14", "--out-a", str(out)],
+                 ["forward", "--sigma", str(sig), "--z", "1e16", "--out-a", str(out)],
                  ["forward", "--sigma", str(sig), "--z", "1e200", "--out-a", str(out)],
                  ["reconstruct", "--a", str(a), "--z", "1e200", "--out", str(out)]):
         assert run(args) == 1, args

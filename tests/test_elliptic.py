@@ -1,6 +1,7 @@
 """System assembly (Robin, CEM, Laplace-Dirichlet) and the linear solvers."""
 
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -42,7 +43,7 @@ from cdrecon.fields import (
     boundary_trace,
     make_grid,
 )
-from cdrecon.forward import solve_cem_forward
+from cdrecon.forward import solve_cem_forward, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 
 
@@ -287,7 +288,8 @@ def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, 
         system = _forward_system(n, seed, aperture, z, epsilon, cem)
     except DataError:
         assume(False)  # the aperture spans fewer than two nodes
-    _, precondition = _multigrid(system.matrix)
+    levels, _, coarsest_inverse = _multigrid(system.matrix)
+    precondition = partial(elliptic._v_cycle, levels, coarsest_inverse)
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(2, system.dimension))
     mx, my = precondition(x), precondition(y)
@@ -402,14 +404,13 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
     except DataError:
         assume(False)
     levels, _ = _former_multigrid(system.matrix)
-    operator, precondition = _multigrid(system.matrix)
-    assert len(precondition.args[0]) == len(levels)
-    x = _with_signed_zeros(rng, system.dimension)
-    assert (operator @ x).tobytes() == (system.matrix @ x).tobytes()
-    for (matrix, damped_inverse_diagonal, aggregate), level in zip(levels,
-                                                                   precondition.args[0]):
+    hierarchy, A, _ = _multigrid(system.matrix)
+    assert len(hierarchy) == len(levels)
+    x = _with_signed_zeros(rng, system.dimension)  # CG's product
+    assert ((hierarchy[0] if hierarchy else A) @ x).tobytes() == (system.matrix @ x).tobytes()
+    for (matrix, damped_inverse_diagonal, aggregate), level in zip(levels, hierarchy):
         x = _with_signed_zeros(rng, matrix.shape[0])
-        assert (level.operator @ x).tobytes() == (matrix @ x).tobytes()
+        assert (level @ x).tobytes() == (matrix @ x).tobytes()
         assert level.damped_inverse_diagonal.tobytes() == damped_inverse_diagonal.tobytes()
     # the transfers of the drawn grid itself, with and without a further
     # unknown, against the aggregate numbers spelled out
@@ -417,7 +418,7 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
     j, i = np.divmod(np.arange(n * n), n)
     for extra in (0, 1):
         aggregate = np.concatenate([(j // 2) * m + i // 2, m * m + np.arange(extra)])
-        level = elliptic._Level(None, None, n)
+        level = elliptic._Level(None, None, None, None, n)
         r = _with_signed_zeros(rng, n * n + extra)
         assert level.restrict(r).tobytes() == np.bincount(aggregate, weights=r).tobytes()
         e, x = _with_signed_zeros(rng, m * m + extra), _with_signed_zeros(rng, n * n + extra)
@@ -438,9 +439,9 @@ def test_v_cycle_matches_former_csr_v_cycle(n, kind, seed):
     except DataError:
         assume(False)
     _, former = _former_multigrid(system.matrix)
-    _, precondition = _multigrid(system.matrix)
+    levels, _, coarsest_inverse = _multigrid(system.matrix)
     b = _with_signed_zeros(rng, system.dimension)
-    assert precondition(b).tobytes() == former(b).tobytes()
+    assert elliptic._v_cycle(levels, coarsest_inverse, b).tobytes() == former(b).tobytes()
     x, stats = pcg_solve(system)
     max_iter = elliptic._CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension)))
     x0, iterations, residual = elliptic._cg(system.matrix, system.rhs, former,
@@ -466,6 +467,42 @@ def test_pcg_reads_any_csr_form_of_a_grid_matrix():
     skewed = (A + sp.eye(A.shape[0], k=2, format="csr") * 1e-3).tocsr()
     with pytest.raises(DimensionError, match="off the five-point pattern"):
         pcg_solve(SparseSystem(skewed, system.rhs))
+
+
+# a dense SPD matrix of 1 to 60 unknowns, or a sparse one of 4 to _COARSEST
+_SMALL_SPD = (st.tuples(st.just(True), st.integers(1, 60))
+              | st.tuples(st.just(False), st.integers(4, elliptic._COARSEST)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_SMALL_SPD, seed=st.integers(0, 2**32 - 1))
+def test_pcg_solves_any_spd_matrix_of_at_most_the_coarsest_size(case, seed):
+    # such a matrix is the coarsest level itself, inverted densely with no
+    # grid read: a dense one, or a sparse one that couples unknowns off any
+    # five-point pattern, solves as a grid matrix does
+    dense, dim = case
+    rng = np.random.default_rng(seed)
+    if dense:
+        M = rng.normal(size=(dim, dim))
+        A = sp.csr_matrix(M @ M.T + dim * np.eye(dim))
+    else:
+        n = math.isqrt(dim)
+        k = 3 * dim
+        rows = np.append(rng.integers(0, dim, k), 0)
+        cols = np.append(rng.integers(0, dim, k), n + 1)  # offset n + 1 is off the pattern
+        off = sp.csr_matrix((rng.uniform(0.1, 1.0, k + 1) * rng.choice([-1.0, 1.0], k + 1),
+                             (rows, cols)), shape=(dim, dim))
+        off = off + off.T
+        off.setdiag(0.0)
+        # strict diagonal dominance and a positive diagonal: SPD
+        A = (off + sp.diags(abs(off).sum(axis=1).A1 + rng.uniform(0.1, 1.0, dim))).tocsr()
+        assert A[0, n + 1] != 0.0
+    b = rng.normal(size=dim)
+    x, stats = pcg_solve(SparseSystem(A, b))
+    assert stats.relative_residual <= elliptic.SOLVE_TOL
+    assert np.linalg.norm(b - A @ x) <= elliptic.SOLVE_TOL * np.linalg.norm(b)
+    expected = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -899,14 +936,18 @@ def test_a_contact_impedance_whose_stencil_rounds_away_fails_before_any_solve(
     # (the large-z check of the CEM assembly, or a solver error where a
     # small z leaves CG short of the residual) or solves, with the injected
     # current, the sum over e+ of w/z (V - v), equal to I within 1e-6 I and
-    # the rounding of V and v to doubles, which that sum multiplies by w/z
+    # the rounding of V and v to doubles, which that sum multiplies by w/z.
+    # The check of the large z asks some diagonal to grow by more than two
+    # of its rounding units s, at most an ulp of 2 max sigma: once t > 3 s
+    # it does, the rounded sum lying within s of the exact one (s/2 unless
+    # it passes a power of two)
     g = make_grid(n)
     sigma = ScalarField(g, 0.5 + 1.5 * np.random.default_rng(seed).random(g.num_nodes))
     el = ElectrodeSet(aperture=aperture, z=10.0 ** log_z, top_positive=top_positive)
     lo, hi = float(sigma.values.min()), float(sigma.values.max())
     stencil_lost = 2.0 * hi <= 0.5 * g.h / el.z * 2.0**-54
     stencil_kept = lo >= g.h / el.z * 2.0**-52
-    term_grows = 0.5 * g.h / el.z > 2.0 * hi * 2.0**-51
+    term_grows = 0.5 * g.h / el.z > 3.0 * 2.0 * hi * 2.0**-52
     if stencil_lost:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(elliptic, "_cg", None)  # a solve would raise TypeError
@@ -944,6 +985,25 @@ def test_a_boundary_term_of_one_rounding_unit_fails_before_any_solve():
     assert np.all(np.isfinite(result.a.values))
 
 
+@pytest.mark.parametrize("n, z", [(17, 1e14), (256, 1e13)])
+def test_a_smoothed_boundary_term_of_two_rounding_units_fails_before_any_solve(n, z):
+    # blobs seed 2: the smoothed electrode profile moves no boundary
+    # diagonal by more than two rounding units at these z, where CG stopped
+    # late (SolverError after 680 iterations at n=17, a nonpositive
+    # <r, Mr> at n=256); z ten times smaller moves some by 18 or more and
+    # solves
+    g = make_grid(n)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elliptic, "_cg", None)  # a solve would raise TypeError
+        message = re.escape(f"rounds away: contact impedance z = {z:g} ")
+        with pytest.raises(DataError, match=message):
+            solve_forward(sigma, smoothed_coefficients(ElectrodeSet(z=z), g, 5e-4), g)
+    result = solve_forward(sigma, smoothed_coefficients(ElectrodeSet(z=z / 10), g, 5e-4), g)
+    assert result.stats.relative_residual <= elliptic.SOLVE_TOL
+    assert np.all(np.isfinite(result.a.values))
+
+
 def test_quadratic_energy_minimized_by_solution():
     g = make_grid(15)
     el = ElectrodeSet()
@@ -961,15 +1021,17 @@ def test_quadratic_energy_minimized_by_solution():
 def test_a_contact_impedance_that_rounds_away_fails_before_any_solve(n, seed, log_z):
     # an electrode node's diagonal, edge terms only, lies in [min sigma,
     # 2 max sigma]; adding w/z (w = h or h/2) leaves it as it is below half
-    # an ulp of min sigma, and grows it above an ulp of 2 max sigma.  Both
-    # the CEM and the Robin assembly then reject the matrix, which has the
-    # constants in its null space, before any solve
+    # an ulp of min sigma, where both the CEM and the Robin assembly reject
+    # the matrix, which has the constants in its null space, before any
+    # solve.  Above three ulps of 2 max sigma it grows the diagonal by more
+    # than the two rounding units both ask for, the rounded sum lying within
+    # one unit of the exact one, and both assemble
     g = make_grid(n)
     sigma = ScalarField(g, 0.5 + 1.5 * np.random.default_rng(seed).random(g.num_nodes))
     el = ElectrodeSet(z=10.0 ** log_z)
     lo, hi = float(sigma.values.min()), float(sigma.values.max())
     rounds_away = g.h / el.z < lo * 2.0**-54
-    grows = 0.5 * g.h / el.z > 2.0 * hi * 2.0**-51
+    grows = 0.5 * g.h / el.z > 3.0 * 2.0 * hi * 2.0**-52
     for assemble in (lambda: assemble_cem(sigma, el, g),
                      lambda: assemble_robin(sigma, base_coefficients(el, g), g)):
         if rounds_away:
