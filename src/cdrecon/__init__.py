@@ -3,8 +3,14 @@ field on the unit square: forward simulation (Robin and complete electrode
 model) and reconstruction by a regularized weighted least-gradient
 iteration, with a split Bregman comparator.
 
-All operations are pure functions of their inputs; fields are immutable
-values safe to share between threads.
+No function writes into a field it is given, though a field shares the
+array it is built from (``ScalarField``), so a caller that writes into that
+array changes the field.  All randomness is seeded, and identical inputs
+give byte-identical outputs at one BLAS thread count.  The outputs depend on
+that count: the forward solves, ``reconstruct`` and
+``split_bregman_minimize`` can round differently under
+``OPENBLAS_NUM_THREADS=1`` and ``=2``.  Pin it to compare outputs byte for
+byte.
 """
 
 from .boundary import (

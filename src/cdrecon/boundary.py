@@ -1,20 +1,10 @@
 """Electrode geometry, sharp and smoothed Robin boundary coefficients, and
 electrode quadrature.
 
-Two electrodes sit centered on the top and bottom sides of the unit square.
-``electrode_quadrature`` is the one rule for which boundary nodes they
-cover: it returns both arcs, the injecting electrode e+ first, and rejects
-an electrode that spans fewer than two nodes.  The sharp coefficients, the
-complete electrode model, the CEM-Robin scaling and the level calibration
-all read it.  Corner nodes belong to the vertical sides, never to an
-electrode's coefficients, so the stored coefficient value at a corner is
-the lateral-side one.  Boundary integrals in the discrete systems are
-assembled face by face: every non-corner boundary node owns one face of
-length h; a corner owns two half-faces of length h/2, one on each adjacent
-side (see ``boundary_faces``).  ``RobinCoefficients`` checks that b and c
-share one grid (``require_same_grid``).  ``smoothed_coefficients`` owns the
-rule for epsilon and the transition width; ``ReconConfig`` applies all of
-it but the width's bound of 2h, which needs the grid.
+Two electrodes sit centered on the top and bottom sides of the unit square,
+the injecting one e+.  ``electrode_quadrature`` decides which boundary nodes
+each covers, and ``boundary_faces`` how the discrete systems integrate
+along the boundary.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ class ElectrodeSet:
     z: contact impedance (finite, > 0).  current: net injected current I
     (finite, > 0).
     top_positive: injection electrode e+ on the top side (flip to reverse
-    polarity).
+    polarity).  Checked when built (DataError).
     """
 
     aperture: float = 1.0
@@ -60,7 +50,8 @@ class ElectrodeSet:
 @dataclass(frozen=True)
 class RobinCoefficients:
     """Boundary coefficient pair (b, c) of the Robin condition
-    sigma du/dnu + b u = c."""
+    sigma du/dnu + b u = c; b and c must share one grid
+    (``require_same_grid``)."""
 
     b: BoundaryValues
     c: BoundaryValues
@@ -136,8 +127,10 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
 
 def base_coefficients(electrodes: ElectrodeSet, grid: Grid) -> RobinCoefficients:
     """Sharp coefficients: b = 1/z and c = +I on e+, -I on e-, zero
-    elsewhere (corners excluded per the corner rule).  An electrode that
-    spans fewer than two nodes is a DataError."""
+    elsewhere.  Corner nodes belong to the vertical sides, never to an
+    electrode, so the stored value at a corner is the lateral-side one.  The
+    nodes are those of ``electrode_quadrature``, so an electrode that spans
+    fewer than two nodes is a DataError."""
     nb = grid.num_boundary_nodes
     b = np.zeros(nb)
     c = np.zeros(nb)
@@ -167,7 +160,13 @@ def smoothed_coefficients(
 ) -> RobinCoefficients:
     """C2-glued coefficients: b transitions from 1/z on the electrodes to
     epsilon/z at arc distance >= width, c from +/-I to 0, both via the
-    quintic smoothstep over the transition band."""
+    quintic smoothstep over the transition band.
+
+    Epsilon must lie in (0, 1] and the width (None: 4h) be finite, positive
+    and at least 2h (DataError); ``ReconConfig`` applies this rule when
+    built, all but the bound of 2h, which needs the grid.  The profile takes
+    no node set, so any aperture in (0, 1] is accepted.
+    """
     _check_smoothing(epsilon, width)
     if width is None:
         width = 4.0 * grid.h
@@ -198,6 +197,10 @@ def electrode_quadrature(
     corners, so the discrete electrode length sums to exactly 1.  Apertures
     whose ends fall between nodes snap inward to the spanned nodes; an arc
     of fewer than two nodes is a DataError.
+
+    This is the one rule for which nodes an electrode covers: the sharp
+    coefficients, the complete electrode model, ``cem_scaling`` and
+    ``level_calibration`` all read it.
     """
     i, j = boundary_loop(grid)
     xl, xh = electrodes.span()

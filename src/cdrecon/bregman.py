@@ -42,7 +42,10 @@ from .recon import IterationRecord, ReconReport, _check_grad_floor
 
 @dataclass(frozen=True)
 class BregmanConfig:
-    """Settings of ``split_bregman_minimize``, checked when built (DataError)."""
+    """Settings of ``split_bregman_minimize``, checked when built (DataError):
+    ``rho`` and ``tol`` positive, ``max_iterations`` at least 1 and
+    ``grad_floor`` by the rule of ``sigma_from_potential``.  The v-step is
+    exact, so there is no solver tolerance to set."""
 
     rho: float = 1.0
     max_iterations: int = 500
@@ -71,7 +74,10 @@ def split_bregman_minimize(
 
     The trace constraint holds exactly at every iteration (Dirichlet rows
     are eliminated, not penalized).  A zero weight reduces the problem to
-    the discrete harmonic extension of the trace, returned immediately.
+    the discrete harmonic extension of the trace, returned immediately.  A
+    negative weight or a non-finite trace is a DataError.  The run stops
+    with ``stop_reason`` "tol" once the relative change of v is at most
+    ``config.tol``, and "cap" after ``config.max_iterations`` iterations.
     The report is that of ``reconstruct``: a record's ``tv_term`` is the
     weighted TV and its ``sigma_change`` the relative change of v, which
     ``stop_change`` repeats for the last record.

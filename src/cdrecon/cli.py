@@ -6,8 +6,19 @@ Every command accepts ``--config FILE`` with flat ``key=value`` lines
 (``#`` starts a comment); explicit flags override config values.  Outputs
 are written atomically (temp file then rename).  Exit codes: 0 success,
 1 usage or validation, 2 I/O or file format, 3 numeric failure, as the
-error classes in ``cdrecon.errors`` declare.  Option defaults are those of
-ReconConfig, BregmanConfig, ElectrodeSet and PhantomSpec.
+error classes in ``cdrecon.errors`` declare; an OSError counts as an I/O
+error.  Option defaults are those of ReconConfig, BregmanConfig,
+ElectrodeSet and PhantomSpec.  ``reconstruct``, ``bregman`` and ``study``
+read ``--truth`` and check its grid before they solve, so a bad truth file
+writes no output.
+
+The stdout line of ``reconstruct`` and ``bregman`` starts with the run's
+``iterations= stop_reason=tol|cap converged=true|false``; ``reconstruct``
+adds ``sigma_change=``, ``stop_change=``, ``factorizations=`` and
+``solve_iterations=`` (the CG iterations of all its solves, the final one's
+included), ``bregman`` adds ``v_change=`` (its report's stop_change).  A run
+that stops at ``cap``, or a study with a capped step, also writes one
+``cdrecon: warning:`` line to stderr; stdout stays the same.
 """
 
 from __future__ import annotations

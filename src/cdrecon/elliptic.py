@@ -11,56 +11,23 @@ discrete solution exact on affine potentials for the sharp full-aperture
 configuration.
 
 The three systems share one five-point stencil (``_stencil``) on one CSR
-pattern per grid size (``_stencil_pattern``): Robin adds the boundary-face
-terms to its diagonal; CEM adds the electrode terms and borders the matrix
-with one row and column for the electrode voltage; Laplace-Dirichlet is the
-stencil at sigma = 1 with identity Dirichlet rows and the couplings to them
-folded into the rhs.  The CEM voltage is the last unknown, N = n*n, written
-into the CSR arrays with the stencil: its column entry comes last in each
-electrode node's row, and row N holds the couplings to the electrode nodes
-in ascending node order, then the diagonal corner.
+pattern per grid size (``_stencil_pattern``); each assembler adds its own
+boundary treatment.
 
-Three solves, one per kind of caller, all ending in the same true-residual
-check (``_checked``) at ``SOLVE_TOL`` unless told otherwise, the only place
-a solve fails:
+Three solves, one per kind of caller, each returning ``SolveStats``:
+``pcg_solve`` (multigrid CG) for the systems solved once, the forward Robin
+and CEM problems; ``solve_reusing_factor`` (CG on an earlier LU factor) for
+the slowly varying Robin systems of the reconstruction sweeps; and
+``sine_solve`` (exact) for the Laplace-Dirichlet system of the Bregman
+v-step.  All three end in one true-residual check (``_checked``) at
+``SOLVE_TOL`` unless the caller passes ``tol``, the only place a solve
+fails (SolverError).
 
-* ``pcg_solve``: conjugate gradients preconditioned by one aggregation
-  multigrid V-cycle built from the matrix, for systems solved once (forward
-  Robin and CEM problems), at most 40 n iterations on an n x n grid;
-* ``solve_reusing_factor``: conjugate gradients from a caller's guess,
-  preconditioned by the sparse LU factor of an earlier matrix of a slowly
-  varying sequence (the reconstruction sweeps).  A current factor needs
-  about one iteration, so every further one is waste; the factor is
-  rebuilt once its waste would exceed ``_FACTOR_COST``, the cost of one
-  factorization in solves (the ski-rental rule: at most twice the work of
-  the best refactor schedule);
-* ``sine_solve``: the exact sine-transform solve of the constant-coefficient
-  Laplace-Dirichlet system (the Bregman v-step).
-
-The levels of ``pcg_solve``'s multigrid (``_Level``) apply their matrices,
-the finest one for CG's products too, through scipy's DIA kernel: a
-five-point matrix lies on five constant offsets, which DIA storage holds
-without column indices (Bell & Garland, SC'09), and the DIA product adds
-each row's terms in the order the CSR product does, so it returns the same
-bits.  The levels keep no CSR matrix, and their grid transfers are strided
-slices of the n x n grid that add as ``np.bincount`` and a gather do, again
-with the same bits.  A matrix of at most ``_COARSEST`` unknowns has no level
-and may be any SPD matrix.  The other two solves keep CSR products: the
-sweeps' matrix changes every sweep, and the sine solve forms one product.
-
-The factor (``_factor``) is SuperLU's, with the minimum-degree ordering on
-A^T + A and one column per panel.  One-column panels give the same fill as
-the default panels but a smaller panel workspace (Demmel et al., SIAM J.
-Matrix Anal. Appl. 20, 1999): at n = 256 a factorization raises the peak
-resident memory by about 36 MiB instead of 59 MiB, and it takes about a
-quarter less time (2-core machine, one BLAS thread).  The Robin matrix is symmetric bit for bit, so the
-transpose of its CSR form, a CSC view of the same arrays, is the matrix in
-the CSC form SuperLU reads, and no CSC copy is made.
-
-Only the second factors a matrix, so ``scipy.sparse.linalg`` (and the
-``scipy.linalg`` it loads, about 10 MiB and a sizeable part of the package's
-import time) is imported at the first factorization, not with this module:
-the forward solves and the Bregman comparator never load it.
+Only ``solve_reusing_factor`` factors a matrix, so ``scipy.sparse.linalg``
+(and the ``scipy.linalg`` it loads, about 10 MiB and a sizeable part of the
+package's import time) is imported at the first factorization, not with
+this module: ``import cdrecon``, the forward solves and the Bregman
+comparator never load it.
 """
 
 from __future__ import annotations
@@ -253,7 +220,8 @@ def assemble_robin(
     out: SparseSystem | None = None,
 ) -> SparseSystem:
     """Discrete system for div(sigma_eff grad u) = 0 with
-    sigma_eff du/dnu + b u = c on the boundary.
+    sigma_eff du/dnu + b u = c on the boundary: the stencil with the
+    boundary-face terms of b added to its diagonal and those of c as rhs.
 
     A b too small to grow any face row's diagonal by more than two rounding
     units is a DataError (``_add_boundary_term``).
@@ -297,7 +265,12 @@ def assemble_cem(
     the extra row is the symmetrized net-current constraint (the sum of the
     per-electrode current integrals, each equal to I; their difference is
     implied by discrete conservation).  Off-electrode faces are natural
-    (zero flux).  A w/z too small to grow any electrode node's diagonal by
+    (zero flux).  The voltage V is the last unknown, N = n*n, written into
+    the CSR arrays with the stencil: its column entry comes last in each
+    electrode node's row, and row N holds the couplings to the electrode
+    nodes in ascending node order, then the diagonal corner.
+
+    A w/z too small to grow any electrode node's diagonal by
     more than two rounding units is a DataError (``_add_boundary_term``),
     and so is one so large that an electrode node's diagonal loses its edge
     terms: the voltage difference V - v that carries that node's current
@@ -345,8 +318,9 @@ def assemble_cem(
 
 
 def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem:
-    """Five-point Laplace system with Dirichlet data, boundary rows
-    eliminated symmetrically (identity rows, couplings folded into the rhs).
+    """Five-point Laplace system with Dirichlet data: the stencil at
+    sigma = 1 with the boundary rows eliminated symmetrically (identity
+    rows, couplings folded into the rhs).
     """
     require_same_grid(grid, data)
     n = grid.n
@@ -462,7 +436,10 @@ class _Level:
     the next level, whose aggregates are the grid's 2 x 2 blocks (the last
     row and column alone when n is odd) and each unknown past the grid.
 
-    ``level @ x`` is scipy's CSR product A x bit for bit.  The CSR kernel
+    ``level @ x`` goes through scipy's DIA kernel: a five-point matrix lies
+    on five constant offsets, which DIA storage holds without column indices
+    (Bell & Garland, SC'09).  It is scipy's CSR product A x bit for bit, so
+    the levels keep no CSR matrix.  The CSR kernel
     adds a row's terms in ascending column order to a zero; so does the DIA
     kernel of the grid block over the ascending offsets -n, -1, 0, 1, n,
     zero where A stores no entry (a sum that starts at +0 is never -0, so a
@@ -684,11 +661,20 @@ class FactorCache:
 
 
 def _factor(A: sp.csr_matrix) -> spla.SuperLU:
+    """SuperLU's factor of the bit-symmetric A, with the minimum-degree
+    ordering on A^T + A and one column per panel; SolverError when it fails.
+
+    One-column panels give the same fill as the default panels but a smaller
+    panel workspace (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999): at
+    n = 256 a factorization raises the peak resident memory by about 36 MiB
+    instead of 59 MiB, and it takes about a quarter less time (2-core
+    machine, one BLAS thread).  A is symmetric bit for bit, so A.T, a CSC
+    view of the same arrays, is A in the CSC form SuperLU reads, and no CSC
+    copy is made.
+    """
     import scipy.sparse.linalg as spla  # here: a run that never factors skips its import
     try:
-        # minimum degree on A^T + A: about half the fill of COLAMD here.
-        # One-column panels, and A.T, a CSC view of the exactly symmetric A:
-        # see the module docstring
+        # minimum degree on A^T + A: about half the fill of COLAMD here
         return spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
     except RuntimeError as exc:  # SuperLU reports a singular matrix this way
         raise SolverError(f"LU factorization failed: {exc}") from exc
@@ -708,7 +694,10 @@ def solve_reusing_factor(
     left of it, the stale factor is released, the current matrix is factored
     into ``cache``, and the solve continues from the abandoned iterate with
     the fresh factor, under the same budget; the reported iterations include
-    the abandoned ones.
+    the abandoned ones.  ``_FACTOR_COST`` is about the cost of one
+    factorization in solves, so this ski-rental rule does at most twice the
+    work of the best refactor schedule.  The products stay CSR: the matrix
+    changes with every system of the sequence.
     """
     _check_tol(tol)
     A, b = system.matrix, system.rhs
@@ -751,7 +740,9 @@ def sine_solve(system: SparseSystem) -> tuple[np.ndarray, SolveStats]:
     nodes.  The Dirichlet rows are identities, so their values are copied
     from the rhs bit for bit.  The solve is exact and takes no tolerance;
     its true residual is checked against ``SOLVE_TOL`` like every other
-    solve.
+    solve, which also rejects a NaN in the rhs (SolverError).  A dimension
+    that is not that of an n x n grid, n >= 3, is a DimensionError.  Every
+    call returns a new solution array.
     """
     dim = system.dimension
     n = math.isqrt(dim)

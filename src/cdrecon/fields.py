@@ -19,7 +19,8 @@ Conventions used throughout the package:
   views).  The entries at I = n-1 are padding, which ``_gradient_wide``
   writes as zero.
 * A function given fields, coefficients or a ``Grid`` checks that they share
-  one grid with ``require_same_grid`` (DimensionError) before it solves.
+  one grid with ``require_same_grid`` (DimensionError) before it solves; an
+  optional ground truth joins the check when given.
 """
 
 from __future__ import annotations
@@ -99,7 +100,13 @@ def boundary_weights(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One real value per grid node, flat array of length n^2."""
+    """One real value per grid node, flat array of length n^2, all finite
+    (DimensionError).
+
+    ``values`` is a flat view of the given array whenever numpy can make one
+    without a copy (a contiguous float64 array): the field then shares that
+    array, and a later write into it shows in the field.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -356,7 +363,8 @@ _MAGIC = b"FLD1"
 
 def write_field(u: ScalarField, path) -> None:
     """Write a field in FLD1 format: ASCII header ``FLD1 <nx> <ny>\\n``
-    followed by nx*ny little-endian binary64 values, row-major."""
+    followed by nx*ny little-endian binary64 values, row-major (the y index
+    outermost), and no trailing bytes."""
     n = u.grid.n
     payload = np.ascontiguousarray(u.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
@@ -365,7 +373,9 @@ def write_field(u: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
-    """Read an FLD1 field file; round-trips ``write_field`` bit-exactly."""
+    """Read an FLD1 field file; round-trips ``write_field`` bit-exactly.  A
+    bad header, a payload of the wrong size (trailing bytes included), a
+    non-square or too small grid and a non-finite value are FormatErrors."""
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:

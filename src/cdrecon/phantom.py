@@ -27,7 +27,15 @@ class Ellipse:
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """What ``generate_phantom`` draws; checked when built (DataError, GridError for n)."""
+    """What ``generate_phantom`` draws; checked when built (DataError, GridError for n).
+
+    It rejects an unknown kind, a range without 0 < lo <= hi, a negative
+    seed or blob count, a blob width range without 0 < lo <= hi, an ellipse
+    whose centre lies outside the unit square, whose semi-axes are not
+    finite and positive, whose angle is not finite or whose value lies
+    outside the range, an image
+    kind without a path and a margin outside [0, 0.5).
+    """
 
     kind: str  # "blobs" | "ellipses" | "image"
     n: int

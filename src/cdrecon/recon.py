@@ -1,41 +1,8 @@
-"""The inverse solver: weighted-TV functionals, the regularized fixed-point
-iteration (solve a uniformly elliptic Robin problem, update the conductivity
-from the data over the gradient magnitude), and schedule convergence studies.
-
-Each outer iteration solves the linearization of the regularized functional
-at the current conductivity: div((sigma_k + delta) grad u) = 0 with
-(sigma_k + delta) du/dnu + b_eps u = rhs on the boundary, followed by the
-update sigma = a / max(|grad u|, floor) at the nodes.
-
-The Robin datum is c = c_eps: the linear problem is the Euler-Lagrange
-condition of the regularized functional ``functional_Gdelta``, G^delta =
-weighted TV + (1/2) integral of b_eps (v - c_eps/b_eps)^2 over the boundary
-+ (delta/2) integral of |grad v|^2, at the current conductivity.  The
-sweep records and ``convergence_study`` log it.  The sweep stops when the
-relative change of sigma is at most ``stop_tol`` (stop reason "tol") or
-after ``max_outer_iterations`` sweeps ("cap").  With calibration on, the
-change compared is the part that the calibration keeps: its component
-along the reparametrization family does not count.
-
-The sigma <- P(a / |grad u(sigma)|) map (P the projection onto
-``sigma_bounds``) is a lagged-diffusivity iteration and converges only
-linearly, so ``reconstruct`` accelerates it with Anderson mixing
-(``_Anderson``) and solves each linear system only as accurately as the
-last change of sigma warrants (Eisenstat & Walker 1996).  Each solve starts
-from the potential that the mixing coefficients extrapolate from the earlier
-sweeps' potentials (``_Anderson.warm_start``); the true-residual check that
-ends every solve does not depend on that guess.  The sweep runs in place:
-each call builds its constants (cell weights, boundary target) once,
-allocates its buffers and one Robin matrix once, and every sweep writes
-into them.
-
-The module ``family`` owns the reparametrization family: its level bins
-(the stop rule builds those of each sweep's u), the stop rule's projection
-and ``level_calibration``, which ``reconstruct`` calls twice on the fixed
-point unless calibration is disabled, each call on the bins of its own u.
-
-``ReconConfig`` owns the settings of ``reconstruct`` and their defaults, and
-checks them when built (DataError), so every config a function sees is valid.
+"""The inverse solver: the weighted-TV functionals, the regularized
+fixed-point reconstruction ``reconstruct`` with its settings ``ReconConfig``,
+the ``ReconReport`` of both iterative runs, and regularization-schedule
+studies.  The module ``family`` owns the reparametrization family that the
+calibration and the calibrated stop rule work on.
 """
 
 from __future__ import annotations
@@ -106,6 +73,25 @@ def _check_grad_floor(grad_floor: float) -> None:
 
 @dataclass(frozen=True)
 class ReconConfig:
+    """Settings of ``reconstruct`` and their defaults, checked when built
+    (DataError), so a config that builds, by ``dataclasses.replace`` too,
+    never fails a rule later.
+
+    A setting that another function reads is checked by that function's
+    rule: ``epsilon`` and ``transition_width`` (None: 4h) by
+    ``smoothed_coefficients``, all but the width's bound of 2h, which needs
+    the grid; ``grad_floor`` by ``sigma_from_potential``; ``initial_sigma``
+    and ``calibration_band`` by ``level_calibration``.  The rest are checked
+    here: ``delta`` positive and finite, ``stop_tol`` positive,
+    ``max_outer_iterations`` at least 1, and ``sigma_bounds`` (lo, hi), onto
+    which every iterate is projected (None: unbounded), with 0 < lo <= hi.
+
+    ``calibrate`` assumes that the medium equals ``initial_sigma`` in the
+    margin band of width ``calibration_band`` (the standard embedding of an
+    imaged region into a homogeneous background); turn it off when that
+    does not hold.
+    """
+
     epsilon: float = 5e-4
     delta: float = 3e-3
     max_outer_iterations: int = 200
@@ -114,8 +100,7 @@ class ReconConfig:
     sigma_bounds: tuple[float, float] | None = None
     initial_sigma: float = 1.0
     transition_width: float | None = None  # None picks 4h
-    calibrate: bool = True  # identify the reparametrization member from the
-    # margin band, taking initial_sigma as the known background level
+    calibrate: bool = True
     calibration_band: float = CALIBRATION_BAND
 
     def __post_init__(self):
@@ -139,7 +124,16 @@ class ReconConfig:
 
 @dataclass
 class IterationRecord:
-    """One iteration of either run, numbered by its place in ``ReconReport.records``."""
+    """One iteration of either run, numbered by its place in ``ReconReport.records``.
+
+    A sweep of ``reconstruct`` records the TV, boundary and delta terms of
+    ``functional_Gdelta`` at its inexact solve, the relative change of
+    sigma, the error of the sigma image against the ground truth (None
+    without one), and its solve's CG iterations and residual.  An iteration
+    of the Bregman comparator records its weighted TV in ``tv_term``, zero
+    boundary and delta terms, and the relative change of v in
+    ``sigma_change``.
+    """
 
     tv_term: float
     boundary_term: float
@@ -166,19 +160,20 @@ _CSV_COLUMNS = (
 
 @dataclass
 class ReconReport:
-    """The report of either iterative run: ``reconstruct``, or the Bregman comparator,
-    whose records hold its weighted TV and v change (no final solve or factor)."""
+    """The report of either iterative run, ``reconstruct`` or the Bregman
+    comparator: one record per sweep or iteration; ``stop_reason`` "tol"
+    once ``stop_change``, the last value the stop rule compared, met its
+    tolerance, and "cap" when the iterations ran out (``converged`` false);
+    the strength max |phi' - 1| of each calibration pass; the final solve's
+    stats; and the LU factorizations, the final solve's included.  The
+    comparator makes no calibration, final solve or factorization.
+    """
 
     records: list[IterationRecord] = field(default_factory=list)
     final_solve: SolveStats | None = None
-    # the strength max |phi' - 1| of each calibration pass, both of which
-    # follow the last sweep
     calibrations: list[float] = field(default_factory=list)
-    # "tol" once stop_change, the last value the stop rule compared (the last
-    # sigma_change, or with calibration its part off the reparametrization
-    # family), was within tolerance; "cap" when the iterations ran out
     stop_reason: str = ""
-    factorizations: int = 0  # LU factorizations, the final solve's included
+    factorizations: int = 0
     stop_change: float = math.nan
 
     @property
@@ -193,6 +188,9 @@ class ReconReport:
         return [r.g_delta for r in self.records]
 
     def write_csv(self, path) -> None:
+        """Write the records as CSV, one row per record under the header
+        ``_CSV_COLUMNS``: ``g`` is tv_term + boundary_term, ``g_delta`` adds
+        delta_term, and ``rel_error`` is empty without a ground truth."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(_CSV_COLUMNS)
@@ -400,17 +398,37 @@ def reconstruct(
     grid: Grid,
     ground_truth: ScalarField | None = None,
 ) -> tuple[ScalarField, ScalarField, ReconReport]:
-    """Recover an approximate conductivity from the interior data a: the
-    fixed-point sweep, calibration and stop rule of the module docstring.
+    """Recover an approximate conductivity from the interior data a, which
+    must be nonnegative and not identically zero (DataError).
 
-    Each sweep records its G^delta terms and stops on ``stop_tol``
-    (``report.stop_reason`` "tol", ``report.stop_change`` the last value
-    compared) or after ``max_outer_iterations`` sweeps ("cap").  With
-    ``calibrate``, two ``level_calibration`` passes against ``initial_sigma`` follow.
-    A final solve at ``SOLVE_TOL`` makes the returned potential the exact
-    critical point of the linearization at the returned conductivity.  The
-    linear solves share one LU factor, created here and dropped on return
-    (see ``solve_reusing_factor``); ``report.factorizations`` counts them.
+    Each sweep solves the linearization of ``functional_Gdelta`` at the
+    current conductivity, div((sigma_k + delta) grad u) = 0 with
+    (sigma_k + delta) du/dnu + b_eps u = c_eps on the boundary (the
+    ``smoothed_coefficients`` of ``config``), and maps sigma to
+    P(``sigma_from_potential``), P the projection onto ``sigma_bounds``.
+    This lagged-diffusivity map converges only linearly, so Anderson mixing
+    (``_Anderson``) accelerates it, each solve starts from the potential
+    that the mixing extrapolates from the earlier sweeps' potentials, and
+    each solve is only as accurate as the last change of sigma warrants
+    (Eisenstat & Walker 1996), never below ``SOLVE_TOL``; the true-residual
+    check that ends every solve does not depend on the guess.
+
+    The sweep records its G^delta terms and stops on ``stop_tol``
+    (``report.stop_reason`` "tol") or after ``max_outer_iterations`` sweeps
+    ("cap"); ``report.stop_change`` is the last value compared.  That is the
+    relative change of sigma, or with ``calibrate`` the part of it that the
+    calibration keeps: on each level bin that the calibration estimates
+    from, the change loses its projection onto sigma, a move along the
+    reparametrization family (see ``family``), which the calibration
+    replaces anyway and along which the sweep converges slowly.  With
+    ``calibrate``, two ``level_calibration`` passes against
+    ``initial_sigma`` follow, each on the bins of its own u; they add no
+    sweep.  A final solve at ``SOLVE_TOL`` makes the returned potential the
+    exact critical point of the linearization at the returned conductivity.
+    The linear solves share one LU factor, created here and dropped on
+    return (see ``solve_reusing_factor``); ``report.factorizations`` counts
+    them.  The sweep runs in place: the constants (cell weights, boundary
+    target), the buffers and one Robin matrix are built once per call.
     """
     require_same_grid(grid, a, ground_truth)
     if np.any(a.values < 0.0):
@@ -500,7 +518,8 @@ def reconstruct(
 
 @dataclass
 class ScheduleStudy:
-    """Per-step results of a regularization schedule run."""
+    """Per-step results of a regularization schedule run; ``stop_reasons``
+    holds each step's ``ReconReport.stop_reason``."""
 
     deltas: list[float]
     etas: list[float]
@@ -509,7 +528,7 @@ class ScheduleStudy:
     rel_errors: list[float]
     tail_ratio: float
     tail_converged: bool
-    stop_reasons: list[str]  # each step's ReconReport.stop_reason
+    stop_reasons: list[str]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -525,8 +544,10 @@ class ScheduleStudy:
 
 
 def check_schedule(deltas, etas) -> None:
-    """Validate a regularization schedule: deltas strictly decreasing and
-    positive, eta_n^2 / delta_n nonnegative and decreasing toward zero."""
+    """Validate a regularization schedule (DataError): deltas strictly
+    decreasing and positive, etas nonnegative, eta_n^2 / delta_n
+    non-increasing and decreasing toward zero.  The ratios are compared
+    relatively, so the rule is the same at every scale of eta^2 / delta."""
     deltas = [float(d) for d in deltas]
     etas = [float(e) for e in etas]
     if len(deltas) != len(etas) or not deltas:
@@ -539,7 +560,9 @@ def check_schedule(deltas, etas) -> None:
     if any(deltas[k + 1] >= deltas[k] for k in range(len(deltas) - 1)):
         raise DataError("schedule deltas must decrease strictly")
     ratios = [e * e / d for e, d in zip(etas, deltas)]
-    if any(ratios[k + 1] > ratios[k] + 1e-15 for k in range(len(ratios) - 1)):
+    # relative, as the check below: an absolute margin rejects a plateau that
+    # rounds up at large scale and accepts a real rise at small scale
+    if any(ratios[k + 1] > ratios[k] * (1.0 + 1e-12) for k in range(len(ratios) - 1)):
         raise DataError("inadmissible schedule: eta^2/delta must not increase")
     if ratios[0] > 0.0 and ratios[-1] >= ratios[0] * (1.0 - 1e-12):
         raise DataError("inadmissible schedule: eta^2/delta must decrease toward zero")
@@ -565,7 +588,10 @@ def convergence_study(
     third of the clean-functional values is at most ``tail_fraction`` times
     the spread of the first third; a schedule needs at least
     ``MIN_STUDY_STEPS`` steps for the thirds to have a spread, and the
-    fraction must be finite and nonnegative (DataError).
+    fraction must be finite and nonnegative (DataError).  The defaults are
+    ``STUDY_SEED`` and ``STUDY_TAIL_FRACTION``.  The sweeps run without the
+    ground truth; each step's error is taken once, from its final sigma
+    (NaN without a ground truth).
     """
     require_same_grid(grid, a_clean, ground_truth)
     check_schedule(deltas, etas)

@@ -38,7 +38,15 @@ from cdrecon.fields import (
     weighted_tv,
     write_field,
 )
-from cdrecon.forward import ForwardResult, cem_scaling, solve_cem_forward, solve_forward
+from cdrecon.family import level_calibration
+from cdrecon.forward import (
+    ForwardResult,
+    add_noise,
+    cem_scaling,
+    solve_cem_forward,
+    solve_forward,
+)
+from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import ReconConfig, convergence_study, reconstruct
 
 
@@ -305,6 +313,39 @@ def test_scalar_field_validation():
         ScalarField(g, np.full(16, np.inf))
     with pytest.raises(DimensionError):
         BoundaryValues(g, np.zeros(11))
+
+
+def test_a_field_shares_the_array_it_is_built_from():
+    # no copy: a write into the caller's array shows through the field
+    buf = np.zeros(9)
+    f = ScalarField(make_grid(3), buf)
+    buf[0] = 7.0
+    assert f.values[0] == 7.0
+
+
+def test_no_function_writes_into_an_input_field():
+    # the bytes of every input array are the same after each call
+    g = make_grid(17)
+    el = ElectrodeSet()
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=17, seed=2))
+    coeffs = smoothed_coefficients(el, g, 5e-4)
+    fwd = solve_forward(sigma, coeffs, g)
+    a, u, trace = fwd.a, fwd.u, boundary_trace(fwd.u)
+    inputs = (sigma.values, coeffs.b.values, coeffs.c.values, a.values, u.values,
+              trace.values)
+    before = [x.tobytes() for x in inputs]
+    calls = {
+        "solve_forward": lambda: solve_forward(sigma, coeffs, g),
+        "solve_cem_forward": lambda: solve_cem_forward(sigma, el, g),
+        "reconstruct": lambda: reconstruct(a, el, ReconConfig(), g, ground_truth=sigma),
+        "split_bregman_minimize": lambda: split_bregman_minimize(
+            a, trace, BregmanConfig(), g),
+        "level_calibration": lambda: level_calibration(sigma, u, el, 1.0),
+        "add_noise": lambda: add_noise(a, 1e-3, 1),
+    }
+    for name, call in calls.items():
+        call()
+        assert [x.tobytes() for x in inputs] == before, name
 
 
 def test_cell_average_and_back():

@@ -829,6 +829,28 @@ def test_schedule_validation():
     check_schedule([1e-3, 5e-4], [0.0, 0.0])
 
 
+@settings(max_examples=80, deadline=None)
+@given(exponent=st.integers(-20, 8),
+       drops=st.lists(st.one_of(st.just(1.0), st.floats(0.1, 0.9)), min_size=3, max_size=7),
+       rise=st.floats(1.0 + 1e-9, 10.0),
+       at=st.integers(1, 7))
+def test_schedule_ratio_rule_is_scale_free(exponent, drops, rise, at):
+    # eta^2/delta at scale 10^exponent: a non-increasing sequence with
+    # plateaus, whose eta = sqrt(ratio * delta) rounds each ratio by a few
+    # units, is admissible at every scale; one step raised by a factor of at
+    # least 1 + 1e-9 is not
+    assume(min(drops) < 1.0)  # the ratios must also decrease toward zero
+    ratios = [10.0 ** exponent]
+    for drop in drops:
+        ratios.append(ratios[-1] * drop)
+    deltas = [3e-3 * 2.0 ** (-k) for k in range(len(ratios))]
+    check_schedule(deltas, [math.sqrt(r * d) for r, d in zip(ratios, deltas)])
+    step = 1 + at % (len(ratios) - 1)
+    ratios[step] = ratios[step - 1] * rise
+    with pytest.raises(DataError, match="must not increase"):
+        check_schedule(deltas, [math.sqrt(r * d) for r, d in zip(ratios, deltas)])
+
+
 def test_convergence_study_small(homog_setup):
     g, el, truth, coeffs, fwd = homog_setup
     deltas = [3e-3 * 2.0 ** (-k) for k in range(4)]
