@@ -2,9 +2,10 @@
 electrode quadrature.
 
 Two electrodes sit centered on the top and bottom sides of the unit square,
-the injecting one e+.  ``electrode_quadrature`` decides which boundary nodes
-each covers, and ``boundary_faces`` how the discrete systems integrate
-along the boundary.
+the injecting one e+.  ``base_coefficients`` decides which boundary nodes
+each covers, ``boundary_faces`` how the discrete systems integrate along
+the boundary, and ``electrode_quadrature`` reads each electrode's faces off
+the two.
 """
 
 from __future__ import annotations
@@ -127,19 +128,30 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
 
 def base_coefficients(electrodes: ElectrodeSet, grid: Grid) -> RobinCoefficients:
     """Sharp coefficients: b = 1/z and c = +I on e+, -I on e-, zero
-    elsewhere.  Corner nodes belong to the vertical sides, never to an
-    electrode, so the stored value at a corner is the lateral-side one.  The
-    nodes are those of ``electrode_quadrature``, so an electrode that spans
-    fewer than two nodes is a DataError."""
-    nb = grid.num_boundary_nodes
-    b = np.zeros(nb)
-    c = np.zeros(nb)
-    i, _ = boundary_loop(grid)
-    for (idx, _), current in zip(electrode_quadrature(electrodes, grid),
-                                 (electrodes.current, -electrodes.current)):
-        idx = idx[(i[idx] > 0) & (i[idx] < grid.n - 1)]  # the corner rule
-        b[idx] = 1.0 / electrodes.z
-        c[idx] = current
+    elsewhere.  An electrode's nodes are those of its side whose x lies in
+    its span (snapped inward where its ends fall between nodes); one that
+    spans fewer than two nodes is a DataError.  Corner nodes belong to the
+    vertical sides, never to an electrode, so the stored value at a corner
+    is the lateral-side one; through ``boundary_faces`` a corner next to an
+    electrode node still carries the electrode on its horizontal half-face.
+    """
+    i, j = boundary_loop(grid)
+    x = i * grid.h
+    xl, xh = electrodes.span()
+    spanned = (x >= xl - 1e-12) & (x <= xh + 1e-12)
+    plus_row = grid.n - 1 if electrodes.top_positive else 0
+    b = np.zeros(grid.num_boundary_nodes)
+    c = np.zeros(grid.num_boundary_nodes)
+    for row, current in ((plus_row, electrodes.current),
+                         (grid.n - 1 - plus_row, -electrodes.current)):
+        on = spanned & (j == row)
+        if np.count_nonzero(on) < 2:
+            raise DataError(
+                f"aperture {electrodes.aperture} spans fewer than two nodes at n={grid.n}"
+            )
+        on &= (i > 0) & (i < grid.n - 1)  # the corner rule
+        b[on] = 1.0 / electrodes.z
+        c[on] = current
     return RobinCoefficients(BoundaryValues(grid, b), BoundaryValues(grid, c))
 
 
@@ -189,33 +201,30 @@ def smoothed_coefficients(
 def electrode_quadrature(
     electrodes: ElectrodeSet, grid: Grid
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Trapezoid quadrature over both electrode arcs, e+ first.
+    """The boundary faces each electrode covers, e+ first: the faces of
+    ``boundary_faces`` whose coefficient value is one of the electrode's
+    nodes in ``base_coefficients`` (DataError where it spans fewer than
+    two).
 
     Returns ((loop_idx, weights), (loop_idx, weights)) for e+ and e-: the
-    loop indices of the boundary nodes each electrode spans, ordered by x,
-    end nodes at half weight.  At full aperture the arc ends are the
-    corners, so the discrete electrode length sums to exactly 1.  Apertures
-    whose ends fall between nodes snap inward to the spanned nodes; an arc
-    of fewer than two nodes is a DataError.
+    loop indices of the nodes owning those faces, ordered by x, and the
+    length of each node's faces, h, or h/2 at a corner, which joins the arc
+    whose end is its horizontal neighbour.  An electrode of k nodes thus
+    has length k h, the footprint of the sharp Robin system, and at full
+    aperture its corners make the length exactly 1.
 
-    This is the one rule for which nodes an electrode covers: the sharp
-    coefficients, the complete electrode model, ``cem_scaling`` and
-    ``level_calibration`` all read it.
+    These are the faces on which the sharp Robin system integrates b and c,
+    so it is the one electrode discretization: the complete electrode
+    model, ``cem_scaling`` and ``level_calibration`` read it.
     """
-    i, j = boundary_loop(grid)
-    xl, xh = electrodes.span()
-    x = i * grid.h
-    spanned = (x >= xl - 1e-12) & (x <= xh + 1e-12)
-    rows = (grid.n - 1, 0) if electrodes.top_positive else (0, grid.n - 1)
+    c = base_coefficients(electrodes, grid).c.values
+    node_f, val_f, w_f = boundary_faces(grid)
+    x = boundary_loop(grid)[0] * grid.h
     arcs = []
-    for row in rows:
-        idx = np.flatnonzero(spanned & (j == row))
-        if idx.size < 2:
-            raise DataError(
-                f"aperture {electrodes.aperture} spans fewer than two nodes at n={grid.n}"
-            )
-        idx = idx[np.argsort(x[idx])]  # the arc ends first and last
-        w = np.full(idx.size, grid.h)
-        w[0] = w[-1] = 0.5 * grid.h
-        arcs.append((idx, w))
+    for sign in (1.0, -1.0):
+        w = np.bincount(node_f, np.where(sign * c[val_f] > 0.0, w_f, 0.0),
+                        minlength=grid.num_boundary_nodes)
+        idx = np.flatnonzero(w)
+        idx = idx[np.argsort(x[idx])]
+        arcs.append((idx, w[idx]))
     return arcs[0], arcs[1]

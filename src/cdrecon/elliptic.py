@@ -10,9 +10,10 @@ boundary rows scaled by the face quadrature weights from
 discrete solution exact on affine potentials for the sharp full-aperture
 configuration.
 
-The three systems share one five-point stencil (``_stencil``) on one CSR
-pattern per grid size (``_stencil_pattern``); each assembler adds its own
-boundary treatment.
+The Robin and Laplace-Dirichlet systems share one five-point stencil
+(``_stencil``) on one CSR pattern per grid size (``_stencil_pattern``); each
+adds its own boundary treatment.  The CEM system is the sharp Robin system
+bordered by its electrode voltage.
 
 Three solves, one per kind of caller, each returning ``SolveStats``:
 ``pcg_solve`` (multigrid CG) for the systems solved once, the forward Robin
@@ -43,13 +44,12 @@ import scipy.sparse as sp
 from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
+    base_coefficients,
     boundary_faces,
     electrode_quadrature,
 )
 from .errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
-from .fields import (
-    BoundaryValues, Grid, ScalarField, boundary_loop, boundary_trace, require_same_grid,
-)
+from .fields import BoundaryValues, Grid, ScalarField, boundary_nodes, require_same_grid
 
 if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
@@ -138,9 +138,8 @@ def _stencil_pattern(n: int) -> _StencilPattern:
     node = np.arange(n * n, dtype=np.int32)[:, None]
     indices = (node + np.array([-n, -1, 0, 1, n], dtype=np.int32))[present]
     indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
-    li, lj = boundary_loop(grid)
     node_f, val_f, w_f = boundary_faces(grid)
-    arrays = (indptr, indices, present, (lj * n + li)[node_f], val_f, w_f)
+    arrays = (indptr, indices, present, boundary_nodes(grid)[node_f], val_f, w_f)
     for a in arrays:
         a.flags.writeable = False  # shared by every matrix of this size
     return _StencilPattern(*arrays)
@@ -265,52 +264,45 @@ def assemble_cem(
     the extra row is the symmetrized net-current constraint (the sum of the
     per-electrode current integrals, each equal to I; their difference is
     implied by discrete conservation).  Off-electrode faces are natural
-    (zero flux).  The voltage V is the last unknown, N = n*n, written into
-    the CSR arrays with the stencil: its column entry comes last in each
-    electrode node's row, and row N holds the couplings to the electrode
-    nodes in ascending node order, then the diagonal corner.
+    (zero flux).  The grid block is the sharp Robin matrix of
+    ``base_coefficients`` (b = 1/z on the faces of ``electrode_quadrature``),
+    so the solution v is lambda times the sharp Robin one at every aperture.
+    The voltage V is the last unknown, N = n*n, spliced into the CSR arrays:
+    its column entry -/+w/z comes last in each electrode node's row, and
+    row N holds the couplings to the electrode nodes in ascending node
+    order, then the diagonal corner.
 
-    A w/z too small to grow any electrode node's diagonal by
-    more than two rounding units is a DataError (``_add_boundary_term``),
-    and so is one so large that an electrode node's diagonal loses its edge
-    terms: the voltage difference V - v that carries that node's current
-    then lies below a rounding unit of V, and a near-zero (v, V) can pass
-    the residual check.
+    The Robin assembly's checks apply (``assemble_robin``), and a w/z so
+    large that an electrode node's diagonal loses its edge terms is a
+    DataError too: the voltage difference V - v that carries that node's
+    current then lies below a rounding unit of V, and a near-zero (v, V)
+    can pass the residual check.
     """
-    require_same_grid(grid, sigma)
-    _check_positive_sigma(sigma)
-
-    n = grid.n
-    N = n * n
-    pat = _stencil_pattern(n)
-    stencil = _stencil(sigma.values, n)
-    li, lj = boundary_loop(grid)
+    K = assemble_robin(sigma, base_coefficients(electrodes, grid), grid).matrix
+    N = K.shape[0]
+    nodes = boundary_nodes(grid)
     border = np.zeros(N)  # coupling of each node to the voltage V
     corner = 0.0
     for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
-        wz = w / electrodes.z
-        border[(lj * n + li)[idx]] = sign * wz  # -w/z on e+, +w/z on e-
+        wz = w * (1.0 / electrodes.z)  # rounded as the Robin face terms
+        border[nodes[idx]] = sign * wz  # -w/z on e+, +w/z on e-
         corner += float(wz.sum())
     coupled = np.flatnonzero(border)
-    terms = np.abs(border[coupled])
-    _add_boundary_term(stencil[:, 2], coupled, terms, 1.0 / electrodes.z, sigma)
-    if np.any(stencil[coupled, 2] == terms):
+    if np.any(K.diagonal()[coupled] == np.abs(border[coupled])):
         raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
                         f"z = {electrodes.z:g} is too small for conductivities down to "
                         f"{float(sigma.values.min()):g}")
-    # the border goes straight into the stencil's CSR arrays, last in each
+    # the border goes straight into the Robin CSR arrays, last in each
     # coupled row and as row N (the coupled nodes in ascending order, then
     # the corner): the canonical CSR of the block matrix [[K, b], [b', c]]
     m = coupled.size
-    at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, pat.indices.size)])
-    values = stencil[pat.present]
-    del stencil  # peak memory: the table is never held with the bordered copy
-    data = np.insert(values, at, np.concatenate([border[coupled], border[coupled], [corner]]))
-    indices = np.insert(pat.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
-    extra = np.zeros(N + 2, dtype=np.int32)  # entries after the stencil, per row
+    at = np.concatenate([K.indptr[coupled + 1], np.full(m + 1, K.nnz)])
+    data = np.insert(K.data, at, np.concatenate([border[coupled], border[coupled], [corner]]))
+    indices = np.insert(K.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
+    extra = np.zeros(N + 2, dtype=np.int32)  # entries after the grid block, per row
     extra[coupled + 1] = 1
     extra[N + 1] = m + 1
-    indptr = np.append(pat.indptr, pat.indices.size) + np.cumsum(extra, dtype=np.int32)
+    indptr = np.append(K.indptr, K.nnz) + np.cumsum(extra, dtype=np.int32)
     A = sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))
     rhs = np.zeros(N + 1)
     rhs[N] = 2.0 * electrodes.current
@@ -329,8 +321,7 @@ def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem
     stencil = _stencil(np.ones(N), n)
     inner = pat.present.all(axis=1)  # nodes with all four neighbours
     k = np.flatnonzero(inner)
-    li, lj = boundary_loop(grid)
-    kb = lj * n + li
+    kb = boundary_nodes(grid)
     trace = np.zeros(N)
     trace[kb] = data.values
 
@@ -767,15 +758,14 @@ def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:
     """Face quadrature of the boundary flux sum (c - b u) ds.
 
     Vanishes (to solver tolerance) for any discrete Robin solution: total
-    current in equals current out.  Uses the same face decomposition as the
-    assembly, so the identity is exact up to the linear-solver residual.
+    current in equals current out.  Reads the faces of the assembly's own
+    pattern, so the identity is exact up to the linear-solver residual.
     """
     grid = require_same_grid(u, coeffs)
-    tr = boundary_trace(u).values
-    node_f, val_f, w_f = boundary_faces(grid)
-    c = coeffs.c.values
-    bb = coeffs.b.values
-    return float(np.sum(w_f * (c[val_f] - bb[val_f] * tr[node_f])))
+    pat = _stencil_pattern(grid.n)
+    c = coeffs.c.values[pat.face_value]
+    bb = coeffs.b.values[pat.face_value]
+    return float(np.sum(pat.face_weight * (c - bb * u.values[pat.face_rows])))
 
 
 def quadratic_energy(system: SparseSystem, x: np.ndarray) -> float:

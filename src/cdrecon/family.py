@@ -16,7 +16,7 @@ import numpy as np
 
 from .boundary import ElectrodeSet, electrode_quadrature
 from .errors import DataError
-from .fields import Grid, ScalarField, boundary_loop, require_same_grid
+from .fields import Grid, ScalarField, boundary_nodes, require_same_grid
 
 # potential-level bins of the calibration and of the calibrated stop rule; a
 # bin takes part only with at least _MIN_BAND_NODES margin-band nodes
@@ -132,8 +132,7 @@ def level_calibration(
     dphi = np.clip(dphi, 0.2, 5.0)
 
     # identity on the electrode value ranges: the bins of their nodes
-    i, j = boundary_loop(grid)
-    trace_bin = bin_of[j * grid.n + i]
+    trace_bin = bin_of[boundary_nodes(grid)]
     pinned = np.zeros(widths.size, dtype=bool)
     for idx, _ in electrode_quadrature(electrodes, grid):
         on = trace_bin[idx]

@@ -74,8 +74,9 @@ class Grid:
 
 
 def make_grid(n: int) -> Grid:
-    """Build the uniform grid on [0,1]^2 with n nodes per side (n >= 3)."""
-    return Grid(int(n))
+    """Build the uniform grid on [0,1]^2 with n nodes per side: an integer
+    n >= 3, as ``Grid`` demands (GridError)."""
+    return Grid(n)
 
 
 def boundary_loop(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +87,12 @@ def boundary_loop(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     i = np.concatenate([k, np.full(n - 1, n - 1), (n - 1) - k, np.zeros(n - 1, dtype=int)])
     j = np.concatenate([np.zeros(n - 1, dtype=int), k, np.full(n - 1, n - 1), (n - 1) - k])
     return i, j
+
+
+def boundary_nodes(grid: Grid) -> np.ndarray:
+    """Flat node index j*n + i of each boundary node, in loop order."""
+    i, j = boundary_loop(grid)
+    return j * grid.n + i
 
 
 def boundary_weights(grid: Grid) -> np.ndarray:
@@ -354,8 +361,7 @@ def rel_l2_error(f: ScalarField, g: ScalarField) -> float:
 
 def boundary_trace(u: ScalarField) -> BoundaryValues:
     """Boundary node values in counterclockwise loop order starting at (0,0)."""
-    i, j = boundary_loop(u.grid)
-    return BoundaryValues(u.grid, u.values2d[j, i])
+    return BoundaryValues(u.grid, u.values[boundary_nodes(u.grid)])
 
 
 _MAGIC = b"FLD1"

@@ -83,8 +83,11 @@ def cem_scaling(
     """Scaling factor lambda between the sharp Robin solution u0 and the CEM
     solution: 1/lambda = |e| - (1/(zI)) * integral of u0 over e+.
 
-    The equivalent expression through e- agrees by discrete conservation;
-    the returned value averages the two. Raises on degenerate scaling.
+    Length and integral run over the faces of ``electrode_quadrature``, on
+    which the sharp Robin system integrates its data, so the equivalent
+    expression through e- agrees by discrete conservation at every
+    aperture; the returned value averages the two. Raises on degenerate
+    scaling.
     """
     require_same_grid(grid, result.u)
     tr = boundary_trace(result.u).values

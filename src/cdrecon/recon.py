@@ -38,7 +38,7 @@ from .fields import (
     _weighted_tv,
     _wide_cells,
     _zero_ring,
-    boundary_loop,
+    boundary_nodes,
     boundary_weights,
     cell_average,
     gradient,
@@ -225,8 +225,7 @@ def _boundary_penalty_of(coeffs: RobinCoefficients) -> Callable[[np.ndarray], fl
     if not np.all(b > 0.0):
         raise DataError("the boundary penalty needs b > 0; c/b is undefined off electrodes")
     grid = coeffs.grid
-    i, j = boundary_loop(grid)
-    nodes = j * grid.n + i
+    nodes = boundary_nodes(grid)
     wb = boundary_weights(grid) * b
     target = coeffs.c.values / b
 

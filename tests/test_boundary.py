@@ -172,9 +172,20 @@ def test_electrode_quadrature_full_aperture_length_one():
 
 
 def test_electrode_quadrature_partial():
+    # the faces of the five nodes in [0.25, 0.75], h each: the sharp Robin
+    # footprint 5h
     g = make_grid(9)
+    i, _ = boundary_loop(g)
     for idx, w in electrode_quadrature(ElectrodeSet(aperture=0.5), g):
-        assert w.sum() == pytest.approx(0.5, abs=1e-14)
+        assert i[idx].tolist() == [2, 3, 4, 5, 6]
+        assert np.all(w == g.h)
+        assert w.sum() == 0.625
+    # an arc that ends next to a corner takes the corner's horizontal
+    # half-face: [0.1, 0.9] covers the faces of the full aperture
+    for idx, w in electrode_quadrature(ElectrodeSet(aperture=0.8), g):
+        assert i[idx].tolist() == list(range(g.n))
+        assert w[0] == w[-1] == g.h / 2
+        assert w.sum() == 1.0
     # an arc of fewer than two nodes: none at n=4, one at n=17
     for n, aperture in ((4, 0.25), (17, 0.05)):
         with pytest.raises(DataError, match="spans fewer than two nodes"):
@@ -228,10 +239,11 @@ def test_vectorized_boundary_loops_match_former_loops(n):
         assert np.array_equal(got, expected)
 
 
-# The per-side electrode rules that ``electrode_quadrature`` replaced: a
-# node mask for the sharp coefficients, a per-side quadrature for the CEM,
-# the scaling and the calibration, and the polarity as a sign on the top
-# side.  The mask took an electrode between nodes for an empty one.
+# The electrode rules written out per side: the former node mask of the
+# sharp coefficients, the faces each electrode covers (by hand, the way
+# ``_faces_by_loop`` writes out ``boundary_faces``) for the CEM, the scaling
+# and the calibration, and the polarity as a sign on the top side.  The
+# mask took an electrode between nodes for an empty one.
 
 
 def _former_node_mask(electrodes, grid, side):
@@ -243,18 +255,24 @@ def _former_node_mask(electrodes, grid, side):
     return on_side & interior & (x >= xl - 1e-12) & (x <= xh + 1e-12)
 
 
-def _former_quadrature(electrodes, grid, side):
+def _side_faces(electrodes, grid, side):
+    """Loop indices by x and face lengths of one electrode: h for each of
+    its nodes off the corners, h/2 for a corner whose horizontal neighbour
+    is one of them."""
     i, j = boundary_loop(grid)
     xl, xh = electrodes.span()
     x = i * grid.h
     on_side = (j == (grid.n - 1)) if side == "top" else (j == 0)
-    idx = np.flatnonzero(on_side & (x >= xl - 1e-12) & (x <= xh + 1e-12))
-    if idx.size < 2:
+    if np.count_nonzero(on_side & (x >= xl - 1e-12) & (x <= xh + 1e-12)) < 2:
         raise DataError("spans fewer than two nodes")
+    mask = _former_node_mask(electrodes, grid, side)
+    w = np.where(mask, grid.h, 0.0)
+    for corner, neighbour in ((0, 1), (grid.n - 1, grid.n - 2)):
+        if np.any(mask & (i == neighbour)):
+            w[on_side & (i == corner)] = 0.5 * grid.h
+    idx = np.flatnonzero(w)
     idx = idx[np.argsort(x[idx])]
-    w = np.full(idx.size, grid.h)
-    w[0] = w[-1] = 0.5 * grid.h
-    return idx, w
+    return idx, w[idx]
 
 
 def _former_base(electrodes, grid):
@@ -283,7 +301,7 @@ def _former_smoothed(electrodes, grid, epsilon):
     return b, c
 
 
-def _former_cem(sigma, electrodes, grid):
+def _side_cem(sigma, electrodes, grid):
     n = grid.n
     N = n * n
     pat = elliptic._stencil_pattern(n)
@@ -293,9 +311,9 @@ def _former_cem(sigma, electrodes, grid):
     border = np.zeros(N)
     corner = 0.0
     for side in ("top", "bottom"):
-        idx, w = _former_quadrature(electrodes, grid, side)
+        idx, w = _side_faces(electrodes, grid, side)
         g = (lj * n + li)[idx]
-        wz = w / electrodes.z
+        wz = w * (1.0 / electrodes.z)
         stencil[g, 2] += wz
         border[g] = -wz if side == pos_side else wz
         corner += float(wz.sum())
@@ -314,15 +332,15 @@ def _former_cem(sigma, electrodes, grid):
     return SparseSystem(sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1)), rhs)
 
 
-def _former_cem_scaling(result, electrodes, grid):
+def _side_cem_scaling(result, electrodes, grid):
     tr = boundary_trace(result.u).values
     z, cur = electrodes.z, electrodes.current
 
     def integral(side):
-        idx, w = _former_quadrature(electrodes, grid, side)
+        idx, w = _side_faces(electrodes, grid, side)
         return float(w @ tr[idx])
 
-    length = float(_former_quadrature(electrodes, grid, "top")[1].sum())
+    length = float(_side_faces(electrodes, grid, "top")[1].sum())
     pos = "top" if electrodes.top_positive else "bottom"
     neg = "bottom" if pos == "top" else "top"
     inv_plus = length - integral(pos) / (z * cur)
@@ -341,6 +359,8 @@ def _bytes(*arrays):
 @example(n=4, aperture=0.25, z=1.0, current=1.0, top_positive=True, seed=0)  # no node
 @example(n=17, aperture=0.05, z=1.0, current=1.0, top_positive=False, seed=0)  # one node
 @example(n=3, aperture=1.0, z=1.0, current=1.0, top_positive=False, seed=0)
+@example(n=9, aperture=0.8, z=1.4, current=0.7, top_positive=True, seed=0)  # corners join
+@example(n=9, aperture=0.5, z=1.4, current=0.7, top_positive=False, seed=0)
 def test_one_electrode_rule_matches_former_per_side_rules(n, aperture, z, current,
                                                           top_positive, seed):
     g = make_grid(n)
@@ -350,7 +370,7 @@ def test_one_electrode_rule_matches_former_per_side_rules(n, aperture, z, curren
     rc = smoothed_coefficients(el, g, 1e-3)
     assert _bytes(rc.b.values, rc.c.values) == _bytes(*_former_smoothed(el, g, 1e-3))
     try:
-        former = [_former_quadrature(el, g, side) for side in ("top", "bottom")]
+        faces = [_side_faces(el, g, side) for side in ("top", "bottom")]
     except DataError:
         for build in (lambda: electrode_quadrature(el, g), lambda: base_coefficients(el, g),
                       lambda: assemble_cem(sigma, el, g)):
@@ -358,15 +378,15 @@ def test_one_electrode_rule_matches_former_per_side_rules(n, aperture, z, curren
                 build()
         return
     if not top_positive:
-        former.reverse()  # e+ first
+        faces.reverse()  # e+ first
     arcs = electrode_quadrature(el, g)
-    assert [_bytes(*arc) for arc in arcs] == [_bytes(*arc) for arc in former]
+    assert [_bytes(*arc) for arc in arcs] == [_bytes(*arc) for arc in faces]
     rc = base_coefficients(el, g)
     assert _bytes(rc.b.values, rc.c.values) == _bytes(*_former_base(el, g))
-    system, expected = assemble_cem(sigma, el, g), _former_cem(sigma, el, g)
+    system, expected = assemble_cem(sigma, el, g), _side_cem(sigma, el, g)
     for name in ("data", "indices", "indptr"):
         assert _bytes(getattr(system.matrix, name)) == _bytes(getattr(expected.matrix, name))
     assert _bytes(system.rhs) == _bytes(expected.rhs)
     robin = solve_forward(sigma, rc, g)
     assert _bytes(np.float64(cem_scaling(robin, el, g))) == _bytes(
-        np.float64(_former_cem_scaling(robin, el, g)))
+        np.float64(_side_cem_scaling(robin, el, g)))

@@ -21,6 +21,7 @@ from cdrecon.elliptic import (
 from cdrecon.errors import DimensionError, FormatError, GridError
 from cdrecon.fields import (
     BoundaryValues,
+    Grid,
     ScalarField,
     VectorField,
     _gradient_wide,
@@ -66,6 +67,15 @@ def test_make_grid_spacing():
 def test_make_grid_rejects_small(n):
     with pytest.raises(GridError):
         make_grid(n)
+
+
+@pytest.mark.parametrize("n", [64.9, 3.7])
+def test_make_grid_rejects_a_non_integral_size(n):
+    # make_grid truncated these to Grid(64) and Grid(3); Grid rejects them
+    with pytest.raises(GridError, match="integer n"):
+        make_grid(n)
+    with pytest.raises(GridError, match="integer n"):
+        Grid(n)
 
 
 def test_grid_boundary_nodes_are_edges():

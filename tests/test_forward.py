@@ -3,7 +3,7 @@ and the non-uniqueness transform."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdrecon.boundary import (
@@ -12,6 +12,7 @@ from cdrecon.boundary import (
     electrode_quadrature,
     smoothed_coefficients,
 )
+from cdrecon.elliptic import assemble_cem, assemble_robin
 from cdrecon.errors import DataError
 from cdrecon.family import nonuniqueness_transform
 from cdrecon.fields import ScalarField, boundary_trace, make_grid, rel_l2_error
@@ -121,12 +122,13 @@ def _scaling_inverses(g, el, sigma):
     return r, inv_plus, inv_minus
 
 
-def test_cem_scaling_both_formulas_agree_full_aperture():
-    # at full aperture the arc quadrature coincides with the assembly's face
-    # quadrature, so the two expressions agree to solver tolerance for any
+@pytest.mark.parametrize("aperture", [1.0, 0.6])
+def test_cem_scaling_both_formulas_agree(aperture):
+    # the electrode quadrature is the assembly's face quadrature at every
+    # aperture, so the two expressions agree to solver tolerance for any
     # conductivity
     g = make_grid(33)
-    el = ElectrodeSet(z=1.4, current=0.7)
+    el = ElectrodeSet(z=1.4, current=0.7, aperture=aperture)
     bumps = ScalarField.from_function(
         g, lambda x, y: 1 + 0.4 * np.exp(-((x - 0.4) ** 2 + (y - 0.6) ** 2) / 0.02)
     )
@@ -135,16 +137,34 @@ def test_cem_scaling_both_formulas_agree_full_aperture():
     assert cem_scaling(r, el, g) == pytest.approx(2.0 / (inv_plus + inv_minus), rel=1e-12)
 
 
-def test_cem_scaling_formulas_agree_partial_aperture():
-    # a reduced sharp aperture leaves an O(h) end-face mismatch between the
-    # arc quadrature and the coefficient footprint (measured ~2e-5 at n=33)
-    g = make_grid(33)
-    el = ElectrodeSet(z=1.4, current=0.7, aperture=0.6)
-    bumps = ScalarField.from_function(
-        g, lambda x, y: 1 + 0.4 * np.exp(-((x - 0.4) ** 2 + (y - 0.6) ** 2) / 0.02)
-    )
-    r, inv_plus, inv_minus = _scaling_inverses(g, el, bumps)
-    assert inv_plus == pytest.approx(inv_minus, abs=1e-4)
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 64), seed=st.integers(0, 2**32 - 1),
+       aperture=st.floats(0.0, 1.0, exclude_min=True), z=st.floats(0.1, 10.0),
+       current=st.floats(0.1, 10.0), top_positive=st.booleans())
+@example(n=17, aperture=0.5, z=1.0, current=1.0, top_positive=True, seed=0)
+@example(n=9, aperture=0.8, z=1.4, current=0.7, top_positive=False, seed=1)  # corners join
+def test_cem_is_lambda_times_sharp_robin_at_every_aperture(n, seed, aperture, z, current,
+                                                          top_positive):
+    # the CEM grid block is the sharp Robin matrix, so v = lambda u0 and
+    # V = lambda z I to solver tolerance, also where the electrode ends
+    # between nodes
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture, z=z, current=current, top_positive=top_positive)
+    try:
+        coeffs = base_coefficients(el, g)
+    except DataError:
+        assume(False)  # the aperture spans fewer than two nodes
+    sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
+    N = g.num_nodes
+    block = assemble_cem(sigma, el, g).matrix[:N, :N]
+    robin = assemble_robin(sigma, coeffs, g).matrix
+    for name in ("data", "indices", "indptr"):
+        assert getattr(block, name).tobytes() == getattr(robin, name).tobytes(), name
+    sharp = solve_forward(sigma, coeffs, g, tol=1e-12)
+    cem = solve_cem_forward(sigma, el, g, tol=1e-12)
+    lam = cem_scaling(sharp, el, g)
+    assert rel_l2_error(ScalarField(g, lam * sharp.u.values), cem.u) <= 1e-9
+    assert cem.cem_voltage == pytest.approx(lam * z * current, rel=1e-9)
 
 
 def test_add_noise_contract():
