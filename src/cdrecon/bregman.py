@@ -7,7 +7,8 @@ threshold (cell-mean weight)/rho, accumulates the multiplier, and solves
 the five-point Poisson problem for v with the trace eliminated (exactly, by
 the sine transform): a linearized Goldstein-Osher step, as that operator is
 not -div of the cell ``gradient``.  One gradient per iterate serves both its
-recorded weighted TV and the next shrink.
+recorded weighted TV and the next shrink; both take their magnitudes from
+``fields._magnitude``.
 
 The loop allocates its cell arrays and the v-step rhs once per call, in
 the wide layout of the ``fields`` stencil kernels, and every step writes
@@ -31,6 +32,7 @@ from .fields import (
     ScalarField,
     _divergence_wide,
     _gradient_wide,
+    _magnitude,
     _weighted_tv,
     _wide_cells,
     _wide_interior,
@@ -126,7 +128,7 @@ def split_bregman_minimize(
     report.stop_reason = "cap"
     for _ in range(config.max_iterations):
         np.add(grad_v, g, out=w)
-        np.hypot(*w, out=mag)
+        _magnitude(*w, mag)
         np.subtract(mag, thresh, out=scale)
         np.maximum(scale, 0.0, out=scale)
         # dividing by |w| + (|w| == 0) is exact: where |w| = 0 the shrink
@@ -149,7 +151,7 @@ def split_bregman_minimize(
             float(np.linalg.norm(v_new - v)) / denom
             if denom > 0.0 else float(np.linalg.norm(v_new))
         )
-        np.hypot(*grad_v, out=mag)
+        _magnitude(*grad_v, mag)
         report.records.append(IterationRecord(
             _weighted_tv(_wide_cells(mag, n), weight, h), 0.0, 0.0,
             change, None, stats.iterations, stats.relative_residual,

@@ -35,6 +35,7 @@ from .fields import (
     ScalarField,
     _cells_to_nodes_wide,
     _gradient_wide,
+    _magnitude,
     _weighted_tv,
     _wide_cells,
     _zero_ring,
@@ -273,7 +274,8 @@ def _functional_terms(
 def sigma_from_potential(
     a: ScalarField, v: ScalarField, grad_floor: float
 ) -> ScalarField:
-    """Conductivity update a / max(|grad v|, floor) at the nodes.
+    """Conductivity update a / max(|grad v|, floor) at the nodes, with the
+    cell magnitudes |grad v| of ``fields._magnitude``.
 
     The floor is relative: grad_floor times the maximum nodal gradient
     magnitude.  A constant v (zero gradient everywhere) degenerates to
@@ -301,7 +303,7 @@ def _sigma_from_potential_gradient(
     ``magnitude`` inside the ``_zero_ring`` buffer ``padded``, and their
     nodal averages to ``nodes``."""
     n = math.isqrt(out.size)
-    np.hypot(*grad, out=magnitude)  # zero in the padding column, as the average needs
+    _magnitude(*grad, magnitude)  # zero in the padding column, as the average needs
     _cells_to_nodes_wide(padded, n, nodes)
     peak = float(nodes.max())
     floor = grad_floor * peak if peak > 0.0 else grad_floor

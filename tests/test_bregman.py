@@ -193,10 +193,20 @@ def _former_divergence(fx, fy, h):
     return ((dx + dy) / (2.0 * h)).reshape(-1)
 
 
+def _guarded_magnitude(x, y):
+    """The package's magnitude rule, written out: sqrt(x*x + y*y) where that
+    sum lies in [2^-968, 2^1000], ``np.hypot`` elsewhere."""
+    with np.errstate(over="ignore", under="ignore"):
+        s = x * x + y * y
+    safe = (s >= 2.0 ** -968) & (s <= 2.0 ** 1000)
+    return np.where(safe, np.sqrt(s), np.hypot(x, y))
+
+
 def _bregman_by_former_loop(a, trace, config, grid):
     """The split Bregman loop as it was written before it moved to plain
     arrays, with the operators' arithmetic of that time: two gradients per
-    iteration and a boolean-mask source.  Returns (v, records, stop)."""
+    iteration and a boolean-mask source.  Its magnitudes follow the package's
+    rule, written out in ``_guarded_magnitude``.  Returns (v, records, stop)."""
     base = assemble_laplace_dirichlet(trace, grid)
     h2 = grid.h * grid.h
     interior = np.ones((grid.n, grid.n), dtype=bool)
@@ -222,7 +232,7 @@ def _bregman_by_former_loop(a, trace, config, grid):
         vx, vy = _former_gradient(v.values2d, grid.h)
         wx = vx + gx
         wy = vy + gy
-        mag = np.hypot(wx, wy)
+        mag = _guarded_magnitude(wx, wy)
         shrink = np.maximum(mag - thresh, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(mag > 0.0, shrink / mag, 0.0)
@@ -237,7 +247,7 @@ def _bregman_by_former_loop(a, trace, config, grid):
             float(np.linalg.norm(v_new.values - v.values)) / denom
             if denom > 0.0 else float(np.linalg.norm(v_new.values))
         )
-        mag_new = np.hypot(*_former_gradient(v_new.values2d, grid.h))
+        mag_new = _guarded_magnitude(*_former_gradient(v_new.values2d, grid.h))
         tv = float(np.sum(cell_average(a) * mag_new) * grid.h**2)
         records.append((k, tv, change, stats.iterations, stats.relative_residual))
         v = v_new

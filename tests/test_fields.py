@@ -1,6 +1,8 @@
 """Grid, operators, norms, and the FLD1 file format."""
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cdrecon
 from cdrecon import bregman, elliptic
 from cdrecon.boundary import ElectrodeSet, RobinCoefficients, smoothed_coefficients
 from cdrecon.bregman import BregmanConfig, split_bregman_minimize
@@ -25,6 +28,7 @@ from cdrecon.fields import (
     ScalarField,
     VectorField,
     _gradient_wide,
+    _magnitude,
     _wide_cells,
     boundary_loop,
     boundary_trace,
@@ -48,7 +52,7 @@ from cdrecon.forward import (
     solve_forward,
 )
 from cdrecon.phantom import PhantomSpec, generate_phantom
-from cdrecon.recon import ReconConfig, convergence_study, reconstruct
+from cdrecon.recon import ReconConfig, convergence_study, reconstruct, sigma_from_potential
 
 
 def test_make_grid_smallest():
@@ -214,6 +218,102 @@ def test_weighted_tv_grid_mismatch():
                     ScalarField.constant(make_grid(7), 1.0))
 
 
+_MAX = np.finfo(float).max
+_TINY = np.finfo(float).smallest_subnormal
+# the squared sums whose square root ``_magnitude`` takes, and the unit roundoff
+_SAFE_SQUARES = (2.0 ** -968, 2.0 ** 1000)
+_UNIT = 2.0 ** -53
+# every double (signed zeros, subnormals, +-inf and NaN included), and
+# mantissas over the decimal exponents -330..308
+_COMPONENT = st.one_of(
+    st.floats(),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-330, 308)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_COMPONENT, _COMPONENT), min_size=1, max_size=64))
+@example(pairs=[(0.0, -0.0), (-0.0, -0.0), (_TINY, 0.0), (-_TINY, _TINY),
+                (np.inf, np.nan), (np.nan, -np.inf), (np.nan, 0.0), (_MAX, _MAX),
+                (2.0 ** -484, 0.0), (np.nextafter(2.0 ** -484, 0.0), 2.0 ** -540),
+                (2.0 ** 500, 0.0), (np.nextafter(2.0 ** 500, np.inf), -1.0),
+                (2.0 ** 499, 2.0 ** 499), (3.0, -4.0)])
+def test_magnitude_is_hypot_within_two_ulps(pairs):
+    x, y = np.array(pairs, dtype=float).T.copy()
+    out = np.full_like(x, 7.0)
+    with np.errstate(over="ignore"):  # where |(x, y)| itself overflows
+        assert _magnitude(x, y, out) is out
+        ref = np.hypot(x, y)
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    assert np.array_equal(np.isinf(out), np.isinf(ref))
+    finite = np.isfinite(ref)
+    ulps = np.abs(out[finite].view(np.int64) - ref[finite].view(np.int64))
+    assert ulps.max(initial=0) <= 2
+    # the Bregman shrink relies on |w| = 0 only where w = 0
+    assert np.array_equal(out == 0.0, (x == 0.0) & (y == 0.0))
+    with np.errstate(over="ignore", under="ignore"):
+        sums = x * x + y * y
+    safe = (sums >= _SAFE_SQUARES[0]) & (sums <= _SAFE_SQUARES[1])
+    assert out[safe].tobytes() == np.sqrt(sums[safe]).tobytes()
+
+
+def _squares_stay_safe(v: ScalarField) -> bool:
+    grad = gradient(v)
+    with np.errstate(over="ignore", under="ignore"):
+        sums = grad.x * grad.x + grad.y * grad.y
+    return bool(np.all((sums >= _SAFE_SQUARES[0]) & (sums <= _SAFE_SQUARES[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(5, 40), k=st.integers(-900, 900), seed=st.integers(0, 2**32 - 1))
+def test_sigma_and_tv_scale_with_the_potential(n, k, seed):
+    # a power of two scales every cell gradient exactly.  Where all squared
+    # sums, of v and of 2^k v, stay in the square root's range, the magnitude
+    # is exactly homogeneous and so are the sigma image (degree -1) and the
+    # weighted TV (degree 1).  Elsewhere hypot takes over, within 2 ulps
+    # (4 units of roundoff) of the square root; with the node sums, the
+    # floor and the quotient the sigma image stays within 12 units, and the
+    # TV, a pairwise sum of at most 39^2 products, within 64.  Measured: 4
+    # ulps and 3 ulps over 3000 draws.
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    a = ScalarField(g, rng.uniform(0.0, 2.0, g.num_nodes))
+    v = ScalarField(g, rng.normal(size=g.num_nodes))
+    scale = 2.0 ** k
+    scaled = ScalarField(g, scale * v.values)
+    sigma = sigma_from_potential(a, v, 1e-8).values
+    sigma_scaled = sigma_from_potential(a, scaled, 1e-8).values * scale
+    tv, tv_scaled = weighted_tv(v, a), weighted_tv(scaled, a)
+    if _squares_stay_safe(v) and _squares_stay_safe(scaled):
+        assert sigma_scaled.tobytes() == sigma.tobytes()
+        assert tv_scaled == scale * tv
+    else:
+        np.testing.assert_allclose(sigma_scaled, sigma, rtol=12 * _UNIT, atol=0.0)
+        assert tv_scaled == pytest.approx(scale * tv, rel=64 * _UNIT, abs=0.0)
+
+
+def test_hypot_appears_only_inside_the_magnitude_kernel():
+    # one magnitude rule: the package's every other magnitude goes through
+    # ``fields._magnitude``
+    package = Path(cdrecon.__file__).parent
+    inside, outside = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kernel = {id(node) for fn in ast.walk(tree)
+                  if path.name == "fields.py" and isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_magnitude" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "hypot":
+                if id(node) in kernel:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert inside and not outside
+
+
 def test_rel_l2_error_cases():
     g = make_grid(9)
     f = ScalarField.from_function(g, lambda x, y: 1 + x * y)
@@ -254,10 +354,6 @@ def _finite_fields(draw):
     n = draw(st.integers(3, 40))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return n, draw(arrays(np.float64, n * n, elements=finite))
-
-
-_MAX = np.finfo(float).max
-_TINY = np.finfo(float).smallest_subnormal
 
 
 @settings(max_examples=40, deadline=None)
