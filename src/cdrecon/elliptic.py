@@ -17,8 +17,11 @@ bordered by its electrode voltage.
 
 Three solves, one per kind of caller, each returning ``SolveStats``:
 ``pcg_solve`` (multigrid CG) for the systems solved once, the forward Robin
-and CEM problems; ``solve_reusing_factor`` (CG on an earlier LU factor) for
-the slowly varying Robin systems of the reconstruction sweeps; and
+and CEM problems, with a hierarchy built from one read of the matrix's
+five diagonals (the CEM solve starts from lambda times the Robin solution,
+``forward.solve_cem_forward``, and builds none where that guess meets the
+tolerance); ``solve_reusing_factor`` (CG on an earlier LU factor) for the
+slowly varying Robin systems of the reconstruction sweeps; and
 ``sine_solve`` (exact) for the Laplace-Dirichlet system of the Bregman
 v-step.  All three end in one true-residual check (``_checked``) at
 ``SOLVE_TOL`` unless the caller passes ``tol``, the only place a solve
@@ -255,6 +258,27 @@ def assemble_robin(
     return out
 
 
+def _cem_border(K: sp.csr_matrix, sigma: ScalarField, electrodes: ElectrodeSet,
+                grid: Grid) -> tuple[np.ndarray, float]:
+    """The coupling of each grid node to the voltage V in the CEM system whose
+    grid block is the sharp Robin matrix K, -w/z on e+ and +w/z on e-, and
+    V's diagonal entry, the sum of w/z over both electrodes; DataError when
+    some electrode node's diagonal in K is w/z alone (``assemble_cem``)."""
+    nodes = boundary_nodes(grid)
+    border = np.zeros(K.shape[0])
+    corner = 0.0
+    for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
+        wz = w * (1.0 / electrodes.z)  # rounded as the Robin face terms
+        border[nodes[idx]] = sign * wz
+        corner += float(wz.sum())
+    coupled = np.flatnonzero(border)
+    if np.any(K.diagonal()[coupled] == np.abs(border[coupled])):
+        raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
+                        f"z = {electrodes.z:g} is too small for conductivities down to "
+                        f"{float(sigma.values.min()):g}")
+    return border, corner
+
+
 def assemble_cem(
     sigma: ScalarField, electrodes: ElectrodeSet, grid: Grid
 ) -> SparseSystem:
@@ -279,19 +303,15 @@ def assemble_cem(
     can pass the residual check.
     """
     K = assemble_robin(sigma, base_coefficients(electrodes, grid), grid).matrix
+    return _bordered(K, *_cem_border(K, sigma, electrodes, grid), electrodes.current)
+
+
+def _bordered(K: sp.csr_matrix, border: np.ndarray, corner: float,
+              current: float) -> SparseSystem:
+    """The system of ``assemble_cem`` from its grid block K and the V column
+    and diagonal of ``_cem_border``."""
     N = K.shape[0]
-    nodes = boundary_nodes(grid)
-    border = np.zeros(N)  # coupling of each node to the voltage V
-    corner = 0.0
-    for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
-        wz = w * (1.0 / electrodes.z)  # rounded as the Robin face terms
-        border[nodes[idx]] = sign * wz  # -w/z on e+, +w/z on e-
-        corner += float(wz.sum())
     coupled = np.flatnonzero(border)
-    if np.any(K.diagonal()[coupled] == np.abs(border[coupled])):
-        raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
-                        f"z = {electrodes.z:g} is too small for conductivities down to "
-                        f"{float(sigma.values.min()):g}")
     # the border goes straight into the Robin CSR arrays, last in each
     # coupled row and as row N (the coupled nodes in ascending order, then
     # the corner): the canonical CSR of the block matrix [[K, b], [b', c]]
@@ -305,7 +325,7 @@ def assemble_cem(
     indptr = np.append(K.indptr, K.nnz) + np.cumsum(extra, dtype=np.int32)
     A = sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))
     rhs = np.zeros(N + 1)
-    rhs[N] = 2.0 * electrodes.current
+    rhs[N] = 2.0 * current
     return SparseSystem(A, rhs)
 
 
@@ -423,37 +443,39 @@ def _check_tol(tol: float) -> None:
 class _Level:
     """One level of the multigrid hierarchy above the coarsest: the matrix A
     of an n x n grid (its first n*n unknowns, coupled by part of the
-    five-point pattern), its damped inverse diagonal, and the transfers to
-    the next level, whose aggregates are the grid's 2 x 2 blocks (the last
-    row and column alone when n is odd) and each unknown past the grid.
+    five-point pattern) and at most one further unknown, the CEM voltage
+    V; its damped inverse diagonal; and the transfers to the next level,
+    whose aggregates are the grid's 2 x 2 blocks (the last row and column
+    alone when n is odd) and V alone.
 
     ``level @ x`` goes through scipy's DIA kernel: a five-point matrix lies
     on five constant offsets, which DIA storage holds without column indices
     (Bell & Garland, SC'09).  It is scipy's CSR product A x bit for bit, so
-    the levels keep no CSR matrix.  The CSR kernel
-    adds a row's terms in ascending column order to a zero; so does the DIA
-    kernel of the grid block over the ascending offsets -n, -1, 0, 1, n,
-    zero where A stores no entry (a sum that starts at +0 is never -0, so a
-    zero term leaves it as it is).  The couplings to each unknown past the
-    grid (the CEM voltage), last in their rows, are added column by column,
-    and the rows of those unknowns are a CSR matrix of their own.  The
-    transfers are strided slices of the grid that add in the order of
+    the levels keep no CSR matrix.  The CSR kernel adds a row's terms in
+    ascending column order to a zero; so does the DIA kernel of the grid
+    block over the ascending offsets -n, -1, 0, 1, n, zero where A stores no
+    entry (a sum that starts at +0 is never -0, so a zero term leaves it as
+    it is).  V's column entry, last in its rows, is added after them, and
+    V's row is the running sum of its terms in column order from a zero.
+    The transfers are strided slices of the grid that add in the order of
     ``np.bincount`` over the aggregate numbers and of the gather
     e[aggregate], so they are those bit for bit, signs of zeros included.
     """
 
     stencil: sp.dia_matrix  # square, zero outside the grid block
-    border: tuple[tuple[int, np.ndarray, np.ndarray], ...]  # (column, rows, values)
-    tail: sp.csr_matrix | None  # rows n*n and on; None when there are none
+    # without V both are None
+    border: tuple[np.ndarray, np.ndarray] | None  # the grid rows coupled to V, their entries
+    voltage: tuple[np.ndarray, np.ndarray] | None  # V's row: its columns (V last), entries
     damped_inverse_diagonal: np.ndarray
     n: int
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = self.stencil @ x
-        for column, rows, values in self.border:
-            y[rows] += values * x[column]
-        if self.tail is not None:
-            y[y.size - self.tail.shape[0]:] = self.tail @ x
+        if self.voltage is not None:
+            rows, values = self.border
+            y[rows] += values * x[-1]
+            columns, values = self.voltage
+            y[-1] = np.cumsum(np.concatenate(([0.0], values * x[columns])))[-1]
         return y
 
     def sweep(self, b: np.ndarray, x: np.ndarray) -> None:
@@ -467,13 +489,9 @@ class _Level:
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """The sum of r over each aggregate, the block's nodes added to a zero
         in ascending order."""
-        n, h, m = self.n, self.n // 2, (self.n + 1) // 2
+        n, m = self.n, (self.n + 1) // 2
         out = np.zeros(m * m + r.size - n * n)
-        coarse, fine = out[:m * m].reshape(m, m), r[:n * n].reshape(n, n)
-        coarse += fine[::2, ::2]
-        coarse[:, :h] += fine[::2, 1::2]
-        coarse[:h] += fine[1::2, ::2]
-        coarse[:h, :h] += fine[1::2, 1::2]
+        _add_block_sums(r[:n * n].reshape(n, n), out[:m * m].reshape(m, m))
         out[m * m:] += r[n * n:]
         return out
 
@@ -488,51 +506,119 @@ class _Level:
         x[n * n:] += e[m * m:]
 
 
-def _level(A: sp.csr_matrix, n: int, damped_inverse_diagonal: np.ndarray) -> _Level:
-    """``_Level`` of a CSR matrix in canonical form (sorted indices, no
-    duplicates) whose first n*n unknowns form the grid, n > 1.
+def _add_block_sums(fine: np.ndarray, coarse: np.ndarray) -> None:
+    """Add to each entry of the m x m ``coarse`` the 2 x 2 block of the n x n
+    ``fine`` over it, m = ceil(n/2): the block's lower left, lower right,
+    upper left and upper right entry in that order, the missing ones of the
+    last row and column of blocks skipped when n is odd."""
+    h = fine.shape[0] // 2
+    coarse += fine[::2, ::2]
+    coarse[:, :h] += fine[::2, 1::2]
+    coarse[:h] += fine[1::2, ::2]
+    coarse[:h, :h] += fine[1::2, 1::2]
 
-    One pass per offset reads, for every grid row at once, the row's next
-    unread entry, which is the row's entry at that offset when its column
-    says so.  Raises DimensionError when an entry of the grid block lies off
-    the five-point pattern.
+
+def _read_grid(A: sp.csr_matrix, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The five-point table of a canonical CSR matrix (sorted indices, no
+    duplicates) whose first n*n unknowns form an n x n grid, n > 1, and its
+    V column: table[k, r] is the entry of grid row r at the offset
+    (-n, -1, 0, 1, n)[k] (south, west, centre, east, north neighbour), and
+    border[r] its entry in the column of V, the one unknown past the grid
+    (None when there is none); zero where A stores no entry.
+
+    One pass per offset, and one for V's column, reads for every grid row
+    at once the row's next unread entry, which is the row's entry there when
+    its column says so.  Raises DimensionError when an entry of a grid row
+    lies off the five-point pattern (a neighbour across the grid's side
+    counts as off it), or when more than one unknown lies past the grid.
     """
-    dim = A.shape[0]
     nn = n * n
+    extra = A.shape[0] - nn
+    if extra > 1:
+        raise DimensionError(f"the matrix has {extra} unknowns past its {n} x {n} grid; "
+                             "the multigrid takes at most one")
     indptr, indices, values = A.indptr, A.indices, A.data
-    offsets = np.array([-n, -1, 0, 1, n])
     stop = indptr[1:nn + 1]
     pos = indptr[:nn].astype(np.intp)  # each grid row's next unread entry
-    sought = np.arange(nn, dtype=indices.dtype) + offsets[0]  # the column sought per row
-    read = np.empty(nn, dtype=indices.dtype)
+    node = np.arange(nn, dtype=indices.dtype)
+    sought, read = np.empty(nn, dtype=indices.dtype), np.empty(nn, dtype=indices.dtype)
     found, unread = np.empty(nn, dtype=bool), np.empty(nn, dtype=bool)
-    data = np.zeros((offsets.size, dim))
-    for k, off in enumerate(offsets):
-        if k:
-            sought += off - offsets[k - 1]
+    table = np.empty((5 + extra, nn))  # the five offsets, then V's column
+    for k in range(5 + extra):
+        if k < 5:
+            np.add(node, (-n, -1, 0, 1, n)[k], out=sought)
+        else:
+            sought.fill(nn)
         np.equal(indices.take(pos, mode="clip", out=read), sought, out=found)
         found &= np.less(pos, stop, out=unread)
-        if off > 0:
-            found[nn - off:] = False  # those columns lie past the grid block
-        rows = slice(max(-off, 0), nn - max(off, 0))  # rows whose column is on the grid
-        diagonal = data[k, rows.start + off:rows.stop + off]
-        values.take(pos[rows], mode="clip", out=diagonal)
-        np.copyto(diagonal, 0.0, where=~found[rows])
+        if k == 1:
+            found[::n] = False  # a row's first node has no west neighbour
+        elif k == 3:
+            found[n - 1::n] = False  # nor its last node an east one
+        elif k == 4:
+            found[nn - n:] = False  # nor a node of the top row a north one
+        values.take(pos, mode="clip", out=table[k])
+        np.copyto(table[k], 0.0, where=~found)
         pos += found
-    border = np.flatnonzero(indices[:indptr[nn]] >= nn)
-    if int((pos - indptr[:nn]).sum()) + border.size != indptr[nn]:
+    if not np.array_equal(pos, stop):
         raise DimensionError(f"the matrix couples unknowns of its {n} x {n} grid "
                              "off the five-point pattern")
-    rows = np.searchsorted(indptr, border, side="right") - 1
-    columns = indices[border]
-    return _Level(
-        sp.dia_matrix((data, offsets), shape=(dim, dim)),
-        tuple((int(c), rows[columns == c], values[border[columns == c]])
-              for c in np.unique(columns)),
-        A[nn:] if dim > nn else None,
-        damped_inverse_diagonal,
-        n,
-    )
+    return table[:5], table[5] if extra else None
+
+
+def _coarsen(table: np.ndarray, border: np.ndarray | None,
+             n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The Galerkin table P'AP of the next level from the five-point table
+    of a symmetric A on an n x n grid, and the coarse V column from A's:
+    sums over the 2 x 2 blocks, m = ceil(n/2) to a side, by strided slices
+    (``_add_block_sums`` order).  The coarse centre is the sum of the block's
+    four centres plus twice the sum of the couplings inside it (the east
+    entries of its lower left and upper left node, then the north entries
+    of its lower left and lower right node); the coarse east entry is the
+    sum of the east entries of the block's lower right and upper right
+    node, the north entry that of the north entries of its upper left and
+    upper right node, and the V entry the block sum of A's.  South and west
+    are the north and east entries of the neighbours below and to the
+    left.  V's own row and diagonal stay as they are."""
+    m, h = (n + 1) // 2, n // 2
+    centre, east, north = (t.reshape(n, n) for t in table[2:])
+    coarse = np.zeros((5, m * m))
+    south_c, west_c, centre_c, east_c, north_c = coarse
+    inside = np.zeros((m, m))
+    inside += east[::2, ::2]
+    inside[:h] += east[1::2, ::2]
+    inside += north[::2, ::2]
+    inside[:, :h] += north[::2, 1::2]
+    inside *= 2.0
+    _add_block_sums(centre, centre_c.reshape(m, m))
+    centre_c += inside.reshape(-1)
+    east_c.reshape(m, m)[:, :h] = east[::2, 1::2]
+    east_c.reshape(m, m)[:h, :h] += east[1::2, 1::2]
+    north_c.reshape(m, m)[:h] = north[1::2, ::2]
+    north_c.reshape(m, m)[:h, :h] += north[1::2, 1::2]
+    west_c[1:] = east_c[:-1]
+    south_c[m:] = north_c[:-m]
+    if border is None:
+        return coarse, None
+    border_c = np.zeros((m, m))
+    _add_block_sums(border.reshape(n, n), border_c)
+    return coarse, border_c.reshape(-1)
+
+
+def _dia(table: np.ndarray, n: int, dim: int) -> sp.dia_matrix:
+    """The grid block of a five-point table as a dim x dim DIA matrix: the
+    entry of row r at offset k sits at column r + k of that diagonal."""
+    offsets = np.array([-n, -1, 0, 1, n])
+    data = np.zeros((5, dim))
+    for k, off in enumerate(offsets):
+        rows = slice(max(-off, 0), n * n - max(off, 0))  # rows whose column is on the grid
+        data[k, rows.start + off:rows.stop + off] = table[k, rows]
+    return sp.dia_matrix((data, offsets), shape=(dim, dim))
+
+
+def _check_diagonal(d: np.ndarray) -> None:
+    if np.any(d <= 0.0):  # on a coarse level 1'A1 over an aggregate, > 0 for SPD A
+        raise NotSPDError("matrix has a nonpositive diagonal entry")
 
 
 def _multigrid(A: sp.spmatrix) -> tuple[list[_Level], sp.csr_matrix, np.ndarray]:
@@ -544,45 +630,55 @@ def _multigrid(A: sp.spmatrix) -> tuple[list[_Level], sp.csr_matrix, np.ndarray]
 
     A matrix of at most ``_COARSEST`` unknowns is its own coarsest and may be
     any SPD matrix.  Above that the first n*n unknowns, n = isqrt(dimension),
-    are read as an n x n grid and aggregated in 2 x 2 blocks; any further
-    unknown (the CEM voltage) forms an aggregate of its own on every level.
-    Each coarse matrix is the Galerkin sum of the entries over aggregate
-    pairs, built as a CSR matrix from the fine one's entries (whose
-    summation order its bits depend on), which keeps the five-point pattern,
-    the symmetry and the diagonal dominance.  Raises NotSPDError on a
-    nonpositive diagonal entry or a singular coarsest matrix, and
-    DimensionError on an entry off the grid's five-point pattern.
+    are read once as an n x n grid (``_read_grid``) and aggregated in 2 x 2
+    blocks; a further unknown (the CEM voltage V) forms an aggregate of its
+    own on every level.  The finest level is A as read.  Each coarser one is
+    the Galerkin product P'AP of the one above, P the 0/1 aggregation
+    matrix, summed by strided slices of its five-point table in the order
+    ``_coarsen`` states, which reads A as symmetric; it keeps the five-point
+    pattern, the symmetry and the diagonal dominance.  Raises NotSPDError on
+    a nonpositive diagonal entry or a singular coarsest matrix, and
+    DimensionError on an entry off the grid's five-point pattern or more
+    than one unknown past the grid.
     """
     A = A.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    finest = A
     dim = A.shape[0]
-    n = math.isqrt(dim)
-    extra = dim - n * n
+    d = A.diagonal()
+    _check_diagonal(d)
     levels = []
-    while True:
-        d = A.diagonal()
-        if np.any(d <= 0.0):  # on a coarse level 1'A1 over an aggregate, > 0 for SPD A
-            raise NotSPDError("matrix has a nonpositive diagonal entry")
-        if dim <= _COARSEST:
-            break
-        m = (n + 1) // 2
-        block = np.arange(n, dtype=np.int32) // 2
-        aggregate = np.concatenate([(block[:, None] * m + block).ravel(),
-                                    m * m + np.arange(extra, dtype=np.int32)])
-        rows = np.repeat(aggregate, np.diff(A.indptr))
-        coarse = sp.csr_matrix((A.data, (rows, aggregate[A.indices])),
-                               shape=(m * m + extra, m * m + extra))
-        del rows, aggregate  # freed first: the level built next can reuse their pages
-        levels.append(_level(A, n, _DAMPING / d))
-        A, dim, n = coarse, m * m + extra, m
+    if dim <= _COARSEST:
+        coarsest = A.toarray()
+    else:
+        n = math.isqrt(dim)
+        table, border = _read_grid(A, n)
+        column = voltage = None
+        if border is not None:  # V's row on the finest level is A's own
+            start, stop = A.indptr[-2:]
+            voltage = (A.indices[start:stop], A.data[start:stop])
+        while dim > _COARSEST:
+            if border is not None:
+                coupled = np.flatnonzero(border)
+                column = (coupled, border[coupled])
+                if levels:  # on a coarse level V's row is its column, then V's diagonal
+                    voltage = (np.append(coupled, n * n), np.append(column[1], d[-1]))
+            levels.append(_Level(_dia(table, n, dim), column, voltage, _DAMPING / d, n))
+            table, border = _coarsen(table, border, n)
+            n = (n + 1) // 2
+            dim = n * n + (border is not None)
+            d = table[2] if border is None else np.append(table[2], d[-1])
+            _check_diagonal(d)
+        coarsest = _dia(table, n, dim).toarray()
+        if border is not None:
+            coarsest[-1, :-1] = coarsest[:-1, -1] = border
+            coarsest[-1, -1] = d[-1]
     try:
-        inverse = np.linalg.inv(A.toarray())
+        inverse = np.linalg.inv(coarsest)
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"coarsest multigrid matrix is singular: {exc}") from exc
-    return levels, finest, 0.5 * (inverse + inverse.T)
+    return levels, A, 0.5 * (inverse + inverse.T)
 
 
 def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -612,12 +708,15 @@ def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) 
 
 
 def pcg_solve(
-    system: SparseSystem, tol: float = SOLVE_TOL
+    system: SparseSystem, tol: float = SOLVE_TOL, x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Conjugate gradients from the zero initial guess, preconditioned by one
-    aggregation multigrid V-cycle (``_multigrid``) built from the matrix,
-    whose products go through the finest level's DIA product (a matrix too
-    small to have a level, which may be any SPD matrix, uses its CSR form).
+    """Conjugate gradients from the guess ``x0`` (zero when None),
+    preconditioned by one aggregation multigrid V-cycle (``_multigrid``)
+    built from the matrix, whose products go through the finest level's DIA
+    product (a matrix too small to have a level, which may be any SPD
+    matrix, uses its CSR form).  A guess whose residual already meets
+    ``tol`` is returned as it is, after 0 iterations and with no hierarchy
+    built.
 
     The V-cycle needs about as many iterations at every grid size (at most
     13 on the forward systems for n = 65 to 1025) and no sparse factor.
@@ -629,10 +728,14 @@ def pcg_solve(
     ``_COARSEST`` unknowns.
     """
     _check_tol(tol)
+    if x0 is not None:  # no iteration, so no preconditioner is called
+        x, _, res = _cg(system.matrix, system.rhs, None, tol, 0, x0)
+        if res <= tol:
+            return _checked(x, 0, res, tol, "multigrid")
     max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
     levels, A, coarsest_inverse = _multigrid(system.matrix)
     return _checked(*_cg(levels[0] if levels else A, system.rhs,
-                         partial(_v_cycle, levels, coarsest_inverse), tol, max_iter),
+                         partial(_v_cycle, levels, coarsest_inverse), tol, max_iter, x0),
                     tol, "multigrid")
 
 

@@ -9,8 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import ElectrodeSet, RobinCoefficients, electrode_quadrature
-from .elliptic import SOLVE_TOL, SolveStats, assemble_cem, assemble_robin, pcg_solve
+from .boundary import ElectrodeSet, RobinCoefficients, base_coefficients, electrode_quadrature
+from .elliptic import (
+    SOLVE_TOL,
+    SolveStats,
+    _bordered,
+    _cem_border,
+    assemble_robin,
+    pcg_solve,
+)
 from .errors import DataError
 from .fields import (
     Grid,
@@ -68,9 +75,32 @@ def solve_cem_forward(
     tol: float = SOLVE_TOL,
 ) -> ForwardResult:
     """Solve the complete electrode model; the bordered unknown is the
-    electrode voltage, returned as ``cem_voltage``."""
-    system = assemble_cem(sigma, electrodes, grid)
-    x, stats = pcg_solve(system, tol=tol)
+    electrode voltage, returned as ``cem_voltage``.
+
+    The CEM system (``assemble_cem``) is the sharp Robin system bordered by
+    V, so its solution is lambda (u0, zI), u0 the sharp Robin solution and
+    lambda = ``cem_scaling``.  After every check of the CEM assembly, the
+    sharp Robin system is solved as ``solve_forward`` solves it, its matrix
+    is then bordered by V, and lambda (u0, zI) is the guess of the CEM
+    solve: where it meets ``tol`` on the bordered system (as it does unless
+    z is small) it is returned as it is, with no hierarchy built; elsewhere
+    CG polishes it.  Where cem_scaling finds 1/lambda degenerate (z below
+    about 1e-12) the CEM solve starts from zero.  ``stats`` counts the
+    iterations of both solves.
+    """
+    robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
+    border, corner = _cem_border(robin.matrix, sigma, electrodes, grid)
+    x, robin_stats = pcg_solve(robin, tol=tol)
+    try:
+        lam = _scaling(ScalarField(grid, x), electrodes, grid)
+    except DataError:  # so small a z that the Robin current, 1/lambda, is below 1e-12
+        x0 = None
+    else:
+        x0 = np.append(lam * x, lam * (electrodes.z * electrodes.current))
+    system = _bordered(robin.matrix, border, corner, electrodes.current)
+    del robin  # freed before the CEM solve
+    x, stats = pcg_solve(system, tol=tol, x0=x0)
+    stats.iterations += robin_stats.iterations
     v = ScalarField(grid, x[:-1])
     return ForwardResult(
         u=v, a=interior_data(sigma, v), stats=stats, cem_voltage=float(x[-1])
@@ -90,7 +120,11 @@ def cem_scaling(
     scaling.
     """
     require_same_grid(grid, result.u)
-    tr = boundary_trace(result.u).values
+    return _scaling(result.u, electrodes, grid)
+
+
+def _scaling(u: ScalarField, electrodes: ElectrodeSet, grid: Grid) -> float:
+    tr = boundary_trace(u).values
     zi = electrodes.z * electrodes.current
     (pos, w_pos), (neg, w_neg) = electrode_quadrature(electrodes, grid)
     length = float(w_pos.sum())

@@ -317,11 +317,82 @@ def test_multigrid_iterations_independent_of_n(n):
         assert stats.iterations <= 25
 
 
+def _galerkin_by_node(A, n, extra):
+    """The next level's matrix P'AP of the CSR matrix A on an n x n grid and
+    ``extra`` (0 or 1) further unknowns, as a CSR matrix built node by node
+    in the summation order ``_multigrid`` documents: per 2 x 2 block (lower
+    left a, lower right b, upper left c, upper right d; the missing ones of
+    the last row and column skipped when n is odd), the centre is
+    0 + Ca + Cb + Cc + Cd plus twice 0 + Ea + Ec + Na + Nb, the east entry
+    Eb + Ed, the north entry Nc + Nd, the entry in the voltage column
+    0 + Ba + Bb + Bc + Bd, and the voltage's diagonal is A's; the west and
+    south entries are the east and north entries of the blocks to the left
+    and below, and the voltage row is the voltage column."""
+    entries = dict(zip(zip(*A.nonzero()), A[A.nonzero()].A1))
+    nn, m = n * n, (n + 1) // 2
+
+    def east(j, i):
+        return entries.get((j * n + i, j * n + i + 1), 0.0) if i < n - 1 else 0.0
+
+    def north(j, i):
+        return entries.get((j * n + i, j * n + i + n), 0.0) if j < n - 1 else 0.0
+
+    centre, east_c, north_c, border = {}, {}, {}, {}
+    for J in range(m):
+        for I in range(m):
+            a = (2 * J, 2 * I)
+            b = (2 * J, 2 * I + 1) if 2 * I + 1 < n else None
+            c = (2 * J + 1, 2 * I) if 2 * J + 1 < n else None
+            d = (2 * J + 1, 2 * I + 1) if b and c else None
+            block = [p for p in (a, b, c, d) if p is not None]
+            total = 0.0
+            for j, i in block:
+                total += entries.get((j * n + i, j * n + i), 0.0)
+            inside = 0.0 + east(*a)
+            if c:
+                inside += east(*c)
+            inside += north(*a)
+            if b:
+                inside += north(*b)
+            centre[J, I] = total + 2.0 * inside
+            east_c[J, I] = (east(*b) + east(*d) if d else east(*b)) if b else 0.0
+            north_c[J, I] = (north(*c) + north(*d) if d else north(*c)) if c else 0.0
+            border[J, I] = 0.0
+            for j, i in block:
+                border[J, I] += entries.get((j * n + i, nn), 0.0)
+    rows, cols, vals = [], [], []
+
+    def put(row, col, value):
+        if value != 0.0:
+            rows.append(row)
+            cols.append(col)
+            vals.append(value)
+
+    for J in range(m):
+        for I in range(m):
+            k = J * m + I
+            put(k, k - m, north_c[J - 1, I] if J > 0 else 0.0)
+            put(k, k - 1, east_c[J, I - 1] if I > 0 else 0.0)
+            put(k, k, centre[J, I])
+            put(k, k + 1, east_c[J, I])
+            put(k, k + m, north_c[J, I])
+            if extra:
+                put(k, m * m, border[J, I])
+    if extra:
+        for J in range(m):
+            for I in range(m):
+                put(m * m, J * m + I, border[J, I])
+        put(m * m, m * m, entries[nn, nn])
+    dim = m * m + extra
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
 def _former_multigrid(A):
     """The CSR multigrid that ``_multigrid`` replaced: each level keeps its
-    CSR matrix and the aggregate number of each unknown, and the V-cycle
-    restricts with ``np.bincount`` and prolongs with a gather.  Returns the
-    levels (matrix, damped inverse diagonal, aggregate) and the V-cycle."""
+    CSR matrix, built node by node (``_galerkin_by_node``), and the
+    aggregate number of each unknown, and the V-cycle restricts with
+    ``np.bincount`` and prolongs with a gather.  Returns the levels
+    (matrix, damped inverse diagonal, aggregate) and the V-cycle."""
     A = A.tocsr()
     dim = A.shape[0]
     n = math.isqrt(dim)
@@ -338,9 +409,8 @@ def _former_multigrid(A):
         aggregate = np.concatenate([(j // 2) * m + i // 2,
                                     m * m + np.arange(extra, dtype=np.int32)])
         levels.append((A, elliptic._DAMPING / d, aggregate))
+        A = _galerkin_by_node(A, n, extra)
         dim, n = m * m + extra, m
-        rows = np.repeat(aggregate, np.diff(A.indptr))
-        A = sp.csr_matrix((A.data, (rows, aggregate[A.indices])), shape=(dim, dim))
     inverse = np.linalg.inv(A.toarray())
     return levels, partial(_former_v_cycle, levels, 0.5 * (inverse + inverse.T))
 
@@ -448,6 +518,77 @@ def test_v_cycle_matches_former_csr_v_cycle(n, kind, seed):
                                             elliptic.SOLVE_TOL, max_iter)
     assert x.tobytes() == x0.tobytes()
     assert (stats.iterations, stats.relative_residual) == (iterations, residual)
+
+
+def _aggregation(n, extra):
+    """The 0/1 aggregation matrix P of an n x n grid's 2 x 2 blocks, each
+    further unknown an aggregate of its own."""
+    m = (n + 1) // 2
+    j, i = np.divmod(np.arange(n * n), n)
+    aggregate = np.concatenate([(j // 2) * m + i // 2, m * m + np.arange(extra)])
+    return sp.csr_matrix((np.ones(aggregate.size), (np.arange(aggregate.size), aggregate)),
+                         shape=(aggregate.size, m * m + extra))
+
+
+def _level_matrix(level):
+    """A level's matrix in CSR form: its DIA grid block, V's column and V's row."""
+    M = level.stencil.tocoo()
+    rows, cols, vals = [M.row], [M.col], [M.data]
+    if level.voltage is not None:
+        (coupled, column), (columns, row) = level.border, level.voltage
+        last = M.shape[0] - 1
+        rows += [coupled, np.full(columns.size, last)]
+        cols += [np.full(coupled.size, last), columns]
+        vals += [column, row]
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=M.shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 90), kind=st.sampled_from(_SYSTEM_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_coarse_level_is_the_galerkin_product(n, kind, seed):
+    # each level below the finest, the coarsest included (the matrix handed
+    # to the dense inverse), is P'AP of the level above, P the 0/1
+    # aggregation matrix, within the rounding of its sums: an entry sums at
+    # most 12 products of A's entries, so two summation orders differ by at
+    # most 11 eps times the sum of their magnitudes, P'|A|P
+    rng = np.random.default_rng(seed)
+    try:
+        system = _random_system(kind, n, rng)
+    except DataError:
+        assume(False)
+    coarsest, inv = [], np.linalg.inv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "inv", lambda M: coarsest.append(M.copy()) or inv(M))
+        levels, A, _ = _multigrid(system.matrix)
+    matrices = [_level_matrix(lv) for lv in levels] + [sp.csr_matrix(coarsest[0])]
+    assert abs(matrices[0] - system.matrix).max() == 0.0
+    extra = system.dimension - math.isqrt(system.dimension) ** 2
+    for fine, coarse, level in zip(matrices, matrices[1:], levels):
+        P = _aggregation(level.n, extra)
+        galerkin = (P.T @ fine @ P).tocsr()
+        bound = 11 * np.finfo(float).eps * (P.T @ abs(fine) @ P)
+        assert (abs(coarse - galerkin) > bound).nnz == 0
+        assert coarse.shape == galerkin.shape and abs(coarse - coarse.T).max() == 0.0
+
+
+def test_a_guess_that_meets_tol_is_returned_with_no_hierarchy():
+    # the guess's own bits after 0 iterations, and no multigrid built (a
+    # build would call None); a guess short of tol is polished by CG
+    g = make_grid(65)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=65, seed=2))
+    system = assemble_cem(sigma, ElectrodeSet(z=1e-3), g)
+    x, _ = pcg_solve(system, tol=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elliptic, "_multigrid", None)
+        y, stats = pcg_solve(system, x0=x)
+    assert y.tobytes() == x.tobytes() and y is not x
+    assert stats.iterations == 0 and stats.relative_residual <= elliptic.SOLVE_TOL
+    y, stats = pcg_solve(system, x0=0.5 * x)
+    assert stats.iterations > 0
+    assert np.linalg.norm(system.rhs - system.matrix @ y) <= (
+        elliptic.SOLVE_TOL * np.linalg.norm(system.rhs))
 
 
 def test_pcg_reads_any_csr_form_of_a_grid_matrix():

@@ -3,6 +3,7 @@ and the non-uniqueness transform."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,8 @@ from cdrecon.boundary import (
     electrode_quadrature,
     smoothed_coefficients,
 )
-from cdrecon.elliptic import assemble_cem, assemble_robin
+from cdrecon import elliptic
+from cdrecon.elliptic import SOLVE_TOL, assemble_cem, assemble_robin
 from cdrecon.errors import DataError
 from cdrecon.family import nonuniqueness_transform
 from cdrecon.fields import ScalarField, boundary_trace, make_grid, rel_l2_error
@@ -23,6 +25,7 @@ from cdrecon.forward import (
     solve_cem_forward,
     solve_forward,
 )
+from cdrecon.phantom import PhantomSpec, generate_phantom
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +168,44 @@ def test_cem_is_lambda_times_sharp_robin_at_every_aperture(n, seed, aperture, z,
     lam = cem_scaling(sharp, el, g)
     assert rel_l2_error(ScalarField(g, lam * sharp.u.values), cem.u) <= 1e-9
     assert cem.cem_voltage == pytest.approx(lam * z * current, rel=1e-9)
+
+
+def test_cem_is_cem_scaling_times_the_sharp_robin_output_bit_for_bit():
+    # at z = 1 the guess lambda (u0, zI) meets the tolerance on the bordered
+    # system: one multigrid hierarchy (the Robin one) is built, and the CEM
+    # potential is lambda u0 of forward --epsilon 0's solve, bit for bit
+    g = make_grid(65)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=65, seed=7))
+    el = ElectrodeSet()
+    builds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elliptic, "_multigrid",
+                   lambda A, build=elliptic._multigrid: builds.append(A.shape) or build(A))
+        cem = solve_cem_forward(sigma, el, g)
+    assert builds == [(g.num_nodes, g.num_nodes)]
+    sharp = solve_forward(sigma, base_coefficients(el, g), g)
+    lam = cem_scaling(sharp, el, g)
+    assert cem.u.values.tobytes() == (lam * sharp.u.values).tobytes()
+    assert cem.cem_voltage == lam * (el.z * el.current)
+    assert cem.stats.iterations == sharp.stats.iterations
+
+
+@pytest.mark.parametrize("n", [17, 64])
+@pytest.mark.parametrize("z", [1e-2, 1e-4, 1e-6, 1e-7])
+def test_cem_from_the_robin_guess_matches_a_direct_solve_at_small_z(n, z):
+    # where the guess lambda (u0, zI) falls short of the tolerance, CG
+    # polishes it on the bordered system to the same residual check
+    g = make_grid(n)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=2))
+    el = ElectrodeSet(z=z)
+    result = solve_cem_forward(sigma, el, g)
+    system = assemble_cem(sigma, el, g)
+    x = np.append(result.u.values, result.cem_voltage)
+    expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+    assert np.linalg.norm(system.rhs - system.matrix @ x) <= (
+        SOLVE_TOL * np.linalg.norm(system.rhs))
+    assert result.stats.relative_residual <= SOLVE_TOL
 
 
 def test_add_noise_contract():
