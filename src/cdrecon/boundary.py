@@ -177,7 +177,9 @@ def smoothed_coefficients(
     Epsilon must lie in (0, 1] and the width (None: 4h) be finite, positive
     and at least 2h (DataError); ``ReconConfig`` applies this rule when
     built, all but the bound of 2h, which needs the grid.  The profile takes
-    no node set, so any aperture in (0, 1] is accepted.
+    no node set, so any aperture in (0, 1] is accepted.  The default width
+    is 4h of the grid it is applied to, so data made on one grid and
+    reconstructed on another need an explicit width.
     """
     _check_smoothing(epsilon, width)
     if width is None:

@@ -869,8 +869,3 @@ def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:
     c = coeffs.c.values[pat.face_value]
     bb = coeffs.b.values[pat.face_value]
     return float(np.sum(pat.face_weight * (c - bb * u.values[pat.face_rows])))
-
-
-def quadratic_energy(system: SparseSystem, x: np.ndarray) -> float:
-    """Energy 0.5 x'Ax - rhs'x whose minimizer solves the system."""
-    return float(0.5 * x @ (system.matrix @ x) - system.rhs @ x)

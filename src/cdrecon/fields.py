@@ -95,16 +95,6 @@ def boundary_nodes(grid: Grid) -> np.ndarray:
     return j * grid.n + i
 
 
-def boundary_weights(grid: Grid) -> np.ndarray:
-    """Arc-length quadrature weights for the closed boundary loop.
-
-    Composite trapezoid on a closed polyline gives every node weight h
-    (corners collect h/2 from each adjacent side); the weights sum to the
-    exact perimeter 4.
-    """
-    return np.full(grid.num_boundary_nodes, grid.h)
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """One real value per grid node, flat array of length n^2, all finite

@@ -18,6 +18,7 @@ from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
     _check_smoothing,
+    boundary_faces,
     smoothed_coefficients,
 )
 from .elliptic import SOLVE_TOL, FactorCache, SolveStats, assemble_robin, solve_reusing_factor
@@ -40,7 +41,6 @@ from .fields import (
     _wide_cells,
     _zero_ring,
     boundary_nodes,
-    boundary_weights,
     cell_average,
     gradient,
     rel_l2_error,
@@ -79,13 +79,15 @@ class ReconConfig:
     never fails a rule later.
 
     A setting that another function reads is checked by that function's
-    rule: ``epsilon`` and ``transition_width`` (None: 4h) by
-    ``smoothed_coefficients``, all but the width's bound of 2h, which needs
-    the grid; ``grad_floor`` by ``sigma_from_potential``; ``initial_sigma``
-    and ``calibration_band`` by ``level_calibration``.  The rest are checked
-    here: ``delta`` positive and finite, ``stop_tol`` positive,
-    ``max_outer_iterations`` at least 1, and ``sigma_bounds`` (lo, hi), onto
-    which every iterate is projected (None: unbounded), with 0 < lo <= hi.
+    rule: ``epsilon`` and ``transition_width`` (None: 4h of the grid
+    reconstructed on, so data made on another grid need an explicit width)
+    by ``smoothed_coefficients``, all but the width's bound of 2h, which
+    needs the grid; ``grad_floor`` by ``sigma_from_potential``;
+    ``initial_sigma`` and ``calibration_band`` by ``level_calibration``.
+    The rest are checked here: ``delta`` positive and finite, ``stop_tol``
+    positive, ``max_outer_iterations`` at least 1, and ``sigma_bounds``
+    (lo, hi), onto which every iterate is projected (None: unbounded), with
+    0 < lo <= hi.
 
     ``calibrate`` assumes that the medium equals ``initial_sigma`` in the
     margin band of width ``calibration_band`` (the standard embedding of an
@@ -207,11 +209,13 @@ class ReconReport:
 
 
 def boundary_penalty(v: ScalarField, coeffs: RobinCoefficients) -> float:
-    """0.5 * integral of b (v - c/b)^2 over the boundary (closed-loop
-    trapezoid), the boundary term of G for the Robin data (b, c).
-
-    Requires b > 0 everywhere (smoothed coefficients, epsilon > 0): off the
-    electrodes the sharp coefficients have b = 0 and no target c/b.
+    """0.5 * integral of b (v - c/b)^2 over the boundary, the boundary term
+    of G for Robin data (b, c) with b >= 0, on the faces on which
+    ``assemble_robin`` integrates b and c (``boundary.boundary_faces``): a
+    face of length w adds 0.5 w (b v^2 - 2 c v), plus 0.5 w c^2/b where
+    b > 0, with v at the node that owns it.  So it is defined at b = 0, and
+    penalty(v) - penalty(0) is 0.5 v'(A - K)v - rhs'v for the Robin system
+    (A, rhs) and its flux part K.
     """
     require_same_grid(v, coeffs)
     return _boundary_penalty_of(coeffs)(v.values)
@@ -219,27 +223,20 @@ def boundary_penalty(v: ScalarField, coeffs: RobinCoefficients) -> float:
 
 def _boundary_penalty_of(coeffs: RobinCoefficients) -> Callable[[np.ndarray], float]:
     """``boundary_penalty`` for fixed coefficients, as a function of the flat
-    nodal values of v; the boundary nodes, the weights times b and the
-    target c/b are computed once."""
-    b = coeffs.b.values
-    # written as `not x > 0` so that NaN is rejected too
-    if not np.all(b > 0.0):
-        raise DataError("the boundary penalty needs b > 0; c/b is undefined off electrodes")
-    grid = coeffs.grid
-    nodes = boundary_nodes(grid)
-    wb = boundary_weights(grid) * b
-    target = coeffs.c.values / b
-
-    def penalty(values: np.ndarray) -> float:
-        dv = values[nodes] - target
-        return float(0.5 * np.sum(wb * dv * dv))
-
-    return penalty
+    nodal values of v; the face terms are computed once."""
+    node_f, val_f, w = boundary_faces(coeffs.grid)
+    rows = boundary_nodes(coeffs.grid)[node_f]
+    b, c = coeffs.b.values[val_f], coeffs.c.values[val_f]
+    constant = float(0.5 * np.sum(w * np.divide(c * c, b, out=np.zeros_like(b), where=b > 0.0)))
+    half_wb, wc = 0.5 * w * b, w * c
+    return lambda values: float(np.sum((half_wb * values[rows] - wc) * values[rows])) + constant
 
 
 def functional_G(v: ScalarField, a: ScalarField, coeffs: RobinCoefficients) -> float:
     """Weighted-TV functional: integral of a |grad v| plus the boundary
-    penalty 0.5 * integral of b (v - c/b)^2, ``functional_Gdelta`` at delta 0."""
+    penalty 0.5 * integral of b (v - c/b)^2 on the faces of the Robin
+    assembly, b >= 0 (``boundary_penalty``); ``functional_Gdelta`` at
+    delta 0."""
     return functional_Gdelta(v, a, coeffs, 0.0)
 
 
@@ -429,7 +426,11 @@ def reconstruct(
     The linear solves share one LU factor, created here and dropped on
     return (see ``solve_reusing_factor``); ``report.factorizations`` counts
     them.  The sweep runs in place: the constants (cell weights, boundary
-    target), the buffers and one Robin matrix are built once per call.
+    terms), the buffers and one Robin matrix are built once per call.
+
+    A boundary term that rounds away (``assemble_robin``) is a DataError
+    that names z at the first assembly; at a later one the iterate ran
+    away, and it names the sweep and the largest sigma instead.
     """
     require_same_grid(grid, a, ground_truth)
     if np.any(a.values < 0.0):
@@ -464,7 +465,13 @@ def reconstruct(
     def solve_at(sigma: np.ndarray, tol: float, x0: np.ndarray | None):
         nonlocal system
         np.add(sigma, delta, out=shifted)
-        system = assemble_robin(ScalarField(grid, shifted), coeffs, grid, out=system)
+        try:
+            system = assemble_robin(ScalarField(grid, shifted), coeffs, grid, out=system)
+        except DataError as exc:
+            if system is None:  # the first assembly, at initial_sigma: z is at fault
+                raise
+            raise DataError(f"sigma reached {sigma.max():g} after sweep {report.iterations}: "
+                            "the data do not fit the electrode model") from exc
         x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
         return ScalarField(grid, x), stats
 

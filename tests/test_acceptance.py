@@ -12,6 +12,10 @@ Criteria:
   8. regularization-schedule convergence of the functional values
   9. invariant sweep (adjointness, conservation, antisymmetry, symmetry/SPD
      probes, file round-trip, determinism) in under 2 minutes
+
+Beside them, not numbered: the blob phantom reconstructed from data made on
+the nested 2n-1 grid (n = 64 and 128), where the inverse crime of criterion
+6, data from the inversion's own discretization, is not committed.
 """
 
 import time
@@ -269,3 +273,35 @@ def test_criterion_9_invariant_sweep(tmp_path):
                f"antisymmetry {anti:.1e}, symmetry/SPD/round-trip/determinism "
                f"ok, {elapsed:.1f} s")
     assert elapsed < 120.0
+
+
+@pytest.mark.parametrize("n, ceiling", [(64, 2.8e-2), (128, 2.0e-2)])
+def test_nested_grid_data_without_the_inverse_crime(n, ceiling):
+    # the data come from the 2n-1 grid, whose even nodes are the n grid's,
+    # so they are not the inversion's own discretization: a and the truth
+    # are restricted to those nodes, not interpolated.  The transition width
+    # is given on both grids, since the default of 4h is another width on
+    # each.  Not a numbered criterion; the ceilings sit about 25 % above the
+    # errors measured when it was written, 2.261e-2 and 1.604e-2
+    fine_grid, grid = make_grid(2 * n - 1), make_grid(n)
+    truth = cd.generate_phantom(cd.PhantomSpec(
+        kind="blobs", n=2 * n - 1, seed=7, lo=1.0, hi=1.8,
+        margin=0.15, blob_width=(0.05, 0.10),
+    ))
+    el = cd.ElectrodeSet()
+    width = 4.0 / (n - 1)
+    fwd = cd.solve_forward(truth, cd.smoothed_coefficients(el, fine_grid, 5e-4, width),
+                           fine_grid)
+
+    def restrict(field):
+        return ScalarField(grid, field.values2d[::2, ::2].copy())
+
+    truth = restrict(truth)
+    a = cd.add_noise(restrict(fwd.a), 1e-5, 1)
+    sigma, u, report = cd.reconstruct(
+        a, el, cd.ReconConfig(transition_width=width), grid, truth)
+    err = cd.rel_l2_error(sigma, truth)
+    print(f"nested data, n={n}: rel error = {err:.3e} (<= {ceiling:g}), "
+          f"stop_reason={report.stop_reason}, {report.iterations} sweeps")
+    assert report.stop_reason == "tol"
+    assert err <= ceiling

@@ -32,7 +32,6 @@ from cdrecon.fields import (
     _wide_cells,
     boundary_loop,
     boundary_trace,
-    boundary_weights,
     cell_average,
     cells_to_nodes,
     divergence,
@@ -90,11 +89,6 @@ def test_grid_boundary_nodes_are_edges():
     assert on_edge.all()
     # each boundary node appears exactly once
     assert len({(a, b) for a, b in zip(i.tolist(), j.tolist())}) == 24
-
-
-def test_boundary_weights_sum_to_perimeter():
-    g = make_grid(17)
-    assert boundary_weights(g).sum() == pytest.approx(4.0)
 
 
 def test_gradient_constant_is_zero():

@@ -7,14 +7,16 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdrecon import family, recon
+from cdrecon import elliptic, family, recon
 from cdrecon.boundary import (
     ElectrodeSet,
     RobinCoefficients,
     base_coefficients,
+    boundary_faces,
     electrode_quadrature,
     smoothed_coefficients,
 )
@@ -23,7 +25,6 @@ from cdrecon.elliptic import (
     FactorCache,
     assemble_robin,
     pcg_solve,
-    quadratic_energy,
     solve_reusing_factor,
 )
 from cdrecon.errors import DataError, DimensionError
@@ -31,7 +32,6 @@ from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
     boundary_trace,
-    boundary_weights,
     cell_average,
     gradient,
     make_grid,
@@ -44,7 +44,7 @@ from cdrecon.family import (
     level_calibration,
     nonuniqueness_transform,
 )
-from cdrecon.forward import add_noise, solve_forward
+from cdrecon.forward import add_noise, solve_cem_forward, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import (
     _ANDERSON_DEPTH,
@@ -63,6 +63,11 @@ from cdrecon.recon import (
     reconstruct,
     sigma_from_potential,
 )
+
+
+def _quadratic_energy(system, x):
+    """Energy 0.5 x'Ax - rhs'x whose minimizer solves the system."""
+    return float(0.5 * x @ (system.matrix @ x) - system.rhs @ x)
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +95,13 @@ def test_functional_g_matching_trace():
     a = ScalarField(g, rng.uniform(0.2, 1.0, g.num_nodes))
     h = ScalarField.from_function(g, lambda x, y: x - y)
     coeffs = _unit_b_coeffs(h)
-    assert functional_G(h, a, coeffs) == pytest.approx(weighted_tv(h, a), rel=1e-12)
+    # the penalty vanishes but on the four corner half-faces of length h/2
+    # on the horizontal sides, which carry v at the corner and the target of
+    # its horizontal neighbour, off by h: 4 * 0.5 * (h/2) * h^2 = h^3
+    tv = weighted_tv(h, a)
+    assert functional_G(h, a, coeffs) == pytest.approx(tv + g.h**3, rel=1e-12)
     zero_a = ScalarField.constant(g, 0.0)
-    assert functional_G(h, zero_a, coeffs) == 0.0
+    assert functional_G(h, zero_a, coeffs) == pytest.approx(g.h**3, rel=1e-12)
 
 
 def test_functional_g_boundary_quadrature():
@@ -134,19 +143,34 @@ def test_functional_gdelta_terms():
             functional_Gdelta(v, a, coeffs, bad)
 
 
-def test_boundary_penalty_requires_positive_b():
-    # the sharp coefficients have b = 0 off the electrodes, where the target
-    # c/b is undefined
-    g = make_grid(9)
-    v = ScalarField.from_function(g, lambda x, y: y)
-    a = ScalarField.constant(g, 1.0)
-    sharp = base_coefficients(ElectrodeSet(), g)
-    with pytest.raises(DataError, match="b > 0"):
-        boundary_penalty(v, sharp)
-    with pytest.raises(DataError, match="b > 0"):
-        functional_G(v, a, sharp)
-    with pytest.raises(DataError, match="b > 0"):
-        functional_Gdelta(v, a, sharp, 1e-3)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 40), aperture=st.floats(0.5, 1.0), log_z=st.floats(-2.0, 2.0),
+       epsilon=st.sampled_from([0.0, 5e-4, 0.5]), delta=st.floats(0.0, 1e-2),
+       seed=st.integers(0, 2**32 - 1))
+def test_boundary_penalty_is_the_robin_systems_quadratic(n, aperture, log_z, epsilon, delta,
+                                                         seed):
+    # penalty(v) - penalty(0) = 0.5 v'(A - K)v - rhs'v, A the Robin matrix
+    # and K its flux part: the penalty integrates b and c on the faces of the
+    # assembly, the corner half-faces included, for the sharp coefficients
+    # (epsilon 0, b = 0 off the electrodes) as for the smoothed ones
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture, z=10.0**log_z)
+    coeffs = (base_coefficients(el, g) if epsilon == 0.0
+              else smoothed_coefficients(el, g, epsilon))
+    rng = np.random.default_rng(seed)
+    sigma = ScalarField(g, np.exp(rng.uniform(-1.0, 1.0, g.num_nodes)))
+    v = ScalarField(g, rng.normal(size=g.num_nodes))
+    system = assemble_robin(sigma, coeffs, g)
+    pat = elliptic._stencil_pattern(n)
+    K = sp.csr_matrix((elliptic._stencil(sigma.values, n)[pat.present], pat.indices,
+                       pat.indptr), shape=system.matrix.shape)
+    quadratic = 0.5 * float(v.values @ ((system.matrix - K) @ v.values))
+    linear = float(system.rhs @ v.values)
+    at_zero = boundary_penalty(ScalarField.constant(g, 0.0), coeffs)
+    got = boundary_penalty(v, coeffs) - at_zero
+    assert abs(got - (quadratic - linear)) <= 1e-12 * (quadratic + abs(linear) + at_zero)
+    a = ScalarField(g, rng.uniform(0.0, 1.0, g.num_nodes))
+    assert math.isfinite(functional_Gdelta(v, a, coeffs, delta))
 
 
 def test_functionals_check_grids():
@@ -410,7 +434,7 @@ def _former_level_calibration(sigma, u, electrodes, background, band):
 def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None):
     """``reconstruct`` as written before it ran in place: a fresh Robin
     system and fresh arrays every sweep, every per-run constant (the cell
-    weights, the boundary target, the margin band, the nodal-average
+    weights, the boundary face terms, the margin band, the nodal-average
     divisors) rebuilt where it is used.  The oracle of the in-place sweep,
     which must return the same bits; each solve starts, as there, from the
     mixer's warm start."""
@@ -444,9 +468,15 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
 
     def terms(u, grad, magnitude):
         tv = float(np.sum(cell_average(a) * magnitude) * h**2)
-        b = coeffs.b.values
-        dv = boundary_trace(u).values - coeffs.c.values / b
-        bterm = float(0.5 * np.sum(boundary_weights(grid) * b * dv * dv))
+        # 0.5 w (b v^2 - 2 c v) on each boundary face, v at the node that
+        # owns it, b and c at its value index, plus 0.5 w c^2/b where b > 0
+        node_f, val_f, w = boundary_faces(grid)
+        b, c = coeffs.b.values[val_f], coeffs.c.values[val_f]
+        v = boundary_trace(u).values[node_f]
+        target_term = np.zeros_like(b)
+        np.divide(c * c, b, out=target_term, where=b > 0.0)
+        bterm = (float(np.sum((0.5 * w * b * v - w * c) * v))
+                 + float(0.5 * np.sum(w * target_term)))
         dterm = float(0.5 * delta * np.sum(grad.x**2 + grad.y**2) * h**2)
         return tv, bterm, dterm
 
@@ -488,6 +518,24 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
     u_final, report.final_solve = solve_at(sigma, SOLVE_TOL, u.values)
     report.factorizations = factor.factorizations
     return sigma, u_final, report
+
+
+def test_a_runaway_sweep_names_the_iterate_not_z():
+    # CEM data reconstructed in the smoothed model at half aperture run
+    # away (n=17, 121 sweeps): sigma grows until the boundary term rounds
+    # away at a later assembly, a misfit of the data, not of z
+    g = make_grid(17)
+    truth = generate_phantom(PhantomSpec(kind="blobs", n=17, seed=2))
+    el = ElectrodeSet(aperture=0.5)
+    a = solve_cem_forward(truth, el, g).a
+    with pytest.raises(DataError, match=r"^sigma reached \S+ after sweep \d+: the data do not "
+                                        r"fit the electrode model$") as info:
+        reconstruct(a, el, ReconConfig(), g)
+    assert "contact impedance" in str(info.value.__cause__)
+    # the first assembly, at initial_sigma, names z
+    with pytest.raises(DataError, match=r"^the boundary term rounds away: contact impedance "
+                                        r"z = 1e\+200 "):
+        reconstruct(a, ElectrodeSet(aperture=0.5, z=1e200), ReconConfig(), g)
 
 
 @settings(max_examples=20, deadline=None)
@@ -693,9 +741,9 @@ def test_reconstruct_minimizer_beats_competitors(homog_setup):
             x + t * rng.normal(size=x.size) for t in (1e-4, 1e-2, 1.0)
         ]
         for y in competitors:
-            scale = abs(quadratic_energy(system, y)) + 1.0
-            assert quadratic_energy(system, x) <= (
-                quadratic_energy(system, y) + 10 * SOLVE_TOL * scale
+            scale = abs(_quadratic_energy(system, y)) + 1.0
+            assert _quadratic_energy(system, x) <= (
+                _quadratic_energy(system, y) + 10 * SOLVE_TOL * scale
             )
         previous = x
         sigma = sigma_from_potential(fwd.a, ScalarField(g, x), cfg.grad_floor)
