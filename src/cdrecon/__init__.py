@@ -17,6 +17,7 @@ from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
     base_coefficients,
+    robin_coefficients,
     smoothed_coefficients,
 )
 from .bregman import BregmanConfig, split_bregman_minimize

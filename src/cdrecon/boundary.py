@@ -2,10 +2,11 @@
 electrode quadrature.
 
 Two electrodes sit centered on the top and bottom sides of the unit square,
-the injecting one e+.  ``base_coefficients`` decides which boundary nodes
-each covers, ``boundary_faces`` how the discrete systems integrate along
-the boundary, and ``electrode_quadrature`` reads each electrode's faces off
-the two.
+the injecting one e+.  ``robin_coefficients`` selects the sharp or the
+smoothed electrode model by epsilon.  ``base_coefficients`` decides which
+boundary nodes each electrode covers, ``boundary_faces`` how the discrete
+systems integrate along the boundary, and ``electrode_quadrature`` reads
+each electrode's faces off the two.
 """
 
 from __future__ import annotations
@@ -198,6 +199,20 @@ def smoothed_coefficients(
     b = (epsilon + (1.0 - epsilon) * np.maximum(plus, minus)) / z
     c = cur * (plus - minus)
     return RobinCoefficients(BoundaryValues(grid, b), BoundaryValues(grid, c))
+
+
+def robin_coefficients(
+    electrodes: ElectrodeSet,
+    grid: Grid,
+    epsilon: float,
+    width: float | None = None,
+) -> RobinCoefficients:
+    """The coefficients of the electrode model that ``epsilon`` selects: the
+    sharp ``base_coefficients`` at epsilon = 0, where ``width`` does not
+    apply, and ``smoothed_coefficients`` otherwise."""
+    if epsilon == 0.0:
+        return base_coefficients(electrodes, grid)
+    return smoothed_coefficients(electrodes, grid, epsilon, width)
 
 
 def electrode_quadrature(

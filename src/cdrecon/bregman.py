@@ -39,15 +39,15 @@ from .fields import (
     cell_average,
     require_same_grid,
 )
-from .recon import IterationRecord, ReconReport, _check_grad_floor
+from .recon import IterationRecord, ReconReport, _check_grad_floor, _check_iteration_cap
 
 
 @dataclass(frozen=True)
 class BregmanConfig:
     """Settings of ``split_bregman_minimize``, checked when built (DataError):
-    ``rho`` and ``tol`` positive, ``max_iterations`` at least 1 and
-    ``grad_floor`` by the rule of ``sigma_from_potential``.  The v-step is
-    exact, so there is no solver tolerance to set."""
+    ``rho`` and ``tol`` positive, ``max_iterations`` an integer of at least
+    1 and ``grad_floor`` by the rule of ``sigma_from_potential``.  The
+    v-step is exact, so there is no solver tolerance to set."""
 
     rho: float = 1.0
     max_iterations: int = 500
@@ -58,8 +58,7 @@ class BregmanConfig:
         # written as `not x > 0` so that NaN is rejected too
         if not self.rho > 0.0:
             raise DataError(f"rho must be positive, got {self.rho}")
-        if not self.max_iterations >= 1:
-            raise DataError("need at least one iteration")
+        _check_iteration_cap("max_iterations", self.max_iterations)
         if not self.tol > 0.0:
             raise DataError(f"tol must be positive, got {self.tol}")
         _check_grad_floor(self.grad_floor)

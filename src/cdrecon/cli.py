@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .boundary import ElectrodeSet, base_coefficients, smoothed_coefficients
+from .boundary import ElectrodeSet, robin_coefficients
 from .bregman import BregmanConfig, split_bregman_minimize
 from .elliptic import SOLVE_TOL
 from .errors import CdreconError, FormatError, UsageError
@@ -226,10 +226,7 @@ def _cmd_forward(v: dict) -> int:
         result = solve_cem_forward(sigma, electrodes, grid, tol=v["tol"])
         info = f"cem_voltage={result.cem_voltage:.12g}"
     else:
-        if v["epsilon"] == 0.0:
-            coeffs = base_coefficients(electrodes, grid)
-        else:
-            coeffs = smoothed_coefficients(electrodes, grid, v["epsilon"], v["width"])
+        coeffs = robin_coefficients(electrodes, grid, v["epsilon"], v["width"])
         result = solve_forward(sigma, coeffs, grid, tol=v["tol"])
         info = f"epsilon={v['epsilon']:g}"
     a = add_noise(result.a, v["noise"], v["seed"])
@@ -369,7 +366,8 @@ _COMMANDS: dict[str, Command] = {
     "reconstruct": Command(_cmd_reconstruct, "reconstruct the conductivity from interior data",
                            _ELECTRODE_OPTS + (
         Opt("a", str, None, "interior data field file", required=True),
-        Opt("epsilon", float, ReconConfig.epsilon, "coefficient floor"),
+        Opt("epsilon", float, ReconConfig.epsilon,
+            "coefficient floor; 0 selects sharp coefficients"),
         Opt("delta", float, ReconConfig.delta, "regularization weight"),
         Opt("width", float, None, "smoothing arc length (default 4h)"),
         Opt("max-iter", int, ReconConfig.max_outer_iterations, "outer iteration cap"),
@@ -407,7 +405,8 @@ _COMMANDS: dict[str, Command] = {
     "study": Command(_cmd_study, "run a regularization-schedule convergence study",
                      _ELECTRODE_OPTS + (
         Opt("a", str, None, "clean interior data field file", required=True),
-        Opt("epsilon", float, ReconConfig.epsilon, "coefficient floor"),
+        Opt("epsilon", float, ReconConfig.epsilon,
+            "coefficient floor; 0 selects sharp coefficients"),
         Opt("width", float, None, "smoothing arc length (default 4h)"),
         Opt("delta0", float, ReconConfig.delta, "initial regularization weight"),
         Opt("factor", float, 2.0, "geometric decay factor (> 1)"),

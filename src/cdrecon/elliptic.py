@@ -11,14 +11,14 @@ discrete solution exact on affine potentials for the sharp full-aperture
 configuration.
 
 The Robin and Laplace-Dirichlet systems share one five-point stencil
-(``_stencil``) on one CSR pattern per grid size (``_stencil_pattern``); each
-adds its own boundary treatment.  The CEM system is the sharp Robin system
-bordered by its electrode voltage.
+(``_stencil``) and its table, which each system keeps; each adds its own
+boundary treatment.  The CEM system is the sharp Robin system bordered by
+its electrode voltage.
 
 Three solves, one per kind of caller, each returning ``SolveStats``:
 ``pcg_solve`` (multigrid CG) for the systems solved once, the forward Robin
-and CEM problems, with a hierarchy built from one read of the matrix's
-five diagonals (the CEM solve starts from lambda times the Robin solution,
+and CEM problems, with a hierarchy built from the five-point table that the
+assembly kept (the CEM solve starts from lambda times the Robin solution,
 ``forward.solve_cem_forward``, and builds none where that guess meets the
 tolerance); ``solve_reusing_factor`` (CG on an earlier LU factor) for the
 slowly varying Robin systems of the reconstruction sweeps; and
@@ -37,7 +37,7 @@ comparator never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
@@ -86,10 +86,18 @@ _OVERCORRECTION = 1.9
 
 @dataclass
 class SparseSystem:
-    """Symmetric sparse linear system A x = rhs in CSR form."""
+    """Symmetric sparse linear system A x = rhs in CSR form.
+
+    ``table`` is set by the assembly functions of this module, never by the
+    constructor: the (n*n, 5) five-point table of the grid block that the
+    assembly built (the columns of ``_stencil``, +0.0 where A stores no
+    entry) and V's column of the CEM system (None without V).
+    ``pcg_solve`` builds its multigrid from it.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    table: tuple[np.ndarray, np.ndarray | None] | None = field(default=None, init=False)
 
     @property
     def dimension(self) -> int:
@@ -151,7 +159,7 @@ def _stencil_pattern(n: int) -> _StencilPattern:
 def _stencil(sigma: np.ndarray, n: int) -> np.ndarray:
     """Flux part of the operator for the flat nodal conductivities ``sigma``
     as an (n*n, 5) table whose columns are the south, west, centre, east and
-    north neighbour of each node; entries off the grid are zero (-0.0).
+    north neighbour of each node; entries off the grid are zero.
 
     Edge conductances are weighted harmonic means of the two end nodes.  The
     x-edge k -> k+1 sits at ex[k+1] and the y-edge k -> k+n at ey[k+n], with
@@ -171,10 +179,12 @@ def _stencil(sigma: np.ndarray, n: int) -> np.ndarray:
     north[::n] *= 0.5
     north[n - 1::n] *= 0.5
     stencil = np.empty((N, 5))
-    np.negative(south, out=stencil[:, 0])
-    np.negative(west, out=stencil[:, 1])
-    np.negative(east, out=stencil[:, 3])
-    np.negative(north, out=stencil[:, 4])
+    # zero minus each edge, so that an entry off the grid is +0.0, as A
+    # reads where it stores no entry
+    np.subtract(0.0, south, out=stencil[:, 0])
+    np.subtract(0.0, west, out=stencil[:, 1])
+    np.subtract(0.0, east, out=stencil[:, 3])
+    np.subtract(0.0, north, out=stencil[:, 4])
     # the diagonal adds its terms in a fixed order (east, west, north, south
     # edge; a missing edge adds an exact zero), the order in which
     # converting an edge list to CSR sums them, so the systems match such a
@@ -230,8 +240,9 @@ def assemble_robin(
 
     With ``out``, a system that this function built for the same grid size,
     the system is written into its arrays (the matrix entries in place, on
-    the pattern they share) and ``out`` is returned: a caller that solves
-    one system after another builds one matrix.
+    the pattern they share), its table is replaced by the new one, and
+    ``out`` is returned: a caller that solves one system after another
+    builds one matrix.
     """
     require_same_grid(grid, sigma_eff, coeffs)
     _check_positive_sigma(sigma_eff)
@@ -255,6 +266,7 @@ def assemble_robin(
         out.matrix.data[:] = stencil[pat.present]
         out.rhs.fill(0.0)
     np.add.at(out.rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
+    out.table = (stencil, None)
     return out
 
 
@@ -302,14 +314,17 @@ def assemble_cem(
     current then lies below a rounding unit of V, and a near-zero (v, V)
     can pass the residual check.
     """
-    K = assemble_robin(sigma, base_coefficients(electrodes, grid), grid).matrix
-    return _bordered(K, *_cem_border(K, sigma, electrodes, grid), electrodes.current)
+    robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
+    return _bordered(robin, *_cem_border(robin.matrix, sigma, electrodes, grid),
+                     electrodes.current)
 
 
-def _bordered(K: sp.csr_matrix, border: np.ndarray, corner: float,
+def _bordered(robin: SparseSystem, border: np.ndarray, corner: float,
               current: float) -> SparseSystem:
-    """The system of ``assemble_cem`` from its grid block K and the V column
-    and diagonal of ``_cem_border``."""
+    """The system of ``assemble_cem`` from the sharp Robin system of its grid
+    block and the V column and diagonal of ``_cem_border``; it shares the
+    Robin system's table."""
+    K = robin.matrix
     N = K.shape[0]
     coupled = np.flatnonzero(border)
     # the border goes straight into the Robin CSR arrays, last in each
@@ -326,7 +341,9 @@ def _bordered(K: sp.csr_matrix, border: np.ndarray, corner: float,
     A = sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))
     rhs = np.zeros(N + 1)
     rhs[N] = 2.0 * current
-    return SparseSystem(A, rhs)
+    system = SparseSystem(A, rhs)
+    system.table = (robin.table[0], border)
+    return system
 
 
 def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem:
@@ -359,7 +376,9 @@ def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem
     keep = vals != 0.0  # store no zeros for the dropped couplings
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(stencil, axis=1))])
     A = sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(N, N))
-    return SparseSystem(A, rhs)
+    system = SparseSystem(A, rhs)
+    system.table = (stencil, None)
+    return system
 
 
 def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
@@ -518,54 +537,6 @@ def _add_block_sums(fine: np.ndarray, coarse: np.ndarray) -> None:
     coarse[:h, :h] += fine[1::2, 1::2]
 
 
-def _read_grid(A: sp.csr_matrix, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The five-point table of a canonical CSR matrix (sorted indices, no
-    duplicates) whose first n*n unknowns form an n x n grid, n > 1, and its
-    V column: table[k, r] is the entry of grid row r at the offset
-    (-n, -1, 0, 1, n)[k] (south, west, centre, east, north neighbour), and
-    border[r] its entry in the column of V, the one unknown past the grid
-    (None when there is none); zero where A stores no entry.
-
-    One pass per offset, and one for V's column, reads for every grid row
-    at once the row's next unread entry, which is the row's entry there when
-    its column says so.  Raises DimensionError when an entry of a grid row
-    lies off the five-point pattern (a neighbour across the grid's side
-    counts as off it), or when more than one unknown lies past the grid.
-    """
-    nn = n * n
-    extra = A.shape[0] - nn
-    if extra > 1:
-        raise DimensionError(f"the matrix has {extra} unknowns past its {n} x {n} grid; "
-                             "the multigrid takes at most one")
-    indptr, indices, values = A.indptr, A.indices, A.data
-    stop = indptr[1:nn + 1]
-    pos = indptr[:nn].astype(np.intp)  # each grid row's next unread entry
-    node = np.arange(nn, dtype=indices.dtype)
-    sought, read = np.empty(nn, dtype=indices.dtype), np.empty(nn, dtype=indices.dtype)
-    found, unread = np.empty(nn, dtype=bool), np.empty(nn, dtype=bool)
-    table = np.empty((5 + extra, nn))  # the five offsets, then V's column
-    for k in range(5 + extra):
-        if k < 5:
-            np.add(node, (-n, -1, 0, 1, n)[k], out=sought)
-        else:
-            sought.fill(nn)
-        np.equal(indices.take(pos, mode="clip", out=read), sought, out=found)
-        found &= np.less(pos, stop, out=unread)
-        if k == 1:
-            found[::n] = False  # a row's first node has no west neighbour
-        elif k == 3:
-            found[n - 1::n] = False  # nor its last node an east one
-        elif k == 4:
-            found[nn - n:] = False  # nor a node of the top row a north one
-        values.take(pos, mode="clip", out=table[k])
-        np.copyto(table[k], 0.0, where=~found)
-        pos += found
-    if not np.array_equal(pos, stop):
-        raise DimensionError(f"the matrix couples unknowns of its {n} x {n} grid "
-                             "off the five-point pattern")
-    return table[:5], table[5] if extra else None
-
-
 def _coarsen(table: np.ndarray, border: np.ndarray | None,
              n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The Galerkin table P'AP of the next level from the five-point table
@@ -621,30 +592,28 @@ def _check_diagonal(d: np.ndarray) -> None:
         raise NotSPDError("matrix has a nonpositive diagonal entry")
 
 
-def _multigrid(A: sp.spmatrix) -> tuple[list[_Level], sp.csr_matrix, np.ndarray]:
-    """The hierarchy of plain aggregation multigrid for A: its levels above
-    the coarsest, A in canonical CSR form, and the symmetrized dense inverse
-    of the coarsest matrix; ``_v_cycle`` makes them a preconditioner (an SPD
-    approximation of the inverse when A is SPD and weakly diagonally
-    dominant, as every system assembled here is).
+def _multigrid(system: SparseSystem) -> tuple[list[_Level], np.ndarray]:
+    """The hierarchy of plain aggregation multigrid for the matrix A of
+    ``system``: its levels above the coarsest and the symmetrized dense
+    inverse of the coarsest matrix; ``_v_cycle`` makes them a
+    preconditioner (an SPD approximation of the inverse when A is SPD and
+    weakly diagonally dominant, as every system assembled here is).
 
     A matrix of at most ``_COARSEST`` unknowns is its own coarsest and may be
-    any SPD matrix.  Above that the first n*n unknowns, n = isqrt(dimension),
-    are read once as an n x n grid (``_read_grid``) and aggregated in 2 x 2
-    blocks; a further unknown (the CEM voltage V) forms an aggregate of its
-    own on every level.  The finest level is A as read.  Each coarser one is
-    the Galerkin product P'AP of the one above, P the 0/1 aggregation
-    matrix, summed by strided slices of its five-point table in the order
-    ``_coarsen`` states, which reads A as symmetric; it keeps the five-point
-    pattern, the symmetry and the diagonal dominance.  Raises NotSPDError on
-    a nonpositive diagonal entry or a singular coarsest matrix, and
-    DimensionError on an entry off the grid's five-point pattern or more
-    than one unknown past the grid.
+    any SPD matrix.  Above that the hierarchy starts from the system's
+    ``table``: the five-point table of its n x n grid block, aggregated in
+    2 x 2 blocks, and V's column; V (the CEM voltage) forms an aggregate of
+    its own on every level, whose row is its column, then its diagonal.
+    The finest level is A.  Each coarser one is the Galerkin product P'AP
+    of the one above, P the 0/1 aggregation matrix, summed by strided
+    slices of its five-point table in the order ``_coarsen`` states, which
+    reads A as symmetric; it keeps the five-point pattern, the symmetry and
+    the diagonal dominance.  Raises NotSPDError on a nonpositive diagonal
+    entry or a singular coarsest matrix, and DimensionError above
+    ``_COARSEST`` unknowns on a system that has no table (one that no
+    assembly function built).
     """
-    A = A.tocsr()
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
+    A = system.matrix
     dim = A.shape[0]
     d = A.diagonal()
     _check_diagonal(d)
@@ -652,18 +621,19 @@ def _multigrid(A: sp.spmatrix) -> tuple[list[_Level], sp.csr_matrix, np.ndarray]
     if dim <= _COARSEST:
         coarsest = A.toarray()
     else:
-        n = math.isqrt(dim)
-        table, border = _read_grid(A, n)
+        if system.table is None:
+            raise DimensionError(
+                f"a system of {dim} unknowns, more than {_COARSEST}, needs the five-point "
+                "table of assemble_robin, assemble_cem or assemble_laplace_dirichlet")
+        table, border = system.table
+        table = table.T  # one row per offset
+        n = math.isqrt(table.shape[1])
         column = voltage = None
-        if border is not None:  # V's row on the finest level is A's own
-            start, stop = A.indptr[-2:]
-            voltage = (A.indices[start:stop], A.data[start:stop])
         while dim > _COARSEST:
             if border is not None:
                 coupled = np.flatnonzero(border)
                 column = (coupled, border[coupled])
-                if levels:  # on a coarse level V's row is its column, then V's diagonal
-                    voltage = (np.append(coupled, n * n), np.append(column[1], d[-1]))
+                voltage = (np.append(coupled, n * n), np.append(column[1], d[-1]))
             levels.append(_Level(_dia(table, n, dim), column, voltage, _DAMPING / d, n))
             table, border = _coarsen(table, border, n)
             n = (n + 1) // 2
@@ -678,7 +648,7 @@ def _multigrid(A: sp.spmatrix) -> tuple[list[_Level], sp.csr_matrix, np.ndarray]
         inverse = np.linalg.inv(coarsest)
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"coarsest multigrid matrix is singular: {exc}") from exc
-    return levels, A, 0.5 * (inverse + inverse.T)
+    return levels, 0.5 * (inverse + inverse.T)
 
 
 def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -712,9 +682,10 @@ def pcg_solve(
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the guess ``x0`` (zero when None),
     preconditioned by one aggregation multigrid V-cycle (``_multigrid``)
-    built from the matrix, whose products go through the finest level's DIA
-    product (a matrix too small to have a level, which may be any SPD
-    matrix, uses its CSR form).  A guess whose residual already meets
+    built from the five-point table that the assembly kept, whose products
+    go through the finest level's DIA product.  A system of at most
+    ``_COARSEST`` unknowns has no level and may hold any SPD matrix, whose
+    CSR form takes the products.  A guess whose residual already meets
     ``tol`` is returned as it is, after 0 iterations and with no hierarchy
     built.
 
@@ -724,8 +695,9 @@ def pcg_solve(
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
     sqrt(dimension)) iterations do not get there, NotSPDError on a
     nonpositive diagonal or nonpositive-curvature direction, and
-    DimensionError on a matrix entry off the grid's five-point pattern above
-    ``_COARSEST`` unknowns.
+    DimensionError on a system of more than ``_COARSEST`` unknowns that
+    ``assemble_robin``, ``assemble_cem`` or ``assemble_laplace_dirichlet``
+    did not build.
     """
     _check_tol(tol)
     if x0 is not None:  # no iteration, so no preconditioner is called
@@ -733,8 +705,8 @@ def pcg_solve(
         if res <= tol:
             return _checked(x, 0, res, tol, "multigrid")
     max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
-    levels, A, coarsest_inverse = _multigrid(system.matrix)
-    return _checked(*_cg(levels[0] if levels else A, system.rhs,
+    levels, coarsest_inverse = _multigrid(system)
+    return _checked(*_cg(levels[0] if levels else system.matrix, system.rhs,
                          partial(_v_cycle, levels, coarsest_inverse), tol, max_iter, x0),
                     tol, "multigrid")
 

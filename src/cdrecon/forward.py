@@ -97,8 +97,8 @@ def solve_cem_forward(
         x0 = None
     else:
         x0 = np.append(lam * x, lam * (electrodes.z * electrodes.current))
-    system = _bordered(robin.matrix, border, corner, electrodes.current)
-    del robin  # freed before the CEM solve
+    system = _bordered(robin, border, corner, electrodes.current)
+    del robin  # its matrix is freed before the CEM solve
     x, stats = pcg_solve(system, tol=tol, x0=x0)
     stats.iterations += robin_stats.iterations
     v = ScalarField(grid, x[:-1])

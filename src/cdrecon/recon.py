@@ -19,7 +19,7 @@ from .boundary import (
     RobinCoefficients,
     _check_smoothing,
     boundary_faces,
-    smoothed_coefficients,
+    robin_coefficients,
 )
 from .elliptic import SOLVE_TOL, FactorCache, SolveStats, assemble_robin, solve_reusing_factor
 from .errors import DataError
@@ -72,6 +72,13 @@ def _check_grad_floor(grad_floor: float) -> None:
         raise DataError(f"grad_floor must be positive and less than 1, got {grad_floor}")
 
 
+def _check_iteration_cap(name: str, cap: int) -> None:
+    """DataError unless an iteration cap is an integer of at least 1: a
+    float, even 2.0, or inf would build and fail once the run counts to it."""
+    if not (isinstance(cap, (int, np.integer)) and cap >= 1):
+        raise DataError(f"{name} must be an integer of at least 1, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class ReconConfig:
     """Settings of ``reconstruct`` and their defaults, checked when built
@@ -79,15 +86,18 @@ class ReconConfig:
     never fails a rule later.
 
     A setting that another function reads is checked by that function's
-    rule: ``epsilon`` and ``transition_width`` (None: 4h of the grid
-    reconstructed on, so data made on another grid need an explicit width)
-    by ``smoothed_coefficients``, all but the width's bound of 2h, which
-    needs the grid; ``grad_floor`` by ``sigma_from_potential``;
+    rule: ``epsilon`` and ``transition_width`` by ``robin_coefficients``,
+    whose model they select.  At epsilon = 0 that is the sharp model, to
+    which the width does not apply; otherwise it is the rule of
+    ``smoothed_coefficients`` (the width, None: 4h of the grid
+    reconstructed on, so data made on another grid need an explicit
+    width), all but the width's bound of 2h, which needs the grid.
+    ``grad_floor`` is checked by ``sigma_from_potential``, and
     ``initial_sigma`` and ``calibration_band`` by ``level_calibration``.
     The rest are checked here: ``delta`` positive and finite, ``stop_tol``
-    positive, ``max_outer_iterations`` at least 1, and ``sigma_bounds``
-    (lo, hi), onto which every iterate is projected (None: unbounded), with
-    0 < lo <= hi.
+    positive, ``max_outer_iterations`` an integer of at least 1, and
+    ``sigma_bounds`` (lo, hi), onto which every iterate is projected (None:
+    unbounded), with 0 < lo <= hi.
 
     ``calibrate`` assumes that the medium equals ``initial_sigma`` in the
     margin band of width ``calibration_band`` (the standard embedding of an
@@ -108,13 +118,13 @@ class ReconConfig:
 
     def __post_init__(self):
         # a setting that another function reads is checked by that function's rule
-        _check_smoothing(self.epsilon, self.transition_width)
+        if self.epsilon != 0.0:  # robin_coefficients: sharp at 0, no width
+            _check_smoothing(self.epsilon, self.transition_width)
         # written as `not x > 0` so that NaN is rejected too
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise DataError(f"delta must be positive and finite, got {self.delta}")
         _check_grad_floor(self.grad_floor)
-        if not self.max_outer_iterations >= 1:
-            raise DataError("need at least one outer iteration")
+        _check_iteration_cap("max_outer_iterations", self.max_outer_iterations)
         if not self.stop_tol > 0.0:
             raise DataError(f"stop_tol must be positive, got {self.stop_tol}")
         _check_background(self.initial_sigma)
@@ -402,7 +412,7 @@ def reconstruct(
     Each sweep solves the linearization of ``functional_Gdelta`` at the
     current conductivity, div((sigma_k + delta) grad u) = 0 with
     (sigma_k + delta) du/dnu + b_eps u = c_eps on the boundary (the
-    ``smoothed_coefficients`` of ``config``), and maps sigma to
+    ``robin_coefficients`` of ``config``), and maps sigma to
     P(``sigma_from_potential``), P the projection onto ``sigma_bounds``.
     This lagged-diffusivity map converges only linearly, so Anderson mixing
     (``_Anderson``) accelerates it, each solve starts from the potential
@@ -438,9 +448,7 @@ def reconstruct(
     if float(a.values.max()) == 0.0:
         raise DataError("interior data is identically zero")
 
-    coeffs = smoothed_coefficients(
-        electrodes, grid, config.epsilon, config.transition_width
-    )
+    coeffs = robin_coefficients(electrodes, grid, config.epsilon, config.transition_width)
 
     n, h = grid.n, grid.h
     delta, bounds = config.delta, config.sigma_bounds
@@ -609,9 +617,7 @@ def convergence_study(
         raise DataError(f"tail fraction must be finite and nonnegative, got {tail_fraction}")
     if config is None:
         config = ReconConfig()
-    coeffs = smoothed_coefficients(
-        electrodes, grid, config.epsilon, config.transition_width
-    )
+    coeffs = robin_coefficients(electrodes, grid, config.epsilon, config.transition_width)
 
     g_delta_vals, g_clean_vals, errors, reasons = [], [], [], []
     for k, (d, e) in enumerate(zip(deltas, etas)):

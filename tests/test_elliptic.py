@@ -292,7 +292,7 @@ def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, 
         system = _forward_system(n, seed, aperture, z, epsilon, cem)
     except DataError:
         assume(False)  # the aperture spans fewer than two nodes
-    levels, _, coarsest_inverse = _multigrid(system.matrix)
+    levels, coarsest_inverse = _multigrid(system)
     precondition = partial(elliptic._v_cycle, levels, coarsest_inverse)
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(2, system.dimension))
@@ -478,10 +478,11 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
     except DataError:
         assume(False)
     levels, _ = _former_multigrid(system.matrix)
-    hierarchy, A, _ = _multigrid(system.matrix)
+    hierarchy, _ = _multigrid(system)
     assert len(hierarchy) == len(levels)
     x = _with_signed_zeros(rng, system.dimension)  # CG's product
-    assert ((hierarchy[0] if hierarchy else A) @ x).tobytes() == (system.matrix @ x).tobytes()
+    product = (hierarchy[0] if hierarchy else system.matrix) @ x
+    assert product.tobytes() == (system.matrix @ x).tobytes()
     for (matrix, damped_inverse_diagonal, aggregate), level in zip(levels, hierarchy):
         x = _with_signed_zeros(rng, matrix.shape[0])
         assert (level @ x).tobytes() == (matrix @ x).tobytes()
@@ -513,7 +514,7 @@ def test_v_cycle_matches_former_csr_v_cycle(n, kind, seed):
     except DataError:
         assume(False)
     _, former = _former_multigrid(system.matrix)
-    levels, _, coarsest_inverse = _multigrid(system.matrix)
+    levels, coarsest_inverse = _multigrid(system)
     b = _with_signed_zeros(rng, system.dimension)
     assert elliptic._v_cycle(levels, coarsest_inverse, b).tobytes() == former(b).tobytes()
     x, stats = pcg_solve(system)
@@ -565,7 +566,7 @@ def test_every_coarse_level_is_the_galerkin_product(n, kind, seed):
     coarsest, inv = [], np.linalg.inv
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "inv", lambda M: coarsest.append(M.copy()) or inv(M))
-        levels, A, _ = _multigrid(system.matrix)
+        levels, _ = _multigrid(system)
     matrices = [_level_matrix(lv) for lv in levels] + [sp.csr_matrix(coarsest[0])]
     assert abs(matrices[0] - system.matrix).max() == 0.0
     extra = system.dimension - math.isqrt(system.dimension) ** 2
@@ -595,23 +596,68 @@ def test_a_guess_that_meets_tol_is_returned_with_no_hierarchy():
         elliptic.SOLVE_TOL * np.linalg.norm(system.rhs))
 
 
-def test_pcg_reads_any_csr_form_of_a_grid_matrix():
-    # unsorted column indices solve as the canonical form does; a coupling
-    # off the five-point pattern is a DimensionError, not a dropped entry
+def _table_read_off(A, n):
+    """The five-point table (south, west, centre, east, north) of the first
+    n*n unknowns of A and its column n*n (None when A has no further
+    unknown), read entry by entry, +0.0 off the grid."""
+    nodes = np.arange(n * n)
+    j, i = np.divmod(nodes, n)
+    table = np.zeros((n * n, 5))
+    for k, (off, on) in enumerate(((-n, j > 0), (-1, i > 0), (0, i >= 0), (1, i < n - 1),
+                                   (n, j < n - 1))):
+        r = nodes[on]
+        table[r, k] = np.asarray(A[r, r + off]).ravel()
+    column = (np.asarray(A[nodes, np.full(n * n, n * n)]).ravel() if A.shape[0] > n * n
+              else None)
+    return table, column
+
+
+def _assert_table_is_the_matrix(system, n):
+    table, column = system.table
+    expected_table, expected_column = _table_read_off(system.matrix, n)
+    assert table.tobytes() == expected_table.tobytes()
+    assert (column is None) == (expected_column is None)
+    if column is not None:
+        assert column.tobytes() == expected_column.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 90), kind=st.sampled_from(_SYSTEM_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_table_each_assembly_keeps_is_its_matrix(n, kind, seed):
+    # the table and V column from which pcg_solve builds its multigrid are
+    # the matrix byte for byte, also after assemble_robin refills a system
+    rng = np.random.default_rng(seed)
+    try:
+        system = _random_system(kind, n, rng)
+    except DataError:
+        assume(False)
+    _assert_table_is_the_matrix(system, n)
+    if kind in ("robin", "smoothed"):
+        g = make_grid(n)
+        coeffs = (base_coefficients(ElectrodeSet(), g) if kind == "robin"
+                  else smoothed_coefficients(ElectrodeSet(), g, 1e-3))
+        sigma = ScalarField(g, 10.0 ** rng.uniform(-1.0, 1.0, g.num_nodes))
+        assert assemble_robin(sigma, coeffs, g, out=system) is system
+        _assert_table_is_the_matrix(system, n)
+
+
+def test_pcg_needs_an_assembled_system_above_the_coarsest_size():
+    # above _COARSEST unknowns the multigrid starts from the table that the
+    # assembly kept: a hand-built CSR copy of the matrix has none
     g = make_grid(20)
     system = assemble_robin(ScalarField.constant(g, 1.0),
                             base_coefficients(ElectrodeSet(), g), g)
+    assert system.dimension > elliptic._COARSEST
     A = system.matrix
-    order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(A.indptr[:-1], A.indptr[1:])])
-    shuffled = sp.csr_matrix((A.data[order], A.indices[order], A.indptr), shape=A.shape)
-    assert not shuffled.has_canonical_format
-    x, stats = pcg_solve(SparseSystem(shuffled, system.rhs))
-    x0, stats0 = pcg_solve(system)
-    assert x.tobytes() == x0.tobytes() and stats == stats0
-    assert not shuffled.has_canonical_format  # the caller's matrix is left as it was
-    skewed = (A + sp.eye(A.shape[0], k=2, format="csr") * 1e-3).tocsr()
-    with pytest.raises(DimensionError, match="off the five-point pattern"):
-        pcg_solve(SparseSystem(skewed, system.rhs))
+    copy = SparseSystem(sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()),
+                                      shape=A.shape), system.rhs.copy())
+    assert copy.table is None
+    with pytest.raises(DimensionError, match="assemble_robin, assemble_cem or "
+                                             "assemble_laplace_dirichlet"):
+        pcg_solve(copy)
+    x, stats = pcg_solve(system)
+    assert stats.relative_residual <= elliptic.SOLVE_TOL
 
 
 # a dense SPD matrix of 1 to 60 unknowns, or a sparse one of 4 to _COARSEST
@@ -825,7 +871,8 @@ def _electrode_faces(el, g):
 def test_cem_matches_coo_build(n, seed, aperture, top_positive):
     # the grid block from the edge entries and the electrode terms, bordered
     # by sp.bmat: the system holds the same bytes, index dtypes included,
-    # and the solve on it returns the same bytes
+    # and its solve returns the bytes of the CSR multigrid's solve on that
+    # build
     g = make_grid(n)
     rng = np.random.default_rng(seed)
     el = ElectrodeSet(aperture=aperture, z=float(rng.uniform(0.5, 2.0)),
@@ -857,8 +904,11 @@ def test_cem_matches_coo_build(n, seed, aperture, top_positive):
         assert getattr(A, name).tobytes() == getattr(expected, name).tobytes(), name
     assert system.rhs.tobytes() == rhs.tobytes()
     x, stats = pcg_solve(system)
-    x_expected, stats_expected = pcg_solve(SparseSystem(expected, rhs))
-    assert x.tobytes() == x_expected.tobytes() and stats == stats_expected
+    max_iter = elliptic._CG_CAP_PER_SIDE * int(round(math.sqrt(N + 1)))
+    x_expected, iterations, residual = elliptic._cg(
+        expected, rhs, _former_multigrid(expected)[1], elliptic.SOLVE_TOL, max_iter)
+    assert x.tobytes() == x_expected.tobytes()
+    assert (stats.iterations, stats.relative_residual) == (iterations, residual)
 
 
 @settings(max_examples=25, deadline=None)

@@ -180,7 +180,8 @@ def test_cem_is_cem_scaling_times_the_sharp_robin_output_bit_for_bit():
     builds = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elliptic, "_multigrid",
-                   lambda A, build=elliptic._multigrid: builds.append(A.shape) or build(A))
+                   lambda system, build=elliptic._multigrid:
+                   builds.append(system.matrix.shape) or build(system))
         cem = solve_cem_forward(sigma, el, g)
     assert builds == [(g.num_nodes, g.num_nodes)]
     sharp = solve_forward(sigma, base_coefficients(el, g), g)

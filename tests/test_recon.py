@@ -18,8 +18,10 @@ from cdrecon.boundary import (
     base_coefficients,
     boundary_faces,
     electrode_quadrature,
+    robin_coefficients,
     smoothed_coefficients,
 )
+from cdrecon.bregman import BregmanConfig
 from cdrecon.elliptic import (
     SOLVE_TOL,
     FactorCache,
@@ -322,9 +324,10 @@ _ODD_SETTINGS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
        initial_sigma=st.floats() | _ODD_SETTINGS)
 def test_config_builds_exactly_when_its_readers_accept(epsilon, width, initial_sigma):
     # ReconConfig checks epsilon, transition_width and initial_sigma by the
-    # rules of smoothed_coefficients and level_calibration, which read them:
+    # rules of robin_coefficients and level_calibration, which read them:
     # a config builds exactly when both accept its values, the first on a
-    # grid fine enough for the width (2h <= width)
+    # grid fine enough for the width (2h <= width); at epsilon 0 it selects
+    # the sharp coefficients, to which the width does not apply
     n = 3
     if width is not None and math.isfinite(width) and width > 0.0:
         n = max(3, math.ceil(1.0 + 2.0 / width))
@@ -332,11 +335,26 @@ def test_config_builds_exactly_when_its_readers_accept(epsilon, width, initial_s
     sigma = ScalarField.constant(g, 1.0)
     u = ScalarField.from_function(g, lambda x, y: y)
     readers = (
-        _accepts(lambda: smoothed_coefficients(ElectrodeSet(), make_grid(n), epsilon, width))
+        _accepts(lambda: robin_coefficients(ElectrodeSet(), make_grid(n), epsilon, width))
         and _accepts(lambda: level_calibration(sigma, u, ElectrodeSet(), initial_sigma)))
     built = _accepts(lambda: ReconConfig(
         epsilon=epsilon, transition_width=width, initial_sigma=initial_sigma))
     assert built == readers
+
+
+@settings(max_examples=100, deadline=None)
+@given(cap=st.floats() | st.integers(-3, 10**9) | st.integers(-3, 10**9).map(np.int64))
+def test_iteration_caps_are_integers_of_at_least_1(cap):
+    # a float cap, 2.5, 2.0, inf or NaN, used to build and fail in the run
+    # with a TypeError; an integer of either kind is a cap from 1 up
+    valid = isinstance(cap, (int, np.integer)) and cap >= 1
+    for build, name in ((lambda: ReconConfig(max_outer_iterations=cap), "max_outer_iterations"),
+                        (lambda: BregmanConfig(max_iterations=cap), "max_iterations")):
+        if valid:
+            build()
+        else:
+            with pytest.raises(DataError, match=f"{name} must be an integer of at least 1"):
+                build()
 
 
 def test_reconstruct_reports_cap_hit(homog_setup):
@@ -940,6 +958,21 @@ def test_convergence_study_computes_one_error_per_step(homog_setup, monkeypatch)
         a_k = add_noise(fwd.a, d, 3 + k)
         sigma, _, _ = reconstruct(a_k, el, replace(cfg, delta=d), g)
         assert study.rel_errors[k] == rel_l2_error(sigma, truth)
+
+
+def test_convergence_study_at_epsilon_0_is_that_of_the_sharp_model(homog_setup):
+    # epsilon 0 selects base_coefficients for the study's runs and for the
+    # functionals it records
+    g, el, truth, coeffs, fwd = homog_setup
+    deltas = [3e-3 * 2.0 ** (-k) for k in range(4)]
+    cfg = ReconConfig(epsilon=0.0, max_outer_iterations=2)
+    study = convergence_study(fwd.a, el, g, deltas, deltas, cfg)
+    sharp = base_coefficients(el, g)
+    for k, d in enumerate(deltas):
+        a_k = add_noise(fwd.a, d, k)
+        _, u, _ = reconstruct(a_k, el, replace(cfg, delta=d), g)
+        assert study.g_delta_values[k] == functional_Gdelta(u, a_k, sharp, d)
+        assert study.g_clean_values[k] == functional_G(u, fwd.a, sharp)
 
 
 def test_convergence_study_needs_four_steps(homog_setup):
