@@ -61,6 +61,7 @@ from .forward import (
     add_noise,
     cem_scaling,
     interior_data,
+    robin_data,
     solve_cem_forward,
     solve_forward,
 )

@@ -14,11 +14,12 @@ writes no output.
 
 The stdout line of ``reconstruct`` and ``bregman`` starts with the run's
 ``iterations= stop_reason=tol|cap converged=true|false``; ``reconstruct``
-adds ``sigma_change=``, ``stop_change=``, ``factorizations=`` and
-``solve_iterations=`` (the CG iterations of all its solves, the final one's
-included), ``bregman`` adds ``v_change=`` (its report's stop_change).  A run
-that stops at ``cap``, or a study with a capped step, also writes one
-``cdrecon: warning:`` line to stderr; stdout stays the same.
+adds ``cem_lambda=`` (with ``--cem-voltage`` only), ``sigma_change=``,
+``stop_change=``, ``factorizations=`` and ``solve_iterations=`` (the CG
+iterations of all its solves, the final one's included), ``bregman`` adds
+``v_change=`` (its report's stop_change).  A run that stops at ``cap``, or
+a study with a capped step, also writes one ``cdrecon: warning:`` line to
+stderr; stdout stays the same.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .bregman import BregmanConfig, split_bregman_minimize
 from .elliptic import SOLVE_TOL
 from .errors import CdreconError, FormatError, UsageError
 from .fields import boundary_trace, read_field, rel_l2_error, require_same_grid, write_field
-from .forward import add_noise, solve_cem_forward, solve_forward
+from .forward import add_noise, robin_data, solve_cem_forward, solve_forward
 from .phantom import Ellipse, PhantomSpec, field_to_pgm, generate_phantom
 from .recon import (
     MIN_STUDY_STEPS,
@@ -257,11 +258,15 @@ def _cmd_reconstruct(v: dict) -> int:
     a = read_field(v["a"])
     grid = a.grid
     truth = read_field(v["truth"]) if v["truth"] else None
+    cem = ""
+    if v["cem-voltage"] is not None:
+        a, lam = robin_data(a, v["cem-voltage"], electrodes)
+        cem = f"cem_lambda={lam:.12g} "
     sigma, u, report = reconstruct(a, electrodes, config, grid, truth)
     solve_iterations = (sum(r.solve_iterations for r in report.records)
                         + report.final_solve.iterations)
     return _finish("reconstruct", v, lambda p: write_field(sigma, p), (
-        f"sigma_change={report.records[-1].sigma_change:.3e} "
+        f"{cem}sigma_change={report.records[-1].sigma_change:.3e} "
         f"stop_change={report.stop_change:.3e} factorizations={report.factorizations} "
         f"solve_iterations={solve_iterations}{_error_field(sigma, truth)}"
     ), report)
@@ -380,6 +385,8 @@ _COMMANDS: dict[str, Command] = {
         Opt("no-calibrate", bool, False, "disable the background level calibration"),
         Opt("calibration-band", float, ReconConfig.calibration_band,
             "margin band width for calibration"),
+        Opt("cem-voltage", float, None,
+            "electrode voltage V of forward --cem: a is divided by V/(zI)"),
         Opt("truth", str, None, "optional ground-truth field for error reporting"),
         Opt("out", str, None, "output conductivity file", required=True),
         Opt("report", str, None, "optional per-iteration CSV report"),

@@ -11,9 +11,10 @@ discrete solution exact on affine potentials for the sharp full-aperture
 configuration.
 
 The Robin and Laplace-Dirichlet systems share one five-point stencil
-(``_stencil``) and its table, which each system keeps; each adds its own
-boundary treatment.  The CEM system is the sharp Robin system bordered by
-its electrode voltage.
+(``_stencil``), whose table in DIA layout each system keeps as its matrix;
+each adds its own boundary treatment.  The CEM system is the sharp Robin
+system bordered by its electrode voltage, on the Robin system's table.
+The CSR form is built from the table only where it is read.
 
 Three solves, one per kind of caller, each returning ``SolveStats``:
 ``pcg_solve`` (multigrid CG) for the systems solved once, the forward Robin
@@ -37,7 +38,7 @@ comparator never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
@@ -84,24 +85,39 @@ _DAMPING = 2.0 / 3.0
 _OVERCORRECTION = 1.9
 
 
-@dataclass
 class SparseSystem:
-    """Symmetric sparse linear system A x = rhs in CSR form.
+    """Symmetric sparse linear system A x = rhs.
 
-    ``table`` is set by the assembly functions of this module, never by the
-    constructor: the (n*n, 5) five-point table of the grid block that the
-    assembly built (the columns of ``_stencil``, +0.0 where A stores no
-    entry) and V's column of the CEM system (None without V).
-    ``pcg_solve`` builds its multigrid from it.
+    ``SparseSystem(A, rhs)`` holds a CSR matrix A.  The assembly functions
+    of this module hold A as ``table`` instead: the five-point table of its
+    n x n grid block in scipy's DIA layout, a (5, n*n) array whose rows are
+    the diagonals at the offsets -n, -1, 0, 1, n, row r's entry at offset k
+    stored at column r + k (+0.0 where A stores no entry); and, for the CEM
+    system, ``voltage``, V's column over the grid nodes and V's diagonal
+    entry (None without V).  ``pcg_solve`` builds its multigrid on that
+    table without a copy.  ``matrix``, A in CSR form, is built from the
+    table at its first read, for the code that reads it: SuperLU's factor,
+    the products on a system of at most ``_COARSEST`` unknowns, and callers
+    of ``matrix``.
     """
 
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    table: tuple[np.ndarray, np.ndarray | None] | None = field(default=None, init=False)
+    def __init__(self, matrix: sp.csr_matrix | None, rhs: np.ndarray) -> None:
+        self._matrix = matrix
+        self.rhs = rhs
+        self.table: np.ndarray | None = None
+        self.voltage: tuple[np.ndarray, float] | None = None
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self._matrix is None:
+            self._matrix = _csr(self.table, self.voltage)
+        return self._matrix
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        if self._matrix is not None:
+            return self._matrix.shape[0]
+        return self.table.shape[1] + (self.voltage is not None)
 
 
 @dataclass
@@ -128,12 +144,13 @@ class _StencilPattern:
     the Robin, CEM and Laplace-Dirichlet systems.
 
     Row k holds the stencil columns k-n, k-1, k, k+1, k+n (already sorted)
-    that lie on the grid; ``present`` marks them in an (n*n, 5) table.
+    that lie on the grid; ``gather`` holds the place of each of its entries
+    in the flattened DIA table of ``_stencil``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    present: np.ndarray
+    gather: np.ndarray
     face_rows: np.ndarray  # global node of each boundary face
     face_value: np.ndarray  # loop index of the coefficient on each face
     face_weight: np.ndarray
@@ -142,29 +159,40 @@ class _StencilPattern:
 @lru_cache(maxsize=4)
 def _stencil_pattern(n: int) -> _StencilPattern:
     grid = Grid(n)
+    N = n * n
     jj, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     present = np.stack(
         [jj > 0, ii > 0, np.ones((n, n), dtype=bool), ii < n - 1, jj < n - 1], axis=-1
-    ).reshape(n * n, 5)
-    node = np.arange(n * n, dtype=np.int32)[:, None]
-    indices = (node + np.array([-n, -1, 0, 1, n], dtype=np.int32))[present]
+    ).reshape(N, 5)
+    column = np.arange(N)[:, None] + _offsets(n)
+    indices = column[present].astype(np.int32)
+    gather = (np.arange(5) * N + column)[present]
     indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
     node_f, val_f, w_f = boundary_faces(grid)
-    arrays = (indptr, indices, present, boundary_nodes(grid)[node_f], val_f, w_f)
+    arrays = (indptr, indices, gather, boundary_nodes(grid)[node_f], val_f, w_f)
     for a in arrays:
         a.flags.writeable = False  # shared by every matrix of this size
     return _StencilPattern(*arrays)
 
 
+def _offsets(n: int) -> np.ndarray:
+    """The offsets of the five-point diagonals on an n x n grid, in the
+    order of the rows of a DIA table."""
+    return np.array([-n, -1, 0, 1, n], dtype=np.int32)
+
+
 def _stencil(sigma: np.ndarray, n: int) -> np.ndarray:
     """Flux part of the operator for the flat nodal conductivities ``sigma``
-    as an (n*n, 5) table whose columns are the south, west, centre, east and
-    north neighbour of each node; entries off the grid are zero.
+    as a five-point table in DIA layout (``SparseSystem``): a (5, n*n)
+    array of the diagonals at the offsets -n, -1, 0, 1, n, row r's entry at
+    offset k stored at column r + k; entries off the grid are zero.
 
     Edge conductances are weighted harmonic means of the two end nodes.  The
     x-edge k -> k+1 sits at ex[k+1] and the y-edge k -> k+n at ey[k+n], with
-    zeros for the edges off the grid, so that each neighbour column is one
-    contiguous slice of ex or ey.
+    zeros for the edges off the grid, so that each diagonal is one
+    contiguous slice of ex or ey: the diagonal at -n holds at column c the
+    entry of row c+n, the edge c -> c+n, and the one at -1 the edge
+    c -> c+1; those at +1 and +n hold the edges c-1 -> c and c-n -> c.
     """
     N = n * n
     ex, ey = np.zeros(N + 1), np.zeros(N + n)
@@ -178,22 +206,47 @@ def _stencil(sigma: np.ndarray, n: int) -> np.ndarray:
     # y-edges carry half weight in the left/right columns
     north[::n] *= 0.5
     north[n - 1::n] *= 0.5
-    stencil = np.empty((N, 5))
+    table = np.empty((5, N))
     # zero minus each edge, so that an entry off the grid is +0.0, as A
     # reads where it stores no entry
-    np.subtract(0.0, south, out=stencil[:, 0])
-    np.subtract(0.0, west, out=stencil[:, 1])
-    np.subtract(0.0, east, out=stencil[:, 3])
-    np.subtract(0.0, north, out=stencil[:, 4])
+    np.subtract(0.0, north, out=table[0])
+    np.subtract(0.0, east, out=table[1])
+    np.subtract(0.0, west, out=table[3])
+    np.subtract(0.0, south, out=table[4])
     # the diagonal adds its terms in a fixed order (east, west, north, south
     # edge; a missing edge adds an exact zero), the order in which
     # converting an edge list to CSR sums them, so the systems match such a
     # build bit for bit
-    diag = stencil[:, 2]
+    diag = table[2]
     np.add(east, west, out=diag)
     diag += north
     diag += south
-    return stencil
+    return table
+
+
+def _csr(table: np.ndarray, voltage: tuple[np.ndarray, float] | None) -> sp.csr_matrix:
+    """A in canonical CSR form from its DIA table and V's column and
+    diagonal (``SparseSystem``), every entry of the five-point pattern
+    stored.  V's column entry comes last in each coupled node's row, and
+    V's row, the last, holds the couplings in ascending node order, then
+    the diagonal."""
+    n = math.isqrt(table.shape[1])
+    N = n * n
+    pat = _stencil_pattern(n)
+    data = np.take(table, pat.gather)
+    if voltage is None:
+        return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
+    border, corner = voltage
+    coupled = np.flatnonzero(border)
+    m = coupled.size
+    at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, data.size)])
+    data = np.insert(data, at, np.concatenate([border[coupled], border[coupled], [corner]]))
+    indices = np.insert(pat.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
+    extra = np.zeros(N + 2, dtype=np.int32)  # entries after the grid block, per row
+    extra[coupled + 1] = 1
+    extra[N + 1] = m + 1
+    indptr = np.append(pat.indptr, pat.indptr[-1]) + np.cumsum(extra, dtype=np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))
 
 
 def _check_positive_sigma(sigma: ScalarField) -> None:
@@ -239,10 +292,10 @@ def assemble_robin(
     units is a DataError (``_add_boundary_term``).
 
     With ``out``, a system that this function built for the same grid size,
-    the system is written into its arrays (the matrix entries in place, on
-    the pattern they share), its table is replaced by the new one, and
-    ``out`` is returned: a caller that solves one system after another
-    builds one matrix.
+    the system is written into its arrays (the entries of its CSR matrix in
+    place, on the pattern they share), its table is replaced by the new
+    one, and ``out`` is returned: a caller that solves one system after
+    another builds one matrix.
     """
     require_same_grid(grid, sigma_eff, coeffs)
     _check_positive_sigma(sigma_eff)
@@ -252,39 +305,37 @@ def assemble_robin(
     pat = _stencil_pattern(n)
     if out is not None and (out.matrix.shape != (N, N) or out.matrix.nnz != pat.indices.size):
         raise DimensionError("out is not a Robin system of this grid size")
-    stencil = _stencil(sigma_eff.values, n)
+    table = _stencil(sigma_eff.values, n)
     # the boundary faces add to the diagonal after the edges
     b = coeffs.b.values
-    _add_boundary_term(stencil[:, 2], pat.face_rows, pat.face_weight * b[pat.face_value],
+    _add_boundary_term(table[2], pat.face_rows, pat.face_weight * b[pat.face_value],
                        float(b.max()), sigma_eff)
     if out is None:
-        out = SparseSystem(
-            sp.csr_matrix((stencil[pat.present], pat.indices, pat.indptr), shape=(N, N)),
-            np.zeros(N),
-        )
+        out = SparseSystem(None, np.zeros(N))
     else:
-        out.matrix.data[:] = stencil[pat.present]
+        np.take(table, pat.gather, out=out.matrix.data)
         out.rhs.fill(0.0)
     np.add.at(out.rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
-    out.table = (stencil, None)
+    out.table = table
     return out
 
 
-def _cem_border(K: sp.csr_matrix, sigma: ScalarField, electrodes: ElectrodeSet,
+def _cem_border(table: np.ndarray, sigma: ScalarField, electrodes: ElectrodeSet,
                 grid: Grid) -> tuple[np.ndarray, float]:
     """The coupling of each grid node to the voltage V in the CEM system whose
-    grid block is the sharp Robin matrix K, -w/z on e+ and +w/z on e-, and
-    V's diagonal entry, the sum of w/z over both electrodes; DataError when
-    some electrode node's diagonal in K is w/z alone (``assemble_cem``)."""
+    grid block is the sharp Robin matrix of the DIA ``table``, -w/z on e+
+    and +w/z on e-, and V's diagonal entry, the sum of w/z over both
+    electrodes; DataError when some electrode node's diagonal in the table
+    is w/z alone (``assemble_cem``)."""
     nodes = boundary_nodes(grid)
-    border = np.zeros(K.shape[0])
+    border = np.zeros(table.shape[1])
     corner = 0.0
     for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
         wz = w * (1.0 / electrodes.z)  # rounded as the Robin face terms
         border[nodes[idx]] = sign * wz
         corner += float(wz.sum())
     coupled = np.flatnonzero(border)
-    if np.any(K.diagonal()[coupled] == np.abs(border[coupled])):
+    if np.any(table[2, coupled] == np.abs(border[coupled])):
         raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
                         f"z = {electrodes.z:g} is too small for conductivities down to "
                         f"{float(sigma.values.min()):g}")
@@ -303,10 +354,10 @@ def assemble_cem(
     (zero flux).  The grid block is the sharp Robin matrix of
     ``base_coefficients`` (b = 1/z on the faces of ``electrode_quadrature``),
     so the solution v is lambda times the sharp Robin one at every aperture.
-    The voltage V is the last unknown, N = n*n, spliced into the CSR arrays:
-    its column entry -/+w/z comes last in each electrode node's row, and
-    row N holds the couplings to the electrode nodes in ascending node
-    order, then the diagonal corner.
+    The voltage V is the last unknown, N = n*n: its column entry -/+w/z
+    comes last in each electrode node's row of the CSR form, and row N
+    holds the couplings to the electrode nodes in ascending node order,
+    then the diagonal corner (``_csr``).
 
     The Robin assembly's checks apply (``assemble_robin``), and a w/z so
     large that an electrode node's diagonal loses its edge terms is a
@@ -315,69 +366,58 @@ def assemble_cem(
     can pass the residual check.
     """
     robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
-    return _bordered(robin, *_cem_border(robin.matrix, sigma, electrodes, grid),
+    return _bordered(robin, *_cem_border(robin.table, sigma, electrodes, grid),
                      electrodes.current)
 
 
 def _bordered(robin: SparseSystem, border: np.ndarray, corner: float,
               current: float) -> SparseSystem:
     """The system of ``assemble_cem`` from the sharp Robin system of its grid
-    block and the V column and diagonal of ``_cem_border``; it shares the
-    Robin system's table."""
-    K = robin.matrix
-    N = K.shape[0]
-    coupled = np.flatnonzero(border)
-    # the border goes straight into the Robin CSR arrays, last in each
-    # coupled row and as row N (the coupled nodes in ascending order, then
-    # the corner): the canonical CSR of the block matrix [[K, b], [b', c]]
-    m = coupled.size
-    at = np.concatenate([K.indptr[coupled + 1], np.full(m + 1, K.nnz)])
-    data = np.insert(K.data, at, np.concatenate([border[coupled], border[coupled], [corner]]))
-    indices = np.insert(K.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
-    extra = np.zeros(N + 2, dtype=np.int32)  # entries after the grid block, per row
-    extra[coupled + 1] = 1
-    extra[N + 1] = m + 1
-    indptr = np.append(K.indptr, K.nnz) + np.cumsum(extra, dtype=np.int32)
-    A = sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))
-    rhs = np.zeros(N + 1)
-    rhs[N] = 2.0 * current
-    system = SparseSystem(A, rhs)
-    system.table = (robin.table[0], border)
+    block and the V column and diagonal of ``_cem_border``: it holds the
+    Robin system's table, not a copy, and builds no CSR matrix."""
+    rhs = np.zeros(robin.table.shape[1] + 1)
+    rhs[-1] = 2.0 * current
+    system = SparseSystem(None, rhs)
+    system.table, system.voltage = robin.table, (border, corner)
     return system
 
 
 def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem:
     """Five-point Laplace system with Dirichlet data: the stencil at
     sigma = 1 with the boundary rows eliminated symmetrically (identity
-    rows, couplings folded into the rhs).
+    rows, couplings folded into the rhs).  Its CSR matrix, which
+    ``sine_solve`` reads, stores no zeros for the dropped couplings.
     """
     require_same_grid(grid, data)
     n = grid.n
     N = n * n
     pat = _stencil_pattern(n)
-    stencil = _stencil(np.ones(N), n)
-    inner = pat.present.all(axis=1)  # nodes with all four neighbours
-    k = np.flatnonzero(inner)
+    table = _stencil(np.ones(N), n)
     kb = boundary_nodes(grid)
+    inner = np.ones(N, dtype=bool)  # nodes with all four neighbours
+    inner[kb] = False
+    k = np.flatnonzero(inner)
     trace = np.zeros(N)
     trace[kb] = data.values
 
     rhs = np.zeros(N)
     # fold the couplings to Dirichlet nodes into the rhs: east, west, north,
-    # south neighbour
-    for col, step in ((3, 1), (1, -1), (4, n), (0, -n)):
+    # south neighbour, whose entry in row r sits at column r + step
+    for row, step in ((3, 1), (1, -1), (4, n), (0, -n)):
         fold = k[~inner[k + step]]
-        rhs[fold] -= stencil[fold, col] * trace[fold + step]
-        stencil[fold, col] = 0.0
-    stencil[kb] = (0.0, 0.0, 1.0, 0.0, 0.0)
+        rhs[fold] -= table[row, fold + step] * trace[fold + step]
+        table[row, fold + step] = 0.0
+    for row, off in enumerate(_offsets(n)):
+        at = kb + off
+        table[row, at[(at >= 0) & (at < N)]] = 1.0 if off == 0 else 0.0
     rhs[kb] = data.values
 
-    vals = stencil[pat.present]
+    vals = np.take(table, pat.gather)
     keep = vals != 0.0  # store no zeros for the dropped couplings
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(stencil, axis=1))])
-    A = sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(N, N))
-    system = SparseSystem(A, rhs)
-    system.table = (stencil, None)
+    indptr = np.concatenate([[0], np.cumsum(keep)[pat.indptr[1:] - 1]])
+    system = SparseSystem(
+        sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(N, N)), rhs)
+    system.table = table
     return system
 
 
@@ -390,8 +430,10 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
     the recomputed true residual when the two disagree.  A warm start that
     already meets ``tol`` is returned after 0 iterations.  The returned
     residual exceeds ``tol`` only when the iteration cap was reached.
-    Raises NotSPDError on a direction of nonpositive curvature, and on a
-    residual that the preconditioner maps to a nonpositive <r, Mr>.
+    Raises SolverError when <r, Mr> or <p, Ap> is not finite (a NaN or inf
+    in the guess or the system), and NotSPDError on a direction of
+    nonpositive curvature, and on a residual that the preconditioner maps
+    to a nonpositive <r, Mr>.
     """
     dim = b.size
     nb = float(np.linalg.norm(b))
@@ -414,6 +456,8 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
         k += 1
         zv = apply_m(r)
         rz = float(r @ zv)
+        if not math.isfinite(rz):
+            raise SolverError(f"<r, Mr> = {rz} is not finite at iteration {k}")
         if fresh:
             p = zv.copy()
             fresh = False
@@ -422,6 +466,8 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
         rz_old = rz
         Ap = A @ p
         pAp = float(p @ Ap)
+        if not math.isfinite(pAp):
+            raise SolverError(f"<p, Ap> = {pAp} is not finite at iteration {k}")
         if pAp <= 0.0:
             raise NotSPDError(
                 f"nonpositive curvature <p, Ap> = {pAp:.3e} at iteration {k}"
@@ -453,9 +499,15 @@ def _checked(x: np.ndarray, iterations: int, residual: float, tol: float,
     return x, SolveStats(iterations, residual, method)
 
 
-def _check_tol(tol: float) -> None:
+def _check_call(system: SparseSystem, tol: float, x0: np.ndarray | None) -> None:
+    """DataError unless 0 < tol < 1, and DimensionError for a guess whose
+    shape is not (dimension,), before the solve makes any product (an
+    (N, 1) guess would broadcast the residual to N x N)."""
     if not (0.0 < tol < 1.0):
         raise DataError(f"tol must be in (0, 1), got {tol}")
+    if x0 is not None and np.shape(x0) != (system.dimension,):
+        raise DimensionError(f"the guess has shape {np.shape(x0)}, not "
+                             f"({system.dimension},)")
 
 
 @dataclass(frozen=True)
@@ -467,18 +519,19 @@ class _Level:
     whose aggregates are the grid's 2 x 2 blocks (the last row and column
     alone when n is odd) and V alone.
 
-    ``level @ x`` goes through scipy's DIA kernel: a five-point matrix lies
-    on five constant offsets, which DIA storage holds without column indices
-    (Bell & Garland, SC'09).  It is scipy's CSR product A x bit for bit, so
-    the levels keep no CSR matrix.  The CSR kernel adds a row's terms in
-    ascending column order to a zero; so does the DIA kernel of the grid
-    block over the ascending offsets -n, -1, 0, 1, n, zero where A stores no
-    entry (a sum that starts at +0 is never -0, so a zero term leaves it as
-    it is).  V's column entry, last in its rows, is added after them, and
-    V's row is the running sum of its terms in column order from a zero.
-    The transfers are strided slices of the grid that add in the order of
-    ``np.bincount`` over the aggregate numbers and of the gather
-    e[aggregate], so they are those bit for bit, signs of zeros included.
+    ``level @ x`` goes through scipy's DIA kernel on the level's DIA table:
+    a five-point matrix lies on five constant offsets, which DIA storage
+    holds without column indices (Bell & Garland, SC'09).  It is scipy's
+    CSR product A x bit for bit, so no level keeps a CSR matrix.  The CSR
+    kernel adds a row's terms in ascending column order to a zero; so does
+    the DIA kernel of the grid block over the ascending offsets -n, -1, 0,
+    1, n, zero where A stores no entry (a sum that starts at +0 is never
+    -0, so a zero term leaves it as it is).  V's column entry, last in its
+    rows, is added after them, and V's row is the running sum of its terms
+    in column order from a zero.  The transfers are strided slices of the
+    grid that add in the order of ``np.bincount`` over the aggregate
+    numbers and of the gather e[aggregate], so they are those bit for bit,
+    signs of zeros included.
     """
 
     stencil: sp.dia_matrix  # square, zero outside the grid block
@@ -539,22 +592,24 @@ def _add_block_sums(fine: np.ndarray, coarse: np.ndarray) -> None:
 
 def _coarsen(table: np.ndarray, border: np.ndarray | None,
              n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The Galerkin table P'AP of the next level from the five-point table
-    of a symmetric A on an n x n grid, and the coarse V column from A's:
-    sums over the 2 x 2 blocks, m = ceil(n/2) to a side, by strided slices
-    (``_add_block_sums`` order).  The coarse centre is the sum of the block's
-    four centres plus twice the sum of the couplings inside it (the east
-    entries of its lower left and upper left node, then the north entries
-    of its lower left and lower right node); the coarse east entry is the
-    sum of the east entries of the block's lower right and upper right
-    node, the north entry that of the north entries of its upper left and
-    upper right node, and the V entry the block sum of A's.  South and west
-    are the north and east entries of the neighbours below and to the
-    left.  V's own row and diagonal stay as they are."""
+    """The Galerkin table P'AP of the next level from the DIA table of a
+    symmetric A on an n x n grid, and the coarse V column from A's: sums
+    over the 2 x 2 blocks, m = ceil(n/2) to a side, by strided slices
+    (``_add_block_sums`` order).  A is symmetric, so its diagonals at -n
+    and -1 hold each node's north and east entry at the node's own column.
+    The coarse centre is the sum of the block's four centres plus twice the
+    sum of the couplings inside it (the east entries of its lower left and
+    upper left node, then the north entries of its lower left and lower
+    right node); the coarse east entry is the sum of the east entries of
+    the block's lower right and upper right node, the north entry that of
+    the north entries of its upper left and upper right node, and the V
+    entry the block sum of A's.  The diagonals at +1 and +n are those at -1
+    and -n shifted by their offset.  V's own row and diagonal stay as they
+    are."""
     m, h = (n + 1) // 2, n // 2
-    centre, east, north = (t.reshape(n, n) for t in table[2:])
+    north, east, centre = (t.reshape(n, n) for t in table[:3])
     coarse = np.zeros((5, m * m))
-    south_c, west_c, centre_c, east_c, north_c = coarse
+    north_c, east_c, centre_c = coarse[:3]
     inside = np.zeros((m, m))
     inside += east[::2, ::2]
     inside[:h] += east[1::2, ::2]
@@ -567,8 +622,8 @@ def _coarsen(table: np.ndarray, border: np.ndarray | None,
     east_c.reshape(m, m)[:h, :h] += east[1::2, 1::2]
     north_c.reshape(m, m)[:h] = north[1::2, ::2]
     north_c.reshape(m, m)[:h, :h] += north[1::2, 1::2]
-    west_c[1:] = east_c[:-1]
-    south_c[m:] = north_c[:-m]
+    coarse[3, 1:] = east_c[:-1]
+    coarse[4, m:] = north_c[:-m]
     if border is None:
         return coarse, None
     border_c = np.zeros((m, m))
@@ -576,74 +631,85 @@ def _coarsen(table: np.ndarray, border: np.ndarray | None,
     return coarse, border_c.reshape(-1)
 
 
-def _dia(table: np.ndarray, n: int, dim: int) -> sp.dia_matrix:
-    """The grid block of a five-point table as a dim x dim DIA matrix: the
-    entry of row r at offset k sits at column r + k of that diagonal."""
-    offsets = np.array([-n, -1, 0, 1, n])
-    data = np.zeros((5, dim))
-    for k, off in enumerate(offsets):
-        rows = slice(max(-off, 0), n * n - max(off, 0))  # rows whose column is on the grid
-        data[k, rows.start + off:rows.stop + off] = table[k, rows]
-    return sp.dia_matrix((data, offsets), shape=(dim, dim))
-
-
 def _check_diagonal(d: np.ndarray) -> None:
     if np.any(d <= 0.0):  # on a coarse level 1'A1 over an aggregate, > 0 for SPD A
         raise NotSPDError("matrix has a nonpositive diagonal entry")
 
 
-def _multigrid(system: SparseSystem) -> tuple[list[_Level], np.ndarray]:
-    """The hierarchy of plain aggregation multigrid for the matrix A of
-    ``system``: its levels above the coarsest and the symmetrized dense
-    inverse of the coarsest matrix; ``_v_cycle`` makes them a
-    preconditioner (an SPD approximation of the inverse when A is SPD and
-    weakly diagonally dominant, as every system assembled here is).
-
-    A matrix of at most ``_COARSEST`` unknowns is its own coarsest and may be
-    any SPD matrix.  Above that the hierarchy starts from the system's
-    ``table``: the five-point table of its n x n grid block, aggregated in
-    2 x 2 blocks, and V's column; V (the CEM voltage) forms an aggregate of
-    its own on every level, whose row is its column, then its diagonal.
-    The finest level is A.  Each coarser one is the Galerkin product P'AP
-    of the one above, P the 0/1 aggregation matrix, summed by strided
-    slices of its five-point table in the order ``_coarsen`` states, which
-    reads A as symmetric; it keeps the five-point pattern, the symmetry and
-    the diagonal dominance.  Raises NotSPDError on a nonpositive diagonal
-    entry or a singular coarsest matrix, and DimensionError above
-    ``_COARSEST`` unknowns on a system that has no table (one that no
-    assembly function built).
-    """
-    A = system.matrix
-    dim = A.shape[0]
-    d = A.diagonal()
-    _check_diagonal(d)
-    levels = []
-    if dim <= _COARSEST:
-        coarsest = A.toarray()
+def _level(table: np.ndarray, voltage: tuple[np.ndarray, float] | None, n: int) -> _Level:
+    """The level of the DIA table of an n x n grid, whose DIA matrix holds
+    the table's own array, and of V's column and diagonal (None without V);
+    NotSPDError on a nonpositive diagonal entry."""
+    column = row = None
+    if voltage is None:
+        d = table[2]
     else:
-        if system.table is None:
-            raise DimensionError(
-                f"a system of {dim} unknowns, more than {_COARSEST}, needs the five-point "
-                "table of assemble_robin, assemble_cem or assemble_laplace_dirichlet")
-        table, border = system.table
-        table = table.T  # one row per offset
-        n = math.isqrt(table.shape[1])
-        column = voltage = None
-        while dim > _COARSEST:
-            if border is not None:
-                coupled = np.flatnonzero(border)
-                column = (coupled, border[coupled])
-                voltage = (np.append(coupled, n * n), np.append(column[1], d[-1]))
-            levels.append(_Level(_dia(table, n, dim), column, voltage, _DAMPING / d, n))
+        border, corner = voltage
+        d = np.append(table[2], corner)
+        coupled = np.flatnonzero(border)
+        column = (coupled, border[coupled])
+        row = (np.append(coupled, n * n), np.append(column[1], corner))
+    _check_diagonal(d)
+    return _Level(sp.dia_matrix((table, _offsets(n)), shape=(d.size, d.size)), column, row,
+                  _DAMPING / d, n)
+
+
+def _finest(system: SparseSystem) -> _Level | None:
+    """The finest level of the system's multigrid, A itself on the table
+    that the assembly built (no copy), or None for a system of at most
+    ``_COARSEST`` unknowns; DimensionError above that size for a system
+    with no table (one that no assembly function built)."""
+    if system.dimension <= _COARSEST:
+        return None
+    if system.table is None:
+        raise DimensionError(
+            f"a system of {system.dimension} unknowns, more than {_COARSEST}, needs the "
+            "five-point table of assemble_robin, assemble_cem or assemble_laplace_dirichlet")
+    return _level(system.table, system.voltage, math.isqrt(system.table.shape[1]))
+
+
+def _multigrid(system: SparseSystem, finest: _Level | None) -> tuple[list[_Level], np.ndarray]:
+    """The hierarchy of plain aggregation multigrid for the matrix A of
+    ``system`` from its finest level ``finest`` (``_finest``): its levels
+    above the coarsest and the symmetrized dense inverse of the coarsest
+    matrix; ``_v_cycle`` makes them a preconditioner (an SPD approximation
+    of the inverse when A is SPD and weakly diagonally dominant, as every
+    system assembled here is).
+
+    A matrix of at most ``_COARSEST`` unknowns (``finest`` None) is its own
+    coarsest and may be any SPD matrix, read in CSR form.  Above that the
+    hierarchy starts from the system's DIA ``table``, aggregated in 2 x 2
+    blocks, and V's column; V (the CEM voltage) forms an aggregate of its
+    own on every level, whose row is its column, then its diagonal.  Each
+    coarser level is the Galerkin product P'AP of the one above, P the 0/1
+    aggregation matrix, summed by strided slices of its DIA table in the
+    order ``_coarsen`` states, which reads A as symmetric; it keeps the
+    five-point pattern, the symmetry and the diagonal dominance.  Raises
+    NotSPDError on a nonpositive diagonal entry or a singular coarsest
+    matrix.
+    """
+    if finest is None:
+        A = system.matrix
+        _check_diagonal(A.diagonal())
+        levels, coarsest = [], A.toarray()
+    else:
+        levels = [finest]
+        table, n = system.table, finest.n
+        border, corner = system.voltage or (None, None)
+        while True:
             table, border = _coarsen(table, border, n)
             n = (n + 1) // 2
-            dim = n * n + (border is not None)
-            d = table[2] if border is None else np.append(table[2], d[-1])
-            _check_diagonal(d)
-        coarsest = _dia(table, n, dim).toarray()
+            if n * n + (border is not None) <= _COARSEST:
+                break
+            levels.append(_level(table, None if border is None else (border, corner), n))
+        _check_diagonal(table[2])
+        coarsest = np.zeros((n * n + (border is not None),) * 2)
+        for row, off in zip(table, _offsets(n)):
+            r = np.arange(max(-off, 0), n * n - max(off, 0))  # column r + off in the block
+            coarsest[r, r + off] = row[r + off]
         if border is not None:
             coarsest[-1, :-1] = coarsest[:-1, -1] = border
-            coarsest[-1, -1] = d[-1]
+            coarsest[-1, -1] = corner
     try:
         inverse = np.linalg.inv(coarsest)
     except np.linalg.LinAlgError as exc:
@@ -682,32 +748,35 @@ def pcg_solve(
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the guess ``x0`` (zero when None),
     preconditioned by one aggregation multigrid V-cycle (``_multigrid``)
-    built from the five-point table that the assembly kept, whose products
-    go through the finest level's DIA product.  A system of at most
-    ``_COARSEST`` unknowns has no level and may hold any SPD matrix, whose
-    CSR form takes the products.  A guess whose residual already meets
-    ``tol`` is returned as it is, after 0 iterations and with no hierarchy
-    built.
+    built on the DIA table that the assembly kept.  Every product, the
+    guess's residual included, goes through the finest level's DIA
+    product, so no CSR matrix is built.  A system of at most ``_COARSEST``
+    unknowns has no level and may hold any SPD matrix, whose CSR form takes
+    the products.  A guess whose residual already meets ``tol`` is returned
+    as it is, after 0 iterations and with no hierarchy built.
 
     The V-cycle needs about as many iterations at every grid size (at most
     13 on the forward systems for n = 65 to 1025) and no sparse factor.
     Returns once the true relative residual ||Ax-b||/||b|| is at most
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
-    sqrt(dimension)) iterations do not get there, NotSPDError on a
-    nonpositive diagonal or nonpositive-curvature direction, and
-    DimensionError on a system of more than ``_COARSEST`` unknowns that
-    ``assemble_robin``, ``assemble_cem`` or ``assemble_laplace_dirichlet``
-    did not build.
+    sqrt(dimension)) iterations do not get there or when CG meets a
+    non-finite value (``_cg``), NotSPDError on a nonpositive diagonal or
+    nonpositive-curvature direction, and DimensionError on a guess whose
+    shape is not (dimension,) and on a system of more than ``_COARSEST``
+    unknowns that ``assemble_robin``, ``assemble_cem`` or
+    ``assemble_laplace_dirichlet`` did not build.
     """
-    _check_tol(tol)
+    _check_call(system, tol, x0)
+    finest = _finest(system)
+    A = system.matrix if finest is None else finest
     if x0 is not None:  # no iteration, so no preconditioner is called
-        x, _, res = _cg(system.matrix, system.rhs, None, tol, 0, x0)
+        x, _, res = _cg(A, system.rhs, None, tol, 0, x0)
         if res <= tol:
             return _checked(x, 0, res, tol, "multigrid")
     max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
-    levels, coarsest_inverse = _multigrid(system)
-    return _checked(*_cg(levels[0] if levels else system.matrix, system.rhs,
-                         partial(_v_cycle, levels, coarsest_inverse), tol, max_iter, x0),
+    levels, coarsest_inverse = _multigrid(system, finest)
+    return _checked(*_cg(A, system.rhs, partial(_v_cycle, levels, coarsest_inverse), tol,
+                         max_iter, x0),
                     tol, "multigrid")
 
 
@@ -763,9 +832,11 @@ def solve_reusing_factor(
     the abandoned ones.  ``_FACTOR_COST`` is about the cost of one
     factorization in solves, so this ski-rental rule does at most twice the
     work of the best refactor schedule.  The products stay CSR: the matrix
-    changes with every system of the sequence.
+    changes with every system of the sequence.  A guess whose shape is not
+    (dimension,) is a DimensionError before any factorization, and a NaN or
+    inf in it a SolverError at CG's first iteration (``_cg``).
     """
-    _check_tol(tol)
+    _check_call(system, tol, x0)
     A, b = system.matrix, system.rhs
     spent = 0
     if cache.lu is not None:

@@ -80,16 +80,16 @@ def solve_cem_forward(
     The CEM system (``assemble_cem``) is the sharp Robin system bordered by
     V, so its solution is lambda (u0, zI), u0 the sharp Robin solution and
     lambda = ``cem_scaling``.  After every check of the CEM assembly, the
-    sharp Robin system is solved as ``solve_forward`` solves it, its matrix
-    is then bordered by V, and lambda (u0, zI) is the guess of the CEM
-    solve: where it meets ``tol`` on the bordered system (as it does unless
-    z is small) it is returned as it is, with no hierarchy built; elsewhere
-    CG polishes it.  Where cem_scaling finds 1/lambda degenerate (z below
-    about 1e-12) the CEM solve starts from zero.  ``stats`` counts the
-    iterations of both solves.
+    sharp Robin system is solved as ``solve_forward`` solves it, its table
+    is then bordered by V (no copy, and no CSR matrix), and lambda (u0, zI)
+    is the guess of the CEM solve: where it meets ``tol`` on the bordered
+    system (as it does unless z is small) it is returned as it is, with no
+    hierarchy built; elsewhere CG polishes it.  Where cem_scaling finds
+    1/lambda degenerate (z below about 1e-12) the CEM solve starts from
+    zero.  ``stats`` counts the iterations of both solves.
     """
     robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
-    border, corner = _cem_border(robin.matrix, sigma, electrodes, grid)
+    border, corner = _cem_border(robin.table, sigma, electrodes, grid)
     x, robin_stats = pcg_solve(robin, tol=tol)
     try:
         lam = _scaling(ScalarField(grid, x), electrodes, grid)
@@ -98,7 +98,6 @@ def solve_cem_forward(
     else:
         x0 = np.append(lam * x, lam * (electrodes.z * electrodes.current))
     system = _bordered(robin, border, corner, electrodes.current)
-    del robin  # its matrix is freed before the CEM solve
     x, stats = pcg_solve(system, tol=tol, x0=x0)
     stats.iterations += robin_stats.iterations
     v = ScalarField(grid, x[:-1])
@@ -121,6 +120,20 @@ def cem_scaling(
     """
     require_same_grid(grid, result.u)
     return _scaling(result.u, electrodes, grid)
+
+
+def robin_data(a: ScalarField, cem_voltage: float,
+               electrodes: ElectrodeSet) -> tuple[ScalarField, float]:
+    """The interior data of the sharp Robin problem from those of the CEM
+    solve whose electrode voltage is ``cem_voltage``, and lambda: the CEM
+    solution is lambda times the sharp Robin one with lambda = V/(zI)
+    (``solve_cem_forward``), so its data divided by lambda are sharp Robin
+    data.  A lambda that is not positive and finite is a DataError."""
+    lam = cem_voltage / (electrodes.z * electrodes.current)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DataError(f"the CEM voltage {cem_voltage:g} gives lambda = V/(zI) = {lam:g}, "
+                        "which is not positive and finite")
+    return ScalarField(a.grid, a.values / lam), lam
 
 
 def _scaling(u: ScalarField, electrodes: ElectrodeSet, grid: Grid) -> float:

@@ -308,13 +308,13 @@ def _side_cem(sigma, electrodes, grid):
         idx, w = _side_faces(electrodes, grid, side)
         g = (lj * n + li)[idx]
         wz = w * (1.0 / electrodes.z)
-        stencil[g, 2] += wz
+        stencil[2, g] += wz  # the centre diagonal of the DIA table
         border[g] = -wz if side == pos_side else wz
         corner += float(wz.sum())
     coupled = np.flatnonzero(border)
     m = coupled.size
     at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, pat.indices.size)])
-    data = np.insert(stencil[pat.present], at,
+    data = np.insert(np.take(stencil, pat.gather), at,
                      np.concatenate([border[coupled], border[coupled], [corner]]))
     indices = np.insert(pat.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
     extra = np.zeros(N + 2, dtype=np.int32)

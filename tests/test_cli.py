@@ -238,6 +238,32 @@ def test_epsilon_0_selects_the_sharp_model_in_forward_and_reconstruct(tmp_path, 
     assert float(fields["rel_l2_error"]) <= ceiling
 
 
+@pytest.mark.parametrize("aperture, ceiling", [("1", 1.5e-2), ("0.5", 1.3e-2)])
+def test_reconstruct_from_cem_data_with_their_voltage(tmp_path, capsys, aperture, ceiling):
+    # criterion 6's phantom at n=128: forward --cem data reconstructed with
+    # --epsilon 0 --cem-voltage V stop on tol, with the sharp model's error
+    # (1.398e-2 and 1.221e-2 when this was written); the line echoes lambda
+    sig, a = tmp_path / "sigma.fld", tmp_path / "a.fld"
+    run(["phantom", "--kind", "blobs", "--n", "128", "--seed", "7", "--lo", "1", "--hi", "1.8",
+         "--margin", "0.15", "--width-lo", "0.05", "--width-hi", "0.1", "--out", str(sig)])
+    capsys.readouterr()
+    assert run(["forward", "--sigma", str(sig), "--cem", "--aperture", aperture, "--noise",
+                "1e-5", "--seed", "1", "--out-a", str(a)]) == 0
+    voltage = capsys.readouterr().out.split("cem_voltage=")[1].split()[0]
+    rec = ["reconstruct", "--a", str(a), "--epsilon", "0", "--aperture", aperture,
+           "--truth", str(sig), "--out", str(tmp_path / "rec.fld")]
+    assert run(rec + ["--cem-voltage", voltage]) == 0
+    fields = dict(item.split("=", 1) for item in capsys.readouterr().out.split()
+                  if "=" in item)
+    assert fields["stop_reason"] == "tol"
+    assert float(fields["rel_l2_error"]) <= ceiling
+    assert float(fields["cem_lambda"]) == float(voltage) / (1.0 * 1.0)  # V/(zI), z = I = 1
+    # a voltage whose lambda is not positive and finite: exit 1, one line
+    assert run(rec[:-1] + [str(tmp_path / "bad.fld"), "--cem-voltage", "-" + voltage]) == 1
+    assert capsys.readouterr().err.startswith("cdrecon: error: the CEM voltage")
+    assert not (tmp_path / "bad.fld").exists()
+
+
 def test_reconstruct_cli_prints_stop_change(tmp_path, capsys):
     # a run that stopped by its rule printed a stop_change within stop_tol;
     # with calibration that is the change off the reparametrization family,

@@ -25,7 +25,6 @@ from cdrecon.elliptic import (
     FactorCache,
     SparseSystem,
     _factor,
-    _multigrid,
     assemble_cem,
     assemble_laplace_dirichlet,
     assemble_robin,
@@ -44,6 +43,11 @@ from cdrecon.fields import (
 )
 from cdrecon.forward import solve_cem_forward, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
+
+
+def _multigrid(system):
+    """The hierarchy that pcg_solve builds for ``system``."""
+    return elliptic._multigrid(system, elliptic._finest(system))
 
 
 def _matrix_symmetry_defect(A) -> float:
@@ -597,28 +601,31 @@ def test_a_guess_that_meets_tol_is_returned_with_no_hierarchy():
 
 
 def _table_read_off(A, n):
-    """The five-point table (south, west, centre, east, north) of the first
-    n*n unknowns of A and its column n*n (None when A has no further
+    """The DIA table of the first n*n unknowns of A (the diagonals at the
+    offsets -n, -1, 0, 1, n, row r's entry at offset k at column r + k)
+    and its column n*n with its diagonal entry (None when A has no further
     unknown), read entry by entry, +0.0 off the grid."""
     nodes = np.arange(n * n)
     j, i = np.divmod(nodes, n)
-    table = np.zeros((n * n, 5))
+    table = np.zeros((5, n * n))
     for k, (off, on) in enumerate(((-n, j > 0), (-1, i > 0), (0, i >= 0), (1, i < n - 1),
                                    (n, j < n - 1))):
         r = nodes[on]
-        table[r, k] = np.asarray(A[r, r + off]).ravel()
-    column = (np.asarray(A[nodes, np.full(n * n, n * n)]).ravel() if A.shape[0] > n * n
-              else None)
-    return table, column
+        table[k, r + off] = np.asarray(A[r, r + off]).ravel()
+    voltage = None
+    if A.shape[0] > n * n:
+        voltage = (np.asarray(A[nodes, np.full(n * n, n * n)]).ravel(), A[n * n, n * n])
+    return table, voltage
 
 
 def _assert_table_is_the_matrix(system, n):
-    table, column = system.table
-    expected_table, expected_column = _table_read_off(system.matrix, n)
-    assert table.tobytes() == expected_table.tobytes()
-    assert (column is None) == (expected_column is None)
-    if column is not None:
+    expected_table, expected_voltage = _table_read_off(system.matrix, n)
+    assert system.table.tobytes() == expected_table.tobytes()
+    assert (system.voltage is None) == (expected_voltage is None)
+    if system.voltage is not None:
+        (column, corner), (expected_column, expected_corner) = system.voltage, expected_voltage
         assert column.tobytes() == expected_column.tobytes()
+        assert np.float64(corner).tobytes() == np.float64(expected_corner).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -658,6 +665,84 @@ def test_pcg_needs_an_assembled_system_above_the_coarsest_size():
         pcg_solve(copy)
     x, stats = pcg_solve(system)
     assert stats.relative_residual <= elliptic.SOLVE_TOL
+
+
+def test_the_finest_level_is_the_assemblys_table():
+    # the finest level's DIA data are the table each assembly built, not a
+    # copy of it, and the CEM system holds its Robin block's table
+    g = make_grid(20)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=20, seed=3))
+    robin = assemble_robin(sigma, base_coefficients(ElectrodeSet(), g), g)
+    cem = elliptic._bordered(robin, *elliptic._cem_border(robin.table, sigma, ElectrodeSet(),
+                                                          g), 1.0)
+    laplace = assemble_laplace_dirichlet(BoundaryValues(g, np.ones(g.num_boundary_nodes)), g)
+    for system in (robin, cem, laplace):
+        assert system.dimension > elliptic._COARSEST
+        assert np.shares_memory(elliptic._finest(system).stencil.data, system.table)
+    assert cem.table is robin.table
+
+
+@pytest.mark.parametrize("n", [65, 257])
+@pytest.mark.parametrize("kind", ["smoothed", "sharp", "cem", "cem-small-z"])
+def test_forward_solves_build_no_csr_matrix(n, kind):
+    # every product of a forward solve, the CEM guess's residual included,
+    # goes through the DIA table: no CSR matrix is constructed
+    g = make_grid(n)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=7))
+    el = ElectrodeSet(z=1e-6 if kind == "cem-small-z" else 1.0)
+    built, init = [], sp.csr_matrix.__init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp.csr_matrix, "__init__",
+                   lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+        if kind.startswith("cem"):
+            result = solve_cem_forward(sigma, el, g)
+        else:
+            coeffs = (base_coefficients(el, g) if kind == "sharp"
+                      else smoothed_coefficients(el, g, 5e-4))
+            result = solve_forward(sigma, coeffs, g)
+    assert built == []
+    assert result.stats.relative_residual <= elliptic.SOLVE_TOL
+    assert kind != "cem-small-z" or result.stats.iterations > 0
+
+
+_GUESS_SHAPES = st.sampled_from(["column", "row", "short", "long", "scalar", "two"])
+
+
+def _guess_of_shape(shape, dim):
+    return np.ones({"column": (dim, 1), "row": (1, dim), "short": (dim - 1,),
+                    "long": (dim + 1,), "scalar": (), "two": (dim, 2)}[shape])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 24), seed=st.integers(0, 2**32 - 1), shape=_GUESS_SHAPES,
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.floats(0.0, 1.0),
+       cached=st.booleans())
+def test_a_malformed_guess_fails_before_any_work(n, seed, shape, bad, where, cached):
+    # a guess of another shape is a DimensionError before any product,
+    # hierarchy or factor; a NaN or inf anywhere in a guess of the right
+    # shape ends CG at its first iteration with a SolverError that says so
+    g = make_grid(n)
+    sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
+    system = assemble_robin(sigma, smoothed_coefficients(ElectrodeSet(), g, 1e-3), g)
+    dim = system.dimension
+    cache = FactorCache()
+    if cached:
+        solve_reusing_factor(system, cache)
+    factorizations = cache.factorizations
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_finest", "_multigrid", "_factor", "_cg"):
+            mp.setattr(elliptic, name, None)  # any call is a TypeError
+        for solve in (pcg_solve, partial(solve_reusing_factor, cache=cache)):
+            with pytest.raises(DimensionError, match="the guess has shape"):
+                solve(system, x0=_guess_of_shape(shape, dim))
+    assert cache.factorizations == factorizations
+    x0 = np.zeros(dim)
+    x0[min(int(where * dim), dim - 1)] = bad
+    for solve in (pcg_solve, partial(solve_reusing_factor, cache=cache)):
+        # inf - inf in the residual is NaN, of which numpy warns
+        with pytest.raises(SolverError, match="is not finite at iteration 1$"), \
+                np.errstate(invalid="ignore"):
+            solve(system, x0=x0)
 
 
 # a dense SPD matrix of 1 to 60 unknowns, or a sparse one of 4 to _COARSEST

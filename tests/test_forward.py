@@ -1,6 +1,8 @@
 """Forward simulation: Robin/CEM solves, interior data, scaling, noise,
 and the non-uniqueness transform."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -22,6 +24,7 @@ from cdrecon.forward import (
     add_noise,
     cem_scaling,
     interior_data,
+    robin_data,
     solve_cem_forward,
     solve_forward,
 )
@@ -170,6 +173,31 @@ def test_cem_is_lambda_times_sharp_robin_at_every_aperture(n, seed, aperture, z,
     assert cem.cem_voltage == pytest.approx(lam * z * current, rel=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 48), seed=st.integers(0, 2**32 - 1),
+       aperture=st.floats(0.0, 1.0, exclude_min=True), z=st.floats(0.1, 10.0),
+       current=st.floats(0.1, 10.0), top_positive=st.booleans())
+def test_cem_data_over_lambda_are_the_sharp_robin_data(n, seed, aperture, z, current,
+                                                       top_positive):
+    # reconstruct --cem-voltage V divides the CEM data by lambda = V/(zI):
+    # what it reconstructs from are the sharp Robin data
+    g = make_grid(n)
+    el = ElectrodeSet(aperture=aperture, z=z, current=current, top_positive=top_positive)
+    try:
+        coeffs = base_coefficients(el, g)
+    except DataError:
+        assume(False)  # the aperture spans fewer than two nodes
+    sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
+    sharp = solve_forward(sigma, coeffs, g, tol=1e-12)
+    cem = solve_cem_forward(sigma, el, g, tol=1e-12)
+    a, lam = robin_data(cem.a, cem.cem_voltage, el)
+    assert lam == cem.cem_voltage / (z * current)
+    assert rel_l2_error(a, sharp.a) <= 1e-9
+    for voltage in (0.0, -cem.cem_voltage, math.inf, math.nan):
+        with pytest.raises(DataError, match="not positive and finite"):
+            robin_data(cem.a, voltage, el)
+
+
 def test_cem_is_cem_scaling_times_the_sharp_robin_output_bit_for_bit():
     # at z = 1 the guess lambda (u0, zI) meets the tolerance on the bordered
     # system: one multigrid hierarchy (the Robin one) is built, and the CEM
@@ -180,10 +208,10 @@ def test_cem_is_cem_scaling_times_the_sharp_robin_output_bit_for_bit():
     builds = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elliptic, "_multigrid",
-                   lambda system, build=elliptic._multigrid:
-                   builds.append(system.matrix.shape) or build(system))
+                   lambda system, finest, build=elliptic._multigrid:
+                   builds.append(system.dimension) or build(system, finest))
         cem = solve_cem_forward(sigma, el, g)
-    assert builds == [(g.num_nodes, g.num_nodes)]
+    assert builds == [g.num_nodes]
     sharp = solve_forward(sigma, base_coefficients(el, g), g)
     lam = cem_scaling(sharp, el, g)
     assert cem.u.values.tobytes() == (lam * sharp.u.values).tobytes()
