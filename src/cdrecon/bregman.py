@@ -94,7 +94,7 @@ def split_bregman_minimize(
     # the one v-step system keeps the Dirichlet rows of the trace, which the
     # sine solve copies through bit for bit, and takes the source
     # -h^2 div(d - g) in its interior rows
-    step = SparseSystem(base.matrix, base.rhs.copy())
+    step = SparseSystem(base.table, base.rhs.copy())
     step_inner = step.rhs.reshape(n, n)[1:-1, 1:-1]
     base_inner = base.rhs.reshape(n, n)[1:-1, 1:-1]
 

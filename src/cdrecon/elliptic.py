@@ -14,12 +14,14 @@ The Robin and Laplace-Dirichlet systems share one five-point stencil
 (``_stencil``), whose table in DIA layout each system keeps as its matrix;
 each adds its own boundary treatment.  The CEM system is the sharp Robin
 system bordered by its electrode voltage, on the Robin system's table.
-The CSR form is built from the table only where it is read.
+Every product of every solve goes through one operator per system, the
+finest multigrid level built on that table (``SparseSystem.operator``);
+the CSR form is built only for SuperLU's factor.
 
 Three solves, one per kind of caller, each returning ``SolveStats``:
 ``pcg_solve`` (multigrid CG) for the systems solved once, the forward Robin
-and CEM problems, with a hierarchy built from the five-point table that the
-assembly kept (the CEM solve starts from lambda times the Robin solution,
+and CEM problems, with a hierarchy coarsened from the system's table (the
+CEM solve starts from lambda times the Robin solution,
 ``forward.solve_cem_forward``, and builds none where that guess meets the
 tolerance); ``solve_reusing_factor`` (CG on an earlier LU factor) for the
 slowly varying Robin systems of the reconstruction sweeps; and
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -86,37 +88,37 @@ _OVERCORRECTION = 1.9
 
 
 class SparseSystem:
-    """Symmetric sparse linear system A x = rhs.
+    """Symmetric sparse linear system A x = rhs on an n x n grid.
 
-    ``SparseSystem(A, rhs)`` holds a CSR matrix A.  The assembly functions
-    of this module hold A as ``table`` instead: the five-point table of its
-    n x n grid block in scipy's DIA layout, a (5, n*n) array whose rows are
-    the diagonals at the offsets -n, -1, 0, 1, n, row r's entry at offset k
-    stored at column r + k (+0.0 where A stores no entry); and, for the CEM
-    system, ``voltage``, V's column over the grid nodes and V's diagonal
-    entry (None without V).  ``pcg_solve`` builds its multigrid on that
-    table without a copy.  ``matrix``, A in CSR form, is built from the
-    table at its first read, for the code that reads it: SuperLU's factor,
-    the products on a system of at most ``_COARSEST`` unknowns, and callers
-    of ``matrix``.
+    ``table`` holds A's n x n grid block as its five-point table in scipy's
+    DIA layout, a (5, n*n) array whose rows are the diagonals at the
+    offsets -n, -1, 0, 1, n, row r's entry at offset k stored at column
+    r + k (+0.0 where A has no entry); ``voltage``, for the CEM system, is
+    V's column over the grid nodes and V's diagonal entry (None without V).
+
+    ``operator``, A as the finest multigrid level on the table's own array
+    (``_Level``), is built at its first use and kept: every product of
+    ``pcg_solve``, ``solve_reusing_factor`` and ``sine_solve`` goes through
+    it.  ``matrix``, A in CSR form, is built at its first read, for
+    SuperLU's factor.
     """
 
-    def __init__(self, matrix: sp.csr_matrix | None, rhs: np.ndarray) -> None:
-        self._matrix = matrix
+    def __init__(self, table: np.ndarray, rhs: np.ndarray,
+                 voltage: tuple[np.ndarray, float] | None = None) -> None:
+        self.table = table
         self.rhs = rhs
-        self.table: np.ndarray | None = None
-        self.voltage: tuple[np.ndarray, float] | None = None
+        self.voltage = voltage
 
-    @property
+    @cached_property
+    def operator(self) -> _Level:
+        return _level(self.table, self.voltage)
+
+    @cached_property
     def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            self._matrix = _csr(self.table, self.voltage)
-        return self._matrix
+        return _csr(self.table, self.voltage)
 
     @property
     def dimension(self) -> int:
-        if self._matrix is not None:
-            return self._matrix.shape[0]
         return self.table.shape[1] + (self.voltage is not None)
 
 
@@ -279,10 +281,7 @@ def _add_boundary_term(diagonal: np.ndarray, rows: np.ndarray, terms: np.ndarray
 
 
 def assemble_robin(
-    sigma_eff: ScalarField,
-    coeffs: RobinCoefficients,
-    grid: Grid,
-    out: SparseSystem | None = None,
+    sigma_eff: ScalarField, coeffs: RobinCoefficients, grid: Grid
 ) -> SparseSystem:
     """Discrete system for div(sigma_eff grad u) = 0 with
     sigma_eff du/dnu + b u = c on the boundary: the stencil with the
@@ -290,34 +289,20 @@ def assemble_robin(
 
     A b too small to grow any face row's diagonal by more than two rounding
     units is a DataError (``_add_boundary_term``).
-
-    With ``out``, a system that this function built for the same grid size,
-    the system is written into its arrays (the entries of its CSR matrix in
-    place, on the pattern they share), its table is replaced by the new
-    one, and ``out`` is returned: a caller that solves one system after
-    another builds one matrix.
     """
     require_same_grid(grid, sigma_eff, coeffs)
     _check_positive_sigma(sigma_eff)
 
     n = grid.n
-    N = n * n
     pat = _stencil_pattern(n)
-    if out is not None and (out.matrix.shape != (N, N) or out.matrix.nnz != pat.indices.size):
-        raise DimensionError("out is not a Robin system of this grid size")
     table = _stencil(sigma_eff.values, n)
     # the boundary faces add to the diagonal after the edges
     b = coeffs.b.values
     _add_boundary_term(table[2], pat.face_rows, pat.face_weight * b[pat.face_value],
                        float(b.max()), sigma_eff)
-    if out is None:
-        out = SparseSystem(None, np.zeros(N))
-    else:
-        np.take(table, pat.gather, out=out.matrix.data)
-        out.rhs.fill(0.0)
-    np.add.at(out.rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
-    out.table = table
-    return out
+    rhs = np.zeros(n * n)
+    np.add.at(rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
+    return SparseSystem(table, rhs)
 
 
 def _cem_border(table: np.ndarray, sigma: ScalarField, electrodes: ElectrodeSet,
@@ -354,10 +339,11 @@ def assemble_cem(
     (zero flux).  The grid block is the sharp Robin matrix of
     ``base_coefficients`` (b = 1/z on the faces of ``electrode_quadrature``),
     so the solution v is lambda times the sharp Robin one at every aperture.
-    The voltage V is the last unknown, N = n*n: its column entry -/+w/z
-    comes last in each electrode node's row of the CSR form, and row N
-    holds the couplings to the electrode nodes in ascending node order,
-    then the diagonal corner (``_csr``).
+    The voltage V is the last unknown, N = n*n: the system holds the Robin
+    table and V's column and diagonal (``SparseSystem.voltage``).  In A's
+    CSR form V's column entry -/+w/z comes last in each electrode node's
+    row, and row N holds the couplings to the electrode nodes in ascending
+    node order, then the diagonal corner (``_csr``).
 
     The Robin assembly's checks apply (``assemble_robin``), and a w/z so
     large that an electrode node's diagonal loses its edge terms is a
@@ -374,24 +360,21 @@ def _bordered(robin: SparseSystem, border: np.ndarray, corner: float,
               current: float) -> SparseSystem:
     """The system of ``assemble_cem`` from the sharp Robin system of its grid
     block and the V column and diagonal of ``_cem_border``: it holds the
-    Robin system's table, not a copy, and builds no CSR matrix."""
+    Robin system's table, not a copy."""
     rhs = np.zeros(robin.table.shape[1] + 1)
     rhs[-1] = 2.0 * current
-    system = SparseSystem(None, rhs)
-    system.table, system.voltage = robin.table, (border, corner)
-    return system
+    return SparseSystem(robin.table, rhs, (border, corner))
 
 
 def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem:
     """Five-point Laplace system with Dirichlet data: the stencil at
     sigma = 1 with the boundary rows eliminated symmetrically (identity
-    rows, couplings folded into the rhs).  Its CSR matrix, which
-    ``sine_solve`` reads, stores no zeros for the dropped couplings.
+    rows, couplings folded into the rhs); the table holds +0.0 for the
+    dropped couplings.
     """
     require_same_grid(grid, data)
     n = grid.n
     N = n * n
-    pat = _stencil_pattern(n)
     table = _stencil(np.ones(N), n)
     kb = boundary_nodes(grid)
     inner = np.ones(N, dtype=bool)  # nodes with all four neighbours
@@ -411,14 +394,7 @@ def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem
         at = kb + off
         table[row, at[(at >= 0) & (at < N)]] = 1.0 if off == 0 else 0.0
     rhs[kb] = data.values
-
-    vals = np.take(table, pat.gather)
-    keep = vals != 0.0  # store no zeros for the dropped couplings
-    indptr = np.concatenate([[0], np.cumsum(keep)[pat.indptr[1:] - 1]])
-    system = SparseSystem(
-        sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(N, N)), rhs)
-    system.table = table
-    return system
+    return SparseSystem(table, rhs)
 
 
 def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
@@ -431,7 +407,7 @@ def _cg(A, b: np.ndarray, apply_m, tol: float, max_iter: int,
     already meets ``tol`` is returned after 0 iterations.  The returned
     residual exceeds ``tol`` only when the iteration cap was reached.
     Raises SolverError when <r, Mr> or <p, Ap> is not finite (a NaN or inf
-    in the guess or the system), and NotSPDError on a direction of
+    in the system), and NotSPDError on a direction of
     nonpositive curvature, and on a residual that the preconditioner maps
     to a nonpositive <r, Mr>.
     """
@@ -500,14 +476,20 @@ def _checked(x: np.ndarray, iterations: int, residual: float, tol: float,
 
 
 def _check_call(system: SparseSystem, tol: float, x0: np.ndarray | None) -> None:
-    """DataError unless 0 < tol < 1, and DimensionError for a guess whose
-    shape is not (dimension,), before the solve makes any product (an
-    (N, 1) guess would broadcast the residual to N x N)."""
+    """DataError unless 0 < tol < 1, DimensionError for a guess whose shape
+    is not (dimension,) and SolverError for a NaN or inf in the guess, before
+    the solve makes any product (an (N, 1) guess would broadcast the
+    residual to N x N, and a non-finite one would run a V-cycle or a
+    factorization on a non-finite residual)."""
     if not (0.0 < tol < 1.0):
         raise DataError(f"tol must be in (0, 1), got {tol}")
-    if x0 is not None and np.shape(x0) != (system.dimension,):
+    if x0 is None:
+        return
+    if np.shape(x0) != (system.dimension,):
         raise DimensionError(f"the guess has shape {np.shape(x0)}, not "
                              f"({system.dimension},)")
+    if not np.all(np.isfinite(x0)):
+        raise SolverError("the guess holds a NaN or inf")
 
 
 @dataclass(frozen=True)
@@ -517,12 +499,14 @@ class _Level:
     five-point pattern) and at most one further unknown, the CEM voltage
     V; its damped inverse diagonal; and the transfers to the next level,
     whose aggregates are the grid's 2 x 2 blocks (the last row and column
-    alone when n is odd) and V alone.
+    alone when n is odd) and V alone.  A system's finest level is its one
+    product operator (``SparseSystem.operator``) at every size, also where
+    the hierarchy has no level above the coarsest.
 
     ``level @ x`` goes through scipy's DIA kernel on the level's DIA table:
     a five-point matrix lies on five constant offsets, which DIA storage
     holds without column indices (Bell & Garland, SC'09).  It is scipy's
-    CSR product A x bit for bit, so no level keeps a CSR matrix.  The CSR
+    CSR product A x bit for bit, so no product needs a CSR matrix.  The CSR
     kernel adds a row's terms in ascending column order to a zero; so does
     the DIA kernel of the grid block over the ascending offsets -n, -1, 0,
     1, n, zero where A stores no entry (a sum that starts at +0 is never
@@ -636,10 +620,11 @@ def _check_diagonal(d: np.ndarray) -> None:
         raise NotSPDError("matrix has a nonpositive diagonal entry")
 
 
-def _level(table: np.ndarray, voltage: tuple[np.ndarray, float] | None, n: int) -> _Level:
+def _level(table: np.ndarray, voltage: tuple[np.ndarray, float] | None) -> _Level:
     """The level of the DIA table of an n x n grid, whose DIA matrix holds
     the table's own array, and of V's column and diagonal (None without V);
     NotSPDError on a nonpositive diagonal entry."""
+    n = math.isqrt(table.shape[1])
     column = row = None
     if voltage is None:
         d = table[2]
@@ -654,62 +639,42 @@ def _level(table: np.ndarray, voltage: tuple[np.ndarray, float] | None, n: int) 
                   _DAMPING / d, n)
 
 
-def _finest(system: SparseSystem) -> _Level | None:
-    """The finest level of the system's multigrid, A itself on the table
-    that the assembly built (no copy), or None for a system of at most
-    ``_COARSEST`` unknowns; DimensionError above that size for a system
-    with no table (one that no assembly function built)."""
-    if system.dimension <= _COARSEST:
-        return None
-    if system.table is None:
-        raise DimensionError(
-            f"a system of {system.dimension} unknowns, more than {_COARSEST}, needs the "
-            "five-point table of assemble_robin, assemble_cem or assemble_laplace_dirichlet")
-    return _level(system.table, system.voltage, math.isqrt(system.table.shape[1]))
-
-
-def _multigrid(system: SparseSystem, finest: _Level | None) -> tuple[list[_Level], np.ndarray]:
+def _multigrid(system: SparseSystem) -> tuple[list[_Level], np.ndarray]:
     """The hierarchy of plain aggregation multigrid for the matrix A of
-    ``system`` from its finest level ``finest`` (``_finest``): its levels
-    above the coarsest and the symmetrized dense inverse of the coarsest
-    matrix; ``_v_cycle`` makes them a preconditioner (an SPD approximation
-    of the inverse when A is SPD and weakly diagonally dominant, as every
-    system assembled here is).
+    ``system``: its levels above the coarsest, the first of them the
+    system's own operator, and the symmetrized dense inverse of the
+    coarsest matrix; ``_v_cycle`` makes them a preconditioner (an SPD
+    approximation of the inverse when A is SPD and weakly diagonally
+    dominant, as every system assembled here is).
 
-    A matrix of at most ``_COARSEST`` unknowns (``finest`` None) is its own
-    coarsest and may be any SPD matrix, read in CSR form.  Above that the
-    hierarchy starts from the system's DIA ``table``, aggregated in 2 x 2
-    blocks, and V's column; V (the CEM voltage) forms an aggregate of its
-    own on every level, whose row is its column, then its diagonal.  Each
-    coarser level is the Galerkin product P'AP of the one above, P the 0/1
-    aggregation matrix, summed by strided slices of its DIA table in the
-    order ``_coarsen`` states, which reads A as symmetric; it keeps the
-    five-point pattern, the symmetry and the diagonal dominance.  Raises
+    The hierarchy starts from the system's DIA ``table``, aggregated in
+    2 x 2 blocks, and V's column; V (the CEM voltage) forms an aggregate of
+    its own on every level, whose row is its column, then its diagonal.
+    Each coarser level is the Galerkin product P'AP of the one above, P the
+    0/1 aggregation matrix, summed by strided slices of its DIA table in
+    the order ``_coarsen`` states, which reads A as symmetric; it keeps the
+    five-point pattern, the symmetry and the diagonal dominance.  The first
+    table of at most ``_COARSEST`` unknowns fills the dense coarsest
+    matrix, so a system of at most that size has no level.  Raises
     NotSPDError on a nonpositive diagonal entry or a singular coarsest
     matrix.
     """
-    if finest is None:
-        A = system.matrix
-        _check_diagonal(A.diagonal())
-        levels, coarsest = [], A.toarray()
-    else:
-        levels = [finest]
-        table, n = system.table, finest.n
-        border, corner = system.voltage or (None, None)
-        while True:
-            table, border = _coarsen(table, border, n)
-            n = (n + 1) // 2
-            if n * n + (border is not None) <= _COARSEST:
-                break
-            levels.append(_level(table, None if border is None else (border, corner), n))
-        _check_diagonal(table[2])
-        coarsest = np.zeros((n * n + (border is not None),) * 2)
-        for row, off in zip(table, _offsets(n)):
-            r = np.arange(max(-off, 0), n * n - max(off, 0))  # column r + off in the block
-            coarsest[r, r + off] = row[r + off]
-        if border is not None:
-            coarsest[-1, :-1] = coarsest[:-1, -1] = border
-            coarsest[-1, -1] = corner
+    table, n = system.table, math.isqrt(system.table.shape[1])
+    border, corner = system.voltage or (None, None)
+    levels = []
+    while n * n + (border is not None) > _COARSEST:
+        levels.append(_level(table, None if border is None else (border, corner))
+                      if levels else system.operator)
+        table, border = _coarsen(table, border, n)
+        n = (n + 1) // 2
+    _check_diagonal(table[2])
+    coarsest = np.zeros((n * n + (border is not None),) * 2)
+    for row, off in zip(table, _offsets(n)):
+        r = np.arange(max(-off, 0), n * n - max(off, 0))  # column r + off in the block
+        coarsest[r, r + off] = row[r + off]
+    if border is not None:
+        coarsest[-1, :-1] = coarsest[:-1, -1] = border
+        coarsest[-1, -1] = corner
     try:
         inverse = np.linalg.inv(coarsest)
     except np.linalg.LinAlgError as exc:
@@ -748,12 +713,10 @@ def pcg_solve(
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the guess ``x0`` (zero when None),
     preconditioned by one aggregation multigrid V-cycle (``_multigrid``)
-    built on the DIA table that the assembly kept.  Every product, the
-    guess's residual included, goes through the finest level's DIA
-    product, so no CSR matrix is built.  A system of at most ``_COARSEST``
-    unknowns has no level and may hold any SPD matrix, whose CSR form takes
-    the products.  A guess whose residual already meets ``tol`` is returned
-    as it is, after 0 iterations and with no hierarchy built.
+    built on the system's DIA table.  Every product, the guess's residual
+    included, goes through the system's operator, so no CSR matrix is
+    built.  A guess whose residual already meets ``tol`` is returned as it
+    is, after 0 iterations and with no hierarchy built.
 
     The V-cycle needs about as many iterations at every grid size (at most
     13 on the forward systems for n = 65 to 1025) and no sparse factor.
@@ -761,20 +724,17 @@ def pcg_solve(
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
     sqrt(dimension)) iterations do not get there or when CG meets a
     non-finite value (``_cg``), NotSPDError on a nonpositive diagonal or
-    nonpositive-curvature direction, and DimensionError on a guess whose
-    shape is not (dimension,) and on a system of more than ``_COARSEST``
-    unknowns that ``assemble_robin``, ``assemble_cem`` or
-    ``assemble_laplace_dirichlet`` did not build.
+    nonpositive-curvature direction, and a guess that ``_check_call``
+    rejects fails before any work.
     """
     _check_call(system, tol, x0)
-    finest = _finest(system)
-    A = system.matrix if finest is None else finest
+    A = system.operator
     if x0 is not None:  # no iteration, so no preconditioner is called
         x, _, res = _cg(A, system.rhs, None, tol, 0, x0)
         if res <= tol:
             return _checked(x, 0, res, tol, "multigrid")
     max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
-    levels, coarsest_inverse = _multigrid(system, finest)
+    levels, coarsest_inverse = _multigrid(system)
     return _checked(*_cg(A, system.rhs, partial(_v_cycle, levels, coarsest_inverse), tol,
                          max_iter, x0),
                     tol, "multigrid")
@@ -795,9 +755,10 @@ class FactorCache:
     factorizations: int = 0
 
 
-def _factor(A: sp.csr_matrix) -> spla.SuperLU:
-    """SuperLU's factor of the bit-symmetric A, with the minimum-degree
-    ordering on A^T + A and one column per panel; SolverError when it fails.
+def _factor(system: SparseSystem) -> spla.SuperLU:
+    """SuperLU's factor of the system's bit-symmetric matrix A, read in its
+    CSR form (``SparseSystem.matrix``), with the minimum-degree ordering on
+    A^T + A and one column per panel; SolverError when it fails.
 
     One-column panels give the same fill as the default panels but a smaller
     panel workspace (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999): at
@@ -810,7 +771,7 @@ def _factor(A: sp.csr_matrix) -> spla.SuperLU:
     import scipy.sparse.linalg as spla  # here: a run that never factors skips its import
     try:
         # minimum degree on A^T + A: about half the fill of COLAMD here
-        return spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        return spla.splu(system.matrix.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
     except RuntimeError as exc:  # SuperLU reports a singular matrix this way
         raise SolverError(f"LU factorization failed: {exc}") from exc
 
@@ -831,13 +792,13 @@ def solve_reusing_factor(
     the fresh factor, under the same budget; the reported iterations include
     the abandoned ones.  ``_FACTOR_COST`` is about the cost of one
     factorization in solves, so this ski-rental rule does at most twice the
-    work of the best refactor schedule.  The products stay CSR: the matrix
-    changes with every system of the sequence.  A guess whose shape is not
-    (dimension,) is a DimensionError before any factorization, and a NaN or
-    inf in it a SolverError at CG's first iteration (``_cg``).
+    work of the best refactor schedule.  The CG products and true residuals
+    go through the system's operator; only the factorization reads its CSR
+    matrix.  A guess that ``_check_call`` rejects fails before any
+    factorization.
     """
     _check_call(system, tol, x0)
-    A, b = system.matrix, system.rhs
+    A, b = system.operator, system.rhs
     spent = 0
     if cache.lu is not None:
         x, k, res = _cg(A, b, cache.lu.solve, tol, 1 + _FACTOR_COST - cache.wasted, x0)
@@ -846,7 +807,7 @@ def solve_reusing_factor(
             return _checked(x, k, res, tol, "lu")
         spent, x0 = k, x
         cache.lu = None  # release the stale factor before building the next
-    cache.lu = _factor(A)
+    cache.lu = _factor(system)
     cache.factorizations += 1
     x, k, res = _cg(A, b, cache.lu.solve, tol, 1 + _FACTOR_COST, x0)
     cache.wasted = max(k - 1, 0)
@@ -876,8 +837,9 @@ def sine_solve(system: SparseSystem) -> tuple[np.ndarray, SolveStats]:
     DST-I matrix diagonalizes: x = S ((S b S) / Lambda) S on the interior
     nodes.  The Dirichlet rows are identities, so their values are copied
     from the rhs bit for bit.  The solve is exact and takes no tolerance;
-    its true residual is checked against ``SOLVE_TOL`` like every other
-    solve, which also rejects a NaN in the rhs (SolverError).  A dimension
+    its true residual, through the system's operator, is checked against
+    ``SOLVE_TOL`` like every other solve, which also rejects a NaN in the
+    rhs (SolverError).  A dimension
     that is not that of an n x n grid, n >= 3, is a DimensionError.  Every
     call returns a new solution array.
     """
@@ -894,7 +856,7 @@ def sine_solve(system: SparseSystem) -> tuple[np.ndarray, SolveStats]:
     if nb == 0.0:
         res = 0.0
     else:  # a NaN in b makes res NaN, which _checked rejects
-        r = system.matrix @ x
+        r = system.operator @ x
         np.subtract(b, r, out=r)
         res = float(np.linalg.norm(r)) / nb
     return _checked(x, 0, res, SOLVE_TOL, "sine")

@@ -436,7 +436,8 @@ def reconstruct(
     The linear solves share one LU factor, created here and dropped on
     return (see ``solve_reusing_factor``); ``report.factorizations`` counts
     them.  The sweep runs in place: the constants (cell weights, boundary
-    terms), the buffers and one Robin matrix are built once per call.
+    terms) and the buffers are built once per call; each solve assembles
+    its own Robin system.
 
     A boundary term that rounds away (``assemble_robin``) is a DataError
     that names z at the first assembly; at a later one the iterate ran
@@ -458,9 +459,8 @@ def reconstruct(
     penalty = _boundary_penalty_of(coeffs)
     # every sweep writes into these: the cell gradient of u and its
     # magnitude in the wide layout of ``fields`` (gx, gy and cell_magnitude
-    # view their real cells), the nodal magnitude, the sigma image,
-    # sigma + delta and the Robin system, built by the first solve and
-    # refilled by the others
+    # view their real cells), the nodal magnitude, the sigma image and
+    # sigma + delta
     grad = np.zeros((2, (n - 1) * n))
     gx, gy = (_wide_cells(c, n) for c in grad)
     padded, magnitude = _zero_ring(n)
@@ -468,15 +468,13 @@ def reconstruct(
     nodes = np.empty(grid.num_nodes)
     image = np.empty(grid.num_nodes)
     shifted = np.empty(grid.num_nodes)
-    system = None
 
     def solve_at(sigma: np.ndarray, tol: float, x0: np.ndarray | None):
-        nonlocal system
         np.add(sigma, delta, out=shifted)
         try:
-            system = assemble_robin(ScalarField(grid, shifted), coeffs, grid, out=system)
+            system = assemble_robin(ScalarField(grid, shifted), coeffs, grid)
         except DataError as exc:
-            if system is None:  # the first assembly, at initial_sigma: z is at fault
+            if not report.records:  # no sweep recorded yet, at initial_sigma: z is at fault
                 raise
             raise DataError(f"sigma reached {sigma.max():g} after sweep {report.iterations}: "
                             "the data do not fit the electrode model") from exc

@@ -217,7 +217,7 @@ def _bregman_by_former_loop(a, trace, config, grid):
         rhs = base.rhs.copy()
         if rhs_source is not None:
             rhs[interior] += h2 * rhs_source[interior]
-        x, stats = sine_solve(SparseSystem(base.matrix, rhs))
+        x, stats = sine_solve(SparseSystem(base.table, rhs))
         return ScalarField(grid, x), stats
 
     v, stats = solve_v(None)

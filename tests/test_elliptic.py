@@ -20,6 +20,7 @@ from cdrecon.boundary import (
     electrode_quadrature,
     smoothed_coefficients,
 )
+from cdrecon.bregman import BregmanConfig, split_bregman_minimize
 from cdrecon.elliptic import (
     _FACTOR_COST,
     FactorCache,
@@ -43,11 +44,7 @@ from cdrecon.fields import (
 )
 from cdrecon.forward import solve_cem_forward, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
-
-
-def _multigrid(system):
-    """The hierarchy that pcg_solve builds for ``system``."""
-    return elliptic._multigrid(system, elliptic._finest(system))
+from cdrecon.recon import ReconConfig, reconstruct
 
 
 def _matrix_symmetry_defect(A) -> float:
@@ -214,24 +211,33 @@ def test_laplace_dirichlet_second_order_on_quartic():
     assert 3.5 <= errs[1] / errs[2] <= 4.5
 
 
+def _dense_inverse(A):
+    """The preconditioner that multiplies by the dense inverse of A."""
+    return partial(np.matmul, np.linalg.inv(A.toarray()))
+
+
 def test_pcg_identity_one_iteration():
-    A = sp.identity(20, format="csr")
-    b = np.arange(20, dtype=float) + 1
-    x, stats = pcg_solve(SparseSystem(A, b))
+    # the identity as a five-point table on a 5 x 5 grid: its coarsest
+    # matrix is the whole system, so one V-cycle solves it exactly
+    table = np.zeros((5, 25))
+    table[2] = 1.0
+    b = np.arange(25, dtype=float) + 1
+    x, stats = pcg_solve(SparseSystem(table, b))
     assert stats.iterations == 1
     assert np.allclose(x, b)
 
 
 def test_pcg_matches_dense_oracle():
-    # 1-D Poisson tridiagonal, rhs = first basis vector
+    # 1-D Poisson tridiagonal, rhs = first basis vector, through the CG of
+    # every solve with the dense inverse as preconditioner
     n = 10
     A = sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr()
     b = np.zeros(n)
     b[0] = 1.0
-    x, stats = pcg_solve(SparseSystem(A, b), tol=1e-12)
+    x, iterations, residual = elliptic._cg(A, b, _dense_inverse(A), 1e-12, n)
     expected = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - expected).max() < 1e-10
-    assert stats.relative_residual <= 1e-12
+    assert residual <= 1e-12 and iterations <= 2
 
 
 def test_pcg_cap_raises(monkeypatch):
@@ -252,7 +258,7 @@ def test_pcg_detects_indefinite():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     b = np.array([1.0, -1.0])
     with pytest.raises(NotSPDError, match="nonpositive curvature"):
-        pcg_solve(SparseSystem(A, b))
+        elliptic._cg(A, b, _dense_inverse(A), 1e-10, 10)
 
 
 def test_cg_detects_an_indefinite_preconditioner():
@@ -296,7 +302,7 @@ def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, 
         system = _forward_system(n, seed, aperture, z, epsilon, cem)
     except DataError:
         assume(False)  # the aperture spans fewer than two nodes
-    levels, coarsest_inverse = _multigrid(system)
+    levels, coarsest_inverse = elliptic._multigrid(system)
     precondition = partial(elliptic._v_cycle, levels, coarsest_inverse)
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(2, system.dimension))
@@ -462,6 +468,18 @@ def _random_system(kind, n, rng):
     return assemble_robin(sigma, coeffs, g)
 
 
+def _former_laplace_csr(table):
+    """The CSR matrix that ``assemble_laplace_dirichlet`` built from its
+    table before the systems held their tables alone: the entries of the
+    five-point pattern, the zeros of the dropped couplings left out."""
+    n = math.isqrt(table.shape[1])
+    pat = elliptic._stencil_pattern(n)
+    vals = np.take(table, pat.gather)
+    keep = vals != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep)[pat.indptr[1:] - 1]])
+    return sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(n * n, n * n))
+
+
 def _with_signed_zeros(rng, size):
     x = rng.normal(size=size)
     x[rng.random(size) < 0.2] = -0.0
@@ -473,20 +491,25 @@ def _with_signed_zeros(rng, size):
 @given(n=st.integers(5, 70), kind=st.sampled_from(_SYSTEM_KINDS),
        seed=st.integers(0, 2**32 - 1))
 def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed):
-    # every level's DIA product equals scipy's CSR product of that level's
-    # Galerkin matrix, and the strided transfers equal np.bincount and the
-    # gather, bit for bit and signs of zeros included, at odd and even n
+    # the system's one operator, at every size, and every level's DIA
+    # product equal scipy's CSR product of that level's Galerkin matrix (for
+    # the Laplace system also of the zero-dropping CSR matrix it replaced),
+    # and the strided transfers equal np.bincount and the gather, bit for
+    # bit and signs of zeros included, at odd and even n
     rng = np.random.default_rng(seed)
     try:
         system = _random_system(kind, n, rng)
     except DataError:
         assume(False)
     levels, _ = _former_multigrid(system.matrix)
-    hierarchy, _ = _multigrid(system)
+    hierarchy, _ = elliptic._multigrid(system)
     assert len(hierarchy) == len(levels)
-    x = _with_signed_zeros(rng, system.dimension)  # CG's product
-    product = (hierarchy[0] if hierarchy else system.matrix) @ x
+    assert not hierarchy or hierarchy[0] is system.operator
+    x = _with_signed_zeros(rng, system.dimension)  # every solve's product
+    product = system.operator @ x
     assert product.tobytes() == (system.matrix @ x).tobytes()
+    if kind == "laplace":
+        assert product.tobytes() == (_former_laplace_csr(system.table) @ x).tobytes()
     for (matrix, damped_inverse_diagonal, aggregate), level in zip(levels, hierarchy):
         x = _with_signed_zeros(rng, matrix.shape[0])
         assert (level @ x).tobytes() == (matrix @ x).tobytes()
@@ -518,7 +541,7 @@ def test_v_cycle_matches_former_csr_v_cycle(n, kind, seed):
     except DataError:
         assume(False)
     _, former = _former_multigrid(system.matrix)
-    levels, coarsest_inverse = _multigrid(system)
+    levels, coarsest_inverse = elliptic._multigrid(system)
     b = _with_signed_zeros(rng, system.dimension)
     assert elliptic._v_cycle(levels, coarsest_inverse, b).tobytes() == former(b).tobytes()
     x, stats = pcg_solve(system)
@@ -570,7 +593,7 @@ def test_every_coarse_level_is_the_galerkin_product(n, kind, seed):
     coarsest, inv = [], np.linalg.inv
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "inv", lambda M: coarsest.append(M.copy()) or inv(M))
-        levels, _ = _multigrid(system)
+        levels, _ = elliptic._multigrid(system)
     matrices = [_level_matrix(lv) for lv in levels] + [sp.csr_matrix(coarsest[0])]
     assert abs(matrices[0] - system.matrix).max() == 0.0
     extra = system.dimension - math.isqrt(system.dimension) ** 2
@@ -632,44 +655,20 @@ def _assert_table_is_the_matrix(system, n):
 @given(n=st.integers(5, 90), kind=st.sampled_from(_SYSTEM_KINDS),
        seed=st.integers(0, 2**32 - 1))
 def test_the_table_each_assembly_keeps_is_its_matrix(n, kind, seed):
-    # the table and V column from which pcg_solve builds its multigrid are
-    # the matrix byte for byte, also after assemble_robin refills a system
+    # the table and V column from which every product and the multigrid
+    # are built are the matrix byte for byte
     rng = np.random.default_rng(seed)
     try:
         system = _random_system(kind, n, rng)
     except DataError:
         assume(False)
     _assert_table_is_the_matrix(system, n)
-    if kind in ("robin", "smoothed"):
-        g = make_grid(n)
-        coeffs = (base_coefficients(ElectrodeSet(), g) if kind == "robin"
-                  else smoothed_coefficients(ElectrodeSet(), g, 1e-3))
-        sigma = ScalarField(g, 10.0 ** rng.uniform(-1.0, 1.0, g.num_nodes))
-        assert assemble_robin(sigma, coeffs, g, out=system) is system
-        _assert_table_is_the_matrix(system, n)
-
-
-def test_pcg_needs_an_assembled_system_above_the_coarsest_size():
-    # above _COARSEST unknowns the multigrid starts from the table that the
-    # assembly kept: a hand-built CSR copy of the matrix has none
-    g = make_grid(20)
-    system = assemble_robin(ScalarField.constant(g, 1.0),
-                            base_coefficients(ElectrodeSet(), g), g)
-    assert system.dimension > elliptic._COARSEST
-    A = system.matrix
-    copy = SparseSystem(sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()),
-                                      shape=A.shape), system.rhs.copy())
-    assert copy.table is None
-    with pytest.raises(DimensionError, match="assemble_robin, assemble_cem or "
-                                             "assemble_laplace_dirichlet"):
-        pcg_solve(copy)
-    x, stats = pcg_solve(system)
-    assert stats.relative_residual <= elliptic.SOLVE_TOL
 
 
 def test_the_finest_level_is_the_assemblys_table():
-    # the finest level's DIA data are the table each assembly built, not a
-    # copy of it, and the CEM system holds its Robin block's table
+    # the operator's DIA data are the table each assembly built, not a copy
+    # of it, the multigrid's finest level is that operator, and the CEM
+    # system holds its Robin block's table
     g = make_grid(20)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=20, seed=3))
     robin = assemble_robin(sigma, base_coefficients(ElectrodeSet(), g), g)
@@ -678,8 +677,29 @@ def test_the_finest_level_is_the_assemblys_table():
     laplace = assemble_laplace_dirichlet(BoundaryValues(g, np.ones(g.num_boundary_nodes)), g)
     for system in (robin, cem, laplace):
         assert system.dimension > elliptic._COARSEST
-        assert np.shares_memory(elliptic._finest(system).stencil.data, system.table)
+        assert np.shares_memory(system.operator.stencil.data, system.table)
+        assert elliptic._multigrid(system)[0][0] is system.operator
     assert cem.table is robin.table
+
+
+def _record_csr_builds(mp):
+    """Record each csr_matrix construction from now on as True inside
+    ``elliptic._factor`` and False elsewhere; returns the record list."""
+    built, inside = [], []
+    init, factor = sp.csr_matrix.__init__, elliptic._factor
+
+    def counted_factor(system):
+        inside.append(True)
+        try:
+            return factor(system)
+        finally:
+            inside.pop()
+
+    mp.setattr(sp.csr_matrix, "__init__",
+               lambda self, *args, **kwargs: built.append(bool(inside))
+               or init(self, *args, **kwargs))
+    mp.setattr(elliptic, "_factor", counted_factor)
+    return built
 
 
 @pytest.mark.parametrize("n", [65, 257])
@@ -690,10 +710,8 @@ def test_forward_solves_build_no_csr_matrix(n, kind):
     g = make_grid(n)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=7))
     el = ElectrodeSet(z=1e-6 if kind == "cem-small-z" else 1.0)
-    built, init = [], sp.csr_matrix.__init__
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sp.csr_matrix, "__init__",
-                   lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+        built = _record_csr_builds(mp)
         if kind.startswith("cem"):
             result = solve_cem_forward(sigma, el, g)
         else:
@@ -703,6 +721,24 @@ def test_forward_solves_build_no_csr_matrix(n, kind):
     assert built == []
     assert result.stats.relative_residual <= elliptic.SOLVE_TOL
     assert kind != "cem-small-z" or result.stats.iterations > 0
+
+
+def test_sweeps_build_csr_only_to_factor_and_bregman_builds_none():
+    # the sweeps' CG products and residuals go through the DIA table too:
+    # a reconstruct constructs one CSR matrix per factorization, each inside
+    # SuperLU's _factor, and the Bregman comparator's sine solves none
+    g = make_grid(33)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=7))
+    el = ElectrodeSet()
+    forward = solve_forward(sigma, smoothed_coefficients(el, g, 5e-4), g)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _record_csr_builds(mp)
+        _, _, report = reconstruct(forward.a, el, ReconConfig(), g)
+    assert report.factorizations > 0 and built == [True] * report.factorizations
+    with pytest.MonkeyPatch.context() as mp:
+        built = _record_csr_builds(mp)
+        _, breg = split_bregman_minimize(forward.a, boundary_trace(forward.u), BregmanConfig(), g)
+    assert built == [] and breg.iterations > 0
 
 
 _GUESS_SHAPES = st.sampled_from(["column", "row", "short", "long", "scalar", "two"])
@@ -718,9 +754,9 @@ def _guess_of_shape(shape, dim):
        bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.floats(0.0, 1.0),
        cached=st.booleans())
 def test_a_malformed_guess_fails_before_any_work(n, seed, shape, bad, where, cached):
-    # a guess of another shape is a DimensionError before any product,
-    # hierarchy or factor; a NaN or inf anywhere in a guess of the right
-    # shape ends CG at its first iteration with a SolverError that says so
+    # a guess of another shape is a DimensionError, and a NaN or inf
+    # anywhere in a guess of the right shape a SolverError, before any
+    # product, hierarchy or factor
     g = make_grid(n)
     sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
     system = assemble_robin(sigma, smoothed_coefficients(ElectrodeSet(), g, 1e-3), g)
@@ -729,55 +765,40 @@ def test_a_malformed_guess_fails_before_any_work(n, seed, shape, bad, where, cac
     if cached:
         solve_reusing_factor(system, cache)
     factorizations = cache.factorizations
+    x0 = np.zeros(dim)
+    x0[min(int(where * dim), dim - 1)] = bad
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_finest", "_multigrid", "_factor", "_cg"):
+        for name in ("_multigrid", "_factor", "_cg"):
             mp.setattr(elliptic, name, None)  # any call is a TypeError
         for solve in (pcg_solve, partial(solve_reusing_factor, cache=cache)):
             with pytest.raises(DimensionError, match="the guess has shape"):
                 solve(system, x0=_guess_of_shape(shape, dim))
+            with pytest.raises(SolverError, match="the guess holds a NaN or inf"):
+                solve(system, x0=x0)
     assert cache.factorizations == factorizations
-    x0 = np.zeros(dim)
-    x0[min(int(where * dim), dim - 1)] = bad
-    for solve in (pcg_solve, partial(solve_reusing_factor, cache=cache)):
-        # inf - inf in the residual is NaN, of which numpy warns
-        with pytest.raises(SolverError, match="is not finite at iteration 1$"), \
-                np.errstate(invalid="ignore"):
-            solve(system, x0=x0)
-
-
-# a dense SPD matrix of 1 to 60 unknowns, or a sparse one of 4 to _COARSEST
-_SMALL_SPD = (st.tuples(st.just(True), st.integers(1, 60))
-              | st.tuples(st.just(False), st.integers(4, elliptic._COARSEST)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=_SMALL_SPD, seed=st.integers(0, 2**32 - 1))
-def test_pcg_solves_any_spd_matrix_of_at_most_the_coarsest_size(case, seed):
-    # such a matrix is the coarsest level itself, inverted densely with no
-    # grid read: a dense one, or a sparse one that couples unknowns off any
-    # five-point pattern, solves as a grid matrix does
-    dense, dim = case
+@given(n=st.integers(3, 17), kind=st.sampled_from(_SYSTEM_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_pcg_solves_any_spd_matrix_of_at_most_the_coarsest_size(n, kind, seed):
+    # a system of at most _COARSEST unknowns is the coarsest level itself,
+    # filled densely from its table and inverted, with no level above it:
+    # one V-cycle is its exact inverse up to rounding
     rng = np.random.default_rng(seed)
-    if dense:
-        M = rng.normal(size=(dim, dim))
-        A = sp.csr_matrix(M @ M.T + dim * np.eye(dim))
-    else:
-        n = math.isqrt(dim)
-        k = 3 * dim
-        rows = np.append(rng.integers(0, dim, k), 0)
-        cols = np.append(rng.integers(0, dim, k), n + 1)  # offset n + 1 is off the pattern
-        off = sp.csr_matrix((rng.uniform(0.1, 1.0, k + 1) * rng.choice([-1.0, 1.0], k + 1),
-                             (rows, cols)), shape=(dim, dim))
-        off = off + off.T
-        off.setdiag(0.0)
-        # strict diagonal dominance and a positive diagonal: SPD
-        A = (off + sp.diags(abs(off).sum(axis=1).A1 + rng.uniform(0.1, 1.0, dim))).tocsr()
-        assert A[0, n + 1] != 0.0
-    b = rng.normal(size=dim)
-    x, stats = pcg_solve(SparseSystem(A, b))
-    assert stats.relative_residual <= elliptic.SOLVE_TOL
-    assert np.linalg.norm(b - A @ x) <= elliptic.SOLVE_TOL * np.linalg.norm(b)
-    expected = np.linalg.solve(A.toarray(), b)
+    try:
+        system = _random_system(kind, n, rng)
+    except DataError:
+        assume(False)
+    assert system.dimension <= elliptic._COARSEST
+    levels, coarsest_inverse = elliptic._multigrid(system)
+    assert levels == []
+    A = system.matrix.toarray()
+    assert np.abs(coarsest_inverse @ A - np.eye(system.dimension)).max() < 1e-8
+    x, stats = pcg_solve(system)
+    assert stats.relative_residual <= elliptic.SOLVE_TOL and stats.iterations <= 3
+    assert np.linalg.norm(system.rhs - A @ x) <= elliptic.SOLVE_TOL * np.linalg.norm(system.rhs)
+    expected = np.linalg.solve(A, system.rhs)
     assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
@@ -792,7 +813,7 @@ def test_sine_solve_matches_direct_solve(n, seed):
     # interior rows, the Dirichlet rows left alone
     rhs = base.rhs.copy()
     rhs.reshape(n, n)[1:-1, 1:-1] -= g.h * g.h * rng.normal(size=(n - 2, n - 2))
-    system = SparseSystem(base.matrix, rhs)
+    system = SparseSystem(base.table, rhs)
     x, stats = sine_solve(system)
     expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -822,7 +843,7 @@ def test_sine_solve_rejects_nan_rhs():
         rhs = base.rhs.copy()
         rhs[node] = np.nan
         with pytest.raises(SolverError, match="relative residual nan"):
-            sine_solve(SparseSystem(base.matrix, rhs))
+            sine_solve(SparseSystem(base.table, rhs))
 
 
 def _edge_entries(sigma2d, n):
@@ -856,12 +877,11 @@ def _coo_to_csr(rows, cols, vals, dim):
     ).tocsr()
 
 
-def _assert_same_system(system, expected, rhs):
-    A = system.matrix
+def _assert_same_system(A, rhs, expected, expected_rhs):
     assert np.array_equal(A.indptr, expected.indptr)
     assert np.array_equal(A.indices, expected.indices)
     assert np.array_equal(A.data, expected.data)
-    assert np.array_equal(system.rhs, rhs)
+    assert np.array_equal(rhs, expected_rhs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -889,47 +909,7 @@ def test_robin_pattern_refill_matches_coo_build(n, seed, aperture, epsilon):
                            vals + [w_f * coeffs.b.values[val_f]], n * n)
     rhs = np.zeros(n * n)
     np.add.at(rhs, face_rows, w_f * (coeffs.c.values[val_f] + flux.values[val_f]))
-    _assert_same_system(system, expected, rhs)
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
-       apertures=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)))
-def test_robin_refill_matches_fresh_build(n, seed, apertures):
-    # a system refilled through out= holds the bits of a fresh build,
-    # whatever conductivity and coefficients it was built for; two fresh
-    # builds share no memory
-    g = make_grid(n)
-    rng = np.random.default_rng(seed)
-    coeffs = [smoothed_coefficients(ElectrodeSet(aperture=ap), g, 1e-3) for ap in apertures]
-    sigmas = [ScalarField(g, rng.uniform(0.1, 10.0, g.num_nodes)) for _ in range(2)]
-    system = assemble_robin(sigmas[0], coeffs[0], g)
-    matrix = system.matrix
-    fresh = assemble_robin(sigmas[1], coeffs[1], g)
-    refilled = assemble_robin(sigmas[1], coeffs[1], g, out=system)
-    assert refilled is system and refilled.matrix is matrix
-    for name in ("indptr", "indices", "data"):
-        assert getattr(matrix, name).tobytes() == getattr(fresh.matrix, name).tobytes()
-    assert refilled.rhs.tobytes() == fresh.rhs.tobytes()
-    again = assemble_robin(sigmas[1], coeffs[1], g)
-    assert not np.shares_memory(again.matrix.data, fresh.matrix.data)
-    assert not np.shares_memory(again.rhs, fresh.rhs)
-
-
-def test_robin_refill_rejects_other_systems():
-    g, small = make_grid(9), make_grid(7)
-    el = ElectrodeSet()
-    sigma = ScalarField.constant(g, 1.0)
-    coeffs = smoothed_coefficients(el, g, 1e-3)
-    others = (
-        assemble_robin(ScalarField.constant(small, 1.0), smoothed_coefficients(el, small, 1e-3),
-                       small),
-        assemble_cem(sigma, el, g),
-        assemble_laplace_dirichlet(BoundaryValues(g, np.ones(g.num_boundary_nodes)), g),
-    )
-    for other in others:
-        with pytest.raises(DimensionError, match="not a Robin system"):
-            assemble_robin(sigma, coeffs, g, out=other)
+    _assert_same_system(system.matrix, system.rhs, expected, rhs)
 
 
 def _electrode_faces(el, g):
@@ -1025,7 +1005,10 @@ def test_laplace_dirichlet_matches_coo_build(n, seed):
     keep = ~dirichlet[Ki.row] & ~dirichlet[Ki.col]
     expected = _coo_to_csr([Ki.row[keep], kb], [Ki.col[keep], kb],
                            [Ki.data[keep], np.ones(kb.size)], N)
-    _assert_same_system(system, expected, rhs)
+    # the table read without its zeros is that build; the CSR form keeps
+    # them as stored entries of the five-point pattern
+    _assert_same_system(_former_laplace_csr(system.table), system.rhs, expected, rhs)
+    assert (system.matrix != expected).nnz == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -1039,7 +1022,7 @@ def test_factor_leaves_matrix_and_matches_csc_fill(n, seed, decades, aperture, e
         assume(False)  # the sharp aperture spans fewer than two nodes
     A = system.matrix
     arrays = [getattr(A, name).tobytes() for name in ("data", "indices", "indptr")]
-    lu = _factor(A)
+    lu = _factor(system)
     assert [getattr(A, name).tobytes() for name in ("data", "indices", "indptr")] == arrays
     # the same fill as the default factor of a CSC copy
     reference = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -1047,10 +1030,11 @@ def test_factor_leaves_matrix_and_matches_csc_fill(n, seed, decades, aperture, e
     b = np.random.default_rng(seed).normal(size=system.dimension)
     x = lu.solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-    # the factor holds no reference to the matrix it was built from
+    # the factor holds no reference to the matrix it was built from: the
+    # entries of another system written into A leave its solves as they are
     g = make_grid(n)
     coeffs = smoothed_coefficients(ElectrodeSet(), g, 1e-3)
-    assemble_robin(ScalarField.constant(g, 2.0), coeffs, g, out=system)
+    A.data[:] = assemble_robin(ScalarField.constant(g, 2.0), coeffs, g).matrix.data
     assert system.matrix.data.tobytes() != arrays[0]
     assert lu.solve(b).tobytes() == x.tobytes()
 

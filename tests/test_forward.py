@@ -208,8 +208,8 @@ def test_cem_is_cem_scaling_times_the_sharp_robin_output_bit_for_bit():
     builds = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elliptic, "_multigrid",
-                   lambda system, finest, build=elliptic._multigrid:
-                   builds.append(system.dimension) or build(system, finest))
+                   lambda system, build=elliptic._multigrid:
+                   builds.append(system.dimension) or build(system))
         cem = solve_cem_forward(sigma, el, g)
     assert builds == [g.num_nodes]
     sharp = solve_forward(sigma, base_coefficients(el, g), g)

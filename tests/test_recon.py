@@ -560,8 +560,9 @@ def test_a_runaway_sweep_names_the_iterate_not_z():
 @given(n=st.integers(5, 40), aperture=st.floats(0.5, 1.0), calibrate=st.booleans(),
        bounded=st.booleans(), with_truth=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_reconstruct_matches_former_sweep(n, aperture, calibrate, bounded, with_truth, seed):
-    # the in-place sweep (one Robin matrix refilled, per-run constants built
-    # once, buffers reused) returns the bits of the sweep it replaced
+    # the in-place sweep (per-run constants built once, buffers reused, a
+    # Robin system assembled for each solve) returns the bits of the sweep
+    # it replaced
     g = make_grid(n)
     el = ElectrodeSet(aperture=aperture)
     rng = np.random.default_rng(seed)
@@ -577,7 +578,7 @@ def test_reconstruct_matches_former_sweep(n, aperture, calibrate, bounded, with_
     # repr spells every float of the records, calibrations, stop reason,
     # stop change, final solve and factorization count to the last bit
     assert repr(r1) == repr(r0)
-    # a second call builds its own buffers and its own Robin matrix
+    # a second call builds its own buffers and its own Robin systems
     s2, u2, r2 = reconstruct(a, el, cfg, g, ground_truth)
     assert repr(r2) == repr(r0)
     for first, second in ((s1, s2), (u1, u2)):
