@@ -15,11 +15,11 @@ writes no output.
 The stdout line of ``reconstruct`` and ``bregman`` starts with the run's
 ``iterations= stop_reason=tol|cap converged=true|false``; ``reconstruct``
 adds ``cem_lambda=`` (with ``--cem-voltage`` only), ``sigma_change=``,
-``stop_change=``, ``factorizations=`` and ``solve_iterations=`` (the CG
-iterations of all its solves, the final one's included), ``bregman`` adds
-``v_change=`` (its report's stop_change).  A run that stops at ``cap``, or
-a study with a capped step, also writes one ``cdrecon: warning:`` line to
-stderr; stdout stays the same.
+``stop_change=`` and ``solve_iterations=`` (the CG iterations of all its
+solves, the final one's included), ``bregman`` adds ``v_change=`` (its
+report's stop_change).  A run that stops at ``cap``, or a study with a
+capped step, also writes one ``cdrecon: warning:`` line to stderr; stdout
+stays the same.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def _cmd_reconstruct(v: dict) -> int:
                         + report.final_solve.iterations)
     return _finish("reconstruct", v, lambda p: write_field(sigma, p), (
         f"{cem}sigma_change={report.records[-1].sigma_change:.3e} "
-        f"stop_change={report.stop_change:.3e} factorizations={report.factorizations} "
+        f"stop_change={report.stop_change:.3e} "
         f"solve_iterations={solve_iterations}{_error_field(sigma, truth)}"
     ), report)
 

@@ -15,34 +15,35 @@ The Robin and Laplace-Dirichlet systems share one five-point stencil
 each adds its own boundary treatment.  The CEM system is the sharp Robin
 system bordered by its electrode voltage, on the Robin system's table.
 Every product of every solve goes through one operator per system, the
-finest multigrid level built on that table (``SparseSystem.operator``);
-the CSR form is built only for SuperLU's factor.
+finest multigrid level built on that table (``SparseSystem.operator``), so
+no solve builds a CSR matrix.
 
-Three solves, one per kind of caller, each returning ``SolveStats``:
-``pcg_solve`` (multigrid CG) for the systems solved once, the forward Robin
-and CEM problems, with a hierarchy coarsened from the system's table (the
-CEM solve starts from lambda times the Robin solution,
-``forward.solve_cem_forward``, and builds none where that guess meets the
-tolerance); ``solve_reusing_factor`` (CG on an earlier LU factor) for the
-slowly varying Robin systems of the reconstruction sweeps; and
-``sine_solve`` (exact) for the Laplace-Dirichlet system of the Bregman
-v-step.  All three end in one true-residual check (``_checked``) at
-``SOLVE_TOL`` unless the caller passes ``tol``, the only place a solve
-fails (SolverError).
+Two solves, each returning ``SolveStats``: ``pcg_solve`` (conjugate
+gradients) for the Robin and CEM systems, and ``sine_solve`` (exact) for
+the Laplace-Dirichlet system of the Bregman v-step.  ``pcg_solve`` takes
+its preconditioner from the caller or builds a multigrid hierarchy
+coarsened from the system's table: the forward Robin and CEM problems,
+solved once, use the multigrid (the CEM solve starts from lambda times the
+Robin solution, ``forward.solve_cem_forward``, and builds none where that
+guess meets the tolerance); the slowly varying Robin systems of the
+reconstruction sweeps share one fast-transform preconditioner built from
+the first of them (``_transform_preconditioner``).  Both end in one
+true-residual check (``_checked``) at ``SOLVE_TOL`` unless the caller
+passes ``tol``, the only place a solve fails (SolverError).
 
-Only ``solve_reusing_factor`` factors a matrix, so ``scipy.sparse.linalg``
-(and the ``scipy.linalg`` it loads, about 10 MiB and a sizeable part of the
-package's import time) is imported at the first factorization, not with
-this module: ``import cdrecon``, the forward solves and the Bregman
-comparator never load it.
+The transform preconditioner imports ``scipy.fft`` (which loads
+``scipy.special``, about 7 MiB) when it is first built, not with this
+module, so ``import cdrecon``, the forward solves and the Bregman
+comparator never load it.  No solve loads ``scipy.sparse.linalg`` or
+``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import TYPE_CHECKING
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,23 +58,18 @@ from .boundary import (
 from .errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
 from .fields import BoundaryValues, Grid, ScalarField, boundary_nodes, require_same_grid
 
-if TYPE_CHECKING:
-    import scipy.sparse.linalg as spla
-
-
 # the relative residual every solve meets unless its caller asks otherwise
 SOLVE_TOL = 1e-10
 
-# a factor may waste this many CG iterations before the matrix is
-# refactored.  One sparse LU factorization from ``_factor`` costs 22 to 28
-# solves with its factor on the Robin systems for n = 64 to 256; the budget
-# stays above that because 25 moves the sweep's iterates and raises the
-# reconstruction error at n = 64 to 256 (at n = 64 the sweeps go 42 -> 38
-# and the error 1.9732e-2 -> 1.9795e-2)
-_FACTOR_COST = 35
+# the transform preconditioner corrects each boundary row whose term is at
+# least this share of the mean conductivity exactly; the smaller terms it
+# spreads over the grid.  At z = 1 an electrode row's term is h = 1/(n-1),
+# below a tenth of any sigma_bar >= 1 from n = 12 up
+_CORRECTED_TERM = 0.1
 
 # pcg_solve raises SolverError after this many iterations per grid side,
-# 40 n on an n x n grid (the V-cycle needs at most 13)
+# 40 n on an n x n grid (the V-cycle needs at most 13, the sweeps'
+# transform preconditioner at most about 20 on media of contrast 2)
 _CG_CAP_PER_SIDE = 40
 # multigrid preconditioner of pcg_solve
 _COARSEST = 300  # unknowns of the coarsest level, which is solved densely
@@ -98,9 +94,7 @@ class SparseSystem:
 
     ``operator``, A as the finest multigrid level on the table's own array
     (``_Level``), is built at its first use and kept: every product of
-    ``pcg_solve``, ``solve_reusing_factor`` and ``sine_solve`` goes through
-    it.  ``matrix``, A in CSR form, is built at its first read, for
-    SuperLU's factor.
+    ``pcg_solve`` and ``sine_solve`` goes through it.
     """
 
     def __init__(self, table: np.ndarray, rhs: np.ndarray,
@@ -113,10 +107,6 @@ class SparseSystem:
     def operator(self) -> _Level:
         return _level(self.table, self.voltage)
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        return _csr(self.table, self.voltage)
-
     @property
     def dimension(self) -> int:
         return self.table.shape[1] + (self.voltage is not None)
@@ -124,9 +114,9 @@ class SparseSystem:
 
 @dataclass
 class SolveStats:
-    """Outcome of one verified solve; ``method`` is "multigrid", "lu" or
-    "sine" and ``iterations`` counts CG iterations (0 for the exact sine
-    solve)."""
+    """Outcome of one verified solve; ``method`` is "multigrid",
+    "transform" or "sine" and ``iterations`` counts CG iterations (0 for
+    the exact sine solve)."""
 
     iterations: int
     relative_residual: float
@@ -140,41 +130,18 @@ def _harmonic_mean(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     out /= a + b
 
 
-@dataclass(frozen=True)
-class _StencilPattern:
-    """CSR structure of the five-point operator on one grid size, shared by
-    the Robin, CEM and Laplace-Dirichlet systems.
-
-    Row k holds the stencil columns k-n, k-1, k, k+1, k+n (already sorted)
-    that lie on the grid; ``gather`` holds the place of each of its entries
-    in the flattened DIA table of ``_stencil``.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray
-    face_rows: np.ndarray  # global node of each boundary face
-    face_value: np.ndarray  # loop index of the coefficient on each face
-    face_weight: np.ndarray
-
-
 @lru_cache(maxsize=4)
-def _stencil_pattern(n: int) -> _StencilPattern:
+def _faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundary faces of the n x n grid in the order of
+    ``boundary.boundary_faces``: the global node of the row each adds to,
+    the loop index of the coefficient on it and its length, shared by the
+    Robin and CEM systems of this size and ``boundary_net_flux``."""
     grid = Grid(n)
-    N = n * n
-    jj, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    present = np.stack(
-        [jj > 0, ii > 0, np.ones((n, n), dtype=bool), ii < n - 1, jj < n - 1], axis=-1
-    ).reshape(N, 5)
-    column = np.arange(N)[:, None] + _offsets(n)
-    indices = column[present].astype(np.int32)
-    gather = (np.arange(5) * N + column)[present]
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
     node_f, val_f, w_f = boundary_faces(grid)
-    arrays = (indptr, indices, gather, boundary_nodes(grid)[node_f], val_f, w_f)
-    for a in arrays:
-        a.flags.writeable = False  # shared by every matrix of this size
-    return _StencilPattern(*arrays)
+    faces = (boundary_nodes(grid)[node_f], val_f, w_f)
+    for a in faces:
+        a.flags.writeable = False  # shared by every system of this size
+    return faces
 
 
 def _offsets(n: int) -> np.ndarray:
@@ -226,31 +193,6 @@ def _stencil(sigma: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _csr(table: np.ndarray, voltage: tuple[np.ndarray, float] | None) -> sp.csr_matrix:
-    """A in canonical CSR form from its DIA table and V's column and
-    diagonal (``SparseSystem``), every entry of the five-point pattern
-    stored.  V's column entry comes last in each coupled node's row, and
-    V's row, the last, holds the couplings in ascending node order, then
-    the diagonal."""
-    n = math.isqrt(table.shape[1])
-    N = n * n
-    pat = _stencil_pattern(n)
-    data = np.take(table, pat.gather)
-    if voltage is None:
-        return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
-    border, corner = voltage
-    coupled = np.flatnonzero(border)
-    m = coupled.size
-    at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, data.size)])
-    data = np.insert(data, at, np.concatenate([border[coupled], border[coupled], [corner]]))
-    indices = np.insert(pat.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
-    extra = np.zeros(N + 2, dtype=np.int32)  # entries after the grid block, per row
-    extra[coupled + 1] = 1
-    extra[N + 1] = m + 1
-    indptr = np.append(pat.indptr, pat.indptr[-1]) + np.cumsum(extra, dtype=np.int32)
-    return sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))
-
-
 def _check_positive_sigma(sigma: ScalarField) -> None:
     v = sigma.values
     if np.any(v <= 0.0):
@@ -294,14 +236,13 @@ def assemble_robin(
     _check_positive_sigma(sigma_eff)
 
     n = grid.n
-    pat = _stencil_pattern(n)
+    rows, value, weight = _faces(n)
     table = _stencil(sigma_eff.values, n)
     # the boundary faces add to the diagonal after the edges
     b = coeffs.b.values
-    _add_boundary_term(table[2], pat.face_rows, pat.face_weight * b[pat.face_value],
-                       float(b.max()), sigma_eff)
+    _add_boundary_term(table[2], rows, weight * b[value], float(b.max()), sigma_eff)
     rhs = np.zeros(n * n)
-    np.add.at(rhs, pat.face_rows, pat.face_weight * coeffs.c.values[pat.face_value])
+    np.add.at(rhs, rows, weight * coeffs.c.values[value])
     return SparseSystem(table, rhs)
 
 
@@ -340,10 +281,7 @@ def assemble_cem(
     ``base_coefficients`` (b = 1/z on the faces of ``electrode_quadrature``),
     so the solution v is lambda times the sharp Robin one at every aperture.
     The voltage V is the last unknown, N = n*n: the system holds the Robin
-    table and V's column and diagonal (``SparseSystem.voltage``).  In A's
-    CSR form V's column entry -/+w/z comes last in each electrode node's
-    row, and row N holds the couplings to the electrode nodes in ascending
-    node order, then the diagonal corner (``_csr``).
+    table and V's column -/+w/z and diagonal (``SparseSystem.voltage``).
 
     The Robin assembly's checks apply (``assemble_robin``), and a w/z so
     large that an electrode node's diagonal loses its edge terms is a
@@ -479,8 +417,8 @@ def _check_call(system: SparseSystem, tol: float, x0: np.ndarray | None) -> None
     """DataError unless 0 < tol < 1, DimensionError for a guess whose shape
     is not (dimension,) and SolverError for a NaN or inf in the guess, before
     the solve makes any product (an (N, 1) guess would broadcast the
-    residual to N x N, and a non-finite one would run a V-cycle or a
-    factorization on a non-finite residual)."""
+    residual to N x N, and a non-finite one would run a preconditioner on a
+    non-finite residual)."""
     if not (0.0 < tol < 1.0):
         raise DataError(f"tol must be in (0, 1), got {tol}")
     if x0 is None:
@@ -497,7 +435,9 @@ class _Level:
     """One level of the multigrid hierarchy above the coarsest: the matrix A
     of an n x n grid (its first n*n unknowns, coupled by part of the
     five-point pattern) and at most one further unknown, the CEM voltage
-    V; its damped inverse diagonal; and the transfers to the next level,
+    V; its diagonal, whose damped inverse the smoother computes at its
+    first use, so an operator that no V-cycle reads (a sweep system's)
+    never builds it; and the transfers to the next level,
     whose aggregates are the grid's 2 x 2 blocks (the last row and column
     alone when n is odd) and V alone.  A system's finest level is its one
     product operator (``SparseSystem.operator``) at every size, also where
@@ -522,8 +462,12 @@ class _Level:
     # without V both are None
     border: tuple[np.ndarray, np.ndarray] | None  # the grid rows coupled to V, their entries
     voltage: tuple[np.ndarray, np.ndarray] | None  # V's row: its columns (V last), entries
-    damped_inverse_diagonal: np.ndarray
+    diagonal: np.ndarray
     n: int
+
+    @cached_property
+    def damped_inverse_diagonal(self) -> np.ndarray:
+        return _DAMPING / self.diagonal
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = self.stencil @ x
@@ -635,8 +579,7 @@ def _level(table: np.ndarray, voltage: tuple[np.ndarray, float] | None) -> _Leve
         column = (coupled, border[coupled])
         row = (np.append(coupled, n * n), np.append(column[1], corner))
     _check_diagonal(d)
-    return _Level(sp.dia_matrix((table, _offsets(n)), shape=(d.size, d.size)), column, row,
-                  _DAMPING / d, n)
+    return _Level(sp.dia_matrix((table, _offsets(n)), shape=(d.size, d.size)), column, row, d, n)
 
 
 def _multigrid(system: SparseSystem) -> tuple[list[_Level], np.ndarray]:
@@ -710,13 +653,17 @@ def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) 
 
 def pcg_solve(
     system: SparseSystem, tol: float = SOLVE_TOL, x0: np.ndarray | None = None,
+    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the guess ``x0`` (zero when None),
-    preconditioned by one aggregation multigrid V-cycle (``_multigrid``)
-    built on the system's DIA table.  Every product, the guess's residual
-    included, goes through the system's operator, so no CSR matrix is
-    built.  A guess whose residual already meets ``tol`` is returned as it
-    is, after 0 iterations and with no hierarchy built.
+    preconditioned by ``preconditioner`` (the reconstruction sweeps pass
+    the ``_transform_preconditioner`` of their first system) or, when None,
+    by one aggregation multigrid V-cycle (``_multigrid``) built on the
+    system's DIA table at the first apply.  Every product, the guess's
+    residual included, goes through the system's operator, so no CSR
+    matrix is built.  A guess whose residual already meets ``tol`` is
+    returned as it is, after 0 iterations (``_cg``), so no preconditioner
+    is applied and no hierarchy built.
 
     The V-cycle needs about as many iterations at every grid size (at most
     13 on the forward systems for n = 65 to 1025) and no sparse factor.
@@ -728,90 +675,120 @@ def pcg_solve(
     rejects fails before any work.
     """
     _check_call(system, tol, x0)
-    A = system.operator
-    if x0 is not None:  # no iteration, so no preconditioner is called
-        x, _, res = _cg(A, system.rhs, None, tol, 0, x0)
-        if res <= tol:
-            return _checked(x, 0, res, tol, "multigrid")
+    method = "multigrid" if preconditioner is None else "transform"
+    if preconditioner is None:
+        hierarchy = []  # built at the first apply: a guess that meets tol needs none
+
+        def preconditioner(b: np.ndarray) -> np.ndarray:
+            if not hierarchy:
+                hierarchy.extend(_multigrid(system))
+            return _v_cycle(*hierarchy, b)
+
     max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
-    levels, coarsest_inverse = _multigrid(system)
-    return _checked(*_cg(A, system.rhs, partial(_v_cycle, levels, coarsest_inverse), tol,
-                         max_iter, x0),
-                    tol, "multigrid")
+    return _checked(*_cg(system.operator, system.rhs, preconditioner, tol, max_iter, x0),
+                    tol, method)
 
 
-@dataclass
-class FactorCache:
-    """The sparse LU factor carried along one sequence of slowly varying
-    systems, the CG iterations it has wasted (those beyond the first of each
-    solve since it was built) and the number of factorizations made so far.
+def _transform_preconditioner(system: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """An SPD approximation of the inverse of the Robin matrix A of
+    ``system`` that stays good while the conductivity varies slowly, so the
+    sweeps build it once, from their first system.
 
-    Create one per sequence and drop it with the sequence: a factor carried
-    into another sequence would change that sequence's iterates.
+    It is the exact inverse of M = M0 + U D U'.  M0 = sigma_bar L + beta is
+    the fast Poisson preconditioner of variable-coefficient problems (Concus
+    & Golub, SIAM J. Numer. Anal. 10, 1973): sigma_bar is the geometric mean
+    of a quarter of A's interior diagonal, and L the five-point Neumann
+    Laplacian of the n x n grid, which the orthonormal 2-D DCT-II
+    diagonalizes with the eigenvalues mu_j + mu_k, mu_k = 4 sin^2(pi k/2n).
+    The boundary term of each row is its row sum (the flux rows sum to
+    zero).  Each term of at least ``_CORRECTED_TERM`` sigma_bar is an entry
+    of the diagonal D on its row (U's column), and beta is the sum of the
+    others over n^2.  Where D takes nearly every term, beta would leave M0
+    singular in the constant mode, which only the boundary terms hold, so
+    that mode's eigenvalue is at least a thousandth of the whole sum over
+    n^2: one positive rank-one term in M, at most a thousandth of M's own
+    in that mode.
+
+    M0 is applied by ``scipy.fft``'s DCT-II and D by Woodbury's identity in
+    the symmetric form of the capacitance matrix method (Buzbee, Dorr,
+    George & Golub, SIAM J. Numer. Anal. 8, 1971): M^-1 = M0^-1 - M0^-1 U S
+    C^-1 S U' M0^-1, with S = D^(1/2) and C = I + S U' M0^-1 U S, filled by
+    ``_boundary_inverse`` and inverted once.  An apply is one transform and
+    one inverse transform.  Where D has entries (none at z = 1 and
+    sigma_bar >= 1 from n = 12 up) it also reads M0^-1 r on the four
+    boundary lines from the transform, multiplies by C^-1 and subtracts the
+    transform of the result, each a product of O(n^2) (O(k^2) with C^-1, k
+    the entries of D).
     """
+    import scipy.fft  # here: it loads scipy.special, which no other solve needs
 
-    lu: spla.SuperLU | None = None
-    wasted: int = 0
-    factorizations: int = 0
+    n = math.isqrt(system.table.shape[1])
+    N = n * n
+    kb = boundary_nodes(Grid(n))
+    quarter = 0.25 * system.table[2].reshape(n, n)[1:-1, 1:-1]
+    sigma_bar = math.exp(float(np.mean(np.log(quarter))))
+    terms = (system.operator @ np.ones(N))[kb]
+    corrected = terms >= _CORRECTED_TERM * sigma_bar
+    mu = 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+    eig = sigma_bar * (mu[:, None] + mu) + float(terms[~corrected].sum()) / N
+    # at least a thousandth of the whole term, in the constant mode alone
+    eig[0, 0] = max(eig[0, 0], 1e-3 * float(terms.sum()) / N)
+    inverse = 1.0 / eig
+    phi = scipy.fft.idct(np.eye(n), axis=0, norm="ortho")  # x = Phi x_hat along an axis
+    ends = [0, n - 1]
+    edge = phi[ends]  # the modes on the first and last grid line
+    rows = kb[corrected]
+    s = np.sqrt(terms[corrected])
+    c_inv = np.linalg.inv(np.eye(rows.size) + s[:, None] * _boundary_inverse(rows, inverse, phi) * s)
+    c_inv = 0.5 * (c_inv + c_inv.T)
+
+    def apply_m(r: np.ndarray) -> np.ndarray:
+        r_hat = scipy.fft.dctn(r.reshape(n, n), norm="ortho")
+        if rows.size:  # less the transform of U S C^-1 S U' M0^-1 r
+            x_hat = r_hat * inverse
+            y = np.zeros((n, n))  # M0^-1 r on the boundary lines
+            y[ends] = (edge @ x_hat) @ phi.T
+            y[:, ends] = phi @ (x_hat @ edge.T)
+            t = np.zeros((n, n))
+            t.flat[rows] = s * (c_inv @ (s * y.flat[rows]))
+            # on the bottom and top lines, then between them
+            r_hat -= edge.T @ (t[ends] @ phi) + (phi[1:-1].T @ t[1:-1][:, ends]) @ edge
+        r_hat *= inverse
+        return scipy.fft.idctn(r_hat, norm="ortho").reshape(-1)
+
+    return apply_m
 
 
-def _factor(system: SparseSystem) -> spla.SuperLU:
-    """SuperLU's factor of the system's bit-symmetric matrix A, read in its
-    CSR form (``SparseSystem.matrix``), with the minimum-degree ordering on
-    A^T + A and one column per panel; SolverError when it fails.
+def _boundary_inverse(rows: np.ndarray, inverse: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """U' M0^-1 U for the boundary nodes ``rows`` of the n x n grid, M0^-1 =
+    Phi diag(``inverse``) Phi' in 2-D with ``phi`` the orthonormal DCT-II
+    matrix (``_transform_preconditioner``).
 
-    One-column panels give the same fill as the default panels but a smaller
-    panel workspace (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999): at
-    n = 256 a factorization raises the peak resident memory by about 36 MiB
-    instead of 59 MiB, and it takes about a quarter less time (2-core
-    machine, one BLAS thread).  A is symmetric bit for bit, so A.T, a CSC
-    view of the same arrays, is A in the CSC form SuperLU reads, and no CSC
-    copy is made.
+    The entry of nodes (j, i) and (j', i') is the sum over (a, b) of
+    Phi_ja Phi_j'a W_ab Phi_ib Phi_i'b, W = ``inverse`` (symmetric).  On a
+    boundary line one index is fixed (j on the bottom and top sides, which
+    take the corners, i on the left and right ones), so the block of two
+    parallel lines at t and t' is Phi diag(W (Phi_t * Phi_t')) Phi', and
+    that of a line at t and a crossing line at t' is
+    Phi diag(Phi_t') W diag(Phi_t) Phi', each O(n^3) to fill.
     """
-    import scipy.sparse.linalg as spla  # here: a run that never factors skips its import
-    try:
-        # minimum degree on A^T + A: about half the fill of COLAMD here
-        return spla.splu(system.matrix.T, permc_spec="MMD_AT_PLUS_A", panel_size=1)
-    except RuntimeError as exc:  # SuperLU reports a singular matrix this way
-        raise SolverError(f"LU factorization failed: {exc}") from exc
-
-
-def solve_reusing_factor(
-    system: SparseSystem, cache: FactorCache, tol: float = SOLVE_TOL,
-    x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, SolveStats]:
-    """Solve an SPD system by conjugate gradients preconditioned with the
-    cached LU factor of an earlier matrix of the same sequence, starting
-    from the guess ``x0`` (zero when None).
-
-    A factor of the current matrix would need one iteration, so each further
-    one counts against the factor's budget of ``_FACTOR_COST`` wasted
-    iterations over its lifetime.  When the solve would overrun what is
-    left of it, the stale factor is released, the current matrix is factored
-    into ``cache``, and the solve continues from the abandoned iterate with
-    the fresh factor, under the same budget; the reported iterations include
-    the abandoned ones.  ``_FACTOR_COST`` is about the cost of one
-    factorization in solves, so this ski-rental rule does at most twice the
-    work of the best refactor schedule.  The CG products and true residuals
-    go through the system's operator; only the factorization reads its CSR
-    matrix.  A guess that ``_check_call`` rejects fails before any
-    factorization.
-    """
-    _check_call(system, tol, x0)
-    A, b = system.operator, system.rhs
-    spent = 0
-    if cache.lu is not None:
-        x, k, res = _cg(A, b, cache.lu.solve, tol, 1 + _FACTOR_COST - cache.wasted, x0)
-        if res <= tol:
-            cache.wasted += max(k - 1, 0)
-            return _checked(x, k, res, tol, "lu")
-        spent, x0 = k, x
-        cache.lu = None  # release the stale factor before building the next
-    cache.lu = _factor(system)
-    cache.factorizations += 1
-    x, k, res = _cg(A, b, cache.lu.solve, tol, 1 + _FACTOR_COST, x0)
-    cache.wasted = max(k - 1, 0)
-    return _checked(x, spent + k, res, tol, "lu")
+    n = inverse.shape[0]
+    j, i = np.divmod(rows, n)
+    along = (j == 0) | (j == n - 1)  # on the bottom or top side
+    fixed, moving = np.where(along, j, i), np.where(along, i, j)
+    line = fixed + n * along
+    lines = [np.flatnonzero(line == v) for v in np.unique(line)]
+    out = np.empty((rows.size, rows.size))
+    for p in lines:
+        for q in lines:
+            a, b = phi[moving[p]], phi[moving[q]]
+            t, t2 = phi[fixed[p[0]]], phi[fixed[q[0]]]
+            if along[p[0]] == along[q[0]]:
+                block = (a * (inverse @ (t * t2))) @ b.T
+            else:
+                block = (a * t2) @ inverse @ (b * t).T
+            out[np.ix_(p, q)] = block
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -870,7 +847,6 @@ def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:
     pattern, so the identity is exact up to the linear-solver residual.
     """
     grid = require_same_grid(u, coeffs)
-    pat = _stencil_pattern(grid.n)
-    c = coeffs.c.values[pat.face_value]
-    bb = coeffs.b.values[pat.face_value]
-    return float(np.sum(pat.face_weight * (c - bb * u.values[pat.face_rows])))
+    rows, value, weight = _faces(grid.n)
+    c, b = coeffs.c.values[value], coeffs.b.values[value]
+    return float(np.sum(weight * (c - b * u.values[rows])))

@@ -21,7 +21,7 @@ from .boundary import (
     boundary_faces,
     robin_coefficients,
 )
-from .elliptic import SOLVE_TOL, FactorCache, SolveStats, assemble_robin, solve_reusing_factor
+from .elliptic import SOLVE_TOL, SolveStats, _transform_preconditioner, assemble_robin, pcg_solve
 from .errors import DataError
 from .family import (
     CALIBRATION_BAND,
@@ -177,16 +177,14 @@ class ReconReport:
     comparator: one record per sweep or iteration; ``stop_reason`` "tol"
     once ``stop_change``, the last value the stop rule compared, met its
     tolerance, and "cap" when the iterations ran out (``converged`` false);
-    the strength max |phi' - 1| of each calibration pass; the final solve's
-    stats; and the LU factorizations, the final solve's included.  The
-    comparator makes no calibration, final solve or factorization.
+    the strength max |phi' - 1| of each calibration pass; and the final
+    solve's stats.  The comparator makes no calibration or final solve.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
     final_solve: SolveStats | None = None
     calibrations: list[float] = field(default_factory=list)
     stop_reason: str = ""
-    factorizations: int = 0
     stop_change: float = math.nan
 
     @property
@@ -433,11 +431,12 @@ def reconstruct(
     ``initial_sigma`` follow, each on the bins of its own u; they add no
     sweep.  A final solve at ``SOLVE_TOL`` makes the returned potential the
     exact critical point of the linearization at the returned conductivity.
-    The linear solves share one LU factor, created here and dropped on
-    return (see ``solve_reusing_factor``); ``report.factorizations`` counts
-    them.  The sweep runs in place: the constants (cell weights, boundary
-    terms) and the buffers are built once per call; each solve assembles
-    its own Robin system.
+    Every solve is conjugate gradients (``pcg_solve``) with one
+    fast-transform preconditioner, built from the first system, whose
+    conductivity is the constant ``initial_sigma`` + delta, and dropped on
+    return (``_transform_preconditioner``).  The sweep runs in place: the
+    constants (cell weights, boundary terms) and the buffers are built once
+    per call; each solve assembles its own Robin system.
 
     A boundary term that rounds away (``assemble_robin``) is a DataError
     that names z at the first assembly; at a later one the iterate ran
@@ -454,7 +453,7 @@ def reconstruct(
     n, h = grid.n, grid.h
     delta, bounds = config.delta, config.sigma_bounds
     report = ReconReport()
-    factor = FactorCache()
+    preconditioner = None  # built from the first system
     weight = cell_average(a)
     penalty = _boundary_penalty_of(coeffs)
     # every sweep writes into these: the cell gradient of u and its
@@ -470,6 +469,7 @@ def reconstruct(
     shifted = np.empty(grid.num_nodes)
 
     def solve_at(sigma: np.ndarray, tol: float, x0: np.ndarray | None):
+        nonlocal preconditioner
         np.add(sigma, delta, out=shifted)
         try:
             system = assemble_robin(ScalarField(grid, shifted), coeffs, grid)
@@ -478,7 +478,9 @@ def reconstruct(
                 raise
             raise DataError(f"sigma reached {sigma.max():g} after sweep {report.iterations}: "
                             "the data do not fit the electrode model") from exc
-        x, stats = solve_reusing_factor(system, factor, tol=tol, x0=x0)
+        if preconditioner is None:
+            preconditioner = _transform_preconditioner(system)
+        x, stats = pcg_solve(system, tol, x0, preconditioner)
         return ScalarField(grid, x), stats
 
     sigma = np.full(grid.num_nodes, config.initial_sigma)
@@ -526,7 +528,6 @@ def reconstruct(
     # for the returned conductivity exactly (up to solver tolerance)
     u_final, final_stats = solve_at(sigma.values, SOLVE_TOL, u.values)
     report.final_solve = final_stats
-    report.factorizations = factor.factorizations
     return sigma, u_final, report
 
 

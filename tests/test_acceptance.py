@@ -34,6 +34,7 @@ from cdrecon.fields import (
     gradient,
     make_grid,
 )
+from csr_reference import csr_of
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -247,7 +248,7 @@ def test_criterion_9_invariant_sweep(tmp_path):
         cd.assemble_robin(sigma, sm, grid),
         cd.assemble_cem(sigma, el, grid),
     ):
-        A = system.matrix
+        A = csr_of(system)
         defect = abs(A - A.T)
         assert (defect.data.max() if defect.nnz else 0.0) <= 1e-14 * np.abs(A.data).max()
         for _ in range(3):

@@ -3,7 +3,6 @@ quadrature."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -296,9 +295,10 @@ def _former_smoothed(electrodes, grid, epsilon):
 
 
 def _side_cem(sigma, electrodes, grid):
+    """The CEM system of the per-side rule: the table, V's column and
+    diagonal, and the rhs."""
     n = grid.n
     N = n * n
-    pat = elliptic._stencil_pattern(n)
     stencil = elliptic._stencil(sigma.values, n)
     li, lj = boundary_loop(grid)
     pos_side = "top" if electrodes.top_positive else "bottom"
@@ -311,19 +311,9 @@ def _side_cem(sigma, electrodes, grid):
         stencil[2, g] += wz  # the centre diagonal of the DIA table
         border[g] = -wz if side == pos_side else wz
         corner += float(wz.sum())
-    coupled = np.flatnonzero(border)
-    m = coupled.size
-    at = np.concatenate([pat.indptr[coupled + 1], np.full(m + 1, pat.indices.size)])
-    data = np.insert(np.take(stencil, pat.gather), at,
-                     np.concatenate([border[coupled], border[coupled], [corner]]))
-    indices = np.insert(pat.indices, at, np.concatenate([np.full(m, N), coupled, [N]]))
-    extra = np.zeros(N + 2, dtype=np.int32)
-    extra[coupled + 1] = 1
-    extra[N + 1] = m + 1
-    indptr = np.append(pat.indptr, pat.indices.size) + np.cumsum(extra, dtype=np.int32)
     rhs = np.zeros(N + 1)
     rhs[N] = 2.0 * electrodes.current
-    return sp.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1)), rhs
+    return stencil, border, corner, rhs
 
 
 def _side_cem_scaling(result, electrodes, grid):
@@ -378,10 +368,10 @@ def test_one_electrode_rule_matches_former_per_side_rules(n, aperture, z, curren
     rc = base_coefficients(el, g)
     assert _bytes(rc.b.values, rc.c.values) == _bytes(*_former_base(el, g))
     system = assemble_cem(sigma, el, g)
-    expected, expected_rhs = _side_cem(sigma, el, g)
-    for name in ("data", "indices", "indptr"):
-        assert _bytes(getattr(system.matrix, name)) == _bytes(getattr(expected, name))
-    assert _bytes(system.rhs) == _bytes(expected_rhs)
+    table, border, corner, rhs = _side_cem(sigma, el, g)
+    column, diagonal = system.voltage
+    assert _bytes(system.table, column, np.float64(diagonal), system.rhs) == _bytes(
+        table, border, np.float64(corner), rhs)
     robin = solve_forward(sigma, rc, g)
     assert _bytes(np.float64(cem_scaling(robin, el, g))) == _bytes(
         np.float64(_side_cem_scaling(robin, el, g)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdrecon import elliptic
@@ -18,21 +18,19 @@ from cdrecon.boundary import (
     base_coefficients,
     boundary_faces,
     electrode_quadrature,
+    robin_coefficients,
     smoothed_coefficients,
 )
 from cdrecon.bregman import BregmanConfig, split_bregman_minimize
 from cdrecon.elliptic import (
-    _FACTOR_COST,
-    FactorCache,
     SparseSystem,
-    _factor,
+    _transform_preconditioner,
     assemble_cem,
     assemble_laplace_dirichlet,
     assemble_robin,
     boundary_net_flux,
     pcg_solve,
     sine_solve,
-    solve_reusing_factor,
 )
 from cdrecon.errors import AssemblyError, DataError, DimensionError, NotSPDError, SolverError
 from cdrecon.fields import (
@@ -45,6 +43,7 @@ from cdrecon.fields import (
 from cdrecon.forward import solve_cem_forward, solve_forward
 from cdrecon.phantom import PhantomSpec, generate_phantom
 from cdrecon.recon import ReconConfig, reconstruct
+from csr_reference import csr_of
 
 
 def _matrix_symmetry_defect(A) -> float:
@@ -54,7 +53,7 @@ def _matrix_symmetry_defect(A) -> float:
 
 def _quadratic_energy(system: SparseSystem, x: np.ndarray) -> float:
     """Energy 0.5 x'Ax - rhs'x whose minimizer solves the system."""
-    return float(0.5 * x @ (system.matrix @ x) - system.rhs @ x)
+    return float(0.5 * x @ (system.operator @ x) - system.rhs @ x)
 
 
 def _spd_probe(A, seed=0, trials=5) -> float:
@@ -83,8 +82,9 @@ def test_robin_affine_exact_any_n(n, sigma, z, current):
     alpha = 2.0 * current * z / (2.0 * sigma * z + 1.0)
     beta = -current * z / (2.0 * sigma * z + 1.0)
     exact = ScalarField.from_function(g, lambda x, y: alpha * y + beta)
-    residual = system.matrix @ exact.values - system.rhs
-    scale = abs(system.matrix) @ np.abs(exact.values) + np.abs(system.rhs)
+    A = csr_of(system)
+    residual = A @ exact.values - system.rhs
+    scale = abs(A) @ np.abs(exact.values) + np.abs(system.rhs)
     assert np.abs(residual).max() <= 1e-14 * scale.max()
 
 
@@ -118,12 +118,13 @@ def _random_robin(n, seed, aperture, z, epsilon, decades):
        decades=st.floats(0.0, 3.0), aperture=st.floats(0.05, 1.0),
        epsilon=st.sampled_from([0.0, 1e-6, 5e-4, 1.0]), z=st.floats(1e-3, 1e3))
 def test_robin_matrix_symmetric_and_spd(n, seed, decades, aperture, epsilon, z):
-    # bit-for-bit symmetry: elliptic._factor factors the transpose as A
+    # bit-for-bit symmetry: the multigrid's coarsening reads only the
+    # diagonals at -n and -1 (elliptic._coarsen)
     try:
         system = _random_robin(n, seed, aperture, z, epsilon, decades)
     except DataError:
         assume(False)  # the sharp aperture spans fewer than two nodes
-    A = system.matrix
+    A = csr_of(system)
     assert (A != A.T).nnz == 0
     np.linalg.cholesky(A.toarray())  # raises LinAlgError unless SPD
 
@@ -155,9 +156,10 @@ def test_cem_exact_affine_and_voltage():
     exact = np.concatenate([
         ScalarField.from_function(g, lambda x, y: y - 0.5).values, [1.5]
     ])
-    assert np.abs(system.matrix @ exact - system.rhs).max() < 1e-14
-    assert _matrix_symmetry_defect(system.matrix) == 0.0
-    assert _spd_probe(system.matrix, seed=3) > 0.0
+    A = csr_of(system)
+    assert np.abs(A @ exact - system.rhs).max() < 1e-14
+    assert _matrix_symmetry_defect(A) == 0.0
+    assert _spd_probe(A, seed=3) > 0.0
 
 
 def test_cem_linearity_in_current():
@@ -310,7 +312,7 @@ def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, 
     assert abs(mx @ y - x @ my) <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
     assert mx @ x > 0.0 and my @ y > 0.0
     sol, stats = pcg_solve(system, tol=1e-12)
-    expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    expected = spla.spsolve(csr_of(system).tocsc(), system.rhs)
     assert np.linalg.norm(sol - expected) <= 1e-8 * np.linalg.norm(expected)
     assert stats.method == "multigrid"
 
@@ -468,18 +470,6 @@ def _random_system(kind, n, rng):
     return assemble_robin(sigma, coeffs, g)
 
 
-def _former_laplace_csr(table):
-    """The CSR matrix that ``assemble_laplace_dirichlet`` built from its
-    table before the systems held their tables alone: the entries of the
-    five-point pattern, the zeros of the dropped couplings left out."""
-    n = math.isqrt(table.shape[1])
-    pat = elliptic._stencil_pattern(n)
-    vals = np.take(table, pat.gather)
-    keep = vals != 0.0
-    indptr = np.concatenate([[0], np.cumsum(keep)[pat.indptr[1:] - 1]])
-    return sp.csr_matrix((vals[keep], pat.indices[keep], indptr), shape=(n * n, n * n))
-
-
 def _with_signed_zeros(rng, size):
     x = rng.normal(size=size)
     x[rng.random(size) < 0.2] = -0.0
@@ -493,7 +483,7 @@ def _with_signed_zeros(rng, size):
 def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed):
     # the system's one operator, at every size, and every level's DIA
     # product equal scipy's CSR product of that level's Galerkin matrix (for
-    # the Laplace system also of the zero-dropping CSR matrix it replaced),
+    # the Laplace system a CSR matrix without the dropped couplings' zeros),
     # and the strided transfers equal np.bincount and the gather, bit for
     # bit and signs of zeros included, at odd and even n
     rng = np.random.default_rng(seed)
@@ -501,15 +491,13 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
         system = _random_system(kind, n, rng)
     except DataError:
         assume(False)
-    levels, _ = _former_multigrid(system.matrix)
+    levels, _ = _former_multigrid(csr_of(system))
     hierarchy, _ = elliptic._multigrid(system)
     assert len(hierarchy) == len(levels)
     assert not hierarchy or hierarchy[0] is system.operator
     x = _with_signed_zeros(rng, system.dimension)  # every solve's product
     product = system.operator @ x
-    assert product.tobytes() == (system.matrix @ x).tobytes()
-    if kind == "laplace":
-        assert product.tobytes() == (_former_laplace_csr(system.table) @ x).tobytes()
+    assert product.tobytes() == (csr_of(system) @ x).tobytes()
     for (matrix, damped_inverse_diagonal, aggregate), level in zip(levels, hierarchy):
         x = _with_signed_zeros(rng, matrix.shape[0])
         assert (level @ x).tobytes() == (matrix @ x).tobytes()
@@ -540,13 +528,14 @@ def test_v_cycle_matches_former_csr_v_cycle(n, kind, seed):
         system = _random_system(kind, n, rng)
     except DataError:
         assume(False)
-    _, former = _former_multigrid(system.matrix)
+    A = csr_of(system)
+    _, former = _former_multigrid(A)
     levels, coarsest_inverse = elliptic._multigrid(system)
     b = _with_signed_zeros(rng, system.dimension)
     assert elliptic._v_cycle(levels, coarsest_inverse, b).tobytes() == former(b).tobytes()
     x, stats = pcg_solve(system)
     max_iter = elliptic._CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension)))
-    x0, iterations, residual = elliptic._cg(system.matrix, system.rhs, former,
+    x0, iterations, residual = elliptic._cg(A, system.rhs, former,
                                             elliptic.SOLVE_TOL, max_iter)
     assert x.tobytes() == x0.tobytes()
     assert (stats.iterations, stats.relative_residual) == (iterations, residual)
@@ -595,7 +584,7 @@ def test_every_coarse_level_is_the_galerkin_product(n, kind, seed):
         mp.setattr(np.linalg, "inv", lambda M: coarsest.append(M.copy()) or inv(M))
         levels, _ = elliptic._multigrid(system)
     matrices = [_level_matrix(lv) for lv in levels] + [sp.csr_matrix(coarsest[0])]
-    assert abs(matrices[0] - system.matrix).max() == 0.0
+    assert abs(matrices[0] - csr_of(system)).max() == 0.0
     extra = system.dimension - math.isqrt(system.dimension) ** 2
     for fine, coarse, level in zip(matrices, matrices[1:], levels):
         P = _aggregation(level.n, extra)
@@ -619,8 +608,37 @@ def test_a_guess_that_meets_tol_is_returned_with_no_hierarchy():
     assert stats.iterations == 0 and stats.relative_residual <= elliptic.SOLVE_TOL
     y, stats = pcg_solve(system, x0=0.5 * x)
     assert stats.iterations > 0
-    assert np.linalg.norm(system.rhs - system.matrix @ y) <= (
+    assert np.linalg.norm(system.rhs - csr_of(system) @ y) <= (
         elliptic.SOLVE_TOL * np.linalg.norm(system.rhs))
+
+
+def test_a_guess_that_meets_tol_is_returned_unpreconditioned():
+    # the sweeps' path: with a preconditioner passed, a guess that meets
+    # the tolerance is returned after 0 iterations, its true residual
+    # measured and checked, and the preconditioner never applied; a nearby
+    # guess takes fewer iterations than the zero guess and is not modified
+    g = make_grid(33)
+    coeffs = smoothed_coefficients(ElectrodeSet(aperture=0.8), g, 5e-4)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
+    system = assemble_robin(sigma, coeffs, g)
+    transform = _transform_preconditioner(assemble_robin(ScalarField.constant(g, 1.0), coeffs, g))
+    x, cold = pcg_solve(system, 1e-10, None, transform)
+    again, stats = pcg_solve(system, 1e-10, x, None)
+    assert (stats.iterations, stats.method) == (0, "multigrid")
+    again, stats = pcg_solve(system, 1e-10, x, lambda r: None)  # an apply is a TypeError
+    assert (stats.iterations, stats.method) == (0, "transform")
+    assert again.tobytes() == x.tobytes() and again is not x
+    nb = np.linalg.norm(system.rhs)
+    true_res = np.linalg.norm(system.rhs - csr_of(system) @ x) / nb
+    assert stats.relative_residual == pytest.approx(true_res, rel=1e-12)
+    assert stats.relative_residual <= 1e-10
+    moved = assemble_robin(ScalarField(g, sigma.values * 1.01 + 0.01), coeffs, g)
+    guess = x.copy()
+    y, warm = pcg_solve(moved, 1e-10, guess, transform)
+    assert guess.tobytes() == x.tobytes()
+    assert np.linalg.norm(moved.rhs - csr_of(moved) @ y) <= 1e-10 * np.linalg.norm(moved.rhs)
+    _, zero = pcg_solve(moved, 1e-10, None, transform)
+    assert warm.iterations < zero.iterations
 
 
 def _table_read_off(A, n):
@@ -642,7 +660,7 @@ def _table_read_off(A, n):
 
 
 def _assert_table_is_the_matrix(system, n):
-    expected_table, expected_voltage = _table_read_off(system.matrix, n)
+    expected_table, expected_voltage = _table_read_off(csr_of(system), n)
     assert system.table.tobytes() == expected_table.tobytes()
     assert (system.voltage is None) == (expected_voltage is None)
     if system.voltage is not None:
@@ -656,7 +674,9 @@ def _assert_table_is_the_matrix(system, n):
        seed=st.integers(0, 2**32 - 1))
 def test_the_table_each_assembly_keeps_is_its_matrix(n, kind, seed):
     # the table and V column from which every product and the multigrid
-    # are built are the matrix byte for byte
+    # are built are the matrix byte for byte, with +0.0 wherever the matrix
+    # has no entry (a CSR matrix drops zeros, so a -0.0 or a value there
+    # shows)
     rng = np.random.default_rng(seed)
     try:
         system = _random_system(kind, n, rng)
@@ -683,22 +703,12 @@ def test_the_finest_level_is_the_assemblys_table():
 
 
 def _record_csr_builds(mp):
-    """Record each csr_matrix construction from now on as True inside
-    ``elliptic._factor`` and False elsewhere; returns the record list."""
-    built, inside = [], []
-    init, factor = sp.csr_matrix.__init__, elliptic._factor
-
-    def counted_factor(system):
-        inside.append(True)
-        try:
-            return factor(system)
-        finally:
-            inside.pop()
-
+    """Record each csr_matrix construction from now on; returns the record
+    list."""
+    built = []
+    init = sp.csr_matrix.__init__
     mp.setattr(sp.csr_matrix, "__init__",
-               lambda self, *args, **kwargs: built.append(bool(inside))
-               or init(self, *args, **kwargs))
-    mp.setattr(elliptic, "_factor", counted_factor)
+               lambda self, *args, **kwargs: built.append(True) or init(self, *args, **kwargs))
     return built
 
 
@@ -723,10 +733,10 @@ def test_forward_solves_build_no_csr_matrix(n, kind):
     assert kind != "cem-small-z" or result.stats.iterations > 0
 
 
-def test_sweeps_build_csr_only_to_factor_and_bregman_builds_none():
-    # the sweeps' CG products and residuals go through the DIA table too:
-    # a reconstruct constructs one CSR matrix per factorization, each inside
-    # SuperLU's _factor, and the Bregman comparator's sine solves none
+def test_sweeps_and_bregman_build_no_csr_matrix():
+    # the sweeps' CG products and residuals go through the DIA table too,
+    # and so do the Bregman comparator's sine solves: neither constructs a
+    # CSR matrix
     g = make_grid(33)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=7))
     el = ElectrodeSet()
@@ -734,7 +744,7 @@ def test_sweeps_build_csr_only_to_factor_and_bregman_builds_none():
     with pytest.MonkeyPatch.context() as mp:
         built = _record_csr_builds(mp)
         _, _, report = reconstruct(forward.a, el, ReconConfig(), g)
-    assert report.factorizations > 0 and built == [True] * report.factorizations
+    assert built == [] and report.final_solve.method == "transform"
     with pytest.MonkeyPatch.context() as mp:
         built = _record_csr_builds(mp)
         _, breg = split_bregman_minimize(forward.a, boundary_trace(forward.u), BregmanConfig(), g)
@@ -751,31 +761,132 @@ def _guess_of_shape(shape, dim):
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(5, 24), seed=st.integers(0, 2**32 - 1), shape=_GUESS_SHAPES,
-       bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.floats(0.0, 1.0),
-       cached=st.booleans())
-def test_a_malformed_guess_fails_before_any_work(n, seed, shape, bad, where, cached):
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.floats(0.0, 1.0))
+def test_a_malformed_guess_fails_before_any_work(n, seed, shape, bad, where):
     # a guess of another shape is a DimensionError, and a NaN or inf
     # anywhere in a guess of the right shape a SolverError, before any
-    # product, hierarchy or factor
+    # product, hierarchy or preconditioner apply, with the multigrid and
+    # with the sweeps' transform preconditioner alike
     g = make_grid(n)
     sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
     system = assemble_robin(sigma, smoothed_coefficients(ElectrodeSet(), g, 1e-3), g)
     dim = system.dimension
-    cache = FactorCache()
-    if cached:
-        solve_reusing_factor(system, cache)
-    factorizations = cache.factorizations
     x0 = np.zeros(dim)
     x0[min(int(where * dim), dim - 1)] = bad
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_multigrid", "_factor", "_cg"):
+        for name in ("_multigrid", "_cg"):
             mp.setattr(elliptic, name, None)  # any call is a TypeError
-        for solve in (pcg_solve, partial(solve_reusing_factor, cache=cache)):
+        for preconditioner in (None, lambda r: None):
+            solve = partial(pcg_solve, system, preconditioner=preconditioner)
             with pytest.raises(DimensionError, match="the guess has shape"):
-                solve(system, x0=_guess_of_shape(shape, dim))
+                solve(x0=_guess_of_shape(shape, dim))
             with pytest.raises(SolverError, match="the guess holds a NaN or inf"):
-                solve(system, x0=x0)
-    assert cache.factorizations == factorizations
+                solve(x0=x0)
+
+
+def _sweep_coefficients(n, aperture, log_z, epsilon):
+    """The grid and the Robin coefficients of a reconstruction's sweeps in
+    the sharp (epsilon 0) or smoothed model; DataError where a sharp
+    electrode spans fewer than two nodes."""
+    g = make_grid(n)
+    return g, robin_coefficients(ElectrodeSet(aperture=aperture, z=10.0**log_z), g, epsilon)
+
+
+def _boundary_terms(g, coeffs):
+    """The boundary term of each boundary node's row, in loop order: the
+    sum of w b over the faces it owns."""
+    node_f, val_f, w_f = boundary_faces(g)
+    return np.bincount(node_f, w_f * coeffs.b.values[val_f], minlength=g.num_boundary_nodes)
+
+
+def _record_calls(mp, module, name):
+    """Record the positional arguments of each call of ``module.name``."""
+    calls = []
+    f = getattr(module, name)
+    mp.setattr(module, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 65), contrast=st.floats(1.0, 2.0), aperture=st.floats(0.3, 1.0),
+       epsilon=st.sampled_from([0.0, 5e-4]), log_z=st.floats(-5.0, 0.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=65, contrast=2.0, aperture=1.0, epsilon=5e-4, log_z=0.0, seed=0)  # no row corrected
+@example(n=65, contrast=2.0, aperture=0.5, epsilon=0.0, log_z=-5.0, seed=0)  # the electrodes'
+@example(n=40, contrast=2.0, aperture=1.0, epsilon=5e-4, log_z=-5.0, seed=1)  # every row
+def test_transform_preconditioner_is_spd_and_solves_the_sweep_systems(n, contrast, aperture,
+                                                                       epsilon, log_z, seed):
+    # built from the sweeps' first system (sigma = 1 + delta), the
+    # preconditioner's capacitance matrix has a row for each boundary term
+    # of at least a tenth of sigma_bar (none at n = 65 and z = 1: the plain
+    # transform); it is symmetric and positive to rounding, and it solves a
+    # system of conductivity contrast up to 2 at SOLVE_TOL in a bounded
+    # number of CG iterations
+    try:
+        g, coeffs = _sweep_coefficients(n, aperture, log_z, epsilon)
+    except DataError:
+        assume(False)  # the sharp aperture spans fewer than two nodes
+    delta = ReconConfig().delta
+    terms = _boundary_terms(g, coeffs)
+    threshold = 0.1 * (1.0 + delta)
+    assume(not np.any(np.abs(terms - threshold) <= 1e-9 * threshold))  # clear of the rule
+    first = assemble_robin(ScalarField.constant(g, 1.0 + delta), coeffs, g)
+    rng = np.random.default_rng(seed)
+    sigma = ScalarField(g, contrast ** rng.uniform(0.0, 1.0, g.num_nodes) + delta)
+    system = assemble_robin(sigma, coeffs, g)
+    with pytest.MonkeyPatch.context() as mp:
+        inversions = _record_calls(mp, np.linalg, "inv")
+        precondition = _transform_preconditioner(first)
+    [(capacitance,)] = inversions
+    assert capacitance.shape == (np.count_nonzero(terms >= threshold),) * 2
+    x, y = rng.normal(size=(2, system.dimension))
+    mx, my = precondition(x), precondition(y)
+    # the correction cancels M0^-1's constant mode, up to a thousand times
+    # M's own, so the bound is looser than the V-cycle's
+    assert abs(mx @ y - x @ my) <= 1e-10 * np.linalg.norm(mx) * np.linalg.norm(y)
+    assert mx @ x > 0.0 and my @ y > 0.0
+    _, stats = pcg_solve(system, elliptic.SOLVE_TOL, None, precondition)
+    assert stats.relative_residual <= elliptic.SOLVE_TOL
+    assert stats.iterations <= 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 20), aperture=st.floats(0.3, 1.0), epsilon=st.sampled_from([0.0, 5e-4]),
+       log_z=st.floats(-6.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=12, aperture=1.0, epsilon=5e-4, log_z=0.0, seed=0)  # no row corrected
+@example(n=17, aperture=0.5, epsilon=0.0, log_z=-5.0, seed=0)  # every term corrected
+def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z, seed):
+    # the preconditioner of a system on a random medium is the inverse of
+    # M = sigma_bar L + beta + D, built here densely: L the Neumann
+    # Laplacian T x I + I x T, T = tridiag(-1, 2, -1) with 1 at both ends,
+    # sigma_bar the geometric mean of a quarter of the interior diagonal,
+    # D the boundary terms of at least sigma_bar / 10 on their rows, beta
+    # the others' sum over n^2, and the constant mode's eigenvalue raised to
+    # a thousandth of the whole sum over n^2 where beta is below that
+    try:
+        g, coeffs = _sweep_coefficients(n, aperture, log_z, epsilon)
+    except DataError:
+        assume(False)  # the sharp aperture spans fewer than two nodes
+    rng = np.random.default_rng(seed)
+    system = assemble_robin(ScalarField(g, rng.uniform(0.5, 2.0, g.num_nodes)), coeffs, g)
+    N = n * n
+    centre = system.table[2].reshape(n, n)[1:-1, 1:-1]
+    sigma_bar = math.exp(np.mean(np.log(0.25 * centre)))
+    terms = _boundary_terms(g, coeffs)
+    assume(not np.any(np.abs(terms - 0.1 * sigma_bar) <= 1e-9 * sigma_bar))
+    corrected = terms >= 0.1 * sigma_bar
+    beta = terms[~corrected].sum() / N
+    T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    T[0, 0] = T[-1, -1] = 1.0
+    M = sigma_bar * (np.kron(T, np.eye(n)) + np.kron(np.eye(n), T)) + beta * np.eye(N)
+    li, lj = boundary_loop(g)
+    rows = (lj * n + li)[corrected]
+    M[rows, rows] += terms[corrected]
+    M += (max(beta, 1e-3 * terms.sum() / N) - beta) / N  # on the constant mode alone
+    r = rng.normal(size=N)
+    expected = np.linalg.solve(M, r)
+    got = _transform_preconditioner(system)(r)
+    assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -793,7 +904,7 @@ def test_pcg_solves_any_spd_matrix_of_at_most_the_coarsest_size(n, kind, seed):
     assert system.dimension <= elliptic._COARSEST
     levels, coarsest_inverse = elliptic._multigrid(system)
     assert levels == []
-    A = system.matrix.toarray()
+    A = csr_of(system).toarray()
     assert np.abs(coarsest_inverse @ A - np.eye(system.dimension)).max() < 1e-8
     x, stats = pcg_solve(system)
     assert stats.relative_residual <= elliptic.SOLVE_TOL and stats.iterations <= 3
@@ -815,7 +926,7 @@ def test_sine_solve_matches_direct_solve(n, seed):
     rhs.reshape(n, n)[1:-1, 1:-1] -= g.h * g.h * rng.normal(size=(n - 2, n - 2))
     system = SparseSystem(base.table, rhs)
     x, stats = sine_solve(system)
-    expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    expected = spla.spsolve(csr_of(system).tocsc(), system.rhs)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     li, lj = boundary_loop(g)
     assert np.array_equal(x[lj * n + li], trace.values)
@@ -909,7 +1020,7 @@ def test_robin_pattern_refill_matches_coo_build(n, seed, aperture, epsilon):
                            vals + [w_f * coeffs.b.values[val_f]], n * n)
     rhs = np.zeros(n * n)
     np.add.at(rhs, face_rows, w_f * (coeffs.c.values[val_f] + flux.values[val_f]))
-    _assert_same_system(system.matrix, system.rhs, expected, rhs)
+    _assert_same_system(csr_of(system), system.rhs, expected, rhs)
 
 
 def _electrode_faces(el, g):
@@ -963,7 +1074,7 @@ def test_cem_matches_coo_build(n, seed, aperture, top_positive):
                        format="csr")
     rhs = np.zeros(N + 1)
     rhs[N] = 2.0 * el.current
-    A = system.matrix
+    A = csr_of(system)
     for name in ("indptr", "indices", "data"):
         assert getattr(A, name).dtype == getattr(expected, name).dtype, name
         assert getattr(A, name).tobytes() == getattr(expected, name).tobytes(), name
@@ -1005,158 +1116,8 @@ def test_laplace_dirichlet_matches_coo_build(n, seed):
     keep = ~dirichlet[Ki.row] & ~dirichlet[Ki.col]
     expected = _coo_to_csr([Ki.row[keep], kb], [Ki.col[keep], kb],
                            [Ki.data[keep], np.ones(kb.size)], N)
-    # the table read without its zeros is that build; the CSR form keeps
-    # them as stored entries of the five-point pattern
-    _assert_same_system(_former_laplace_csr(system.table), system.rhs, expected, rhs)
-    assert (system.matrix != expected).nnz == 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1),
-       decades=st.floats(0.0, 1.0), aperture=st.floats(0.3, 1.0),
-       epsilon=st.sampled_from([0.0, 5e-4, 0.5]), z=st.floats(0.1, 10.0))
-def test_factor_leaves_matrix_and_matches_csc_fill(n, seed, decades, aperture, epsilon, z):
-    try:
-        system = _random_robin(n, seed, aperture, z, epsilon, decades)
-    except DataError:
-        assume(False)  # the sharp aperture spans fewer than two nodes
-    A = system.matrix
-    arrays = [getattr(A, name).tobytes() for name in ("data", "indices", "indptr")]
-    lu = _factor(system)
-    assert [getattr(A, name).tobytes() for name in ("data", "indices", "indptr")] == arrays
-    # the same fill as the default factor of a CSC copy
-    reference = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
-    b = np.random.default_rng(seed).normal(size=system.dimension)
-    x = lu.solve(b)
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-    # the factor holds no reference to the matrix it was built from: the
-    # entries of another system written into A leave its solves as they are
-    g = make_grid(n)
-    coeffs = smoothed_coefficients(ElectrodeSet(), g, 1e-3)
-    A.data[:] = assemble_robin(ScalarField.constant(g, 2.0), coeffs, g).matrix.data
-    assert system.matrix.data.tobytes() != arrays[0]
-    assert lu.solve(b).tobytes() == x.tobytes()
-
-
-def test_factor_reuse_refactors_on_jump():
-    # slowly varying conductivities reuse the first factor; a large jump
-    # makes the stale factor a poor preconditioner and forces a refactor
-    g = make_grid(33)
-    el = ElectrodeSet(aperture=0.8)
-    coeffs = smoothed_coefficients(el, g, 5e-4)
-    base = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
-    rng = np.random.default_rng(0)
-    jump = ScalarField(g, rng.uniform(0.05, 20.0, g.num_nodes))
-    sigmas = [ScalarField(g, base.values * (1.0 + 0.02 * k)) for k in range(4)]
-    sigmas += [jump, ScalarField(g, jump.values * 1.01)]
-    cache = FactorCache()
-    counts = []
-    tol = 1e-10
-    for sigma in sigmas:
-        system = assemble_robin(sigma, coeffs, g)
-        x, stats = solve_reusing_factor(system, cache, tol=tol)
-        true_res = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
-        assert true_res <= tol
-        assert stats.relative_residual == pytest.approx(true_res, rel=1e-6)
-        counts.append(cache.factorizations)
-    assert counts == [1, 1, 1, 1, 2, 2]
-    assert stats.iterations <= 1 + _FACTOR_COST
-
-
-def _drifting_solves(eta, count):
-    """Solve the Robin systems of sigma_k = sigma_0 exp(eta k (x - y)),
-    k < count, through one FactorCache; log per solve the iterations, the
-    factorizations so far and the cache's waste before and after."""
-    g = make_grid(33)
-    coeffs = smoothed_coefficients(ElectrodeSet(aperture=0.8), g, 5e-4)
-    base = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
-    x, y = g.node_coords()
-    tilt = (x - y).reshape(-1)
-    cache = FactorCache()
-    log = []
-    for k in range(count):
-        sigma = ScalarField(g, base.values * np.exp(eta * k * tilt))
-        system = assemble_robin(sigma, coeffs, g)
-        before = cache.wasted
-        sol, stats = solve_reusing_factor(system, cache, tol=1e-10)
-        residual = np.linalg.norm(system.rhs - system.matrix @ sol)
-        assert residual <= 1e-10 * np.linalg.norm(system.rhs)
-        log.append((stats.iterations, cache.factorizations, before, cache.wasted))
-    return log
-
-
-def test_drifting_sequence_refactors_when_waste_passes_budget():
-    # a slow drift costs the first factor a few more CG iterations per solve;
-    # each iteration past the first is charged to the factor, and only the
-    # solve that would overrun what is left of the budget refactors, after
-    # spending all of it (the fresh factor then needs w_after + 1 iterations)
-    log = _drifting_solves(0.05, 12)
-    assert log[0][:2] == (1, 1)
-    factorizations = 1
-    refactored_at = []
-    for k, (iterations, count, before, after) in enumerate(log[1:], start=1):
-        if count == factorizations:
-            assert after == before + max(iterations - 1, 0) <= _FACTOR_COST
-        else:
-            assert count == factorizations + 1
-            stale = iterations - (after + 1)
-            assert stale - 1 == _FACTOR_COST - before
-            refactored_at.append(k)
-        factorizations = count
-    assert refactored_at, "the drift never exhausted a factor"
-    # the first factor served several solves, so no single one of them
-    # exhausted it: the budget spans the solves of a factor's lifetime
-    first = refactored_at[0]
-    assert first >= 3
-    assert max(it for it, *_ in log[1:first]) - 1 < _FACTOR_COST
-
-
-def test_no_factor_wastes_more_than_its_budget():
-    # a fast drift exhausts factor after factor; split each solve's
-    # iterations between the factors that ran them and add up the waste
-    log = _drifting_solves(0.3, 20)
-    waste = [0]  # per factor, the first one built by the first solve
-    for iterations, count, before, after in log:
-        assert 0 <= after <= _FACTOR_COST
-        if count == len(waste):
-            waste[-1] += max(iterations - 1, 0)
-        else:
-            fresh = after + 1
-            waste[-1] += iterations - fresh - 1
-            waste.append(fresh - 1)
-    assert len(waste) == log[-1][1] >= 4
-    assert max(waste) <= _FACTOR_COST
-    # independently of the split: all the iterations past one per solve,
-    # less one per refactoring solve, fit in the budgets of the factors made
-    total = sum(max(it - 1, 0) for it, *_ in log)
-    assert total - (len(waste) - 1) <= len(waste) * _FACTOR_COST
-
-
-def test_factor_reuse_warm_start():
-    # a guess that already meets the tolerance returns after 0 iterations,
-    # its true residual still measured and checked; a nearby guess takes
-    # fewer iterations than the zero guess and is not modified
-    g = make_grid(33)
-    coeffs = smoothed_coefficients(ElectrodeSet(aperture=0.8), g, 5e-4)
-    sigma = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
-    system = assemble_robin(sigma, coeffs, g)
-    cache = FactorCache()
-    x, cold = solve_reusing_factor(system, cache, tol=1e-10)
-    nb = np.linalg.norm(system.rhs)
-    again, stats = solve_reusing_factor(system, cache, tol=1e-10, x0=x)
-    assert stats.iterations == 0
-    assert again.tobytes() == x.tobytes() and again is not x
-    true_res = np.linalg.norm(system.rhs - system.matrix @ x) / nb
-    assert stats.relative_residual == pytest.approx(true_res, rel=1e-12)
-    assert stats.relative_residual <= 1e-10
-    moved = assemble_robin(ScalarField(g, sigma.values * 1.01 + 0.01), coeffs, g)
-    guess = x.copy()
-    y, warm = solve_reusing_factor(moved, cache, tol=1e-10, x0=guess)
-    assert guess.tobytes() == x.tobytes()
-    assert np.linalg.norm(moved.rhs - moved.matrix @ y) <= 1e-10 * np.linalg.norm(moved.rhs)
-    _, zero = solve_reusing_factor(moved, cache, tol=1e-10)
-    assert warm.iterations < zero.iterations
+    # the table read without its zeros is that build
+    _assert_same_system(csr_of(system), system.rhs, expected, rhs)
 
 
 def test_conservation_of_current():
@@ -1193,7 +1154,7 @@ def test_net_flux_of_robin_solution_vanishes(n, seed, aperture, z, current, epsi
     tol = 1e-10
     x, _ = pcg_solve(system, tol=tol)
     net = boundary_net_flux(coeffs, ScalarField(g, x))
-    r = system.rhs - system.matrix @ x
+    r = system.rhs - csr_of(system) @ x
     roundoff = 1e-12 * np.abs(system.rhs).sum()
     assert abs(net - r.sum()) <= roundoff
     assert abs(net) <= np.sqrt(g.num_nodes) * tol * np.linalg.norm(system.rhs) + roundoff

@@ -515,8 +515,8 @@ def test_every_grid_mismatch_is_one_error_before_any_solve(n, other, seed):
         lambda: RobinCoefficients(coeffs.b, coeffs_h.c),
     ]
     with pytest.MonkeyPatch.context() as mp:
-        for module, name in ((elliptic, "_cg"), (elliptic, "_factor"),
-                             (elliptic, "sine_solve"), (bregman, "sine_solve")):
+        for module, name in ((elliptic, "_cg"), (elliptic, "sine_solve"),
+                             (bregman, "sine_solve")):
             mp.setattr(module, name, _no_solve)
         for call in calls:
             with pytest.raises(DimensionError, match="different grids"):
