@@ -6,9 +6,11 @@ iteration, with a split Bregman comparator.
 No function writes into a field it is given, though a field shares the
 array it is built from (``ScalarField``), so a caller that writes into that
 array changes the field.  All randomness is seeded, and identical inputs
-give byte-identical outputs at one BLAS thread count.  The outputs depend on
-that count: the forward solves, ``reconstruct`` and
-``split_bregman_minimize`` can round differently under
+give byte-identical outputs at one BLAS thread count.  Up to n = 65 the
+forward solves and ``reconstruct`` at z = 1 give the same bytes at every
+thread count; elsewhere the outputs can depend on that count (at larger n,
+where the solver's boundary correction runs, and in
+``split_bregman_minimize``), rounding differently under
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  Pin it to compare outputs byte for
 byte.
 """

@@ -14,26 +14,28 @@ The Robin and Laplace-Dirichlet systems share one five-point stencil
 (``_stencil``), whose table in DIA layout each system keeps as its matrix;
 each adds its own boundary treatment.  The CEM system is the sharp Robin
 system bordered by its electrode voltage, on the Robin system's table.
-Every product of every solve goes through one operator per system, the
-finest multigrid level built on that table (``SparseSystem.operator``), so
-no solve builds a CSR matrix.
+Every product of every solve goes through one operator per system, a
+product on that table plus V's border (``SparseSystem.operator``), so no
+solve builds a CSR matrix.
 
 Two solves, each returning ``SolveStats``: ``pcg_solve`` (conjugate
 gradients) for the Robin and CEM systems, and ``sine_solve`` (exact) for
-the Laplace-Dirichlet system of the Bregman v-step.  ``pcg_solve`` takes
-its preconditioner from the caller or builds a multigrid hierarchy
-coarsened from the system's table: the forward Robin and CEM problems,
-solved once, use the multigrid (the CEM solve starts from lambda times the
-Robin solution, ``forward.solve_cem_forward``, and builds none where that
-guess meets the tolerance); the slowly varying Robin systems of the
-reconstruction sweeps share one fast-transform preconditioner built from
-the first of them (``_transform_preconditioner``).  Both end in one
+the Laplace-Dirichlet system of the Bregman v-step.  Every CG solve has one
+preconditioner, the fast-transform one (``_TransformPreconditioner``): a
+system's own, built at the first apply (the forward Robin and CEM solves;
+the CEM solve extends that of its Robin block, and starts from lambda
+times the Robin solution, ``forward.solve_cem_forward``, so it builds none
+where that guess meets the tolerance), or the one that the reconstruction
+sweeps build from their first system and pass.  Both solves end in one
 true-residual check (``_checked``) at ``SOLVE_TOL`` unless the caller
 passes ``tol``, the only place a solve fails (SolverError).
 
-The transform preconditioner imports ``scipy.fft`` (which loads
-``scipy.special``, about 7 MiB) when it is first built, not with this
-module, so ``import cdrecon``, the forward solves and the Bregman
+The preconditioner applies its 2-D cosine transform by dense products with
+the DCT matrix up to n = ``_DENSE_DCT``, where they are the faster and
+give the same bytes at every BLAS thread count, and by ``scipy.fft`` above
+it.  ``scipy.fft`` (which loads ``scipy.special``, about 7 MiB) is imported
+at the first build of a preconditioner on such a grid, not with this
+module, so ``import cdrecon``, every solve up to n = 64 and the Bregman
 comparator never load it.  No solve loads ``scipy.sparse.linalg`` or
 ``scipy.linalg``.
 """
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,21 +68,20 @@ SOLVE_TOL = 1e-10
 # spreads over the grid.  At z = 1 an electrode row's term is h = 1/(n-1),
 # below a tenth of any sigma_bar >= 1 from n = 12 up
 _CORRECTED_TERM = 0.1
+# ... and takes each row whose term is at least this share apart, by its
+# diagonal (a Dirichlet-like row: z = 1e-16 makes it about 1e14 sigma_bar)
+_CLAMPED_TERM = 1e6
+# the largest n whose DCT the transform preconditioner applies by dense
+# products with the DCT matrix: the pair takes 35 us against scipy.fft's
+# 63 us at n = 64 (one BLAS thread, Xeon), and its products round alike at
+# one and two BLAS threads up to n = 65 but not at n = 100; scipy.fft is
+# the faster from n = 128 on
+_DENSE_DCT = 64
 
 # pcg_solve raises SolverError after this many iterations per grid side,
-# 40 n on an n x n grid (the V-cycle needs at most 13, the sweeps'
-# transform preconditioner at most about 20 on media of contrast 2)
+# 40 n on an n x n grid (the forward systems need at most about 20 on
+# media of contrast 2 down to z = 1e-6, as do the sweeps)
 _CG_CAP_PER_SIDE = 40
-# multigrid preconditioner of pcg_solve
-_COARSEST = 300  # unknowns of the coarsest level, which is solved densely
-_SMOOTHING_SWEEPS = 3  # damped Jacobi sweeps before and after each coarse correction
-# weak diagonal dominance puts the spectrum of D^-1 A in (0, 2], so this
-# damping makes every sweep a contraction in the energy norm
-_DAMPING = 2.0 / 3.0
-# factor on the piecewise-constant coarse correction, which alone corrects
-# too little (Braess, Computing 55, 1995); any positive factor keeps the
-# V-cycle SPD, and 1.9 needed the fewest CG iterations of 1.4-1.9
-_OVERCORRECTION = 1.9
 
 
 class SparseSystem:
@@ -90,22 +91,48 @@ class SparseSystem:
     DIA layout, a (5, n*n) array whose rows are the diagonals at the
     offsets -n, -1, 0, 1, n, row r's entry at offset k stored at column
     r + k (+0.0 where A has no entry); ``voltage``, for the CEM system, is
-    V's column over the grid nodes and V's diagonal entry (None without V).
+    V's column over the grid nodes and V's diagonal entry (None without V),
+    and ``block`` the Robin system whose table it holds.
 
-    ``operator``, A as the finest multigrid level on the table's own array
-    (``_Level``), is built at its first use and kept: every product of
-    ``pcg_solve`` and ``sine_solve`` goes through it.
+    ``operator``, the product with A on the table's own array
+    (``_Operator``), and ``preconditioner``, that of ``pcg_solve``, are
+    built at their first use and kept: every product of ``pcg_solve`` and
+    ``sine_solve`` goes through the operator.
     """
 
     def __init__(self, table: np.ndarray, rhs: np.ndarray,
-                 voltage: tuple[np.ndarray, float] | None = None) -> None:
+                 voltage: tuple[np.ndarray, float] | None = None,
+                 block: SparseSystem | None = None) -> None:
         self.table = table
         self.rhs = rhs
         self.voltage = voltage
+        self.block = block
 
     @cached_property
-    def operator(self) -> _Level:
-        return _level(self.table, self.voltage)
+    def operator(self) -> _Operator:
+        return _Operator(self.table, self.voltage)
+
+    @cached_property
+    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The transform preconditioner of the grid block
+        (``_TransformPreconditioner``), for the CEM extended to V through
+        V's Schur complement (``_TransformPreconditioner.bordered``).
+
+        That extension is SPD, its s positive, when M corrects every row
+        coupled to V: M is then a model of the bordered matrix that is SPD
+        too.  The CEM system takes its Robin block's preconditioner, built
+        for the Robin solve, where it does so (h/2z at least a tenth of
+        sigma_bar, so one ``solve_cem_forward`` builds one), and otherwise
+        builds one with every coupled row corrected (where M spreads those
+        terms, s is negative at a mid-range z: sigma_bar z below about 1/2).
+        """
+        if self.voltage is None:
+            return _TransformPreconditioner(self)
+        border, corner = self.voltage
+        grid = self.block.preconditioner
+        if not np.all(np.isin(np.flatnonzero(border), grid.rows)):
+            grid = _TransformPreconditioner(self.block, border != 0.0)
+        return grid.bordered(border, corner)
 
     @property
     def dimension(self) -> int:
@@ -114,9 +141,9 @@ class SparseSystem:
 
 @dataclass
 class SolveStats:
-    """Outcome of one verified solve; ``method`` is "multigrid",
-    "transform" or "sine" and ``iterations`` counts CG iterations (0 for
-    the exact sine solve)."""
+    """Outcome of one verified solve; ``method`` is "transform" (CG) or
+    "sine" and ``iterations`` counts CG iterations (0 for the exact sine
+    solve)."""
 
     iterations: int
     relative_residual: float
@@ -246,26 +273,29 @@ def assemble_robin(
     return SparseSystem(table, rhs)
 
 
-def _cem_border(table: np.ndarray, sigma: ScalarField, electrodes: ElectrodeSet,
-                grid: Grid) -> tuple[np.ndarray, float]:
-    """The coupling of each grid node to the voltage V in the CEM system whose
-    grid block is the sharp Robin matrix of the DIA ``table``, -w/z on e+
-    and +w/z on e-, and V's diagonal entry, the sum of w/z over both
-    electrodes; DataError when some electrode node's diagonal in the table
-    is w/z alone (``assemble_cem``)."""
+def _bordered(robin: SparseSystem, sigma: ScalarField, electrodes: ElectrodeSet,
+              grid: Grid) -> SparseSystem:
+    """The system of ``assemble_cem`` from the sharp Robin system of its grid
+    block: it holds the Robin system's table, not a copy, and the Robin
+    system itself, whose preconditioner it extends.  V's column couples
+    each grid node to V, -w/z on e+ and +w/z on e-, and V's diagonal entry
+    is the sum of w/z over both electrodes; DataError when some electrode
+    node's diagonal in the table is w/z alone (``assemble_cem``)."""
     nodes = boundary_nodes(grid)
-    border = np.zeros(table.shape[1])
+    border = np.zeros(robin.table.shape[1])
     corner = 0.0
     for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
         wz = w * (1.0 / electrodes.z)  # rounded as the Robin face terms
         border[nodes[idx]] = sign * wz
         corner += float(wz.sum())
     coupled = np.flatnonzero(border)
-    if np.any(table[2, coupled] == np.abs(border[coupled])):
+    if np.any(robin.table[2, coupled] == np.abs(border[coupled])):
         raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
                         f"z = {electrodes.z:g} is too small for conductivities down to "
                         f"{float(sigma.values.min()):g}")
-    return border, corner
+    rhs = np.zeros(border.size + 1)
+    rhs[-1] = 2.0 * electrodes.current
+    return SparseSystem(robin.table, rhs, (border, corner), robin)
 
 
 def assemble_cem(
@@ -289,19 +319,8 @@ def assemble_cem(
     current then lies below a rounding unit of V, and a near-zero (v, V)
     can pass the residual check.
     """
-    robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
-    return _bordered(robin, *_cem_border(robin.table, sigma, electrodes, grid),
-                     electrodes.current)
-
-
-def _bordered(robin: SparseSystem, border: np.ndarray, corner: float,
-              current: float) -> SparseSystem:
-    """The system of ``assemble_cem`` from the sharp Robin system of its grid
-    block and the V column and diagonal of ``_cem_border``: it holds the
-    Robin system's table, not a copy."""
-    rhs = np.zeros(robin.table.shape[1] + 1)
-    rhs[-1] = 2.0 * current
-    return SparseSystem(robin.table, rhs, (border, corner))
+    return _bordered(assemble_robin(sigma, base_coefficients(electrodes, grid), grid),
+                     sigma, electrodes, grid)
 
 
 def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem:
@@ -430,21 +449,13 @@ def _check_call(system: SparseSystem, tol: float, x0: np.ndarray | None) -> None
         raise SolverError("the guess holds a NaN or inf")
 
 
-@dataclass(frozen=True)
-class _Level:
-    """One level of the multigrid hierarchy above the coarsest: the matrix A
-    of an n x n grid (its first n*n unknowns, coupled by part of the
-    five-point pattern) and at most one further unknown, the CEM voltage
-    V; its diagonal, whose damped inverse the smoother computes at its
-    first use, so an operator that no V-cycle reads (a sweep system's)
-    never builds it; and the transfers to the next level,
-    whose aggregates are the grid's 2 x 2 blocks (the last row and column
-    alone when n is odd) and V alone.  A system's finest level is its one
-    product operator (``SparseSystem.operator``) at every size, also where
-    the hierarchy has no level above the coarsest.
+class _Operator:
+    """The product A x of a system: its grid block on the DIA table of an
+    n x n grid, the table's own array, and at most one further unknown,
+    the CEM voltage V, coupled by V's column and diagonal.
 
-    ``level @ x`` goes through scipy's DIA kernel on the level's DIA table:
-    a five-point matrix lies on five constant offsets, which DIA storage
+    ``operator @ x`` goes through scipy's DIA kernel on the table: a
+    five-point matrix lies on five constant offsets, which DIA storage
     holds without column indices (Bell & Garland, SC'09).  It is scipy's
     CSR product A x bit for bit, so no product needs a CSR matrix.  The CSR
     kernel adds a row's terms in ascending column order to a zero; so does
@@ -452,203 +463,26 @@ class _Level:
     1, n, zero where A stores no entry (a sum that starts at +0 is never
     -0, so a zero term leaves it as it is).  V's column entry, last in its
     rows, is added after them, and V's row is the running sum of its terms
-    in column order from a zero.  The transfers are strided slices of the
-    grid that add in the order of ``np.bincount`` over the aggregate
-    numbers and of the gather e[aggregate], so they are those bit for bit,
-    signs of zeros included.
+    in column order from a zero.
     """
 
-    stencil: sp.dia_matrix  # square, zero outside the grid block
-    # without V both are None
-    border: tuple[np.ndarray, np.ndarray] | None  # the grid rows coupled to V, their entries
-    voltage: tuple[np.ndarray, np.ndarray] | None  # V's row: its columns (V last), entries
-    diagonal: np.ndarray
-    n: int
-
-    @cached_property
-    def damped_inverse_diagonal(self) -> np.ndarray:
-        return _DAMPING / self.diagonal
+    def __init__(self, table: np.ndarray, voltage: tuple[np.ndarray, float] | None) -> None:
+        n = math.isqrt(table.shape[1])
+        dim = n * n + (voltage is not None)
+        self.stencil = sp.dia_matrix((table, _offsets(n)), shape=(dim, dim))
+        self.voltage = voltage
+        if voltage is not None:
+            self.coupled = np.flatnonzero(voltage[0])  # the grid rows coupled to V
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = self.stencil @ x
         if self.voltage is not None:
-            rows, values = self.border
-            y[rows] += values * x[-1]
-            columns, values = self.voltage
-            y[-1] = np.cumsum(np.concatenate(([0.0], values * x[columns])))[-1]
+            border, corner = self.voltage
+            column = border[self.coupled]
+            y[self.coupled] += column * x[-1]
+            y[-1] = np.cumsum(np.concatenate(([0.0], column * x[self.coupled],
+                                              [corner * x[-1]])))[-1]
         return y
-
-    def sweep(self, b: np.ndarray, x: np.ndarray) -> None:
-        """One damped Jacobi sweep on A x = b, in place: x += D (b - A x),
-        the residual held in the product's own array."""
-        r = self @ x
-        np.subtract(b, r, out=r)
-        r *= self.damped_inverse_diagonal
-        x += r
-
-    def restrict(self, r: np.ndarray) -> np.ndarray:
-        """The sum of r over each aggregate, the block's nodes added to a zero
-        in ascending order."""
-        n, m = self.n, (self.n + 1) // 2
-        out = np.zeros(m * m + r.size - n * n)
-        _add_block_sums(r[:n * n].reshape(n, n), out[:m * m].reshape(m, m))
-        out[m * m:] += r[n * n:]
-        return out
-
-    def prolong(self, e: np.ndarray, x: np.ndarray) -> None:
-        """Add to x the coarse e, each unknown taking its aggregate's value."""
-        n, h, m = self.n, self.n // 2, (self.n + 1) // 2
-        fine, coarse = x[:n * n].reshape(n, n), e[:m * m].reshape(m, m)
-        fine[::2, ::2] += coarse
-        fine[::2, 1::2] += coarse[:, :h]
-        fine[1::2, ::2] += coarse[:h]
-        fine[1::2, 1::2] += coarse[:h, :h]
-        x[n * n:] += e[m * m:]
-
-
-def _add_block_sums(fine: np.ndarray, coarse: np.ndarray) -> None:
-    """Add to each entry of the m x m ``coarse`` the 2 x 2 block of the n x n
-    ``fine`` over it, m = ceil(n/2): the block's lower left, lower right,
-    upper left and upper right entry in that order, the missing ones of the
-    last row and column of blocks skipped when n is odd."""
-    h = fine.shape[0] // 2
-    coarse += fine[::2, ::2]
-    coarse[:, :h] += fine[::2, 1::2]
-    coarse[:h] += fine[1::2, ::2]
-    coarse[:h, :h] += fine[1::2, 1::2]
-
-
-def _coarsen(table: np.ndarray, border: np.ndarray | None,
-             n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The Galerkin table P'AP of the next level from the DIA table of a
-    symmetric A on an n x n grid, and the coarse V column from A's: sums
-    over the 2 x 2 blocks, m = ceil(n/2) to a side, by strided slices
-    (``_add_block_sums`` order).  A is symmetric, so its diagonals at -n
-    and -1 hold each node's north and east entry at the node's own column.
-    The coarse centre is the sum of the block's four centres plus twice the
-    sum of the couplings inside it (the east entries of its lower left and
-    upper left node, then the north entries of its lower left and lower
-    right node); the coarse east entry is the sum of the east entries of
-    the block's lower right and upper right node, the north entry that of
-    the north entries of its upper left and upper right node, and the V
-    entry the block sum of A's.  The diagonals at +1 and +n are those at -1
-    and -n shifted by their offset.  V's own row and diagonal stay as they
-    are."""
-    m, h = (n + 1) // 2, n // 2
-    north, east, centre = (t.reshape(n, n) for t in table[:3])
-    coarse = np.zeros((5, m * m))
-    north_c, east_c, centre_c = coarse[:3]
-    inside = np.zeros((m, m))
-    inside += east[::2, ::2]
-    inside[:h] += east[1::2, ::2]
-    inside += north[::2, ::2]
-    inside[:, :h] += north[::2, 1::2]
-    inside *= 2.0
-    _add_block_sums(centre, centre_c.reshape(m, m))
-    centre_c += inside.reshape(-1)
-    east_c.reshape(m, m)[:, :h] = east[::2, 1::2]
-    east_c.reshape(m, m)[:h, :h] += east[1::2, 1::2]
-    north_c.reshape(m, m)[:h] = north[1::2, ::2]
-    north_c.reshape(m, m)[:h, :h] += north[1::2, 1::2]
-    coarse[3, 1:] = east_c[:-1]
-    coarse[4, m:] = north_c[:-m]
-    if border is None:
-        return coarse, None
-    border_c = np.zeros((m, m))
-    _add_block_sums(border.reshape(n, n), border_c)
-    return coarse, border_c.reshape(-1)
-
-
-def _check_diagonal(d: np.ndarray) -> None:
-    if np.any(d <= 0.0):  # on a coarse level 1'A1 over an aggregate, > 0 for SPD A
-        raise NotSPDError("matrix has a nonpositive diagonal entry")
-
-
-def _level(table: np.ndarray, voltage: tuple[np.ndarray, float] | None) -> _Level:
-    """The level of the DIA table of an n x n grid, whose DIA matrix holds
-    the table's own array, and of V's column and diagonal (None without V);
-    NotSPDError on a nonpositive diagonal entry."""
-    n = math.isqrt(table.shape[1])
-    column = row = None
-    if voltage is None:
-        d = table[2]
-    else:
-        border, corner = voltage
-        d = np.append(table[2], corner)
-        coupled = np.flatnonzero(border)
-        column = (coupled, border[coupled])
-        row = (np.append(coupled, n * n), np.append(column[1], corner))
-    _check_diagonal(d)
-    return _Level(sp.dia_matrix((table, _offsets(n)), shape=(d.size, d.size)), column, row, d, n)
-
-
-def _multigrid(system: SparseSystem) -> tuple[list[_Level], np.ndarray]:
-    """The hierarchy of plain aggregation multigrid for the matrix A of
-    ``system``: its levels above the coarsest, the first of them the
-    system's own operator, and the symmetrized dense inverse of the
-    coarsest matrix; ``_v_cycle`` makes them a preconditioner (an SPD
-    approximation of the inverse when A is SPD and weakly diagonally
-    dominant, as every system assembled here is).
-
-    The hierarchy starts from the system's DIA ``table``, aggregated in
-    2 x 2 blocks, and V's column; V (the CEM voltage) forms an aggregate of
-    its own on every level, whose row is its column, then its diagonal.
-    Each coarser level is the Galerkin product P'AP of the one above, P the
-    0/1 aggregation matrix, summed by strided slices of its DIA table in
-    the order ``_coarsen`` states, which reads A as symmetric; it keeps the
-    five-point pattern, the symmetry and the diagonal dominance.  The first
-    table of at most ``_COARSEST`` unknowns fills the dense coarsest
-    matrix, so a system of at most that size has no level.  Raises
-    NotSPDError on a nonpositive diagonal entry or a singular coarsest
-    matrix.
-    """
-    table, n = system.table, math.isqrt(system.table.shape[1])
-    border, corner = system.voltage or (None, None)
-    levels = []
-    while n * n + (border is not None) > _COARSEST:
-        levels.append(_level(table, None if border is None else (border, corner))
-                      if levels else system.operator)
-        table, border = _coarsen(table, border, n)
-        n = (n + 1) // 2
-    _check_diagonal(table[2])
-    coarsest = np.zeros((n * n + (border is not None),) * 2)
-    for row, off in zip(table, _offsets(n)):
-        r = np.arange(max(-off, 0), n * n - max(off, 0))  # column r + off in the block
-        coarsest[r, r + off] = row[r + off]
-    if border is not None:
-        coarsest[-1, :-1] = coarsest[:-1, -1] = border
-        coarsest[-1, -1] = corner
-    try:
-        inverse = np.linalg.inv(coarsest)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError(f"coarsest multigrid matrix is singular: {exc}") from exc
-    return levels, 0.5 * (inverse + inverse.T)
-
-
-def _v_cycle(levels: list[_Level], coarsest_inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Apply the multigrid preconditioner to b: on the way down, damped
-    Jacobi sweeps from the zero guess and restriction of the residual by
-    summing over each aggregate; on the way up, the over-corrected
-    piecewise-constant coarse correction and as many Jacobi sweeps again.
-    Every product is the level's own and every transfer goes through the
-    level's strided slices, so the result is that of CSR products,
-    ``np.bincount`` and gathers bit for bit."""
-    rhs, sols = [], []
-    for lv in levels:
-        x = lv.damped_inverse_diagonal * b
-        for _ in range(_SMOOTHING_SWEEPS - 1):
-            lv.sweep(b, x)
-        rhs.append(b)
-        sols.append(x)
-        r = lv @ x
-        b = lv.restrict(np.subtract(b, r, out=r))
-    e = coarsest_inverse @ b
-    for lv, b, x in zip(reversed(levels), reversed(rhs), reversed(sols)):
-        lv.prolong(_OVERCORRECTION * e, x)
-        for _ in range(_SMOOTHING_SWEEPS):
-            lv.sweep(b, x)
-        e = x
-    return e
 
 
 def pcg_solve(
@@ -657,16 +491,18 @@ def pcg_solve(
 ) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from the guess ``x0`` (zero when None),
     preconditioned by ``preconditioner`` (the reconstruction sweeps pass
-    the ``_transform_preconditioner`` of their first system) or, when None,
-    by one aggregation multigrid V-cycle (``_multigrid``) built on the
-    system's DIA table at the first apply.  Every product, the guess's
-    residual included, goes through the system's operator, so no CSR
-    matrix is built.  A guess whose residual already meets ``tol`` is
-    returned as it is, after 0 iterations (``_cg``), so no preconditioner
-    is applied and no hierarchy built.
+    their first system's) or, when None, by the system's own
+    (``SparseSystem.preconditioner``: the transform preconditioner of its
+    grid block, extended to the CEM voltage), built at the first apply and
+    kept on the system.  Every product, the guess's residual included, goes
+    through the system's operator, so no CSR matrix is built.  A guess
+    whose residual already meets ``tol`` is returned as it is, after 0
+    iterations (``_cg``), so no preconditioner is applied or built.
 
-    The V-cycle needs about as many iterations at every grid size (at most
-    13 on the forward systems for n = 65 to 1025) and no sparse factor.
+    The forward systems take at most about 20 iterations at every grid
+    size: the Robin ones at every z from 1 down to 1e-16, the CEM ones down
+    to z = 1e-6 (below that the tolerance nears the CEM's rounding floor,
+    and the count grows).
     Returns once the true relative residual ||Ax-b||/||b|| is at most
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
     sqrt(dimension)) iterations do not get there or when CG meets a
@@ -675,24 +511,29 @@ def pcg_solve(
     rejects fails before any work.
     """
     _check_call(system, tol, x0)
-    method = "multigrid" if preconditioner is None else "transform"
-    if preconditioner is None:
-        hierarchy = []  # built at the first apply: a guess that meets tol needs none
-
-        def preconditioner(b: np.ndarray) -> np.ndarray:
-            if not hierarchy:
-                hierarchy.extend(_multigrid(system))
-            return _v_cycle(*hierarchy, b)
-
+    if preconditioner is None:  # built at its first apply
+        preconditioner = lambda r: system.preconditioner(r)
     max_iter = max(1, _CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension))))
     return _checked(*_cg(system.operator, system.rhs, preconditioner, tol, max_iter, x0),
-                    tol, method)
+                    tol, "transform")
 
 
-def _transform_preconditioner(system: SparseSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """An SPD approximation of the inverse of the Robin matrix A of
-    ``system`` that stays good while the conductivity varies slowly, so the
-    sweeps build it once, from their first system.
+@lru_cache(maxsize=4)
+def _cosine_basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix Phi of size n, x = Phi x_hat along an axis:
+    Phi_jk = c_k cos(pi k (2j+1) / 2n), c_0 = sqrt(1/n), c_k = sqrt(2/n)."""
+    j, k = np.arange(n), np.arange(n)
+    # reduce k(2j+1) modulo the period 4n so every cosine argument stays small
+    phi = math.sqrt(2.0 / n) * np.cos(np.pi * (np.outer(2 * j + 1, k) % (4 * n)) / (2 * n))
+    phi[:, 0] = math.sqrt(1.0 / n)
+    phi.flags.writeable = False
+    return phi
+
+
+class _TransformPreconditioner:
+    """An SPD approximation of the inverse of the Robin matrix A of a
+    system that stays good while the conductivity varies slowly, so the
+    sweeps build it once, from their first system; calling it applies it.
 
     It is the exact inverse of M = M0 + U D U'.  M0 = sigma_bar L + beta is
     the fast Poisson preconditioner of variable-coefficient problems (Concus
@@ -705,64 +546,177 @@ def _transform_preconditioner(system: SparseSystem) -> Callable[[np.ndarray], np
     of the diagonal D on its row (U's column), and beta is the sum of the
     others over n^2.  Where D takes nearly every term, beta would leave M0
     singular in the constant mode, which only the boundary terms hold, so
-    that mode's eigenvalue is at least a thousandth of the whole sum over
-    n^2: one positive rank-one term in M, at most a thousandth of M's own
-    in that mode.
+    that mode's eigenvalue is at least a hundredth of sigma_bar mu_1: one
+    positive rank-one term in M, a hundredth of the least that sigma_bar L
+    puts on any other mode.  It stays below beta at z = 1 (below 2/n^2
+    while sigma_bar < 20), and it does not grow with the boundary terms:
+    a floor of a thousandth of their sum over n^2 would put 200 times A's
+    least eigenvalue on the constant mode at z = 1e-6, n = 17.
 
-    M0 is applied by ``scipy.fft``'s DCT-II and D by Woodbury's identity in
-    the symmetric form of the capacitance matrix method (Buzbee, Dorr,
-    George & Golub, SIAM J. Numer. Anal. 8, 1971): M^-1 = M0^-1 - M0^-1 U S
-    C^-1 S U' M0^-1, with S = D^(1/2) and C = I + S U' M0^-1 U S, filled by
-    ``_boundary_inverse`` and inverted once.  An apply is one transform and
-    one inverse transform.  Where D has entries (none at z = 1 and
-    sigma_bar >= 1 from n = 12 up) it also reads M0^-1 r on the four
-    boundary lines from the transform, multiplies by C^-1 and subtracts the
-    transform of the result, each a product of O(n^2) (O(k^2) with C^-1, k
-    the entries of D).
+    So small an eigenvalue would leave the Woodbury correction up to a
+    hundredfold M0^-1 to cancel on the constant mode (an apply's symmetry
+    defect reached 2e-12 at z = 1e-2 to 1e-4), so where D has entries M is
+    split as M_r - gamma e e', e the unit constant vector: M_r's M0 takes
+    the constant mode at the eigenvalue of the next one, mu_1 sigma_bar +
+    beta, gamma the difference, and Sherman & Morrison give M^-1 = M_r^-1
+    + kappa m m', m = M_r^-1 e, kappa = gamma / (1 - gamma e'm), two
+    positive terms.  Where D has none nothing cancels, and M_r is M.
+
+    M0 is applied by the 2-D DCT-II pair, by dense products with
+    ``_cosine_basis`` up to n = ``_DENSE_DCT`` and by ``scipy.fft`` above
+    it (imported at the first such build), and D by Woodbury's
+    identity, the capacitance matrix method (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971): M^-1 = M0^-1 - M0^-1 U C^-1 U' M0^-1,
+    with C = D^-1 + U' M0^-1 U, filled by ``_boundary_inverse`` and
+    inverted once.  A row whose term is at least ``_CLAMPED_TERM``
+    sigma_bar is Dirichlet-like: its D^-1 entry is zero, D infinite, which
+    makes M^-1 zero on its row and column, and the preconditioner takes r_i
+    / A_ii there instead, so M^-1 on such a row is not the rounding of two
+    cancelling Woodbury terms (at z = 1e-16 that rounding made <r, Mr>
+    negative); m is zero there.  An apply is one transform and one inverse
+    transform, and the rank-one term of m.  Where D has entries (none at z
+    = 1 and sigma_bar >= 1 from n = 12 up) it also reads M_r's M0^-1 r on
+    the four boundary lines from the transform, multiplies by C^-1 and
+    subtracts the transform of the result, each a product of O(n^2) (O(k^2)
+    with C^-1, k the entries of D).  NotSPDError on a nonpositive diagonal
+    entry of A.
+
+    The boolean ``coupled`` over the grid nodes, for a CEM's grid block,
+    marks rows that D takes whatever their term
+    (``SparseSystem.preconditioner``).
     """
-    import scipy.fft  # here: it loads scipy.special, which no other solve needs
 
-    n = math.isqrt(system.table.shape[1])
-    N = n * n
-    kb = boundary_nodes(Grid(n))
-    quarter = 0.25 * system.table[2].reshape(n, n)[1:-1, 1:-1]
-    sigma_bar = math.exp(float(np.mean(np.log(quarter))))
-    terms = (system.operator @ np.ones(N))[kb]
-    corrected = terms >= _CORRECTED_TERM * sigma_bar
-    mu = 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
-    eig = sigma_bar * (mu[:, None] + mu) + float(terms[~corrected].sum()) / N
-    # at least a thousandth of the whole term, in the constant mode alone
-    eig[0, 0] = max(eig[0, 0], 1e-3 * float(terms.sum()) / N)
-    inverse = 1.0 / eig
-    phi = scipy.fft.idct(np.eye(n), axis=0, norm="ortho")  # x = Phi x_hat along an axis
-    ends = [0, n - 1]
-    edge = phi[ends]  # the modes on the first and last grid line
-    rows = kb[corrected]
-    s = np.sqrt(terms[corrected])
-    c_inv = np.linalg.inv(np.eye(rows.size) + s[:, None] * _boundary_inverse(rows, inverse, phi) * s)
-    c_inv = 0.5 * (c_inv + c_inv.T)
+    def __init__(self, system: SparseSystem, coupled: np.ndarray | None = None) -> None:
+        n = math.isqrt(system.table.shape[1])
+        N = n * n
+        diagonal = system.table[2]
+        if np.any(diagonal <= 0.0):
+            raise NotSPDError("matrix has a nonpositive diagonal entry")
+        kb = boundary_nodes(Grid(n))
+        quarter = 0.25 * diagonal.reshape(n, n)[1:-1, 1:-1]
+        sigma_bar = math.exp(float(np.mean(np.log(quarter))))
+        terms = (system.operator @ np.ones(N))[kb]
+        corrected = terms >= _CORRECTED_TERM * sigma_bar
+        if coupled is not None:
+            corrected |= coupled[kb]
+        mu = 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+        eig = sigma_bar * (mu[:, None] + mu) + float(terms[~corrected].sum()) / N
+        # M's constant mode takes at least a hundredth of sigma_bar mu_1;
+        # where D has entries, M_r's takes the next mode's eigenvalue,
+        # gamma more
+        eig[0, 0] = max(eig[0, 0], 1e-2 * sigma_bar * mu[1])
+        gamma = eig[0, 1] - eig[0, 0] if corrected.any() else 0.0
+        eig[0, 0] += gamma
+        self.n = n
+        self.inverse = 1.0 / eig
+        self.phi = phi = _cosine_basis(n)  # x = Phi x_hat along an axis
+        self.ends = [0, n - 1]
+        self.edge = phi[self.ends]  # the modes on the first and last grid line
+        # the orthonormal 2-D DCT-II and its inverse: two dense products up
+        # to _DENSE_DCT, and scipy.fft's above it
+        if n <= _DENSE_DCT:
+            self.dct, self.idct = (lambda a: phi.T @ a @ phi), (lambda a: phi @ a @ phi.T)
+        else:
+            import scipy.fft  # here: it loads scipy.special, which no smaller grid needs
 
-    def apply_m(r: np.ndarray) -> np.ndarray:
-        r_hat = scipy.fft.dctn(r.reshape(n, n), norm="ortho")
-        if rows.size:  # less the transform of U S C^-1 S U' M0^-1 r
-            x_hat = r_hat * inverse
+            self.dct = partial(scipy.fft.dctn, norm="ortho")
+            self.idct = partial(scipy.fft.idctn, norm="ortho")
+        self.rows = kb[corrected]  # U's columns
+        self.clamp = terms[corrected] >= _CLAMPED_TERM * sigma_bar
+        self.clamped = self.rows[self.clamp]
+        self.jacobi = 1.0 / diagonal[self.rows]  # read on the clamped rows
+        self.d_inv = np.where(self.clamp, 0.0, 1.0 / terms[corrected])
+        c_inv = np.linalg.inv(np.diag(self.d_inv)
+                              + _boundary_inverse(self.rows, self.inverse, self.phi))
+        self.c_inv = 0.5 * (c_inv + c_inv.T)
+        self.m = None  # M is M_r
+        if gamma:
+            e = np.full(N, 1.0 / n)
+            m = self._woodbury(e)  # M_r^-1 e
+            m[self.clamped] = 0.0
+            den = 1.0 - gamma * float(e @ m)
+            if not den > 0.0:
+                raise NotSPDError(f"the constant mode's Sherman-Morrison term {den:.3e} "
+                                  "is not positive")
+            self.m, self.kappa = m, gamma / den
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        x = self._woodbury(r)
+        if self.m is not None:
+            x += (self.kappa * float(self.m @ r)) * self.m
+        x[self.clamped] = r[self.clamped] * self.jacobi[self.clamp]
+        return x
+
+    def _woodbury(self, r: np.ndarray) -> np.ndarray:
+        """M_r^-1 r off the clamped rows, where r is taken as zero (its
+        entries on them are rounding)."""
+        n, phi, ends, edge = self.n, self.phi, self.ends, self.edge
+        free = r
+        if self.clamped.size:
+            free = r.copy()
+            free[self.clamped] = 0.0
+        r_hat = self.dct(free.reshape(n, n))
+        if self.rows.size:  # less the transform of U C^-1 U' M0^-1 r
+            x_hat = r_hat * self.inverse
             y = np.zeros((n, n))  # M0^-1 r on the boundary lines
             y[ends] = (edge @ x_hat) @ phi.T
             y[:, ends] = phi @ (x_hat @ edge.T)
-            t = np.zeros((n, n))
-            t.flat[rows] = s * (c_inv @ (s * y.flat[rows]))
-            # on the bottom and top lines, then between them
-            r_hat -= edge.T @ (t[ends] @ phi) + (phi[1:-1].T @ t[1:-1][:, ends]) @ edge
-        r_hat *= inverse
-        return scipy.fft.idctn(r_hat, norm="ortho").reshape(-1)
+            r_hat -= self._lifted(self.c_inv @ y.flat[self.rows])
+        r_hat *= self.inverse
+        return self.idct(r_hat).reshape(-1)
 
-    return apply_m
+    def _lifted(self, w: np.ndarray) -> np.ndarray:
+        """The transform of U w, w on the corrected rows: Phi' t Phi for
+        the grid t that is w there and zero elsewhere, read off the
+        boundary lines, the bottom and top ones, then those between."""
+        n, phi, ends, edge = self.n, self.phi, self.ends, self.edge
+        t = np.zeros((n, n))
+        t.flat[self.rows] = w
+        return edge.T @ (t[ends] @ phi) + (phi[1:-1].T @ t[1:-1][:, ends]) @ edge
+
+    def bordered(self, border: np.ndarray, corner: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The exact inverse of the bordered [[M, c], [c', d]], c V's
+        column ``border``, zero off the corrected rows, and d V's diagonal
+        ``corner``, through V's scalar Schur complement s = d - c'M^-1 c:
+        (r, rho) goes to (M^-1 r - t M^-1 c, t) with t = (rho - (M^-1 c)'r)
+        / s, which is M^-1 + vv'/s on r, v = (M^-1 c, -1), SPD as s > 0.
+
+        Woodbury gives M_r^-1 c = M0^-1 U C^-1 q and c'M_r^-1 c = c'D^-1 c
+        - q'C^-1 q, q = D^-1 c, so s = (d - sum |c|) + sum (|c| - c^2/D) +
+        q'C^-1 q - kappa (m'c)^2: where D is |c| (a CEM's electrode rows)
+        each of the first three terms is small or positive, free of the
+        cancellation of d - c'M_r^-1 c, whose terms grow as 1/z.  On a
+        clamped row M_r^-1 c is c/A_ii, and A_ii stands for D in its term.
+        NotSPDError where s is not positive (rounding).
+        """
+        c = border[self.rows]
+        q = self.d_inv * c
+        w = self.c_inv @ q
+        m_c = self.idct(self._lifted(w) * self.inverse).reshape(-1)
+        m_c[self.clamped] = border[self.clamped] * self.jacobi[self.clamp]
+        g = np.where(self.clamp, self.jacobi, self.d_inv)
+        a = np.abs(c)
+        s = (corner - float(a.sum())) + float(np.sum(a - c * c * g)) + float(q @ w)
+        if self.m is not None:
+            mc = float(self.m @ border)
+            m_c += (self.kappa * mc) * self.m
+            s -= self.kappa * mc * mc
+        if not s > 0.0:
+            raise NotSPDError(f"the voltage's Schur complement {s:.3e} is not positive")
+
+        def apply_m(r: np.ndarray) -> np.ndarray:
+            x = self(r[:-1])
+            t = (r[-1] - float(m_c @ r[:-1])) / s
+            x -= t * m_c
+            return np.append(x, t)
+
+        return apply_m
 
 
 def _boundary_inverse(rows: np.ndarray, inverse: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """U' M0^-1 U for the boundary nodes ``rows`` of the n x n grid, M0^-1 =
     Phi diag(``inverse``) Phi' in 2-D with ``phi`` the orthonormal DCT-II
-    matrix (``_transform_preconditioner``).
+    matrix (``_TransformPreconditioner``).
 
     The entry of nodes (j, i) and (j', i') is the sum over (a, b) of
     Phi_ja Phi_j'a W_ab Phi_ib Phi_i'b, W = ``inverse`` (symmetric).  On a

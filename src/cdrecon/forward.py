@@ -14,7 +14,6 @@ from .elliptic import (
     SOLVE_TOL,
     SolveStats,
     _bordered,
-    _cem_border,
     assemble_robin,
     pcg_solve,
 )
@@ -84,12 +83,14 @@ def solve_cem_forward(
     is then bordered by V (no copy, and no CSR matrix), and lambda (u0, zI)
     is the guess of the CEM solve: where it meets ``tol`` on the bordered
     system (as it does unless z is small) it is returned as it is, with no
-    hierarchy built; elsewhere CG polishes it.  Where cem_scaling finds
+    preconditioner applied; elsewhere CG polishes it, preconditioned by the
+    Robin solve's transform preconditioner extended to V
+    (``SparseSystem.preconditioner``).  Where cem_scaling finds
     1/lambda degenerate (z below about 1e-12) the CEM solve starts from
     zero.  ``stats`` counts the iterations of both solves.
     """
     robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
-    border, corner = _cem_border(robin.table, sigma, electrodes, grid)
+    system = _bordered(robin, sigma, electrodes, grid)
     x, robin_stats = pcg_solve(robin, tol=tol)
     try:
         lam = _scaling(ScalarField(grid, x), electrodes, grid)
@@ -97,7 +98,6 @@ def solve_cem_forward(
         x0 = None
     else:
         x0 = np.append(lam * x, lam * (electrodes.z * electrodes.current))
-    system = _bordered(robin, border, corner, electrodes.current)
     x, stats = pcg_solve(system, tol=tol, x0=x0)
     stats.iterations += robin_stats.iterations
     v = ScalarField(grid, x[:-1])

@@ -21,7 +21,7 @@ from .boundary import (
     boundary_faces,
     robin_coefficients,
 )
-from .elliptic import SOLVE_TOL, SolveStats, _transform_preconditioner, assemble_robin, pcg_solve
+from .elliptic import SOLVE_TOL, SolveStats, assemble_robin, pcg_solve
 from .errors import DataError
 from .family import (
     CALIBRATION_BAND,
@@ -434,7 +434,7 @@ def reconstruct(
     Every solve is conjugate gradients (``pcg_solve``) with one
     fast-transform preconditioner, built from the first system, whose
     conductivity is the constant ``initial_sigma`` + delta, and dropped on
-    return (``_transform_preconditioner``).  The sweep runs in place: the
+    return (``SparseSystem.preconditioner``).  The sweep runs in place: the
     constants (cell weights, boundary terms) and the buffers are built once
     per call; each solve assembles its own Robin system.
 
@@ -478,8 +478,7 @@ def reconstruct(
                 raise
             raise DataError(f"sigma reached {sigma.max():g} after sweep {report.iterations}: "
                             "the data do not fit the electrode model") from exc
-        if preconditioner is None:
-            preconditioner = _transform_preconditioner(system)
+        preconditioner = preconditioner or system.preconditioner  # the first system's
         x, stats = pcg_solve(system, tol, x0, preconditioner)
         return ScalarField(grid, x), stats
 

@@ -602,6 +602,53 @@ def test_no_command_loads_the_lu_stack(tmp_path):
     assert "loaded False False" in done.stdout.splitlines()
 
 
+# the same calls in two fresh interpreters, one under each BLAS thread
+# count; each prints its stdout lines with the directory taken out and
+# whether scipy.fft was loaded
+_THREAD_COUNT_SCRIPT = """
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import cdrecon.cli as cli
+
+d = Path(sys.argv[1])
+f = lambda name: str(d / name)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    for args in (
+        ["phantom", "--kind", "blobs", "--n", "64", "--seed", "7", "--margin", "0.15",
+         "--out", f("sigma.fld")],
+        ["forward", "--sigma", f("sigma.fld"), "--out-a", f("a.fld"), "--out-u", f("u.fld")],
+        ["reconstruct", "--a", f("a.fld"), "--truth", f("sigma.fld"), "--out", f("rec.fld")],
+    ):
+        assert cli.main(args) == 0, args
+print(out.getvalue().replace(str(d), "DIR"), end="")
+print("scipy.fft loaded", "scipy.fft" in sys.modules)
+"""
+
+
+def test_forward_and_reconstruct_at_n64_load_no_fft_and_ignore_the_thread_count(tmp_path):
+    # up to n = 64 the transform preconditioner applies its DCT by dense
+    # products, so a z = 1 forward solve and a reconstruction never import
+    # scipy.fft, and they write the same bytes and print the same lines
+    # under one BLAS thread and under two
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        d.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT, str(d)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "scipy.fft loaded False"
+        runs.append((done.stdout, [(d / name).read_bytes()
+                                   for name in ("a.fld", "u.fld", "rec.fld")]))
+    assert runs[0] == runs[1]
+
+
 def _one_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -24,7 +24,7 @@ from cdrecon.boundary import (
 from cdrecon.bregman import BregmanConfig, split_bregman_minimize
 from cdrecon.elliptic import (
     SparseSystem,
-    _transform_preconditioner,
+    _TransformPreconditioner,
     assemble_cem,
     assemble_laplace_dirichlet,
     assemble_robin,
@@ -118,8 +118,8 @@ def _random_robin(n, seed, aperture, z, epsilon, decades):
        decades=st.floats(0.0, 3.0), aperture=st.floats(0.05, 1.0),
        epsilon=st.sampled_from([0.0, 1e-6, 5e-4, 1.0]), z=st.floats(1e-3, 1e3))
 def test_robin_matrix_symmetric_and_spd(n, seed, decades, aperture, epsilon, z):
-    # bit-for-bit symmetry: the multigrid's coarsening reads only the
-    # diagonals at -n and -1 (elliptic._coarsen)
+    # bit-for-bit symmetry, which CG and the preconditioner's row sums
+    # assume
     try:
         system = _random_robin(n, seed, aperture, z, epsilon, decades)
     except DataError:
@@ -218,17 +218,6 @@ def _dense_inverse(A):
     return partial(np.matmul, np.linalg.inv(A.toarray()))
 
 
-def test_pcg_identity_one_iteration():
-    # the identity as a five-point table on a 5 x 5 grid: its coarsest
-    # matrix is the whole system, so one V-cycle solves it exactly
-    table = np.zeros((5, 25))
-    table[2] = 1.0
-    b = np.arange(25, dtype=float) + 1
-    x, stats = pcg_solve(SparseSystem(table, b))
-    assert stats.iterations == 1
-    assert np.allclose(x, b)
-
-
 def test_pcg_matches_dense_oracle():
     # 1-D Poisson tridiagonal, rhs = first basis vector, through the CG of
     # every solve with the dense inverse as preconditioner
@@ -243,8 +232,8 @@ def test_pcg_matches_dense_oracle():
 
 
 def test_pcg_cap_raises(monkeypatch):
-    # above the coarsest multigrid size, so one iteration cannot solve it;
-    # a zero cap per grid side leaves the cap at its floor of one iteration
+    # one preconditioned iteration cannot solve it; a zero cap per grid
+    # side leaves the cap at its floor of one iteration
     g = make_grid(33)
     system = assemble_robin(ScalarField.constant(g, 1.0),
                             base_coefficients(ElectrodeSet(), g), g)
@@ -295,17 +284,21 @@ def _forward_system(n, seed, aperture, z, epsilon, cem):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1),
-       aperture=st.floats(0.3, 1.0), z=st.floats(0.3, 3.0),
+@given(n=st.integers(5, 70), seed=st.integers(0, 2**32 - 1),
+       aperture=st.floats(0.3, 1.0), log_z=st.floats(-4.0, 0.5),
        epsilon=st.sampled_from([0.0, 1e-3, 0.5]), cem=st.booleans())
-def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, z,
+@example(n=65, seed=2, aperture=1.0, log_z=-0.7, epsilon=0.0, cem=True)  # M spreads the border
+def test_transform_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, log_z,
                                                              epsilon, cem):
+    # the preconditioner that pcg_solve builds for a forward system, the
+    # CEM's extended to V, is symmetric and positive, and the solve it
+    # preconditions matches a direct solve, on both sides of the dense
+    # transform's cut at n = 64
     try:
-        system = _forward_system(n, seed, aperture, z, epsilon, cem)
+        system = _forward_system(n, seed, aperture, 10.0**log_z, epsilon, cem)
     except DataError:
         assume(False)  # the aperture spans fewer than two nodes
-    levels, coarsest_inverse = elliptic._multigrid(system)
-    precondition = partial(elliptic._v_cycle, levels, coarsest_inverse)
+    precondition = system.preconditioner
     rng = np.random.default_rng(seed)
     x, y = rng.normal(size=(2, system.dimension))
     mx, my = precondition(x), precondition(y)
@@ -314,140 +307,25 @@ def test_multigrid_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, 
     sol, stats = pcg_solve(system, tol=1e-12)
     expected = spla.spsolve(csr_of(system).tocsc(), system.rhs)
     assert np.linalg.norm(sol - expected) <= 1e-8 * np.linalg.norm(expected)
-    assert stats.method == "multigrid"
+    assert stats.method == "transform"
 
 
-@pytest.mark.parametrize("n", [65, 129, 257])
-def test_multigrid_iterations_independent_of_n(n):
-    # criterion 6's phantom and Robin data, and the CEM system on it
+@pytest.mark.parametrize("n", [17, 64, 65])
+def test_forward_solves_take_at_most_25_iterations(n):
+    # criterion 6's phantom; the sharp and the smoothed Robin system and the
+    # CEM system on it, at two apertures and three contact impedances, each
+    # solved from a zero guess below, at and above the dense transform's cut
     g = make_grid(n)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=7, lo=1.0, hi=1.8,
                                          margin=0.15, blob_width=(0.05, 0.10)))
-    systems = [assemble_cem(sigma, ElectrodeSet(), g)]
-    for aperture in (1.0, 0.5):
-        el = ElectrodeSet(aperture=aperture)
-        systems.append(assemble_robin(sigma, base_coefficients(el, g), g))
-        systems.append(assemble_robin(sigma, smoothed_coefficients(el, g, 5e-4), g))
-    for system in systems:
-        x, stats = pcg_solve(system)
-        assert stats.iterations <= 25
-
-
-def _galerkin_by_node(A, n, extra):
-    """The next level's matrix P'AP of the CSR matrix A on an n x n grid and
-    ``extra`` (0 or 1) further unknowns, as a CSR matrix built node by node
-    in the summation order ``_multigrid`` documents: per 2 x 2 block (lower
-    left a, lower right b, upper left c, upper right d; the missing ones of
-    the last row and column skipped when n is odd), the centre is
-    0 + Ca + Cb + Cc + Cd plus twice 0 + Ea + Ec + Na + Nb, the east entry
-    Eb + Ed, the north entry Nc + Nd, the entry in the voltage column
-    0 + Ba + Bb + Bc + Bd, and the voltage's diagonal is A's; the west and
-    south entries are the east and north entries of the blocks to the left
-    and below, and the voltage row is the voltage column."""
-    entries = dict(zip(zip(*A.nonzero()), A[A.nonzero()].A1))
-    nn, m = n * n, (n + 1) // 2
-
-    def east(j, i):
-        return entries.get((j * n + i, j * n + i + 1), 0.0) if i < n - 1 else 0.0
-
-    def north(j, i):
-        return entries.get((j * n + i, j * n + i + n), 0.0) if j < n - 1 else 0.0
-
-    centre, east_c, north_c, border = {}, {}, {}, {}
-    for J in range(m):
-        for I in range(m):
-            a = (2 * J, 2 * I)
-            b = (2 * J, 2 * I + 1) if 2 * I + 1 < n else None
-            c = (2 * J + 1, 2 * I) if 2 * J + 1 < n else None
-            d = (2 * J + 1, 2 * I + 1) if b and c else None
-            block = [p for p in (a, b, c, d) if p is not None]
-            total = 0.0
-            for j, i in block:
-                total += entries.get((j * n + i, j * n + i), 0.0)
-            inside = 0.0 + east(*a)
-            if c:
-                inside += east(*c)
-            inside += north(*a)
-            if b:
-                inside += north(*b)
-            centre[J, I] = total + 2.0 * inside
-            east_c[J, I] = (east(*b) + east(*d) if d else east(*b)) if b else 0.0
-            north_c[J, I] = (north(*c) + north(*d) if d else north(*c)) if c else 0.0
-            border[J, I] = 0.0
-            for j, i in block:
-                border[J, I] += entries.get((j * n + i, nn), 0.0)
-    rows, cols, vals = [], [], []
-
-    def put(row, col, value):
-        if value != 0.0:
-            rows.append(row)
-            cols.append(col)
-            vals.append(value)
-
-    for J in range(m):
-        for I in range(m):
-            k = J * m + I
-            put(k, k - m, north_c[J - 1, I] if J > 0 else 0.0)
-            put(k, k - 1, east_c[J, I - 1] if I > 0 else 0.0)
-            put(k, k, centre[J, I])
-            put(k, k + 1, east_c[J, I])
-            put(k, k + m, north_c[J, I])
-            if extra:
-                put(k, m * m, border[J, I])
-    if extra:
-        for J in range(m):
-            for I in range(m):
-                put(m * m, J * m + I, border[J, I])
-        put(m * m, m * m, entries[nn, nn])
-    dim = m * m + extra
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
-def _former_multigrid(A):
-    """The CSR multigrid that ``_multigrid`` replaced: each level keeps its
-    CSR matrix, built node by node (``_galerkin_by_node``), and the
-    aggregate number of each unknown, and the V-cycle restricts with
-    ``np.bincount`` and prolongs with a gather.  Returns the levels
-    (matrix, damped inverse diagonal, aggregate) and the V-cycle."""
-    A = A.tocsr()
-    dim = A.shape[0]
-    n = math.isqrt(dim)
-    extra = dim - n * n
-    levels = []
-    while True:
-        d = A.diagonal()
-        if np.any(d <= 0.0):
-            raise NotSPDError("matrix has a nonpositive diagonal entry")
-        if dim <= elliptic._COARSEST or n == 1:
-            break
-        m = (n + 1) // 2
-        j, i = np.divmod(np.arange(n * n, dtype=np.int32), n)
-        aggregate = np.concatenate([(j // 2) * m + i // 2,
-                                    m * m + np.arange(extra, dtype=np.int32)])
-        levels.append((A, elliptic._DAMPING / d, aggregate))
-        A = _galerkin_by_node(A, n, extra)
-        dim, n = m * m + extra, m
-    inverse = np.linalg.inv(A.toarray())
-    return levels, partial(_former_v_cycle, levels, 0.5 * (inverse + inverse.T))
-
-
-def _former_v_cycle(levels, coarsest_inverse, b):
-    rhs, sols = [], []
-    for matrix, damped_inverse_diagonal, aggregate in levels:
-        x = damped_inverse_diagonal * b
-        for _ in range(elliptic._SMOOTHING_SWEEPS - 1):
-            x += damped_inverse_diagonal * (b - matrix @ x)
-        rhs.append(b)
-        sols.append(x)
-        b = np.bincount(aggregate, weights=b - matrix @ x)
-    e = coarsest_inverse @ b
-    for (matrix, damped_inverse_diagonal, aggregate), b, x in zip(
-            reversed(levels), reversed(rhs), reversed(sols)):
-        x += elliptic._OVERCORRECTION * e[aggregate]
-        for _ in range(elliptic._SMOOTHING_SWEEPS):
-            x += damped_inverse_diagonal * (b - matrix @ x)
-        e = x
-    return e
+    for z in (1.0, 1e-2, 1e-6):
+        for aperture in (1.0, 0.5):
+            el = ElectrodeSet(aperture=aperture, z=z)
+            for system in (assemble_cem(sigma, el, g),
+                           assemble_robin(sigma, base_coefficients(el, g), g),
+                           assemble_robin(sigma, smoothed_coefficients(el, g, 5e-4), g)):
+                x, stats = pcg_solve(system)
+                assert stats.iterations <= 25, (z, aperture, system.dimension)
 
 
 _SYSTEM_KINDS = ("robin", "smoothed", "cem", "cem-half", "laplace")
@@ -477,137 +355,25 @@ def _with_signed_zeros(rng, size):
     return x
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(5, 70), kind=st.sampled_from(_SYSTEM_KINDS),
-       seed=st.integers(0, 2**32 - 1))
-def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed):
-    # the system's one operator, at every size, and every level's DIA
-    # product equal scipy's CSR product of that level's Galerkin matrix (for
-    # the Laplace system a CSR matrix without the dropped couplings' zeros),
-    # and the strided transfers equal np.bincount and the gather, bit for
-    # bit and signs of zeros included, at odd and even n
-    rng = np.random.default_rng(seed)
-    try:
-        system = _random_system(kind, n, rng)
-    except DataError:
-        assume(False)
-    levels, _ = _former_multigrid(csr_of(system))
-    hierarchy, _ = elliptic._multigrid(system)
-    assert len(hierarchy) == len(levels)
-    assert not hierarchy or hierarchy[0] is system.operator
-    x = _with_signed_zeros(rng, system.dimension)  # every solve's product
-    product = system.operator @ x
-    assert product.tobytes() == (csr_of(system) @ x).tobytes()
-    for (matrix, damped_inverse_diagonal, aggregate), level in zip(levels, hierarchy):
-        x = _with_signed_zeros(rng, matrix.shape[0])
-        assert (level @ x).tobytes() == (matrix @ x).tobytes()
-        assert level.damped_inverse_diagonal.tobytes() == damped_inverse_diagonal.tobytes()
-    # the transfers of the drawn grid itself, with and without a further
-    # unknown, against the aggregate numbers spelled out
-    m = (n + 1) // 2
-    j, i = np.divmod(np.arange(n * n), n)
-    for extra in (0, 1):
-        aggregate = np.concatenate([(j // 2) * m + i // 2, m * m + np.arange(extra)])
-        level = elliptic._Level(None, None, None, None, n)
-        r = _with_signed_zeros(rng, n * n + extra)
-        assert level.restrict(r).tobytes() == np.bincount(aggregate, weights=r).tobytes()
-        e, x = _with_signed_zeros(rng, m * m + extra), _with_signed_zeros(rng, n * n + extra)
-        expected = x + e[aggregate]
-        level.prolong(e, x)
-        assert x.tobytes() == expected.tobytes()
-
-
-@settings(max_examples=15, deadline=None)
-@given(n=st.integers(18, 90), kind=st.sampled_from(_SYSTEM_KINDS),
-       seed=st.integers(0, 2**32 - 1))
-def test_v_cycle_matches_former_csr_v_cycle(n, kind, seed):
-    # above the coarsest size, so the V-cycle has levels: the preconditioner
-    # and the whole solve return the bits of the CSR multigrid they replaced
-    rng = np.random.default_rng(seed)
-    try:
-        system = _random_system(kind, n, rng)
-    except DataError:
-        assume(False)
-    A = csr_of(system)
-    _, former = _former_multigrid(A)
-    levels, coarsest_inverse = elliptic._multigrid(system)
-    b = _with_signed_zeros(rng, system.dimension)
-    assert elliptic._v_cycle(levels, coarsest_inverse, b).tobytes() == former(b).tobytes()
-    x, stats = pcg_solve(system)
-    max_iter = elliptic._CG_CAP_PER_SIDE * int(round(math.sqrt(system.dimension)))
-    x0, iterations, residual = elliptic._cg(A, system.rhs, former,
-                                            elliptic.SOLVE_TOL, max_iter)
-    assert x.tobytes() == x0.tobytes()
-    assert (stats.iterations, stats.relative_residual) == (iterations, residual)
-
-
-def _aggregation(n, extra):
-    """The 0/1 aggregation matrix P of an n x n grid's 2 x 2 blocks, each
-    further unknown an aggregate of its own."""
-    m = (n + 1) // 2
-    j, i = np.divmod(np.arange(n * n), n)
-    aggregate = np.concatenate([(j // 2) * m + i // 2, m * m + np.arange(extra)])
-    return sp.csr_matrix((np.ones(aggregate.size), (np.arange(aggregate.size), aggregate)),
-                         shape=(aggregate.size, m * m + extra))
-
-
-def _level_matrix(level):
-    """A level's matrix in CSR form: its DIA grid block, V's column and V's row."""
-    M = level.stencil.tocoo()
-    rows, cols, vals = [M.row], [M.col], [M.data]
-    if level.voltage is not None:
-        (coupled, column), (columns, row) = level.border, level.voltage
-        last = M.shape[0] - 1
-        rows += [coupled, np.full(columns.size, last)]
-        cols += [np.full(coupled.size, last), columns]
-        vals += [column, row]
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=M.shape)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(5, 90), kind=st.sampled_from(_SYSTEM_KINDS),
-       seed=st.integers(0, 2**32 - 1))
-def test_every_coarse_level_is_the_galerkin_product(n, kind, seed):
-    # each level below the finest, the coarsest included (the matrix handed
-    # to the dense inverse), is P'AP of the level above, P the 0/1
-    # aggregation matrix, within the rounding of its sums: an entry sums at
-    # most 12 products of A's entries, so two summation orders differ by at
-    # most 11 eps times the sum of their magnitudes, P'|A|P
-    rng = np.random.default_rng(seed)
-    try:
-        system = _random_system(kind, n, rng)
-    except DataError:
-        assume(False)
-    coarsest, inv = [], np.linalg.inv
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "inv", lambda M: coarsest.append(M.copy()) or inv(M))
-        levels, _ = elliptic._multigrid(system)
-    matrices = [_level_matrix(lv) for lv in levels] + [sp.csr_matrix(coarsest[0])]
-    assert abs(matrices[0] - csr_of(system)).max() == 0.0
-    extra = system.dimension - math.isqrt(system.dimension) ** 2
-    for fine, coarse, level in zip(matrices, matrices[1:], levels):
-        P = _aggregation(level.n, extra)
-        galerkin = (P.T @ fine @ P).tocsr()
-        bound = 11 * np.finfo(float).eps * (P.T @ abs(fine) @ P)
-        assert (abs(coarse - galerkin) > bound).nnz == 0
-        assert coarse.shape == galerkin.shape and abs(coarse - coarse.T).max() == 0.0
-
-
 def test_a_guess_that_meets_tol_is_returned_with_no_hierarchy():
-    # the guess's own bits after 0 iterations, and no multigrid built (a
-    # build would call None); a guess short of tol is polished by CG
+    # the guess's own bits after 0 iterations, and no preconditioner built
+    # (a build would call None); a guess short of tol is polished by CG,
+    # which builds the system's transform preconditioner once and keeps it
     g = make_grid(65)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=65, seed=2))
-    system = assemble_cem(sigma, ElectrodeSet(z=1e-3), g)
-    x, _ = pcg_solve(system, tol=1e-12)
+    el = ElectrodeSet(z=1e-3)
+    x, _ = pcg_solve(assemble_cem(sigma, el, g), tol=1e-12)
+    system = assemble_cem(sigma, el, g)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(elliptic, "_multigrid", None)
+        mp.setattr(elliptic, "_TransformPreconditioner", None)
         y, stats = pcg_solve(system, x0=x)
     assert y.tobytes() == x.tobytes() and y is not x
     assert stats.iterations == 0 and stats.relative_residual <= elliptic.SOLVE_TOL
-    y, stats = pcg_solve(system, x0=0.5 * x)
-    assert stats.iterations > 0
+    with pytest.MonkeyPatch.context() as mp:
+        builds = _record_calls(mp, elliptic, "_TransformPreconditioner")
+        pcg_solve(system, x0=0.25 * x)
+        y, stats = pcg_solve(system, x0=0.5 * x)
+    assert len(builds) == 1 and stats.iterations > 0
     assert np.linalg.norm(system.rhs - csr_of(system) @ y) <= (
         elliptic.SOLVE_TOL * np.linalg.norm(system.rhs))
 
@@ -621,10 +387,10 @@ def test_a_guess_that_meets_tol_is_returned_unpreconditioned():
     coeffs = smoothed_coefficients(ElectrodeSet(aperture=0.8), g, 5e-4)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=4))
     system = assemble_robin(sigma, coeffs, g)
-    transform = _transform_preconditioner(assemble_robin(ScalarField.constant(g, 1.0), coeffs, g))
+    transform = _TransformPreconditioner(assemble_robin(ScalarField.constant(g, 1.0), coeffs, g))
     x, cold = pcg_solve(system, 1e-10, None, transform)
     again, stats = pcg_solve(system, 1e-10, x, None)
-    assert (stats.iterations, stats.method) == (0, "multigrid")
+    assert (stats.iterations, stats.method) == (0, "transform")
     again, stats = pcg_solve(system, 1e-10, x, lambda r: None)  # an apply is a TypeError
     assert (stats.iterations, stats.method) == (0, "transform")
     assert again.tobytes() == x.tobytes() and again is not x
@@ -673,33 +439,72 @@ def _assert_table_is_the_matrix(system, n):
 @given(n=st.integers(5, 90), kind=st.sampled_from(_SYSTEM_KINDS),
        seed=st.integers(0, 2**32 - 1))
 def test_the_table_each_assembly_keeps_is_its_matrix(n, kind, seed):
-    # the table and V column from which every product and the multigrid
-    # are built are the matrix byte for byte, with +0.0 wherever the matrix
-    # has no entry (a CSR matrix drops zeros, so a -0.0 or a value there
-    # shows)
+    # the table and V column from which every product and the
+    # preconditioner are built are the matrix byte for byte, with +0.0
+    # wherever the matrix has no entry (a CSR matrix drops zeros, so a -0.0
+    # or a value there shows), and the system's one operator is scipy's CSR
+    # product with that matrix (for the Laplace system one without the
+    # dropped couplings' zeros), bit for bit and signs of zeros included
     rng = np.random.default_rng(seed)
     try:
         system = _random_system(kind, n, rng)
     except DataError:
         assume(False)
     _assert_table_is_the_matrix(system, n)
+    x = _with_signed_zeros(rng, system.dimension)
+    assert (system.operator @ x).tobytes() == (csr_of(system) @ x).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 70), kind=st.sampled_from(_SYSTEM_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed):
+    # the system's one operator, at every size, equals scipy's CSR product
+    # (for the Laplace system a CSR matrix without the dropped couplings'
+    # zeros), bit for bit and signs of zeros included; and the transform
+    # preconditioner's transfers between the boundary rows it corrects and
+    # the transform, on both sides of the dense transform's cut, equal
+    # their spelled-out forms to rounding: the lift of w is the transform
+    # of np.bincount's grid of w, and the capacitance block U'M0^-1 U the
+    # gather of M0^-1's columns on those rows
+    rng = np.random.default_rng(seed)
+    try:
+        system = _random_system(kind, n, rng)
+    except DataError:
+        assume(False)
+    x = _with_signed_zeros(rng, system.dimension)
+    assert (system.operator @ x).tobytes() == (csr_of(system) @ x).tobytes()
+    if kind == "laplace":
+        return  # solved by sine_solve, with no transform preconditioner
+    grid = system if system.block is None else system.block
+    terms = grid.operator @ np.ones(n * n)  # the boundary terms, on the boundary rows
+    pc = _TransformPreconditioner(grid, terms > 1e-8)  # every row with a term
+    assert pc.rows.size
+    w = rng.normal(size=pc.rows.size)
+    expected = pc.dct(np.bincount(pc.rows, w, minlength=n * n).reshape(n, n))
+    assert np.linalg.norm(pc._lifted(w) - expected) <= 1e-12 * np.linalg.norm(expected)
+    columns = []
+    for row in pc.rows:
+        unit = np.zeros(n * n)
+        unit[row] = 1.0
+        columns.append(pc.idct(pc.inverse * pc.dct(unit.reshape(n, n))).reshape(-1)[pc.rows])
+    expected = np.array(columns).T
+    block = elliptic._boundary_inverse(pc.rows, pc.inverse, pc.phi)
+    assert np.linalg.norm(block - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_the_finest_level_is_the_assemblys_table():
     # the operator's DIA data are the table each assembly built, not a copy
-    # of it, the multigrid's finest level is that operator, and the CEM
-    # system holds its Robin block's table
+    # of it, and the CEM system holds its Robin block's table and the
+    # Robin system itself, whose preconditioner it extends
     g = make_grid(20)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=20, seed=3))
     robin = assemble_robin(sigma, base_coefficients(ElectrodeSet(), g), g)
-    cem = elliptic._bordered(robin, *elliptic._cem_border(robin.table, sigma, ElectrodeSet(),
-                                                          g), 1.0)
+    cem = elliptic._bordered(robin, sigma, ElectrodeSet(), g)
     laplace = assemble_laplace_dirichlet(BoundaryValues(g, np.ones(g.num_boundary_nodes)), g)
     for system in (robin, cem, laplace):
-        assert system.dimension > elliptic._COARSEST
         assert np.shares_memory(system.operator.stencil.data, system.table)
-        assert elliptic._multigrid(system)[0][0] is system.operator
-    assert cem.table is robin.table
+    assert cem.table is robin.table and cem.block is robin
 
 
 def _record_csr_builds(mp):
@@ -765,8 +570,8 @@ def _guess_of_shape(shape, dim):
 def test_a_malformed_guess_fails_before_any_work(n, seed, shape, bad, where):
     # a guess of another shape is a DimensionError, and a NaN or inf
     # anywhere in a guess of the right shape a SolverError, before any
-    # product, hierarchy or preconditioner apply, with the multigrid and
-    # with the sweeps' transform preconditioner alike
+    # product, preconditioner build or apply, with the system's own
+    # preconditioner and with one passed by the caller alike
     g = make_grid(n)
     sigma = ScalarField(g, np.random.default_rng(seed).uniform(0.1, 10.0, g.num_nodes))
     system = assemble_robin(sigma, smoothed_coefficients(ElectrodeSet(), g, 1e-3), g)
@@ -774,7 +579,7 @@ def test_a_malformed_guess_fails_before_any_work(n, seed, shape, bad, where):
     x0 = np.zeros(dim)
     x0[min(int(where * dim), dim - 1)] = bad
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_multigrid", "_cg"):
+        for name in ("_TransformPreconditioner", "_cg"):
             mp.setattr(elliptic, name, None)  # any call is a TypeError
         for preconditioner in (None, lambda r: None):
             solve = partial(pcg_solve, system, preconditioner=preconditioner)
@@ -809,40 +614,44 @@ def _record_calls(mp, module, name):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(5, 65), contrast=st.floats(1.0, 2.0), aperture=st.floats(0.3, 1.0),
-       epsilon=st.sampled_from([0.0, 5e-4]), log_z=st.floats(-5.0, 0.0),
+       epsilon=st.sampled_from([0.0, 5e-4]), log_z=st.floats(-16.0, 0.0),
        seed=st.integers(0, 2**32 - 1))
 @example(n=65, contrast=2.0, aperture=1.0, epsilon=5e-4, log_z=0.0, seed=0)  # no row corrected
 @example(n=65, contrast=2.0, aperture=0.5, epsilon=0.0, log_z=-5.0, seed=0)  # the electrodes'
 @example(n=40, contrast=2.0, aperture=1.0, epsilon=5e-4, log_z=-5.0, seed=1)  # every row
+@example(n=65, contrast=2.0, aperture=1.0, epsilon=5e-4, log_z=-16.0, seed=0)  # rows clamped
+@example(n=64, contrast=2.0, aperture=0.5, epsilon=0.0, log_z=-16.0, seed=0)
 def test_transform_preconditioner_is_spd_and_solves_the_sweep_systems(n, contrast, aperture,
                                                                        epsilon, log_z, seed):
     # built from the sweeps' first system (sigma = 1 + delta), the
     # preconditioner's capacitance matrix has a row for each boundary term
     # of at least a tenth of sigma_bar (none at n = 65 and z = 1: the plain
-    # transform); it is symmetric and positive to rounding, and it solves a
+    # transform), those of at least 1e6 sigma_bar taken apart by their
+    # diagonal; it is symmetric and positive to rounding, and it solves a
     # system of conductivity contrast up to 2 at SOLVE_TOL in a bounded
-    # number of CG iterations
+    # number of CG iterations at every z down to 1e-16
     try:
         g, coeffs = _sweep_coefficients(n, aperture, log_z, epsilon)
     except DataError:
         assume(False)  # the sharp aperture spans fewer than two nodes
     delta = ReconConfig().delta
     terms = _boundary_terms(g, coeffs)
+    for threshold in (0.1 * (1.0 + delta), 1e6 * (1.0 + delta)):  # clear of the rules
+        assume(not np.any(np.abs(terms - threshold) <= 1e-9 * threshold))
     threshold = 0.1 * (1.0 + delta)
-    assume(not np.any(np.abs(terms - threshold) <= 1e-9 * threshold))  # clear of the rule
     first = assemble_robin(ScalarField.constant(g, 1.0 + delta), coeffs, g)
     rng = np.random.default_rng(seed)
     sigma = ScalarField(g, contrast ** rng.uniform(0.0, 1.0, g.num_nodes) + delta)
     system = assemble_robin(sigma, coeffs, g)
     with pytest.MonkeyPatch.context() as mp:
         inversions = _record_calls(mp, np.linalg, "inv")
-        precondition = _transform_preconditioner(first)
+        precondition = _TransformPreconditioner(first)
     [(capacitance,)] = inversions
     assert capacitance.shape == (np.count_nonzero(terms >= threshold),) * 2
     x, y = rng.normal(size=(2, system.dimension))
     mx, my = precondition(x), precondition(y)
-    # the correction cancels M0^-1's constant mode, up to a thousand times
-    # M's own, so the bound is looser than the V-cycle's
+    # the Woodbury correction cancels most of M0^-1 on the corrected rows,
+    # so the bound is looser than a few rounding units
     assert abs(mx @ y - x @ my) <= 1e-10 * np.linalg.norm(mx) * np.linalg.norm(y)
     assert mx @ x > 0.0 and my @ y > 0.0
     _, stats = pcg_solve(system, elliptic.SOLVE_TOL, None, precondition)
@@ -852,9 +661,10 @@ def test_transform_preconditioner_is_spd_and_solves_the_sweep_systems(n, contras
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 20), aperture=st.floats(0.3, 1.0), epsilon=st.sampled_from([0.0, 5e-4]),
-       log_z=st.floats(-6.0, 1.0), seed=st.integers(0, 2**32 - 1))
+       log_z=st.floats(-16.0, 0.0), seed=st.integers(0, 2**32 - 1))
 @example(n=12, aperture=1.0, epsilon=5e-4, log_z=0.0, seed=0)  # no row corrected
 @example(n=17, aperture=0.5, epsilon=0.0, log_z=-5.0, seed=0)  # every term corrected
+@example(n=17, aperture=1.0, epsilon=5e-4, log_z=-16.0, seed=0)  # some rows clamped
 def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z, seed):
     # the preconditioner of a system on a random medium is the inverse of
     # M = sigma_bar L + beta + D, built here densely: L the Neumann
@@ -862,7 +672,11 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
     # sigma_bar the geometric mean of a quarter of the interior diagonal,
     # D the boundary terms of at least sigma_bar / 10 on their rows, beta
     # the others' sum over n^2, and the constant mode's eigenvalue raised to
-    # a thousandth of the whole sum over n^2 where beta is below that
+    # a hundredth of sigma_bar's times L's least positive one,
+    # 4 sin^2(pi/2n), where beta is below that.  A row whose term is at
+    # least 1e6 sigma_bar is clamped: M is taken with D infinite there, its
+    # inverse zero on that row and column, and the preconditioner returns
+    # r / A's diagonal on it
     try:
         g, coeffs = _sweep_coefficients(n, aperture, log_z, epsilon)
     except DataError:
@@ -873,7 +687,8 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
     centre = system.table[2].reshape(n, n)[1:-1, 1:-1]
     sigma_bar = math.exp(np.mean(np.log(0.25 * centre)))
     terms = _boundary_terms(g, coeffs)
-    assume(not np.any(np.abs(terms - 0.1 * sigma_bar) <= 1e-9 * sigma_bar))
+    for threshold in (0.1 * sigma_bar, 1e6 * sigma_bar):  # clear of the rules
+        assume(not np.any(np.abs(terms - threshold) <= 1e-9 * threshold))
     corrected = terms >= 0.1 * sigma_bar
     beta = terms[~corrected].sum() / N
     T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
@@ -882,35 +697,16 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
     li, lj = boundary_loop(g)
     rows = (lj * n + li)[corrected]
     M[rows, rows] += terms[corrected]
-    M += (max(beta, 1e-3 * terms.sum() / N) - beta) / N  # on the constant mode alone
+    floor = 1e-2 * sigma_bar * 4.0 * math.sin(0.5 * math.pi / n) ** 2
+    M += (max(beta, floor) - beta) / N  # on the constant mode alone
+    clamped = np.zeros(N, dtype=bool)
+    clamped[(lj * n + li)[terms >= 1e6 * sigma_bar]] = True
+    free = ~clamped
     r = rng.normal(size=N)
-    expected = np.linalg.solve(M, r)
-    got = _transform_preconditioner(system)(r)
+    expected = r / system.table[2]
+    expected[free] = np.linalg.solve(M[np.ix_(free, free)], r[free])
+    got = _TransformPreconditioner(system)(r)
     assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(3, 17), kind=st.sampled_from(_SYSTEM_KINDS),
-       seed=st.integers(0, 2**32 - 1))
-def test_pcg_solves_any_spd_matrix_of_at_most_the_coarsest_size(n, kind, seed):
-    # a system of at most _COARSEST unknowns is the coarsest level itself,
-    # filled densely from its table and inverted, with no level above it:
-    # one V-cycle is its exact inverse up to rounding
-    rng = np.random.default_rng(seed)
-    try:
-        system = _random_system(kind, n, rng)
-    except DataError:
-        assume(False)
-    assert system.dimension <= elliptic._COARSEST
-    levels, coarsest_inverse = elliptic._multigrid(system)
-    assert levels == []
-    A = csr_of(system).toarray()
-    assert np.abs(coarsest_inverse @ A - np.eye(system.dimension)).max() < 1e-8
-    x, stats = pcg_solve(system)
-    assert stats.relative_residual <= elliptic.SOLVE_TOL and stats.iterations <= 3
-    assert np.linalg.norm(system.rhs - A @ x) <= elliptic.SOLVE_TOL * np.linalg.norm(system.rhs)
-    expected = np.linalg.solve(A, system.rhs)
-    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1047,8 +843,8 @@ def _electrode_faces(el, g):
 def test_cem_matches_coo_build(n, seed, aperture, top_positive):
     # the grid block from the edge entries and the electrode terms, bordered
     # by sp.bmat: the system holds the same bytes, index dtypes included,
-    # and its solve returns the bytes of the CSR multigrid's solve on that
-    # build
+    # and its solve returns the bytes of CG on that build, with its CSR
+    # products, preconditioned as the system is from the build's own table
     g = make_grid(n)
     rng = np.random.default_rng(seed)
     el = ElectrodeSet(aperture=aperture, z=float(rng.uniform(0.5, 2.0)),
@@ -1080,9 +876,11 @@ def test_cem_matches_coo_build(n, seed, aperture, top_positive):
         assert getattr(A, name).tobytes() == getattr(expected, name).tobytes(), name
     assert system.rhs.tobytes() == rhs.tobytes()
     x, stats = pcg_solve(system)
+    table, voltage = _table_read_off(expected, n)
+    built = SparseSystem(table, rhs, voltage, SparseSystem(table, np.zeros(N)))
     max_iter = elliptic._CG_CAP_PER_SIDE * int(round(math.sqrt(N + 1)))
     x_expected, iterations, residual = elliptic._cg(
-        expected, rhs, _former_multigrid(expected)[1], elliptic.SOLVE_TOL, max_iter)
+        expected, rhs, built.preconditioner, elliptic.SOLVE_TOL, max_iter)
     assert x.tobytes() == x_expected.tobytes()
     assert (stats.iterations, stats.relative_residual) == (iterations, residual)
 

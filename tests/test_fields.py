@@ -494,7 +494,7 @@ def test_every_grid_mismatch_is_one_error_before_any_solve(n, other, seed):
     coeffs = smoothed_coefficients(el, g, 5e-4, 1.0)
     coeffs_h = smoothed_coefficients(el, h, 5e-4, 1.0)
     trace = boundary_trace(u)
-    result = ForwardResult(u=u, a=sigma, stats=SolveStats(0, 0.0, "multigrid"))
+    result = ForwardResult(u=u, a=sigma, stats=SolveStats(0, 0.0, "transform"))
     schedule = [4e-3, 2e-3, 1e-3, 5e-4]
     calls = [
         lambda: reconstruct(sigma, el, ReconConfig(), h),

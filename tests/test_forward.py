@@ -198,16 +198,16 @@ def test_cem_data_over_lambda_are_the_sharp_robin_data(n, seed, aperture, z, cur
 
 def test_cem_is_cem_scaling_times_the_sharp_robin_output_bit_for_bit():
     # at z = 1 the guess lambda (u0, zI) meets the tolerance on the bordered
-    # system: one multigrid hierarchy (the Robin one) is built, and the CEM
-    # potential is lambda u0 of forward --epsilon 0's solve, bit for bit
+    # system: one transform preconditioner (the Robin one) is built, and the
+    # CEM potential is lambda u0 of forward --epsilon 0's solve, bit for bit
     g = make_grid(65)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=65, seed=7))
     el = ElectrodeSet()
     builds = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(elliptic, "_multigrid",
-                   lambda system, build=elliptic._multigrid:
-                   builds.append(system.dimension) or build(system))
+        mp.setattr(elliptic, "_TransformPreconditioner",
+                   lambda system, *args, build=elliptic._TransformPreconditioner:
+                   builds.append(system.dimension) or build(system, *args))
         cem = solve_cem_forward(sigma, el, g)
     assert builds == [g.num_nodes]
     sharp = solve_forward(sigma, base_coefficients(el, g), g)
@@ -221,11 +221,18 @@ def test_cem_is_cem_scaling_times_the_sharp_robin_output_bit_for_bit():
 @pytest.mark.parametrize("z", [1e-2, 1e-4, 1e-6, 1e-7])
 def test_cem_from_the_robin_guess_matches_a_direct_solve_at_small_z(n, z):
     # where the guess lambda (u0, zI) falls short of the tolerance, CG
-    # polishes it on the bordered system to the same residual check
+    # polishes it on the bordered system to the same residual check, with
+    # the Robin solve's transform preconditioner extended to V: one build
+    # of the capacitance matrix for both solves
     g = make_grid(n)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=2))
     el = ElectrodeSet(z=z)
-    result = solve_cem_forward(sigma, el, g)
+    with pytest.MonkeyPatch.context() as mp:
+        inversions = []
+        inv = np.linalg.inv
+        mp.setattr(np.linalg, "inv", lambda a: inversions.append(a.shape) or inv(a))
+        result = solve_cem_forward(sigma, el, g)
+    assert len(inversions) == 1 and inversions[0][0] > 0
     system = assemble_cem(sigma, el, g)
     x = np.append(result.u.values, result.cem_voltage)
     A = csr_of(system)

@@ -24,7 +24,7 @@ from cdrecon.bregman import BregmanConfig
 from cdrecon.elliptic import (
     SOLVE_TOL,
     SparseSystem,
-    _transform_preconditioner,
+    _TransformPreconditioner,
     assemble_robin,
     pcg_solve,
 )
@@ -464,7 +464,7 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
     def solve_at(sigma, tol, x0):
         system = assemble_robin(ScalarField(grid, sigma.values + delta), coeffs, grid)
         if not preconditioners:  # the first system's, for every solve
-            preconditioners.append(_transform_preconditioner(system))
+            preconditioners.append(_TransformPreconditioner(system))
         x, stats = pcg_solve(system, tol, x0, preconditioners[0])
         return ScalarField(grid, x), stats
 
