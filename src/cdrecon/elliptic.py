@@ -30,10 +30,14 @@ sweeps build from their first system and pass.  Both solves end in one
 true-residual check (``_checked``) at ``SOLVE_TOL`` unless the caller
 passes ``tol``, the only place a solve fails (SolverError).
 
-The preconditioner applies its 2-D cosine transform by dense products with
-the DCT matrix up to n = ``_DENSE_DCT``, where they are the faster and
-give the same bytes at every BLAS thread count, and by ``scipy.fft`` above
-it.  ``scipy.fft`` (which loads ``scipy.special``, about 7 MiB) is imported
+The preconditioner inverts a fast-Poisson model of the system in a cosine
+basis.  Up to n = ``_DENSE_DCT`` the model's flux part is the stencil's
+own at constant conductivity, half-weight boundary edges included, and
+its basis the DCT-I scaled by those weights, applied by dense products,
+which are the faster there and give the same bytes at every BLAS thread
+count; above it the model takes full-weight edges, whose basis is the
+DCT-II of ``scipy.fft``, where DCT-I's FFT length 2(n-1) is slow.
+``scipy.fft`` (which loads ``scipy.special``, about 7 MiB) is imported
 at the first build of a preconditioner on such a grid, not with this
 module, so ``import cdrecon``, every solve up to n = 64 and the Bregman
 comparator never load it.  No solve loads ``scipy.sparse.linalg`` or
@@ -71,11 +75,14 @@ _CORRECTED_TERM = 0.1
 # ... and takes each row whose term is at least this share apart, by its
 # diagonal (a Dirichlet-like row: z = 1e-16 makes it about 1e14 sigma_bar)
 _CLAMPED_TERM = 1e6
-# the largest n whose DCT the transform preconditioner applies by dense
-# products with the DCT matrix: the pair takes 35 us against scipy.fft's
-# 63 us at n = 64 (one BLAS thread, Xeon), and its products round alike at
-# one and two BLAS threads up to n = 65 but not at n = 100; scipy.fft is
-# the faster from n = 128 on
+# the largest n on which the transform preconditioner models the stencil's
+# half-weight boundary edges, in the scaled DCT-I basis, and applies it by
+# dense products with the basis matrix: the pair takes 35 us against
+# scipy.fft's DCT-II 63 us at n = 64 (one BLAS thread, Xeon), and its
+# products round alike at one and two BLAS threads up to n = 65 but not at
+# n = 100; above it the full-weight model's DCT-II through scipy.fft is the
+# faster (from n = 128 on; DCT-I's FFT length 2(n-1) is 510 = 2 3 5 17 at
+# n = 256, 2.6 against 0.9 ms the pair)
 _DENSE_DCT = 64
 
 # pcg_solve raises SolverError after this many iterations per grid side,
@@ -500,9 +507,13 @@ def pcg_solve(
     iterations (``_cg``), so no preconditioner is applied or built.
 
     The forward systems take at most about 20 iterations at every grid
-    size: the Robin ones at every z from 1 down to 1e-16, the CEM ones down
-    to z = 1e-6 (below that the tolerance nears the CEM's rounding floor,
-    and the count grows).
+    size on media of contrast 2: the Robin ones at every z from 1 down to
+    1e-16, the CEM ones down to z = 1e-6 (there ``SOLVE_TOL`` is two
+    rounding units of V's row, so the count rests on rounding, and below
+    it the count grows).  Up to n = 64, where the preconditioner models the
+    stencil's own boundary edges, the Robin ones at z = 1 take 11-15 on
+    media of contrast 1.8, against 14-19 above it, and at most 8 at a
+    constant conductivity.
     Returns once the true relative residual ||Ax-b||/||b|| is at most
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
     sqrt(dimension)) iterations do not get there or when CG meets a
@@ -519,15 +530,34 @@ def pcg_solve(
 
 
 @lru_cache(maxsize=4)
-def _cosine_basis(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix Phi of size n, x = Phi x_hat along an axis:
-    Phi_jk = c_k cos(pi k (2j+1) / 2n), c_0 = sqrt(1/n), c_k = sqrt(2/n)."""
+def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transform preconditioner's 1-D model on an n x n grid: the basis
+    Phi (x = Phi x_hat along an axis), the eigenvalues mu_k of the Neumann
+    Laplacian K1 = tridiag(-1, 2, -1), 1 at both ends, in it, and the
+    weights w of the edges along a grid line, W1 = diag(w), so that K1 =
+    W1 Phi diag(mu) Phi' W1 and W1 = W1 Phi Phi' W1.
+
+    Up to n = ``_DENSE_DCT`` w is the stencil's own, 1/2 at both ends, and
+    Phi = W1^-1/2 times the orthonormal DCT-I matrix, the eigenbasis of
+    W1^-1/2 K1 W1^-1/2: Phi_jk = c_k sqrt(2/(n-1)) cos(pi j k / (n-1)),
+    c_0 = c_(n-1) = sqrt(1/2), else 1, and mu_k = 4 sin^2(pi k / 2(n-1)).
+    Above it w is 1 and Phi the orthonormal DCT-II matrix, Phi_jk = c_k
+    sqrt(2/n) cos(pi k (2j+1) / 2n), c_0 = sqrt(1/2), mu_k = 4 sin^2(pi k /
+    2n), the basis of ``scipy.fft``'s DCT."""
+    dense = n <= _DENSE_DCT
+    odd, m = (0, n - 1) if dense else (1, n)  # Phi_jk = c_k cos(pi k (2j + odd) / 2m)
     j, k = np.arange(n), np.arange(n)
-    # reduce k(2j+1) modulo the period 4n so every cosine argument stays small
-    phi = math.sqrt(2.0 / n) * np.cos(np.pi * (np.outer(2 * j + 1, k) % (4 * n)) / (2 * n))
-    phi[:, 0] = math.sqrt(1.0 / n)
-    phi.flags.writeable = False
-    return phi
+    c, w = np.full(n, math.sqrt(2.0 / m)), np.ones(n)
+    c[0] = math.sqrt(1.0 / m)
+    if dense:
+        c[-1] = c[0]
+        w[[0, -1]] = 0.5
+    # reduce k (2j + odd) modulo the period 4m so every cosine argument stays small
+    phi = c * np.cos(np.pi * (np.outer(2 * j + odd, k) % (4 * m)) / (2 * m))
+    mu = 4.0 * np.sin(0.5 * np.pi * k / m) ** 2
+    for a in (phi, mu, w):
+        a.flags.writeable = False
+    return phi, mu, w
 
 
 class _TransformPreconditioner:
@@ -535,36 +565,57 @@ class _TransformPreconditioner:
     system that stays good while the conductivity varies slowly, so the
     sweeps build it once, from their first system; calling it applies it.
 
-    It is the exact inverse of M = M0 + U D U'.  M0 = sigma_bar L + beta is
-    the fast Poisson preconditioner of variable-coefficient problems (Concus
-    & Golub, SIAM J. Numer. Anal. 10, 1973): sigma_bar is the geometric mean
-    of a quarter of A's interior diagonal, and L the five-point Neumann
-    Laplacian of the n x n grid, which the orthonormal 2-D DCT-II
-    diagonalizes with the eigenvalues mu_j + mu_k, mu_k = 4 sin^2(pi k/2n).
+    It is the exact inverse of M = M0 + U D U'.  M0 = sigma_bar L + beta W
+    is the fast Poisson preconditioner of variable-coefficient problems
+    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973): sigma_bar is the
+    geometric mean of a quarter of A's interior diagonal, and L = K1 x W1 +
+    W1 x K1, W = W1 x W1, the five-point Neumann Laplacian of the n x n
+    grid whose edges along each boundary line carry the weights W1 of
+    ``_cosine_basis``.  Its basis Phi makes M0 = W (Phi x Phi) Lambda (Phi
+    x Phi)' W, Lambda = diag(sigma_bar (mu_j + mu_k) + beta), so M0^-1 =
+    (Phi x Phi) Lambda^-1 (Phi x Phi)'.  There are two models, one on each
+    side of n = ``_DENSE_DCT``:
+
+    - up to it W1 is the stencil's own, 1/2 at both ends, so that at a
+      constant conductivity sigma_bar L is A's flux part exactly.  S M0 S,
+      S = W^-1/2, is then diagonal in the orthonormal DCT-I, the
+      eigenbasis of whole-sample-symmetric boundaries (Strang, SIAM Rev.
+      41, 1999), and Phi is W1^-1/2 times it; its transform is two dense
+      products;
+    - above it W1 is I: full-weight boundary edges, whose eigenbasis is the
+      orthonormal DCT-II, applied by ``scipy.fft`` (imported at the first
+      such build).  Its FFT length n is the faster there, where DCT-I's
+      2(n-1) can be slow (510 = 2 3 5 17 at n = 256).
+
+    The half weights halve the forward solves' iterations at a constant
+    conductivity (5-8 against 12-13 at z = 1) and take about a fifth off
+    them on media of contrast 1.8.
+
     The boundary term of each row is its row sum (the flux rows sum to
     zero).  Each term of at least ``_CORRECTED_TERM`` sigma_bar is an entry
     of the diagonal D on its row (U's column), and beta is the sum of the
-    others over n^2.  Where D takes nearly every term, beta would leave M0
-    singular in the constant mode, which only the boundary terms hold, so
+    others over that of W, (n-1)^2 or n^2, so that M and A agree on the
+    constant vector.  Where D takes nearly every term, beta would leave M0
+    singular in its constant mode, which only the boundary terms hold, so
     that mode's eigenvalue is at least a hundredth of sigma_bar mu_1: one
     positive rank-one term in M, a hundredth of the least that sigma_bar L
-    puts on any other mode.  It stays below beta at z = 1 (below 2/n^2
-    while sigma_bar < 20), and it does not grow with the boundary terms:
-    a floor of a thousandth of their sum over n^2 would put 200 times A's
-    least eigenvalue on the constant mode at z = 1e-6, n = 17.
+    puts on any other mode.  It stays below beta at z = 1 (below 2 over the
+    sum of W while sigma_bar < 20), and it does not grow with the boundary
+    terms: a floor of a thousandth of their sum over n^2 would put 200
+    times A's least eigenvalue on the constant mode at z = 1e-6, n = 17.
 
     So small an eigenvalue would leave the Woodbury correction up to a
     hundredfold M0^-1 to cancel on the constant mode (an apply's symmetry
     defect reached 2e-12 at z = 1e-2 to 1e-4), so where D has entries M is
-    split as M_r - gamma e e', e the unit constant vector: M_r's M0 takes
-    the constant mode at the eigenvalue of the next one, mu_1 sigma_bar +
-    beta, gamma the difference, and Sherman & Morrison give M^-1 = M_r^-1
-    + kappa m m', m = M_r^-1 e, kappa = gamma / (1 - gamma e'm), two
-    positive terms.  Where D has none nothing cancels, and M_r is M.
+    split as M_r - gamma e e', e = W 1 over the sum of W1, the constant
+    mode's column of (Phi x Phi)^-T (the unit constant vector where W is
+    I): M_r's M0 takes the constant mode at the eigenvalue of the next
+    one, mu_1 sigma_bar + beta, gamma the difference, and Sherman &
+    Morrison give M^-1 = M_r^-1 + kappa m m', m = M_r^-1 e, kappa = gamma
+    / (1 - gamma e'm), two positive terms.  Where D has none nothing
+    cancels, and M_r is M.
 
-    M0 is applied by the 2-D DCT-II pair, by dense products with
-    ``_cosine_basis`` up to n = ``_DENSE_DCT`` and by ``scipy.fft`` above
-    it (imported at the first such build), and D by Woodbury's
+    M0^-1 is applied by the 2-D transform pair, and D by Woodbury's
     identity, the capacitance matrix method (Buzbee, Dorr, George & Golub,
     SIAM J. Numer. Anal. 8, 1971): M^-1 = M0^-1 - M0^-1 U C^-1 U' M0^-1,
     with C = D^-1 + U' M0^-1 U, filled by ``_boundary_inverse`` and
@@ -599,8 +650,9 @@ class _TransformPreconditioner:
         corrected = terms >= _CORRECTED_TERM * sigma_bar
         if coupled is not None:
             corrected |= coupled[kb]
-        mu = 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
-        eig = sigma_bar * (mu[:, None] + mu) + float(terms[~corrected].sum()) / N
+        phi, mu, w = _cosine_basis(n)  # x = Phi x_hat along an axis
+        # beta W takes the spread terms, so M and A agree on the constants
+        eig = sigma_bar * (mu[:, None] + mu) + float(terms[~corrected].sum()) / w.sum() ** 2
         # M's constant mode takes at least a hundredth of sigma_bar mu_1;
         # where D has entries, M_r's takes the next mode's eigenvalue,
         # gamma more
@@ -609,11 +661,11 @@ class _TransformPreconditioner:
         eig[0, 0] += gamma
         self.n = n
         self.inverse = 1.0 / eig
-        self.phi = phi = _cosine_basis(n)  # x = Phi x_hat along an axis
+        self.phi = phi
         self.ends = [0, n - 1]
         self.edge = phi[self.ends]  # the modes on the first and last grid line
-        # the orthonormal 2-D DCT-II and its inverse: two dense products up
-        # to _DENSE_DCT, and scipy.fft's above it
+        # the 2-D transform Phi' a Phi and its inverse Phi x_hat Phi': two
+        # dense products up to _DENSE_DCT, and scipy.fft's DCT-II above it
         if n <= _DENSE_DCT:
             self.dct, self.idct = (lambda a: phi.T @ a @ phi), (lambda a: phi @ a @ phi.T)
         else:
@@ -631,7 +683,7 @@ class _TransformPreconditioner:
         self.c_inv = 0.5 * (c_inv + c_inv.T)
         self.m = None  # M is M_r
         if gamma:
-            e = np.full(N, 1.0 / n)
+            e = np.outer(w, w).reshape(-1) / w.sum()  # the constant mode of (Phi x Phi)^-T
             m = self._woodbury(e)  # M_r^-1 e
             m[self.clamped] = 0.0
             den = 1.0 - gamma * float(e @ m)
@@ -715,16 +767,16 @@ class _TransformPreconditioner:
 
 def _boundary_inverse(rows: np.ndarray, inverse: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """U' M0^-1 U for the boundary nodes ``rows`` of the n x n grid, M0^-1 =
-    Phi diag(``inverse``) Phi' in 2-D with ``phi`` the orthonormal DCT-II
-    matrix (``_TransformPreconditioner``).
+    Phi diag(``inverse``) Phi' in 2-D with ``phi`` the preconditioner's
+    basis (``_cosine_basis``, ``_TransformPreconditioner``).
 
     The entry of nodes (j, i) and (j', i') is the sum over (a, b) of
-    Phi_ja Phi_j'a W_ab Phi_ib Phi_i'b, W = ``inverse`` (symmetric).  On a
+    Phi_ja Phi_j'a G_ab Phi_ib Phi_i'b, G = ``inverse`` (symmetric).  On a
     boundary line one index is fixed (j on the bottom and top sides, which
     take the corners, i on the left and right ones), so the block of two
-    parallel lines at t and t' is Phi diag(W (Phi_t * Phi_t')) Phi', and
+    parallel lines at t and t' is Phi diag(G (Phi_t * Phi_t')) Phi', and
     that of a line at t and a crossing line at t' is
-    Phi diag(Phi_t') W diag(Phi_t) Phi', each O(n^3) to fill.
+    Phi diag(Phi_t') G diag(Phi_t) Phi', each O(n^3) to fill.
     """
     n = inverse.shape[0]
     j, i = np.divmod(rows, n)

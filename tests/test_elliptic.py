@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
@@ -41,7 +42,7 @@ from cdrecon.fields import (
     make_grid,
 )
 from cdrecon.forward import solve_cem_forward, solve_forward
-from cdrecon.phantom import PhantomSpec, generate_phantom
+from cdrecon.phantom import Ellipse, PhantomSpec, generate_phantom
 from cdrecon.recon import ReconConfig, reconstruct
 from csr_reference import csr_of
 
@@ -310,22 +311,73 @@ def test_transform_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, 
     assert stats.method == "transform"
 
 
+# two piecewise-constant ellipse layouts of contrast 1.8 on a background of 1
+_ELLIPSE_LAYOUTS = (
+    (Ellipse(0.35, 0.6, 0.15, 0.08, 0.5, 1.8), Ellipse(0.65, 0.35, 0.1, 0.12, -0.3, 1.4)),
+    (Ellipse(0.5, 0.5, 0.3, 0.15, 0.8, 1.8), Ellipse(0.25, 0.25, 0.06, 0.06, 0.0, 1.5)),
+)
+
+
+def _medium(kind, g):
+    """A conductivity on the grid g: "blobs" (criterion 6's phantom),
+    "constant" (1), "ellipses-k" (layout k above) or "blocks-k": four
+    axis-aligned rectangles of values in [1, 1.8] on a background of 1,
+    drawn with seed k."""
+    if kind == "blobs":
+        return generate_phantom(PhantomSpec(kind="blobs", n=g.n, seed=7, lo=1.0, hi=1.8,
+                                            margin=0.15, blob_width=(0.05, 0.10)))
+    if kind == "constant":
+        return ScalarField.constant(g, 1.0)
+    name, k = kind.split("-")
+    if name == "ellipses":
+        return generate_phantom(PhantomSpec(kind="ellipses", n=g.n,
+                                            ellipses=_ELLIPSE_LAYOUTS[int(k)]))
+    rng = np.random.default_rng(int(k))
+    x, y = g.node_coords()
+    sigma = np.ones_like(x)
+    for _ in range(4):
+        (x0, y0), (wx, wy) = rng.uniform(0.1, 0.7, 2), rng.uniform(0.05, 0.3, 2)
+        sigma[(x >= x0) & (x <= x0 + wx) & (y >= y0) & (y <= y0 + wy)] = rng.uniform(1.0, 1.8)
+    return ScalarField(g, sigma.reshape(-1))
+
+
 @pytest.mark.parametrize("n", [17, 64, 65])
 def test_forward_solves_take_at_most_25_iterations(n):
-    # criterion 6's phantom; the sharp and the smoothed Robin system and the
-    # CEM system on it, at two apertures and three contact impedances, each
-    # solved from a zero guess below, at and above the dense transform's cut
+    # criterion 6's phantom and an ellipse layout; the sharp and the
+    # smoothed Robin system and the CEM system on each, at two apertures
+    # and three contact impedances, each solved from a zero guess below,
+    # at and above the dense transform's cut (at most 19 here)
     g = make_grid(n)
-    sigma = generate_phantom(PhantomSpec(kind="blobs", n=n, seed=7, lo=1.0, hi=1.8,
-                                         margin=0.15, blob_width=(0.05, 0.10)))
-    for z in (1.0, 1e-2, 1e-6):
-        for aperture in (1.0, 0.5):
-            el = ElectrodeSet(aperture=aperture, z=z)
-            for system in (assemble_cem(sigma, el, g),
-                           assemble_robin(sigma, base_coefficients(el, g), g),
-                           assemble_robin(sigma, smoothed_coefficients(el, g, 5e-4), g)):
-                x, stats = pcg_solve(system)
-                assert stats.iterations <= 25, (z, aperture, system.dimension)
+    for medium in ("blobs", "ellipses-0"):
+        sigma = _medium(medium, g)
+        for z in (1.0, 1e-2, 1e-6):
+            for aperture in (1.0, 0.5):
+                el = ElectrodeSet(aperture=aperture, z=z)
+                for system in (assemble_cem(sigma, el, g),
+                               assemble_robin(sigma, base_coefficients(el, g), g),
+                               assemble_robin(sigma, smoothed_coefficients(el, g, 5e-4), g)):
+                    x, stats = pcg_solve(system)
+                    assert stats.iterations <= 25, (medium, z, aperture, system.dimension)
+
+
+@pytest.mark.parametrize("n", [17, 33, 64])
+@pytest.mark.parametrize("medium", ["constant", "ellipses-0", "ellipses-1", "blocks-0",
+                                    "blocks-1", "blocks-2"])
+def test_forward_robin_solves_on_the_dense_transform_take_few_iterations(n, medium):
+    # up to n = 64 the preconditioner's flux part is the stencil's own at a
+    # constant sigma, half-weight boundary edges included (DCT-I), so the
+    # sharp and the smoothed Robin solve at z = 1 take at most 8 iterations
+    # there (11-13 on the full-weight DCT-II model) and at most 15 on the
+    # piecewise-constant media of contrast 1.8 (14-19 on the DCT-II model)
+    g = make_grid(n)
+    sigma = _medium(medium, g)
+    bound = 9 if medium == "constant" else 16
+    for aperture in (1.0, 0.5):
+        el = ElectrodeSet(aperture=aperture)
+        for model, coeffs in (("sharp", base_coefficients(el, g)),
+                              ("smoothed", smoothed_coefficients(el, g, 5e-4))):
+            _, stats = pcg_solve(assemble_robin(sigma, coeffs, g))
+            assert stats.iterations <= bound, (aperture, model)
 
 
 _SYSTEM_KINDS = ("robin", "smoothed", "cem", "cem-half", "laplace")
@@ -464,9 +516,12 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
     # zeros), bit for bit and signs of zeros included; and the transform
     # preconditioner's transfers between the boundary rows it corrects and
     # the transform, on both sides of the dense transform's cut, equal
-    # their spelled-out forms to rounding: the lift of w is the transform
-    # of np.bincount's grid of w, and the capacitance block U'M0^-1 U the
-    # gather of M0^-1's columns on those rows
+    # their spelled-out forms to rounding: the transform is scipy.fft's
+    # orthonormal DCT-II above n = 64 and up to it its DCT-I of S a S, S
+    # = (W1 x W1)^-1/2 for the stencil's edge weights W1 = diag(1/2, 1,
+    # ..., 1, 1/2), its inverse S times the inverse DCT-I; the lift of w
+    # is the transform of np.bincount's grid of w, and the capacitance
+    # block U'M0^-1 U the gather of M0^-1's columns on those rows
     rng = np.random.default_rng(seed)
     try:
         system = _random_system(kind, n, rng)
@@ -480,6 +535,17 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
     terms = grid.operator @ np.ones(n * n)  # the boundary terms, on the boundary rows
     pc = _TransformPreconditioner(grid, terms > 1e-8)  # every row with a term
     assert pc.rows.size
+    a = rng.normal(size=(n, n))
+    if n <= 64:
+        w1 = np.ones(n)
+        w1[[0, -1]] = 0.5
+        s = 1.0 / np.sqrt(np.outer(w1, w1))
+        transform = scipy.fft.dctn(s * a, type=1, norm="ortho")
+        inverse = s * scipy.fft.idctn(a, type=1, norm="ortho")
+    else:
+        transform, inverse = scipy.fft.dctn(a, norm="ortho"), scipy.fft.idctn(a, norm="ortho")
+    assert np.linalg.norm(pc.dct(a) - transform) <= 1e-13 * np.linalg.norm(transform)
+    assert np.linalg.norm(pc.idct(a) - inverse) <= 1e-13 * np.linalg.norm(inverse)
     w = rng.normal(size=pc.rows.size)
     expected = pc.dct(np.bincount(pc.rows, w, minlength=n * n).reshape(n, n))
     assert np.linalg.norm(pc._lifted(w) - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -625,8 +691,10 @@ def test_transform_preconditioner_is_spd_and_solves_the_sweep_systems(n, contras
                                                                        epsilon, log_z, seed):
     # built from the sweeps' first system (sigma = 1 + delta), the
     # preconditioner's capacitance matrix has a row for each boundary term
-    # of at least a tenth of sigma_bar (none at n = 65 and z = 1: the plain
-    # transform), those of at least 1e6 sigma_bar taken apart by their
+    # of A of at least a tenth of sigma_bar on both sides of the dense
+    # transform's cut (A's terms, not those of the scaled model S A S up to
+    # n = 64, which are up to 4 times larger; none at n = 65 and z = 1: the
+    # plain transform), those of at least 1e6 sigma_bar taken apart by their
     # diagonal; it is symmetric and positive to rounding, and it solves a
     # system of conductivity contrast up to 2 at SOLVE_TOL in a bounded
     # number of CG iterations at every z down to 1e-16
@@ -660,23 +728,36 @@ def test_transform_preconditioner_is_spd_and_solves_the_sweep_systems(n, contras
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(3, 20), aperture=st.floats(0.3, 1.0), epsilon=st.sampled_from([0.0, 5e-4]),
-       log_z=st.floats(-16.0, 0.0), seed=st.integers(0, 2**32 - 1))
+@given(n=st.one_of(st.integers(3, 20), st.integers(65, 70)), aperture=st.floats(0.3, 1.0),
+       epsilon=st.sampled_from([0.0, 5e-4]), log_z=st.floats(-16.0, 0.0),
+       seed=st.integers(0, 2**32 - 1))
 @example(n=12, aperture=1.0, epsilon=5e-4, log_z=0.0, seed=0)  # no row corrected
 @example(n=17, aperture=0.5, epsilon=0.0, log_z=-5.0, seed=0)  # every term corrected
 @example(n=17, aperture=1.0, epsilon=5e-4, log_z=-16.0, seed=0)  # some rows clamped
+@example(n=65, aperture=1.0, epsilon=5e-4, log_z=0.0, seed=0)  # the DCT-II model, plain
+@example(n=66, aperture=0.5, epsilon=0.0, log_z=-5.0, seed=0)  # ... every term corrected
+@example(n=65, aperture=1.0, epsilon=5e-4, log_z=-16.0, seed=0)  # ... some rows clamped
 def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z, seed):
     # the preconditioner of a system on a random medium is the inverse of
-    # M = sigma_bar L + beta + D, built here densely: L the Neumann
-    # Laplacian T x I + I x T, T = tridiag(-1, 2, -1) with 1 at both ends,
-    # sigma_bar the geometric mean of a quarter of the interior diagonal,
-    # D the boundary terms of at least sigma_bar / 10 on their rows, beta
-    # the others' sum over n^2, and the constant mode's eigenvalue raised to
-    # a hundredth of sigma_bar's times L's least positive one,
-    # 4 sin^2(pi/2n), where beta is below that.  A row whose term is at
-    # least 1e6 sigma_bar is clamped: M is taken with D infinite there, its
-    # inverse zero on that row and column, and the preconditioner returns
-    # r / A's diagonal on it
+    # M = S^-1 (sigma_bar (K x I + I x K) + beta + D) S^-1, built here by
+    # hand: T = tridiag(-1, 2, -1) with 1 at both ends, the 1-D Neumann
+    # Laplacian with full-weight edges; W1 the weights of the edges along a
+    # grid line, S = (W1 x W1)^-1/2 and K = W1^-1/2 T W1^-1/2; sigma_bar
+    # the geometric mean of a quarter of the interior diagonal; D the
+    # boundary terms of at least sigma_bar / 10, scaled by S^2, on their
+    # rows; beta the others' sum over that of W1 x W1, so that M and A
+    # agree on the constants; and the scaled model's constant mode, W^1/2
+    # 1, raised to a hundredth of sigma_bar's times K's least positive
+    # eigenvalue where beta is below that.  Up to the dense transform's
+    # n = 64 W1 is the stencil's own, 1/2 at both ends, so that at a
+    # constant sigma the flux part of M is that of A, and K's eigenvalues
+    # are 4 sin^2(pi k / 2(n-1)) (DCT-I); above it W1 is I and M the
+    # DCT-II model sigma_bar L + beta + D, 4 sin^2(pi k / 2n).  A row
+    # whose term is at least 1e6 sigma_bar is clamped: M is taken with D
+    # infinite there, its inverse zero on that row and column, and the
+    # preconditioner returns r / A's diagonal on it.  M is built sparse
+    # (its floor a rank-one term) and checked against by a dense solve
+    # below n = 21, and by the residual M P(r) - r above n = 64
     try:
         g, coeffs = _sweep_coefficients(n, aperture, log_z, epsilon)
     except DataError:
@@ -690,23 +771,43 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
     for threshold in (0.1 * sigma_bar, 1e6 * sigma_bar):  # clear of the rules
         assume(not np.any(np.abs(terms - threshold) <= 1e-9 * threshold))
     corrected = terms >= 0.1 * sigma_bar
-    beta = terms[~corrected].sum() / N
+    dense = n <= 64
+    w1 = np.ones(n)
+    if dense:
+        w1[[0, -1]] = 0.5
     T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     T[0, 0] = T[-1, -1] = 1.0
-    M = sigma_bar * (np.kron(T, np.eye(n)) + np.kron(np.eye(n), T)) + beta * np.eye(N)
+    K = sp.csr_matrix(T / np.sqrt(np.outer(w1, w1)))
+    s = 1.0 / np.sqrt(np.outer(w1, w1)).reshape(-1)  # S's diagonal
+    beta = terms[~corrected].sum() / w1.sum() ** 2
     li, lj = boundary_loop(g)
     rows = (lj * n + li)[corrected]
-    M[rows, rows] += terms[corrected]
-    floor = 1e-2 * sigma_bar * 4.0 * math.sin(0.5 * math.pi / n) ** 2
-    M += (max(beta, floor) - beta) / N  # on the constant mode alone
+    scaled = (sigma_bar * (sp.kron(K, sp.identity(n)) + sp.kron(sp.identity(n), K))
+              + sp.diags(np.full(N, beta)) + sp.csr_matrix(
+                  (terms[corrected] * s[rows] ** 2, (rows, rows)), shape=(N, N)))
+    M = sp.diags(1.0 / s) @ scaled @ sp.diags(1.0 / s)
+    mu_1 = 4.0 * math.sin(0.5 * math.pi / (n - 1 if dense else n)) ** 2
+    constant = (1.0 / s) / np.linalg.norm(1.0 / s)  # the scaled constant mode, unit
+    raise_by = max(beta, 1e-2 * sigma_bar * mu_1) - beta
+    f = constant / s  # S^-1 times it: M's floor is raise_by f f'
     clamped = np.zeros(N, dtype=bool)
     clamped[(lj * n + li)[terms >= 1e6 * sigma_bar]] = True
     free = ~clamped
     r = rng.normal(size=N)
-    expected = r / system.table[2]
-    expected[free] = np.linalg.solve(M[np.ix_(free, free)], r[free])
     got = _TransformPreconditioner(system)(r)
-    assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+    np.testing.assert_allclose(got[clamped], r[clamped] / system.table[2, clamped], rtol=1e-15)
+    M_free = M[free][:, free]
+    if dense:
+        expected = np.linalg.solve(M_free.toarray() + raise_by * np.outer(f[free], f[free]),
+                                   r[free])
+        assert np.linalg.norm(got[free] - expected) <= 1e-9 * np.linalg.norm(expected)
+    else:
+        x = got[free]
+        residual = M_free @ x + (raise_by * float(f[free] @ x)) * f[free] - r[free]
+        # a backward error: the terms of M x grow as 1/z, and x as the
+        # inverse of the constant mode's least eigenvalue
+        scale = abs(M_free).sum(axis=1).max() + raise_by * float(f[free] @ f[free])
+        assert np.linalg.norm(residual) <= 1e-12 * scale * np.linalg.norm(x)
 
 
 @settings(max_examples=25, deadline=None)
