@@ -335,6 +335,12 @@ _ELECTRODE_OPTS = (
     Opt("aperture", float, ElectrodeSet.aperture, "electrode length fraction in (0,1]"),
     Opt("polarity", str, "top", "which electrode injects: top or bottom"),
 )
+# the Robin coefficients' model, shared by forward, reconstruct and study
+_MODEL_OPTS = (
+    Opt("epsilon", float, ReconConfig.epsilon,
+        "coefficient floor; 0 selects sharp coefficients"),
+    Opt("width", float, None, "smoothing arc length (default 4h)"),
+)
 
 # every command once: its handler, its one-line help and its options; a
 # default that a config dataclass holds is read from that dataclass
@@ -356,11 +362,8 @@ _COMMANDS: dict[str, Command] = {
         Opt("out", str, None, "output field file", required=True),
     )),
     "forward": Command(_cmd_forward, "simulate the interior data of a conductivity",
-                       _ELECTRODE_OPTS + (
+                       _ELECTRODE_OPTS + _MODEL_OPTS + (
         Opt("sigma", str, None, "conductivity field file", required=True),
-        Opt("epsilon", float, ReconConfig.epsilon,
-            "coefficient floor; 0 selects sharp coefficients"),
-        Opt("width", float, None, "smoothing arc length (default 4h)"),
         Opt("noise", float, 0.0, "multiplicative noise level"),
         Opt("seed", int, 0, "noise seed"),
         Opt("cem", bool, False, "solve the complete electrode model instead"),
@@ -369,12 +372,9 @@ _COMMANDS: dict[str, Command] = {
         Opt("out-u", str, None, "optional output file for the potential"),
     )),
     "reconstruct": Command(_cmd_reconstruct, "reconstruct the conductivity from interior data",
-                           _ELECTRODE_OPTS + (
+                           _ELECTRODE_OPTS + _MODEL_OPTS + (
         Opt("a", str, None, "interior data field file", required=True),
-        Opt("epsilon", float, ReconConfig.epsilon,
-            "coefficient floor; 0 selects sharp coefficients"),
         Opt("delta", float, ReconConfig.delta, "regularization weight"),
-        Opt("width", float, None, "smoothing arc length (default 4h)"),
         Opt("max-iter", int, ReconConfig.max_outer_iterations, "outer iteration cap"),
         Opt("stop-tol", float, ReconConfig.stop_tol, "relative conductivity change threshold"),
         Opt("grad-floor", float, ReconConfig.grad_floor, "relative gradient magnitude floor"),
@@ -410,11 +410,8 @@ _COMMANDS: dict[str, Command] = {
         Opt("ref", str, None, "reference field file", required=True),
     )),
     "study": Command(_cmd_study, "run a regularization-schedule convergence study",
-                     _ELECTRODE_OPTS + (
+                     _ELECTRODE_OPTS + _MODEL_OPTS + (
         Opt("a", str, None, "clean interior data field file", required=True),
-        Opt("epsilon", float, ReconConfig.epsilon,
-            "coefficient floor; 0 selects sharp coefficients"),
-        Opt("width", float, None, "smoothing arc length (default 4h)"),
         Opt("delta0", float, ReconConfig.delta, "initial regularization weight"),
         Opt("factor", float, 2.0, "geometric decay factor (> 1)"),
         Opt("steps", int, 7, f"number of schedule steps (at least {MIN_STUDY_STEPS})"),

@@ -23,12 +23,14 @@ gradients) for the Robin and CEM systems, and ``sine_solve`` (exact) for
 the Laplace-Dirichlet system of the Bregman v-step.  Every CG solve has one
 preconditioner, the fast-transform one (``_TransformPreconditioner``): a
 system's own, built at the first apply (the forward Robin and CEM solves;
-the CEM solve extends that of its Robin block, and starts from lambda
-times the Robin solution, ``forward.solve_cem_forward``, so it builds none
-where that guess meets the tolerance), or the one that the reconstruction
-sweeps build from their first system and pass.  Both solves end in one
-true-residual check (``_checked``) at ``SOLVE_TOL`` unless the caller
-passes ``tol``, the only place a solve fails (SolverError).
+the CEM system has no model of its own but extends that of its Robin block
+to V, by a Schur complement that no z makes negative,
+``SparseSystem.preconditioner``, and starts from lambda times the Robin
+solution, ``forward.solve_cem_forward``, so it builds none where that
+guess meets the tolerance), or the one that the
+reconstruction sweeps build from their first system and pass.  Both solves
+end in one true-residual check (``_checked``) at ``SOLVE_TOL`` unless the
+caller passes ``tol``, the only place a solve fails (SolverError).
 
 The preconditioner inverts a fast-Poisson model of the system in a cosine
 basis.  Up to n = ``_DENSE_DCT`` the model's flux part is the stencil's
@@ -122,24 +124,24 @@ class SparseSystem:
     @cached_property
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
         """The transform preconditioner of the grid block
-        (``_TransformPreconditioner``), for the CEM extended to V through
-        V's Schur complement (``_TransformPreconditioner.bordered``).
+        (``_TransformPreconditioner``), for the CEM its Robin block's, built
+        for the Robin solve, extended to V through V's Schur complement
+        (``_TransformPreconditioner.bordered``).
 
-        That extension is SPD, its s positive, when M corrects every row
-        coupled to V: M is then a model of the bordered matrix that is SPD
-        too.  The CEM system takes its Robin block's preconditioner, built
-        for the Robin solve, where it does so (h/2z at least a tenth of
-        sigma_bar, so one ``solve_cem_forward`` builds one), and otherwise
-        builds one with every coupled row corrected (where M spreads those
-        terms, s is negative at a mid-range z: sigma_bar z below about 1/2).
+        That extension is SPD where s = d - c_R'M^-1 c_R is positive,
+        and s is not negative at any z: ``bordered`` keeps V's column
+        only on the corrected rows, c_R; M - U D U' = M0 is positive
+        semidefinite, so c_R'M^-1 c_R is at most the sum of c_i^2 / D_i;
+        a corrected electrode row's D_i is its row sum, |c_i| to
+        rounding (the flux rows sum to zero; a clamped row takes A_ii,
+        which is larger), so that sum is at most that of |c_R|, and s >=
+        d - sum |c_R| >= 0, d being the sum of |c| over every row
+        coupled to V (``bordered`` raises NotSPDError on an s that
+        rounds to zero or below, which no measured CEM solve met).
         """
         if self.voltage is None:
             return _TransformPreconditioner(self)
-        border, corner = self.voltage
-        grid = self.block.preconditioner
-        if not np.all(np.isin(np.flatnonzero(border), grid.rows)):
-            grid = _TransformPreconditioner(self.block, border != 0.0)
-        return grid.bordered(border, corner)
+        return self.block.preconditioner.bordered(*self.voltage)
 
     @property
     def dimension(self) -> int:
@@ -169,7 +171,8 @@ def _faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The boundary faces of the n x n grid in the order of
     ``boundary.boundary_faces``: the global node of the row each adds to,
     the loop index of the coefficient on it and its length, shared by the
-    Robin and CEM systems of this size and ``boundary_net_flux``."""
+    Robin and CEM systems of this size, ``boundary_net_flux`` and the
+    boundary penalty of ``recon``."""
     grid = Grid(n)
     node_f, val_f, w_f = boundary_faces(grid)
     faces = (boundary_nodes(grid)[node_f], val_f, w_f)
@@ -506,14 +509,15 @@ def pcg_solve(
     whose residual already meets ``tol`` is returned as it is, after 0
     iterations (``_cg``), so no preconditioner is applied or built.
 
-    The forward systems take at most about 20 iterations at every grid
-    size on media of contrast 2: the Robin ones at every z from 1 down to
-    1e-16, the CEM ones down to z = 1e-6 (there ``SOLVE_TOL`` is two
-    rounding units of V's row, so the count rests on rounding, and below
-    it the count grows).  Up to n = 64, where the preconditioner models the
-    stencil's own boundary edges, the Robin ones at z = 1 take 11-15 on
-    media of contrast 1.8, against 14-19 above it, and at most 8 at a
-    constant conductivity.
+    The forward systems take at most about 20 iterations at every grid size
+    on media of contrast 2: the Robin ones at every z from 1 down to 1e-16,
+    the CEM ones down to z = 1e-6 (there ``SOLVE_TOL`` is two rounding
+    units of V's row, so the count rests on rounding, and below it the
+    count grows), and all three at most 20 from z = 1e2 up to 1e8, where
+    the preconditioner's constant mode is A's.  Up to n = 64, where the
+    preconditioner models the stencil's own boundary edges, the Robin ones
+    at z = 1 take 11-15 on media of contrast 1.8, against 14-19 above it,
+    and at most 8 at a constant conductivity.
     Returns once the true relative residual ||Ax-b||/||b|| is at most
     ``tol``; raises SolverError when max(1, ``_CG_CAP_PER_SIDE``
     sqrt(dimension)) iterations do not get there or when CG meets a
@@ -595,25 +599,20 @@ class _TransformPreconditioner:
     zero).  Each term of at least ``_CORRECTED_TERM`` sigma_bar is an entry
     of the diagonal D on its row (U's column), and beta is the sum of the
     others over that of W, (n-1)^2 or n^2, so that M and A agree on the
-    constant vector.  Where D takes nearly every term, beta would leave M0
-    singular in its constant mode, which only the boundary terms hold, so
-    that mode's eigenvalue is at least a hundredth of sigma_bar mu_1: one
-    positive rank-one term in M, a hundredth of the least that sigma_bar L
-    puts on any other mode.  It stays below beta at z = 1 (below 2 over the
-    sum of W while sigma_bar < 20), and it does not grow with the boundary
-    terms: a floor of a thousandth of their sum over n^2 would put 200
-    times A's least eigenvalue on the constant mode at z = 1e-6, n = 17.
-
-    So small an eigenvalue would leave the Woodbury correction up to a
-    hundredfold M0^-1 to cancel on the constant mode (an apply's symmetry
-    defect reached 2e-12 at z = 1e-2 to 1e-4), so where D has entries M is
-    split as M_r - gamma e e', e = W 1 over the sum of W1, the constant
-    mode's column of (Phi x Phi)^-T (the unit constant vector where W is
-    I): M_r's M0 takes the constant mode at the eigenvalue of the next
-    one, mu_1 sigma_bar + beta, gamma the difference, and Sherman &
-    Morrison give M^-1 = M_r^-1 + kappa m m', m = M_r^-1 e, kappa = gamma
+    constant vector: M0's constant mode, which only the boundary terms
+    hold, has the eigenvalue beta.  Where D has entries, beta can be small
+    or zero, and the Woodbury correction would then cancel a large M0^-1 on
+    that mode (an apply's symmetry defect reached 2e-12 at z = 1e-2 to
+    1e-4), so M is split as M_r - gamma e e', e = W 1 over the sum of W1,
+    the constant mode's column of (Phi x Phi)^-T (the unit constant vector
+    where W is I): M_r's M0 takes the constant mode at the eigenvalue of
+    the next one, mu_1 sigma_bar + beta, gamma the difference, and Sherman
+    & Morrison give M^-1 = M_r^-1 + kappa m m', m = M_r^-1 e, kappa = gamma
     / (1 - gamma e'm), two positive terms.  Where D has none nothing
-    cancels, and M_r is M.
+    cancels, M_r is M, and beta > 0 is the least eigenvalue of M0, so M is
+    A on the constants at every z (at z = 1e8 the forward solves take at
+    most 19 iterations; a floor of sigma_bar mu_1 / 100 on that mode would
+    take up to 32).
 
     M0^-1 is applied by the 2-D transform pair, and D by Woodbury's
     identity, the capacitance matrix method (Buzbee, Dorr, George & Golub,
@@ -631,13 +630,9 @@ class _TransformPreconditioner:
     subtracts the transform of the result, each a product of O(n^2) (O(k^2)
     with C^-1, k the entries of D).  NotSPDError on a nonpositive diagonal
     entry of A.
-
-    The boolean ``coupled`` over the grid nodes, for a CEM's grid block,
-    marks rows that D takes whatever their term
-    (``SparseSystem.preconditioner``).
     """
 
-    def __init__(self, system: SparseSystem, coupled: np.ndarray | None = None) -> None:
+    def __init__(self, system: SparseSystem) -> None:
         n = math.isqrt(system.table.shape[1])
         N = n * n
         diagonal = system.table[2]
@@ -648,15 +643,11 @@ class _TransformPreconditioner:
         sigma_bar = math.exp(float(np.mean(np.log(quarter))))
         terms = (system.operator @ np.ones(N))[kb]
         corrected = terms >= _CORRECTED_TERM * sigma_bar
-        if coupled is not None:
-            corrected |= coupled[kb]
         phi, mu, w = _cosine_basis(n)  # x = Phi x_hat along an axis
         # beta W takes the spread terms, so M and A agree on the constants
         eig = sigma_bar * (mu[:, None] + mu) + float(terms[~corrected].sum()) / w.sum() ** 2
-        # M's constant mode takes at least a hundredth of sigma_bar mu_1;
-        # where D has entries, M_r's takes the next mode's eigenvalue,
-        # gamma more
-        eig[0, 0] = max(eig[0, 0], 1e-2 * sigma_bar * mu[1])
+        # where D has entries, M_r's constant mode takes the next mode's
+        # eigenvalue, gamma more than beta
         gamma = eig[0, 1] - eig[0, 0] if corrected.any() else 0.0
         eig[0, 0] += gamma
         self.n = n
@@ -728,15 +719,17 @@ class _TransformPreconditioner:
 
     def bordered(self, border: np.ndarray, corner: float) -> Callable[[np.ndarray], np.ndarray]:
         """The exact inverse of the bordered [[M, c], [c', d]], c V's
-        column ``border``, zero off the corrected rows, and d V's diagonal
-        ``corner``, through V's scalar Schur complement s = d - c'M^-1 c:
+        column ``border`` on the corrected rows only, c_R, zero on the rows
+        whose terms M spreads, and d V's diagonal ``corner``, through V's
+        scalar Schur complement s = d - c'M^-1 c:
         (r, rho) goes to (M^-1 r - t M^-1 c, t) with t = (rho - (M^-1 c)'r)
         / s, which is M^-1 + vv'/s on r, v = (M^-1 c, -1), SPD as s > 0.
 
         Woodbury gives M_r^-1 c = M0^-1 U C^-1 q and c'M_r^-1 c = c'D^-1 c
         - q'C^-1 q, q = D^-1 c, so s = (d - sum |c|) + sum (|c| - c^2/D) +
         q'C^-1 q - kappa (m'c)^2: where D is |c| (a CEM's electrode rows)
-        each of the first three terms is small or positive, free of the
+        each of the first three terms is nonnegative to rounding (d sums
+        |c| over every coupled row, c_R's among them), free of the
         cancellation of d - c'M_r^-1 c, whose terms grow as 1/z.  On a
         clamped row M_r^-1 c is c/A_ii, and A_ii stands for D in its term.
         NotSPDError where s is not positive (rounding).

@@ -85,19 +85,17 @@ def solve_cem_forward(
     system (as it does unless z is small) it is returned as it is, with no
     preconditioner applied; elsewhere CG polishes it, preconditioned by the
     Robin solve's transform preconditioner extended to V
-    (``SparseSystem.preconditioner``).  Where cem_scaling finds
-    1/lambda degenerate (z below about 1e-12) the CEM solve starts from
-    zero.  ``stats`` counts the iterations of both solves.
+    (``SparseSystem.preconditioner``).  ``stats`` counts the iterations
+    of both solves.  Where 1/lambda is degenerate (``cem_scaling``: z
+    below about 1e-12) there is no guess, and the DataError that names z
+    is raised after the Robin solve, before any CEM iteration (a CEM solve
+    from zero ends in SolverError or NotSPDError there).
     """
     robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
     system = _bordered(robin, sigma, electrodes, grid)
     x, robin_stats = pcg_solve(robin, tol=tol)
-    try:
-        lam = _scaling(ScalarField(grid, x), electrodes, grid)
-    except DataError:  # so small a z that the Robin current, 1/lambda, is below 1e-12
-        x0 = None
-    else:
-        x0 = np.append(lam * x, lam * (electrodes.z * electrodes.current))
+    lam = _scaling(ScalarField(grid, x), electrodes, grid)
+    x0 = np.append(lam * x, lam * (electrodes.z * electrodes.current))
     x, stats = pcg_solve(system, tol=tol, x0=x0)
     stats.iterations += robin_stats.iterations
     v = ScalarField(grid, x[:-1])
@@ -145,7 +143,8 @@ def _scaling(u: ScalarField, electrodes: ElectrodeSet, grid: Grid) -> float:
     inv_minus = length + float(w_neg @ tr[neg]) / zi
     inv = 0.5 * (inv_plus + inv_minus)
     if abs(inv) < 1e-12:
-        raise DataError(f"degenerate CEM scaling: 1/lambda = {inv:.3e}")
+        raise DataError(f"degenerate CEM scaling: 1/lambda = {inv:.3e} at contact "
+                        f"impedance z = {electrodes.z:g}")
     return 1.0 / inv
 
 

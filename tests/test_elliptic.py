@@ -289,6 +289,7 @@ def _forward_system(n, seed, aperture, z, epsilon, cem):
        aperture=st.floats(0.3, 1.0), log_z=st.floats(-4.0, 0.5),
        epsilon=st.sampled_from([0.0, 1e-3, 0.5]), cem=st.booleans())
 @example(n=65, seed=2, aperture=1.0, log_z=-0.7, epsilon=0.0, cem=True)  # M spreads the border
+@example(n=65, seed=2, aperture=1.0, log_z=-1.0, epsilon=0.0, cem=True)  # ... its corners only
 def test_transform_preconditioner_spd_and_pcg_matches_direct(n, seed, aperture, log_z,
                                                              epsilon, cem):
     # the preconditioner that pcg_solve builds for a forward system, the
@@ -345,12 +346,13 @@ def _medium(kind, g):
 def test_forward_solves_take_at_most_25_iterations(n):
     # criterion 6's phantom and an ellipse layout; the sharp and the
     # smoothed Robin system and the CEM system on each, at two apertures
-    # and three contact impedances, each solved from a zero guess below,
-    # at and above the dense transform's cut (at most 19 here)
+    # and five contact impedances, each solved from a zero guess below,
+    # at and above the dense transform's cut (at most 19 here; a floor on
+    # the preconditioner's constant mode would take up to 32 at z = 1e8)
     g = make_grid(n)
     for medium in ("blobs", "ellipses-0"):
         sigma = _medium(medium, g)
-        for z in (1.0, 1e-2, 1e-6):
+        for z in (1e8, 1e4, 1.0, 1e-2, 1e-6):
             for aperture in (1.0, 0.5):
                 el = ElectrodeSet(aperture=aperture, z=z)
                 for system in (assemble_cem(sigma, el, g),
@@ -532,8 +534,9 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
     if kind == "laplace":
         return  # solved by sine_solve, with no transform preconditioner
     grid = system if system.block is None else system.block
-    terms = grid.operator @ np.ones(n * n)  # the boundary terms, on the boundary rows
-    pc = _TransformPreconditioner(grid, terms > 1e-8)  # every row with a term
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elliptic, "_CORRECTED_TERM", 1e-8)  # every row with a term
+        pc = _TransformPreconditioner(grid)
     assert pc.rows.size
     a = rng.normal(size=(n, n))
     if n <= 64:
@@ -729,7 +732,7 @@ def test_transform_preconditioner_is_spd_and_solves_the_sweep_systems(n, contras
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.one_of(st.integers(3, 20), st.integers(65, 70)), aperture=st.floats(0.3, 1.0),
-       epsilon=st.sampled_from([0.0, 5e-4]), log_z=st.floats(-16.0, 0.0),
+       epsilon=st.sampled_from([0.0, 5e-4]), log_z=st.floats(-16.0, 4.0),
        seed=st.integers(0, 2**32 - 1))
 @example(n=12, aperture=1.0, epsilon=5e-4, log_z=0.0, seed=0)  # no row corrected
 @example(n=17, aperture=0.5, epsilon=0.0, log_z=-5.0, seed=0)  # every term corrected
@@ -745,10 +748,8 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
     # grid line, S = (W1 x W1)^-1/2 and K = W1^-1/2 T W1^-1/2; sigma_bar
     # the geometric mean of a quarter of the interior diagonal; D the
     # boundary terms of at least sigma_bar / 10, scaled by S^2, on their
-    # rows; beta the others' sum over that of W1 x W1, so that M and A
-    # agree on the constants; and the scaled model's constant mode, W^1/2
-    # 1, raised to a hundredth of sigma_bar's times K's least positive
-    # eigenvalue where beta is below that.  Up to the dense transform's
+    # rows; and beta the others' sum over that of W1 x W1, so that M and A
+    # agree on the constants at every z.  Up to the dense transform's
     # n = 64 W1 is the stencil's own, 1/2 at both ends, so that at a
     # constant sigma the flux part of M is that of A, and K's eigenvalues
     # are 4 sin^2(pi k / 2(n-1)) (DCT-I); above it W1 is I and M the
@@ -756,8 +757,8 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
     # whose term is at least 1e6 sigma_bar is clamped: M is taken with D
     # infinite there, its inverse zero on that row and column, and the
     # preconditioner returns r / A's diagonal on it.  M is built sparse
-    # (its floor a rank-one term) and checked against by a dense solve
-    # below n = 21, and by the residual M P(r) - r above n = 64
+    # and checked against by a dense solve below n = 21, and by the
+    # residual M P(r) - r above n = 64
     try:
         g, coeffs = _sweep_coefficients(n, aperture, log_z, epsilon)
     except DataError:
@@ -786,10 +787,6 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
               + sp.diags(np.full(N, beta)) + sp.csr_matrix(
                   (terms[corrected] * s[rows] ** 2, (rows, rows)), shape=(N, N)))
     M = sp.diags(1.0 / s) @ scaled @ sp.diags(1.0 / s)
-    mu_1 = 4.0 * math.sin(0.5 * math.pi / (n - 1 if dense else n)) ** 2
-    constant = (1.0 / s) / np.linalg.norm(1.0 / s)  # the scaled constant mode, unit
-    raise_by = max(beta, 1e-2 * sigma_bar * mu_1) - beta
-    f = constant / s  # S^-1 times it: M's floor is raise_by f f'
     clamped = np.zeros(N, dtype=bool)
     clamped[(lj * n + li)[terms >= 1e6 * sigma_bar]] = True
     free = ~clamped
@@ -798,16 +795,14 @@ def test_transform_preconditioner_inverts_its_model(n, aperture, epsilon, log_z,
     np.testing.assert_allclose(got[clamped], r[clamped] / system.table[2, clamped], rtol=1e-15)
     M_free = M[free][:, free]
     if dense:
-        expected = np.linalg.solve(M_free.toarray() + raise_by * np.outer(f[free], f[free]),
-                                   r[free])
+        expected = np.linalg.solve(M_free.toarray(), r[free])
         assert np.linalg.norm(got[free] - expected) <= 1e-9 * np.linalg.norm(expected)
     else:
         x = got[free]
-        residual = M_free @ x + (raise_by * float(f[free] @ x)) * f[free] - r[free]
         # a backward error: the terms of M x grow as 1/z, and x as the
         # inverse of the constant mode's least eigenvalue
-        scale = abs(M_free).sum(axis=1).max() + raise_by * float(f[free] @ f[free])
-        assert np.linalg.norm(residual) <= 1e-12 * scale * np.linalg.norm(x)
+        scale = abs(M_free).sum(axis=1).max()
+        assert np.linalg.norm(M_free @ x - r[free]) <= 1e-12 * scale * np.linalg.norm(x)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1072,10 +1067,12 @@ def test_a_contact_impedance_whose_stencil_rounds_away_fails_before_any_solve(
     # t, at most t 2^-52, up.  Where the edge terms round away the voltage
     # difference that carries the node's current lies below a rounding unit
     # of V: a DataError before any solve.  Any other z either fails loudly
-    # (the large-z check of the CEM assembly, or a solver error where a
-    # small z leaves CG short of the residual) or solves, with the injected
-    # current, the sum over e+ of w/z (V - v), equal to I within 1e-6 I and
-    # the rounding of V and v to doubles, which that sum multiplies by w/z.
+    # (the large-z check of the CEM assembly, the degenerate scaling that
+    # names z where a small z puts 1/lambda below 1e-12, or a solver error
+    # where a small z leaves CG short of the residual) or solves, with the
+    # injected current, the sum over e+ of w/z (V - v), equal to I within
+    # 1e-6 I and the rounding of V and v to doubles, which that sum
+    # multiplies by w/z.
     # The check of the large z asks some diagonal to grow by more than two
     # of its rounding units s, at most an ulp of 2 max sigma: once t > 3 s
     # it does, the rounded sum lying within s of the exact one (s/2 unless
@@ -1097,6 +1094,9 @@ def test_a_contact_impedance_whose_stencil_rounds_away_fails_before_any_solve(
     try:
         result = solve_cem_forward(sigma, el, g)
     except DataError as exc:
+        if "degenerate CEM scaling" in str(exc):
+            assert f"contact impedance z = {el.z:g}" in str(exc)
+            return
         assert "rounds away" in str(exc)
         assert not (stencil_kept and term_grows)
         return
@@ -1122,6 +1122,22 @@ def test_a_boundary_term_of_one_rounding_unit_fails_before_any_solve():
     result = solve_cem_forward(sigma, ElectrodeSet(z=1e12), g)
     assert result.stats.relative_residual <= elliptic.SOLVE_TOL
     assert np.all(np.isfinite(result.a.values))
+
+
+@pytest.mark.parametrize("z", [1e-15, 1e-16])
+def test_a_degenerate_cem_scaling_fails_after_the_robin_solve(z):
+    # blobs seed 2 at n=17: the Robin solve's current 1/lambda lies below
+    # 1e-12, so there is no guess for the CEM solve, and the DataError that
+    # names z comes after that one solve, with no CEM iteration (a CEM
+    # solve from zero ends in a SolverError or NotSPDError there)
+    g = make_grid(17)
+    sigma = generate_phantom(PhantomSpec(kind="blobs", n=17, seed=2))
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _record_calls(mp, elliptic, "_cg")
+        message = r"degenerate CEM scaling: 1/lambda = .* contact impedance z = " + f"{z:g}"
+        with pytest.raises(DataError, match=message):
+            solve_cem_forward(sigma, ElectrodeSet(z=z), g)
+    assert len(solves) == 1 and solves[0][1].size == g.num_nodes
 
 
 @pytest.mark.parametrize("n, z", [(17, 1e14), (256, 1e13)])
