@@ -7,17 +7,23 @@ smoothed electrode model by epsilon.  ``base_coefficients`` decides which
 boundary nodes each electrode covers, ``boundary_faces`` how the discrete
 systems integrate along the boundary, and ``electrode_quadrature`` reads
 each electrode's faces off the two.
+
+This module is the one owner of the electrode footprint: both functions
+give grid-node rows (``boundary_faces`` the row of each face,
+``electrode_quadrature`` each electrode's rows), which the Robin and CEM
+systems, the CEM scaling and the level calibration index with as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DataError
-from .fields import BoundaryValues, Grid, boundary_loop, require_same_grid
+from .fields import BoundaryValues, Grid, boundary_loop, boundary_nodes, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -66,18 +72,22 @@ class RobinCoefficients:
         require_same_grid(self.b, self.c)
 
 
+@lru_cache(maxsize=4)
 def boundary_faces(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Face decomposition of the boundary for assembly and flux integrals.
+    """Face decomposition of the boundary for assembly and flux integrals:
+    the one rule, read by the Robin and CEM systems, ``boundary_net_flux``,
+    the boundary penalty of ``recon`` and ``electrode_quadrature``.
 
-    Returns (node_idx, value_idx, weight) arrays over all boundary faces:
-    ``node_idx`` is the loop index of the node owning the face (the row the
-    face contributes to), ``value_idx`` the loop index whose stored
-    coefficient value applies on that face, ``weight`` the face length.
-    Non-corner nodes own a single face of length h carrying their own value.
-    A corner owns two half-faces of length h/2: the lateral-side face carries
-    the corner's own stored value, while the horizontal-side face carries the
-    value stored at the adjacent non-corner node of that side (the corner
-    rule keeps electrode values off the corner entry itself).
+    Returns (rows, value_idx, weight) arrays over all boundary faces:
+    ``rows`` is the global node of the row each face adds to (the node
+    owning it), ``value_idx`` the loop index whose stored coefficient value
+    applies on that face, ``weight`` the face length.  Non-corner nodes own
+    a single face of length h carrying their own value.  A corner owns two
+    half-faces of length h/2: the lateral-side face carries the corner's
+    own stored value, while the horizontal-side face carries the value
+    stored at the adjacent non-corner node of that side (the corner rule
+    keeps electrode values off the corner entry itself).  The arrays are
+    cached per grid and read-only.
     """
     m = grid.n - 1
     h = grid.h
@@ -93,7 +103,10 @@ def boundary_faces(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     value_idx[first + 1] = corner + np.array([1, -1, 1, -1])
     weight = np.full(node_idx.size, h)
     weight[first] = weight[first + 1] = 0.5 * h
-    return node_idx, value_idx, weight
+    faces = (boundary_nodes(grid)[node_idx], value_idx, weight)
+    for a in faces:
+        a.flags.writeable = False  # shared by every caller on this grid
+    return faces
 
 
 def _loop_positions(grid: Grid) -> np.ndarray:
@@ -223,25 +236,24 @@ def electrode_quadrature(
     nodes in ``base_coefficients`` (DataError where it spans fewer than
     two).
 
-    Returns ((loop_idx, weights), (loop_idx, weights)) for e+ and e-: the
-    loop indices of the nodes owning those faces, ordered by x, and the
-    length of each node's faces, h, or h/2 at a corner, which joins the arc
-    whose end is its horizontal neighbour.  An electrode of k nodes thus
-    has length k h, the footprint of the sharp Robin system, and at full
-    aperture its corners make the length exactly 1.
+    Returns ((rows, weights), (rows, weights)) for e+ and e-: the global
+    nodes of the rows those faces add to, ordered by x (an electrode's
+    rows lie on one grid line), and the length of each node's faces, h, or
+    h/2 at a corner, which joins the arc whose end is its horizontal
+    neighbour.  An electrode of k nodes thus has length k h, the footprint
+    of the sharp Robin system, and at full aperture its corners make the
+    length exactly 1.
 
     These are the faces on which the sharp Robin system integrates b and c,
     so it is the one electrode discretization: the complete electrode
-    model, ``cem_scaling`` and ``level_calibration`` read it.
+    model, ``cem_scaling`` and ``level_calibration`` read its rows as they
+    are.
     """
     c = base_coefficients(electrodes, grid).c.values
-    node_f, val_f, w_f = boundary_faces(grid)
-    x = boundary_loop(grid)[0] * grid.h
+    rows, value, weight = boundary_faces(grid)
     arcs = []
     for sign in (1.0, -1.0):
-        w = np.bincount(node_f, np.where(sign * c[val_f] > 0.0, w_f, 0.0),
-                        minlength=grid.num_boundary_nodes)
-        idx = np.flatnonzero(w)
-        idx = idx[np.argsort(x[idx])]
+        w = np.bincount(rows, np.where(sign * c[value] > 0.0, weight, 0.0))
+        idx = np.flatnonzero(w)  # along one grid line, so ordered by x
         arcs.append((idx, w[idx]))
     return arcs[0], arcs[1]

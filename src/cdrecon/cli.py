@@ -110,8 +110,6 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _coerce(o: Opt, raw, from_config: bool):
-    if raw is None:
-        return None
     if o.type is bool:
         if isinstance(raw, bool):
             return raw

@@ -8,7 +8,10 @@ edges lying in a boundary row/column carry half weight.  Robin data enters
 boundary rows scaled by the face quadrature weights from
 ``boundary.boundary_faces``, which keeps the matrix symmetric and makes the
 discrete solution exact on affine potentials for the sharp full-aperture
-configuration.
+configuration.  ``boundary`` owns the electrode footprint alone: the Robin
+terms, the CEM's voltage column and ``boundary_net_flux`` index the grid
+rows that ``boundary_faces`` and ``electrode_quadrature`` give, with no
+conversion of their own.
 
 The Robin and Laplace-Dirichlet systems share one five-point stencil
 (``_stencil``), whose table in DIA layout each system keeps as its matrix;
@@ -166,21 +169,6 @@ def _harmonic_mean(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     out /= a + b
 
 
-@lru_cache(maxsize=4)
-def _faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The boundary faces of the n x n grid in the order of
-    ``boundary.boundary_faces``: the global node of the row each adds to,
-    the loop index of the coefficient on it and its length, shared by the
-    Robin and CEM systems of this size, ``boundary_net_flux`` and the
-    boundary penalty of ``recon``."""
-    grid = Grid(n)
-    node_f, val_f, w_f = boundary_faces(grid)
-    faces = (boundary_nodes(grid)[node_f], val_f, w_f)
-    for a in faces:
-        a.flags.writeable = False  # shared by every system of this size
-    return faces
-
-
 def _offsets(n: int) -> np.ndarray:
     """The offsets of the five-point diagonals on an n x n grid, in the
     order of the rows of a DIA table."""
@@ -273,7 +261,7 @@ def assemble_robin(
     _check_positive_sigma(sigma_eff)
 
     n = grid.n
-    rows, value, weight = _faces(n)
+    rows, value, weight = boundary_faces(grid)
     table = _stencil(sigma_eff.values, n)
     # the boundary faces add to the diagonal after the edges
     b = coeffs.b.values
@@ -281,31 +269,6 @@ def assemble_robin(
     rhs = np.zeros(n * n)
     np.add.at(rhs, rows, weight * coeffs.c.values[value])
     return SparseSystem(table, rhs)
-
-
-def _bordered(robin: SparseSystem, sigma: ScalarField, electrodes: ElectrodeSet,
-              grid: Grid) -> SparseSystem:
-    """The system of ``assemble_cem`` from the sharp Robin system of its grid
-    block: it holds the Robin system's table, not a copy, and the Robin
-    system itself, whose preconditioner it extends.  V's column couples
-    each grid node to V, -w/z on e+ and +w/z on e-, and V's diagonal entry
-    is the sum of w/z over both electrodes; DataError when some electrode
-    node's diagonal in the table is w/z alone (``assemble_cem``)."""
-    nodes = boundary_nodes(grid)
-    border = np.zeros(robin.table.shape[1])
-    corner = 0.0
-    for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
-        wz = w * (1.0 / electrodes.z)  # rounded as the Robin face terms
-        border[nodes[idx]] = sign * wz
-        corner += float(wz.sum())
-    coupled = np.flatnonzero(border)
-    if np.any(robin.table[2, coupled] == np.abs(border[coupled])):
-        raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
-                        f"z = {electrodes.z:g} is too small for conductivities down to "
-                        f"{float(sigma.values.min()):g}")
-    rhs = np.zeros(border.size + 1)
-    rhs[-1] = 2.0 * electrodes.current
-    return SparseSystem(robin.table, rhs, (border, corner), robin)
 
 
 def assemble_cem(
@@ -321,7 +284,12 @@ def assemble_cem(
     ``base_coefficients`` (b = 1/z on the faces of ``electrode_quadrature``),
     so the solution v is lambda times the sharp Robin one at every aperture.
     The voltage V is the last unknown, N = n*n: the system holds the Robin
-    table and V's column -/+w/z and diagonal (``SparseSystem.voltage``).
+    system's table, not a copy, and V's column and diagonal
+    (``SparseSystem.voltage``), and keeps the Robin system as its
+    ``block``, whose preconditioner it extends and which
+    ``forward.solve_cem_forward`` solves first.  V's column is -w/z on the
+    rows of e+ and +w/z on those of e- that ``electrode_quadrature`` gives,
+    V's diagonal the sum of w/z over both electrodes.
 
     The Robin assembly's checks apply (``assemble_robin``), and a w/z so
     large that an electrode node's diagonal loses its edge terms is a
@@ -329,8 +297,21 @@ def assemble_cem(
     current then lies below a rounding unit of V, and a near-zero (v, V)
     can pass the residual check.
     """
-    return _bordered(assemble_robin(sigma, base_coefficients(electrodes, grid), grid),
-                     sigma, electrodes, grid)
+    robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
+    border = np.zeros(grid.num_nodes)
+    corner = 0.0
+    for (idx, w), sign in zip(electrode_quadrature(electrodes, grid), (-1.0, 1.0)):
+        wz = w * (1.0 / electrodes.z)  # rounded as the Robin face terms
+        border[idx] = sign * wz
+        corner += float(wz.sum())
+    coupled = np.flatnonzero(border)
+    if np.any(robin.table[2, coupled] == np.abs(border[coupled])):
+        raise DataError(f"the conductivity rounds away on an electrode: contact impedance "
+                        f"z = {electrodes.z:g} is too small for conductivities down to "
+                        f"{float(sigma.values.min()):g}")
+    rhs = np.zeros(border.size + 1)
+    rhs[-1] = 2.0 * electrodes.current
+    return SparseSystem(robin.table, rhs, (border, corner), robin)
 
 
 def assemble_laplace_dirichlet(data: BoundaryValues, grid: Grid) -> SparseSystem:
@@ -846,6 +827,6 @@ def boundary_net_flux(coeffs: RobinCoefficients, u: ScalarField) -> float:
     pattern, so the identity is exact up to the linear-solver residual.
     """
     grid = require_same_grid(u, coeffs)
-    rows, value, weight = _faces(grid.n)
+    rows, value, weight = boundary_faces(grid)
     c, b = coeffs.c.values[value], coeffs.b.values[value]
     return float(np.sum(weight * (c - b * u.values[rows])))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .boundary import ElectrodeSet, electrode_quadrature
 from .errors import DataError
-from .fields import Grid, ScalarField, boundary_nodes, require_same_grid
+from .fields import Grid, ScalarField, require_same_grid
 
 # potential-level bins of the calibration and of the calibrated stop rule; a
 # bin takes part only with at least _MIN_BAND_NODES margin-band nodes
@@ -101,9 +101,10 @@ def level_calibration(
 
     phi' is estimated per potential level bin of u as the median of sigma /
     background over the margin band (within ``band`` of the boundary),
-    pinned to 1 on the electrode ranges and normalized so phi stays
-    continuous; the returned pair is the transformed (sigma, u) together
-    with max |phi' - 1|.  A constant u, or electrode ranges that cover every
+    pinned to 1 on the electrode ranges (the bins of u on the grid rows of
+    ``electrode_quadrature``) and normalized so phi stays continuous; the
+    returned pair is the transformed (sigma, u) together with
+    max |phi' - 1|.  A constant u, or electrode ranges that cover every
     bin, leave no bin width to rescale and return the input.  The
     background must be positive and finite, and the band in (0, 0.5)
     (DataError).
@@ -132,10 +133,9 @@ def level_calibration(
     dphi = np.clip(dphi, 0.2, 5.0)
 
     # identity on the electrode value ranges: the bins of their nodes
-    trace_bin = bin_of[boundary_nodes(grid)]
     pinned = np.zeros(widths.size, dtype=bool)
     for idx, _ in electrode_quadrature(electrodes, grid):
-        on = trace_bin[idx]
+        on = bin_of[idx]
         pinned[on.min():on.max() + 1] = True
     dphi[pinned] = 1.0
     free = ~pinned

@@ -1,6 +1,8 @@
 """End-to-end forward simulation: Robin and complete-electrode-model solves,
 interior current-density magnitude, noise injection and the CEM-Robin
-scaling factor."""
+scaling factor.  The electrode footprint is ``boundary``'s alone: the CEM
+system comes whole from ``elliptic.assemble_cem``, and the scaling reads u
+on the grid rows of ``boundary.electrode_quadrature`` as they are."""
 
 from __future__ import annotations
 
@@ -9,19 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import ElectrodeSet, RobinCoefficients, base_coefficients, electrode_quadrature
-from .elliptic import (
-    SOLVE_TOL,
-    SolveStats,
-    _bordered,
-    assemble_robin,
-    pcg_solve,
-)
+from .boundary import ElectrodeSet, RobinCoefficients, electrode_quadrature
+from .elliptic import SOLVE_TOL, SolveStats, assemble_cem, assemble_robin, pcg_solve
 from .errors import DataError
 from .fields import (
     Grid,
     ScalarField,
-    boundary_trace,
     cell_average,
     cells_to_nodes,
     gradient,
@@ -78,12 +73,12 @@ def solve_cem_forward(
 
     The CEM system (``assemble_cem``) is the sharp Robin system bordered by
     V, so its solution is lambda (u0, zI), u0 the sharp Robin solution and
-    lambda = ``cem_scaling``.  After every check of the CEM assembly, the
-    sharp Robin system is solved as ``solve_forward`` solves it, its table
-    is then bordered by V (no copy, and no CSR matrix), and lambda (u0, zI)
-    is the guess of the CEM solve: where it meets ``tol`` on the bordered
-    system (as it does unless z is small) it is returned as it is, with no
-    preconditioner applied; elsewhere CG polishes it, preconditioned by the
+    lambda = ``cem_scaling``.  After every check of the CEM assembly, its
+    grid block, the sharp Robin system (``system.block``, whose table the
+    CEM system holds), is solved as ``solve_forward`` solves it, and
+    lambda (u0, zI) is the guess of the CEM solve: where it meets ``tol``
+    on the bordered system (as it does unless z is small) it is returned
+    as it is, with no preconditioner applied; elsewhere CG polishes it, preconditioned by the
     Robin solve's transform preconditioner extended to V
     (``SparseSystem.preconditioner``).  ``stats`` counts the iterations
     of both solves.  Where 1/lambda is degenerate (``cem_scaling``: z
@@ -91,9 +86,8 @@ def solve_cem_forward(
     is raised after the Robin solve, before any CEM iteration (a CEM solve
     from zero ends in SolverError or NotSPDError there).
     """
-    robin = assemble_robin(sigma, base_coefficients(electrodes, grid), grid)
-    system = _bordered(robin, sigma, electrodes, grid)
-    x, robin_stats = pcg_solve(robin, tol=tol)
+    system = assemble_cem(sigma, electrodes, grid)
+    x, robin_stats = pcg_solve(system.block, tol=tol)
     lam = _scaling(ScalarField(grid, x), electrodes, grid)
     x0 = np.append(lam * x, lam * (electrodes.z * electrodes.current))
     x, stats = pcg_solve(system, tol=tol, x0=x0)
@@ -111,10 +105,10 @@ def cem_scaling(
     solution: 1/lambda = |e| - (1/(zI)) * integral of u0 over e+.
 
     Length and integral run over the faces of ``electrode_quadrature``, on
-    which the sharp Robin system integrates its data, so the equivalent
-    expression through e- agrees by discrete conservation at every
-    aperture; the returned value averages the two. Raises on degenerate
-    scaling.
+    which the sharp Robin system integrates its data, with u read on that
+    function's grid rows as they are, so the equivalent expression through
+    e- agrees by discrete conservation at every aperture; the returned
+    value averages the two.  Raises on degenerate scaling.
     """
     require_same_grid(grid, result.u)
     return _scaling(result.u, electrodes, grid)
@@ -135,12 +129,14 @@ def robin_data(a: ScalarField, cem_voltage: float,
 
 
 def _scaling(u: ScalarField, electrodes: ElectrodeSet, grid: Grid) -> float:
-    tr = boundary_trace(u).values
+    """``cem_scaling`` of the nodal u, read on the grid rows of
+    ``electrode_quadrature`` as they are; DataError where 1/lambda is
+    below 1e-12 in magnitude, naming z."""
     zi = electrodes.z * electrodes.current
     (pos, w_pos), (neg, w_neg) = electrode_quadrature(electrodes, grid)
     length = float(w_pos.sum())
-    inv_plus = length - float(w_pos @ tr[pos]) / zi
-    inv_minus = length + float(w_neg @ tr[neg]) / zi
+    inv_plus = length - float(w_pos @ u.values[pos]) / zi
+    inv_minus = length + float(w_neg @ u.values[neg]) / zi
     inv = 0.5 * (inv_plus + inv_minus)
     if abs(inv) < 1e-12:
         raise DataError(f"degenerate CEM scaling: 1/lambda = {inv:.3e} at contact "

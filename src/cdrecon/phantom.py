@@ -173,8 +173,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     magic = token()
     if magic != b"P5":
         raise FormatError(f"{path}: not a binary PGM (magic {magic!r}, expected P5)")
+    # read before converting: a truncated header's FormatError is a ValueError too
+    header = token(), token(), token()
     try:
-        cols, rows, maxval = int(token()), int(token()), int(token())
+        cols, rows, maxval = map(int, header)
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer PGM header field") from exc
     if cols < 1 or rows < 1 or not (0 < maxval < 65536):

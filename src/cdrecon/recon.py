@@ -18,9 +18,10 @@ from .boundary import (
     ElectrodeSet,
     RobinCoefficients,
     _check_smoothing,
+    boundary_faces,
     robin_coefficients,
 )
-from .elliptic import SOLVE_TOL, SolveStats, _faces, assemble_robin, pcg_solve
+from .elliptic import SOLVE_TOL, SolveStats, assemble_robin, pcg_solve
 from .errors import DataError
 from .family import (
     CALIBRATION_BAND,
@@ -230,8 +231,8 @@ def boundary_penalty(v: ScalarField, coeffs: RobinCoefficients) -> float:
 def _boundary_penalty_of(coeffs: RobinCoefficients) -> Callable[[np.ndarray], float]:
     """``boundary_penalty`` for fixed coefficients, as a function of the flat
     nodal values of v; the face terms are computed once, on the faces of
-    the Robin assembly (``elliptic._faces``)."""
-    rows, val_f, w = _faces(coeffs.grid.n)
+    the Robin assembly (``boundary.boundary_faces``)."""
+    rows, val_f, w = boundary_faces(coeffs.grid)
     b, c = coeffs.b.values[val_f], coeffs.c.values[val_f]
     constant = float(0.5 * np.sum(w * np.divide(c * c, b, out=np.zeros_like(b), where=b > 0.0)))
     half_wb, wc = 0.5 * w * b, w * c

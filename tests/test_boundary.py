@@ -20,7 +20,7 @@ from cdrecon.boundary import (
 from cdrecon.elliptic import assemble_cem
 from cdrecon.errors import DataError
 from cdrecon.forward import cem_scaling, solve_forward
-from cdrecon.fields import ScalarField, boundary_loop, boundary_trace, make_grid
+from cdrecon.fields import ScalarField, boundary_loop, boundary_nodes, make_grid
 
 
 def test_electrode_set_validation():
@@ -152,14 +152,14 @@ def test_smoothed_antisymmetry_under_reflection():
 
 def test_electrode_quadrature_full_aperture_length_one():
     g = make_grid(65)
-    i, j = boundary_loop(g)
     for top_positive, plus_row in ((True, g.n - 1), (False, 0)):
         arcs = electrode_quadrature(ElectrodeSet(top_positive=top_positive), g)
         # e+ first, on the side the polarity names; both arcs ordered by x
-        # from corner to corner
-        assert [set(j[idx].tolist()) for idx, _ in arcs] == [{plus_row}, {g.n - 1 - plus_row}]
+        # from corner to corner, as the grid rows j*n + i of their nodes
+        assert [set((idx // g.n).tolist()) for idx, _ in arcs] == [{plus_row},
+                                                                 {g.n - 1 - plus_row}]
         for idx, w in arcs:
-            assert i[idx].tolist() == list(range(g.n))
+            assert (idx % g.n).tolist() == list(range(g.n))
             assert w[0] == w[-1] == g.h / 2
             assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -168,15 +168,14 @@ def test_electrode_quadrature_partial():
     # the faces of the five nodes in [0.25, 0.75], h each: the sharp Robin
     # footprint 5h
     g = make_grid(9)
-    i, _ = boundary_loop(g)
     for idx, w in electrode_quadrature(ElectrodeSet(aperture=0.5), g):
-        assert i[idx].tolist() == [2, 3, 4, 5, 6]
+        assert (idx % g.n).tolist() == [2, 3, 4, 5, 6]
         assert np.all(w == g.h)
         assert w.sum() == 0.625
     # an arc that ends next to a corner takes the corner's horizontal
     # half-face: [0.1, 0.9] covers the faces of the full aperture
     for idx, w in electrode_quadrature(ElectrodeSet(aperture=0.8), g):
-        assert i[idx].tolist() == list(range(g.n))
+        assert (idx % g.n).tolist() == list(range(g.n))
         assert w[0] == w[-1] == g.h / 2
         assert w.sum() == 1.0
     # an arc of fewer than two nodes: none at n=4, one at n=17
@@ -187,26 +186,26 @@ def test_electrode_quadrature_partial():
 
 def test_electrode_integral_constant():
     g = make_grid(17)
-    tr = boundary_trace(ScalarField.constant(g, 3.0)).values
+    u = ScalarField.constant(g, 3.0).values
     for idx, w in electrode_quadrature(ElectrodeSet(), g):
-        assert float(w @ tr[idx]) == pytest.approx(3.0, rel=1e-13)
+        assert float(w @ u[idx]) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_boundary_faces_weights():
     g = make_grid(9)
-    node_f, val_f, w = boundary_faces(g)
+    rows, val_f, w = boundary_faces(g)
     # every non-corner node owns h, corners own two halves
     assert w.sum() == pytest.approx(4.0, abs=1e-14)
     m = g.n - 1
-    corners = {0, m, 2 * m, 3 * m}
-    for c in corners:
-        faces = np.flatnonzero(node_f == c)
+    for c in boundary_nodes(g)[[0, m, 2 * m, 3 * m]]:
+        faces = np.flatnonzero(rows == c)
         assert len(faces) == 2
         assert np.all(w[faces] == g.h / 2)
 
 
 def _faces_by_loop(g):
-    """The former face loop of ``boundary_faces``."""
+    """The former face loop of ``boundary_faces``, its owning loop indices
+    mapped to their grid rows."""
     m = g.n - 1
     h = g.h
     corners = {0: 1, m: m - 1, 2 * m: 2 * m + 1, 3 * m: 3 * m - 1}
@@ -220,7 +219,7 @@ def _faces_by_loop(g):
             node_idx.append(k)
             value_idx.append(k)
             weight.append(h)
-    return np.asarray(node_idx), np.asarray(value_idx), np.asarray(weight)
+    return boundary_nodes(g)[np.asarray(node_idx)], np.asarray(value_idx), np.asarray(weight)
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,9 +248,9 @@ def _former_node_mask(electrodes, grid, side):
 
 
 def _side_faces(electrodes, grid, side):
-    """Loop indices by x and face lengths of one electrode: h for each of
-    its nodes off the corners, h/2 for a corner whose horizontal neighbour
-    is one of them."""
+    """Grid rows by x and face lengths of one electrode: h for each of its
+    nodes off the corners, h/2 for a corner whose horizontal neighbour is
+    one of them; found by loop index, then mapped to the rows."""
     i, j = boundary_loop(grid)
     xl, xh = electrodes.span()
     x = i * grid.h
@@ -265,7 +264,7 @@ def _side_faces(electrodes, grid, side):
             w[on_side & (i == corner)] = 0.5 * grid.h
     idx = np.flatnonzero(w)
     idx = idx[np.argsort(x[idx])]
-    return idx, w[idx]
+    return boundary_nodes(grid)[idx], w[idx]
 
 
 def _former_base(electrodes, grid):
@@ -300,13 +299,11 @@ def _side_cem(sigma, electrodes, grid):
     n = grid.n
     N = n * n
     stencil = elliptic._stencil(sigma.values, n)
-    li, lj = boundary_loop(grid)
     pos_side = "top" if electrodes.top_positive else "bottom"
     border = np.zeros(N)
     corner = 0.0
     for side in ("top", "bottom"):
-        idx, w = _side_faces(electrodes, grid, side)
-        g = (lj * n + li)[idx]
+        g, w = _side_faces(electrodes, grid, side)
         wz = w * (1.0 / electrodes.z)
         stencil[2, g] += wz  # the centre diagonal of the DIA table
         border[g] = -wz if side == pos_side else wz
@@ -317,12 +314,12 @@ def _side_cem(sigma, electrodes, grid):
 
 
 def _side_cem_scaling(result, electrodes, grid):
-    tr = boundary_trace(result.u).values
+    u = result.u.values
     z, cur = electrodes.z, electrodes.current
 
     def integral(side):
         idx, w = _side_faces(electrodes, grid, side)
-        return float(w @ tr[idx])
+        return float(w @ u[idx])
 
     length = float(_side_faces(electrodes, grid, "top")[1].sum())
     pos = "top" if electrodes.top_positive else "bottom"

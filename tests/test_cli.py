@@ -102,6 +102,15 @@ def test_exit_code_usage(capsys):
         capsys.readouterr()
         assert run(["study", "--a", "x.fld", "--factor", factor, "--out", "y.csv"]) == 1
         assert "--factor" in capsys.readouterr().err
+    # a flag of the wrong type and a polarity that names no side: exit 1,
+    # one error line that names the option, before any file is read
+    for args, option in ((["phantom", "--n", "abc", "--out", "y.fld"], "--n: expected int"),
+                         (["forward", "--sigma", "x.fld", "--polarity", "sideways",
+                           "--out-a", "y.fld"], "--polarity must be top or bottom")):
+        capsys.readouterr()
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrecon: error: {option}") and err.count("\n") == 1
 
 
 def test_exit_code_unknown_config_key(tmp_path):

@@ -38,6 +38,7 @@ from cdrecon.fields import (
     BoundaryValues,
     ScalarField,
     boundary_loop,
+    boundary_nodes,
     boundary_trace,
     make_grid,
 )
@@ -177,9 +178,8 @@ def test_cem_electrode_current_integral():
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=33, seed=2))
     x, stats = pcg_solve(assemble_cem(sigma, el, g), tol=1e-12)
     V = x[-1]
-    tr = boundary_trace(ScalarField(g, x[:-1])).values
     (idx, w), _ = electrode_quadrature(el, g)
-    injected = float(np.sum(w * (V - tr[idx]) / el.z))
+    injected = float(np.sum(w * (V - x[:-1][idx]) / el.z))
     assert injected == pytest.approx(el.current, abs=1e-8)
 
 
@@ -565,15 +565,19 @@ def test_grid_operator_and_transfers_match_csr_bincount_and_gather(n, kind, seed
 def test_the_finest_level_is_the_assemblys_table():
     # the operator's DIA data are the table each assembly built, not a copy
     # of it, and the CEM system holds its Robin block's table and the
-    # Robin system itself, whose preconditioner it extends
+    # Robin system itself, whose preconditioner it extends: the sharp
+    # Robin system of its electrodes, byte for byte
     g = make_grid(20)
     sigma = generate_phantom(PhantomSpec(kind="blobs", n=20, seed=3))
-    robin = assemble_robin(sigma, base_coefficients(ElectrodeSet(), g), g)
-    cem = elliptic._bordered(robin, sigma, ElectrodeSet(), g)
+    cem = assemble_cem(sigma, ElectrodeSet(), g)
+    robin = cem.block
     laplace = assemble_laplace_dirichlet(BoundaryValues(g, np.ones(g.num_boundary_nodes)), g)
     for system in (robin, cem, laplace):
         assert np.shares_memory(system.operator.stencil.data, system.table)
-    assert cem.table is robin.table and cem.block is robin
+    assert cem.table is robin.table and robin.voltage is None
+    sharp = assemble_robin(sigma, base_coefficients(ElectrodeSet(), g), g)
+    assert (robin.table.tobytes(), robin.rhs.tobytes()) == (sharp.table.tobytes(),
+                                                            sharp.rhs.tobytes())
 
 
 def _record_csr_builds(mp):
@@ -668,9 +672,9 @@ def _sweep_coefficients(n, aperture, log_z, epsilon):
 
 def _boundary_terms(g, coeffs):
     """The boundary term of each boundary node's row, in loop order: the
-    sum of w b over the faces it owns."""
-    node_f, val_f, w_f = boundary_faces(g)
-    return np.bincount(node_f, w_f * coeffs.b.values[val_f], minlength=g.num_boundary_nodes)
+    sum of w b over the faces it owns, read at the boundary nodes' rows."""
+    rows, val_f, w_f = boundary_faces(g)
+    return np.bincount(rows, w_f * coeffs.b.values[val_f])[boundary_nodes(g)]
 
 
 def _record_calls(mp, module, name):
@@ -837,6 +841,16 @@ def test_sine_solve_returns_new_memory():
     assert y.tobytes() == x.tobytes()
 
 
+def test_sine_solve_rejects_a_dimension_of_no_grid():
+    # the CEM system's n*n + 1 unknowns, and a table of 2 x 2 nodes
+    g = make_grid(9)
+    cem = assemble_cem(ScalarField.constant(g, 1.0), ElectrodeSet(), g)
+    small = SparseSystem(np.zeros((5, 4)), np.zeros(4))
+    for system, dim in ((cem, 82), (small, 4)):
+        with pytest.raises(DimensionError, match=f"dimension {dim} is not that of an n x n grid"):
+            sine_solve(system)
+
+
 def test_sine_solve_rejects_nan_rhs():
     # a NaN norm of the rhs must reach the residual check, not the zero-rhs
     # shortcut, whether the NaN sits in a Dirichlet row or an interior one
@@ -904,9 +918,7 @@ def test_robin_pattern_refill_matches_coo_build(n, seed, aperture, epsilon):
     folded = RobinCoefficients(coeffs.b, BoundaryValues(g, coeffs.c.values + flux.values))
     system = assemble_robin(sigma, folded, g)
 
-    li, lj = boundary_loop(g)
-    node_f, val_f, w_f = boundary_faces(g)
-    face_rows = (lj * n + li)[node_f]
+    face_rows, val_f, w_f = boundary_faces(g)
     rows, cols, vals = _edge_entries(sigma.values2d, n)
     expected = _coo_to_csr(rows + [face_rows], cols + [face_rows],
                            vals + [w_f * coeffs.b.values[val_f]], n * n)
@@ -1103,7 +1115,7 @@ def test_a_contact_impedance_whose_stencil_rounds_away_fails_before_any_solve(
     except SolverError:
         return
     (idx, w), _ = electrode_quadrature(el, g)
-    v, V = boundary_trace(result.u).values[idx], result.cem_voltage
+    v, V = result.u.values[idx], result.cem_voltage
     current = float(np.sum(w / el.z * (V - v)))
     rounding = 2.0**-52 * float(np.sum(w / el.z * (abs(V) + np.abs(v))))
     assert abs(current - el.current) <= 1e-6 * el.current + rounding

@@ -1,6 +1,7 @@
 """Grid, operators, norms, and the FLD1 file format."""
 
 import ast
+import re
 import struct
 from pathlib import Path
 
@@ -382,9 +383,16 @@ def test_field_read_size_mismatch(tmp_path):
 
 def test_field_read_bad_header(tmp_path):
     p = tmp_path / "bad.fld"
-    p.write_bytes(b"FLD2 4 4\n" + b"\x00" * (16 * 8))
-    with pytest.raises(FormatError, match="header"):
-        read_field(p)
+    for header, message in (
+        (b"FLD2 4 4\n", "expected 'FLD1 <nx> <ny>'"),
+        (b"FLD1 4 4", "missing newline"),
+        (b"FLD1 4 x\n", "non-integer dimensions"),
+        (b"FLD1 4 5\n", "non-square field 4x5"),
+        (b"FLD1 2 2\n", "grid size 2 below minimum 3"),
+    ):
+        p.write_bytes(header + b"\x00" * (16 * 8))
+        with pytest.raises(FormatError, match="header: " + re.escape(message)):
+            read_field(p)
 
 
 def test_field_read_trailing_bytes_rejected(tmp_path):
@@ -413,6 +421,8 @@ def test_scalar_field_validation():
         ScalarField(g, np.full(16, np.inf))
     with pytest.raises(DimensionError):
         BoundaryValues(g, np.zeros(11))
+    with pytest.raises(DimensionError, match="needs 9 values per component, got 9 and 8"):
+        VectorField(g, np.zeros(9), np.zeros(8))
 
 
 def test_a_field_shares_the_array_it_is_built_from():

@@ -19,7 +19,7 @@ from cdrecon import elliptic
 from cdrecon.elliptic import SOLVE_TOL, assemble_cem, assemble_robin
 from cdrecon.errors import DataError
 from cdrecon.family import nonuniqueness_transform
-from cdrecon.fields import ScalarField, boundary_trace, make_grid, rel_l2_error
+from cdrecon.fields import ScalarField, make_grid, rel_l2_error
 from cdrecon.forward import (
     add_noise,
     cem_scaling,
@@ -121,7 +121,7 @@ def test_cem_scaling_value_and_consistency(homog33):
 
 def _scaling_inverses(g, el, sigma):
     r = solve_forward(sigma, base_coefficients(el, g), g, tol=1e-12)
-    tr = boundary_trace(r.u).values
+    tr = r.u.values  # read on the electrodes' grid rows
     (pos, w_pos), (neg, w_neg) = electrode_quadrature(el, g)
     length = w_pos.sum()
     inv_plus = length - (w_pos @ tr[pos]) / (el.z * el.current)
@@ -339,3 +339,9 @@ def test_nonuniqueness_rejects_non_increasing(homog33):
             nonuniqueness_transform(r.u, sigma, bad)
     with pytest.raises(DataError):
         nonuniqueness_transform(ScalarField.constant(g, 1.0), sigma, 0.1)
+    # a bump whose support reaches either end of u0's range
+    lo, hi = float(r.u.values.min()), float(r.u.values.max())
+    for center, halfwidth in ((0.5 * (lo + hi), 0.5 * (hi - lo)), (lo, 0.1 * (hi - lo)),
+                              (hi + 1.0, 0.1 * (hi - lo))):
+        with pytest.raises(DataError, match="bump support must lie strictly inside"):
+            nonuniqueness_transform(r.u, sigma, 0.1, center, halfwidth)

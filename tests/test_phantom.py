@@ -116,6 +116,42 @@ def test_pgm_16bit_round_trip(tmp_path):
     assert np.array_equal(back, gray)
 
 
+def test_pgm_header_comments_are_skipped(tmp_path):
+    p = tmp_path / "commented.pgm"
+    p.write_bytes(b"P5\n# made by hand\n2 # cols, then rows\n2\n255\n" + bytes([0, 1, 2, 3]))
+    gray, maxval = read_pgm(p)
+    assert maxval == 255
+    assert gray.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "truncated PGM header"),
+    (b"P5\n2 2\n", "truncated PGM header"),
+    (b"P5\n2 2\n# a comment that runs to the end", "truncated PGM header"),
+    (b"P5\n2 x\n255\n", "non-integer PGM header field"),
+    (b"P5\n0 2\n255\n", "bad PGM dimensions 0x2 maxval 255"),
+    (b"P5\n2 2\n65536\n", "bad PGM dimensions 2x2 maxval 65536"),
+    (b"P5\n2 2\n255\n" + bytes(3), "PGM payload short: 3 bytes, need 4"),
+    (b"P5\n2 2\n65535\n" + bytes(7), "PGM payload short: 7 bytes, need 8"),
+])
+def test_pgm_bad_header_or_payload(tmp_path, content, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(content)
+    with pytest.raises(FormatError, match=message):
+        read_pgm(p)
+
+
+def test_write_pgm_rejects_bad_maxval_and_shape(tmp_path):
+    p = tmp_path / "out.pgm"
+    for maxval in (0, 65536):
+        with pytest.raises(DataError, match=f"maxval out of range: {maxval}"):
+            write_pgm(p, np.zeros((2, 2)), maxval=maxval)
+    for gray in (np.zeros(4), np.zeros((2, 2, 1))):
+        with pytest.raises(DataError, match="PGM image must be 2-D"):
+            write_pgm(p, gray)
+    assert not p.exists()
+
+
 def test_field_to_pgm_fixed_range(tmp_path):
     from cdrecon.fields import ScalarField, make_grid
 

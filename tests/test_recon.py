@@ -425,10 +425,9 @@ def _former_level_calibration(sigma, u, electrodes, background, band):
         dphi[b] = float(np.median(sigma.values[band_mask & (bin_of == b)])) / background
     dphi = np.convolve(np.pad(dphi, 1, mode="edge"), np.array([0.25, 0.5, 0.25]), mode="valid")
     dphi = np.clip(dphi, 0.2, 5.0)
-    tr = boundary_trace(u).values
     pinned = np.zeros(48, dtype=bool)
     for idx, _ in electrode_quadrature(electrodes, grid):
-        vals = tr[idx]
+        vals = u.values[idx]  # the trace on the electrodes' grid rows
         lo_b = int(np.clip(np.digitize(float(vals.min()), edges) - 1, 0, 47))
         hi_b = int(np.clip(np.digitize(float(vals.max()), edges) - 1, 0, 47))
         pinned[lo_b:hi_b + 1] = True
@@ -487,9 +486,9 @@ def _reconstruct_by_former_sweep(a, electrodes, config, grid, ground_truth=None)
         tv = float(np.sum(cell_average(a) * magnitude) * h**2)
         # 0.5 w (b v^2 - 2 c v) on each boundary face, v at the node that
         # owns it, b and c at its value index, plus 0.5 w c^2/b where b > 0
-        node_f, val_f, w = boundary_faces(grid)
+        rows, val_f, w = boundary_faces(grid)
         b, c = coeffs.b.values[val_f], coeffs.c.values[val_f]
-        v = boundary_trace(u).values[node_f]
+        v = u.values[rows]  # the trace at the owning nodes' grid rows
         target_term = np.zeros_like(b)
         np.divide(c * c, b, out=target_term, where=b > 0.0)
         bterm = (float(np.sum((0.5 * w * b * v - w * c) * v))
@@ -796,6 +795,18 @@ def test_level_calibration_recovers_transform(n, strength, negative, halfwidth, 
     assert found > 0.5 * strength
     assert after < before / 2.5
     assert after < 0.2 * strength
+
+
+def test_level_calibration_returns_the_input_where_no_bin_is_free():
+    # u = x takes its whole range on either full-aperture electrode, so the
+    # electrode ranges pin every level bin, and a constant u has bins of no
+    # width: no width is left to rescale, and the input returns as it is,
+    # with strength 0
+    g = make_grid(17)
+    sigma = ScalarField(g, np.random.default_rng(0).uniform(0.5, 2.0, g.num_nodes))
+    for u in (ScalarField.from_function(g, lambda x, y: x), ScalarField.constant(g, 0.3)):
+        s, v, strength = level_calibration(sigma, u, ElectrodeSet(), 1.0)
+        assert s is sigma and v is u and strength == 0.0
 
 
 def test_level_calibration_identity_on_consistent_input(homog_setup):
